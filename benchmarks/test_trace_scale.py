@@ -1,10 +1,9 @@
-"""Trace-scale benchmark: sharded replay vs the pre-PR single kernel.
+"""Trace-scale benchmark: wall clock of the sharded replay at 10×.
 
 Re-measures the reduced (10×) matrix — ~70k invocations through the
-baseline eager-replay path and the sharded lean kernel — and asserts
-the shape the committed ``BENCH_trace_scale.json`` records: the lean
-sharded engine beats the pre-existing single kernel well past the CI
-floor, and every configuration replays the identical stream.
+sharded kernel at 1/2/4 shards — and asserts the shape the committed
+``BENCH_trace_scale.json`` records: every configuration replays the
+identical stream and clears the events/s floor.
 """
 
 from repro.experiments.bench_trace_scale import FLOORS, trace_scale_matrix
@@ -14,23 +13,12 @@ def test_trace_scale_10x_matrix(benchmark):
     matrix = benchmark.pedantic(
         trace_scale_matrix, args=(10.0,), rounds=1, iterations=1
     )
-    rows = {
-        (row.get("engine"), row.get("shards"), row.get("executor")): row
-        for row in matrix["rows"]
+    assert {row["invocations"] for row in matrix["rows"]} == {
+        matrix["rows"][0]["invocations"]
     }
-    baseline = rows[("baseline_single_kernel", None, None)]
-    lean_1 = rows[("lean", 1, "serial")]
-    assert baseline["invocations"] == lean_1["invocations"] > 50_000
+    assert matrix["rows"][0]["invocations"] > 50_000
     print()
     for row in matrix["rows"]:
-        label = f"{row['engine']}-{row.get('shards', 1)}-{row.get('executor', '')}"
+        label = f"lean-{row['shards']}-{row['executor']}"
         print(f"{label:32s} {row['wall_seconds']:8.2f}s")
-    print(f"speedup lean-1 vs baseline:   {matrix['speedup_lean_1_vs_baseline']}x")
-    print(f"speedup 4-shard vs baseline:  {matrix['speedup_4_shards_vs_baseline']}x")
-    assert matrix["speedup_lean_1_vs_baseline"] >= FLOORS["speedup_lean_1_min_10x"]
-    assert (
-        matrix["speedup_4_shards_vs_baseline"] >= FLOORS["speedup_4_shards_min_10x"]
-    )
-    for row in matrix["rows"]:
-        if row["engine"] == "lean":
-            assert row["events_per_second"] >= FLOORS["events_per_second_min"]
+        assert row["events_per_second"] >= FLOORS["events_per_second_min"]

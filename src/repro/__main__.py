@@ -113,7 +113,6 @@ def _run_one(name: str, args) -> None:
         result = run_fig10_full(
             scale=args.trace_scale,
             shards=args.shards,
-            engine=args.engine,
             executor=args.executor,
         )
         print(result.render())
@@ -222,9 +221,7 @@ def _scenario_command(args) -> int:
         return 2
 
     if args.action == "run":
-        run = run_scenario(
-            spec, shards=args.shards, executor=args.executor, engine=args.engine
-        )
+        run = run_scenario(spec, shards=args.shards, executor=args.executor)
         text = run.kpis.to_json()
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -237,8 +234,7 @@ def _scenario_command(args) -> int:
     try:
         axes = [parse_axis_argument(axis) for axis in args.axes]
         matrix = run_sweep(
-            spec, axes,
-            shards=args.shards, executor=args.executor, engine=args.engine,
+            spec, axes, shards=args.shards, executor=args.executor
         )
     except SpecError as exc:
         print(f"scenario sweep: {exc}", file=sys.stderr)
@@ -284,12 +280,8 @@ def main(argv=None) -> int:
         help="fig10full: trace scale vs the 100-function sample (default 100)",
     )
     run_parser.add_argument(
-        "--shards", type=int, default=4,
-        help="fig10full: shard count (KPIs are invariant to it; default 4)",
-    )
-    run_parser.add_argument(
-        "--engine", choices=("lean", "classic"), default="lean",
-        help="fig10full: shard kernel (default lean)",
+        "--shards", type=int, default=1,
+        help="fig10full: shard count (KPIs are invariant to it; default 1)",
     )
     run_parser.add_argument(
         "--executor", choices=("auto", "serial", "process"), default="auto",
@@ -338,10 +330,6 @@ def main(argv=None) -> int:
         action_parser.add_argument(
             "--executor", choices=("auto", "serial", "process"), default="auto",
             help="streamed specs: shard executor (default auto)",
-        )
-        action_parser.add_argument(
-            "--engine", choices=("lean", "classic"), default="lean",
-            help="streamed specs: shard kernel (default lean)",
         )
     diff_parser = scenario_subparsers.add_parser(
         "diff", help="compare two KPI records/matrices within tolerance bands"

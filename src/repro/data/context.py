@@ -246,29 +246,14 @@ class MemoryContext:
         return f"MemoryContext({self.ident!r}, cap={self._capacity}, {state})"
 
 
-def serialize_sets(sets: Iterable[DataSet], version: int = WIRE_VERSION) -> bytes:
-    """Encode sets into the length-prefixed on-context layout.
+def serialize_sets(sets: Iterable[DataSet]) -> bytes:
+    """Encode sets into the length-prefixed on-context layout (v2).
 
-    ``version=2`` (the default) appends the footer offset table that
-    makes the blob seekable; ``version=1`` emits the legacy scan-only
-    layout (kept for the fallback-parse path and format tests).
+    The body is followed by the footer offset table that makes the
+    blob seekable.  The legacy scan-only v1 layout is read-only: the
+    parsers still accept it, nothing emits it.
     """
     sets = list(sets)
-    if version == 1:
-        parts = [_HEADER.pack(_MAGIC, len(sets))]
-        for data_set in sets:
-            parts.append(_encode_name(data_set.ident))
-            parts.append(_LENGTH.pack(len(data_set)))
-            for item in data_set:
-                parts.append(_encode_name(item.ident))
-                key = item.key if item.key is not None else ""
-                parts.append(_encode_name(key))
-                parts.append(_LENGTH.pack(1 if item.key is not None else 0))
-                parts.append(_LENGTH.pack(len(item.data)))
-                parts.append(item.data)
-        return b"".join(parts)
-    if version != 2:
-        raise ValueError(f"unknown wire format version {version!r}")
     parts: list = [b""]  # header placeholder, patched once offsets are known
     offset = _HEADER2.size
     set_entries: list[tuple[int, int, int, int]] = []
@@ -346,29 +331,21 @@ def _splice_lazy_set(data_set, offset: int):
     return blob[start:end], entry, [o + delta for o in offsets]
 
 
-def serialized_size(sets: Iterable[DataSet], version: int = WIRE_VERSION) -> int:
-    """Exact ``len(serialize_sets(sets, version))`` without the blob.
+def serialized_size(sets: Iterable[DataSet]) -> int:
+    """Exact ``len(serialize_sets(sets))`` without the blob.
 
     This is the accounting half of the data plane: the dispatcher uses
     it to charge committed pages for a store without paying the copy.
     A hypothesis property test pins it byte-for-byte to the eager
-    encoder, including the name-length validation.  For v2 the footer
-    adds ``_SET_ENTRY.size`` per set plus 8 bytes per item on top of
-    the body; lazy views carry their body wire size from the footer, so
+    encoder, including the name-length validation.  The footer adds
+    ``_SET_ENTRY.size`` per set plus 8 bytes per item on top of the
+    body; lazy views carry their body wire size from the footer, so
     re-storing a lazy set stays O(1) per set.
     """
-    if version == 1:
-        size = _HEADER.size
-        footer_per_set = footer_per_item = 0
-    elif version == 2:
-        size = _HEADER2.size
-        footer_per_set = _SET_ENTRY.size
-        footer_per_item = _ITEM_ENTRY.size
-    else:
-        raise ValueError(f"unknown wire format version {version!r}")
+    size = _HEADER2.size
     for data_set in sets:
         size += 8 + _name_length(data_set.ident)  # name + item count
-        size += footer_per_set + footer_per_item * len(data_set)
+        size += _SET_ENTRY.size + _ITEM_ENTRY.size * len(data_set)
         wire = getattr(data_set, "_wire", None)
         if wire is None:
             # Per-item wire bytes: name, key, key flag, length, payload.

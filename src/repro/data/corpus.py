@@ -22,10 +22,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .context import _HEADER2, _SET_ENTRY, serialize_sets
+from .context import _HEADER, _HEADER2, _MAGIC, _SET_ENTRY, serialize_sets
 from .items import DataItem, DataSet
 
-__all__ = ["MalformedBlob", "CORPUS", "touch_all", "verify_corpus_rejections"]
+__all__ = ["MalformedBlob", "CORPUS", "V1_BLOB", "touch_all", "verify_corpus_rejections"]
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,20 @@ def _patched(blob: bytes, offset: int, replacement: bytes) -> bytes:
     return blob[:offset] + replacement + blob[offset + len(replacement) :]
 
 
+def _as_v1(blob: bytes) -> bytes:
+    """Re-head a v2 blob as legacy v1: same body, scan-only header, no footer."""
+    _, set_count, footer_offset = _HEADER2.unpack_from(blob, 0)
+    return _HEADER.pack(_MAGIC, set_count) + blob[_HEADER2.size : footer_offset]
+
+
+# Well-formed v1 encoding of _base_sets(): nothing writes v1 any more,
+# so this is what the v1 corpus entries are cut from and what the
+# reader-fallback tests parse.
+V1_BLOB = _as_v1(serialize_sets(_base_sets()))
+
+
 def _build_corpus() -> list[MalformedBlob]:
     blob = serialize_sets(_base_sets())
-    blob_v1 = serialize_sets(_base_sets(), version=1)
     _, set_count, footer_offset = _HEADER2.unpack_from(blob, 0)
     footer_end = footer_offset + set_count * _SET_ENTRY.size
     set0_offset, set0_count, _, _ = _SET_ENTRY.unpack_from(blob, footer_offset)
@@ -128,10 +139,10 @@ def _build_corpus() -> list[MalformedBlob]:
         ),
         # v1 blobs always take the eager fallback, so every defect is
         # an index-stage rejection for the lazy codec too.
-        MalformedBlob("v1_truncated", blob_v1[: len(blob_v1) // 2], "index"),
+        MalformedBlob("v1_truncated", V1_BLOB[: len(V1_BLOB) // 2], "index"),
         MalformedBlob(
             "v1_huge_set_count",
-            _patched(blob_v1, 4, struct.pack("<I", 1 << 30)),
+            _patched(V1_BLOB, 4, struct.pack("<I", 1 << 30)),
             "index",
         ),
     ]

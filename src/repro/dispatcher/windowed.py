@@ -61,17 +61,6 @@ class WindowedRouter:
         """Replace estimates with the barrier reports (merged globally)."""
         self._estimates[:] = self._plan.merge(per_shard_outstanding)
 
-    def outstanding_total(self) -> int:
-        return sum(self._estimates)
-
-    def route(self) -> int:
-        """Pick a worker for the next arrival and charge the estimate."""
-        worker = self._policy.decide(self._snapshot)
-        if worker is None:  # fleet is never empty here
-            raise RuntimeError("routing policy declined a fault-free fleet")
-        self._estimates[worker] += 1
-        return worker
-
     def route_window(self, arrivals, dispatch_delay: float) -> "list[bytearray]":
         """Route one window of ``(time, fn_index, duration)`` arrivals.
 

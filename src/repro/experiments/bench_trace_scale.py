@@ -1,33 +1,22 @@
-"""Trace-scale benchmark: sharded replay vs the pre-PR single kernel.
+"""Trace-scale benchmark: wall clock of the sharded replay.
 
-Times the sharded simulator (:mod:`repro.sim.sharded`) against the
-baseline the repo had before it existed — eager trace materialization
-(:meth:`~repro.trace.stream.StreamedTrace.materialize`) plus
-:func:`~repro.trace.replay.replay_on_dandelion` on one pooled-core
-kernel — at the *same* invocation stream and aggregate core count.
-The numbers land in ``BENCH_trace_scale.json``; the CI trace-scale
-smoke job re-measures the reduced (10×) matrix and gates on
-:data:`FLOORS`, and the 100× acceptance record (measured once on the
-development machine, like ``bench_kernel.REFERENCE``) is carried in
-:data:`REFERENCE_100X`.
+Times :func:`~repro.sim.sharded.run_sharded_replay` on the fig10_full
+invocation stream at 1, 2 and 4 shards stepped serially, plus 4 shards
+on the ``auto`` executor (one process per shard when the host has the
+CPUs).  The numbers land in ``BENCH_trace_scale.json``; the CI
+trace-scale smoke job re-measures the reduced (10×) matrix and gates on
+:data:`FLOORS`.
 
 Scale is relative to ``run_fig10``'s 100-function sample: ``scale=10``
 is 1,000 functions at 120 rps aggregate over the same 1200 s window
 (~70k invocations), ``scale=100`` is the fig10_full headline (10,000
-functions, ~670k invocations).
-
-The baseline's wall-clock grows *superlinearly* with scale (eager
-generation materializes and sorts every invocation; the single
-``Resource`` with thousands of pooled cores keeps deep waiter queues),
-which is exactly the "trace construction starts to rival the
-simulation" failure mode streamed generation + sharding remove — so
-the speedup at 100× is much larger than at 10×.
+functions, ~670k invocations).  docs/simulation.md ("Sharded
+execution") keeps the history of what this replay replaced.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
@@ -37,105 +26,28 @@ __all__ = [
     "trace_scale_matrix",
     "DEFAULT_OUTPUT",
     "FLOORS",
-    "REFERENCE_100X",
 ]
 
 DEFAULT_OUTPUT = "BENCH_trace_scale.json"
 
-# CI gates (see .github/workflows/ci.yml, trace-scale job).  The 10×
-# floors are re-measured on every CI run and set conservatively —
-# they must hold even on a single-CPU host where the 4-shard run
-# falls back to serial stepping and sharding is pure per-window
-# overhead (the lean-1 ratio is the core-count-independent gate; the
-# 4-shard floor just forbids sharding from losing to the baseline).
-# The 100× floor is the acceptance record, asserted against
-# REFERENCE_100X whenever the benchmark is (re)generated.
-FLOORS = {
-    "events_per_second_min": 40_000,
-    "speedup_lean_1_min_10x": 2.0,
-    "speedup_4_shards_min_10x": 1.0,
-    "speedup_4_shards_min_100x": 3.0,
-}
-
-# Measured once at full fig10_full scale (scale=100: 10,000 functions,
-# 670,847 invocations, 25×64-core fleet) on the development machine —
-# a 1-CPU container, so the 4-shard row runs the serial executor and
-# the speedup is pure kernel + data-plane work, with zero parallelism.
-REFERENCE_100X = {
-    "scale": 100,
-    "invocations": 670_847,
-    "workers": 25,
-    "cores_per_worker": 64,
-    "cpu_count": 1,
-    "baseline_single_kernel_seconds": 78.9,
-    "baseline_trace_materialize_seconds": 5.2,
-    "sharded_classic_1_serial_seconds": 19.4,
-    "sharded_lean_1_serial_seconds": 5.9,
-    "sharded_lean_4_serial_seconds": 6.1,
-    "speedup_lean_1_vs_baseline": 13.4,
-    "speedup_4_shards_vs_baseline": 11.4,
-    "machine": "Linux x86_64 dev container, CPython 3.11, 1 CPU",
-}
+# CI gate (see .github/workflows/ci.yml, trace-scale job), re-measured
+# at 10× on every run and set to hold on a single-CPU host.
+FLOORS = {"events_per_second_min": 40_000}
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _scaled_params(scale: float) -> dict:
-    from .fig10_full import (
-        BASE_DURATION_SECONDS,
-        BASE_FUNCTIONS,
-        BASE_TOTAL_RPS,
-        _fleet_for,
-    )
-
-    workers, cores_per_worker = _fleet_for(scale)
-    return {
-        "function_count": round(BASE_FUNCTIONS * scale),
-        "duration_seconds": BASE_DURATION_SECONDS,
-        "total_rps": BASE_TOTAL_RPS * scale,
-        "workers": workers,
-        "cores_per_worker": cores_per_worker,
-    }
-
-
-def _baseline_single_kernel(trace, total_cores: int) -> dict:
-    """The pre-PR path: eager materialization + one pooled-core kernel."""
-    from ..trace.replay import replay_on_dandelion
-
-    start = time.perf_counter()
-    eager = trace.materialize()
-    materialized = time.perf_counter()
-    report = replay_on_dandelion(eager, cores=total_cores)
-    done = time.perf_counter()
-    return {
-        "engine": "baseline_single_kernel",
-        "invocations": report.total_requests,
-        "trace_materialize_seconds": round(materialized - start, 3),
-        "replay_seconds": round(done - materialized, 3),
-        "wall_seconds": round(done - start, 3),
-    }
-
-
-def _sharded_row(trace, workers, cores_per_worker, engine, shards, executor) -> dict:
+def _sharded_row(trace, workers, cores_per_worker, shards, executor) -> dict:
     from ..sim.sharded import ShardedConfig, run_sharded_replay
 
     config = ShardedConfig(
         workers=workers,
         cores_per_worker=cores_per_worker,
         shards=shards,
-        engine=engine,
         executor=executor,
     )
     start = time.perf_counter()
     report = run_sharded_replay(trace, config)
     wall = time.perf_counter() - start
     return {
-        "engine": engine,
         "shards": shards,
         "executor": executor,
         "executor_mode": report.executor_mode,
@@ -150,72 +62,38 @@ def _sharded_row(trace, workers, cores_per_worker, engine, shards, executor) -> 
     }
 
 
-def trace_scale_matrix(scale: float = 10.0, include_baseline: bool = True) -> dict:
+def trace_scale_matrix(scale: float = 10.0) -> dict:
     """One scale's measurement matrix (the CI smoke re-runs this at 10×)."""
-    from ..trace.stream import streamed_trace
+    from .fig10_full import _fleet_for, full_trace
 
-    params = _scaled_params(scale)
-    workers = params["workers"]
-    cores_per_worker = params["cores_per_worker"]
-
-    def fresh_trace():
-        return streamed_trace(
-            function_count=params["function_count"],
-            duration_seconds=params["duration_seconds"],
-            total_rps=params["total_rps"],
-            seed=42,
-        )
-
-    rows = []
-    if include_baseline:
-        rows.append(
-            _baseline_single_kernel(fresh_trace(), workers * cores_per_worker)
-        )
-    # classic shards=1 is the ablation: the old generator/Resource kernel
-    # inside the new streamed + windowed data plane, isolating how much
-    # of the win is the lean kernel vs the surrounding machinery.
-    rows.append(_sharded_row(fresh_trace(), workers, cores_per_worker, "classic", 1, "serial"))
-    for shards in (1, 2, 4):
-        rows.append(_sharded_row(fresh_trace(), workers, cores_per_worker, "lean", shards, "serial"))
-    rows.append(_sharded_row(fresh_trace(), workers, cores_per_worker, "lean", 4, "auto"))
-
-    result = {
+    workers, cores_per_worker = _fleet_for(scale)
+    rows = [
+        _sharded_row(full_trace(scale), workers, cores_per_worker, shards, executor)
+        for shards, executor in ((1, "serial"), (2, "serial"), (4, "serial"), (4, "auto"))
+    ]
+    return {
         "scale": scale,
         "workers": workers,
         "cores_per_worker": cores_per_worker,
         "rows": rows,
     }
-    if include_baseline:
-        baseline = rows[0]["wall_seconds"]
-        by_key = {
-            (row.get("engine"), row.get("shards"), row.get("executor")): row
-            for row in rows
-        }
-        lean_1 = by_key[("lean", 1, "serial")]["wall_seconds"]
-        lean_4 = by_key[("lean", 4, "auto")]["wall_seconds"]
-        result["speedup_lean_1_vs_baseline"] = round(baseline / lean_1, 2)
-        result["speedup_4_shards_vs_baseline"] = round(baseline / lean_4, 2)
-    return result
 
 
 def run_trace_scale_bench(
     scales=(10.0,), output: "str | None" = DEFAULT_OUTPUT
 ) -> dict:
     """Measure the matrix at each scale; optionally write ``output``."""
+    from ..sim.sharded.coordinator import _available_cpus
+
     report = {
-        "schema": "repro-bench-trace-scale/v1",
+        "schema": "repro-bench-trace-scale/v2",
         "generated_unix": int(time.time()),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpu_count": _available_cpus(),
         "floors": FLOORS,
         "measured": {f"scale_{scale:g}x": trace_scale_matrix(scale) for scale in scales},
-        "reference_100x": REFERENCE_100X,
     }
-    assert (
-        REFERENCE_100X["speedup_4_shards_vs_baseline"]
-        >= FLOORS["speedup_4_shards_min_100x"]
-    ), "100x acceptance record fell below its floor"
     if output:
         with open(output, "w") as handle:
             json.dump(report, handle, indent=2)

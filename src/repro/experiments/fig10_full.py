@@ -20,8 +20,8 @@ Since the `repro.scenario` refactor the replay itself goes through
 :func:`~repro.scenario.engine.run_scenario` on a streamed-trace
 :class:`~repro.scenario.spec.ScenarioSpec` (bundled as
 ``scenario/specs/fig10_full.toml``), one run per platform arm;
-``shards``/``executor``/``engine`` stay engine-call knobs because the
-KPIs are invariant to them.
+``shards``/``executor`` stay engine-call knobs because the KPIs are
+invariant to them.
 """
 
 from __future__ import annotations
@@ -89,9 +89,8 @@ def _base_spec(
 
 def run_fig10_full(
     scale: float = 100.0,
-    shards: int = 4,
+    shards: int = 1,
     executor: str = "auto",
-    engine: str = "lean",
     workers: "int | None" = None,
     cores_per_worker: "int | None" = None,
     window_seconds: float = 0.5,
@@ -110,7 +109,6 @@ def run_fig10_full(
             base.with_overrides({"fleet.platform": platform}),
             shards=shards,
             executor=executor,
-            engine=engine,
         )
         reports[platform] = run.report
         function_count = run.meta["function_count"]
@@ -178,7 +176,6 @@ def run_fig10_full(
     result.meta = {
         "scale": scale,
         "shards": shards,
-        "engine": engine,
         "executor": executor,
         "workers": workers,
         "cores_per_worker": cores_per_worker,

@@ -29,13 +29,10 @@ import hashlib
 import json
 import os
 import re
+import tomllib
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-try:  # Python >= 3.11
-    import tomllib as _tomllib
-except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback below
-    _tomllib = None
 
 __all__ = [
     "SPEC_SCHEMA",
@@ -448,106 +445,11 @@ def scenario_from_toml(text: str) -> ScenarioSpec:
 
 
 def parse_toml(text: str) -> dict:
-    """TOML → dict via stdlib tomllib, else the bundled subset parser."""
-    if _tomllib is not None:
-        try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"TOML parse error: {exc}") from exc
-    return parse_toml_subset(text)
-
-
-def parse_toml_subset(text: str) -> dict:
-    """Parse the two-level ``[section]`` / ``key = value`` TOML subset.
-
-    Fallback for Python < 3.11 (no :mod:`tomllib`), and the grammar
-    :meth:`ScenarioSpec.to_toml` emits: basic strings, integers,
-    floats, booleans, comments.  No arrays, no nested tables.
-    """
-    root: dict = {}
-    table = root
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_toml_comment(raw_line, lineno).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise SpecError(f"TOML line {lineno}: malformed table header")
-            name = line[1:-1].strip()
-            if not _NAME_RE.match(name):
-                raise SpecError(f"TOML line {lineno}: bad table name {name!r}")
-            if name in root:
-                raise SpecError(f"TOML line {lineno}: duplicate table {name!r}")
-            table = root.setdefault(name, {})
-            continue
-        key, eq, value_text = line.partition("=")
-        key = key.strip()
-        if not eq or not _NAME_RE.match(key):
-            raise SpecError(f"TOML line {lineno}: expected 'key = value'")
-        if key in table:
-            raise SpecError(f"TOML line {lineno}: duplicate key {key!r}")
-        table[key] = _parse_toml_scalar(value_text.strip(), lineno)
-    return root
-
-
-def _strip_toml_comment(line: str, lineno: int) -> str:
-    out = []
-    in_string = False
-    escaped = False
-    for char in line:
-        if in_string:
-            out.append(char)
-            if escaped:
-                escaped = False
-            elif char == "\\":
-                escaped = True
-            elif char == '"':
-                in_string = False
-            continue
-        if char == "#":
-            break
-        out.append(char)
-        if char == '"':
-            in_string = True
-    if in_string:
-        raise SpecError(f"TOML line {lineno}: unterminated string")
-    return "".join(out)
-
-
-def _parse_toml_scalar(text: str, lineno: int):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"'):
-            raise SpecError(f"TOML line {lineno}: unterminated string")
-        body = text[1:-1]
-        out = []
-        index = 0
-        while index < len(body):
-            char = body[index]
-            if char == '"':
-                raise SpecError(f"TOML line {lineno}: stray quote in string")
-            if char == "\\":
-                index += 1
-                if index >= len(body) or body[index] not in ('"', "\\"):
-                    raise SpecError(
-                        f"TOML line {lineno}: unsupported escape in string"
-                    )
-                out.append(body[index])
-            else:
-                out.append(char)
-            index += 1
-        return "".join(out)
-    if re.fullmatch(r"[+-]?[0-9][0-9_]*", text):
-        return int(text.replace("_", ""))
+    """TOML → dict via stdlib :mod:`tomllib`; syntax errors are SpecErrors."""
     try:
-        return float(text.replace("_", ""))
-    except ValueError:
-        raise SpecError(
-            f"TOML line {lineno}: cannot parse value {text!r}"
-        ) from None
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise SpecError(f"TOML parse error: {exc}") from exc
 
 
 def _toml_value(value) -> str:

@@ -56,7 +56,7 @@ from .messages import (
     encode_window_batch,
     encode_window_report,
 )
-from .shard import PLATFORM_DANDELION, ClassicShardSim, ShardSim
+from .shard import PLATFORM_DANDELION, ShardSim
 
 __all__ = [
     "ShardedConfig",
@@ -80,7 +80,6 @@ class ShardedConfig:
     policy: str = "least_loaded"
     seed: int = 0
     grid_step: float = 60.0
-    engine: str = "lean"            # "lean" | "classic"
     executor: str = "auto"          # "auto" | "serial" | "process"
     # Dandelion platform: sandbox-creation seconds (process backend).
     creation_seconds: float = 0.001
@@ -182,14 +181,6 @@ def _window_reply(sim, blob, stall_seconds: float) -> "tuple[bytes, bool]":
     return report, False
 
 
-def _engine_class(engine: str):
-    if engine == "lean":
-        return ShardSim
-    if engine == "classic":
-        return ClassicShardSim
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 class SerialExecutor:
     """All shards stepped in one process (zero barrier stall).
 
@@ -200,10 +191,9 @@ class SerialExecutor:
 
     __slots__ = ("_sims", "_inbox")
 
-    def __init__(self, plan: ShardPlan, shard_config: dict, engine: str):
-        cls = _engine_class(engine)
+    def __init__(self, plan: ShardPlan, shard_config: dict):
         self._sims = [
-            cls(plan.workers_of(shard), shard_config)
+            ShardSim(plan.workers_of(shard), shard_config)
             for shard in range(plan.shard_count)
         ]
         self._inbox: list = []
@@ -231,7 +221,7 @@ def _shard_process_main(conn) -> None:
     """Entry point of one shard worker process."""
     try:
         init = conn.recv()
-        sim = _engine_class(init["engine"])(init["worker_indices"], init["config"])
+        sim = ShardSim(init["worker_indices"], init["config"])
         stall = 0.0
         while True:
             begin = time.perf_counter()
@@ -250,7 +240,7 @@ class ProcessExecutor:
 
     __slots__ = ("_conns", "_procs")
 
-    def __init__(self, plan: ShardPlan, shard_config: dict, engine: str):
+    def __init__(self, plan: ShardPlan, shard_config: dict):
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         self._conns = []
@@ -265,7 +255,6 @@ class ProcessExecutor:
                 child.close()
                 parent.send(
                     {
-                        "engine": engine,
                         "worker_indices": plan.workers_of(shard),
                         "config": shard_config,
                     }
@@ -339,9 +328,9 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
             else "process"
         )
     executor = (
-        SerialExecutor(plan, shard_config, config.engine)
+        SerialExecutor(plan, shard_config)
         if mode == "serial"
-        else ProcessExecutor(plan, shard_config, config.engine)
+        else ProcessExecutor(plan, shard_config)
     )
     window = config.window_seconds
     dispatch_delay = config.dispatch_delay_seconds

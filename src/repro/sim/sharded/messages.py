@@ -50,7 +50,6 @@ __all__ = [
     "decode_window_batch",
     "encode_window_report",
     "decode_window_report",
-    "decode_latencies",
     "encode_final_report",
     "decode_final_report",
 ]
@@ -116,11 +115,6 @@ def decode_window_report(blob):
     count = (len(state) - _STATE.size) // 4
     outstanding = list(struct.unpack_from(f"<{count}I", state, _STATE.size))
     return index, outstanding, report[1], events, stall
-
-
-def decode_latencies(item) -> "tuple[float, ...]":
-    """Materialize one report's latency payload (touched at end of run)."""
-    return struct.unpack(f"<{item.size // 8}d", item.data)
 
 
 def encode_final_report(summary: dict) -> bytes:

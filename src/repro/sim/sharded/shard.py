@@ -5,7 +5,7 @@ Between barriers it runs free; at a barrier it ingests the window's
 delivery batch, runs to the window end, and reports per-worker
 outstanding counts plus the window's completion latencies.
 
-The lean engine drives the kernel's heap directly with packed tuples
+The kernel drives the environment's heap directly with packed tuples
 ``(time, seq, worker, kind, a, b)`` instead of :class:`~repro.sim.core.Event`
 objects: a completion is one tuple push, a delivery is *no* heap
 traffic at all — the window's batch is already time-sorted (trace order
@@ -16,8 +16,8 @@ tie-breaking byte-identical to the event-object formulation and keeps
 the ``events`` KPI counting deliveries.  Worker semantics are pinned to
 :class:`~repro.trace.replay.DandelionTraceWorker`: FIFO core queueing,
 memory committed only while a core slot is held, service time = sandbox
-creation + duration.  :class:`ClassicShardSim` keeps the
-generator+``Resource`` formulation alive as the wall-clock baseline;
+creation + duration.  The generator+``Resource`` formulation of the
+same worker lives on as a test oracle (``tests/sim/classic_oracle.py``);
 the invariance suite asserts both produce byte-identical KPIs.
 
 Everything a worker records is a function of its own delivery sequence
@@ -32,11 +32,9 @@ from collections import deque
 from heapq import heappop, heappush
 
 from ..core import Environment
-from ..resources import Resource
 
 __all__ = [
     "ShardSim",
-    "ClassicShardSim",
     "PLATFORM_DANDELION",
     "PLATFORM_FAAS",
 ]
@@ -45,7 +43,7 @@ PLATFORM_DANDELION = "dandelion"
 PLATFORM_FAAS = "faas"
 
 
-# Lean heap-entry kinds (tuple field 3).
+# Heap-entry kinds (tuple field 3).
 _COMPLETE = 0
 _EXPIRE = 1
 
@@ -54,7 +52,7 @@ class _StepSeries:
     """Per-worker step-function accumulator over [0, duration].
 
     Replaces :class:`~repro.sim.metrics.TimeSeries` for the sharded
-    engine: instead of storing every point it folds each change into
+    kernel: instead of storing every point it folds each change into
     the time-weighted integral and a fixed resample grid on the fly, so
     memory stays O(grid) across millions of events.  Values are ints
     (bytes), so sums across workers are exact and grouping-independent.
@@ -395,90 +393,3 @@ class ShardSim:
                 entry["cold_starts"] = worker.cold_starts
             workers.append(entry)
         return {"workers": workers, "events": self.env._seq}
-
-
-class ClassicShardSim:
-    """The classic-kernel formulation of a shard (wall-clock baseline).
-
-    Same interface as :class:`ShardSim`, but every delivery runs as a
-    generator process acquiring a :class:`~repro.sim.resources.Resource`
-    core slot — the pre-sharding simulation idiom
-    (:class:`~repro.trace.replay.DandelionTraceWorker`).  Exists so the
-    trace-scale benchmark measures the lean kernel against the real
-    alternative, and so the invariance suite can pin the two kernels to
-    byte-identical KPIs.  Dandelion platform only.
-    """
-
-    __slots__ = ("env", "workers", "worker_indices", "cores", "_by_global")
-
-    def __init__(self, worker_indices, config: dict):
-        if config["platform"] != PLATFORM_DANDELION:
-            raise ValueError("classic engine models the dandelion platform only")
-        self.env = Environment()
-        self.worker_indices = tuple(worker_indices)
-        self.cores = config["cores_per_worker"]
-        self.workers = [
-            _ClassicDandelionWorker(
-                self.env, self.cores, config["creation_seconds"],
-                config["memory_of"], config["duration_seconds"], config["grid_step"],
-            )
-            for _ in self.worker_indices
-        ]
-        self._by_global = {
-            index: worker for index, worker in zip(self.worker_indices, self.workers)
-        }
-
-    def run_window(self, records, end: float) -> None:
-        env = self.env
-        by_global = self._by_global
-        for delivery, worker, fn_index, duration, arrival in records:
-            env.process(by_global[worker].serve(delivery, fn_index, duration, arrival))
-        env.run(until=end)
-
-    drain_latencies = ShardSim.drain_latencies
-    final_summary = ShardSim.final_summary
-
-    def outstanding(self) -> list[int]:
-        return [w.outstanding for w in self.workers]
-
-    @property
-    def events(self) -> int:
-        return self.env._seq
-
-
-class _ClassicDandelionWorker:
-    """Generator+Resource restatement of :class:`_LeanDandelionWorker`."""
-
-    __slots__ = (
-        "env", "cores", "creation", "memory_of", "committed",
-        "latencies", "series", "completed", "outstanding",
-    )
-
-    def __init__(self, env, cores, creation_seconds, memory_of, duration, grid_step):
-        self.env = env
-        self.cores = Resource(env, capacity=cores)
-        self.creation = creation_seconds
-        self.memory_of = memory_of
-        self.committed = 0
-        self.latencies: list[float] = []
-        self.series = _StepSeries(duration, grid_step)
-        self.completed = 0
-        self.outstanding = 0
-
-    def serve(self, delivery, fn_index, duration, arrival):
-        env = self.env
-        delay = delivery - env._now
-        if delay > 0:
-            yield env.timeout(delay)
-        self.outstanding += 1
-        memory = self.memory_of[fn_index]
-        with self.cores.acquire() as slot:
-            yield slot
-            self.committed += memory
-            self.series.record(env._now, self.committed)
-            yield env.timeout(self.creation + duration)
-            self.committed -= memory
-            self.series.record(env._now, self.committed)
-        self.latencies.append(env._now - arrival)
-        self.completed += 1
-        self.outstanding -= 1

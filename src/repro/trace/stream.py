@@ -32,8 +32,6 @@ from typing import Iterator
 
 from ..sim.distributions import Rng
 from .azure import (
-    AzureTrace,
-    Invocation,
     TraceFunction,
     _DURATION_MAX,
     _DURATION_MIN,
@@ -142,14 +140,6 @@ class StreamedTrace:
             else:  # steady and rare are both Poisson at the mean rate
                 streams.append(_poisson_stream(index, fn, self.duration_seconds, arng, drng))
         return heapq.merge(*streams)
-
-    def materialize(self) -> AzureTrace:
-        """Eager :class:`AzureTrace` of the same stream (small traces only)."""
-        invocations = [
-            Invocation(t, self.functions[index].name, duration)
-            for t, index, duration in self.iter_invocations()
-        ]
-        return AzureTrace(list(self.functions), invocations, self.duration_seconds)
 
 
 def streamed_trace(

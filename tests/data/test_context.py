@@ -14,6 +14,7 @@ from repro.data import (
     serialize_sets,
     serialized_size,
 )
+from repro.data.corpus import V1_BLOB, _base_sets
 
 
 def test_write_then_read_roundtrip():
@@ -312,32 +313,27 @@ def test_wire_version_default_is_v2():
     assert blob[:4] == b"DND2"
 
 
-def test_v1_serialize_parse_roundtrip():
-    sets = _sample_sets()
-    blob = serialize_sets(sets, version=1)
-    assert blob[:4] == b"DNDL"
-    parsed = parse_sets(blob)
-    assert [s.ident for s in parsed] == [s.ident for s in sets]
-    assert parsed[0].item("x").data == b"123"
+def test_v1_blob_still_parses():
+    assert V1_BLOB[:4] == b"DNDL"
+    parsed = parse_sets(V1_BLOB)
+    assert [s.ident for s in parsed] == [s.ident for s in _base_sets()]
+    assert parsed[0].item("a").data == b"hello"
+    assert parsed[0].item("a").key == "k"
 
 
-def test_unknown_wire_version_rejected():
-    with pytest.raises(ValueError):
-        serialize_sets(_sample_sets(), version=3)
-    with pytest.raises(ValueError):
-        serialized_size(_sample_sets(), version=3)
+def test_writers_take_no_version():
+    with pytest.raises(TypeError):
+        serialize_sets(_sample_sets(), version=1)
+    with pytest.raises(TypeError):
+        serialized_size(_sample_sets(), version=1)
 
 
-def test_serialized_size_matches_both_versions():
-    sets = _sample_sets()
-    assert serialized_size(sets, version=1) == len(serialize_sets(sets, version=1))
-    assert serialized_size(sets, version=2) == len(serialize_sets(sets, version=2))
-    # v2 costs exactly the footer on top of v1: 8 bytes of extra
-    # header, 28 per set, 8 per item.
+def test_v2_costs_exactly_the_footer_over_v1():
+    sets = _base_sets()
+    assert serialized_size(sets) == len(serialize_sets(sets))
+    # 8 bytes of extra header, 28 per set, 8 per item.
     items = sum(len(s) for s in sets)
-    assert serialized_size(sets, version=2) - serialized_size(sets, version=1) == (
-        8 + 28 * len(sets) + 8 * items
-    )
+    assert serialized_size(sets) - len(V1_BLOB) == 8 + 28 * len(sets) + 8 * items
 
 
 def test_strict_parse_rejects_tampered_footer():

@@ -16,7 +16,7 @@ from repro.data import (
     serialize_sets,
     serialized_size,
 )
-from repro.data.corpus import CORPUS, touch_all, verify_corpus_rejections
+from repro.data.corpus import CORPUS, V1_BLOB, touch_all, verify_corpus_rejections
 
 
 def _sample_sets():
@@ -232,10 +232,9 @@ def test_duplicate_lazy_item_names_rejected_on_lookup():
 
 
 def test_v1_blob_falls_back_to_eager():
-    blob = serialize_sets(_sample_sets(), version=1)
-    sets = parse_sets_lazy(blob)
+    sets = parse_sets_lazy(V1_BLOB)
     assert all(isinstance(s, DataSet) for s in sets)
-    _assert_equivalent(sets, parse_sets(blob))
+    _assert_equivalent(sets, parse_sets(V1_BLOB))
 
 
 # -- context integration ------------------------------------------------------

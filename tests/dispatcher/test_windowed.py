@@ -75,7 +75,7 @@ def test_refresh_replaces_estimates_in_global_order():
     plan = ShardPlan(5, 2)
     router = WindowedRouter(plan)
     router.route_window([(0.0, 0, 1.0)] * 5, 0.0)
-    assert router.outstanding_total() == 5
+    assert sum(router._estimates) == 5
     # Shard 0 owns workers 0,2,4; shard 1 owns 1,3.
     router.refresh([[7, 8, 9], [1, 2]])
     assert router._estimates == [7, 1, 8, 2, 9]

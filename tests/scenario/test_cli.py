@@ -38,6 +38,17 @@ def test_scenario_run_rejects_bad_spec_and_override(capsys):
     assert "unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "run", "fig10_full", "--engine", "lean"],
+    ["run", "fig10full", "--engine", "lean"],
+])
+def test_engine_flag_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--engine" in capsys.readouterr().err
+
+
 def test_scenario_sweep_writes_matrix(tmp_path, capsys):
     output = tmp_path / "matrix.json"
     assert main([

@@ -72,3 +72,8 @@ def test_streamed_spec_runs_through_sharded_replay():
     # Streamed KPIs don't model utilization/imbalance.
     assert math.isnan(run.kpis.utilization)
     assert "committed_mean_mib" in run.kpis.extras
+
+
+def test_engine_argument_is_gone():
+    with pytest.raises(TypeError):
+        run_scenario(load_spec("fig10_full"), engine="lean")

@@ -11,7 +11,7 @@ from repro.scenario.spec import (
     SpecError,
     bundled_specs,
     load_spec,
-    parse_toml_subset,
+    parse_toml,
     scenario_from_dict,
     scenario_from_toml,
 )
@@ -91,10 +91,8 @@ def test_property_parse_serialize_parse_is_identity(payload):
     spec = scenario_from_dict(payload)
     # Canonical dict round-trip.
     assert scenario_from_dict(spec.to_dict()) == spec
-    # TOML round-trip through whichever parser the platform uses...
+    # TOML round-trip.
     assert scenario_from_toml(spec.to_toml()) == spec
-    # ...and explicitly through the py3.10 subset fallback parser.
-    assert scenario_from_dict(parse_toml_subset(spec.to_toml())) == spec
     # The digest is a function of the canonical form alone.
     assert scenario_from_toml(spec.to_toml()).digest() == spec.digest()
 
@@ -189,8 +187,8 @@ def test_load_spec_unknown_ref():
         load_spec("no_such_scenario")
 
 
-def test_subset_parser_grammar():
-    parsed = parse_toml_subset(
+def test_parse_toml_grammar_and_malformed_input():
+    parsed = parse_toml(
         '# header comment\n'
         'name = "a\\"b\\\\c"  # trailing comment\n'
         'seed = 12\n'
@@ -203,11 +201,11 @@ def test_subset_parser_grammar():
         "name": 'a"b\\c', "seed": 12,
         "trace": {"rps": 1.5, "reseed_per_fleet": False},
     }
-    with pytest.raises(SpecError, match="duplicate key"):
-        parse_toml_subset("a = 1\na = 2\n")
-    with pytest.raises(SpecError, match="malformed table header"):
-        parse_toml_subset("[trace\n")
-    with pytest.raises(SpecError, match="unterminated string"):
-        parse_toml_subset('name = "open\n')
-    with pytest.raises(SpecError, match="cannot parse value"):
-        parse_toml_subset("x = nope\n")
+    for malformed in (
+        "a = 1\na = 2\n",      # duplicate key
+        "[trace\n",            # bad table header
+        'name = "open\n',      # unterminated string
+        "x = nope\n",          # bad value
+    ):
+        with pytest.raises(SpecError, match="TOML parse error"):
+            parse_toml(malformed)

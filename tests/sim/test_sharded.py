@@ -1,14 +1,14 @@
-"""Sharded simulator: codec, invariance, engine equivalence, observability."""
+"""Sharded simulator: codec, invariance, oracle equivalence, observability."""
 
 import json
+import struct
 
 import pytest
 
 from repro.cluster.sharding import INVOCATION, ShardPlan
-from repro.sim.sharded import ShardedConfig, run_sharded_replay
+from repro.sim.sharded import ShardedConfig, coordinator, run_sharded_replay
 from repro.sim.sharded.messages import (
     decode_final_report,
-    decode_latencies,
     decode_window_batch,
     decode_window_report,
     encode_final_report,
@@ -17,24 +17,21 @@ from repro.sim.sharded.messages import (
 )
 from repro.trace.stream import streamed_trace
 
-SMALL = dict(function_count=150, duration_seconds=60.0, total_rps=30.0, seed=42)
+from .classic_oracle import ClassicShardSim
+
+SMALL = dict(function_count=150, duration_seconds=60.0, total_rps=30.0)
 
 
-def small_trace():
-    return streamed_trace(**SMALL)
-
-
-def replay(platform="dandelion", shards=1, engine="lean", executor="serial", **kw):
+def replay(platform="dandelion", shards=1, executor="serial", trace_seed=42, **kw):
     config = ShardedConfig(
         workers=6,
         cores_per_worker=8,
         shards=shards,
         platform=platform,
-        engine=engine,
         executor=executor,
         **kw,
     )
-    return run_sharded_replay(small_trace(), config)
+    return run_sharded_replay(streamed_trace(**SMALL, seed=trace_seed), config)
 
 
 def summary_key(report):
@@ -78,7 +75,7 @@ class TestMessageCodec:
         blob = encode_window_report(3, 2.0, [4, 0, 9], [0.25, 0.5], 123, 0.75)
         index, outstanding, item, events, stall = decode_window_report(blob)
         assert (index, outstanding, events, stall) == (3, [4, 0, 9], 123, 0.75)
-        assert decode_latencies(item) == (0.25, 0.5)
+        assert struct.unpack("<2d", item.data) == (0.25, 0.5)
 
     def test_final_report_roundtrip(self):
         summary = {"workers": [{"completed": 3}], "events": 9}
@@ -107,10 +104,15 @@ class TestShardCountInvariance:
         assert report.routed == report.completed > 0
 
 
-class TestEngineEquivalence:
-    def test_classic_matches_lean_modulo_events(self):
-        lean = replay(engine="lean", shards=1).summary()
-        classic = replay(engine="classic", shards=2).summary()
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("trace_seed", [42, 7])
+    def test_classic_oracle_matches_lean_modulo_events(
+        self, monkeypatch, trace_seed, shards
+    ):
+        lean = replay(shards=shards, trace_seed=trace_seed).summary()
+        monkeypatch.setattr(coordinator, "ShardSim", ClassicShardSim)
+        classic = replay(shards=shards, trace_seed=trace_seed).summary()
         lean_events = lean.pop("events")
         classic_events = classic.pop("events")
         assert lean == classic
@@ -171,6 +173,7 @@ class TestWindowSemantics:
         narrow = replay(window_seconds=0.5)
         assert summary_key(wide) != summary_key(narrow)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            replay(engine="warp")
+
+def test_engine_option_is_gone():
+    with pytest.raises(TypeError):
+        ShardedConfig(workers=2, engine="lean")

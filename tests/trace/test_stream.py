@@ -45,17 +45,6 @@ def test_per_function_streams_independent_of_consumption():
     assert full[: len(partial)] == partial
 
 
-def test_materialize_matches_stream():
-    trace = streamed_trace(function_count=40, duration_seconds=30.0, total_rps=10.0)
-    eager = trace.materialize()
-    streamed = list(trace.iter_invocations())
-    assert len(eager.invocations) == len(streamed)
-    for invocation, (t, index, duration) in zip(eager.invocations, streamed):
-        assert invocation.time == t
-        assert invocation.function_name == trace.functions[index].name
-        assert invocation.duration_seconds == duration
-
-
 def test_seed_changes_stream():
     a = streamed_trace(function_count=50, duration_seconds=30.0, total_rps=10.0, seed=1)
     b = streamed_trace(function_count=50, duration_seconds=30.0, total_rps=10.0, seed=2)
