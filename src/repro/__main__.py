@@ -12,25 +12,23 @@ Usage::
     python -m repro scenario sweep sec62 --axis policy=random,jsq \
                                          --axis fleet=4,8,16 --output m.json
     python -m repro scenario diff old.json new.json [--tolerance p99_ms=0.3]
-    python -m repro bench [--full] [--output BENCH_sim_kernel.json]
     python -m repro lint [--self | --compositions | --functions | --dataflow
                           | --scenarios]
                          [--only PASS ...] [paths ...]
-                         [--format json|sarif] [--strict] [--no-cache]
+                         [--format json|sarif] [--strict]
 
 Each experiment prints the same rows/series the paper reports (see
 EXPERIMENTS.md for the paper-vs-measured comparison); ``list``
 descriptions come straight from the experiment modules' docstrings.
 ``scenario`` is the declarative harness (docs/scenarios.md): run one
 spec file to a KPI record, sweep axes into a KPI matrix, diff records
-within tolerance bands.  ``bench`` times the simulation kernel's hot
-paths and records them in a JSON file so perf regressions are visible
-across PRs (see docs/simulation.md).  ``lint`` runs the
-static-analysis passes — purity verification of registered compute
-functions, composition linting, whole-composition dataflow analysis
-(RACE/CON/COST), scenario-spec validation (SCN), and the determinism
-self-lint over ``src/repro`` itself (see docs/static_analysis.md).
-Re-lints replay unchanged results from ``.repro_lint_cache.json``.
+within tolerance bands.  ``lint`` runs the static-analysis passes —
+purity verification of registered compute functions, composition
+linting, whole-composition dataflow analysis (RACE/CON/COST),
+scenario-spec validation (SCN), and the determinism self-lint over
+``src/repro`` itself (see docs/static_analysis.md).  Host time is
+measured from outside the package by ``perf/`` (see docs/simulation.md,
+"Measuring performance").
 """
 
 from __future__ import annotations
@@ -341,21 +339,6 @@ def main(argv=None) -> int:
         metavar="METRIC=FRACTION",
         help="override a relative tolerance band (e.g. p99_ms=0.3), repeatable",
     )
-    bench_parser = subparsers.add_parser(
-        "bench", help="benchmark the simulation kernel, emit a JSON report"
-    )
-    bench_parser.add_argument(
-        "--full", action="store_true",
-        help="also time the full fig5 sweep (minutes, not seconds)",
-    )
-    bench_parser.add_argument(
-        "--output", default="BENCH_sim_kernel.json",
-        help="JSON report path (default BENCH_sim_kernel.json); '-' to skip writing",
-    )
-    bench_parser.add_argument(
-        "--only", nargs="+", default=None, metavar="GROUP",
-        help="run only the named top-level bench groups (see BENCH_GROUPS)",
-    )
     lint_parser = subparsers.add_parser(
         "lint", help="run the static-analysis passes (docs/static_analysis.md)"
     )
@@ -408,15 +391,6 @@ def main(argv=None) -> int:
         help="regenerate the baseline from the current findings and exit "
              "(prunes stale entries for the passes that ran)",
     )
-    lint_parser.add_argument(
-        "--cache", dest="cache_path", default=".repro_lint_cache.json",
-        metavar="PATH",
-        help="incremental analysis cache file (default .repro_lint_cache.json)",
-    )
-    lint_parser.add_argument(
-        "--no-cache", dest="no_cache", action="store_true",
-        help="disable the incremental analysis cache",
-    )
     args = parser.parse_args(argv)
 
     if args.command == "lint":
@@ -452,47 +426,9 @@ def main(argv=None) -> int:
             strict=args.strict,
             baseline_path=args.baseline,
             write_baseline=args.write_baseline,
-            cache_path=None if args.no_cache else args.cache_path,
         )
         print(report)
         return code
-
-    if args.command == "bench":
-        from .experiments.bench_kernel import run_bench
-
-        started = time.time()
-        output = None if args.output == "-" else args.output
-        try:
-            report = run_bench(full=args.full, output=output, only=args.only)
-        except KeyError as exc:
-            print(f"bench: {exc.args[0]}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"cannot write bench report: {exc}", file=sys.stderr)
-            return 1
-        def _print_bench(name: str, numbers, indent: str = "") -> None:
-            if not isinstance(numbers, dict):  # scalar (e.g. a speedup ratio)
-                print(f"{indent}{name}: {numbers}")
-                return
-            if "seconds" not in numbers:  # nested group (dispatcher_data_plane)
-                print(f"{indent}{name}:")
-                for sub_name, sub_numbers in numbers.items():
-                    _print_bench(sub_name, sub_numbers, indent + "  ")
-                return
-            rate = numbers.get("ops_per_second") or numbers.get("bytes_per_second")
-            unit = "ops/s" if numbers.get("ops_per_second") else "B/s"
-            suffix = f"  ({rate:,} {unit})" if rate else ""
-            steps = numbers.get("sim_steps_per_invocation")
-            if steps is not None:
-                suffix += f"  [{steps} sim-steps/invocation]"
-            print(f"{indent}{name:32} {numbers['seconds']:>9.3f}s{suffix}")
-
-        for name, numbers in report["benchmarks"].items():
-            _print_bench(name, numbers)
-        if output:
-            print(f"report written to {output}")
-        print(f"[bench finished in {time.time() - started:.1f}s]")
-        return 0
 
     if args.command == "scenario":
         return _scenario_command(args)

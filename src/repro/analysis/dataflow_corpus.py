@@ -3,7 +3,7 @@
 Eighteen compositions, each deliberately racy or contract-breaking in
 one specific way, proving every RACE/CON/COST rule fires (mirroring the
 purity pass's 18/18 dynamic-violation table from PR 4).  The corpus is
-importable by the tests, the bench harness, and the CI gate:
+importable by the tests and the CI gate:
 
 - :data:`CORPUS` — the entries, each naming the rule it seeds;
 - :func:`build_registry` — a registry with every corpus function and

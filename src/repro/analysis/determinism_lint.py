@@ -8,9 +8,9 @@ historically broken it:
 
 - ``DET001`` wall-clock calls (``time.time``/``perf_counter``/
   ``monotonic``/``sleep``, ``datetime.now`` …) — simulation code must
-  read virtual time from the Environment.  The bench harness and the
-  CLI legitimately measure wall time; those findings are grandfathered
-  in the checked-in baseline, not exempted by code;
+  read virtual time from the Environment.  The CLI and the shard
+  coordinator legitimately measure wall time; those findings are
+  grandfathered in the checked-in baseline, not exempted by code;
 - ``DET002`` unseeded ``random`` module usage — module-level RNG state
   is shared and seed-order dependent; draw from ``random.Random(seed)``;
 - ``DET003`` iteration over a set expression (set literal, set
@@ -167,7 +167,8 @@ class _SelfLintPass(ast.NodeVisitor):
                     f"wall-clock call {root}.{func.attr}() in simulation code",
                     node,
                     hint="read virtual time from the Environment; wall clocks "
-                         "belong only in the bench harness (baseline them)",
+                         "belong only in the CLI and shard coordinator "
+                         "(baseline them)",
                 )
             elif root == "random":
                 if func.attr == "Random":

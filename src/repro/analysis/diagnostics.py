@@ -67,7 +67,7 @@ class Diagnostic:
         return where
 
     def to_dict(self) -> dict:
-        """Stable-key mapping (cache entries, JSON report rows)."""
+        """Stable-key mapping (JSON report rows)."""
         return {
             "code": self.code,
             "severity": self.severity,
@@ -77,18 +77,6 @@ class Diagnostic:
             "symbol": self.symbol,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Diagnostic":
-        return cls(
-            code=str(payload["code"]),
-            severity=str(payload["severity"]),
-            message=str(payload["message"]),
-            file=payload.get("file"),
-            line=payload.get("line"),
-            symbol=payload.get("symbol"),
-            hint=payload.get("hint"),
-        )
 
 
 def sort_key(diagnostic: Diagnostic):

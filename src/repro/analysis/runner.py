@@ -16,12 +16,6 @@ text/JSON/SARIF, and computes the exit code:
   that did *not* run are preserved, so a scoped ``lint --self
   --write-baseline`` cannot drop the purity pass's suppressions.
 
-Re-lints are incremental: each pass's diagnostics replay from
-:class:`~repro.analysis.cache.AnalysisCache` keyed by content
-fingerprints (file text for the self-lint, the defining module's
-source for functions, canonical DSL plus function sources for
-compositions/dataflow), so an unchanged repo re-lints near-instantly.
-
 The function/composition corpus is the built-in demo registry: the
 three paper applications (log processing, image compression, Text2SQL)
 registered on a throwaway worker, plus any composition blocks embedded
@@ -30,11 +24,9 @@ in files passed on the command line (``examples/*.py`` in CI).
 
 from __future__ import annotations
 
-import inspect
 import os
 from typing import Optional
 
-from .cache import AnalysisCache
 from .composition_lint import extract_dsl_blocks, lint_composition, lint_dsl_source
 from .dataflow import analyze_composition
 from .determinism_lint import iter_self_sources, lint_source
@@ -79,80 +71,6 @@ def demo_registry():
     return worker.registry
 
 
-# -- fingerprint helpers ------------------------------------------------------
-
-
-def _function_fingerprint(registry, name: str, module_texts: dict) -> Optional[str]:
-    """Content fingerprint of a function binary, or None (uncacheable).
-
-    Hashes the *whole defining module* rather than just the entry
-    point: the purity pass follows same-module helpers transitively,
-    so an edit to a helper must invalidate the entry.
-    """
-    binary = registry.function(name)
-    entry = inspect.unwrap(getattr(binary, "entry_point", binary))
-    stashed = getattr(entry, "__dandelion_source__", None)
-    if stashed is not None:
-        return AnalysisCache.pass_fingerprint("functions", name, stashed)
-    try:
-        path = inspect.getsourcefile(entry)
-    except TypeError:
-        return None
-    if path is None or path not in module_texts and not os.path.exists(path):
-        return None
-    text = module_texts.get(path)
-    if text is None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError:
-            return None
-        module_texts[path] = text
-    qualname = getattr(entry, "__qualname__", name)
-    return AnalysisCache.pass_fingerprint("functions", name, qualname, text)
-
-
-def _composition_fingerprint(
-    pass_name: str, registry, composition, module_texts: dict
-) -> Optional[str]:
-    """Canonical-DSL + function-source fingerprint, or None."""
-    from ..composition.printer import composition_to_dsl
-
-    parts = []
-    stack = [composition]
-    seen = set()
-    while stack:
-        current = stack.pop()
-        if current.name in seen:
-            continue
-        seen.add(current.name)
-        parts.append(composition_to_dsl(current))
-        for node in current.nodes.values():
-            if node.kind == "composition":
-                stack.append(node.composition)
-    for function_name in sorted(composition.required_functions()):
-        if not registry.has_function(function_name):
-            parts.append(f"<missing:{function_name}>")
-            continue
-        fp = _function_fingerprint(registry, function_name, module_texts)
-        if fp is None:
-            return None
-        parts.append(fp)
-    return AnalysisCache.pass_fingerprint(pass_name, composition.name, *sorted(parts))
-
-
-def _cached_pass(cache, pass_name, key, fingerprint, compute):
-    """Replay a pass result from cache, or compute and store it."""
-    if cache is not None and fingerprint is not None:
-        cached = cache.get(pass_name, key, fingerprint)
-        if cached is not None:
-            return cached
-    found = compute()
-    if cache is not None and fingerprint is not None:
-        cache.put(pass_name, key, fingerprint, found)
-    return found
-
-
 # -- collection ---------------------------------------------------------------
 
 
@@ -165,76 +83,39 @@ def collect_diagnostics(
     lint_scenarios: bool = False,
     paths: Optional[list[str]] = None,
     registry=None,
-    cache: Optional[AnalysisCache] = None,
 ) -> list[Diagnostic]:
     """Run the selected passes and pool their findings."""
     diagnostics: list[Diagnostic] = []
-    module_texts: dict[str, str] = {}
     if lint_self_pass:
         for reported, source, hot_path in iter_self_sources():
-            fingerprint = AnalysisCache.pass_fingerprint(
-                "self", reported, "hot" if hot_path else "cold", source
-            )
-            diagnostics.extend(
-                _cached_pass(
-                    cache, "self", reported, fingerprint,
-                    lambda s=source, r=reported, h=hot_path: lint_source(
-                        s, r, hot_path=h
-                    ),
-                )
-            )
+            diagnostics.extend(lint_source(source, reported, hot_path=hot_path))
     if lint_functions or lint_compositions or lint_dataflow:
         if registry is None:
             registry = demo_registry()
     if lint_functions:
         for name in registry.function_names:
-            fingerprint = _function_fingerprint(registry, name, module_texts)
-            diagnostics.extend(
-                _cached_pass(
-                    cache, "functions", name, fingerprint,
-                    lambda n=name: verify_purity(registry.function(n)).diagnostics,
-                )
-            )
+            diagnostics.extend(verify_purity(registry.function(name)).diagnostics)
     if lint_compositions:
         for name in registry.composition_names:
-            composition = registry.composition(name)
-            fingerprint = _composition_fingerprint(
-                "compositions", registry, composition, module_texts
-            )
-            diagnostics.extend(
-                _cached_pass(
-                    cache, "compositions", name, fingerprint,
-                    lambda c=composition: lint_composition(c, registry),
-                )
-            )
+            diagnostics.extend(lint_composition(registry.composition(name), registry))
     if lint_dataflow:
         for name in registry.composition_names:
-            composition = registry.composition(name)
-            fingerprint = _composition_fingerprint(
-                "dataflow", registry, composition, module_texts
-            )
             diagnostics.extend(
-                _cached_pass(
-                    cache, "dataflow", name, fingerprint,
-                    lambda c=composition: analyze_composition(
-                        c, registry
-                    ).diagnostics,
-                )
+                analyze_composition(registry.composition(name), registry).diagnostics
             )
     if (lint_compositions or lint_dataflow) and paths:
         diagnostics.extend(
             _lint_paths(
-                [p for p in paths if not p.endswith(".toml")],
-                registry, cache, module_texts,
+                [p for p in paths if not p.endswith(".toml")], registry,
                 compositions=lint_compositions, dataflow=lint_dataflow,
             )
         )
     if lint_scenarios:
-        diagnostics.extend(_lint_scenarios(paths, cache))
+        diagnostics.extend(_lint_scenarios(paths))
     return diagnostics
 
 
-def _lint_scenarios(paths, cache) -> list:
+def _lint_scenarios(paths) -> list:
     """SCN pass: bundled scenario specs plus any ``*.toml`` paths."""
     from .scenario_lint import iter_bundled_specs, lint_scenario_text
 
@@ -246,17 +127,11 @@ def _lint_scenarios(paths, cache) -> list:
             sources.append((path.replace(os.sep, "/"), handle.read()))
     diagnostics: list[Diagnostic] = []
     for reported, text in sources:
-        fingerprint = AnalysisCache.pass_fingerprint("scenarios", reported, text)
-        diagnostics.extend(
-            _cached_pass(
-                cache, "scenarios", reported, fingerprint,
-                lambda t=text, r=reported: lint_scenario_text(t, r),
-            )
-        )
+        diagnostics.extend(lint_scenario_text(text, reported))
     return diagnostics
 
 
-def _lint_paths(paths, registry, cache, module_texts, *, compositions, dataflow):
+def _lint_paths(paths, registry, *, compositions, dataflow):
     """Lint composition blocks embedded in free-text files."""
     diagnostics: list[Diagnostic] = []
     for path in paths:
@@ -264,28 +139,12 @@ def _lint_paths(paths, registry, cache, module_texts, *, compositions, dataflow)
             text = handle.read()
         reported = path.replace(os.sep, "/")
         for source, offset in extract_dsl_blocks(text):
-            key = f"{reported}::{offset}"
-            composition = None
             if compositions:
-
-                def _run_block(s=source, o=offset, r=reported):
-                    _comp, found = lint_dsl_source(
-                        s, library=registry.compositions, registry=registry,
-                        file=r, line_offset=o,
-                    )
-                    return found
-
-                # Block diagnostics also depend on registry function
-                # sources (CMP005); fold the registry fingerprint in.
-                registry_salt = _registry_salt(registry, module_texts)
-                fingerprint = None
-                if registry_salt is not None:
-                    fingerprint = AnalysisCache.pass_fingerprint(
-                        "compositions", key, source, registry_salt
-                    )
-                diagnostics.extend(
-                    _cached_pass(cache, "compositions", key, fingerprint, _run_block)
+                _comp, found = lint_dsl_source(
+                    source, library=registry.compositions, registry=registry,
+                    file=reported, line_offset=offset,
                 )
+                diagnostics.extend(found)
             if dataflow:
                 from ..composition.dsl import parse_composition
                 from ..composition.graph import CompositionError
@@ -296,32 +155,12 @@ def _lint_paths(paths, registry, cache, module_texts, *, compositions, dataflow)
                     )
                 except CompositionError:
                     continue  # the compositions pass reports CMP000
-                registry_salt = _registry_salt(registry, module_texts)
-                fingerprint = None
-                if registry_salt is not None:
-                    fingerprint = AnalysisCache.pass_fingerprint(
-                        "dataflow", key, source, registry_salt
-                    )
                 diagnostics.extend(
-                    _cached_pass(
-                        cache, "dataflow", key, fingerprint,
-                        lambda c=composition, r=reported: analyze_composition(
-                            c, registry, file=r
-                        ).diagnostics,
-                    )
+                    analyze_composition(
+                        composition, registry, file=reported
+                    ).diagnostics
                 )
     return diagnostics
-
-
-def _registry_salt(registry, module_texts) -> Optional[str]:
-    """One fingerprint over every registered function's source."""
-    parts = []
-    for name in registry.function_names:
-        fp = _function_fingerprint(registry, name, module_texts)
-        if fp is None:
-            return None
-        parts.append(fp)
-    return AnalysisCache.pass_fingerprint("registry", *parts)
 
 
 # -- driver -------------------------------------------------------------------
@@ -357,10 +196,8 @@ def run_lint(
     strict: bool = False,
     baseline_path: Optional[str] = None,
     write_baseline: bool = False,
-    cache_path: Optional[str] = None,
 ) -> tuple[int, str]:
     """Execute the lint command; returns ``(exit_code, report_text)``."""
-    cache = AnalysisCache(cache_path) if cache_path else None
     diagnostics = collect_diagnostics(
         lint_self_pass=lint_self_pass,
         lint_functions=lint_functions,
@@ -368,10 +205,7 @@ def run_lint(
         lint_dataflow=lint_dataflow,
         lint_scenarios=lint_scenarios,
         paths=paths,
-        cache=cache,
     )
-    if cache is not None:
-        cache.save()
     prefixes = _ran_prefixes(
         lint_self_pass, lint_functions, lint_compositions, lint_dataflow,
         lint_scenarios,

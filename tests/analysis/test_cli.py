@@ -35,14 +35,14 @@ def run_lint(*argv, cwd=None):
 
 
 def test_clean_dataflow_lint_exits_zero():
-    proc = run_lint("--only", "dataflow", "--no-cache")
+    proc = run_lint("--only", "dataflow")
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_findings_exit_one(tmp_path):
     racy = tmp_path / "racy.py"
     racy.write_text(RACY_BLOCK)
-    proc = run_lint("--only", "compositions", "--no-cache", str(racy))
+    proc = run_lint(str(racy), "--only", "compositions")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "CMP000" in proc.stdout
 
@@ -57,7 +57,7 @@ def test_json_schema_is_stable(tmp_path):
     racy = tmp_path / "racy.py"
     racy.write_text(RACY_BLOCK)
     proc = run_lint(
-        "--only", "compositions", "--no-cache", "--format", "json", str(racy)
+        "--only", "compositions", "--format", "json", str(racy)
     )
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
@@ -78,7 +78,7 @@ def test_only_selects_passes(tmp_path):
     racy = tmp_path / "racy.py"
     racy.write_text(RACY_BLOCK)
     proc = run_lint(
-        "--only", "functions", "--no-cache", "--format", "json", str(racy)
+        "--only", "functions", "--format", "json", str(racy)
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
@@ -89,7 +89,7 @@ def test_sarif_format_parses(tmp_path):
     racy = tmp_path / "racy.py"
     racy.write_text(RACY_BLOCK)
     proc = run_lint(
-        "--only", "compositions", "--no-cache", "--format", "sarif", str(racy)
+        "--only", "compositions", "--format", "sarif", str(racy)
     )
     assert proc.returncode == 1
     log = json.loads(proc.stdout)
@@ -119,7 +119,7 @@ def stale_baseline(tmp_path):
 
 def test_strict_fails_on_stale_fingerprints(stale_baseline):
     proc = run_lint(
-        "--only", "compositions", "--no-cache", "--strict",
+        "--only", "compositions", "--strict",
         "--baseline", str(stale_baseline),
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
@@ -129,7 +129,7 @@ def test_strict_fails_on_stale_fingerprints(stale_baseline):
 
 def test_nonstrict_ignores_stale_fingerprints(stale_baseline):
     proc = run_lint(
-        "--only", "compositions", "--no-cache",
+        "--only", "compositions",
         "--baseline", str(stale_baseline),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -137,7 +137,7 @@ def test_nonstrict_ignores_stale_fingerprints(stale_baseline):
 
 def test_write_baseline_prunes_only_ran_passes(stale_baseline):
     proc = run_lint(
-        "--only", "compositions", "--no-cache", "--write-baseline",
+        "--only", "compositions", "--write-baseline",
         "--baseline", str(stale_baseline),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -146,7 +146,7 @@ def test_write_baseline_prunes_only_ran_passes(stale_baseline):
     assert rewritten.get("DET001::ghost.py::phantom") == 2  # out of scope
     # And a strict re-run against the pruned baseline is clean.
     proc = run_lint(
-        "--only", "compositions", "--no-cache", "--strict",
+        "--only", "compositions", "--strict",
         "--baseline", str(stale_baseline),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -114,7 +114,7 @@ def test_hot_path_exemptions():
 
 def test_lint_self_reports_package_relative_paths():
     diagnostics = lint_self()
-    assert diagnostics, "bench/CLI wall clocks should be found"
+    assert diagnostics, "CLI/coordinator wall clocks should be found"
     assert all(d.file.startswith("src/repro/") for d in diagnostics)
 
 

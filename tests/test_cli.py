@@ -60,8 +60,8 @@ def test_requires_command():
 
 
 def test_lint_self_strict_is_clean(capsys):
-    # The checked-in baseline grandfathers the bench/CLI wall clocks;
-    # anything new fails CI.
+    # The checked-in baseline grandfathers the CLI's and the shard
+    # coordinator's wall clocks; anything new fails CI.
     assert main(["lint", "--self", "--strict"]) == 0
     out = capsys.readouterr().out
     assert "suppressed by baseline" in out
@@ -108,3 +108,29 @@ def test_lint_reports_sec8_static_table(capsys):
     assert main(["run", "sec8"]) == 0
     out = capsys.readouterr().out
     assert "static verifier rejected" in out
+
+
+# -- removed surface: perf/ is the only bench system, lint has no cache -----
+
+
+@pytest.mark.parametrize(
+    "argv", [["bench"], ["lint", "--no-cache"], ["lint", "--cache", "x"]]
+)
+def test_removed_commands_and_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+
+
+def test_removed_bench_module_and_cache_parameter():
+    from importlib import import_module
+
+    from repro.analysis.runner import run_lint
+
+    with pytest.raises(ModuleNotFoundError):
+        import_module("repro.experiments.bench_kernel")
+    with pytest.raises(TypeError):
+        run_lint(
+            lint_self_pass=True, lint_functions=False, lint_compositions=False,
+            cache_path="x",
+        )
