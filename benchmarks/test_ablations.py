@@ -10,7 +10,8 @@ import pytest
 
 from repro.functions import compute_function, read_items, write_item
 from repro.sim import Rng
-from repro.trace import generate_trace, replay_on_faas
+from repro.sim.sharded import ShardedConfig, run_sharded_replay
+from repro.trace import streamed_trace
 from repro.worker import WorkerConfig, WorkerNode
 from repro.workloads import (
     fetch_and_compute_phases,
@@ -83,25 +84,28 @@ def test_ablation_binary_cache_modes(benchmark):
 
 def test_ablation_keepalive_window(benchmark):
     """Longer keep-alive: fewer cold starts, more committed memory."""
-    trace = generate_trace(function_count=40, duration_seconds=400, total_rps=6, seed=5)
+    trace = streamed_trace(function_count=40, duration_seconds=400, total_rps=6, seed=5)
 
     def sweep():
         return {
-            window: replay_on_faas(trace, keep_alive_seconds=window)
+            window: run_sharded_replay(
+                trace,
+                ShardedConfig(workers=1, platform="faas", keep_alive_seconds=window),
+            )
             for window in (0.0, 30.0, 120.0, 600.0)
         }
 
     reports = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print()
-    for window, report in reports.items():
-        print(f"keepalive {window:>5.0f}s: cold {report.cold_fraction * 100:5.1f}%  "
-              f"avg committed {report.average_committed_bytes() / 2**20:8.1f} MiB")
-    colds = [reports[w].cold_fraction for w in sorted(reports)]
-    memories = [reports[w].average_committed_bytes() for w in sorted(reports)]
+    colds = [report.cold_starts / report.completed for report in reports.values()]
+    memories = [report.committed_mean_bytes for report in reports.values()]
+    for window, cold, memory in zip(reports, colds, memories):
+        print(f"keepalive {window:>5.0f}s: cold {cold * 100:5.1f}%  "
+              f"avg committed {memory / 2**20:8.1f} MiB")
     # Monotone trade-off: cold fraction falls, memory rises.
     assert all(a >= b for a, b in zip(colds, colds[1:]))
     assert all(a <= b for a, b in zip(memories, memories[1:]))
-    assert reports[0.0].cold_fraction == 1.0
+    assert colds[0] == 1.0
 
 
 @compute_function(compute_cost=2e-3)

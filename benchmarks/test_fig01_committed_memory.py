@@ -1,13 +1,12 @@
 """Fig 1: Knative autoscaling commits far more memory than active demand."""
 
-from repro.experiments import default_trace, run_fig01
+from repro.experiments import run_fig01
 
 from conftest import run_and_render
 
 
 def test_fig01_committed_vs_active(benchmark):
-    trace = default_trace(duration_seconds=900.0)
-    result = run_and_render(benchmark, run_fig01, trace)
+    result = run_and_render(benchmark, run_fig01, duration_seconds=900.0)
     committed = result.column("committed_mib")
     active = result.column("active_mib")
     # Committed memory dwarfs active demand at every sampled instant

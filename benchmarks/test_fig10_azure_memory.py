@@ -1,13 +1,12 @@
 """Fig 10: Azure trace — Dandelion vs Firecracker+Knative memory and p99."""
 
-from repro.experiments import default_trace, run_fig10
+from repro.experiments import run_fig10
 
 from conftest import run_and_render
 
 
 def test_fig10_azure_trace(benchmark):
-    trace = default_trace(duration_seconds=900.0)
-    result = run_and_render(benchmark, run_fig10, trace)
+    result = run_and_render(benchmark, run_fig10, duration_seconds=900.0)
     dandelion = result.column("dandelion_mib")
     firecracker = result.column("firecracker_mib")
     # Dandelion commits a small fraction of Firecracker's memory at

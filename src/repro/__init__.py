@@ -33,7 +33,8 @@ The package layout mirrors the system described in DESIGN.md:
   :mod:`repro.controlplane` / :mod:`repro.frontend` — the worker node;
 - :mod:`repro.net` — simulated network, HTTP sanitization, services;
 - :mod:`repro.baselines` — Firecracker/gVisor/Wasmtime/Hyperlight/D-hybrid;
-- :mod:`repro.trace` — Azure-like traces, sampler, replay;
+- :mod:`repro.trace` — Azure-like function population, sampler, streamed
+  invocations (replayed by :mod:`repro.sim.sharded`);
 - :mod:`repro.query` — columnar engine, SSB, mini-SQL, Athena model;
 - :mod:`repro.apps` — log processing, QOI→PNG, Text2SQL;
 - :mod:`repro.experiments` — one harness per paper table/figure.

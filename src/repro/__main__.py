@@ -108,22 +108,14 @@ def _run_one(name: str, args) -> None:
         print()
         print(run_sec8_static().render())
     elif name == "fig10full":
-        result = run_fig10_full(
-            scale=args.trace_scale,
-            shards=args.shards,
-            executor=args.executor,
-        )
+        result = run_fig10_full(scale=args.trace_scale)
         print(result.render())
         for platform, stats in result.meta["platforms"].items():
             print(
                 f"[{platform}: {stats['wall_seconds']}s wall, "
                 f"{stats['events']:,} events "
                 f"({stats['events_per_second']:,}/s) over "
-                f"{stats['windows']} windows; per-shard stall "
-                + ", ".join(
-                    f"{s['stall_seconds']:.2f}s" for s in stats["shard_stats"]
-                )
-                + "]"
+                f"{stats['windows']} windows]"
             )
     elif name in ("fig1", "fig10"):
         from .experiments.common import ascii_chart
@@ -219,7 +211,7 @@ def _scenario_command(args) -> int:
         return 2
 
     if args.action == "run":
-        run = run_scenario(spec, shards=args.shards, executor=args.executor)
+        run = run_scenario(spec)
         text = run.kpis.to_json()
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -231,9 +223,7 @@ def _scenario_command(args) -> int:
     # sweep
     try:
         axes = [parse_axis_argument(axis) for axis in args.axes]
-        matrix = run_sweep(
-            spec, axes, shards=args.shards, executor=args.executor
-        )
+        matrix = run_sweep(spec, axes)
     except SpecError as exc:
         print(f"scenario sweep: {exc}", file=sys.stderr)
         return 2
@@ -277,14 +267,6 @@ def main(argv=None) -> int:
         "--trace-scale", type=float, default=100.0,
         help="fig10full: trace scale vs the 100-function sample (default 100)",
     )
-    run_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="fig10full: shard count (KPIs are invariant to it; default 1)",
-    )
-    run_parser.add_argument(
-        "--executor", choices=("auto", "serial", "process"), default="auto",
-        help="fig10full: shard executor (default auto: process when CPUs allow)",
-    )
     scenario_parser = subparsers.add_parser(
         "scenario",
         help="declarative scenario harness: run/sweep/diff spec files "
@@ -320,14 +302,6 @@ def main(argv=None) -> int:
         action_parser.add_argument(
             "--output", default=None,
             help="also write the KPI record/matrix JSON to this path",
-        )
-        action_parser.add_argument(
-            "--shards", type=int, default=1,
-            help="streamed specs: shard count (KPIs invariant; default 1)",
-        )
-        action_parser.add_argument(
-            "--executor", choices=("auto", "serial", "process"), default="auto",
-            help="streamed specs: shard executor (default auto)",
         )
     diff_parser = scenario_subparsers.add_parser(
         "diff", help="compare two KPI records/matrices within tolerance bands"

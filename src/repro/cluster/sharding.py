@@ -18,22 +18,13 @@ cluster-manager boundary needs:
 
 from __future__ import annotations
 
-import struct
-
-__all__ = ["INVOCATION", "ShardPlan"]
-
-#: Wire layout of one routed invocation crossing the shard boundary:
-#: ``(delivery_time f8, worker u4, fn_index u4, duration f8, arrival f8)``,
-#: little-endian, no padding.  Lives here (not in the window codec) so
-#: the dispatcher can emit wire-ready bytes while routing without a
-#: circular import into ``repro.sim.sharded``.
-INVOCATION = struct.Struct("<dIIdd")
+__all__ = ["ShardPlan"]
 
 
 class ShardPlan:
     """Static round-robin assignment of ``worker_count`` workers to shards."""
 
-    __slots__ = ("worker_count", "shard_count", "_workers_of", "_local_index")
+    __slots__ = ("worker_count", "shard_count", "_workers_of")
 
     def __init__(self, worker_count: int, shard_count: int):
         if worker_count < 1:
@@ -44,21 +35,13 @@ class ShardPlan:
         # would idle at every barrier for nothing.
         self.shard_count = min(shard_count, worker_count)
         self.worker_count = worker_count
-        workers_of: list[list[int]] = [[] for _ in range(self.shard_count)]
-        local_index = [0] * worker_count
-        for worker in range(worker_count):
-            shard = worker % self.shard_count
-            local_index[worker] = len(workers_of[shard])
-            workers_of[shard].append(worker)
-        self._workers_of = tuple(tuple(w) for w in workers_of)
-        self._local_index = local_index
+        self._workers_of = tuple(
+            tuple(range(shard, worker_count, self.shard_count))
+            for shard in range(self.shard_count)
+        )
 
     def shard_of(self, worker: int) -> int:
         return worker % self.shard_count
-
-    def local_index(self, worker: int) -> int:
-        """Position of ``worker`` within its shard's local worker list."""
-        return self._local_index[worker]
 
     def workers_of(self, shard: int) -> tuple:
         """Global worker indices owned by ``shard``, ascending."""

@@ -1,7 +1,7 @@
 """Experiment harnesses: one module per paper table/figure."""
 
 from .common import ExperimentResult, ascii_chart, render_table
-from .fig01_fig10_azure import default_trace, run_fig01, run_fig10
+from .fig01_fig10_azure import run_fig01, run_fig10
 from .fig02_hot_ratio import run_fig02
 from .fig05_creation_throughput import run_fig05
 from .fig06_matmul_throughput import matmul_128_binary, run_fig06
@@ -23,7 +23,6 @@ __all__ = [
     "ExperimentResult",
     "ascii_chart",
     "render_table",
-    "default_trace",
     "run_fig01",
     "run_fig10",
     "run_fig10_full",

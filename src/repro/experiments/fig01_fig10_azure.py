@@ -1,6 +1,9 @@
 """Figs 1 and 10 — Azure-trace memory and latency experiments.
 
-Both figures replay the (synthetic) Azure Functions trace sample:
+Both figures replay the (synthetic) Azure Functions trace sample — the
+bundled ``fig10_full`` scenario at ``trace.scale=1`` (100 functions,
+12 rps aggregate) on one 16-core node — and render the committed /
+active memory grids and latencies of the replay report:
 
 * **Fig 1** contrasts the memory Knative-style autoscaling *commits*
   (warm MicroVMs held after requests) against the memory required by
@@ -16,99 +19,89 @@ Both figures replay the (synthetic) Azure Functions trace sample:
 
 from __future__ import annotations
 
-from ..sim.distributions import Rng
-from ..trace.azure import generate_trace
-from ..trace.replay import replay_on_dandelion, replay_on_faas
-from ..trace.sampler import sample_trace
+from ..scenario.engine import run_scenario
+from ..scenario.spec import load_spec
 from .common import ExperimentResult
 
-__all__ = ["run_fig01", "run_fig10", "default_trace"]
+__all__ = ["run_fig01", "run_fig10"]
 
 MiB = 1 << 20
 
 
-def default_trace(
-    function_population: int = 100,
-    sample_size: int = 100,
-    duration_seconds: float = 1200.0,
-    total_rps: float = 12.0,
-    seed: int = 42,
-):
-    """The experiment's trace: a 100-function sample at d430-scale load.
-
-    When ``function_population`` exceeds ``sample_size`` the InVitro-
-    style stratified sampler picks the subset; the default generates
-    the sample-sized population directly (the sampler is exercised by
-    its own tests), which keeps the aggregate request rate calibrated.
-    """
-    population = generate_trace(
-        function_count=function_population,
-        duration_seconds=duration_seconds,
-        total_rps=total_rps,
-        seed=seed,
+def _replay(platform: str, duration_seconds: float):
+    """The 1× sample on one 16-core node → ``ShardedReplayReport``."""
+    spec = load_spec("fig10_full").with_overrides(
+        {
+            "trace.scale": 1.0,
+            "trace.duration_seconds": duration_seconds,
+            "fleet.workers": 1,
+            "fleet.cores": 16,
+            "fleet.platform": platform,
+        }
     )
-    if function_population == sample_size:
-        return population
-    return sample_trace(population, sample_size, Rng(seed + 1))
+    return run_scenario(spec).report
 
 
-def run_fig01(trace=None, cores: int = 16, resample_step: float = 60.0) -> ExperimentResult:
-    trace = trace or default_trace()
-    report = replay_on_faas(trace, cores=cores)
+def run_fig01(duration_seconds: float = 1200.0) -> ExperimentResult:
+    report = _replay("faas", duration_seconds)
     result = ExperimentResult(
         name="Fig 1",
         description="Azure trace on Knative-autoscaled MicroVMs: committed vs active memory (MiB)",
         headers=["time_s", "committed_mib", "active_mib"],
     )
-    committed_points = report.committed_series.resample(resample_step, 0, trace.duration_seconds)
-    for time, committed in committed_points:
-        active = report.active_series.value_at(min(time, trace.duration_seconds))
-        result.add_row(time_s=time, committed_mib=committed / MiB, active_mib=active / MiB)
-    average_committed = report.average_committed_bytes() / MiB
-    average_active = max(report.average_active_bytes() / MiB, 1e-9)
+    for index, (committed, active) in enumerate(
+        zip(report.committed_grid, report.active_grid)
+    ):
+        result.add_row(
+            time_s=index * report.grid_step,
+            committed_mib=committed / MiB,
+            active_mib=active / MiB,
+        )
+    average_committed = report.committed_mean_bytes / MiB
+    average_active = max(report.active_mean_bytes / MiB, 1e-9)
     result.note(
         f"average committed {average_committed:.0f} MiB vs active "
         f"{average_active:.0f} MiB -> {average_committed / average_active:.1f}x "
         "over-provisioning (paper: ~16x)"
     )
-    result.note(f"cold fraction {report.cold_fraction * 100:.1f}% (paper: ~3.3%)")
+    result.note(
+        f"cold fraction {100 * report.cold_starts / report.completed:.1f}% "
+        "(paper: ~3.3%)"
+    )
     return result
 
 
-def run_fig10(trace=None, cores: int = 16, resample_step: float = 60.0) -> ExperimentResult:
-    trace = trace or default_trace()
-    dandelion = replay_on_dandelion(trace, cores=cores)
-    firecracker = replay_on_faas(trace, cores=cores)
+def run_fig10(duration_seconds: float = 1200.0) -> ExperimentResult:
+    dandelion = _replay("dandelion", duration_seconds)
+    firecracker = _replay("faas", duration_seconds)
     result = ExperimentResult(
         name="Fig 10",
         description="Azure trace: committed memory over time, Dandelion vs Firecracker+Knative (MiB)",
         headers=["time_s", "dandelion_mib", "firecracker_mib"],
     )
-    for time, dandelion_bytes in dandelion.committed_series.resample(
-        resample_step, 0, trace.duration_seconds
+    for index, (dandelion_bytes, fc_bytes) in enumerate(
+        zip(dandelion.committed_grid, firecracker.committed_grid)
     ):
-        fc_bytes = firecracker.committed_series.value_at(min(time, trace.duration_seconds))
         result.add_row(
-            time_s=time,
+            time_s=index * dandelion.grid_step,
             dandelion_mib=dandelion_bytes / MiB,
             firecracker_mib=fc_bytes / MiB,
         )
-    dandelion_avg = dandelion.average_committed_bytes() / MiB
-    firecracker_avg = firecracker.average_committed_bytes() / MiB
+    dandelion_avg = dandelion.committed_mean_bytes / MiB
+    firecracker_avg = firecracker.committed_mean_bytes / MiB
     savings = 100 * (1 - dandelion_avg / firecracker_avg)
-    p99_reduction = 100 * (
-        1 - dandelion.latencies.percentile(99) / firecracker.latencies.percentile(99)
-    )
+    dandelion_p99 = dandelion.latency_percentile(99)
+    firecracker_p99 = firecracker.latency_percentile(99)
     result.note(
         f"average committed: dandelion {dandelion_avg:.0f} MiB vs firecracker "
         f"{firecracker_avg:.0f} MiB -> {savings:.1f}% less (paper: 96%, 109 vs 2619 MB)"
     )
     result.note(
-        f"p99 latency: dandelion {dandelion.latencies.percentile(99) * 1e3:.0f} ms vs "
-        f"firecracker {firecracker.latencies.percentile(99) * 1e3:.0f} ms -> "
-        f"{p99_reduction:.1f}% reduction (paper: 46%)"
+        f"p99 latency: dandelion {dandelion_p99 * 1e3:.0f} ms vs "
+        f"firecracker {firecracker_p99 * 1e3:.0f} ms -> "
+        f"{100 * (1 - dandelion_p99 / firecracker_p99):.1f}% reduction (paper: 46%)"
     )
     result.note(
-        f"requests: {dandelion.total_requests}; dandelion cold fraction 100% by design"
+        f"requests: {dandelion.completed}; dandelion cold fraction 100% by design"
     )
     return result

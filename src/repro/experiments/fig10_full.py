@@ -5,23 +5,16 @@ elasticity claims are really about full Azure-trace populations.  This
 experiment replays the same Dandelion-vs-Firecracker+Knative comparison
 at ``scale`` times the sample (``scale=100`` → 10,000 functions at
 1,200 rps aggregate) through :mod:`repro.sim.sharded`: a streamed trace
-(O(functions) memory), window-batched routing over the merged fleet
-snapshot, and one lean event kernel per shard.
+(O(functions) memory), window-batched routing over the fleet snapshot,
+and the lean event kernel.
 
-The rendered rows and notes are **shard-count invariant**: with a fixed
-seed they are byte-identical for every ``shards``/``executor`` choice
-(see docs/simulation.md, "Sharded execution"), which is what the CI
-trace-scale smoke job asserts.  Everything wall-clock — per-shard event
-counts, sync-barrier stall, coordinator wall seconds — lands in
-``result.meta`` so scaling losses are diagnosable from the result
-record alone without ever touching the deterministic output.
+Everything wall-clock — event counts, coordinator wall seconds — lands
+in ``result.meta`` and never touches the deterministic rendered output.
 
-Since the `repro.scenario` refactor the replay itself goes through
+The replay itself goes through
 :func:`~repro.scenario.engine.run_scenario` on a streamed-trace
 :class:`~repro.scenario.spec.ScenarioSpec` (bundled as
-``scenario/specs/fig10_full.toml``), one run per platform arm;
-``shards``/``executor`` stay engine-call knobs because the KPIs are
-invariant to them.
+``scenario/specs/fig10_full.toml``), one run per platform arm.
 """
 
 from __future__ import annotations
@@ -55,8 +48,8 @@ def full_trace(scale: float = 100.0, seed: int = 42):
 def _fleet_for(scale: float) -> tuple[int, int]:
     """Workers × cores sized to the scaled load (~48 rps per worker).
 
-    Never fewer than 4 workers so a 4-shard run is a real 4-way
-    partition even at reduced scales (the CI smoke runs at 10×).
+    Never fewer than 4 workers, so reduced scales still exercise
+    routing over a fleet.
     """
     workers = max(4, round(scale / 4))
     return workers, 64
@@ -89,8 +82,6 @@ def _base_spec(
 
 def run_fig10_full(
     scale: float = 100.0,
-    shards: int = 1,
-    executor: str = "auto",
     workers: "int | None" = None,
     cores_per_worker: "int | None" = None,
     window_seconds: float = 0.5,
@@ -105,11 +96,7 @@ def run_fig10_full(
     reports = {}
     function_count = None
     for platform in ("dandelion", "faas"):
-        run = run_scenario(
-            base.with_overrides({"fleet.platform": platform}),
-            shards=shards,
-            executor=executor,
-        )
+        run = run_scenario(base.with_overrides({"fleet.platform": platform}))
         reports[platform] = run.report
         function_count = run.meta["function_count"]
 
@@ -171,12 +158,10 @@ def run_fig10_full(
         f"of {window_seconds:g}s; KPIs invariant to shard count and executor"
     )
 
-    # Observability (satellite: diagnosable scaling losses): wall-clock
-    # and per-shard statistics stay out of the rendered record.
+    # Observability: wall-clock statistics stay out of the rendered
+    # record.
     result.meta = {
         "scale": scale,
-        "shards": shards,
-        "executor": executor,
         "workers": workers,
         "cores_per_worker": cores_per_worker,
         "window_seconds": window_seconds,
@@ -191,7 +176,6 @@ def run_fig10_full(
                     if report.wall_seconds > 0
                     else None
                 ),
-                "shard_stats": report.shard_stats,
             }
             for platform, report in reports.items()
         },

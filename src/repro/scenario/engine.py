@@ -20,9 +20,9 @@ versions, which pins the engine's seed conventions:
   ``spec.seed`` exactly as :class:`~repro.cluster.manager.ClusterManager`
   always has.
 
-Execution knobs that KPIs are invariant to — ``shards`` and
-``executor`` of the streamed path — are arguments of
-:func:`run_scenario`, not spec fields (see docs/scenarios.md,
+The one execution knob KPIs are invariant to — the ``shards``
+partition count of the streamed path — is an argument of
+:func:`run_scenario`, not a spec field (see docs/scenarios.md,
 "Determinism contract").
 """
 
@@ -339,17 +339,26 @@ def run_scenario(
     spec: ScenarioSpec,
     *,
     shards: int = 1,
-    executor: str = "auto",
+    executor: str = "serial",
 ) -> ScenarioRun:
     """Run one spec to completion, seeded; returns a :class:`ScenarioRun`.
 
-    ``shards`` / ``executor`` only apply to streamed traces and cannot
-    change the KPIs (the sharded simulator's invariance contract) —
-    which is why they are call arguments rather than spec fields.
+    ``shards`` only applies to streamed traces and cannot change the
+    KPIs (the sharded simulator's invariance contract, which tests and
+    ``perf --check`` assert by passing 2) — which is why it is a call
+    argument rather than a spec field.
     """
+    # Benchmark-pinned remnant: perf/workloads.py passes
+    # executor="serial".  Nothing reads it; a later `benchmark` PR drops
+    # the argument there and here.
+    if executor != "serial":
+        raise SpecError(
+            f"executor {executor!r}: only 'serial' remains (the replay "
+            "runs in one process)"
+        )
     spec.check()
     if spec.trace.kind == "streamed":
-        return _run_streamed(spec, shards=shards, executor=executor)
+        return _run_streamed(spec, shards)
     cluster, injector = assemble_cluster(spec)
     requests = build_requests(spec)
     offered, completed = _drive(cluster, spec, requests)
@@ -359,7 +368,7 @@ def run_scenario(
     )
 
 
-def _run_streamed(spec: ScenarioSpec, *, shards, executor):
+def _run_streamed(spec: ScenarioSpec, shards: int):
     from ..sim.sharded import ShardedConfig, run_sharded_replay
     from ..trace.stream import streamed_trace
 
@@ -377,7 +386,6 @@ def _run_streamed(spec: ScenarioSpec, *, shards, executor):
         window_seconds=spec.trace.window_seconds,
         platform=spec.fleet.platform,
         policy=spec.sched.routing,
-        executor=executor,
         seed=spec.seed,
     )
     report = run_sharded_replay(trace, config)

@@ -3,8 +3,8 @@
 A :class:`ScenarioSpec` names everything that *determines the KPIs* of
 one run: trace source × workload shape × fleet × fault profile ×
 scheduling policy × seed.  Anything that cannot change the KPIs —
-shard count, executor choice, output paths — deliberately stays out of
-the spec and lives on the engine call instead, so the determinism
+shard count, output paths — deliberately stays out of the spec and
+lives on the engine call instead, so the determinism
 contract reads: **same spec + same seed ⇒ byte-identical KpiRecord**
 (under ``PYTHONHASHSEED=0``; see docs/scenarios.md).
 

@@ -102,8 +102,6 @@ def run_sweep(
     spec: ScenarioSpec,
     axes: list,
     *,
-    shards: int = 1,
-    executor: str = "auto",
     runner=run_scenario,
 ) -> dict:
     """Run the cross-product of ``axes`` over ``spec``; returns a matrix.
@@ -125,7 +123,7 @@ def run_sweep(
     records = []
     for arm in arms:
         arm_spec = spec.with_overrides(arm)
-        run = runner(arm_spec, shards=shards, executor=executor)
+        run = runner(arm_spec)
         records.append({"arm": arm, "kpis": run.kpis.to_dict()})
     return {
         "schema": MATRIX_SCHEMA,

@@ -13,12 +13,15 @@ plus a constant dispatch delay), so :meth:`ShardSim.run_window` merges
 it against the heap head directly.  Each delivery still reserves one
 kernel sequence number at the barrier, which keeps same-time
 tie-breaking byte-identical to the event-object formulation and keeps
-the ``events`` KPI counting deliveries.  Worker semantics are pinned to
-:class:`~repro.trace.replay.DandelionTraceWorker`: FIFO core queueing,
-memory committed only while a core slot is held, service time = sandbox
-creation + duration.  The generator+``Resource`` formulation of the
-same worker lives on as a test oracle (``tests/sim/classic_oracle.py``);
-the invariance suite asserts both produce byte-identical KPIs.
+the ``events`` KPI counting deliveries.  Worker semantics: FIFO core
+queueing, memory committed only while a core slot is held, service time
+= sandbox creation + duration.  The trace does not contain function
+*bodies*, so workers model timing and memory numerically while keeping
+the real node's scheduling structure (run-to-completion on a core pool,
+creation on the critical path).  The generator+``Resource`` formulation
+of the same worker lives on as a test oracle
+(``tests/sim/classic_oracle.py``); the invariance suite asserts both
+produce byte-identical KPIs.
 
 Everything a worker records is a function of its own delivery sequence
 only — workers never observe each other — so grouping workers into
@@ -376,7 +379,7 @@ class ShardSim:
         return self.env._seq
 
     def final_summary(self) -> dict:
-        """Per-worker aggregates for the end-of-run merge (JSON-safe)."""
+        """Per-worker aggregates for the end-of-run merge."""
         workers = []
         for worker in self.workers:
             worker.series.finalize()

@@ -1,30 +1,13 @@
-"""Azure-Functions-like trace synthesis, sampling, and replay."""
+"""Azure-Functions-like trace synthesis, sampling, and streaming."""
 
-from .azure import AzureTrace, Invocation, TraceFunction, generate_trace
-from .azure import generate_functions
-from .replay import (
-    GUEST_OS_OVERHEAD_BYTES,
-    DandelionTraceWorker,
-    ReplayReport,
-    replay_on_dandelion,
-    replay_on_faas,
-)
-from .sampler import sample_functions, sample_trace
+from .azure import TraceFunction, generate_functions
+from .sampler import sample_functions
 from .stream import StreamedTrace, streamed_trace
 
 __all__ = [
     "StreamedTrace",
     "streamed_trace",
-    "AzureTrace",
-    "Invocation",
     "TraceFunction",
-    "generate_trace",
     "generate_functions",
-    "GUEST_OS_OVERHEAD_BYTES",
-    "DandelionTraceWorker",
-    "ReplayReport",
-    "replay_on_dandelion",
-    "replay_on_faas",
     "sample_functions",
-    "sample_trace",
 ]

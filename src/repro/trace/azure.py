@@ -17,10 +17,10 @@ published statistics:
 * memory footprints are dominated by small allocations (tens to a few
   hundred MB).
 
-The output is an :class:`AzureTrace`: function descriptors plus a
-time-sorted list of invocations with per-invocation durations, so that
-both platforms (Dandelion and Firecracker+Knative) replay the *exact
-same* request sequence.
+This module synthesises the *function population*
+(:func:`generate_functions`); :mod:`.stream` turns a population into
+the time-ordered invocation stream that both platforms (Dandelion and
+Firecracker+Knative) replay.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ..sim.distributions import Rng
 
-__all__ = ["TraceFunction", "Invocation", "AzureTrace", "generate_trace"]
+__all__ = ["TraceFunction", "generate_functions"]
 
 MiB = 1024 * 1024
 
@@ -65,43 +65,6 @@ class TraceFunction:
     mean_rate_rps: float         # long-run average invocation rate
     period_seconds: float = 0.0  # for periodic functions
     burst_size: int = 1
-
-
-@dataclass(frozen=True)
-class Invocation:
-    """One trace entry: when, which function, how long it runs."""
-
-    time: float
-    function_name: str
-    duration_seconds: float
-
-
-@dataclass
-class AzureTrace:
-    """A replayable trace: functions plus their invocation stream."""
-
-    functions: list[TraceFunction]
-    invocations: list[Invocation]
-    duration_seconds: float
-
-    @property
-    def total_invocations(self) -> int:
-        return len(self.invocations)
-
-    @property
-    def average_rps(self) -> float:
-        if self.duration_seconds <= 0:
-            return 0.0
-        return len(self.invocations) / self.duration_seconds
-
-    def function(self, name: str) -> TraceFunction:
-        for candidate in self.functions:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no trace function {name!r}")
-
-    def invocations_of(self, name: str) -> list[Invocation]:
-        return [inv for inv in self.invocations if inv.function_name == name]
 
 
 def _clamped_lognormal(rng: Rng, median: float, sigma: float, low: float, high: float) -> float:
@@ -176,52 +139,3 @@ def generate_functions(
             )
         )
     return functions
-
-
-def _arrivals_for(function: TraceFunction, duration: float, rng: Rng) -> list[float]:
-    if function.pattern == "steady":
-        return rng.poisson_arrivals(function.mean_rate_rps, duration)
-    if function.pattern == "periodic":
-        arrivals = []
-        phase = rng.uniform(0, function.period_seconds)
-        t = phase
-        while t < duration:
-            for b in range(function.burst_size):
-                jitter = rng.uniform(0, 10.0)
-                when = t + jitter
-                if when < duration:
-                    arrivals.append(when)
-            t += function.period_seconds
-        return sorted(arrivals)
-    # rare
-    return rng.poisson_arrivals(function.mean_rate_rps, duration)
-
-
-def generate_trace(
-    function_count: int = 100,
-    duration_seconds: float = 1200.0,
-    total_rps: float = 15.0,
-    seed: int = 0,
-) -> AzureTrace:
-    """Generate a full replayable trace.
-
-    Defaults mirror the paper's setup: 100 functions over a 20-minute
-    window at a low-tens aggregate RPS (Cloudlab d430-scale load).
-    """
-    rng = Rng(seed)
-    functions = generate_functions(function_count, total_rps, rng.fork(1))
-    duration_rng = rng.fork(2)
-    arrival_rng = rng.fork(3)
-    invocations: list[Invocation] = []
-    for function in functions:
-        for t in _arrivals_for(function, duration_seconds, arrival_rng):
-            duration = _clamped_lognormal(
-                duration_rng,
-                function.median_duration_seconds,
-                function.duration_sigma,
-                _DURATION_MIN,
-                _DURATION_MAX,
-            )
-            invocations.append(Invocation(t, function.name, duration))
-    invocations.sort(key=lambda inv: inv.time)
-    return AzureTrace(functions, invocations, duration_seconds)

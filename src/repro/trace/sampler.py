@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 
 from ..sim.distributions import Rng
-from .azure import AzureTrace, TraceFunction
+from .azure import TraceFunction
 
-__all__ = ["sample_functions", "sample_trace"]
+__all__ = ["sample_functions"]
 
 
 def sample_functions(
@@ -58,11 +58,3 @@ def sample_functions(
         leftovers = [f for f in ordered if f not in picked]
         picked.extend(rng.sample(leftovers, remaining))
     return picked
-
-
-def sample_trace(trace: AzureTrace, sample_size: int, rng: Rng, strata: int = 5) -> AzureTrace:
-    """Restrict a trace to a stratified sample of its functions."""
-    picked = sample_functions(trace.functions, sample_size, rng, strata=strata)
-    names = {f.name for f in picked}
-    invocations = [inv for inv in trace.invocations if inv.function_name in names]
-    return AzureTrace(picked, invocations, trace.duration_seconds)

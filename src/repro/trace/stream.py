@@ -1,27 +1,25 @@
-"""Streamed trace generation for ≥10k-function populations.
+"""Streamed trace generation: the invocation stream both platforms replay.
 
-:func:`generate_trace` materializes every invocation up front — fine at
-the paper's 100-function sample, but a 100× population (the scale Figs
-1/10 are really about) produces over a million invocations and trace
-construction starts to rival the simulation itself for wall-clock and
-memory.  :class:`StreamedTrace` keeps the *function* population
-materialized (O(functions), small) and generates the invocation stream
-lazily: one tiny generator per function, merged in time order with
+:class:`StreamedTrace` keeps the *function* population materialized
+(O(functions), small) and generates the invocation stream lazily: one
+tiny generator per function, merged in time order with
 :func:`heapq.merge`.  Peak memory is O(functions) — there is never a
-full arrival list.
+full arrival list, so the paper's 100-function sample and a 100×
+population (over a million invocations) go through the same code.
 
-Determinism is stricter than the eager generator's: instead of one
-shared arrival/duration RNG consumed in function order, every function
-forks its own pair of RNG streams keyed by its position.  Each
-function's invocation sequence is therefore independent of how (or
+Every function forks its own pair of RNG streams keyed by its position.
+Each function's invocation sequence is therefore independent of how (or
 whether) the other functions are consumed — the property the sharded
 simulator's invariance argument leans on — and two iterations of the
 same :class:`StreamedTrace` yield byte-identical streams.
 
+Arrival patterns: ``steady`` and ``rare`` functions are Poisson at
+their mean rate; ``periodic`` ones fire a burst every period from a
+random phase, each invocation jittered after the timer tick.
 Invocations are plain ``(time, function_index, duration_seconds)``
-tuples rather than :class:`~repro.trace.azure.Invocation` dataclasses:
-at a million-plus arrivals the allocation difference is measurable, and
-the sharded engine only ever needs those three fields.
+tuples: at a million-plus arrivals the allocation difference to a
+dataclass is measurable, and the replay only ever needs those three
+fields.
 """
 
 from __future__ import annotations
@@ -42,9 +40,9 @@ from .sampler import sample_functions
 __all__ = ["StreamedTrace", "streamed_trace"]
 
 # Periodic bursts jitter each invocation up to this many seconds after
-# the timer tick (mirrors azure._arrivals_for); every period in
-# generate_functions is >= 30s, so bursts of consecutive periods never
-# overlap and sorting within one period keeps the stream monotone.
+# the timer tick; every period in generate_functions is >= 30s, so
+# bursts of consecutive periods never overlap and sorting within one
+# period keeps the stream monotone.
 _PERIODIC_JITTER = 10.0
 
 
@@ -154,8 +152,7 @@ def streamed_trace(
 
     ``sample_size`` optionally restricts the generated population with
     the InVitro-style stratified sampler — the sampled subset then
-    carries only its own share of ``total_rps``, exactly like
-    :func:`~repro.trace.sampler.sample_trace` on an eager trace.
+    carries only its own share of ``total_rps``.
     """
     rng = Rng(seed)
     functions = generate_functions(function_count, total_rps, rng.fork(1))

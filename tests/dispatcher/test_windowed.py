@@ -1,8 +1,8 @@
-"""Window-batched router: fast-path parity, estimates, wire payloads."""
+"""Window-batched router: fast-path parity, estimates, delivery batches."""
 
 import pytest
 
-from repro.cluster.sharding import INVOCATION, ShardPlan
+from repro.cluster.sharding import ShardPlan
 from repro.dispatcher.windowed import WindowedRouter
 from repro.sched import ClusterSnapshot, make_routing_policy
 from repro.sim.distributions import Rng
@@ -26,7 +26,7 @@ def test_least_loaded_fast_path_matches_policy_decide():
     )
 
     arrivals = [(0.01 * i, i % 5, 0.25) for i in range(200)]
-    payloads = router.route_window(arrivals, dispatch_delay=0.0005)
+    batches = router.route_window(arrivals, dispatch_delay=0.0005)
     expected = []
     for _ in arrivals:
         worker = policy.decide(snapshot)
@@ -35,22 +35,18 @@ def test_least_loaded_fast_path_matches_policy_decide():
     assert router._estimates == estimates
 
     routed = sorted(
-        (record for payload in payloads for record in INVOCATION.iter_unpack(bytes(payload))),
+        (record for batch in batches for record in batch),
         key=lambda record: record[4],
     )
     assert [record[1] for record in routed] == expected
 
 
-def test_route_window_packs_wire_records():
+def test_route_window_emits_delivery_tuples():
     router = WindowedRouter(ShardPlan(4, 2))
     arrivals = [(1.0, 9, 0.5), (1.1, 3, 0.25)]
-    payloads = router.route_window(arrivals, dispatch_delay=0.001)
-    assert len(payloads) == 2
-    records = [
-        record
-        for payload in payloads
-        for record in INVOCATION.iter_unpack(bytes(payload))
-    ]
+    batches = router.route_window(arrivals, dispatch_delay=0.001)
+    assert len(batches) == 2
+    records = [record for batch in batches for record in batch]
     assert len(records) == 2
     for (delivery, worker, fn_index, duration, arrival), (t, fn, d) in zip(
         sorted(records, key=lambda r: r[4]), arrivals
@@ -65,9 +61,9 @@ def test_route_window_packs_wire_records():
 def test_routed_worker_lands_in_its_shard_payload():
     plan = ShardPlan(6, 3)
     router = WindowedRouter(plan)
-    payloads = router.route_window([(0.1 * i, 0, 0.1) for i in range(30)], 0.0)
-    for shard, payload in enumerate(payloads):
-        for record in INVOCATION.iter_unpack(bytes(payload)):
+    batches = router.route_window([(0.1 * i, 0, 0.1) for i in range(30)], 0.0)
+    for shard, batch in enumerate(batches):
+        for record in batch:
             assert plan.shard_of(record[1]) == shard
 
 
@@ -84,17 +80,13 @@ def test_refresh_replaces_estimates_in_global_order():
 def test_non_default_policy_takes_generic_path():
     router = WindowedRouter(ShardPlan(4, 2), policy="round_robin")
     assert not router._fast_least
-    payloads = router.route_window([(0.0, 0, 0.1)] * 8, 0.0)
-    workers = [
-        record[1]
-        for payload in payloads
-        for record in INVOCATION.iter_unpack(bytes(payload))
-    ]
+    batches = router.route_window([(0.0, 0, 0.1)] * 8, 0.0)
+    workers = [record[1] for batch in batches for record in batch]
     assert sorted(workers) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_ties_break_by_lowest_worker_index():
     router = WindowedRouter(ShardPlan(3, 1))
-    payloads = router.route_window([(0.0, 0, 0.1)] * 3, 0.0)
-    workers = [r[1] for r in INVOCATION.iter_unpack(bytes(payloads[0]))]
+    (batch,) = router.route_window([(0.0, 0, 0.1)] * 3, 0.0)
+    workers = [record[1] for record in batch]
     assert workers == [0, 1, 2]

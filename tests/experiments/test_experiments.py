@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments import (
     DandelionLoadModel,
-    default_trace,
     matmul_1x1_binary,
     matmul_128_binary,
     run_fig01,
@@ -188,13 +187,13 @@ def test_sec77_breakdown_sums():
 
 
 def test_fig01_and_fig10_consistency():
-    trace = default_trace(duration_seconds=300.0)
-    fig01 = run_fig01(trace)
-    fig10 = run_fig10(trace)
+    fig01 = run_fig01(duration_seconds=300.0)
+    fig10 = run_fig10(duration_seconds=300.0)
     # The same Firecracker replay underlies both figures.
-    assert fig01.rows[-1]["committed_mib"] == pytest.approx(
-        fig10.rows[-1]["firecracker_mib"]
-    )
+    assert fig01.column("time_s") == fig10.column("time_s") == [
+        0.0, 60.0, 120.0, 180.0, 240.0, 300.0
+    ]
+    assert fig01.column("committed_mib") == fig10.column("firecracker_mib")
     assert fig10.rows[-1]["dandelion_mib"] <= fig10.rows[-1]["firecracker_mib"]
 
 

@@ -1,14 +1,15 @@
-"""fig10_full: reduced-scale correctness and shard invariance."""
+"""fig10_full: reduced-scale correctness and run-to-run determinism."""
 
 import pytest
 
 from repro.experiments import run_fig10_full
-from repro.experiments.fig10_full import _fleet_for, full_trace
+from repro.experiments.fig10_full import _base_spec, _fleet_for, full_trace
+from repro.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_fig10_full(scale=1.0, shards=2, executor="serial")
+    return run_fig10_full(scale=1.0)
 
 
 def test_rows_cover_both_platforms(result):
@@ -26,22 +27,28 @@ def test_rows_cover_both_platforms(result):
 
 
 def test_render_is_shard_count_invariant(result):
-    other = run_fig10_full(scale=1.0, shards=1, executor="serial")
-    assert other.render() == result.render()
+    # The experiment has no shard knob; partition the same scenario by
+    # hand and compare what the table is rendered from.
+    spec = _base_spec(1.0, *_fleet_for(1.0), window_seconds=0.5, seed=42)
+    for platform in ("dandelion", "faas"):
+        arm = spec.with_overrides({"fleet.platform": platform})
+        report = run_scenario(arm, shards=2).report
+        row = result.row(platform=platform)
+        assert row["invocations"] == report.completed
+        assert row["p99_ms"] == report.latency_percentile(99) * 1e3
+        assert row["committed_mean_mib"] == report.committed_mean_bytes / (1 << 20)
+    assert run_fig10_full(scale=1.0).render() == result.render()
 
 
 def test_meta_carries_observability_not_rendered(result):
     meta = result.meta
-    assert meta["shards"] == 2
+    assert "shards" not in meta and "executor" not in meta
     for platform in ("dandelion", "faas"):
         stats = meta["platforms"][platform]
         assert stats["wall_seconds"] > 0
         assert stats["events"] > 0
         assert stats["windows"] > 0
-        assert len(stats["shard_stats"]) == 2
-    rendered = result.render()
-    assert "wall_seconds" not in rendered
-    assert "shard_stats" not in rendered
+    assert "wall_seconds" not in result.render()
 
 
 def test_full_trace_scales_population():

@@ -77,3 +77,9 @@ def test_streamed_spec_runs_through_sharded_replay():
 def test_engine_argument_is_gone():
     with pytest.raises(TypeError):
         run_scenario(load_spec("fig10_full"), engine="lean")
+
+
+def test_process_executor_is_gone():
+    # `executor` survives only as the benchmark-pinned "serial" literal.
+    with pytest.raises(SpecError, match="only 'serial'"):
+        run_scenario(load_spec("fig10_full"), executor="process")

@@ -1,8 +1,7 @@
 """Reference shard kernel for the differential test in ``test_sharded``.
 
 The generator+``Resource`` formulation of the Dandelion trace worker —
-the pre-sharding simulation idiom of
-:class:`~repro.trace.replay.DandelionTraceWorker` — behind the
+the pre-sharding simulation idiom — behind the
 :class:`~repro.sim.sharded.shard.ShardSim` interface.  It left the
 product when the lean kernel became the only one; it stays here so the
 equivalence check (same KPIs modulo ``events``) runs live for any

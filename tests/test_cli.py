@@ -114,7 +114,13 @@ def test_lint_reports_sec8_static_table(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["bench"], ["lint", "--no-cache"], ["lint", "--cache", "x"]]
+    "argv",
+    [
+        ["bench"], ["lint", "--no-cache"], ["lint", "--cache", "x"],
+        # One replay model in one process: no shard/executor knobs.
+        ["run", "fig10full", "--shards", "2"],
+        ["scenario", "run", "fig10_full", "--executor", "serial"],
+    ],
 )
 def test_removed_commands_and_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as raised:

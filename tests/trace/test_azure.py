@@ -1,40 +1,54 @@
-"""Tests for synthetic Azure-trace generation and sampling."""
+"""Tests for the synthetic Azure-trace population, its stream statistics, and sampling."""
 
 import pytest
 
 from repro.sim import Rng
 from repro.trace import (
+    StreamedTrace,
+    TraceFunction,
     generate_functions,
-    generate_trace,
     sample_functions,
-    sample_trace,
+    streamed_trace,
 )
 
 
 def test_trace_determinism():
-    a = generate_trace(function_count=20, duration_seconds=100, total_rps=2, seed=7)
-    b = generate_trace(function_count=20, duration_seconds=100, total_rps=2, seed=7)
-    assert a.total_invocations == b.total_invocations
-    assert [i.time for i in a.invocations[:20]] == [i.time for i in b.invocations[:20]]
+    a = streamed_trace(function_count=20, duration_seconds=100, total_rps=2, seed=7)
+    b = streamed_trace(function_count=20, duration_seconds=100, total_rps=2, seed=7)
+    assert a.functions == b.functions
+    assert list(a.iter_invocations()) == list(b.iter_invocations())
 
 
 def test_different_seed_different_trace():
-    a = generate_trace(function_count=20, duration_seconds=100, total_rps=2, seed=1)
-    b = generate_trace(function_count=20, duration_seconds=100, total_rps=2, seed=2)
-    assert [i.time for i in a.invocations[:10]] != [i.time for i in b.invocations[:10]]
+    a = generate_functions(20, total_rps=2, rng=Rng(1))
+    b = generate_functions(20, total_rps=2, rng=Rng(2))
+    assert [f.mean_rate_rps for f in a] != [f.mean_rate_rps for f in b]
+    assert [f.memory_bytes for f in a] != [f.memory_bytes for f in b]
 
 
 def test_invocations_sorted_and_in_window():
-    trace = generate_trace(function_count=50, duration_seconds=300, total_rps=5, seed=3)
-    times = [inv.time for inv in trace.invocations]
+    # Timer-driven functions only, at the shortest period and widest
+    # burst the population can draw: jittered bursts of consecutive
+    # periods must still merge into one monotone stream.
+    timers = [
+        TraceFunction(
+            name=f"timer{index}", median_duration_seconds=0.05, duration_sigma=0.4,
+            memory_bytes=32 << 20, pattern="periodic", mean_rate_rps=4 / 30.0,
+            period_seconds=30.0, burst_size=4,
+        )
+        for index in range(5)
+    ]
+    times = [t for t, _fn, _d in StreamedTrace(timers, 300.0, 3).iter_invocations()]
+    assert len(times) > 150
     assert times == sorted(times)
     assert all(0 <= t < 300 for t in times)
 
 
 def test_total_rate_roughly_requested():
-    trace = generate_trace(function_count=100, duration_seconds=1200, total_rps=5, seed=4)
+    trace = streamed_trace(function_count=100, duration_seconds=1200, total_rps=5, seed=4)
+    average_rps = sum(1 for _ in trace.iter_invocations()) / trace.duration_seconds
     # Rare-pattern clamping may trim a little; stay within a factor.
-    assert 2.0 < trace.average_rps < 8.0
+    assert 2.0 < average_rps < 8.0
 
 
 def test_rate_skew_matches_azure_characterisation():
@@ -48,10 +62,9 @@ def test_rate_skew_matches_azure_characterisation():
 
 
 def test_durations_heavy_tailed_but_bounded():
-    trace = generate_trace(function_count=100, duration_seconds=600, total_rps=10, seed=6)
-    durations = [inv.duration_seconds for inv in trace.invocations]
-    assert all(0.01 <= d <= 30.0 for d in durations)
-    durations.sort()
+    trace = streamed_trace(function_count=100, duration_seconds=600, total_rps=10, seed=6)
+    durations = sorted(d for _t, _fn, d in trace.iter_invocations())
+    assert all(0.01 <= d <= 10.0 for d in durations)
     median = durations[len(durations) // 2]
     assert 0.02 < median < 2.0
     assert durations[-1] > 3 * median
@@ -84,16 +97,6 @@ def test_generate_functions_validation():
         generate_functions(10, total_rps=0, rng=Rng(0))
 
 
-def test_trace_lookup_helpers():
-    trace = generate_trace(function_count=10, duration_seconds=200, total_rps=3, seed=11)
-    name = trace.functions[0].name
-    assert trace.function(name).name == name
-    with pytest.raises(KeyError):
-        trace.function("ghost")
-    for inv in trace.invocations_of(name):
-        assert inv.function_name == name
-
-
 def test_sample_functions_size_and_membership():
     functions = generate_functions(200, total_rps=10, rng=Rng(12))
     picked = sample_functions(functions, 50, Rng(13))
@@ -123,9 +126,12 @@ def test_sample_validation():
 
 
 def test_sample_trace_restricts_invocations():
-    trace = generate_trace(function_count=50, duration_seconds=300, total_rps=5, seed=16)
-    sampled = sample_trace(trace, 10, Rng(17))
-    assert len(sampled.functions) == 10
-    names = {f.name for f in sampled.functions}
-    assert all(inv.function_name in names for inv in sampled.invocations)
-    assert sampled.duration_seconds == trace.duration_seconds
+    population = generate_functions(50, total_rps=5, rng=Rng(16).fork(1))
+    sampled = streamed_trace(
+        function_count=50, duration_seconds=300, total_rps=5, seed=16, sample_size=10
+    )
+    assert sampled.function_count == 10
+    assert {f.name for f in sampled.functions} <= {f.name for f in population}
+    assert sampled.duration_seconds == 300
+    indices = {index for _t, index, _d in sampled.iter_invocations()}
+    assert indices and indices <= set(range(10))
