@@ -7,7 +7,8 @@ numeric columns are numpy arrays, string columns are numpy object
 arrays.  Tables serialize to a self-describing binary format (JSON
 header + raw little-endian buffers; strings as UTF-8 with offsets) so
 they can travel through Dandelion data items and the simulated object
-store without pickle.
+store without pickle.  A parsed string column is validated at once and
+decoded when :meth:`Table.column` first asks (docs/dataplane.md, COLT).
 """
 
 from __future__ import annotations
@@ -29,6 +30,30 @@ class TableError(Exception):
     """Raised for malformed tables or schema mismatches."""
 
 
+class _LazyStrings:
+    """A validated, undecoded string column: row ``i`` is
+    ``text[starts[i]:ends[i]]``.  Indexing gathers offsets; the object
+    array is built once, by :meth:`values`."""
+
+    __slots__ = ("_text", "_starts", "_ends", "_values")
+
+    def __init__(self, text: str, starts: np.ndarray, ends: np.ndarray):
+        self._text, self._starts, self._ends = text, starts, ends
+        self._values: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, indices) -> "_LazyStrings":
+        return _LazyStrings(self._text, self._starts[indices], self._ends[indices])
+
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            text, bounds = self._text, zip(self._starts.tolist(), self._ends.tolist())
+            self._values = np.asarray([text[lo:hi] for lo, hi in bounds], dtype=object)
+        return self._values
+
+
 class Table:
     """An immutable-by-convention named collection of columns."""
 
@@ -36,7 +61,7 @@ class Table:
         if not name:
             raise TableError("table name must be non-empty")
         self.name = name
-        self._columns: dict[str, np.ndarray] = {}
+        self._columns: dict[str, "np.ndarray | _LazyStrings"] = {}
         length: Optional[int] = None
         for column_name, values in columns.items():
             array = self._normalize(values)
@@ -50,7 +75,9 @@ class Table:
         self._length = length or 0
 
     @staticmethod
-    def _normalize(values) -> np.ndarray:
+    def _normalize(values) -> "np.ndarray | _LazyStrings":
+        if isinstance(values, _LazyStrings):
+            return values
         if isinstance(values, np.ndarray):
             if values.dtype.kind in _NUMERIC_KINDS:
                 return values
@@ -77,10 +104,12 @@ class Table:
         return list(self._columns)
 
     def column(self, name: str) -> np.ndarray:
+        """The column's values; materialises an undecoded string column."""
         try:
-            return self._columns[name]
+            column = self._columns[name]
         except KeyError:
             raise TableError(f"table {self.name!r} has no column {name!r}") from None
+        return column.values() if isinstance(column, _LazyStrings) else column
 
     def __contains__(self, name: str) -> bool:
         return name in self._columns
@@ -100,7 +129,7 @@ class Table:
 
     def to_rows(self) -> list[dict]:
         names = self.column_names
-        arrays = [self._columns[n] for n in names]
+        arrays = [self.column(n) for n in names]
         return [
             {name: _python_value(array[index]) for name, array in zip(names, arrays)}
             for index in range(self._length)
@@ -131,13 +160,20 @@ class Table:
     def with_name(self, name: str) -> "Table":
         return Table(name, dict(self._columns))
 
+    def hstack(self, other: "Table") -> "Table":
+        """Column-wise concatenation (equal row counts, distinct names)."""
+        if not self._columns.keys().isdisjoint(other._columns):
+            raise TableError("hstack requires distinct column names")
+        return Table(self.name, {**self._columns, **other._columns})
+
     # -- serialization --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Serialize to the self-describing binary format."""
         header: dict = {"name": self.name, "rows": self._length, "columns": []}
         buffers: list[bytes] = []
-        for column_name, array in self._columns.items():
+        for column_name in self._columns:
+            array = self.column(column_name)
             if array.dtype.kind in _NUMERIC_KINDS:
                 data = np.ascontiguousarray(array).tobytes()
                 header["columns"].append(
@@ -163,18 +199,23 @@ class Table:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Table":
+        """Parse and fully validate a blob (:class:`TableError` if
+        malformed); string columns decode on first :meth:`column`."""
         view = memoryview(blob)
-        if bytes(view[:4]) != _MAGIC:
-            raise TableError("not a serialized table (bad magic)")
+        if len(view) < 8 or bytes(view[:4]) != _MAGIC:
+            raise TableError("not a serialized table (bad magic or short header)")
         (header_length,) = struct.unpack("<I", view[4:8])
-        position = 8
+        position = 8 + header_length
         try:
-            header = json.loads(bytes(view[position : position + header_length]))
-        except ValueError as exc:
-            raise TableError(f"corrupt table header: {exc}") from exc
-        position += header_length
+            header = json.loads(bytes(view[8:position]))
+            name, rows = header["name"], header["rows"]
+            fields = [(d["name"], d["kind"], d.get("dtype")) for d in header["columns"]]
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise TableError(f"corrupt table header: {exc!r}") from exc
+        if not isinstance(name, str) or not isinstance(rows, int) or rows < 0:
+            raise TableError("corrupt table header: bad name or row count")
 
-        def next_buffer() -> memoryview:
+        def next_array(dtype: np.dtype, count: Optional[int]) -> np.ndarray:
             nonlocal position
             if position + 8 > len(view):
                 raise TableError("truncated table data")
@@ -182,28 +223,33 @@ class Table:
             position += 8
             if position + length > len(view):
                 raise TableError("truncated table buffer")
-            buffer = view[position : position + length]
+            if length % dtype.itemsize or count not in (None, length // dtype.itemsize):
+                raise TableError(f"buffer of {length} bytes does not hold {count} x {dtype}")
             position += length
-            return buffer
+            # Copied: the blob may be sandbox memory that is reused later.
+            return np.frombuffer(view[position - length : position], dtype=dtype).copy()
 
-        rows = header["rows"]
-        columns: dict[str, np.ndarray] = {}
-        for descriptor in header["columns"]:
-            if descriptor["kind"] == "numeric":
-                array = np.frombuffer(next_buffer(), dtype=np.dtype(descriptor["dtype"]))
-                if len(array) != rows:
-                    raise TableError("numeric column length mismatch")
-                columns[descriptor["name"]] = array.copy()
+        columns: dict[str, "np.ndarray | _LazyStrings"] = {}
+        for column_name, kind, dtype in fields:
+            if kind == "numeric":
+                try:
+                    numeric = np.dtype(dtype) if isinstance(dtype, str) else None
+                except TypeError:
+                    numeric = None
+                if numeric is None or numeric.kind not in _NUMERIC_KINDS:
+                    raise TableError(f"column {column_name!r} has no numeric dtype: {dtype!r}")
+                columns[column_name] = next_array(numeric, rows)
+            elif kind == "string":
+                offsets = next_array(np.dtype("<i8"), rows + 1)
+                payload = next_array(np.dtype("u1"), None).tobytes()
+                if offsets[0] != 0 or offsets[-1] > len(payload) or (offsets[1:] < offsets[:-1]).any():
+                    raise TableError(f"string column {column_name!r} has invalid offsets")
+                columns[column_name] = _decode_strings(payload, offsets)
             else:
-                offsets = np.frombuffer(next_buffer(), dtype=np.int64)
-                payload = bytes(next_buffer())
-                if len(offsets) != rows + 1:
-                    raise TableError("string offsets length mismatch")
-                values = np.empty(rows, dtype=object)
-                for index in range(rows):
-                    values[index] = payload[offsets[index] : offsets[index + 1]].decode("utf-8")
-                columns[descriptor["name"]] = values
-        return cls(header["name"], columns)
+                raise TableError(f"unknown column kind {kind!r}")
+        if position != len(view):
+            raise TableError(f"{len(view) - position} trailing bytes after the last buffer")
+        return cls(name, columns)
 
     # -- misc --------------------------------------------------------------
 
@@ -214,13 +260,27 @@ class Table:
         return Table(
             self.name,
             {
-                name: np.concatenate([self._columns[name], other.column(name)])
+                name: np.concatenate([self.column(name), other.column(name)])
                 for name in self.column_names
             },
         )
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {self._length} rows x {len(self._columns)} cols)"
+
+
+def _decode_strings(payload: bytes, offsets: np.ndarray) -> "np.ndarray | _LazyStrings":
+    """One whole-payload decode validates the UTF-8.  ASCII payloads
+    (byte offsets == character offsets) stay lazy; anything else is
+    decoded slice by slice, which also rejects offsets inside a character."""
+    try:
+        text = payload.decode("utf-8")
+        if len(text) == len(payload):
+            return _LazyStrings(text, offsets[:-1], offsets[1:])
+        bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+        return np.asarray([payload[lo:hi].decode("utf-8") for lo, hi in bounds], dtype=object)
+    except UnicodeDecodeError as exc:
+        raise TableError(f"string column is not valid UTF-8: {exc}") from exc
 
 
 def _python_value(value):

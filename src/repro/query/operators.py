@@ -4,8 +4,14 @@ The set the paper's SSB port needs (§7.7): "The queries include filter,
 projection, join, order by, and aggregation operators, which we
 implement in Dandelion by porting the Apache Arrow Acero library
 operators."  All operators here are pure functions Table -> Table,
-vectorised with numpy, so they can run inside Dandelion compute
-functions unchanged.
+vectorised with numpy (join and grouping run no per-row Python loop),
+so they can run inside Dandelion compute functions unchanged.  Order
+and dtypes are part of the contract (result tables are compared as
+bytes): ``hash_join`` emits pairs left-major with right positions
+ascending, ``group_aggregate`` groups in order of first appearance with
+int64 keys and sums and object strings.  Only an operator that reads a
+parsed string column's values decodes it; ``take`` and the join gather
+carry it undecoded.
 """
 
 from __future__ import annotations
@@ -109,34 +115,37 @@ def hash_join(
     right_key: str,
     right_prefix: str = "",
 ) -> Table:
-    """Inner hash join; right-side columns may get a prefix to avoid
-    name collisions."""
-    right_values = right.column(right_key)
-    index: dict = {}
-    for position, value in enumerate(right_values):
-        index.setdefault(value, []).append(position)
-    left_values = left.column(left_key)
-    left_positions: list[int] = []
-    right_positions: list[int] = []
-    for position, value in enumerate(left_values):
-        matches = index.get(value)
-        if matches:
-            for match in matches:
-                left_positions.append(position)
-                right_positions.append(match)
-    left_idx = np.asarray(left_positions, dtype=np.int64)
-    right_idx = np.asarray(right_positions, dtype=np.int64)
-    columns: dict[str, np.ndarray] = {}
-    for name in left.column_names:
-        columns[name] = left.column(name)[left_idx]
+    """Inner equi-join; right-side columns may get a prefix to avoid
+    name collisions.
+
+    Pairs come out left-major with right positions ascending (a stable
+    argsort of the right keys, probed with ``searchsorted``); every
+    column keeps its dtype and string columns are gathered undecoded.
+    """
+    left_values, right_values = left.column(left_key), right.column(right_key)
+    try:
+        order = np.argsort(right_values, kind="stable")
+        sorted_keys = right_values[order]
+        first = np.searchsorted(sorted_keys, left_values, side="left")
+        counts = np.searchsorted(sorted_keys, left_values, side="right") - first
+    except TypeError as exc:
+        raise TableError(f"join keys {left_key!r} and {right_key!r} do not compare: {exc}") from exc
+    left_idx = np.repeat(np.arange(len(left_values)), counts)
+    # Position of each output pair inside its left row's run of matches.
+    within = np.arange(len(left_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+    right_idx = order[np.repeat(first, counts) + within]
+    renames: dict[str, str] = {}
+    taken = set(left.column_names)
     for name in right.column_names:
         out_name = f"{right_prefix}{name}"
-        if out_name in columns:
+        if out_name in taken:
             if name == right_key:
                 continue  # equal by construction
             out_name = f"{right.name}.{name}"
-        columns[out_name] = right.column(name)[right_idx]
-    return Table(left.name, columns)
+        renames[name] = out_name
+        taken.add(out_name)
+    gathered = right.select(renames).rename(renames).take(right_idx)
+    return left.take(left_idx).hstack(gathered)
 
 
 class Aggregation:
@@ -159,6 +168,8 @@ class Aggregation:
         values = table.column(self.column)
         if self.function == "sum":
             return [values[group].sum() if len(group) else 0 for group in row_groups]
+        if self.function in ("min", "max") and not all(map(len, row_groups)):
+            raise TableError(f"aggregate {self.function}({self.column}) over an empty group")
         if self.function == "min":
             return [values[group].min() for group in row_groups]
         if self.function == "max":
@@ -180,15 +191,24 @@ def group_aggregate(
     if table.num_rows == 0 and group_by:
         return Table(table.name, {**{g: [] for g in group_by}, **{a.output: [] for a in aggregations}})
     if group_by:
-        key_arrays = [table.column(name) for name in group_by]
-        groups: dict[tuple, list[int]] = {}
-        for row in range(table.num_rows):
-            key = tuple(array[row] for array in key_arrays)
-            groups.setdefault(key, []).append(row)
-        keys = list(groups)
-        row_groups = [np.asarray(groups[key], dtype=np.int64) for key in keys]
+        # Factorise each key column into one dense code per row;
+        # re-densifying after every column keeps the code below rows *
+        # cardinality, so no product of cardinalities can overflow.
+        codes = np.zeros(table.num_rows, dtype=np.int64)
+        try:
+            for name in group_by:
+                uniques, inverse = np.unique(table.column(name), return_inverse=True)
+                codes = np.unique(codes * len(uniques) + inverse, return_inverse=True)[1]
+        except TypeError as exc:
+            raise TableError(f"group key {name!r} does not sort: {exc}") from exc
+        # A stable sort lists each group's rows ascending; groups are
+        # then ordered by first appearance.
+        by_code = np.argsort(codes, kind="stable")
+        row_groups = np.split(by_code, np.cumsum(np.bincount(codes))[:-1])
+        row_groups.sort(key=lambda rows: rows[0])
+        first_rows = [rows[0] for rows in row_groups]
         columns: dict[str, list] = {
-            name: [key[i] for key in keys] for i, name in enumerate(group_by)
+            name: list(table.column(name)[first_rows]) for name in group_by
         }
     else:
         row_groups = [np.arange(table.num_rows)]

@@ -114,6 +114,56 @@ def test_unicode_strings_roundtrip():
     assert list(restored.column("s")) == ["héllo", "wörld", "日本"]
 
 
+@pytest.mark.parametrize(
+    "strings",
+    [
+        ["", "a", "", "bc", ""],  # empty strings share offsets
+        ["", "é", "", "日本"],  # non-ASCII: decoded slice by slice at parse
+        [""],
+    ],
+)
+def test_string_column_roundtrip_edge_cases(strings):
+    restored = Table.from_bytes(Table("t", {"s": strings}).to_bytes())
+    assert restored.column("s").dtype == object
+    assert list(restored.column("s")) == strings
+    assert restored.to_bytes() == Table("t", {"s": strings}).to_bytes()
+
+
+def test_zero_row_string_column_roundtrip():
+    table = Table("t", {"s": np.asarray([], dtype=object), "i": np.asarray([], dtype=np.int32)})
+    restored = Table.from_bytes(table.to_bytes())
+    assert restored.num_rows == 0
+    assert restored.column("s").dtype == object
+    assert restored.column("i").dtype == np.int32
+    assert restored.to_bytes() == table.to_bytes()
+
+
+def test_undecoded_string_column_survives_row_and_column_operations():
+    table = Table("t", {"id": [1, 2, 3, 4], "s": ["a", "", "ccc", "dd"]})
+    parsed = Table.from_bytes(table.to_bytes())
+    derived = (
+        parsed.take(np.array([3, 0, 2])).take(np.array([True, False, True]))
+        .select(["s", "id"]).rename({"s": "label"}).with_name("u")
+    )
+    assert derived.name == "u"
+    assert list(derived.column("label")) == ["dd", "ccc"]
+    assert derived.column("id").tolist() == [4, 3]
+    # The source column is untouched by what was read downstream.
+    assert list(parsed.column("s")) == ["a", "", "ccc", "dd"]
+    assert list(parsed.head(2).column("s")) == ["a", ""]
+
+
+def test_hstack():
+    left = Table("l", {"a": [1, 2]})
+    stacked = left.hstack(Table("r", {"b": ["x", "y"]}))
+    assert stacked.name == "l"
+    assert stacked.column_names == ["a", "b"]
+    with pytest.raises(TableError):
+        left.hstack(Table("r", {"a": [3, 4]}))
+    with pytest.raises(TableError):
+        left.hstack(Table("r", {"b": [1, 2, 3]}))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.integers(-(2**40), 2**40), min_size=0, max_size=50),

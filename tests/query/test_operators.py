@@ -120,6 +120,15 @@ def test_group_aggregate_global_group():
     assert result.to_rows()[0]["total"] == 1100
 
 
+def test_group_aggregate_global_group_over_no_rows():
+    empty = orders().take(np.array([], dtype=np.int64))
+    totals = group_aggregate(empty, [], [Aggregation("total", "sum", "amount"), Aggregation("n", "count")])
+    assert totals.to_rows() == [{"total": 0, "n": 0}]
+    for function in ("min", "max"):
+        with pytest.raises(TableError, match=f"{function}\\(amount\\)"):
+            group_aggregate(empty, [], [Aggregation("x", function, "amount")])
+
+
 def test_group_aggregate_empty_input_with_groups():
     empty = orders().take(np.array([], dtype=np.int64))
     result = group_aggregate(empty, ["region"], [Aggregation("n", "count")])
