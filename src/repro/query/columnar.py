@@ -160,12 +160,6 @@ class Table:
     def with_name(self, name: str) -> "Table":
         return Table(name, dict(self._columns))
 
-    def hstack(self, other: "Table") -> "Table":
-        """Column-wise concatenation (equal row counts, distinct names)."""
-        if not self._columns.keys().isdisjoint(other._columns):
-            raise TableError("hstack requires distinct column names")
-        return Table(self.name, {**self._columns, **other._columns})
-
     # -- serialization --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
@@ -212,7 +206,8 @@ class Table:
             fields = [(d["name"], d["kind"], d.get("dtype")) for d in header["columns"]]
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise TableError(f"corrupt table header: {exc!r}") from exc
-        if not isinstance(name, str) or not isinstance(rows, int) or rows < 0:
+        names = [name, *(field[0] for field in fields)]
+        if not all(isinstance(n, str) for n in names) or not isinstance(rows, int) or rows < 0:
             raise TableError("corrupt table header: bad name or row count")
 
         def next_array(dtype: np.dtype, count: Optional[int]) -> np.ndarray:
@@ -226,21 +221,21 @@ class Table:
             if length % dtype.itemsize or count not in (None, length // dtype.itemsize):
                 raise TableError(f"buffer of {length} bytes does not hold {count} x {dtype}")
             position += length
-            # Copied: the blob may be sandbox memory that is reused later.
-            return np.frombuffer(view[position - length : position], dtype=dtype).copy()
+            return np.frombuffer(view[position - length : position], dtype=dtype)
 
         columns: dict[str, "np.ndarray | _LazyStrings"] = {}
         for column_name, kind, dtype in fields:
             if kind == "numeric":
                 try:
                     numeric = np.dtype(dtype) if isinstance(dtype, str) else None
-                except TypeError:
+                except (TypeError, ValueError, SyntaxError):  # numpy parses comma strings
                     numeric = None
                 if numeric is None or numeric.kind not in _NUMERIC_KINDS:
                     raise TableError(f"column {column_name!r} has no numeric dtype: {dtype!r}")
-                columns[column_name] = next_array(numeric, rows)
+                # Copied: the blob may be sandbox memory that is reused later.
+                columns[column_name] = next_array(numeric, rows).copy()
             elif kind == "string":
-                offsets = next_array(np.dtype("<i8"), rows + 1)
+                offsets = next_array(np.dtype("<i8"), rows + 1).copy()
                 payload = next_array(np.dtype("u1"), None).tobytes()
                 if offsets[0] != 0 or offsets[-1] > len(payload) or (offsets[1:] < offsets[:-1]).any():
                     raise TableError(f"string column {column_name!r} has invalid offsets")

@@ -4,14 +4,12 @@ The set the paper's SSB port needs (§7.7): "The queries include filter,
 projection, join, order by, and aggregation operators, which we
 implement in Dandelion by porting the Apache Arrow Acero library
 operators."  All operators here are pure functions Table -> Table,
-vectorised with numpy (join and grouping run no per-row Python loop),
-so they can run inside Dandelion compute functions unchanged.  Order
-and dtypes are part of the contract (result tables are compared as
-bytes): ``hash_join`` emits pairs left-major with right positions
-ascending, ``group_aggregate`` groups in order of first appearance with
-int64 keys and sums and object strings.  Only an operator that reads a
-parsed string column's values decodes it; ``take`` and the join gather
-carry it undecoded.
+vectorised with numpy (no per-row Python loop in join or grouping), so
+they can run inside Dandelion compute functions unchanged.  Guaranteed,
+because result tables are compared as bytes: ``hash_join`` pairs come
+left-major with right positions ascending, ``group_aggregate`` groups
+in order of first appearance, integer keys and sums are int64, strings
+object; a parsed string column that no operator reads stays undecoded.
 """
 
 from __future__ import annotations
@@ -115,13 +113,10 @@ def hash_join(
     right_key: str,
     right_prefix: str = "",
 ) -> Table:
-    """Inner equi-join; right-side columns may get a prefix to avoid
-    name collisions.
-
-    Pairs come out left-major with right positions ascending (a stable
-    argsort of the right keys, probed with ``searchsorted``); every
-    column keeps its dtype and string columns are gathered undecoded.
-    """
+    """Inner equi-join (stable argsort of the right keys, probed with
+    ``searchsorted``); right-side columns may get a prefix to avoid name
+    collisions.  Keys must sort against each other and hold no NaN (it
+    would pair with NaN); uint64 against int64 compares as float64."""
     left_values, right_values = left.column(left_key), right.column(right_key)
     try:
         order = np.argsort(right_values, kind="stable")
@@ -134,18 +129,17 @@ def hash_join(
     # Position of each output pair inside its left row's run of matches.
     within = np.arange(len(left_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
     right_idx = order[np.repeat(first, counts) + within]
-    renames: dict[str, str] = {}
-    taken = set(left.column_names)
+    # The gathered columns, string ones still undecoded.
+    columns = dict(left.take(left_idx)._columns)
+    gathered = right.take(right_idx)._columns
     for name in right.column_names:
         out_name = f"{right_prefix}{name}"
-        if out_name in taken:
+        if out_name in columns:
             if name == right_key:
                 continue  # equal by construction
             out_name = f"{right.name}.{name}"
-        renames[name] = out_name
-        taken.add(out_name)
-    gathered = right.select(renames).rename(renames).take(right_idx)
-    return left.take(left_idx).hstack(gathered)
+        columns[out_name] = gathered[name]
+    return Table(left.name, columns)
 
 
 class Aggregation:
@@ -183,7 +177,8 @@ def group_aggregate(
     group_by: Iterable[str],
     aggregations: Iterable[Aggregation],
 ) -> Table:
-    """Group-by aggregation; with no group columns, one global group."""
+    """Group-by aggregation; with no group columns, one global group.
+    Each key column must sort (one type); NaN keys form one group."""
     group_by = list(group_by)
     aggregations = list(aggregations)
     if not aggregations:
@@ -191,9 +186,8 @@ def group_aggregate(
     if table.num_rows == 0 and group_by:
         return Table(table.name, {**{g: [] for g in group_by}, **{a.output: [] for a in aggregations}})
     if group_by:
-        # Factorise each key column into one dense code per row;
-        # re-densifying after every column keeps the code below rows *
-        # cardinality, so no product of cardinalities can overflow.
+        # One dense code per row, re-densified after every key column
+        # so that no product of cardinalities can overflow.
         codes = np.zeros(table.num_rows, dtype=np.int64)
         try:
             for name in group_by:
@@ -201,15 +195,12 @@ def group_aggregate(
                 codes = np.unique(codes * len(uniques) + inverse, return_inverse=True)[1]
         except TypeError as exc:
             raise TableError(f"group key {name!r} does not sort: {exc}") from exc
-        # A stable sort lists each group's rows ascending; groups are
-        # then ordered by first appearance.
+        # Stable: rows ascending inside a group; groups by first appearance.
         by_code = np.argsort(codes, kind="stable")
         row_groups = np.split(by_code, np.cumsum(np.bincount(codes))[:-1])
         row_groups.sort(key=lambda rows: rows[0])
         first_rows = [rows[0] for rows in row_groups]
-        columns: dict[str, list] = {
-            name: list(table.column(name)[first_rows]) for name in group_by
-        }
+        columns = {name: list(table.column(name)[first_rows]) for name in group_by}
     else:
         row_groups = [np.arange(table.num_rows)]
         columns = {}

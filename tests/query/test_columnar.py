@@ -153,17 +153,6 @@ def test_undecoded_string_column_survives_row_and_column_operations():
     assert list(parsed.head(2).column("s")) == ["a", ""]
 
 
-def test_hstack():
-    left = Table("l", {"a": [1, 2]})
-    stacked = left.hstack(Table("r", {"b": ["x", "y"]}))
-    assert stacked.name == "l"
-    assert stacked.column_names == ["a", "b"]
-    with pytest.raises(TableError):
-        left.hstack(Table("r", {"a": [3, 4]}))
-    with pytest.raises(TableError):
-        left.hstack(Table("r", {"b": [1, 2, 3]}))
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.integers(-(2**40), 2**40), min_size=0, max_size=50),

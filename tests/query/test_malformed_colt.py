@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.query import Table, TableError
 
@@ -52,12 +54,16 @@ CORPUS = {
     "columns is a number": (colt({"name": "t", "rows": 0, "columns": 3}), "corrupt table header"),
     "descriptor is a string": (colt({"name": "t", "rows": 0, "columns": ["n"]}), "corrupt table header"),
     "descriptor lacks kind": (colt({"name": "t", "rows": 0, "columns": [{"name": "n"}]}), "corrupt table header"),
+    "column name is a list": (colt({"name": "t", "rows": 2, "columns": [{"name": [], "kind": "numeric", "dtype": "<i8"}]}, INT64_PAIR), "bad name or row count"),
+    "column name is a number": (colt({"name": "t", "rows": 0, "columns": [{"name": 3, "kind": "string"}]}), "bad name or row count"),
     "unknown column kind": (colt({"name": "t", "rows": 0, "columns": [{"name": "n", "kind": "blob"}]}), "unknown column kind"),
     # numeric columns
     "unknown dtype": (colt(numeric_header("zz9"), INT64_PAIR), "no numeric dtype"),
     "object dtype": (colt(numeric_header("O"), INT64_PAIR), "no numeric dtype"),
     "unicode dtype": (colt(numeric_header("<U2"), INT64_PAIR), "no numeric dtype"),
     "structured dtype": (colt(numeric_header("i4,i4"), INT64_PAIR), "no numeric dtype"),
+    "comma dtype with a bad byte order": (colt(numeric_header("i4,@"), INT64_PAIR), "no numeric dtype"),
+    "comma dtype with an empty field": (colt(numeric_header("i4,,"), INT64_PAIR), "no numeric dtype"),
     "missing dtype": (colt({"name": "t", "rows": 2, "columns": [{"name": "n", "kind": "numeric"}]}, INT64_PAIR), "no numeric dtype"),
     "dtype is a list": (colt(numeric_header([["a", "<i4"]]), INT64_PAIR), "no numeric dtype"),
     "numeric buffer of the wrong row count": (colt(numeric_header(rows=3), INT64_PAIR), "does not hold"),
@@ -83,6 +89,17 @@ CORPUS = {
 def test_malformed_blob_is_a_table_error(blob, message):
     with pytest.raises(TableError, match=message):
         Table.from_bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="iufbOSUVcmM<>|=@,()[]{}:'\" 0123456789", max_size=8))
+def test_any_dtype_string_parses_or_is_a_table_error(dtype):
+    # numpy answers a bad dtype string with TypeError, ValueError or
+    # (comma strings go through a Python parser) SyntaxError.
+    try:
+        Table.from_bytes(colt(numeric_header(dtype), INT64_PAIR))
+    except TableError:
+        pass
 
 
 def test_corpus_builder_produces_well_formed_blobs():
