@@ -12,10 +12,8 @@ Usage::
     python -m repro scenario sweep sec62 --axis policy=random,jsq \
                                          --axis fleet=4,8,16 --output m.json
     python -m repro scenario diff old.json new.json [--tolerance p99_ms=0.3]
-    python -m repro lint [--self | --compositions | --functions | --dataflow
-                          | --scenarios]
-                         [--only PASS ...] [paths ...]
-                         [--format json|sarif] [--strict]
+    python -m repro lint [--only self,functions,compositions,scenarios]
+                         [--format json] [--strict] [paths ...]
 
 Each experiment prints the same rows/series the paper reports (see
 EXPERIMENTS.md for the paper-vs-measured comparison); ``list``
@@ -23,12 +21,11 @@ descriptions come straight from the experiment modules' docstrings.
 ``scenario`` is the declarative harness (docs/scenarios.md): run one
 spec file to a KPI record, sweep axes into a KPI matrix, diff records
 within tolerance bands.  ``lint`` runs the static-analysis passes —
-purity verification of registered compute functions, composition
-linting, whole-composition dataflow analysis (RACE/CON/COST),
-scenario-spec validation (SCN), and the determinism self-lint over
-``src/repro`` itself (see docs/static_analysis.md).  Host time is
-measured from outside the package by ``perf/`` (see docs/simulation.md,
-"Measuring performance").
+purity verification of registered compute functions, whole-composition
+analysis (CMP/RACE/CON/COST), scenario-spec validation (SCN), and the
+determinism self-lint over ``src/repro`` itself (see
+docs/static_analysis.md).  Host time is measured from outside the
+package by ``perf/`` (see docs/simulation.md, "Measuring performance").
 """
 
 from __future__ import annotations
@@ -317,44 +314,24 @@ def main(argv=None) -> int:
         "lint", help="run the static-analysis passes (docs/static_analysis.md)"
     )
     lint_parser.add_argument(
-        "--self", dest="lint_self", action="store_true",
-        help="determinism self-lint over src/repro",
-    )
-    lint_parser.add_argument(
-        "--functions", dest="lint_functions", action="store_true",
-        help="static purity verification of the demo-app functions",
-    )
-    lint_parser.add_argument(
-        "--compositions", dest="lint_compositions", action="store_true",
-        help="composition linting of registered graphs and DSL blocks in paths",
-    )
-    lint_parser.add_argument(
-        "--dataflow", dest="lint_dataflow", action="store_true",
-        help="whole-composition dataflow analysis (RACE/CON/COST codes)",
-    )
-    lint_parser.add_argument(
-        "--scenarios", dest="lint_scenarios", action="store_true",
-        help="scenario-spec validation over bundled + given specs (SCN codes)",
-    )
-    lint_parser.add_argument(
-        "--only", dest="lint_only", nargs="+", default=None, metavar="PASS",
-        choices=("self", "functions", "compositions", "dataflow", "scenarios"),
-        help="run exactly the named passes (overrides the scope flags)",
+        "--only", dest="lint_only", type=lambda text: text.split(","),
+        metavar="PASS[,PASS...]",
+        help="run only the named passes (comma list of self, functions, "
+             "compositions, scenarios); default: all four",
     )
     lint_parser.add_argument(
         "paths", nargs="*",
-        help="files scanned for embedded composition blocks "
-             "(with --compositions/--dataflow) or scenario specs "
-             "(*.toml, with --scenarios)",
+        help="files scanned for embedded composition blocks, or scenario "
+             "specs (*.toml)",
     )
     lint_parser.add_argument(
         "--format", dest="output_format",
-        choices=("text", "json", "sarif"), default="text",
+        choices=("text", "json"), default="text",
     )
     lint_parser.add_argument(
         "--strict", action="store_true",
-        help="fail on any non-baselined finding or stale baseline entry "
-             "(CI mode); default fails on errors",
+        help="fail on any non-baselined finding and, on a whole run, on "
+             "stale baseline entries (CI mode); default fails on errors",
     )
     lint_parser.add_argument(
         "--baseline", default=None,
@@ -362,45 +339,25 @@ def main(argv=None) -> int:
     )
     lint_parser.add_argument(
         "--write-baseline", action="store_true",
-        help="regenerate the baseline from the current findings and exit "
-             "(prunes stale entries for the passes that ran)",
+        help="regenerate the baseline from the findings of a whole run "
+             "(not with --only) and exit",
     )
     args = parser.parse_args(argv)
 
     if args.command == "lint":
-        from .analysis.runner import run_lint
+        from .analysis.runner import PASSES, run_lint
 
-        if args.lint_only is not None:
-            selected = set(args.lint_only)
-            run_self = "self" in selected
-            run_functions = "functions" in selected
-            run_compositions = "compositions" in selected
-            run_dataflow = "dataflow" in selected
-            run_scenarios = "scenarios" in selected
-        else:
-            # With no scope flags, run every pass.
-            any_scope = (
-                args.lint_self or args.lint_functions
-                or args.lint_compositions or args.lint_dataflow
-                or args.lint_scenarios
+        try:
+            code, report = run_lint(
+                PASSES if args.lint_only is None else args.lint_only,
+                paths=args.paths,
+                output_format=args.output_format,
+                strict=args.strict,
+                baseline_path=args.baseline,
+                write_baseline=args.write_baseline,
             )
-            run_self = args.lint_self or not any_scope
-            run_functions = args.lint_functions or not any_scope
-            run_compositions = args.lint_compositions or not any_scope
-            run_dataflow = args.lint_dataflow or not any_scope
-            run_scenarios = args.lint_scenarios or not any_scope
-        code, report = run_lint(
-            lint_self_pass=run_self,
-            lint_functions=run_functions,
-            lint_compositions=run_compositions,
-            lint_dataflow=run_dataflow,
-            lint_scenarios=run_scenarios,
-            paths=args.paths,
-            output_format=args.output_format,
-            strict=args.strict,
-            baseline_path=args.baseline,
-            write_baseline=args.write_baseline,
-        )
+        except ValueError as exc:
+            lint_parser.error(str(exc))
         print(report)
         return code
 

@@ -14,9 +14,10 @@ historically broken it:
 - ``DET002`` unseeded ``random`` module usage — module-level RNG state
   is shared and seed-order dependent; draw from ``random.Random(seed)``;
 - ``DET003`` iteration over a set expression (set literal, set
-  comprehension, ``set()``/``frozenset()`` call) or ``id()``-keyed
-  sorting — both orderings vary across interpreter runs and leak
-  straight into event ordering;
+  comprehension, ``set()``/``frozenset()`` call), ``id()``-keyed
+  sorting, or a call to builtin ``hash()`` — set order, addresses and
+  string hashes all vary across interpreter runs and leak straight
+  into event ordering or RNG salts;
 - ``DET004`` a class defining ``__init__`` in a hot-path module
   without ``__slots__`` — PRs 1–2 converted these modules; new classes
   must not regress the conversion;
@@ -201,6 +202,15 @@ class _SelfLintPass(ast.NodeVisitor):
                     "unseeded RNG state",
                     node,
                 )
+            elif func.id == "hash":
+                self._diag(
+                    "DET003", ERROR,
+                    "builtin hash(): str/bytes hashes are salted per process "
+                    "(PYTHONHASHSEED)",
+                    node,
+                    hint="derive the value from a stable property: a position "
+                         "in sorted(...), a sequence number, zlib.crc32",
+                )
         self._check_id_ordering(node)
         self.generic_visit(node)
 
@@ -348,9 +358,8 @@ def lint_source(source: str, file: str, *, hot_path: bool = False) -> list[Diagn
 def iter_self_sources(root: Optional[str] = None):
     """Yield ``(reported_path, source, hot_path)`` per package file.
 
-    File paths are package-relative (``src/repro/...``) so baselines —
-    and the incremental cache keyed off them — are stable across
-    checkouts and working directories.
+    File paths are package-relative (``src/repro/...``) so baseline
+    fingerprints are stable across checkouts and working directories.
     """
     if root is None:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -1,10 +1,10 @@
 """Shared diagnostics core for the static-analysis passes.
 
-Every pass — the purity verifier, the composition linter, the
-determinism self-lint — reports findings as :class:`Diagnostic`
-records: a stable code (``PUR``/``CMP``/``DET`` + number), a severity,
-a location (file, line, enclosing symbol), a message, and an optional
-fix hint.  Renderers produce the two CLI output formats, and
+Every pass — the purity verifier, the composition analyzer, the
+determinism self-lint, the scenario-spec linter — reports findings as
+:class:`Diagnostic` records: a stable code (a family prefix such as
+``PUR``/``CMP``/``DET`` plus a number), a severity, a location (file,
+line, enclosing symbol), a message, and an optional fix hint.  Renderers produce the two CLI output formats, and
 :class:`Baseline` implements suppression of grandfathered findings.
 
 Baselines are keyed by *fingerprint* — ``code::file::symbol`` with a
@@ -185,28 +185,14 @@ class Baseline:
                 new.append(diag)
         return new, suppressed
 
-    def stale_fingerprints(
-        self,
-        diagnostics: Iterable[Diagnostic],
-        *,
-        code_prefixes: Optional[tuple[str, ...]] = None,
-    ) -> list[str]:
+    def stale_fingerprints(self, diagnostics: Iterable[Diagnostic]) -> list[str]:
         """Baseline entries matching *no* current finding at all.
 
         A stale entry is dead weight that silently re-admits a finding
         the moment someone reintroduces it, so strict mode treats
-        staleness as a failure (see the runner).  ``code_prefixes``
-        restricts the sweep to fingerprints whose code belongs to the
-        passes that actually ran — a scoped ``lint --self`` must not
-        declare the purity pass's suppressions stale.
+        staleness as a failure.  Only meaningful against the findings
+        of a whole run (see the runner): a pass that did not run
+        observes none of its own suppressions.
         """
         observed = {diag.fingerprint for diag in diagnostics}
-        stale = []
-        for fingerprint in sorted(self.suppressions):
-            if code_prefixes is not None:
-                code = fingerprint.split("::", 1)[0]
-                if not code.startswith(code_prefixes):
-                    continue
-            if fingerprint not in observed:
-                stale.append(fingerprint)
-        return stale
+        return [f for f in sorted(self.suppressions) if f not in observed]

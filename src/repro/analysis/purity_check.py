@@ -27,8 +27,8 @@ Calls into *same-module* helper functions are followed transitively
 (bounded depth, cycle-safe), so the common "entry point delegates to a
 private helper" shape is covered.  Cross-module calls into the trusted
 SDK (:mod:`repro.functions.sdk`) are modelled precisely enough to build
-the *write summary*: the set of output-set names the function provably
-writes, consumed by the composition linter's never-written-set check.
+the read/write/item summaries the composition analyzer's RACE/CON
+rules and never-written-set check consume.
 """
 
 from __future__ import annotations
@@ -460,11 +460,6 @@ def _set_item_from_path(path_node, tree: str) -> tuple[Optional[str], Optional[s
     if len(parts) >= 4 and parts[3] and "\x00" not in parts[3]:
         item = parts[3]
     return parts[2], item
-
-
-def _out_set_from_path(path_node) -> Optional[str]:
-    """Back-compat shim: the output-set segment of a write path."""
-    return _set_item_from_path(path_node, "out")[0]
 
 
 def _function_ast(func) -> Optional[ast.AST]:

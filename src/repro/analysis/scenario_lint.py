@@ -20,13 +20,12 @@ SCN006 warning  no explicit ``seed`` — the run is still deterministic,
                 but the spec doesn't *say* which stream it pins
 SCN007 error    infeasible deadline: ``faults.deadline_seconds`` is
                 below the workload's static critical path (the PR 9
-                cost model, :func:`repro.analysis.dataflow.cost_summary`)
+                cost model, :func:`repro.analysis.compositions.cost_summary`)
 ====== ======== =====================================================
 
 The pass runs over every bundled spec by default plus any ``*.toml``
 paths given on the lint command line; it is wired into ``python -m
-repro lint`` as the ``scenarios`` pass (``--scenarios`` /
-``--only scenarios``).
+repro lint`` as the ``scenarios`` pass (``--only scenarios``).
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ def _deadline_diagnostic(spec, file: str):
     from ..composition.dsl import parse_composition
     from ..composition.registry import Registry
     from ..scenario.engine import build_workload
-    from .dataflow import cost_summary
+    from .compositions import cost_summary
 
     registry = Registry()
     worst_path_seconds = 0.0

@@ -174,7 +174,7 @@ class Composition:
                 )
         self.name = name
         # Declared end-to-end latency target; the static cost analysis
-        # (repro.analysis.dataflow) checks the critical path against it
+        # (repro.analysis.compositions) checks the critical path against it
         # and the dispatcher can use it for admission.
         self.deadline_seconds = deadline_seconds
         self.nodes = {node.name: node for node in nodes}

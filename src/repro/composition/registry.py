@@ -172,7 +172,7 @@ class Registry:
         """Register a composition, optionally dataflow-verifying it first.
 
         ``verify`` selects the whole-composition static analysis
-        (:mod:`repro.analysis.dataflow`) mode:
+        (:mod:`repro.analysis.compositions`) mode:
 
         - ``None`` (default): structural validation only;
         - ``"warn"``: run the analyzer, surface findings as
@@ -200,7 +200,7 @@ class Registry:
                 f"functions: {', '.join(missing)}"
             )
         if verify is not None:
-            from ..analysis.dataflow import analyze_composition
+            from ..analysis.compositions import analyze_composition
             from ..analysis.diagnostics import render_text
             from ..analysis.purity_check import PurityWarning
 

@@ -204,7 +204,7 @@ class Dispatcher:
         self.retry_backoff_base = retry_backoff_base
         self.retries_performed = 0
         self.deadline_expirations = 0
-        # Static admission (repro.analysis.dataflow): when enabled,
+        # Static admission (repro.analysis.compositions): when enabled,
         # invocations of a composition whose declared deadline is
         # statically unreachable are rejected before any scheduling or
         # memory-context work happens — the cost summary is a lower
@@ -242,14 +242,14 @@ class Dispatcher:
     def cost_summary(self, composition_name: str):
         """Static cost envelope of a registered composition (cached).
 
-        Computed lazily by :func:`repro.analysis.dataflow.cost_summary`
+        Computed lazily by :func:`repro.analysis.compositions.cost_summary`
         on first request and memoized per composition object.
         """
         composition = self.registry.composition(composition_name)
         key = id(composition)
         summary = self._cost_summaries.get(key)
         if summary is None:
-            from ..analysis.dataflow import cost_summary as analyze_cost
+            from ..analysis.compositions import cost_summary as analyze_cost
 
             summary = analyze_cost(composition, self.registry)
             self._cost_summaries[key] = summary

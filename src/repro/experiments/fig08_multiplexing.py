@@ -107,14 +107,24 @@ def _baseline_submits(spec, hot_ratio, cores, seed):
     }
 
 
+def _arrival_lists(apps, schedule, seed):
+    """Per-app arrival times, in ``apps`` order.
+
+    Each app's stream is salted by its rank among the app names: stable
+    across processes, unlike ``hash(app)`` under ``PYTHONHASHSEED``.
+    """
+    rng = Rng(seed)
+    salts = {app: rank for rank, app in enumerate(sorted(apps))}
+    return {
+        app: rng.fork(salts[app]).piecewise_poisson_arrivals(schedule[app])
+        for app in apps
+    }
+
+
 def _drive(env, submits, schedule, seed):
     """Run both apps' bursty arrival schedules concurrently."""
     recorders = {app: LatencyRecorder(app) for app in submits}
-    rng = Rng(seed)
-    arrival_lists = {
-        app: rng.fork(hash(app) % 1000).piecewise_poisson_arrivals(schedule[app])
-        for app in submits
-    }
+    arrival_lists = _arrival_lists(submits, schedule, seed)
 
     def one(app, arrive_at):
         delay = arrive_at - env.now

@@ -55,7 +55,7 @@ class Frontend(HttpService):
         self, composition_or_source, verify: Optional[str] = None
     ) -> Composition:
         """Register a Composition object or composition-language source;
-        ``verify="warn"|"strict"`` runs the whole-composition dataflow
+        ``verify="warn"|"strict"`` runs the whole-composition
         analyzer (races, contracts, cost) at registration time."""
         if isinstance(composition_or_source, Composition):
             composition = composition_or_source

@@ -1,7 +1,7 @@
 """Static scheduling hints from the dataflow cost analysis.
 
-The dataflow analyzer (:mod:`repro.analysis.dataflow`) distills every
-composition into a :class:`~repro.analysis.dataflow.
+The composition analyzer (:mod:`repro.analysis.compositions`) distills
+every composition into a :class:`~repro.analysis.compositions.
 CompositionCostSummary` — critical-path seconds, max parallel width,
 peak in-flight bytes — *before* a single invocation runs.  This module
 is the consumption side: :class:`StaticHints` stores summaries by

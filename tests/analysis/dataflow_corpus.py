@@ -1,9 +1,9 @@
-"""Seeded violation corpus for the dataflow analyzer.
+"""Seeded violation corpus for the composition analyzer's RACE/CON/COST rules.
 
 Eighteen compositions, each deliberately racy or contract-breaking in
 one specific way, proving every RACE/CON/COST rule fires (mirroring the
 purity pass's 18/18 dynamic-violation table from PR 4).  The corpus is
-importable by the tests and the CI gate:
+shared by test_dataflow.py and test_registry_verify.py:
 
 - :data:`CORPUS` — the entries, each naming the rule it seeds;
 - :func:`build_registry` — a registry with every corpus function and
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..composition.dsl import parse_composition
-from ..composition.registry import FunctionBinary, Registry
-from ..functions.sdk import read_all_bytes, read_items, write_item
-from .dataflow import DataflowReport, analyze_composition
+from repro.analysis.compositions import CompositionReport, analyze_composition
+from repro.composition.dsl import parse_composition
+from repro.composition.registry import FunctionBinary, Registry
+from repro.functions.sdk import read_all_bytes, read_items, write_item
 
 __all__ = [
     "CorpusEntry",
@@ -522,7 +522,7 @@ def build_registry() -> Registry:
     return registry
 
 
-def analyze_entry(entry: CorpusEntry, registry=None) -> DataflowReport:
+def analyze_entry(entry: CorpusEntry, registry=None) -> CompositionReport:
     if registry is None:
         registry = build_registry()
     return analyze_composition(
@@ -531,7 +531,7 @@ def analyze_entry(entry: CorpusEntry, registry=None) -> DataflowReport:
 
 
 def analyze_corpus(registry=None) -> dict:
-    """Entry name -> DataflowReport for the whole corpus."""
+    """Entry name -> CompositionReport for the whole corpus."""
     if registry is None:
         registry = build_registry()
     return {entry.name: analyze_entry(entry, registry) for entry in CORPUS}

@@ -1,9 +1,9 @@
-"""Tests for the composition linter (CMP codes)."""
+"""Composition analyzer: CMP rules and DSL-block extraction."""
 
-from repro.analysis.composition_lint import (
+from repro.analysis.compositions import (
+    analyze_composition,
+    analyze_dsl_source,
     extract_dsl_blocks,
-    lint_composition,
-    lint_dsl_source,
 )
 from repro.composition import Registry, parse_composition
 from repro.composition.registry import FunctionBinary
@@ -25,19 +25,19 @@ def _lintable(name):
 
 def test_valid_pipeline_is_clean():
     composition = parse_composition(VALID_PIPELINE)
-    assert lint_composition(composition) == []
+    assert analyze_composition(composition).diagnostics == []
 
 
 def test_malformed_sources_become_cmp000():
     for name, source, expected in MALFORMED:
-        composition, diagnostics = lint_dsl_source(source, file=f"{name}.dsl")
+        composition, diagnostics = analyze_dsl_source(source, file=f"{name}.dsl")
         assert composition is None, name
         assert _codes(diagnostics) == {"CMP000"}, name
         assert expected in diagnostics[0].message, name
 
 
 def test_cmp000_line_offset_applied():
-    _composition, diagnostics = lint_dsl_source(
+    _composition, diagnostics = analyze_dsl_source(
         "composition broken {", file="embedded.py", line_offset=100
     )
     assert diagnostics[0].code == "CMP000"
@@ -46,21 +46,21 @@ def test_cmp000_line_offset_applied():
 
 def test_unused_output_set_flagged():
     source, code = _lintable("unused_output_set")
-    composition, diagnostics = lint_dsl_source(source)
+    composition, diagnostics = analyze_dsl_source(source)
     assert code in _codes(diagnostics)
     assert any("debug" in d.message for d in diagnostics)
 
 
 def test_dead_end_vertex_flagged():
     source, code = _lintable("dead_end_vertex")
-    _composition, diagnostics = lint_dsl_source(source)
+    _composition, diagnostics = analyze_dsl_source(source)
     assert code in _codes(diagnostics)
     assert any("sink" in d.message for d in diagnostics if d.code == "CMP002")
 
 
 def test_fanout_into_comm_flagged():
     source, code = _lintable("fanout_into_comm")
-    _composition, diagnostics = lint_dsl_source(source)
+    _composition, diagnostics = analyze_dsl_source(source)
     assert code in _codes(diagnostics)
 
 
@@ -76,7 +76,7 @@ def test_chained_fanout_flagged():
         output c.w -> result;
     }
     """
-    _composition, diagnostics = lint_dsl_source(source)
+    _composition, diagnostics = analyze_dsl_source(source)
     assert any(
         d.code == "CMP003" and "multiply" in d.message for d in diagnostics
     )
@@ -104,7 +104,7 @@ def test_shadowed_set_names_flagged():
         """,
         library={"inner": inner},
     )
-    diagnostics = lint_composition(outer)
+    diagnostics = analyze_composition(outer).diagnostics
     assert "CMP004" in _codes(diagnostics)
 
 
@@ -120,7 +120,7 @@ def test_never_written_set_flagged_with_registry():
         FunctionBinary(name="second_fn", entry_point=writes_wrong_set)
     )
     composition = parse_composition(VALID_PIPELINE)
-    diagnostics = lint_composition(composition, registry)
+    diagnostics = analyze_composition(composition, registry).diagnostics
     cmp005 = [d for d in diagnostics if d.code == "CMP005"]
     assert cmp005  # first.y consumed but first_fn writes only "other"
     assert any("never writes" in d.message for d in cmp005)
@@ -137,7 +137,7 @@ def test_untrusted_write_summary_stays_silent():
             FunctionBinary(name=name, entry_point=opaque_writer)
         )
     composition = parse_composition(VALID_PIPELINE)
-    diagnostics = lint_composition(composition, registry)
+    diagnostics = analyze_composition(composition, registry).diagnostics
     assert not [d for d in diagnostics if d.code == "CMP005"]
 
 
@@ -148,7 +148,7 @@ def test_extract_dsl_blocks_offsets():
     source, offset = blocks[0]
     assert source.startswith("composition pipeline")
     assert offset == 3  # "preamble", blank, leading newline of the block
-    composition, diagnostics = lint_dsl_source(source, line_offset=offset)
+    composition, diagnostics = analyze_dsl_source(source, line_offset=offset)
     assert composition is not None and diagnostics == []
 
 
@@ -161,7 +161,7 @@ def test_cmp000_message_relined_to_embedding_file():
     # keep the block-relative "line N:" prefix — confusing for every
     # multi-block script.  Both must agree now.
     bad = "composition b {\n    compute w uses f in(src) out(;\n}\n"
-    _composition, diagnostics = lint_dsl_source(
+    _composition, diagnostics = analyze_dsl_source(
         bad, file="mod.py", line_offset=40
     )
     assert diagnostics[0].code == "CMP000"
@@ -179,7 +179,7 @@ def test_cmp000_second_block_of_multiblock_script():
     blocks = extract_dsl_blocks(text)
     assert len(blocks) == 2
     source, offset = blocks[1]
-    _composition, diagnostics = lint_dsl_source(
+    _composition, diagnostics = analyze_dsl_source(
         source, file="multi.py", line_offset=offset
     )
     assert diagnostics[0].code == "CMP000"

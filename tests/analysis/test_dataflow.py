@@ -1,23 +1,18 @@
-"""Whole-composition dataflow analysis (RACE/CON/COST codes)."""
+"""Composition analyzer: RACE/CON/COST rules and the cost summary."""
 
 import pytest
 
-from repro.analysis.dataflow import (
+from repro.analysis.compositions import (
     CompositionCostSummary,
     analyze_composition,
     cost_summary,
 )
-from repro.analysis.dataflow_corpus import (
-    CORPUS,
-    analyze_corpus,
-    analyze_entry,
-    build_registry,
-)
-from repro.analysis.composition_lint import lint_composition
 from repro.analysis.runner import demo_registry
 from repro.composition import Composition, CompositionError
 from repro.composition.dsl import DslError, parse_composition
 from repro.composition.printer import composition_to_dsl
+
+from .dataflow_corpus import CORPUS, analyze_corpus, build_registry
 
 ALL_RULES = (
     "RACE001", "RACE002", "RACE003", "RACE004",
@@ -131,8 +126,8 @@ def test_cost_summary_entry_point(registry):
 
 def test_direct_never_written_stays_cmp005(registry):
     # df_half_writer declares out(real, phantom) but provably writes
-    # only "real"; a *direct* consumer of phantom is the composition
-    # linter's CMP005, and the dataflow pass must not duplicate it.
+    # only "real"; a *direct* consumer of phantom is CMP005, and the
+    # nesting-alias rule CON002 must not duplicate it.
     source = """
     composition direct_phantom {
         compute work uses df_half_writer in(src) out(real, phantom);
@@ -143,24 +138,19 @@ def test_direct_never_written_stays_cmp005(registry):
     }
     """
     composition = parse_composition(source, registry.compositions)
-    cmp_codes = {d.code for d in lint_composition(composition, registry)}
-    assert "CMP005" in cmp_codes
     report = analyze_composition(composition, registry)
+    assert "CMP005" in _codes(report)
     assert "CON002" not in _codes(report)
 
 
 def test_nested_alias_never_written_is_con002(registry, corpus_reports):
     # The same defect routed through a nested composition's output
-    # binding: the composition linter cannot see through the alias,
-    # so the dataflow pass owns the finding.
+    # binding: the producer is only reachable through the alias, so
+    # the finding is CON002 and not CMP005.
     report = corpus_reports["con_aliased"]
     assert "CON002" in _codes(report)
-    inner = registry.composition("inner_misbound")
-    cmp_codes = {d.code for d in lint_composition(
-        registry.composition("con_aliased"), registry
-    )}
-    assert "CMP005" not in cmp_codes
-    assert inner is not None
+    assert "CMP005" not in _codes(report)
+    assert registry.composition("inner_misbound") is not None
 
 
 # -- deadline DSL --------------------------------------------------------------

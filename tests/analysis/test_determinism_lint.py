@@ -75,6 +75,15 @@ def test_id_keyed_sort_flagged():
     assert _codes(lint_source(source, "x.py")) == {"DET003"}
 
 
+def test_builtin_hash_call_flagged():
+    # str hashes are salted per process (PYTHONHASHSEED): a value
+    # derived from one leaks into RNG salts and event order.
+    source = "def salt(app):\n    return hash(app) % 1000\n"
+    assert _codes(lint_source(source, "x.py")) == {"DET003"}
+    # A method named hash is somebody else's function.
+    assert lint_source("def f(h):\n    return h.hash()\n", "x.py") == []
+
+
 def test_hot_path_class_without_slots():
     source = (
         "class Tracker:\n"

@@ -87,11 +87,11 @@ def test_frontend_passes_verify_through():
         )
 
 
-# -- composition-level verification (the dataflow analyzer) --------------------
+# -- composition-level verification (the composition analyzer) ------------------
 
 
 def _corpus_registry():
-    from repro.analysis.dataflow_corpus import build_registry
+    from .dataflow_corpus import build_registry
 
     return build_registry()
 
@@ -166,7 +166,7 @@ def test_composition_invalid_verify_mode_rejected():
 
 
 def test_frontend_register_composition_verify_strict():
-    from repro.analysis.dataflow_corpus import _FUNCTIONS
+    from .dataflow_corpus import _FUNCTIONS
     from repro.composition import CompositionVerificationError
     from repro.worker import WorkerConfig, WorkerNode
 
@@ -190,7 +190,7 @@ def test_frontend_register_composition_verify_strict():
 
 
 def test_frontend_http_verify_query_param():
-    from repro.analysis.dataflow_corpus import _FUNCTIONS
+    from .dataflow_corpus import _FUNCTIONS
     from repro.net import HttpRequest
     from repro.worker import WorkerConfig, WorkerNode
 

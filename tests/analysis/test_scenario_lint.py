@@ -82,10 +82,7 @@ def test_scn007_infeasible_deadline():
 def test_runner_wires_the_scenarios_pass(tmp_path):
     bad = tmp_path / "bad.toml"
     bad.write_text("[sched]\nrouting = \"fastest\"\n[trace]\nrps = 1.0\n")
-    diagnostics = collect_diagnostics(
-        lint_self_pass=False, lint_functions=False, lint_compositions=False,
-        lint_scenarios=True, paths=[str(bad)],
-    )
+    diagnostics = collect_diagnostics({"scenarios"}, paths=[str(bad)])
     codes = _codes(diagnostics)
     assert "SCN002" in codes and "SCN006" in codes
     # Bundled specs rode along and are clean: every finding targets ours.

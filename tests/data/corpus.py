@@ -13,7 +13,7 @@ codec surfaces the problem:
 
 The strict codec (:func:`~repro.data.context.parse_sets`) must reject
 every entry at parse time regardless of stage — that is the parity
-contract ``tests/data/test_lazy.py`` and the CI lint job enforce via
+contract ``tests/data/test_lazy.py`` enforces via
 :func:`verify_corpus_rejections`.
 """
 
@@ -22,8 +22,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .context import _HEADER, _HEADER2, _MAGIC, _SET_ENTRY, serialize_sets
-from .items import DataItem, DataSet
+from repro.data.context import _HEADER, _HEADER2, _MAGIC, _SET_ENTRY, serialize_sets
+from repro.data.items import DataItem, DataSet
 
 __all__ = ["MalformedBlob", "CORPUS", "V1_BLOB", "touch_all", "verify_corpus_rejections"]
 
@@ -169,8 +169,8 @@ def verify_corpus_rejections() -> list[str]:
     at parse time, the lazy codec raises at its annotated stage, and
     nothing raises anything other than ``ContextError``.
     """
-    from .context import ContextError, parse_sets
-    from .lazy import parse_sets_lazy
+    from repro.data.context import ContextError, parse_sets
+    from repro.data.lazy import parse_sets_lazy
 
     failures: list[str] = []
     for entry in CORPUS:

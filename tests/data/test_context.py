@@ -14,7 +14,7 @@ from repro.data import (
     serialize_sets,
     serialized_size,
 )
-from repro.data.corpus import V1_BLOB, _base_sets
+from .corpus import V1_BLOB, _base_sets
 
 
 def test_write_then_read_roundtrip():

@@ -16,7 +16,7 @@ from repro.data import (
     serialize_sets,
     serialized_size,
 )
-from repro.data.corpus import CORPUS, V1_BLOB, touch_all, verify_corpus_rejections
+from .corpus import CORPUS, V1_BLOB, touch_all, verify_corpus_rejections
 
 
 def _sample_sets():

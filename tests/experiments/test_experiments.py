@@ -173,6 +173,33 @@ def test_fig08_runs():
     assert len(result.rows) == 6  # 3 systems x 2 apps
 
 
+def test_fig08_arrivals_independent_of_hash_seed():
+    # str hashes are salted per process, so the per-app RNG forks must
+    # not be derived from hash(app): same arrivals under any hash seed.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "from repro.experiments.fig08_multiplexing import "
+        "DEFAULT_SCHEDULE, _arrival_lists\n"
+        "print(_arrival_lists(['logproc', 'compress'], DEFAULT_SCHEDULE, 0))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(".") > 100  # real arrival times, not an empty dict
+
+
 def test_fig09_two_queries():
     result = run_fig09(scale_factor=0.002, partitions=4, cores=8, queries=["Q1.1", "Q3.2"])
     assert len(result.rows) == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.dataflow import CompositionCostSummary
+from repro.analysis.compositions import CompositionCostSummary
 from repro.sched import ROUTING_POLICIES, CostAware, StaticHints, make_routing_policy
 from repro.sched.snapshots import ClusterSnapshot
 

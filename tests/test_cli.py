@@ -62,13 +62,13 @@ def test_requires_command():
 def test_lint_self_strict_is_clean(capsys):
     # The checked-in baseline grandfathers the CLI's and the shard
     # coordinator's wall clocks; anything new fails CI.
-    assert main(["lint", "--self", "--strict"]) == 0
+    assert main(["lint", "--only", "self", "--strict"]) == 0
     out = capsys.readouterr().out
     assert "suppressed by baseline" in out
 
 
 def test_lint_functions_and_compositions(capsys):
-    assert main(["lint", "--functions", "--compositions", "--strict"]) == 0
+    assert main(["lint", "--only", "functions,compositions", "--strict"]) == 0
     out = capsys.readouterr().out
     assert "error(s)" in out
 
@@ -76,16 +76,16 @@ def test_lint_functions_and_compositions(capsys):
 def test_lint_json_format(capsys):
     import json
 
-    assert main(["lint", "--self", "--format", "json"]) == 0
+    assert main(["lint", "--only", "self", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "repro-lint/v1"
 
 
 def test_lint_write_and_use_baseline(tmp_path, capsys):
     baseline = str(tmp_path / "baseline.json")
-    assert main(["lint", "--self", "--baseline", baseline, "--write-baseline"]) == 0
+    assert main(["lint", "--baseline", baseline, "--write-baseline"]) == 0
     capsys.readouterr()
-    assert main(["lint", "--self", "--baseline", baseline, "--strict"]) == 0
+    assert main(["lint", "--baseline", baseline, "--strict"]) == 0
 
 
 def test_lint_scans_paths_for_dsl_blocks(tmp_path, capsys):
@@ -98,7 +98,7 @@ def test_lint_scans_paths_for_dsl_blocks(tmp_path, capsys):
         "}\n"
         '"""\n'
     )
-    code = main(["lint", "--compositions", str(script)])
+    code = main(["lint", "--only", "compositions", str(script)])
     out = capsys.readouterr().out
     assert code == 1  # CMP000: no outputs declared
     assert "CMP000" in out
@@ -120,12 +120,32 @@ def test_lint_reports_sec8_static_table(capsys):
         # One replay model in one process: no shard/executor knobs.
         ["run", "fig10full", "--shards", "2"],
         ["scenario", "run", "fig10_full", "--executor", "serial"],
+        # One pass selector (--only), two formats, whole-run baselines.
+        ["lint", "--self"], ["lint", "--functions"], ["lint", "--compositions"],
+        ["lint", "--dataflow"], ["lint", "--scenarios"],
+        ["lint", "--only", "dataflow"], ["lint", "--format", "sarif"],
+        ["lint", "--only", "self", "--write-baseline"],
     ],
 )
 def test_removed_commands_and_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as raised:
         main(argv)
     assert raised.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.analysis.composition_lint", "repro.analysis.dataflow",
+        "repro.analysis.dataflow_corpus", "repro.analysis.sarif",
+        "repro.data.corpus",
+    ],
+)
+def test_merged_and_moved_modules_leave_no_alias(module):
+    from importlib import import_module
+
+    with pytest.raises(ModuleNotFoundError):
+        import_module(module)
 
 
 def test_removed_bench_module_and_cache_parameter():
@@ -136,7 +156,4 @@ def test_removed_bench_module_and_cache_parameter():
     with pytest.raises(ModuleNotFoundError):
         import_module("repro.experiments.bench_kernel")
     with pytest.raises(TypeError):
-        run_lint(
-            lint_self_pass=True, lint_functions=False, lint_compositions=False,
-            cache_path="x",
-        )
+        run_lint({"self"}, cache_path="x")
