@@ -33,13 +33,19 @@ Workers can also be added while the cluster is running (scale-out);
 previously registered functions and compositions are replayed onto the
 new node before it receives traffic.
 
+The request path is continuation-passing: :meth:`ClusterManager.start`
+takes the caller's ``on_done`` (``invoke`` wraps it in an event), and one
+slotted :class:`_Routed` object carries the invocation from the routing
+call through crash re-route and the hedge race to its outcome — no
+simulation process per invocation or per attempt.
+
 Fail-stop fault domain (§6.1): :meth:`fail_worker` crashes a worker —
 it is skipped by routing, invocations in flight on it are re-routed to
-a healthy peer (safe because compositions are pure compute and
-protocol-checked communication, so re-execution is transparent), and
-its state is lost.  :meth:`restore_worker` brings the node back as a
-*fresh* worker with registrations replayed, mirroring how Dirigent
-re-admits a recovered node.  :class:`~repro.cluster.faults.WorkerFaultInjector`
+a healthy peer in the order they were routed (safe because compositions
+are pure compute and protocol-checked communication, so re-execution is
+transparent), and its state is lost.  :meth:`restore_worker` brings the
+node back as a *fresh* worker with registrations replayed, mirroring how
+Dirigent re-admits a recovered node.  :class:`~repro.cluster.faults.WorkerFaultInjector`
 drives these transitions from seeded MTTF/MTTR distributions.
 
 Gray-failure fault domain (docs/fault_tolerance.md): :meth:`limp_worker`
@@ -61,16 +67,16 @@ behaviour when off):
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..composition.graph import Composition
-from ..composition.registry import FunctionBinary
+from ..composition.registry import FunctionBinary, RegistryError
 from ..dispatcher.dispatcher import InvocationResult
 from ..errors import InvocationError, WorkerCrashed
 from ..net.network import LatencyModel, SimulatedNetwork
 from ..sched import ClusterSnapshot, RoutingPolicy, make_routing_policy
 from ..sched.routing import ROUTING_POLICIES
-from ..sim.core import Environment, Interrupt
+from ..sim.core import Environment
 from ..sim.distributions import Rng
 from ..sim.metrics import LatencyRecorder
 from ..worker import WorkerConfig, WorkerNode
@@ -140,9 +146,10 @@ class ClusterManager:
         # Healthy-index ring, maintained incrementally so the fault-free
         # routing fast path builds its snapshot in O(1).
         self._healthy_indices: tuple = ()
-        # Cluster-side processes waiting on each worker; interrupted
-        # (and re-routed) when that worker fail-stops.
-        self._crash_waiters: dict[int, set] = {}
+        # Invocations with an attempt on each worker, in routing order
+        # (dict keys); re-routed in that order when the worker
+        # fail-stops.
+        self._crash_waiters: dict[int, dict] = {}
         self.latencies = LatencyRecorder("cluster")
         self.failed_latencies = LatencyRecorder("cluster-failed")
         self.invocations_routed = 0
@@ -199,7 +206,7 @@ class ClusterManager:
         self._healthy[index] = True
         self._refresh_healthy_indices()
         self._refresh_preferred_indices()
-        self._crash_waiters[index] = set()
+        self._crash_waiters[index] = {}
         self.per_worker_invocations[index] = 0
         self.per_worker_failures[index] = 0
         self.per_worker_crashes[index] = 0
@@ -251,12 +258,13 @@ class ClusterManager:
     def fail_worker(self, index: int) -> None:
         """Crash worker ``index`` (fail-stop): its state is lost.
 
-        Routing skips the worker from now on, and every cluster-side
-        invocation currently in flight on it is interrupted and
-        re-routed to a healthy peer — transparent re-execution is safe
-        because compositions are pure (§6.1).  The crashed node's
-        in-simulation activity is abandoned (results discarded), the
-        discrete-event analogue of the process disappearing.
+        Routing skips the worker from now on, and every invocation
+        currently in flight on it is re-routed to a healthy peer, in the
+        order they were routed — transparent re-execution is safe
+        because compositions are pure (§6.1).  The crashed node never
+        answers again; its in-simulation activity is abandoned (results
+        discarded), the discrete-event analogue of the process
+        disappearing.
         """
         if not 0 <= index < len(self.workers):
             raise IndexError(f"no worker {index}")
@@ -271,12 +279,17 @@ class ClusterManager:
             self._refresh_preferred_indices()
         self.worker_crashes += 1
         self.per_worker_crashes[index] += 1
-        cause = WorkerCrashed(index)
+        self.workers[index].frontend.halt()
         waiters = self._crash_waiters[index]
-        for process in list(waiters):
-            if process.is_alive:
-                process.interrupt(cause)
-        waiters.clear()
+        self._crash_waiters[index] = {}
+        if waiters:
+            # One heap hop later: a caller failing several workers in
+            # one step sees them all down before anything is re-routed.
+            self.env.call_later(0.0, self._reroute_crashed, index, waiters)
+
+    def _reroute_crashed(self, index: int, waiters: dict) -> None:
+        for routed in waiters:
+            routed.attempt_crashed(index)
 
     def restore_worker(self, index: int) -> WorkerNode:
         """Bring worker ``index`` back as a fresh node (state was lost).
@@ -392,12 +405,13 @@ class ClusterManager:
         if self.health is not None and self.health.observe(index, elapsed):
             self._refresh_preferred_indices()
             if self.health.is_quarantined(index):
-                self.env.process(self._probation(index))
+                self.env.call_later(
+                    self.quarantine_ttl_seconds, self._end_probation, index
+                )
 
-    def _probation(self, index: int):
+    def _end_probation(self, index: int) -> None:
         """After the quarantine TTL, amnesty: forget the worker's
         latency history so it can rejoin and be re-judged afresh."""
-        yield self.env.timeout(self.quarantine_ttl_seconds)
         if self.health is not None and self.health.is_quarantined(index):
             self.health.reset(index)
             self._refresh_preferred_indices()
@@ -414,60 +428,21 @@ class ClusterManager:
         return self.routing_policy.decide(self.snapshot(composition_name))
 
     def invoke(self, composition_name: str, inputs: dict):
-        """Route one invocation; returns a process → InvocationResult."""
-        if self.hedge and self._hedgeable.get(composition_name, False):
-            return self.env.process(self._invoke_hedged(composition_name, inputs))
-        return self.env.process(self._invoke(composition_name, inputs))
+        """Route one invocation; returns an event → InvocationResult."""
+        done = self.env.event()
+        self.start(composition_name, inputs, done.succeed)
+        return done
 
-    def _invoke(self, composition_name: str, inputs: dict):
-        yield self.env.timeout(_ROUTING_OVERHEAD_SECONDS)
-        started = self.env.now
-        reroutes = 0
-        while True:
-            index = self._pick_worker(composition_name)
-            if index is None:
-                return self._fail_invocation(
-                    started, InvocationError("no healthy workers available")
-                )
-            self._in_flight[index] += 1
-            self.per_worker_invocations[index] += 1
-            self.invocations_routed += 1
-            waiter = self.env.active_process
-            self._crash_waiters[index].add(waiter)
-            crashed = False
-            attempt_started = self.env.now
-            try:
-                result = yield self.workers[index].frontend.invoke(
-                    composition_name, inputs
-                )
-            except Interrupt:
-                # The worker fail-stopped under us; whatever it was
-                # doing is lost.  Re-route to a healthy peer.
-                crashed = True
-            finally:
-                self._crash_waiters[index].discard(waiter)
-                if self._in_flight.get(index, 0) > 0:
-                    self._in_flight[index] -= 1
-            if crashed:
-                reroutes += 1
-                if reroutes > self.max_reroutes:
-                    return self._fail_invocation(started, WorkerCrashed(index))
-                self.reroutes += 1
-                continue
-            # Per-attempt latency is the gray-failure signal: error
-            # completions (deadline expirations on a limping node)
-            # carry it just as loudly as successes.
-            self._observe_latency(index, self.env.now - attempt_started)
-            if result.ok:
-                self.latencies.record(self.env.now - started)
-            else:
-                # Error paths are telemetry too: count them against the
-                # worker that served the request and record their
-                # latency separately so failures never vanish silently.
-                self.invocations_failed += 1
-                self.per_worker_failures[index] += 1
-                self.failed_latencies.record(self.env.now - started)
-            return result
+    def start(self, composition_name: str, inputs: dict, on_done: Callable[[InvocationResult], None]) -> None:
+        """Route one invocation; ``on_done(result)`` is called with its
+        outcome.  An unknown name raises here."""
+        hedgeable = self._hedgeable.get(composition_name)
+        if hedgeable is None:
+            raise RegistryError(f"unknown composition {composition_name!r}")
+        routed = _Routed(
+            self, composition_name, inputs, on_done, self.hedge and hedgeable
+        )
+        self.env.call_later(_ROUTING_OVERHEAD_SECONDS, routed.begin)
 
     # -- hedged requests (gray-failure tail-latency defense) -------------------
 
@@ -504,150 +479,6 @@ class ClusterManager:
             if best is not None:
                 return best
         return None
-
-    def _route_to(self, index: int) -> None:
-        """Account one routed attempt against a worker, synchronously
-        with the routing decision (so same-instant decisions see it)."""
-        self._in_flight[index] += 1
-        self.per_worker_invocations[index] += 1
-        self.invocations_routed += 1
-
-    def _attempt(self, index: int, composition_name: str, inputs: dict):
-        """One worker-level try, as its own process so attempts race.
-
-        Returns ``(index, result)`` — ``result`` is ``None`` when the
-        worker fail-stopped mid-attempt (the crash sentinel).
-
-        The caller increments ``_in_flight`` (and the routed counters)
-        *before* spawning this process: the attempt only starts on a
-        later event-loop turn, and by then other same-instant routing
-        decisions must already see the load this attempt adds.
-        """
-        waiter = self.env.active_process
-        self._crash_waiters[index].add(waiter)
-        attempt_started = self.env.now
-        try:
-            result = yield self.workers[index].frontend.invoke(
-                composition_name, inputs
-            )
-        except Interrupt:
-            return (index, None)
-        finally:
-            self._crash_waiters[index].discard(waiter)
-            if self._in_flight.get(index, 0) > 0:
-                self._in_flight[index] -= 1
-        self._observe_latency(index, self.env.now - attempt_started)
-        return (index, result)
-
-    def _invoke_hedged(self, composition_name: str, inputs: dict):
-        """Route one hedge-eligible invocation.
-
-        The primary attempt runs as a child process; once it has been
-        outstanding for the hedge delay (a percentile of observed
-        cluster latency), a second attempt is issued to a different
-        worker and the first completion wins.  Only pure-compute
-        compositions take this path (``invoke`` gates on
-        ``_hedgeable``), so the duplicate execution a hedge implies is
-        idempotent by construction — the loser just burns simulated
-        cycles, exactly like re-execution after a crash (§6.1).
-        """
-        yield self.env.timeout(_ROUTING_OVERHEAD_SECONDS)
-        started = self.env.now
-        self._hedged_invocations += 1
-        reroutes = 0
-        while True:
-            index = self._pick_worker(composition_name)
-            if index is None:
-                return self._fail_invocation(
-                    started, InvocationError("no healthy workers available")
-                )
-            self._route_to(index)
-            primary = self.env.process(
-                self._attempt(index, composition_name, inputs)
-            )
-            attempts = [primary]
-            if self._hedge_budget_available():
-                delay = self._hedge_delay()
-                if delay is not None:
-                    timer = self.env.timeout(delay)
-                    yield self.env.any_of((primary, timer))
-                    # Re-check the budget at issue time: other hedged
-                    # invocations may have spent it while we waited
-                    # (the pre-wait check is only a cheap early out).
-                    if primary.is_alive and self._hedge_budget_available():
-                        hedge_index = self._pick_hedge_worker(
-                            index, composition_name
-                        )
-                        if hedge_index is not None:
-                            self.hedges_issued += 1
-                            self._route_to(hedge_index)
-                            attempts.append(
-                                self.env.process(
-                                    self._attempt(
-                                        hedge_index, composition_name, inputs
-                                    )
-                                )
-                            )
-            # First *successful* completion wins; an error completion is
-            # kept as a fallback while another attempt is still running
-            # (its worker may still come through).  Losing attempts are
-            # left to finish on their own — their in-flight accounting
-            # unwinds in _attempt and their results are discarded.
-            winner = None
-            winner_index = -1
-            result = None
-            fallback_index = -1
-            fallback = None
-            outstanding = list(attempts)
-            while outstanding:
-                if len(outstanding) == 1:
-                    attempt = outstanding[0]
-                    value = yield attempt
-                else:
-                    yield self.env.any_of(outstanding)
-                    attempt = next(p for p in outstanding if p.processed)
-                    value = attempt.value
-                outstanding.remove(attempt)
-                attempt_index, attempt_result = value
-                if attempt_result is None:
-                    continue  # that worker crashed; drain the others
-                if attempt_result.ok:
-                    winner = attempt
-                    winner_index = attempt_index
-                    result = attempt_result
-                    break
-                if fallback is None:
-                    fallback_index = attempt_index
-                    fallback = attempt_result
-            if result is None and fallback is not None:
-                winner_index = fallback_index
-                result = fallback
-            if result is None:
-                # Every attempt died under a crashing worker.
-                reroutes += 1
-                if reroutes > self.max_reroutes:
-                    return self._fail_invocation(started, WorkerCrashed(index))
-                self.reroutes += 1
-                continue
-            if winner is not None and winner is not primary:
-                self.hedges_won += 1
-            if result.ok:
-                self.latencies.record(self.env.now - started)
-            else:
-                self.invocations_failed += 1
-                self.per_worker_failures[winner_index] += 1
-                self.failed_latencies.record(self.env.now - started)
-            return result
-
-    def _fail_invocation(self, started: float, error: Exception) -> InvocationResult:
-        self.invocations_failed += 1
-        self.failed_latencies.record(self.env.now - started)
-        return InvocationResult(
-            invocation_id=-1,
-            error=error,
-            started_at=started,
-            finished_at=self.env.now,
-        )
 
     def invoke_and_run(self, composition_name: str, inputs: dict):
         process = self.invoke(composition_name, inputs)
@@ -692,3 +523,173 @@ class ClusterManager:
                 ),
             },
         }
+
+
+class _Routed:
+    """Cluster-side state of one invocation: routing, crash re-route
+    and, when it is hedge-eligible (pure compute, so the duplicate
+    execution is idempotent, §6.1), the hedge timer and the
+    first-success-wins race between its two attempts; the loser just
+    burns simulated cycles, like re-execution after a crash.
+    """
+
+    __slots__ = (
+        "cluster", "name", "inputs", "on_done", "hedged", "started", "reroutes",
+        "primary", "primary_live", "primary_started", "hedge", "hedge_started",
+        "fallback", "fallback_index",
+    )
+
+    def __init__(self, cluster: ClusterManager, name: str, inputs: dict, on_done, hedged: bool):
+        self.cluster = cluster
+        self.name = name
+        self.inputs = inputs
+        self.on_done = on_done       # None once the outcome is delivered
+        self.hedged = hedged
+        self.reroutes = 0
+        self.primary = -1            # worker of this round's primary attempt
+        self.primary_live = False
+        self.hedge = -1              # worker of the live hedge attempt, if any
+        self.fallback: Optional[InvocationResult] = None
+        self.fallback_index = -1
+
+    def begin(self) -> None:
+        cluster = self.cluster
+        self.started = cluster.env.now
+        if self.hedged:
+            cluster._hedged_invocations += 1
+        self._route()
+
+    def _route(self) -> None:
+        cluster = self.cluster
+        index = cluster._pick_worker(self.name)
+        if index is None:
+            self._fail(InvocationError("no healthy workers available"))
+            return
+        self.primary = index
+        self.primary_live = True
+        self.primary_started = cluster.env.now
+        self._send(index, self._primary_done)
+        if self.hedged and cluster._hedge_budget_available():
+            delay = cluster._hedge_delay()
+            if delay is not None:
+                cluster.env.call_later(delay, self._hedge_due, self.reroutes)
+
+    def _send(self, index: int, on_done) -> None:
+        """One worker-level try.  The attempt is accounted against the
+        worker synchronously with the routing decision, so same-instant
+        decisions see the load it adds."""
+        cluster = self.cluster
+        cluster._in_flight[index] += 1
+        cluster.per_worker_invocations[index] += 1
+        cluster.invocations_routed += 1
+        cluster._crash_waiters[index][self] = None
+        cluster.workers[index].frontend.start(self.name, self.inputs, on_done)
+
+    def _hedge_due(self, round: int) -> None:
+        cluster = self.cluster
+        # Stale once the primary has answered or its round was
+        # re-routed.  The budget is re-checked at issue time: other
+        # hedged invocations may have spent it while this one waited
+        # (the check in _route is only a cheap early out).
+        if (
+            self.on_done is None
+            or round != self.reroutes
+            or not cluster._hedge_budget_available()
+        ):
+            return
+        index = cluster._pick_hedge_worker(self.primary, self.name)
+        if index is not None:
+            cluster.hedges_issued += 1
+            self.hedge = index
+            self.hedge_started = cluster.env.now
+            self._send(index, self._hedge_done)
+
+    def _primary_done(self, result: InvocationResult) -> None:
+        self.primary_live = False
+        self._answered(self.primary, self.primary_started, False, result)
+
+    def _hedge_done(self, result: InvocationResult) -> None:
+        index = self.hedge
+        self.hedge = -1
+        self._answered(index, self.hedge_started, True, result)
+
+    def _answered(self, index: int, attempt_started: float, is_hedge: bool, result: InvocationResult) -> None:
+        cluster = self.cluster
+        del cluster._crash_waiters[index][self]
+        if cluster._in_flight.get(index, 0) > 0:
+            cluster._in_flight[index] -= 1
+        # Per-attempt latency is the gray-failure signal: error
+        # completions (deadline expirations on a limping node) carry it
+        # just as loudly as successes.
+        cluster._observe_latency(index, cluster.env.now - attempt_started)
+        if self.on_done is None:
+            return  # the race is over: a losing attempt only unwinds its accounting
+        # First *successful* completion wins; an error completion is
+        # kept as a fallback while the other attempt is still running
+        # (its worker may still come through).
+        if result.ok:
+            if is_hedge:
+                cluster.hedges_won += 1
+            self._finish(result, index)
+        elif self.fallback is None:
+            self.fallback = result
+            self.fallback_index = index
+        self._settle()
+
+    def attempt_crashed(self, index: int) -> None:
+        """The worker fail-stopped under an attempt; whatever it was
+        doing is lost."""
+        cluster = self.cluster
+        if cluster._in_flight.get(index, 0) > 0:
+            cluster._in_flight[index] -= 1
+        if index == self.hedge:
+            self.hedge = -1
+        else:
+            self.primary_live = False
+        self._settle()
+
+    def _settle(self) -> None:
+        """With no attempt left running and no winner: fall back to an
+        error completion, else re-route to a healthy peer."""
+        if self.on_done is None or self.primary_live or self.hedge >= 0:
+            return
+        cluster = self.cluster
+        if self.fallback is not None:
+            self._finish(self.fallback, self.fallback_index)
+            return
+        self.reroutes += 1
+        if self.reroutes > cluster.max_reroutes:
+            self._fail(WorkerCrashed(self.primary))
+            return
+        cluster.reroutes += 1
+        self._route()
+
+    def _finish(self, result: InvocationResult, index: int) -> None:
+        cluster = self.cluster
+        elapsed = cluster.env.now - self.started
+        if result.ok:
+            cluster.latencies.record(elapsed)
+        else:
+            # Error paths are telemetry too: count them against the
+            # worker that served the request and record their latency
+            # separately so failures never vanish silently.
+            cluster.invocations_failed += 1
+            cluster.per_worker_failures[index] += 1
+            cluster.failed_latencies.record(elapsed)
+        self._deliver(result)
+
+    def _fail(self, error: Exception) -> None:
+        cluster = self.cluster
+        now = cluster.env.now
+        cluster.invocations_failed += 1
+        cluster.failed_latencies.record(now - self.started)
+        self._deliver(
+            InvocationResult(
+                invocation_id=-1, error=error, started_at=self.started, finished_at=now
+            )
+        )
+
+    def _deliver(self, result: InvocationResult) -> None:
+        on_done = self.on_done
+        self.on_done = None
+        on_done(result)

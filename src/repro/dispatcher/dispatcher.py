@@ -2,9 +2,14 @@
 
 "The dispatcher orchestrates composition invocations using separate
 green threads.  It queues functions as their inputs become available
-and coordinates data movement."  Each invocation runs as a tree of
-simulation processes: one per node, plus one per function instance.
-The dispatcher:
+and coordinates data movement."  Here the green threads are
+continuations: :meth:`Dispatcher.start` takes the caller's ``on_done``
+and nothing on the path of a chain-shaped composition is a simulation
+process.  A chain is walked by one :class:`_ChainRun`; every engine
+task, on either runner, is one :class:`_TaskRun` from submission to
+stored outputs.  Only a composition that fans out or joins still runs
+one process per node, which waits for its inputs and then, through one
+event, for all of its instances.  The dispatcher:
 
 * tracks input/output dependencies and launches a node once every one
   of its input sets has been delivered;
@@ -24,7 +29,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..composition.graph import (
     Composition,
@@ -66,6 +72,10 @@ class NodeFailure:
     error: BaseException
 
 
+def _node_failed(failure: NodeFailure) -> InvocationError:
+    return InvocationError(f"node {failure.node_name!r} failed: {failure.error}")
+
+
 class _NodeStep:
     """Static per-node execution facts, resolved once per composition.
 
@@ -84,11 +94,10 @@ class _NodeStep:
         "input_names",
         "output_names",
         "protocol",
-        "bound",
         "edges_out",
     )
 
-    def __init__(self, dispatcher: "Dispatcher", composition, node, bound: bool):
+    def __init__(self, dispatcher: "Dispatcher", composition, node):
         self.node = node
         self.kind = node.kind
         if node.kind == COMPUTE:
@@ -102,7 +111,6 @@ class _NodeStep:
         self.input_names = list(node.input_sets)
         self.output_names = list(node.output_sets)
         self.protocol = getattr(node, "protocol", "http")
-        self.bound = bound
         self.edges_out = [
             (edge.target, edge.target_set, edge.distribution, edge.source_set)
             for edge in composition.outgoing_edges(node.name)
@@ -256,58 +264,67 @@ class Dispatcher:
         return summary
 
     def invoke(self, composition_name: str, inputs: dict[str, DataSet]):
-        """Start an invocation; returns a process yielding InvocationResult."""
-        composition = self.registry.composition(composition_name)
-        return self.env.process(self._invoke(composition, inputs))
+        """Start an invocation; returns an event → InvocationResult."""
+        done = self.env.event()
+        self.start(composition_name, inputs, done.succeed)
+        return done
 
-    def _invoke(self, composition: Composition, inputs: dict[str, DataSet]):
+    def start(self, composition_name: str, inputs: dict[str, DataSet], on_done: Callable[[InvocationResult], None]) -> None:
+        """Start an invocation; ``on_done(result)`` is called when it
+        completes or fails.  An unknown name raises here."""
+        composition = self.registry.composition(composition_name)
         invocation_id = next(self._invocation_ids)
         self.invocations_started += 1
         result = InvocationResult(invocation_id=invocation_id, started_at=self.env.now)
+        finish = partial(self._finish, result, on_done)
         if self.static_admission and composition.deadline_seconds is not None:
             summary = self.cost_summary(composition.name)
             if summary.deadline_feasible is False:
                 self.admission_rejections += 1
-                self.invocations_failed += 1
-                result.error = InvocationError(
-                    f"composition {composition.name!r} statically rejected: "
-                    f"critical path {summary.critical_path_seconds:.6g}s "
-                    f"cannot meet the {composition.deadline_seconds}s deadline"
+                finish(
+                    InvocationError(
+                        f"composition {composition.name!r} statically rejected: "
+                        f"critical path {summary.critical_path_seconds:.6g}s "
+                        f"cannot meet the {composition.deadline_seconds}s deadline"
+                    )
                 )
-                result.finished_at = self.env.now
-                return result
-        try:
-            outputs = yield from self._run_composition(composition, inputs, invocation_id)
-        except InvocationError as exc:
-            result.error = exc
-            result.finished_at = self.env.now
+                return
+        self._run_composition(composition, inputs, invocation_id, finish)
+
+    def _finish(self, result: InvocationResult, on_done, outcome) -> None:
+        if isinstance(outcome, InvocationError):
+            result.error = outcome
             self.invocations_failed += 1
-            return result
-        result.outputs = outputs
+        else:
+            result.outputs = outcome
+            self.invocations_completed += 1
         result.finished_at = self.env.now
-        self.invocations_completed += 1
-        return result
+        on_done(result)
 
     # -- composition execution ------------------------------------------------
 
-    def _run_composition(self, composition: Composition, inputs: dict[str, DataSet], invocation_id: int):
-        """Generator running one composition; returns output-name -> DataSet."""
+    def _run_composition(self, composition: Composition, inputs: dict[str, DataSet], invocation_id: int, on_done) -> None:
+        """Run one composition (top-level or nested); ``on_done`` gets
+        the output-name -> DataSet dict, or the :class:`InvocationError`."""
         expected = {binding.external for binding in composition.inputs}
         provided = set(inputs)
         if provided != expected:
-            raise InvocationError(
-                f"composition {composition.name!r} expects inputs {sorted(expected)}, "
-                f"got {sorted(provided)}"
+            on_done(
+                InvocationError(
+                    f"composition {composition.name!r} expects inputs {sorted(expected)}, "
+                    f"got {sorted(provided)}"
+                )
             )
+            return
 
         chain, steps = self._compile(composition)
         if chain is not None:
             # Chain-shaped composition (every node's sole successor is
             # the next node): the event-driven schedule is provably
-            # sequential, so run the nodes inline without the
+            # sequential, so walk the nodes without the
             # delivery/consumed/output event machinery.
-            outputs = yield from self._run_serial(composition, inputs, invocation_id, chain)
-            return outputs
+            _ChainRun(self, composition, inputs, invocation_id, chain, on_done)
+            return
 
         # One delivery event per (node, input set); values are
         # (Distribution, DataSet-or-NodeFailure).
@@ -344,7 +361,11 @@ class Dispatcher:
                 (Distribution.ALL, DataSet.renamed(data, binding.node_set))
             )
 
-        gathered = yield self.env.all_of(list(output_events.values()))
+        self.env.all_of(list(output_events.values())).callbacks.append(
+            partial(self._gathered, composition, output_events, on_done)
+        )
+
+    def _gathered(self, composition, output_events, on_done, _event) -> None:
         outputs: dict[str, DataSet] = {}
         failure: Optional[NodeFailure] = None
         for binding in composition.outputs:
@@ -353,11 +374,7 @@ class Dispatcher:
                 failure = value
             else:
                 outputs[binding.external] = DataSet.renamed(value, binding.external)
-        if failure is not None:
-            raise InvocationError(
-                f"node {failure.node_name!r} failed: {failure.error}"
-            )
-        return outputs
+        on_done(outputs if failure is None else _node_failed(failure))
 
     # -- serial (chain) execution ---------------------------------------------
 
@@ -374,18 +391,18 @@ class Dispatcher:
         the next node and every node's incoming edges all come from the
         previous one), else ``None``.  Under the event-driven schedule a
         chain runs strictly sequentially (node ``k+1`` cannot start
-        before node ``k`` finishes), so the serial runner below produces
+        before node ``k`` finishes), so :class:`_ChainRun` produces
         identical virtual-time behaviour with none of the per-node event
-        plumbing.  The plan is structural, so it is cached per
+        plumbing (tests/dispatcher/test_runner_equivalence.py holds the
+        two runners to that).  The plan is structural, so it is cached per
         composition object (registrations are immutable: the registry
         rejects re-registration under an existing name).
         """
         cached = self._serial_cache.get(id(composition))
         if cached is not None and cached[0] is composition:
             return cached[1], cached[2]
-        bound_nodes = {binding.node for binding in composition.outputs}
         steps_by_name = {
-            name: _NodeStep(self, composition, node, name in bound_nodes)
+            name: _NodeStep(self, composition, node)
             for name, node in composition.nodes.items()
         }
         order = composition.topological_order
@@ -405,121 +422,9 @@ class Dispatcher:
         self._serial_cache[id(composition)] = (composition, chain, steps_by_name)
         return chain, steps_by_name
 
-    def _run_serial(self, composition, inputs, invocation_id, chain):
-        """Run a chain composition node by node in this process.
-
-        Timing-equivalent to the general event-driven path: instances
-        run through the same ``_run_task_core``; a producer's contexts
-        are released via a zero-delay timer scheduled when its
-        successor launches (matching the consumed-event hop of the
-        general path), and contexts of nodes with output bindings are
-        held until the composition completes.
-        """
-        env = self.env
-        delivered: dict[str, dict] = {name: {} for name in composition.nodes}
-        for binding in composition.inputs:
-            delivered[binding.node][binding.node_set] = (
-                Distribution.ALL,
-                DataSet.renamed(inputs[binding.external], binding.node_set),
-            )
-        node_outputs: dict[str, dict] = {}
-        held: list[MemoryContext] = []     # freed when the composition completes
-        pending: list[MemoryContext] = []  # previous node's, freed at successor launch
-        failure: Optional[NodeFailure] = None
-        for step in chain:
-            node_name = step.node.name
-            node_deliveries = delivered[node_name]
-            triples = [
-                (set_name, *node_deliveries[set_name])
-                for set_name in step.input_names
-            ]
-            try:
-                plans = expand_instances(node_name, triples)
-            except InvocationError as exc:
-                failure = NodeFailure(node_name, exc)
-                break
-            if len(plans) == 1:
-                if pending:
-                    self._schedule_release(pending)
-                    pending = []
-                results = [
-                    (yield from self._run_instance_serial(step, plans[0], invocation_id))
-                ]
-            else:
-                processes = [
-                    env.process(self._run_instance_serial(step, plan, invocation_id))
-                    for plan in plans
-                ]
-                if pending:
-                    self._schedule_release(pending)
-                    pending = []
-                yield env.all_of(processes)
-                results = [process.value for process in processes]
-            failure = next(
-                (value for value, _ctx in results if isinstance(value, NodeFailure)),
-                None,
-            )
-            if failure is not None:
-                # Failed instances released their context already;
-                # successful siblings' contexts are consumed by the
-                # failure propagation, as in the general path.
-                pending.extend(ctx for _v, ctx in results if ctx is not None)
-                break
-            merged = merge_instance_outputs(
-                step.output_names, [value for value, _ctx in results]
-            )
-            node_outputs[node_name] = merged
-            pending = [ctx for _v, ctx in results if ctx is not None]
-            if step.bound:
-                # Output bindings are only delivered when the whole
-                # composition finishes, so these contexts stay live.
-                held.extend(pending)
-                pending = []
-            for target, target_set, distribution, source_set in step.edges_out:
-                delivered[target][target_set] = (
-                    distribution,
-                    DataSet.renamed(merged[source_set], target_set),
-                )
-        if failure is not None:
-            if pending:
-                held.extend(pending)
-            if held:
-                self._schedule_release(held)
-            raise InvocationError(
-                f"node {failure.node_name!r} failed: {failure.error}"
-            )
-        held.extend(pending)
-        if held:
-            self._schedule_release(held)
-        outputs: dict[str, DataSet] = {}
-        for binding in composition.outputs:
-            outputs[binding.external] = DataSet.renamed(
-                node_outputs[binding.node][binding.node_set], binding.external
-            )
-        return outputs
-
-    def _run_instance_serial(self, step, plan, invocation_id):
-        """Like :meth:`_run_instance` but returns ``(value, context)``
-        so the serial runner controls context freeing."""
-        if step.kind == "composition":
-            result = yield from self._run_nested(step.node, plan, invocation_id)
-            return result, None
-        result = yield from self._run_task_core(invocation_id, step, plan)
-        return result
-
-    def _schedule_release(self, contexts) -> None:
-        """Release ``contexts`` one event-heap hop from now.
-
-        Mirrors the general path, where a producer's free condition
-        fires in a heap step at the same virtual time as consumption.
-        """
-        contexts = list(contexts)
-
-        def _release(_event, release=self._release_context, contexts=contexts):
-            for context in contexts:
-                release(context)
-
-        self.env.timeout(0.0).callbacks.append(_release)
+    def _release_contexts(self, contexts: list) -> None:
+        for context in contexts:
+            self._release_context(context)
 
     def _run_node(self, state: "_CompositionRun", node):
         """Process executing one node of a composition run."""
@@ -548,22 +453,14 @@ class Dispatcher:
             self._propagate(state, node, failure=NodeFailure(node.name, exc))
             return
 
-        if len(plans) == 1:
-            # Fast path: a single instance needs no fan-out bookkeeping,
-            # so run it inline in this process instead of spawning one.
-            self._mark_consumed(state, node)
-            value = yield from self._run_instance(state, node, plans[0])
-            per_instance = [value]
-        else:
-            instance_processes = [
-                self.env.process(self._run_instance(state, node, plan)) for plan in plans
-            ]
-            # Inputs are now copied into instance contexts; upstream
-            # producers may free theirs.
-            self._mark_consumed(state, node)
-
-            gathered = yield self.env.all_of(instance_processes)
-            per_instance = [process.value for process in instance_processes]
+        # Instances copy their inputs in as they start, in this heap
+        # step; upstream producers free theirs a step later.
+        self._mark_consumed(state, node)
+        gather = _Gather(self, state, node, len(plans))
+        step = state.steps[node.name]
+        for plan in plans:
+            self._start_instance(step, plan, state.invocation_id, gather.instance_done)
+        per_instance = yield gather.done
         failure = next(
             (value for value in per_instance if isinstance(value, NodeFailure)), None
         )
@@ -596,169 +493,30 @@ class Dispatcher:
 
     # -- instance execution ---------------------------------------------------
 
-    def _run_instance(self, state, node, plan):
-        """Process executing one instance; returns outputs or NodeFailure."""
-        if node.kind == "composition":
-            result = yield from self._run_nested(node, plan, state.invocation_id)
-            return result
-        result = yield from self._run_task(state, node, plan)
-        return result
-
-    def _run_nested(self, node: CompositionNode, plan, invocation_id):
-        inputs = {
-            data_set.ident: data_set for data_set in plan.input_sets
-        }
-        try:
-            outputs = yield from self._run_composition(
-                node.composition, inputs, invocation_id
-            )
-        except InvocationError as exc:
-            return NodeFailure(node.name, exc)
-        return [DataSet.renamed(outputs[name], name) for name in node.output_sets]
-
-    def _run_task(self, state, node, plan):
-        """Run one engine task (general path: freeing via consumed events)."""
-        value, context = yield from self._run_task_core(
-            state.invocation_id, state.steps[node.name], plan
+    def _start_instance(self, step: _NodeStep, plan, invocation_id: int, on_done) -> None:
+        """Run one instance of a node; ``on_done(index, context, value)``
+        gets its output sets or a :class:`NodeFailure`, and the live
+        context holding them (``None`` for a nested composition, whose
+        contexts are its own, and after a failure).  The caller arranges
+        when that context is freed."""
+        if step.kind != "composition":
+            _TaskRun(self, invocation_id, step, plan, on_done)
+            return
+        node = step.node
+        self._run_composition(
+            node.composition,
+            {data_set.ident: data_set for data_set in plan.input_sets},
+            invocation_id,
+            partial(self._nested_done, node, plan.index, on_done),
         )
-        if context is not None:
-            self._free_after_consumption(state, node, context)
-        return value
 
-    def _run_task_core(self, invocation_id, step, plan):
-        """Run one engine task with context lifecycle and retries.
-
-        Returns ``(outputs_or_failure, context)``; the context is
-        ``None`` when the task failed (it is already released).  The
-        caller arranges when the returned context is freed.
-        """
-        node_name = step.node.name
-        binary = step.binary
-        context = MemoryContext(
-            step.capacity, ident=f"inv{invocation_id}/{node_name}[{plan.index}]"
-        )
-        zero_copy = self.data_passing == "remap"
-        if not zero_copy:
-            # Copy mode: inputs are duplicated into the new context.
-            context.store_sets(plan.input_sets)
-        self.memory.observe(context)
-
-        group = step.group
-        task = Task(
-            kind=step.kind,
-            input_sets=plan.input_sets,
-            output_set_names=step.output_names,
-            completion=self.env.event(),
-            context=context,
-            binary=binary,
-            cached=self._binary_cached(binary) if binary is not None else False,
-            zero_copy=zero_copy,
-            protocol=step.protocol,
-            timeout=self.default_timeout,
-            invocation_id=invocation_id,
-            node_name=node_name,
-            instance_index=plan.index,
-        )
-        # The deadline is a budget for the whole node execution —
-        # attempts *and* the backoff sleeps between them — anchored at
-        # first submission.  (Per-attempt deadlines let a retry chain
-        # sleep past the point the caller stopped waiting.)
-        deadline_at = (
-            self.env.now + task.timeout if task.timeout is not None else None
-        )
-        attempts = 0
-        while True:
-            group.submit(task)
-            outcome = yield from self._await_task(task, deadline_at)
-            if outcome.success:
-                break
-            if outcome.transient and attempts < self.max_retries:
-                attempts += 1
-                self.retries_performed += 1
-                delay = self._backoff_seconds(attempts)
-                if deadline_at is not None and delay >= deadline_at - self.env.now:
-                    # The backoff sleep alone would overrun the
-                    # deadline; surface DeadlineExceeded now instead of
-                    # sleeping past the point the caller gave up.
-                    self.deadline_expirations += 1
-                    self._release_context(context)
-                    return (
-                        NodeFailure(
-                            node_name,
-                            DeadlineExceeded(
-                                f"node {node_name!r} exhausted its "
-                                f"{task.timeout}s deadline backing off for "
-                                f"retry {attempts}"
-                            ),
-                        ),
-                        None,
-                    )
-                # Back off through virtual time before re-submitting —
-                # an immediate resubmit would hit the same crashed
-                # engine state in the same simulated instant.
-                yield self.env.timeout(delay)
-                # Retry the same task with fresh per-attempt state: a
-                # new completion event and a re-drawn cache outcome
-                # (identical rng stream to rebuilding the task).
-                task.completion = self.env.event()
-                if binary is not None:
-                    task.cached = self._binary_cached(binary)
-                continue
-            self._release_context(context)
-            return NodeFailure(node_name, outcome.error), None
-
-        # Outputs live in the instance's context until consumers have
-        # copied them out.
-        try:
-            context.store_sets(outcome.outputs, offset=context.committed)
-        except ContextError:
-            # Outputs exceeding the reservation only affect accounting
-            # granularity, never the data itself.  Anything other than
-            # a capacity/encoding ContextError is a programming error
-            # and must propagate.
-            pass
-        self.memory.observe(context)
-        return outcome.outputs, context
-
-    def _await_task(self, task: Task, deadline_at=None):
-        """Wait on a task's completion, bounded by its deadline (§6.1).
-
-        Without a timeout this is a bare wait — the exact event stream
-        the fast path has always had.  With one, the wait races the
-        completion against the *remaining* budget until ``deadline_at``
-        (anchored at first submission, so retries never extend it); a
-        missed deadline yields a non-retryable
-        :class:`DeadlineExceeded` outcome.  The engine may still finish
-        the task later in virtual time, but its completion then fires
-        with no waiters and the result is discarded.
-        """
-        if task.timeout is None:
-            outcome = yield task.completion
-            return outcome
-        remaining = (
-            task.timeout if deadline_at is None else deadline_at - self.env.now
-        )
-        if remaining <= 0:
-            self.deadline_expirations += 1
-            return TaskOutcome(
-                success=False,
-                error=DeadlineExceeded(
-                    f"node {task.node_name!r} missed its {task.timeout}s deadline"
-                ),
-                transient=False,
-            )
-        deadline = self.env.timeout(remaining)
-        yield self.env.any_of([task.completion, deadline])
-        if task.completion.processed:
-            return task.completion.value
-        self.deadline_expirations += 1
-        return TaskOutcome(
-            success=False,
-            error=DeadlineExceeded(
-                f"node {task.node_name!r} missed its {task.timeout}s deadline"
-            ),
-            transient=False,
-        )
+    @staticmethod
+    def _nested_done(node: CompositionNode, index: int, on_done, outcome) -> None:
+        if isinstance(outcome, InvocationError):
+            value = NodeFailure(node.name, outcome)
+        else:
+            value = [DataSet.renamed(outcome[name], name) for name in node.output_sets]
+        on_done(index, None, value)
 
     def _backoff_seconds(self, attempt: int) -> float:
         """Exponential backoff with deterministic seeded jitter.
@@ -835,3 +593,285 @@ class _CompositionRun:
     output_events: dict
     invocation_id: int
     steps: dict
+
+
+class _Gather:
+    """The general runner's wait for every instance of one node:
+    ``done`` fires with their values in plan order."""
+
+    __slots__ = ("dispatcher", "state", "node", "values", "remaining", "done")
+
+    def __init__(self, dispatcher: Dispatcher, state: _CompositionRun, node, count: int):
+        self.dispatcher = dispatcher
+        self.state = state
+        self.node = node
+        self.values = [None] * count
+        self.remaining = count
+        self.done = dispatcher.env.event()
+
+    def instance_done(self, index: int, context, value) -> None:
+        if context is not None:
+            self.dispatcher._free_after_consumption(self.state, self.node, context)
+        self.values[index] = value
+        self.remaining -= 1
+        if not self.remaining:
+            self.done.succeed(self.values)
+
+
+class _TaskRun:
+    """One engine task from submission to stored outputs, as a callback
+    state machine: deadline race, transient retry with seeded backoff,
+    context lifecycle.
+
+    ``on_done(index, context, value)`` is called once, see
+    :meth:`Dispatcher._start_instance`; a failed task's context is
+    already released.
+    """
+
+    __slots__ = (
+        "dispatcher", "step", "index", "task", "context", "deadline_at",
+        "attempts", "on_done",
+    )
+
+    def __init__(self, dispatcher: Dispatcher, invocation_id: int, step: _NodeStep, plan, on_done):
+        self.dispatcher = dispatcher
+        self.step = step
+        self.index = plan.index
+        self.on_done = on_done
+        self.attempts = 0
+        node_name = step.node.name
+        binary = step.binary
+        context = self.context = MemoryContext(
+            step.capacity, ident=f"inv{invocation_id}/{node_name}[{plan.index}]"
+        )
+        zero_copy = dispatcher.data_passing == "remap"
+        if not zero_copy:
+            # Copy mode: inputs are duplicated into the new context.
+            context.store_sets(plan.input_sets)
+        dispatcher.memory.observe(context)
+        env = dispatcher.env
+        timeout = dispatcher.default_timeout
+        self.task = Task(
+            kind=step.kind,
+            input_sets=plan.input_sets,
+            output_set_names=step.output_names,
+            completion=env.event(),
+            context=context,
+            binary=binary,
+            cached=dispatcher._binary_cached(binary) if binary is not None else False,
+            zero_copy=zero_copy,
+            protocol=step.protocol,
+            timeout=timeout,
+            invocation_id=invocation_id,
+            node_name=node_name,
+            instance_index=plan.index,
+        )
+        # The deadline is a budget for the whole node execution —
+        # attempts *and* the backoff sleeps between them — anchored at
+        # first submission.  (Per-attempt deadlines let a retry chain
+        # sleep past the point the caller stopped waiting.)
+        self.deadline_at = env.now + timeout if timeout is not None else None
+        self._submit()
+
+    def _submit(self) -> None:
+        """Queue the task and wait for its completion, bounded by the
+        *remaining* budget until ``deadline_at`` (§6.1).  A missed
+        deadline is a non-retryable :class:`DeadlineExceeded`; the
+        engine may still finish the task later in virtual time, but its
+        completion then fires with no waiters and the result is
+        discarded."""
+        task = self.task
+        self.step.group.submit(task)
+        if self.deadline_at is not None:
+            env = self.dispatcher.env
+            remaining = self.deadline_at - env.now
+            if remaining <= 0:
+                self._expire()
+                return
+            env.call_later(remaining, self._deadline, task.completion)
+        task.completion.callbacks.append(self._completed)
+
+    def _deadline(self, completion) -> None:
+        # The timer of an attempt that already completed is stale.
+        if not completion.processed:
+            completion.callbacks.remove(self._completed)
+            self._expire()
+
+    def _expire(self, backing_off_for_retry: int = 0) -> None:
+        self.dispatcher.deadline_expirations += 1
+        task = self.task
+        if backing_off_for_retry:
+            how = (
+                f"exhausted its {task.timeout}s deadline backing off for "
+                f"retry {backing_off_for_retry}"
+            )
+        else:
+            how = f"missed its {task.timeout}s deadline"
+        self._fail(DeadlineExceeded(f"node {task.node_name!r} {how}"))
+
+    def _completed(self, completion) -> None:
+        outcome: TaskOutcome = completion.value
+        dispatcher = self.dispatcher
+        if outcome.success:
+            # Outputs live in the instance's context until consumers
+            # have copied them out.
+            context = self.context
+            try:
+                context.store_sets(outcome.outputs, offset=context.committed)
+            except ContextError:
+                # Outputs exceeding the reservation only affect
+                # accounting granularity, never the data itself.
+                # Anything other than a capacity/encoding ContextError
+                # is a programming error and must propagate.
+                pass
+            dispatcher.memory.observe(context)
+            self.on_done(self.index, context, outcome.outputs)
+            return
+        if not (outcome.transient and self.attempts < dispatcher.max_retries):
+            self._fail(outcome.error)
+            return
+        self.attempts += 1
+        dispatcher.retries_performed += 1
+        delay = dispatcher._backoff_seconds(self.attempts)
+        deadline_at = self.deadline_at
+        if deadline_at is not None and delay >= deadline_at - dispatcher.env.now:
+            # The backoff sleep alone would overrun the deadline;
+            # surface DeadlineExceeded now instead of sleeping past the
+            # point the caller gave up.
+            self._expire(backing_off_for_retry=self.attempts)
+            return
+        # Back off through virtual time before re-submitting — an
+        # immediate resubmit would hit the same crashed engine state in
+        # the same simulated instant.
+        dispatcher.env.call_later(delay, self._resubmit)
+
+    def _resubmit(self) -> None:
+        # Retry the same task with fresh per-attempt state: a new
+        # completion event and a re-drawn cache outcome (identical rng
+        # stream to rebuilding the task).
+        task = self.task
+        task.completion = self.dispatcher.env.event()
+        if task.binary is not None:
+            task.cached = self.dispatcher._binary_cached(task.binary)
+        self._submit()
+
+    def _fail(self, error: BaseException) -> None:
+        self.dispatcher._release_context(self.context)
+        self.on_done(self.index, None, NodeFailure(self.task.node_name, error))
+
+
+class _ChainRun:
+    """One run of a chain composition, node by node, as callbacks.
+
+    Timing-equivalent to the general event-driven path: instances run
+    through the same :class:`_TaskRun`, and a producer's contexts are
+    released one zero-delay heap hop after its successor has allocated
+    (matching the consumed-event hop of the general path); the last
+    node's when the composition completes.
+    """
+
+    __slots__ = (
+        "dispatcher", "composition", "invocation_id", "steps", "delivered",
+        "outputs", "pending", "step", "results", "remaining", "on_done",
+    )
+
+    def __init__(self, dispatcher: Dispatcher, composition, inputs, invocation_id, chain, on_done):
+        self.dispatcher = dispatcher
+        self.composition = composition
+        self.invocation_id = invocation_id
+        self.steps = iter(chain)
+        self.on_done = on_done
+        delivered = self.delivered = {name: {} for name in composition.nodes}
+        for binding in composition.inputs:
+            delivered[binding.node][binding.node_set] = (
+                Distribution.ALL,
+                DataSet.renamed(inputs[binding.external], binding.node_set),
+            )
+        self.outputs: dict[str, dict] = {}   # node name -> merged output sets
+        self.pending: list[MemoryContext] = []  # previous node's, freed at successor launch
+        self._advance()
+
+    def _advance(self) -> None:
+        step = self.step = next(self.steps, None)
+        if step is None:
+            outputs = self.outputs
+            self._finish(
+                {
+                    binding.external: DataSet.renamed(
+                        outputs[binding.node][binding.node_set], binding.external
+                    )
+                    for binding in self.composition.outputs
+                }
+            )
+            return
+        node = step.node
+        node_deliveries = self.delivered[node.name]
+        triples = [
+            (set_name, *node_deliveries[set_name]) for set_name in step.input_names
+        ]
+        try:
+            plans = expand_instances(node.name, triples)
+        except InvocationError as exc:
+            self._finish(_node_failed(NodeFailure(node.name, exc)))
+            return
+        self.results = [None] * len(plans)
+        self.remaining = len(plans)
+        fan_out = len(plans) > 1
+        if fan_out:
+            # A fan-out starts one heap hop from now, as it does under
+            # the general runner: by then the engine whose completion
+            # led here is waiting on the queue again, so the tasks meet
+            # the engines (and their fault and cache draws) in the same
+            # order.
+            self.dispatcher.env.call_later(0.0, self._start, plans)
+        # Scheduled before the instances allocate, run after.
+        self._release_pending()
+        if not fan_out:
+            self._start(plans)
+
+    def _start(self, plans) -> None:
+        for plan in plans:
+            self.dispatcher._start_instance(
+                self.step, plan, self.invocation_id, self._instance_done
+            )
+
+    def _instance_done(self, index: int, context, value) -> None:
+        self.results[index] = (value, context)
+        self.remaining -= 1
+        if self.remaining:
+            return
+        results = self.results
+        # Failed instances released their context already; successful
+        # siblings' contexts are consumed by the failure propagation, as
+        # in the general path.
+        self.pending = [ctx for _value, ctx in results if ctx is not None]
+        values = [value for value, _ctx in results]
+        failure = next(
+            (value for value in values if isinstance(value, NodeFailure)), None
+        )
+        if failure is not None:
+            self._finish(_node_failed(failure))
+            return
+        step = self.step
+        merged = self.outputs[step.node.name] = merge_instance_outputs(
+            step.output_names, values
+        )
+        for target, target_set, distribution, source_set in step.edges_out:
+            self.delivered[target][target_set] = (
+                distribution,
+                DataSet.renamed(merged[source_set], target_set),
+            )
+        self._advance()
+
+    def _release_pending(self) -> None:
+        """Release the pending contexts one heap hop from now, where the
+        general path's free condition fires: in a heap step at the same
+        virtual time as consumption."""
+        if self.pending:
+            dispatcher = self.dispatcher
+            dispatcher.env.call_later(0.0, dispatcher._release_contexts, self.pending)
+            self.pending = []
+
+    def _finish(self, outcome) -> None:
+        self._release_pending()
+        self.on_done(outcome)

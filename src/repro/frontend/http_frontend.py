@@ -16,7 +16,8 @@ HTTP interface" (§4.1).
 from __future__ import annotations
 
 import json
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..composition.dsl import parse_composition
 from ..composition.graph import Composition
@@ -41,6 +42,7 @@ class Frontend(HttpService):
         self.env = env
         self.registry = registry
         self.dispatcher = dispatcher
+        self._halted = False
 
     # -- programmatic API ---------------------------------------------------
 
@@ -67,21 +69,40 @@ class Frontend(HttpService):
         return composition
 
     def invoke(self, composition_name: str, inputs: dict):
-        """Invoke a composition; returns a process → InvocationResult.
+        """Invoke a composition; returns an event → InvocationResult."""
+        done = self.env.event()
+        self.start(composition_name, inputs, done.succeed)
+        return done
+
+    def start(self, composition_name: str, inputs: dict, on_done: Callable[[InvocationResult], None]) -> None:
+        """Invoke a composition; ``on_done(result)`` is called when the
+        reply leaves the frontend.  An unknown name raises here.
 
         ``inputs`` maps external input names to DataSets, lists of
         DataItems, or raw bytes (wrapped as a single-item set).
         """
+        self.registry.composition(composition_name)
         normalized = {
             name: self._as_data_set(name, value) for name, value in inputs.items()
         }
-        return self.env.process(self._invoke(composition_name, normalized))
+        # Two timed calls, request parsing and reply serialization,
+        # with the dispatcher in between.
+        call_later = self.env.call_later
+        call_later(
+            _FRONTEND_OVERHEAD_SECONDS,
+            self.dispatcher.start,
+            composition_name,
+            normalized,
+            partial(call_later, _FRONTEND_OVERHEAD_SECONDS, self._reply, on_done),
+        )
 
-    def _invoke(self, composition_name: str, inputs: dict[str, DataSet]):
-        yield self.env.timeout(_FRONTEND_OVERHEAD_SECONDS)
-        result = yield self.dispatcher.invoke(composition_name, inputs)
-        yield self.env.timeout(_FRONTEND_OVERHEAD_SECONDS)
-        return result
+    def _reply(self, on_done, result: InvocationResult) -> None:
+        if not self._halted:
+            on_done(result)
+
+    def halt(self) -> None:
+        """Fail-stop: no invocation in flight or to come is answered."""
+        self._halted = True
 
     @staticmethod
     def _as_data_set(name: str, value) -> DataSet:

@@ -210,28 +210,39 @@ def build_requests(spec: ScenarioSpec) -> list:
     return requests
 
 
+class _Tally:
+    """Completion counter of one driven request stream."""
+
+    __slots__ = ("outstanding", "completed", "drained")
+
+    def __init__(self, env, outstanding: int):
+        self.outstanding = outstanding
+        self.completed = 0
+        self.drained = env.event()
+
+    def done(self, result) -> None:
+        if result.ok:
+            self.completed += 1
+        self.outstanding -= 1
+        if not self.outstanding:
+            self.drained.succeed()
+
+
 def _drive(cluster: ClusterManager, spec: ScenarioSpec, requests: list):
     """Run the request stream to completion; returns (offered, completed)."""
+    if not requests:
+        return 0, 0
     env = cluster.env
     names = composition_names(spec)
-    payload = spec.workload.payload.encode("utf-8")
-    completed = [0]
-
-    def one(arrive_at, app):
-        delay = arrive_at - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        result = yield cluster.invoke(names[app], {"data": payload})
-        if result.ok:
-            completed[0] += 1
-
-    def driver():
-        processes = [env.process(one(t, app)) for t, app in requests]
-        if processes:
-            yield env.all_of(processes)
-
-    env.run(until=env.process(driver()))
-    return len(requests), completed[0]
+    inputs = {"data": spec.workload.payload.encode("utf-8")}
+    tally = _Tally(env, len(requests))
+    now = env.now
+    for arrive_at, app in requests:
+        env.call_later(
+            max(arrive_at - now, 0.0), cluster.start, names[app], inputs, tally.done
+        )
+    env.run(until=tally.drained)
+    return len(requests), tally.completed
 
 
 # -- KPIs ---------------------------------------------------------------------

@@ -28,6 +28,10 @@ The public surface is:
 ``AllOf`` / ``AnyOf``
     Composite conditions over several events.
 
+``env.call_later(delay, fn, *args)``
+    A scheduled call: one heap entry that *is* the call, for work that
+    waits once and cannot be interrupted (docs/simulation.md).
+
 Time is a float; the unit is **seconds** throughout the code base.
 
 Fast-path invariants (everything downstream schedules millions of
@@ -140,6 +144,8 @@ class Event:
         """
         if self._state != _PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
@@ -214,6 +220,27 @@ class Initialize(Event):
         heappush(env._queue, (env._now, 1, seq, self))
 
 
+def _fire(call: "_Call") -> None:
+    call.fn(*call.args)
+
+
+# Shared by every scheduled call, so a call allocates no callback list
+# and refers to nothing that refers back to it.
+_FIRE = (_fire,)
+
+
+class _Call:
+    """Heap entry of :meth:`Environment.call_later`.
+
+    Not an :class:`Event`: nothing can wait on it.  It only carries the
+    attributes the run loop touches on every entry it pops.
+    """
+
+    __slots__ = ("fn", "args", "callbacks", "_state")
+    _ok = True
+    _defused = False
+
+
 class Process(Event):
     """A running generator; also an event that fires on completion.
 
@@ -282,7 +309,9 @@ class Process(Event):
                 env._seq = seq + 1
                 heappush(env._queue, (env._now, 1, seq, self))
                 break
-            except BaseException as exc:
+            except Exception as exc:
+                # KeyboardInterrupt / SystemExit are not the process's
+                # outcome: they leave run() directly.
                 self._ok = False
                 self._value = exc
                 self._state = _TRIGGERED
@@ -405,7 +434,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, int, Event | _Call]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
 
@@ -441,12 +470,28 @@ class Environment:
         """Event that fires when any of ``events`` has fired."""
         return AnyOf(self, events)
 
-    # -- scheduling and execution --------------------------------------
+    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Call ``fn(*args)`` ``delay`` seconds of virtual time from now.
 
-    def _next_seq(self) -> int:
+        One heap entry, ordered and counted like any event, with no
+        event object to wait on: the entry is the call.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        call = _Call()
+        call.fn = fn
+        call.args = args
+        call.callbacks = _FIRE
         seq = self._seq
         self._seq = seq + 1
-        return seq
+        heappush(self._queue, (self._now + delay, 1, seq, call))
+
+    # -- scheduling and execution --------------------------------------
+
+    @property
+    def events_scheduled(self) -> int:
+        """Heap entries (events and calls) scheduled so far."""
+        return self._seq
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         seq = self._seq

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ROUTING_POLICIES, ClusterManager
+from repro.composition.registry import RegistryError
 from repro.functions import compute_function
 from repro.worker import WorkerConfig
 
@@ -106,6 +107,46 @@ def test_failed_invocation_propagates():
     cluster = make_cluster()
     result = cluster.invoke_and_run("echo_comp", {})  # missing input
     assert not result.ok
+
+
+def test_unknown_composition_raises_at_the_call_site():
+    # Before any counter or the clock moves, from invoke() and start().
+    cluster = make_cluster()
+    scheduled = cluster.env.events_scheduled
+    for entry in (cluster.invoke, lambda *args: cluster.start(*args, print)):
+        with pytest.raises(RegistryError, match="unknown composition 'nope'"):
+            entry("nope", {"data": b"x"})
+    assert cluster.env.events_scheduled == scheduled
+    cluster.env.run()
+    assert cluster.env.now == 0.0
+    assert cluster.invocations_routed == 0
+    assert cluster.per_worker_invocations == {0: 0, 1: 0}
+
+
+def test_crash_reroutes_in_routing_order():
+    # Eight invocations in flight on worker 0 when it fail-stops: they
+    # reach the surviving worker in the order they were first routed,
+    # not in an order that follows object addresses.
+    cluster = make_cluster(workers=2, policy="round_robin")
+    env = cluster.env
+    arrivals = []
+    survivor = cluster.workers[1].frontend
+    forward = survivor.start
+
+    def recording_start(name, inputs, on_done):
+        arrivals.append((env.now, inputs["data"]))
+        forward(name, inputs, on_done)
+
+    survivor.start = recording_start
+    done = [
+        cluster.invoke("echo_comp", {"data": f"{i}".encode()}) for i in range(16)
+    ]
+    env.call_later(1e-3, cluster.fail_worker, 0)
+    env.run(until=env.all_of(done))
+    assert all(event.value.ok for event in done)
+    assert cluster.reroutes == 8
+    rerouted = [data for when, data in arrivals if when >= 1e-3]
+    assert rerouted == [f"{i}".encode() for i in range(0, 16, 2)]
 
 
 def test_stats_shape():

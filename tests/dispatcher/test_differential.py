@@ -35,7 +35,9 @@ def _node_binary(node_name: str):
     return transform
 
 
-def _build_chain(worker, node_names, distributions):
+def _build_chain(worker, node_names, distributions, also_bound=None):
+    """Register ``composition chain``; ``also_bound`` names a node whose
+    output is additionally bound to the external output ``tap``."""
     lines = []
     edges = []
     previous = None
@@ -50,6 +52,7 @@ def _build_chain(worker, node_names, distributions):
         previous = name
     source = (
         "composition chain {\n" + "\n".join(lines) + "\n" + "\n".join(edges)
+        + (f"\noutput {also_bound}.data -> tap;" if also_bound else "")
         + f"\noutput {previous}.data -> result;\n}}"
     )
     worker.frontend.register_composition(source)

@@ -192,38 +192,30 @@ def test_deadline_expiration_is_not_retried():
 
 
 def test_deadline_failure_carries_deadline_exceeded_cause():
-    # Drive the dispatcher's _await_task directly on a comm task to
-    # observe the structured outcome (success=False, non-transient).
+    # Drive the dispatcher's task lifecycle directly on a comm step to
+    # observe the structured outcome (a released context, a NodeFailure
+    # carrying DeadlineExceeded, and no retry: it is not transient).
     from repro.data import DataItem, DataSet
-    from repro.engines.task import COMMUNICATION, Task
+    from repro.dispatcher.dispatcher import NodeFailure, _TaskRun
+    from repro.dispatcher.expansion import InstancePlan
     from repro.functions import format_http_request
 
-    worker = make_worker(max_retries=2)
+    worker = make_worker(default_timeout=0.005, max_retries=2)
     worker.network.register(EchoService(host="slowecho", extra_seconds=1.0))
+    _register_slow_fetch(worker)
     dispatcher = worker.dispatcher
     env = worker.env
+    _chain, steps = dispatcher._compile(worker.registry.composition("bk_fetch"))
 
     request = format_http_request("GET", "http://slowecho/")
-    task = Task(
-        kind=COMMUNICATION,
-        input_sets=[DataSet("request", [DataItem("r", request)])],
-        output_set_names=["response"],
-        completion=env.event(),
-        protocol="http",
-        timeout=0.005,
-        node_name="probe",
-    )
-    worker.comm_group.submit(task)
+    plan = InstancePlan(0, [DataSet("request", [DataItem("r", request)])])
+    outcomes = []
+    _TaskRun(dispatcher, 0, steps["c"], plan, lambda *args: outcomes.append(args))
 
-    outcome_box = []
-
-    def waiter():
-        outcome = yield from dispatcher._await_task(task)
-        outcome_box.append(outcome)
-
-    env.run(until=env.process(waiter()))
-    outcome = outcome_box[0]
-    assert not outcome.success
-    assert isinstance(outcome.error, DeadlineExceeded)
-    assert not outcome.transient
+    env.run()
+    [(_index, context, value)] = outcomes
+    assert context is None
+    assert isinstance(value, NodeFailure)
+    assert isinstance(value.error, DeadlineExceeded)
+    assert dispatcher.retries_performed == 0
     assert dispatcher.deadline_expirations == 1

@@ -427,3 +427,67 @@ def test_succeed_with_delay_orders_after_earlier_events():
     early.callbacks.append(lambda _e: order.append("a"))
     env.run()
     assert order == ["a", "b"]
+
+
+def test_succeed_with_negative_delay_rejected_and_clock_never_moves_back():
+    env = Environment()
+    env.run(until=1.0)
+    event = env.event()
+    with pytest.raises(SimulationError, match="negative delay"):
+        event.succeed(delay=-0.5)
+    assert not event.triggered
+    env.run()
+    assert env.now == 1.0
+
+
+def test_call_later_runs_the_call_at_its_time_in_schedule_order():
+    env = Environment()
+    seen = []
+    env.call_later(2.0, seen.append, "late")
+    env.call_later(0.5, lambda a, b: seen.append((env.now, a, b)), "x", "y")
+    env.timeout(0.5).callbacks.append(lambda _e: seen.append("timeout"))
+    env.call_later(0.5, seen.append, "same instant, scheduled later")
+    assert env.peek() == 0.5
+    env.run()
+    assert seen == [(0.5, "x", "y"), "timeout", "same instant, scheduled later", "late"]
+    assert env.now == 2.0
+
+
+def test_call_later_is_one_counted_heap_entry():
+    env = Environment()
+    before = env.events_scheduled
+    env.call_later(1.0, list)
+    env.timeout(1.0)
+    assert env.events_scheduled == before + 2
+    env.step()  # a call can be stepped like any other entry
+
+
+def test_call_later_negative_delay_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError, match="negative delay"):
+        env.call_later(-1e-9, list)
+    assert env.peek() == float("inf")
+
+
+def test_call_later_exception_surfaces_from_run():
+    env = Environment()
+    env.call_later(1.0, int, "not a number")
+    with pytest.raises(ValueError):
+        env.run()
+
+
+@pytest.mark.parametrize("escaping", [KeyboardInterrupt, SystemExit])
+def test_interpreter_exit_leaves_run_instead_of_failing_the_process(escaping):
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1.0)
+        raise escaping()
+
+    process = env.process(proc())
+    with pytest.raises(escaping):
+        env.run()
+    # Not recorded as the process's outcome, and nothing was scheduled
+    # to deliver it to a waiter.
+    assert not process.triggered
+    assert env.peek() == float("inf")

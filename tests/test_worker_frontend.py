@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.composition.registry import RegistryError
 from repro.functions import compute_function
 from repro.net import HttpRequest
 from repro.worker import WorkerConfig, WorkerNode
@@ -54,6 +55,19 @@ def test_invoke_and_run_shortcut():
     result = worker.invoke_and_run("shout_comp", {"text": b"quiet"})
     assert result.ok
     assert result.output("result").item("text").data == b"QUIET"
+
+
+def test_unknown_composition_raises_at_the_call_site():
+    # Frontend and dispatcher alike: the typed error leaves invoke() /
+    # start() itself, with nothing scheduled and no invocation counted.
+    worker = make_worker()
+    scheduled = worker.env.events_scheduled
+    for layer in (worker.frontend, worker.dispatcher):
+        for entry in (layer.invoke, lambda *args: layer.start(*args, print)):
+            with pytest.raises(RegistryError, match="unknown composition 'nope'"):
+                entry("nope", {"text": b"x"})
+    assert worker.env.events_scheduled == scheduled
+    assert worker.dispatcher.invocations_started == 0
 
 
 def test_string_input_encoded():
