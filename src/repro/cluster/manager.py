@@ -67,6 +67,7 @@ behaviour when off):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Union
 
 from ..composition.graph import Composition
@@ -261,10 +262,9 @@ class ClusterManager:
         Routing skips the worker from now on, and every invocation
         currently in flight on it is re-routed to a healthy peer, in the
         order they were routed — transparent re-execution is safe
-        because compositions are pure (§6.1).  The crashed node never
-        answers again; its in-simulation activity is abandoned (results
-        discarded), the discrete-event analogue of the process
-        disappearing.
+        because compositions are pure (§6.1).  The crashed node's
+        in-simulation activity is abandoned (results discarded), the
+        discrete-event analogue of the process disappearing.
         """
         if not 0 <= index < len(self.workers):
             raise IndexError(f"no worker {index}")
@@ -279,7 +279,6 @@ class ClusterManager:
             self._refresh_preferred_indices()
         self.worker_crashes += 1
         self.per_worker_crashes[index] += 1
-        self.workers[index].frontend.halt()
         waiters = self._crash_waiters[index]
         self._crash_waiters[index] = {}
         if waiters:
@@ -535,8 +534,7 @@ class _Routed:
 
     __slots__ = (
         "cluster", "name", "inputs", "on_done", "hedged", "started", "reroutes",
-        "primary", "primary_live", "primary_started", "hedge", "hedge_started",
-        "fallback", "fallback_index",
+        "primary", "primary_live", "hedge", "fallback", "fallback_index",
     )
 
     def __init__(self, cluster: ClusterManager, name: str, inputs: dict, on_done, hedged: bool):
@@ -567,14 +565,13 @@ class _Routed:
             return
         self.primary = index
         self.primary_live = True
-        self.primary_started = cluster.env.now
-        self._send(index, self._primary_done)
+        self._send(index, False)
         if self.hedged and cluster._hedge_budget_available():
             delay = cluster._hedge_delay()
             if delay is not None:
                 cluster.env.call_later(delay, self._hedge_due, self.reroutes)
 
-    def _send(self, index: int, on_done) -> None:
+    def _send(self, index: int, is_hedge: bool) -> None:
         """One worker-level try.  The attempt is accounted against the
         worker synchronously with the routing decision, so same-instant
         decisions see the load it adds."""
@@ -583,7 +580,12 @@ class _Routed:
         cluster.per_worker_invocations[index] += 1
         cluster.invocations_routed += 1
         cluster._crash_waiters[index][self] = None
-        cluster.workers[index].frontend.start(self.name, self.inputs, on_done)
+        worker = cluster.workers[index]
+        worker.frontend.start(
+            self.name,
+            self.inputs,
+            partial(self._answered, worker, index, cluster.env.now, is_hedge),
+        )
 
     def _hedge_due(self, round: int) -> None:
         cluster = self.cluster
@@ -601,23 +603,18 @@ class _Routed:
         if index is not None:
             cluster.hedges_issued += 1
             self.hedge = index
-            self.hedge_started = cluster.env.now
-            self._send(index, self._hedge_done)
+            self._send(index, True)
 
-    def _primary_done(self, result: InvocationResult) -> None:
-        self.primary_live = False
-        self._answered(self.primary, self.primary_started, False, result)
-
-    def _hedge_done(self, result: InvocationResult) -> None:
-        index = self.hedge
-        self.hedge = -1
-        self._answered(index, self.hedge_started, True, result)
-
-    def _answered(self, index: int, attempt_started: float, is_hedge: bool, result: InvocationResult) -> None:
+    def _answered(self, worker: WorkerNode, index: int, attempt_started: float, is_hedge: bool, result: InvocationResult) -> None:
         cluster = self.cluster
+        if cluster.workers[index] is not worker or not cluster._healthy[index]:
+            return  # the worker fail-stopped under this attempt: nobody hears its reply
+        if is_hedge:
+            self.hedge = -1
+        else:
+            self.primary_live = False
         del cluster._crash_waiters[index][self]
-        if cluster._in_flight.get(index, 0) > 0:
-            cluster._in_flight[index] -= 1
+        cluster._in_flight[index] -= 1
         # Per-attempt latency is the gray-failure signal: error
         # completions (deadline expirations on a limping node) carry it
         # just as loudly as successes.
@@ -664,7 +661,9 @@ class _Routed:
         cluster.reroutes += 1
         self._route()
 
-    def _finish(self, result: InvocationResult, index: int) -> None:
+    def _finish(self, result: InvocationResult, index: Optional[int]) -> None:
+        """Deliver the outcome; ``index`` is the worker that served it,
+        ``None`` when no worker did."""
         cluster = self.cluster
         elapsed = cluster.env.now - self.started
         if result.ok:
@@ -674,22 +673,18 @@ class _Routed:
             # worker that served the request and record their latency
             # separately so failures never vanish silently.
             cluster.invocations_failed += 1
-            cluster.per_worker_failures[index] += 1
+            if index is not None:
+                cluster.per_worker_failures[index] += 1
             cluster.failed_latencies.record(elapsed)
-        self._deliver(result)
-
-    def _fail(self, error: Exception) -> None:
-        cluster = self.cluster
-        now = cluster.env.now
-        cluster.invocations_failed += 1
-        cluster.failed_latencies.record(now - self.started)
-        self._deliver(
-            InvocationResult(
-                invocation_id=-1, error=error, started_at=self.started, finished_at=now
-            )
-        )
-
-    def _deliver(self, result: InvocationResult) -> None:
         on_done = self.on_done
         self.on_done = None
         on_done(result)
+
+    def _fail(self, error: Exception) -> None:
+        now = self.cluster.env.now
+        self._finish(
+            InvocationResult(
+                invocation_id=-1, error=error, started_at=self.started, finished_at=now
+            ),
+            None,
+        )

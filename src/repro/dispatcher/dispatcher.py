@@ -73,7 +73,9 @@ class NodeFailure:
 
 
 def _node_failed(failure: NodeFailure) -> InvocationError:
-    return InvocationError(f"node {failure.node_name!r} failed: {failure.error}")
+    error = InvocationError(f"node {failure.node_name!r} failed: {failure.error}")
+    error.__cause__ = failure.error
+    return error
 
 
 class _NodeStep:
@@ -222,8 +224,8 @@ class Dispatcher:
         self.admission_rejections = 0
         self._cost_summaries: dict[int, object] = {}
         self._warm_binaries: set[str] = set()
-        # Composition id -> (composition, serial node order or None);
-        # see _serial_nodes.
+        # Composition id -> (composition, chain steps or None, steps by
+        # name); see _compile.
         self._serial_cache: dict[int, tuple] = {}
         self._invocation_ids = itertools.count()
         self.invocations_started = 0
@@ -608,6 +610,9 @@ class _Gather:
         self.values = [None] * count
         self.remaining = count
         self.done = dispatcher.env.event()
+        if not count:
+            # An empty ``each``/``key`` delivery: nothing to wait for.
+            self.done.succeed(self.values)
 
     def instance_done(self, index: int, context, value) -> None:
         if context is not None:
@@ -814,20 +819,24 @@ class _ChainRun:
         except InvocationError as exc:
             self._finish(_node_failed(NodeFailure(node.name, exc)))
             return
-        self.results = [None] * len(plans)
-        self.remaining = len(plans)
-        fan_out = len(plans) > 1
-        if fan_out:
+        count = self.remaining = len(plans)
+        self.results = [None] * count
+        call_later = self.dispatcher.env.call_later
+        if count > 1:
             # A fan-out starts one heap hop from now, as it does under
             # the general runner: by then the engine whose completion
             # led here is waiting on the queue again, so the tasks meet
             # the engines (and their fault and cache draws) in the same
             # order.
-            self.dispatcher.env.call_later(0.0, self._start, plans)
+            call_later(0.0, self._start, plans)
         # Scheduled before the instances allocate, run after.
         self._release_pending()
-        if not fan_out:
+        if count == 1:
             self._start(plans)
+        elif not count:
+            # An empty ``each``/``key`` delivery: no instances, empty
+            # output sets, and on to the successor after that release.
+            call_later(0.0, self._node_done)
 
     def _start(self, plans) -> None:
         for plan in plans:
@@ -838,8 +847,10 @@ class _ChainRun:
     def _instance_done(self, index: int, context, value) -> None:
         self.results[index] = (value, context)
         self.remaining -= 1
-        if self.remaining:
-            return
+        if not self.remaining:
+            self._node_done()
+
+    def _node_done(self) -> None:
         results = self.results
         # Failed instances released their context already; successful
         # siblings' contexts are consumed by the failure propagation, as

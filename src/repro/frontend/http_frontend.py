@@ -42,7 +42,6 @@ class Frontend(HttpService):
         self.env = env
         self.registry = registry
         self.dispatcher = dispatcher
-        self._halted = False
 
     # -- programmatic API ---------------------------------------------------
 
@@ -93,16 +92,8 @@ class Frontend(HttpService):
             self.dispatcher.start,
             composition_name,
             normalized,
-            partial(call_later, _FRONTEND_OVERHEAD_SECONDS, self._reply, on_done),
+            partial(call_later, _FRONTEND_OVERHEAD_SECONDS, on_done),
         )
-
-    def _reply(self, on_done, result: InvocationResult) -> None:
-        if not self._halted:
-            on_done(result)
-
-    def halt(self) -> None:
-        """Fail-stop: no invocation in flight or to come is answered."""
-        self._halted = True
 
     @staticmethod
     def _as_data_set(name: str, value) -> DataSet:

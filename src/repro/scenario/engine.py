@@ -29,6 +29,7 @@ partition count of the streamed path — is an argument of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from ..cluster.faults import WorkerFaultInjector
@@ -210,22 +211,12 @@ def build_requests(spec: ScenarioSpec) -> list:
     return requests
 
 
-class _Tally:
-    """Completion counter of one driven request stream."""
-
-    __slots__ = ("outstanding", "completed", "drained")
-
-    def __init__(self, env, outstanding: int):
-        self.outstanding = outstanding
-        self.completed = 0
-        self.drained = env.event()
-
-    def done(self, result) -> None:
-        if result.ok:
-            self.completed += 1
-        self.outstanding -= 1
-        if not self.outstanding:
-            self.drained.succeed()
+def _tally(counts: list, drained, result) -> None:
+    """One driven request finished; ``counts`` is [outstanding, completed]."""
+    counts[0] -= 1
+    counts[1] += result.ok
+    if not counts[0]:
+        drained.succeed()
 
 
 def _drive(cluster: ClusterManager, spec: ScenarioSpec, requests: list):
@@ -235,14 +226,16 @@ def _drive(cluster: ClusterManager, spec: ScenarioSpec, requests: list):
     env = cluster.env
     names = composition_names(spec)
     inputs = {"data": spec.workload.payload.encode("utf-8")}
-    tally = _Tally(env, len(requests))
+    counts = [len(requests), 0]
+    drained = env.event()
+    on_done = partial(_tally, counts, drained)
     now = env.now
     for arrive_at, app in requests:
         env.call_later(
-            max(arrive_at - now, 0.0), cluster.start, names[app], inputs, tally.done
+            max(arrive_at - now, 0.0), cluster.start, names[app], inputs, on_done
         )
-    env.run(until=tally.drained)
-    return len(requests), tally.completed
+    env.run(until=drained)
+    return len(requests), counts[1]
 
 
 # -- KPIs ---------------------------------------------------------------------

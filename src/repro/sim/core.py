@@ -224,8 +224,8 @@ def _fire(call: "_Call") -> None:
     call.fn(*call.args)
 
 
-# Shared by every scheduled call, so a call allocates no callback list
-# and refers to nothing that refers back to it.
+# Shared by every scheduled call, so a call refers to nothing that
+# refers back to it.
 _FIRE = (_fire,)
 
 

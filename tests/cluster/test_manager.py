@@ -149,6 +149,38 @@ def test_crash_reroutes_in_routing_order():
     assert rerouted == [f"{i}".encode() for i in range(0, 16, 2)]
 
 
+@pytest.mark.parametrize("restore_before_reply", [False, True])
+def test_reply_of_a_crashed_worker_is_never_delivered(restore_before_reply):
+    # Worker 0 fail-stops with an invocation in flight; the simulated
+    # node still finishes it ~1 ms later, but that reply belongs to a
+    # dead attempt: the caller hears one outcome (the re-routed one),
+    # the accounting unwinds once, and the restored node serves normally.
+    cluster = make_cluster(workers=2, policy="round_robin")
+    env = cluster.env
+    crashed = cluster.workers[0]
+    outcomes = []
+    cluster.start("echo_comp", {"data": b"x"}, outcomes.append)
+    env.call_later(1e-3, cluster.fail_worker, 0)
+    if restore_before_reply:
+        env.call_later(1.1e-3, cluster.restore_worker, 0)
+    env.run()
+    assert crashed.dispatcher.invocations_completed == 1  # the lost reply was sent
+    assert [result.ok for result in outcomes] == [True]
+    assert cluster.per_worker_invocations == {0: 1, 1: 1}
+    assert cluster.reroutes == 1 and cluster.latencies.count == 1
+    assert cluster._in_flight == {0: 0, 1: 0}
+    assert cluster._crash_waiters == {0: {}, 1: {}}
+
+    if not restore_before_reply:
+        cluster.restore_worker(0)
+    assert cluster.workers[0] is not crashed
+    again = [cluster.invoke("echo_comp", {"data": b"y"}) for _ in range(2)]
+    env.run()
+    assert all(event.value.ok for event in again)
+    assert cluster.per_worker_invocations == {0: 2, 1: 2}
+    assert cluster.workers[0].dispatcher.invocations_completed == 1
+
+
 def test_stats_shape():
     cluster = make_cluster()
     cluster.invoke_and_run("echo_comp", {"data": b"x"})

@@ -7,7 +7,8 @@ deadlines convert stuck tasks into non-retryable failures instead of
 hangs.
 """
 
-from repro.errors import DeadlineExceeded
+from repro.data import DataSet
+from repro.errors import DeadlineExceeded, InvocationError
 from repro.functions import compute_function
 from repro.net import EchoService
 from repro.worker import WorkerConfig, WorkerNode
@@ -192,30 +193,21 @@ def test_deadline_expiration_is_not_retried():
 
 
 def test_deadline_failure_carries_deadline_exceeded_cause():
-    # Drive the dispatcher's task lifecycle directly on a comm step to
-    # observe the structured outcome (a released context, a NodeFailure
-    # carrying DeadlineExceeded, and no retry: it is not transient).
-    from repro.data import DataItem, DataSet
-    from repro.dispatcher.dispatcher import NodeFailure, _TaskRun
-    from repro.dispatcher.expansion import InstancePlan
-    from repro.functions import format_http_request
-
+    # The structured outcome of a missed deadline, as a caller of the
+    # dispatcher sees it: the failing node's DeadlineExceeded is the
+    # cause of the invocation's error, and it is not retried (it is not
+    # transient).
     worker = make_worker(default_timeout=0.005, max_retries=2)
     worker.network.register(EchoService(host="slowecho", extra_seconds=1.0))
     _register_slow_fetch(worker)
     dispatcher = worker.dispatcher
-    env = worker.env
-    _chain, steps = dispatcher._compile(worker.registry.composition("bk_fetch"))
 
-    request = format_http_request("GET", "http://slowecho/")
-    plan = InstancePlan(0, [DataSet("request", [DataItem("r", request)])])
-    outcomes = []
-    _TaskRun(dispatcher, 0, steps["c"], plan, lambda *args: outcomes.append(args))
-
-    env.run()
-    [(_index, context, value)] = outcomes
-    assert context is None
-    assert isinstance(value, NodeFailure)
-    assert isinstance(value.error, DeadlineExceeded)
+    result = worker.env.run(
+        until=dispatcher.invoke("bk_fetch", {"seed": DataSet("seed", [])})
+    )
+    assert not result.ok
+    assert isinstance(result.error, InvocationError)
+    assert isinstance(result.error.__cause__, DeadlineExceeded)
     assert dispatcher.retries_performed == 0
     assert dispatcher.deadline_expirations == 1
+    assert worker.memory.current_bytes == 0

@@ -69,7 +69,7 @@ def _run_chain(length, item_count, distributions, key_count, bound_middle,
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4),                                  # chain length
-    st.integers(1, 6),                                  # item count
+    st.integers(0, 6),                                  # item count
     st.lists(st.sampled_from(_DISTRIBUTIONS), min_size=4, max_size=4),
     st.integers(1, 3),                                  # distinct key count
     st.booleans(),                                      # bind a middle node's output too
@@ -79,6 +79,8 @@ def _run_chain(length, item_count, distributions, key_count, bound_middle,
 # A fan-out handed out in the heap step of the completion that produced
 # it reaches the just-freed engine first and reorders the fault draws.
 @example(2, 3, [_DISTRIBUTIONS[1]] * 4, 1, False, 0.3, None)
+# No items: an ``each`` edge delivers an empty set, zero instances.
+@example(2, 0, [_DISTRIBUTIONS[1]] * 4, 1, False, 0.0, None)
 def test_property_chain_runner_matches_general_runner(
     length, item_count, distributions, key_count, bound_middle, fault_rate, deadline
 ):
@@ -95,3 +97,16 @@ def test_mid_chain_bound_context_is_freed_at_consumption():
     chain = _run_chain(*args, general=False)
     assert chain == _run_chain(*args, general=True)
     assert chain["ok"] and set(chain["outputs"]) == {"tap", "result"}
+
+
+@pytest.mark.parametrize("distribution", _DISTRIBUTIONS[1:], ids=lambda d: d.value)
+def test_empty_delivery_expands_to_no_instances_and_completes(distribution):
+    # The first node writes nothing, so the ``each``/``key`` edge after
+    # it expands to zero instances: the node completes with empty output
+    # sets, at the same virtual time on both runners, instead of waiting
+    # for instances that were never started.
+    args = (3, 0, [distribution] * 4, 1, True, 0.0, None)
+    chain = _run_chain(*args, general=False)
+    assert chain == _run_chain(*args, general=True)
+    assert chain["ok"] and chain["outputs"] == {"tap": [], "result": []}
+    assert chain["tasks"] == 1
