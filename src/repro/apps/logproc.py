@@ -90,7 +90,7 @@ def _access_binary(auth_host: str):
 
 @compute_function(name="logproc_fanout", compute_cost=_FANOUT_SECONDS)
 def fanout(vfs):
-    response = parse_http_response_item(read_items(vfs, "endpoints")[0].data)
+    response = parse_http_response_item(read_items(vfs, "endpoints")[0])
     if response["status"] != 200:
         raise PermissionError(f"authorization failed: {response}")
     endpoints = json.loads(response["body"])
@@ -106,8 +106,8 @@ def render(vfs):
     sections = []
     total_lines = 0
     error_lines = 0
-    for item in sorted(read_items(vfs, "pages"), key=lambda i: i.ident):
-        response = parse_http_response_item(item.data)
+    for item in read_items(vfs, "pages"):  # sorted by name
+        response = parse_http_response_item(item)
         body = response["body"].decode("utf-8", errors="replace")
         lines = body.splitlines()
         total_lines += len(lines)

@@ -110,7 +110,7 @@ def parse_prompt(vfs):
 
 @compute_function(name="t2s_extract", compute_cost=PAPER_STEP_SECONDS["extract_sql"])
 def extract(vfs):
-    response = parse_http_response_item(read_items(vfs, "llm_response")[0].data)
+    response = parse_http_response_item(read_items(vfs, "llm_response")[0])
     if response["status"] != 200:
         raise RuntimeError(f"LLM call failed: {response}")
     completion = json.loads(response["body"])["completion"]
@@ -123,7 +123,7 @@ def extract(vfs):
 
 @compute_function(name="t2s_format", compute_cost=PAPER_STEP_SECONDS["format_response"])
 def format_response(vfs):
-    response = parse_http_response_item(read_items(vfs, "db_response")[0].data)
+    response = parse_http_response_item(read_items(vfs, "db_response")[0])
     if response["status"] != 200:
         raise RuntimeError(f"database query failed: {response}")
     rows = json.loads(response["body"])

@@ -9,6 +9,7 @@ from .context import (
     serialize_sets,
     serialized_size,
 )
+from .envelope import EnvelopeItem
 from .items import (
     DataItem,
     DataSet,
@@ -30,6 +31,7 @@ __all__ = [
     "serialized_size",
     "DataItem",
     "DataSet",
+    "EnvelopeItem",
     "LazyDataItem",
     "LazyDataSet",
     "group_items_by_key",

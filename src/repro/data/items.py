@@ -9,6 +9,7 @@ output data and are only used for grouping").
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -18,6 +19,7 @@ __all__ = [
     "total_size",
     "group_items_by_key",
     "is_data_set",
+    "renamed_item",
     "register_item_type",
     "register_set_type",
 ]
@@ -73,6 +75,14 @@ def register_set_type(cls) -> None:
     global _SET_TYPES
     if cls not in _SET_TYPES:
         _SET_TYPES = _SET_TYPES + (cls,)
+
+
+def renamed_item(item, ident: str):
+    """``item`` (any registered type) under a new name.  A shallow copy:
+    the payload is shared, and a lazy one is neither read nor built."""
+    clone = copy.copy(item)
+    object.__setattr__(clone, "ident", ident)  # DataItem is frozen
+    return clone
 
 
 def is_data_set(value) -> bool:

@@ -140,6 +140,13 @@ class VirtualFileSystem:
     def read_text(self, path: str, encoding: str = "utf-8") -> str:
         return self.read_bytes(path).decode(encoding)
 
+    def input_items(self, set_name: str) -> list:
+        """An input set's own items (not copies), in ``listdir`` order."""
+        data_set = self._inputs.get(set_name)
+        if data_set is None:
+            raise VfsError(f"no directory '{_IN_ROOT}/{set_name}'")
+        return sorted(data_set, key=lambda item: item.ident)
+
     def write_bytes(self, path: str, data: bytes, key: Optional[str] = None) -> None:
         """Write a whole file in one call.
 
@@ -172,10 +179,7 @@ class VirtualFileSystem:
             root = "/" + parts[0]
             set_name = parts[1]
             if root == _IN_ROOT:
-                data_set = self._inputs.get(set_name)
-                if data_set is None:
-                    raise VfsError(f"no directory {clean!r}")
-                return sorted(item.ident for item in data_set)
+                return [item.ident for item in self.input_items(set_name)]
             if root == _OUT_ROOT:
                 by_set = self._outputs_by_set.get(set_name)
                 if by_set is None:

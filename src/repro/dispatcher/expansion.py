@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..composition.graph import Distribution
-from ..data.items import DataItem, DataSet, group_items_by_key
+from ..data.items import DataSet, group_items_by_key, renamed_item
 from ..errors import InvocationError
 
 __all__ = ["InstancePlan", "expand_instances"]
@@ -145,9 +145,7 @@ def merge_instance_outputs(
                 continue
             for item in data_set:
                 if item.ident in target:
-                    target.add(
-                        DataItem(f"i{instance_index}.{item.ident}", item.data, key=item.key)
-                    )
+                    target.add(renamed_item(item, f"i{instance_index}.{item.ident}"))
                 else:
                     target.add(item)
     return merged

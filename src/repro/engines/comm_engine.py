@@ -19,11 +19,11 @@ an error to the user when validation fails.
 
 from __future__ import annotations
 
-import json
-
+from ..data.envelope import EnvelopeItem
 from ..data.items import DataItem, DataSet
 from ..functions.sdk import parse_http_request_item
 from ..net.http import HttpRequest, SanitizationError, sanitize_request
+from ..net.kv import parse_kv_request_item, sanitize_kv_request
 from ..net.network import SimulatedNetwork
 from ..sim.core import Environment
 from ..sim.resources import Store
@@ -49,6 +49,14 @@ IDEMPOTENT_METHODS = frozenset({"GET", "HEAD", "PUT", "DELETE"})
 # Same §6.1 protocol reasoning for the TCP key-value protocol: reads
 # and absolute writes can be blindly re-issued, increments cannot.
 IDEMPOTENT_KV_OPS = frozenset({"get", "set", "delete"})
+
+
+def _reply(item: DataItem, status: int, hex_field=None, payload: bytes = b"", **fields):
+    """The response item for request ``item``: same name and key, the
+    envelope ``{"status": status, **fields}`` plus ``payload`` unbuilt."""
+    return EnvelopeItem(
+        item.ident, {"status": status, **fields}, hex_field, payload, key=item.key
+    )
 
 
 class CommunicationEngine:
@@ -87,15 +95,12 @@ class CommunicationEngine:
         self._failure_rng = failure_rng
         self._transient_failure_rate = transient_failure_rate
         self._max_retries = max_retries
-        # Identity-keyed memo caches for the hot HTTP path.  Workloads
-        # re-send the same request bytes and receive the same response
-        # body object (services hand out a fixed payload), so the parse/
-        # sanitize work and the hex+JSON response encoding are computed
-        # once per distinct object.  Entries pin the keyed object, which
-        # keeps recycled ids from ever aliasing a dead one; both caches
-        # are bounded so adversarial traffic degrades to the slow path.
+        # Identity-keyed memo cache for the hot HTTP path.  Workloads
+        # re-send the same request bytes, so the parse/sanitize work is
+        # done once per distinct object.  Entries pin the keyed object,
+        # which keeps recycled ids from ever aliasing a dead one; it is
+        # bounded, so adversarial traffic degrades to the slow path.
         self._request_cache: dict[int, tuple] = {}
-        self._payload_cache: dict[int, tuple] = {}
         self.process = env.process(self._run())
 
     def _cpu_seconds(self, task: Task) -> float:
@@ -164,8 +169,8 @@ class CommunicationEngine:
             self.active_green_threads -= 1
         task.completion.succeed(outcome)
 
-    def _perform(self, request: HttpRequest):
-        """One HTTP exchange, stretched by the worker's limp factor.
+    def _stretched(self, exchange):
+        """Drive one network exchange, stretched by the worker's limp factor.
 
         A limping NIC makes the whole wire exchange proportionally
         slower: the extra wait is scheduled *after* the real exchange so
@@ -175,88 +180,37 @@ class CommunicationEngine:
         """
         throttle = self._throttle
         if throttle is None or throttle.multiplier <= 1.0:
-            response = yield from self.network.perform(request)
-            return response
+            return (yield from exchange)
         started = self.env.now
-        response = yield from self.network.perform(request)
-        extra = (throttle.multiplier - 1.0) * (self.env.now - started)
-        if extra > 0:
-            yield self.env.timeout(extra)
-        return response
-
-    def _perform_kv(self, host, op, key, value):
-        """One key-value exchange, stretched like :meth:`_perform`."""
-        throttle = self._throttle
-        if throttle is None or throttle.multiplier <= 1.0:
-            result = yield from self.network.perform_kv(host, op, key, value)
-            return result
-        started = self.env.now
-        result = yield from self.network.perform_kv(host, op, key, value)
+        result = yield from exchange
         extra = (throttle.multiplier - 1.0) * (self.env.now - started)
         if extra > 0:
             yield self.env.timeout(extra)
         return result
 
-    def _one_exchange(self, item: DataItem, protocol: str = "http", timeout=None):
-        """Carry one request item through sanitization and the network.
+    def _carry(self, item, start, reply, retryable, timeout, what, failure_rate=0.0):
+        """Run the exchange ``start()`` under the retry budget and return
+        ``reply(result)``, or the error item that gives up.
 
         Transient network failures (modelled by the injection knobs)
         and exchanges that exceed ``timeout`` are retried transparently
-        for idempotent methods; non-idempotent methods surface the
-        failure to the user as an error item, since blind re-issue
-        could duplicate side effects (§6.1).
+        when the protocol marks the request idempotent (``retryable``);
+        otherwise the failure surfaces to the user as an error item,
+        since blind re-issue could duplicate side effects (§6.1).
         """
-        data = item.data
-        cached = self._request_cache.get(id(data))
-        if cached is not None and cached[0] is data:
-            request = cached[1]
-            if request is None:
-                # Cached sanitization verdict: same bytes, same rejection.
-                return DataItem(item.ident, cached[2], key=item.key)
-        else:
-            try:
-                envelope = parse_http_request_item(data)
-                request = HttpRequest(
-                    method=envelope["method"],
-                    url=envelope["url"],
-                    headers=envelope["headers"],
-                    body=envelope["body"],
-                )
-                sanitize_request(request)
-            except (ValueError, SanitizationError) as exc:
-                payload = json.dumps({"status": 400, "error": str(exc)}).encode()
-                if len(self._request_cache) < 512:
-                    self._request_cache[id(data)] = (data, None, payload)
-                return DataItem(item.ident, payload, key=item.key)
-            if len(self._request_cache) < 512:
-                self._request_cache[id(data)] = (data, request, None)
         attempts = 0
-        retryable = request.method in IDEMPOTENT_METHODS
         while True:
-            failed = (
-                self._failure_rng is not None
-                and self._transient_failure_rate > 0
-                and self._failure_rng.bernoulli(self._transient_failure_rate)
-            )
-            if failed:
+            if (
+                failure_rate > 0
+                and self._failure_rng is not None
+                and self._failure_rng.bernoulli(failure_rate)
+            ):
                 # The connection dropped mid-exchange: charge a round
                 # trip, then decide whether the request may be retried.
                 yield self.env.timeout(self.network.latency.round_trip_seconds)
-                if retryable and attempts < self._max_retries:
-                    attempts += 1
-                    self.retries_performed += 1
-                    continue
-                payload = json.dumps(
-                    {
-                        "status": 503,
-                        "error": "connection reset",
-                        "retried": attempts,
-                        "idempotent": retryable,
-                    }
-                ).encode()
-                return DataItem(item.ident, payload, key=item.key)
-            if timeout is None:
-                response = yield from self._perform(request)
+                status, error = 503, "connection reset"
+            elif timeout is None:
+                return reply((yield from self._stretched(start())))
             else:
                 # Race the exchange against the task deadline (§6.1).
                 # The exchange runs as its own process so an overdue
@@ -264,113 +218,70 @@ class CommunicationEngine:
                 # eventual result, if any, is discarded.  The limp
                 # stretch runs inside the raced process, so a limping
                 # NIC's slow exchanges hit the deadline like real ones.
-                exchange = self.env.process(self._perform(request))
+                exchange = self.env.process(self._stretched(start()))
                 yield self.env.any_of([exchange, self.env.timeout(timeout)])
-                if not exchange.processed:
-                    self.exchange_timeouts += 1
-                    if retryable and attempts < self._max_retries:
-                        attempts += 1
-                        self.retries_performed += 1
-                        continue
-                    payload = json.dumps(
-                        {
-                            "status": 504,
-                            "error": f"exchange exceeded {timeout}s deadline",
-                            "retried": attempts,
-                            "idempotent": retryable,
-                        }
-                    ).encode()
-                    return DataItem(item.ident, payload, key=item.key)
-                response = exchange.value
-            body = response.body
-            cached = self._payload_cache.get(id(body))
-            if (
-                cached is not None
-                and cached[0] is body
-                and cached[1] == response.status
-                and cached[2] == response.reason
-            ):
-                payload = cached[3]
-            else:
-                payload = json.dumps(
-                    {
-                        "status": response.status,
-                        "reason": response.reason,
-                        "body_hex": body.hex(),
-                    }
-                ).encode()
-                if len(self._payload_cache) < 512:
-                    self._payload_cache[id(body)] = (
-                        body,
-                        response.status,
-                        response.reason,
-                        payload,
-                    )
-            return DataItem(item.ident, payload, key=item.key)
+                if exchange.processed:
+                    return reply(exchange.value)
+                self.exchange_timeouts += 1
+                status, error = 504, f"{what} exceeded {timeout}s deadline"
+            if not (retryable and attempts < self._max_retries):
+                return _reply(item, status, error=error, retried=attempts, idempotent=retryable)
+            attempts += 1
+            self.retries_performed += 1
+
+    def _one_exchange(self, item: DataItem, protocol: str = "http", timeout=None):
+        """Carry one request item through sanitization and the network;
+        only :data:`IDEMPOTENT_METHODS` may be re-issued."""
+        data = item.data
+        cached = self._request_cache.get(id(data))
+        if cached is None or cached[0] is not data:
+            try:
+                envelope = parse_http_request_item(data)
+                request = HttpRequest(
+                    envelope["method"], envelope["url"], envelope["headers"], envelope["body"]
+                )
+                cached = (data, sanitize_request(request), None)
+            except (ValueError, SanitizationError) as exc:
+                cached = (data, None, str(exc))
+            if len(self._request_cache) < 512:
+                self._request_cache[id(data)] = cached
+        _, request, rejection = cached
+        if request is None:
+            # Same bytes, same sanitization verdict.
+            return _reply(item, 400, error=rejection)
+        response = yield from self._carry(
+            item, lambda: self.network.perform(request),
+            lambda r: _reply(item, r.status, "body_hex", r.body, reason=r.reason),
+            request.method in IDEMPOTENT_METHODS, timeout, "exchange",
+            self._transient_failure_rate,
+        )
+        return response
 
     def _unknown_protocol_item(self, item: DataItem, protocol: str, timeout=None):
         """Yieldless placeholder exchange for unsupported protocols."""
         if False:  # pragma: no cover - makes this a generator
             yield None
-        return DataItem(
-            item.ident,
-            json.dumps({"status": 400, "error": f"unsupported protocol {protocol!r}"}).encode(),
-            key=item.key,
-        )
+        return _reply(item, 400, error=f"unsupported protocol {protocol!r}")
 
     def _kv_exchange(self, item: DataItem, protocol: str = "kv", timeout=None):
         """Carry one key-value request through sanitization and the
         network (§4.1's TCP text-protocol communication function).
 
-        ``timeout`` bounds each exchange; overdue reads and absolute
-        writes (:data:`IDEMPOTENT_KV_OPS`) are re-issued up to the
-        retry budget, while an overdue ``incr`` surfaces an error item
-        (a blind re-issue could double-count, §6.1).
+        Reads and absolute writes (:data:`IDEMPOTENT_KV_OPS`) may be
+        re-issued; an overdue ``incr`` surfaces an error item (a blind
+        re-issue could double-count, §6.1).
         """
-        from ..net.kv import parse_kv_request_item, sanitize_kv_request
-
         try:
             envelope = sanitize_kv_request(parse_kv_request_item(item.data))
         except (ValueError, SanitizationError) as exc:
-            return DataItem(
-                item.ident,
-                json.dumps({"status": 400, "error": str(exc)}).encode(),
-                key=item.key,
-            )
-        attempts = 0
-        retryable = envelope["op"] in IDEMPOTENT_KV_OPS
-        while True:
-            if timeout is None:
-                status, value, reason = yield from self._perform_kv(
-                    envelope["host"], envelope["op"], envelope["key"], envelope["value"]
-                )
-            else:
-                exchange = self.env.process(
-                    self._perform_kv(
-                        envelope["host"], envelope["op"], envelope["key"], envelope["value"]
-                    )
-                )
-                yield self.env.any_of([exchange, self.env.timeout(timeout)])
-                if not exchange.processed:
-                    self.exchange_timeouts += 1
-                    if retryable and attempts < self._max_retries:
-                        attempts += 1
-                        self.retries_performed += 1
-                        continue
-                    payload = json.dumps(
-                        {
-                            "status": 504,
-                            "error": f"kv exchange exceeded {timeout}s deadline",
-                            "retried": attempts,
-                            "idempotent": retryable,
-                        }
-                    ).encode()
-                    return DataItem(item.ident, payload, key=item.key)
-                status, value, reason = exchange.value
-            payload = json.dumps(
-                {"status": status, "reason": reason, "value_hex": value.hex()}
-            ).encode()
-            return DataItem(item.ident, payload, key=item.key)
+            return _reply(item, 400, error=str(exc))
+        host, op, key, value = (envelope[name] for name in ("host", "op", "key", "value"))
+        response = yield from self._carry(
+            item, lambda: self.network.perform_kv(host, op, key, value),
+            lambda r: _reply(item, r[0], "value_hex", r[1], reason=r[2]),
+            op in IDEMPOTENT_KV_OPS, timeout, "kv exchange",
+        )
+        return response
 
     _PROTOCOL_HANDLERS = {
         "http": _one_exchange,

@@ -11,7 +11,6 @@ communication functions.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Optional
 
 from ..composition.registry import (
@@ -19,6 +18,7 @@ from ..composition.registry import (
     DEFAULT_MEMORY_LIMIT,
     FunctionBinary,
 )
+from ..data.envelope import read_envelope, write_envelope
 from ..data.items import DataItem
 from ..data.vfs import VirtualFileSystem
 
@@ -65,11 +65,9 @@ def compute_function(
 
 
 def read_items(vfs: VirtualFileSystem, set_name: str) -> list[DataItem]:
-    """All items of an input set, as DataItems (name, bytes, no key)."""
-    return [
-        DataItem(item_name, vfs.read_bytes(f"/in/{set_name}/{item_name}"))
-        for item_name in vfs.listdir(f"/in/{set_name}")
-    ]
+    """An input set's own items (name, key, payload built only if
+    ``.data`` is read), sorted by name."""
+    return vfs.input_items(set_name)
 
 
 def read_all_bytes(vfs: VirtualFileSystem, set_name: str) -> bytes:
@@ -100,39 +98,22 @@ def format_http_request(
     envelope; the engine re-validates everything (§6.3), so the format
     is a convenience, not a trust boundary.
     """
-    envelope = {
-        "method": method,
-        "url": url,
-        "headers": headers or {},
-        "body_hex": body.hex(),
-    }
-    return json.dumps(envelope).encode("utf-8")
+    fields = {"method": method, "url": url, "headers": headers or {}}
+    return write_envelope(fields, "body_hex", body)
 
 
 def parse_http_request_item(data: bytes) -> dict:
     """Decode a request envelope (used by the communication engine)."""
-    envelope = json.loads(data.decode("utf-8"))
-    if not isinstance(envelope, dict):
-        raise ValueError("request envelope must be a JSON object")
-    required = {"method", "url", "headers", "body_hex"}
-    missing = required - set(envelope)
-    if missing:
-        raise ValueError(f"request envelope missing fields: {sorted(missing)}")
-    envelope["body"] = bytes.fromhex(envelope.pop("body_hex"))
-    return envelope
+    fields = {"method": str, "url": str, "headers": dict, "body_hex": bytes}
+    return read_envelope(data, "body_hex", fields, "request envelope")
 
 
-def parse_http_response_item(data: bytes) -> dict:
+def parse_http_response_item(item) -> dict:
     """Decode a response envelope produced by a communication function.
 
-    Returns a dict with ``status`` (int), ``body`` (bytes) and
-    optionally ``error``/``reason`` strings.
+    Takes the response item (fields and body are handed over by
+    reference: no JSON, no hex) or its raw bytes.  Returns a dict with
+    ``status`` (int), ``body`` (bytes) and optionally ``error``/
+    ``reason`` strings.
     """
-    envelope = json.loads(data.decode("utf-8"))
-    if not isinstance(envelope, dict) or "status" not in envelope:
-        raise ValueError("response envelope must be a JSON object with 'status'")
-    if "body_hex" in envelope:
-        envelope["body"] = bytes.fromhex(envelope.pop("body_hex"))
-    else:
-        envelope.setdefault("body", b"")
-    return envelope
+    return read_envelope(item, "body_hex", {"status": int}, "response envelope")

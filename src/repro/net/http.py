@@ -154,6 +154,8 @@ def sanitize_request(request: HttpRequest) -> HttpRequest:
     if not _valid_host(host):
         raise SanitizationError(f"invalid host {host!r}")
     for name, value in request.headers.items():
+        if not isinstance(value, str):
+            raise SanitizationError(f"header {name!r} is not a string")
         if any(c in name or c in value for c in ("\r", "\n")):
             raise SanitizationError("header contains CR/LF (injection attempt)")
     return request

@@ -18,9 +18,9 @@ module provides:
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
+from ..data.envelope import read_envelope, write_envelope
 from .http import SanitizationError, _valid_host
 
 __all__ = [
@@ -40,32 +40,17 @@ _MAX_VALUE_BYTES = 1 << 20
 
 def format_kv_request(op: str, host: str, key: str, value: bytes = b"") -> bytes:
     """Serialize a KV request item for a ``kv`` communication function."""
-    return json.dumps(
-        {"op": op, "host": host, "key": key, "value_hex": value.hex()}
-    ).encode("utf-8")
+    return write_envelope({"op": op, "host": host, "key": key}, "value_hex", value)
 
 
 def parse_kv_request_item(data: bytes) -> dict:
-    envelope = json.loads(data.decode("utf-8"))
-    if not isinstance(envelope, dict):
-        raise ValueError("kv envelope must be a JSON object")
-    missing = {"op", "host", "key", "value_hex"} - set(envelope)
-    if missing:
-        raise ValueError(f"kv envelope missing fields: {sorted(missing)}")
-    envelope["value"] = bytes.fromhex(envelope.pop("value_hex"))
-    return envelope
+    fields = {"op": str, "host": str, "key": str, "value_hex": bytes}
+    return read_envelope(data, "value_hex", fields, "kv envelope")
 
 
-def parse_kv_response_item(data: bytes) -> dict:
-    """Decode a KV response: {status, value (bytes), error?}."""
-    envelope = json.loads(data.decode("utf-8"))
-    if not isinstance(envelope, dict) or "status" not in envelope:
-        raise ValueError("kv response must be a JSON object with 'status'")
-    if "value_hex" in envelope:
-        envelope["value"] = bytes.fromhex(envelope.pop("value_hex"))
-    else:
-        envelope.setdefault("value", b"")
-    return envelope
+def parse_kv_response_item(item) -> dict:
+    """Decode a KV response item (or its bytes): {status, value (bytes), error?}."""
+    return read_envelope(item, "value_hex", {"status": int}, "kv response")
 
 
 def sanitize_kv_request(envelope: dict) -> dict:

@@ -156,10 +156,10 @@ def register_ssb_query(
     )
     def partial(vfs):
         chunk_item = read_items(vfs, "chunk")[0]
-        chunk = Table.from_bytes(parse_http_response_item(chunk_item.data)["body"])
+        chunk = Table.from_bytes(parse_http_response_item(chunk_item)["body"])
         tables = {"lineorder": chunk.with_name("lineorder")}
         for item in read_items(vfs, "dims"):
-            body = parse_http_response_item(item.data)["body"]
+            body = parse_http_response_item(item)["body"]
             tables[item.ident] = Table.from_bytes(body)
         result = run_ssb_query(query_name, tables)
         write_item(vfs, "partial", "agg", result.to_bytes())

@@ -24,8 +24,8 @@ def _node_binary(node_name: str):
     @compute_function(name=f"fn_{node_name}", compute_cost=1e-5)
     def transform(vfs):
         for item in read_items(vfs, "data"):
-            # Keys are not visible through read_items; re-derive them
-            # from the ident suffix so grouping survives each hop.
+            # Re-derive the key from the ident suffix (as the reference
+            # interpreter does) so grouping survives each hop.
             key = item.ident.split("@")[1] if "@" in item.ident else None
             write_item(
                 vfs, "data", item.ident,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.composition import Distribution
-from repro.data import DataItem, DataSet
+from repro.data import DataItem, DataSet, EnvelopeItem, parse_sets_lazy, serialize_sets
 from repro.dispatcher import expand_instances, merge_instance_outputs
 from repro.errors import InvocationError
 
@@ -135,6 +135,32 @@ def test_merge_outputs_collision_renamed():
     idents = sorted(i.ident for i in merged["out"])
     assert idents == ["i1.result", "result"]
     assert merged["out"].item("i1.result").data == b"2"
+
+
+def test_merge_collision_of_response_sets_materialises_nothing():
+    # Two comm instances each answer request "r": the second is renamed
+    # without reading its payload, for envelope items and wire views alike.
+    body = bytes(range(256)) * 8
+    envelopes = [
+        EnvelopeItem("r", {"status": 200, "reason": "OK"}, "body_hex", body, key=f"k{n}")
+        for n in range(2)
+    ]
+    (wire_a,) = parse_sets_lazy(serialize_sets([DataSet("response", items(("r", body, "a")))]))
+    (wire_b,) = parse_sets_lazy(serialize_sets([DataSet("response", items(("r", body, "b")))]))
+    for first, second in [
+        (DataSet("response", [envelopes[0]]), DataSet("response", [envelopes[1]])),
+        (wire_a, wire_b),
+    ]:
+        (second_item,) = list(second)
+        merged = merge_instance_outputs(["response"], [[first], [second]])["response"]
+        assert [i.ident for i in merged] == ["r", "i1.r"]
+        renamed = merged.item("i1.r")
+        assert type(renamed) is type(second_item) and renamed is not second_item
+        assert (renamed.key, renamed.size) == (second_item.key, second_item.size)
+        assert merged.size == first.size + second.size
+        assert second_item.ident == "r"  # the source item keeps its name
+        assert all(i._data is None for i in (*merged, second_item))  # nothing built or copied
+        assert renamed.data == second_item.data
 
 
 def test_merge_outputs_many_same_named_items_linear():

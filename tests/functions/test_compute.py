@@ -122,6 +122,19 @@ def test_read_items_helper():
     assert result.outputs[0].item("names").data == b"a,b"
 
 
+def test_read_items_returns_the_sets_own_items():
+    from repro.data import DataItem, DataSet, VfsError, VirtualFileSystem
+
+    source = DataSet("data", [DataItem("b", b"2", key="kb"), DataItem("a", b"1")])
+    vfs = VirtualFileSystem([source], [])
+    listed = read_items(vfs, "data")
+    assert [item.ident for item in listed] == vfs.listdir("/in/data") == ["a", "b"]
+    assert listed[0] is source.item("a") and listed[1] is source.item("b")  # not copies
+    assert listed[1].key == "kb"
+    with pytest.raises(VfsError, match="no directory '/in/ghost'"):
+        read_items(vfs, "ghost")
+
+
 def test_write_item_with_key():
     @compute_function()
     def keyed(vfs):
