@@ -4,8 +4,9 @@ Topology is hub-and-spoke: shards never talk to each other, only to
 the coordinator, and only at window barriers.  Each window of length
 ``window_seconds`` proceeds as
 
-1. the coordinator pulls the window's arrivals from the trace stream
-   and routes them through the :class:`~repro.dispatcher.windowed.WindowedRouter`
+1. the coordinator takes the window's arrivals from the trace stream
+   (already one list per window, cut at the same ``end``) and routes
+   them through the :class:`~repro.dispatcher.windowed.WindowedRouter`
    against the fleet view merged from the *previous* barrier's reports;
 2. every delivery time already includes the dispatch delay, the
    conservative lookahead — nothing the dispatcher decides in this
@@ -170,17 +171,15 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
     window = config.window_seconds
     dispatch_delay = config.dispatch_delay_seconds
     begin_wall = time.perf_counter()
-    stream = trace.iter_invocations()
-    pending = next(stream, None)
+    stream = trace.iter_windows(window)
     routed = 0
     windows = 0
     latencies: list = []
     while True:
         end = (windows + 1) * window
-        arrivals = []
-        while pending is not None and pending[0] < end:
-            arrivals.append(pending)
-            pending = next(stream, None)
+        # The stream ends with the first window whose end >= duration;
+        # the windows after it only drain what is still running.
+        arrivals = next(stream, ())
         routed += len(arrivals)
         batches = router.route_window(arrivals, dispatch_delay)
         for sim, batch in zip(sims, batches):
@@ -188,7 +187,7 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
             latencies += sim.drain_latencies()
         router.refresh([sim.outstanding() for sim in sims])
         windows += 1
-        if pending is None and end >= duration and len(latencies) == routed:
+        if end >= duration and len(latencies) == routed:
             break
     finals = [sim.final_summary() for sim in sims]
     wall_seconds = time.perf_counter() - begin_wall

@@ -25,6 +25,7 @@ Firecracker+Knative) replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..sim.distributions import Rng
@@ -67,10 +68,6 @@ class TraceFunction:
     burst_size: int = 1
 
 
-def _clamped_lognormal(rng: Rng, median: float, sigma: float, low: float, high: float) -> float:
-    return min(high, max(low, rng.lognormal(median, sigma)))
-
-
 def generate_functions(
     count: int,
     total_rps: float,
@@ -87,8 +84,6 @@ def generate_functions(
     # ~90% of functions average less than one invocation per minute.
     # Each function draws a class, then a log-uniform rate within it;
     # all rates are finally scaled so they sum to ``total_rps``.
-    import math
-
     classes = [
         (0.02, 0.5, 2.0),       # hot
         (0.08, 0.05, 0.5),      # medium
@@ -98,7 +93,6 @@ def generate_functions(
     raw = []
     for _ in range(count):
         draw = rng.uniform()
-        cumulative = 0.0
         for fraction, low, high in classes:
             if draw < fraction:
                 raw.append(math.exp(rng.uniform(math.log(low), math.log(high))))
@@ -122,16 +116,14 @@ def generate_functions(
         else:
             pattern, period, burst = "rare", 0.0, 1
             rate = min(rate, 1.0 / 300.0)  # at most a few per trace window
+        median = rng.lognormal(_DURATION_MEDIAN_SECONDS, _DURATION_SIGMA)
+        memory = rng.lognormal(_MEMORY_MEDIAN, _MEMORY_SIGMA)
         functions.append(
             TraceFunction(
                 name=f"fn{index:04d}",
-                median_duration_seconds=_clamped_lognormal(
-                    rng, _DURATION_MEDIAN_SECONDS, _DURATION_SIGMA, _DURATION_MIN, 3.0
-                ),
+                median_duration_seconds=min(3.0, max(_DURATION_MIN, median)),
                 duration_sigma=0.4,
-                memory_bytes=int(
-                    _clamped_lognormal(rng, _MEMORY_MEDIAN, _MEMORY_SIGMA, _MEMORY_MIN, _MEMORY_MAX)
-                ),
+                memory_bytes=int(min(_MEMORY_MAX, max(_MEMORY_MIN, memory))),
                 pattern=pattern,
                 mean_rate_rps=rate,
                 period_seconds=period,

@@ -55,6 +55,16 @@ class TestShardCountInvariance:
         for shards in (2, 3):
             assert summary_key(replay(platform, shards=shards)) == base
 
+    @pytest.mark.parametrize(
+        "window_seconds",
+        [0.7, 90.0],  # does not divide the 60 s trace; longer than it
+    )
+    def test_windows_the_duration_is_not_a_multiple_of(self, platform, window_seconds):
+        one = replay(platform, shards=1, window_seconds=window_seconds)
+        two = replay(platform, shards=2, window_seconds=window_seconds)
+        assert summary_key(one) == summary_key(two)
+        assert one.routed == one.completed == 1275
+
     def test_every_routed_invocation_completes(self, platform):
         report = replay(platform, shards=3)
         assert report.routed == report.completed > 0
@@ -114,6 +124,17 @@ class TestWindowSemantics:
     def test_window_count_covers_duration(self):
         report = replay()
         assert report.windows >= int(SMALL["duration_seconds"] / 0.5)
+
+    @pytest.mark.parametrize(
+        "platform, windows, events",
+        [("dandelion", 121, 2550), ("faas", 122, 3825)],
+    )
+    def test_partition_of_the_fixed_seed_case_is_pinned(self, platform, windows, events):
+        # Hard-coded from the per-invocation coordinator loop this
+        # replaced: a trace stream that cuts its windows elsewhere, or
+        # ends early, moves these without any oracle in the loop.
+        report = replay(platform)
+        assert (report.windows, report.events, report.routed) == (windows, events, 1275)
 
     def test_window_length_is_a_model_parameter(self):
         # Unlike the shard count, the window length changes snapshot
