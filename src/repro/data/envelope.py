@@ -26,7 +26,7 @@ class EnvelopeItem:
     forwards the raw item).
     """
 
-    __slots__ = ("ident", "key", "fields", "hex_field", "payload", "_head", "_data")
+    __slots__ = ("ident", "key", "fields", "hex_field", "payload", "_head", "_data", "__weakref__")
 
     def __init__(self, ident: str, fields: dict, hex_field=None, payload=b"", key=None):
         if not isinstance(payload, (bytes, bytearray, memoryview)):

@@ -79,7 +79,7 @@ class LazyDataItem:
     record header, so accounting never materializes the payload.
     """
 
-    __slots__ = ("ident", "key", "_blob", "_data_offset", "_data_length", "_data")
+    __slots__ = ("ident", "key", "_blob", "_data_offset", "_data_length", "_data", "__weakref__")
 
     def __init__(self, ident: str, key: Optional[str], blob, data_offset: int, data_length: int):
         self.ident = ident

@@ -122,6 +122,7 @@ class CommunicationEngine:
             # The network exchange itself runs as a green thread so the
             # engine can pick up further tasks while I/O is in flight.
             self.env.process(self._handle(task, cpu))
+            del task  # an idle engine keeps no invocation's data alive
         self.stopped.succeed(self.name)
 
     def _handle(self, task: Task, cpu_seconds: float):

@@ -90,6 +90,7 @@ class ComputeEngine:
                     self.busy_seconds += service
                     self.tasks_executed += 1
                     task.completion.succeed(outcome)
+                del task, outcome  # an idle engine keeps no invocation's data alive
         finally:
             if guard is not None:
                 guard.__exit__(None, None, None)

@@ -33,7 +33,7 @@ class TableError(Exception):
 class _LazyStrings:
     """A validated, undecoded string column: row ``i`` is
     ``text[starts[i]:ends[i]]``.  Indexing gathers offsets; the object
-    array is built once, by :meth:`values`."""
+    array is built once, by :meth:`values`, read-only: holders share it."""
 
     __slots__ = ("_text", "_starts", "_ends", "_values")
 
@@ -50,7 +50,7 @@ class _LazyStrings:
     def values(self) -> np.ndarray:
         if self._values is None:
             text, bounds = self._text, zip(self._starts.tolist(), self._ends.tolist())
-            self._values = np.asarray([text[lo:hi] for lo, hi in bounds], dtype=object)
+            self._values = _read_only(np.asarray([text[lo:hi] for lo, hi in bounds], dtype=object))
         return self._values
 
 
@@ -194,7 +194,10 @@ class Table:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Table":
         """Parse and fully validate a blob (:class:`TableError` if
-        malformed); string columns decode on first :meth:`column`."""
+        malformed); string columns decode on first :meth:`column`.
+        Numeric columns are read-only views of ``bytes``, copies of a
+        buffer its owner may reuse (``bytearray``, ``memoryview``)."""
+        copy = not isinstance(blob, bytes)
         view = memoryview(blob)
         if len(view) < 8 or bytes(view[:4]) != _MAGIC:
             raise TableError("not a serialized table (bad magic or short header)")
@@ -221,7 +224,8 @@ class Table:
             if length % dtype.itemsize or count not in (None, length // dtype.itemsize):
                 raise TableError(f"buffer of {length} bytes does not hold {count} x {dtype}")
             position += length
-            return np.frombuffer(view[position - length : position], dtype=dtype)
+            array = np.frombuffer(view[position - length : position], dtype=dtype)
+            return array.copy() if copy else array
 
         columns: dict[str, "np.ndarray | _LazyStrings"] = {}
         for column_name, kind, dtype in fields:
@@ -232,10 +236,9 @@ class Table:
                     numeric = None
                 if numeric is None or numeric.kind not in _NUMERIC_KINDS:
                     raise TableError(f"column {column_name!r} has no numeric dtype: {dtype!r}")
-                # Copied: the blob may be sandbox memory that is reused later.
-                columns[column_name] = next_array(numeric, rows).copy()
+                columns[column_name] = next_array(numeric, rows)
             elif kind == "string":
-                offsets = next_array(np.dtype("<i8"), rows + 1).copy()
+                offsets = next_array(np.dtype("<i8"), rows + 1)
                 payload = next_array(np.dtype("u1"), None).tobytes()
                 if offsets[0] != 0 or offsets[-1] > len(payload) or (offsets[1:] < offsets[:-1]).any():
                     raise TableError(f"string column {column_name!r} has invalid offsets")
@@ -273,9 +276,14 @@ def _decode_strings(payload: bytes, offsets: np.ndarray) -> "np.ndarray | _LazyS
         if len(text) == len(payload):
             return _LazyStrings(text, offsets[:-1], offsets[1:])
         bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
-        return np.asarray([payload[lo:hi].decode("utf-8") for lo, hi in bounds], dtype=object)
+        return _read_only(np.asarray([payload[lo:hi].decode("utf-8") for lo, hi in bounds], dtype=object))
     except UnicodeDecodeError as exc:
         raise TableError(f"string column is not valid UTF-8: {exc}") from exc
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _python_value(value):

@@ -115,20 +115,33 @@ def hash_join(
 ) -> Table:
     """Inner equi-join (stable argsort of the right keys, probed with
     ``searchsorted``); right-side columns may get a prefix to avoid name
-    collisions.  Keys must sort against each other and hold no NaN (it
-    would pair with NaN); uint64 against int64 compares as float64."""
+    collisions.  Keys must sort against each other; a NaN float key or
+    uint64 against signed keys (compared as float64) is a
+    :class:`TableError`.  Unique right keys take one search per left row."""
     left_values, right_values = left.column(left_key), right.column(right_key)
+    keys = f"join keys {left_key!r} and {right_key!r}"
+    dtypes = left_values.dtype, right_values.dtype
+    if any(values.dtype.kind == "f" and np.isnan(values).any() for values in (left_values, right_values)):
+        raise TableError(f"{keys} hold NaN")
+    if np.result_type(*dtypes).kind == "f" and "f" not in (dtypes[0].kind, dtypes[1].kind):
+        raise TableError(f"{keys} mix uint64 with signed integers")
     try:
         order = np.argsort(right_values, kind="stable")
         sorted_keys = right_values[order]
         first = np.searchsorted(sorted_keys, left_values, side="left")
-        counts = np.searchsorted(sorted_keys, left_values, side="right") - first
+        if len(sorted_keys) and (sorted_keys[1:] != sorted_keys[:-1]).all():
+            # Unique build keys: the only candidate is at ``first``, clamped to the end.
+            first = np.minimum(first, len(sorted_keys) - 1)
+            left_idx = np.flatnonzero(sorted_keys[first] == left_values)
+            right_idx = order[first[left_idx]]
+        else:
+            counts = np.searchsorted(sorted_keys, left_values, side="right") - first
+            left_idx = np.repeat(np.arange(len(left_values)), counts)
+            # Position of each output pair inside its left row's run of matches.
+            within = np.arange(len(left_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+            right_idx = order[np.repeat(first, counts) + within]
     except TypeError as exc:
-        raise TableError(f"join keys {left_key!r} and {right_key!r} do not compare: {exc}") from exc
-    left_idx = np.repeat(np.arange(len(left_values)), counts)
-    # Position of each output pair inside its left row's run of matches.
-    within = np.arange(len(left_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
-    right_idx = order[np.repeat(first, counts) + within]
+        raise TableError(f"{keys} do not compare: {exc}") from exc
     # The gathered columns, string ones still undecoded.
     columns = dict(left.take(left_idx)._columns)
     gathered = right.take(right_idx)._columns

@@ -14,7 +14,8 @@ dimension table; the communication function fetches them from the
 (simulated) S3 bucket; one ``partial`` instance per partition joins its
 chunk with the broadcast dimensions and computes partial aggregates;
 ``final`` merges partials (all SSB aggregates are re-aggregable sums)
-and applies the query's ordering.
+and applies the query's ordering.  An invocation's partials share one
+read-only decoded table per dimension item (:func:`broadcast_table`).
 
 This is exactly how "Dandelion quickly boots sandboxes and spreads
 query execution across all 32 CPU cores": partition parallelism via an
@@ -24,6 +25,7 @@ query execution across all 32 CPU cores": partition parallelism via an
 from __future__ import annotations
 
 import json
+import weakref
 
 from ..functions.sdk import (
     compute_function,
@@ -122,6 +124,21 @@ def load_ssb_to_store(
     return manifest
 
 
+_BROADCAST: dict[int, Table] = {}  # id(item) -> its table, while the item lives
+
+
+def broadcast_table(item) -> Table:
+    """The table in a response item, decoded once per item (by identity,
+    never content) and shared read-only by every instance that receives
+    it; the entry dies with the item, so each invocation decodes anew."""
+    key = id(item)
+    table = _BROADCAST.get(key)
+    if table is None:
+        table = _BROADCAST[key] = Table.from_bytes(parse_http_response_item(item)["body"])
+        weakref.finalize(item, _BROADCAST.pop, key, None)
+    return table
+
+
 def register_ssb_query(
     worker: WorkerNode,
     query_name: str,
@@ -159,8 +176,7 @@ def register_ssb_query(
         chunk = Table.from_bytes(parse_http_response_item(chunk_item)["body"])
         tables = {"lineorder": chunk.with_name("lineorder")}
         for item in read_items(vfs, "dims"):
-            body = parse_http_response_item(item)["body"]
-            tables[item.ident] = Table.from_bytes(body)
+            tables[item.ident] = broadcast_table(item)
         result = run_ssb_query(query_name, tables)
         write_item(vfs, "partial", "agg", result.to_bytes())
 

@@ -153,6 +153,31 @@ def test_undecoded_string_column_survives_row_and_column_operations():
     assert list(parsed.head(2).column("s")) == ["a", ""]
 
 
+def shared_sample():
+    """Numbers, ASCII strings (decoded lazily) and non-ASCII ones (at parse)."""
+    return Table("t", {"id": [1, 2], "score": [0.5, 1.5], "ascii": ["a", "b"], "text": ["é", "日本"]})
+
+
+def test_tables_parsed_from_bytes_reject_in_place_writes():
+    # Sibling instances may share one parsed table: a write must raise
+    # rather than change what the others read.
+    parsed = Table.from_bytes(shared_sample().to_bytes())
+    for name in ("id", "score", "ascii", "text"):
+        with pytest.raises(ValueError, match="read-only"):
+            parsed.column(name)[0] = parsed.column(name)[1]
+    assert parsed.to_rows() == shared_sample().to_rows()
+
+
+def test_tables_parsed_from_a_reusable_buffer_copy_it():
+    original = shared_sample().to_bytes()
+    blob = bytearray(original)
+    for source in (blob, memoryview(blob)):
+        parsed = Table.from_bytes(source)
+        blob[:] = bytes(len(blob))
+        assert parsed.to_rows() == shared_sample().to_rows()
+        blob[:] = original
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.integers(-(2**40), 2**40), min_size=0, max_size=50),

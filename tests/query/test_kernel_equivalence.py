@@ -3,7 +3,7 @@ values, row order and column dtypes."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.query import Aggregation, Table, TableError, group_aggregate, hash_join
@@ -38,7 +38,16 @@ def side(name, keys, row_column):
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_keys, int_keys, INT_DTYPES, INT_DTYPES, st.sampled_from(["", "r_"]), st.booleans())
+@given(
+    int_keys,
+    # Unique build keys take the one-search probe, duplicates the general
+    # one; drawn about equally often.
+    st.one_of(st.lists(st.integers(-3, 6), max_size=10, unique=True), int_keys),
+    INT_DTYPES, INT_DTYPES, st.sampled_from(["", "r_"]), st.booleans(),
+)
+@example([1, 2], [], np.int64, np.int64, "", False)
+@example([0, 3, 3], [3], np.int64, np.int32, "", True)
+@example([-3, 0, 6, 2, -3], [0, 2, 4], np.int64, np.int64, "", False)  # below min, above max
 def test_join_int_keys_matches_row_loop(left_keys, right_keys, left_dtype, right_dtype, prefix, wire):
     # Duplicate keys on both sides, empty sides, int32 against int64,
     # a shared key name (dropped) and a shared column name (qualified).
@@ -53,7 +62,8 @@ def test_join_int_keys_matches_row_loop(left_keys, right_keys, left_dtype, right
 
 
 @settings(max_examples=100, deadline=None)
-@given(string_keys, string_keys, st.booleans())
+@given(string_keys, st.one_of(st.lists(st.sampled_from(STRINGS), unique=True), string_keys), st.booleans())
+@example(["", "ab", "日本", "z", "a"], ["a", "ab", "é", "日本"], True)
 def test_join_string_keys_matches_row_loop(left_keys, right_keys, wire):
     left = side("l", np.asarray(left_keys, dtype=object), "lrow")
     right = side("r", np.asarray(right_keys, dtype=object), "rrow")
@@ -62,8 +72,14 @@ def test_join_string_keys_matches_row_loop(left_keys, right_keys, wire):
     assert_identical(hash_join(left, right, "k", "k"), row_loop_join(left, right, "k", "k"))
 
 
+FLOAT_KEYS = [-1.5, -0.0, 0.0, 0.5, 2.0, float("inf")]
+float_keys = st.lists(st.sampled_from(FLOAT_KEYS), max_size=20)
+
+
 @settings(max_examples=100, deadline=None)
-@given(*[st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, float("inf")]), max_size=20)] * 2)
+@given(float_keys, st.one_of(st.lists(st.sampled_from(FLOAT_KEYS), unique=True), float_keys))
+# -0.0 == 0.0: not unique build keys, so the duplicate path, two matches each.
+@example([0.0, -0.0, 0.5], [-0.0, 0.5, 0.0])
 def test_join_and_group_on_float_keys_match_row_loop(left_keys, right_keys):
     left = side("l", np.asarray(left_keys, dtype=np.float64), "lrow")
     right = side("r", np.asarray(right_keys, dtype=np.float64), "rrow")
@@ -72,28 +88,37 @@ def test_join_and_group_on_float_keys_match_row_loop(left_keys, right_keys):
     assert_identical(group_aggregate(left, ["k"], count), row_loop_group_aggregate(left, ["k"], count))
 
 
-def test_nan_keys_are_outside_the_contract():
-    # Pinned, not promised: sorting treats NaN as equal to NaN, the row
-    # loops (dict lookups) never did.  The docstrings ask for NaN-free keys.
+def test_nan_join_keys_are_a_table_error():
+    # Sorting pairs NaN with NaN, the row loop's dict lookups never do;
+    # and NaN != NaN makes a NaN-bearing build side look unique.
     nan = float("nan")
-    left = Table("l", {"k": [nan, 1.0], "lrow": [0, 1]})
-    right = Table("r", {"k": [1.0, nan, nan], "rrow": [0, 1, 2]})
-    joined = hash_join(left, right, "k", "k")
-    assert joined.column("lrow").tolist() == [0, 0, 1]
-    assert joined.column("rrow").tolist() == [1, 2, 0]
-    assert row_loop_join(left, right, "k", "k").column("rrow").tolist() == [0]
+    for left_keys, right_keys in (([nan, 1.0], [1.0, 2.0]), ([1.0], [1.0, nan, nan]), ([1, 2], [nan])):
+        left, right = Table("l", {"lk": left_keys}), Table("r", {"rk": right_keys})
+        with pytest.raises(TableError, match="'lk' and 'rk' hold NaN"):
+            hash_join(left, right, "lk", "rk")
+
+
+def test_nan_group_keys_form_one_group():
+    # As documented on group_aggregate; the row loop's dict lookups keep
+    # every NaN row apart (NaN != NaN).
+    right = Table("r", {"k": [1.0, float("nan"), float("nan")]})
     count = [Aggregation("n", "count")]
     assert group_aggregate(right, ["k"], count).column("n").tolist() == [1, 2]
     assert row_loop_group_aggregate(right, ["k"], count).column("n").tolist() == [1, 1, 1]
 
 
-def test_join_of_uint64_with_int64_keys_compares_as_float64():
-    # Also outside the contract (one signedness): above 2**53 distinct
-    # keys can collide once both sides are promoted to float64.
-    left = Table("l", {"k": np.asarray([2**53 + 1], dtype=np.uint64)})
-    right = Table("r", {"k": np.asarray([2**53], dtype=np.int64), "rrow": [0]})
-    assert hash_join(left, right, "k", "k").num_rows == 1
-    assert row_loop_join(left, right, "k", "k").num_rows == 0
+def test_join_of_uint64_with_signed_keys_is_a_table_error():
+    # searchsorted would compare as float64, where 2**53 + 1 == 2**53,
+    # while NumPy 2's == compares exactly: the two probes would disagree.
+    unsigned = Table("u", {"uk": np.asarray([2**53 + 1], dtype=np.uint64)})
+    for signed in (np.int8, np.int64):
+        other = Table("s", {"sk": np.asarray([7], dtype=signed)})
+        for a, b, keys in ((unsigned, other, ("uk", "sk")), (other, unsigned, ("sk", "uk"))):
+            with pytest.raises(TableError, match=f"'{keys[0]}' and '{keys[1]}' mix uint64"):
+                hash_join(a, b, *keys)
+        # Narrower unsigned keys promote exactly (to int64) and still join.
+        narrow = Table("n", {"k": np.asarray([7], dtype=np.uint32), "nrow": [0]})
+        assert hash_join(narrow, Table("s", {"k": np.asarray([7], dtype=signed)}), "k", "k").num_rows == 1
 
 
 def test_join_of_string_with_numeric_keys_is_a_table_error():
