@@ -52,8 +52,6 @@ except CMP000):
 
 - ``COST001`` the declared deadline is below the critical path even
   with unbounded parallelism;
-- ``COST002`` peak in-flight bytes exceed the supplied capacity
-  (warning);
 - ``COST003`` a deadline is declared but fan-out cardinality is
   statically unbounded, so the envelope is a lower bound (warning).
 
@@ -356,7 +354,7 @@ class _Analysis:
 
     # -- rules ---------------------------------------------------------------
 
-    def run_rules(self, memory_capacity: Optional[int]) -> None:
+    def run_rules(self) -> None:
         composition = self.composition
         consumed = {(edge.source, edge.source_set) for edge in composition.edges}
         consumed |= {(b.node, b.node_set) for b in composition.outputs}
@@ -373,7 +371,7 @@ class _Analysis:
         self._check_alias_double_writes()
         self._check_fanout_collisions(consumed)
         self._check_cardinality()
-        self._check_cost(memory_capacity)
+        self._check_cost()
 
     def _check_graph_shape(self, consumed, reach) -> None:
         composition = self.composition
@@ -595,7 +593,7 @@ class _Analysis:
                         "deliver identical item counts",
                     )
 
-    def _check_cost(self, memory_capacity: Optional[int]) -> None:
+    def _check_cost(self) -> None:
         summary = self.summary
         if summary.deadline_feasible is False:
             self._emit(
@@ -616,17 +614,6 @@ class _Analysis:
                 "make producers emit statically-known item names, or "
                 "accept admission on lower bounds",
             )
-        if (
-            memory_capacity is not None
-            and summary.peak_inflight_bytes > memory_capacity
-        ):
-            self._emit(
-                "COST002", WARNING,
-                f"peak in-flight bytes estimate {summary.peak_inflight_bytes} "
-                f"exceeds the {memory_capacity}-byte capacity",
-                "shrink declared memory limits or narrow the widest "
-                "parallel stage",
-            )
 
 
 # -- entry points ------------------------------------------------------------
@@ -637,16 +624,15 @@ def analyze_composition(
     registry=None,
     *,
     file: Optional[str] = None,
-    memory_capacity: Optional[int] = None,
 ) -> CompositionReport:
     """Run every CMP/RACE/CON/COST rule over one validated composition.
 
     ``registry`` supplies function binaries for the purity summaries;
     without it only the graph-structural rules and the default-cost
-    envelope run.  ``memory_capacity`` arms COST002.
+    envelope run.
     """
     analysis = _Analysis(composition, registry, file)
-    analysis.run_rules(memory_capacity)
+    analysis.run_rules()
     return CompositionReport(
         composition.name, analysis.diagnostics, analysis.summary
     )

@@ -4,12 +4,13 @@
 green threads.  It queues functions as their inputs become available
 and coordinates data movement."  Here the green threads are
 continuations: :meth:`Dispatcher.start` takes the caller's ``on_done``
-and nothing on the path of a chain-shaped composition is a simulation
-process.  A chain is walked by one :class:`_ChainRun`; every engine
-task, on either runner, is one :class:`_TaskRun` from submission to
-stored outputs.  Only a composition that fans out or joins still runs
-one process per node, which waits for its inputs and then, through one
-event, for all of its instances.  The dispatcher:
+and nothing between it and the engine queues is a simulation process.
+One invocation is one :class:`_CompositionRun`, a callback state
+machine over per-node counters — input sets still to arrive, instances
+still running, consumers still to pick up a node's outputs — and every
+engine task is one :class:`_TaskRun` from submission to stored outputs.
+A chain is the degenerate case: one node ready at a time.  The
+dispatcher:
 
 * tracks input/output dependencies and launches a node once every one
   of its input sets has been delivered;
@@ -83,8 +84,9 @@ class _NodeStep:
 
     Node structure never changes after registration, so the dispatcher
     compiles each node's hot-path constants — resolved binary, context
-    capacity, set-name order, outgoing edges, target engine group —
-    instead of re-deriving them on every invocation.
+    capacity, set-name order, target engine group, and where the node
+    sits in the plan's counter and slot arrays — instead of re-deriving
+    them on every invocation.
     """
 
     __slots__ = (
@@ -96,10 +98,14 @@ class _NodeStep:
         "input_names",
         "output_names",
         "protocol",
+        "index",
+        "first_slot",
+        "producers",
         "edges_out",
+        "bindings",
     )
 
-    def __init__(self, dispatcher: "Dispatcher", composition, node):
+    def __init__(self, dispatcher: "Dispatcher", composition, node, index_of, slot_of):
         self.node = node
         self.kind = node.kind
         if node.kind == COMPUTE:
@@ -113,10 +119,72 @@ class _NodeStep:
         self.input_names = list(node.input_sets)
         self.output_names = list(node.output_sets)
         self.protocol = getattr(node, "protocol", "http")
-        self.edges_out = [
-            (edge.target, edge.target_set, edge.distribution, edge.source_set)
-            for edge in composition.outgoing_edges(node.name)
+        name = node.name
+        self.index = index_of[name]
+        self.first_slot = slot_of[(name, self.input_names[0])] if self.input_names else 0
+        # Producer of each input set fed by an edge, in input-set order.
+        source_of = {
+            edge.target_set: index_of[edge.source]
+            for edge in composition.incoming_edges(name)
+        }
+        self.producers = [
+            source_of[set_name] for set_name in self.input_names if set_name in source_of
         ]
+        self.edges_out = [
+            (
+                index_of[edge.target],
+                slot_of[(edge.target, edge.target_set)],
+                edge.distribution,
+                edge.source_set,
+                edge.target_set,
+            )
+            for edge in composition.outgoing_edges(name)
+        ]
+        # (position in composition.outputs, bound output set)
+        self.bindings = [
+            (position, binding.node_set)
+            for position, binding in enumerate(composition.outputs)
+            if binding.node == name
+        ]
+
+
+class _Plan:
+    """A composition's execution plan (see :meth:`Dispatcher._compile`).
+
+    ``pending`` and ``consumers`` are the per-node counter templates a
+    run copies: input sets to arrive, and consumers (outgoing edges plus
+    output bindings) to pick up the node's outputs.  Every ``(node,
+    input set)`` has one slot in a flat array; ``feeds`` put the
+    composition inputs into theirs.
+    """
+
+    __slots__ = (
+        "composition", "steps", "inputs", "outputs", "feeds", "sources",
+        "pending", "consumers", "slot_count",
+    )
+
+    def __init__(self, dispatcher: "Dispatcher", composition: Composition):
+        self.composition = composition
+        index_of = {name: index for index, name in enumerate(composition.nodes)}
+        slot_of: dict[tuple[str, str], int] = {}
+        for node in composition.nodes.values():
+            for set_name in node.input_sets:
+                slot_of[(node.name, set_name)] = len(slot_of)
+        self.slot_count = len(slot_of)
+        steps = self.steps = [
+            _NodeStep(dispatcher, composition, node, index_of, slot_of)
+            for node in composition.nodes.values()
+        ]
+        self.inputs = {binding.external for binding in composition.inputs}
+        self.outputs = [binding.external for binding in composition.outputs]
+        self.feeds = [
+            (slot_of[(binding.node, binding.node_set)], index_of[binding.node],
+             binding.external, binding.node_set)
+            for binding in composition.inputs
+        ]
+        self.pending = [len(step.input_names) for step in steps]
+        self.sources = [step for step in steps if not step.input_names]
+        self.consumers = [len(step.edges_out) + len(step.bindings) for step in steps]
 
 
 @dataclass
@@ -166,7 +234,7 @@ class Dispatcher:
         "admission_rejections",
         "_cost_summaries",
         "_warm_binaries",
-        "_serial_cache",
+        "_plans",
         "_invocation_ids",
         "invocations_started",
         "invocations_completed",
@@ -224,9 +292,8 @@ class Dispatcher:
         self.admission_rejections = 0
         self._cost_summaries: dict[int, object] = {}
         self._warm_binaries: set[str] = set()
-        # Composition id -> (composition, chain steps or None, steps by
-        # name); see _compile.
-        self._serial_cache: dict[int, tuple] = {}
+        # Composition id -> its _Plan; see _compile.
+        self._plans: dict[int, _Plan] = {}
         self._invocation_ids = itertools.count()
         self.invocations_started = 0
         self.invocations_completed = 0
@@ -244,10 +311,6 @@ class Dispatcher:
         only; callers must not mutate it or rely on iteration order.
         """
         return self._warm_binaries
-
-    def is_binary_warm(self, name: str) -> bool:
-        """O(1) membership probe into the in-RAM binary cache."""
-        return name in self._warm_binaries
 
     def cost_summary(self, composition_name: str):
         """Static cost envelope of a registered composition (cached).
@@ -308,190 +371,36 @@ class Dispatcher:
     def _run_composition(self, composition: Composition, inputs: dict[str, DataSet], invocation_id: int, on_done) -> None:
         """Run one composition (top-level or nested); ``on_done`` gets
         the output-name -> DataSet dict, or the :class:`InvocationError`."""
-        expected = {binding.external for binding in composition.inputs}
-        provided = set(inputs)
-        if provided != expected:
+        plan = self._compile(composition)
+        if inputs.keys() != plan.inputs:
             on_done(
                 InvocationError(
-                    f"composition {composition.name!r} expects inputs {sorted(expected)}, "
-                    f"got {sorted(provided)}"
+                    f"composition {composition.name!r} expects inputs {sorted(plan.inputs)}, "
+                    f"got {sorted(inputs)}"
                 )
             )
             return
+        _CompositionRun(self, plan, inputs, invocation_id, on_done)
 
-        chain, steps = self._compile(composition)
-        if chain is not None:
-            # Chain-shaped composition (every node's sole successor is
-            # the next node): the event-driven schedule is provably
-            # sequential, so walk the nodes without the
-            # delivery/consumed/output event machinery.
-            _ChainRun(self, composition, inputs, invocation_id, chain, on_done)
-            return
+    def _compile(self, composition: Composition) -> _Plan:
+        """Per-composition execution plan, one :class:`_NodeStep` per node.
 
-        # One delivery event per (node, input set); values are
-        # (Distribution, DataSet-or-NodeFailure).
-        deliveries: dict[tuple[str, str], object] = {
-            (node.name, set_name): self.env.event()
-            for node in composition.nodes.values()
-            for set_name in node.input_sets
-        }
-        # "Consumed" events let producers free contexts once every
-        # data-dependent function has picked up its inputs.
-        consumed: dict[tuple[str, str], object] = {
-            key: self.env.event() for key in deliveries
-        }
-        output_events: dict[str, object] = {
-            binding.external: self.env.event() for binding in composition.outputs
-        }
-
-        state = _CompositionRun(
-            composition=composition,
-            deliveries=deliveries,
-            consumed=consumed,
-            output_events=output_events,
-            invocation_id=invocation_id,
-            steps=steps,
-        )
-
-        for node in composition.nodes.values():
-            self.env.process(self._run_node(state, node))
-
-        # Feed the composition-level inputs.
-        for binding in composition.inputs:
-            data = inputs[binding.external]
-            deliveries[(binding.node, binding.node_set)].succeed(
-                (Distribution.ALL, DataSet.renamed(data, binding.node_set))
-            )
-
-        self.env.all_of(list(output_events.values())).callbacks.append(
-            partial(self._gathered, composition, output_events, on_done)
-        )
-
-    def _gathered(self, composition, output_events, on_done, _event) -> None:
-        outputs: dict[str, DataSet] = {}
-        failure: Optional[NodeFailure] = None
-        for binding in composition.outputs:
-            value = output_events[binding.external].value
-            if isinstance(value, NodeFailure):
-                failure = value
-            else:
-                outputs[binding.external] = DataSet.renamed(value, binding.external)
-        on_done(outputs if failure is None else _node_failed(failure))
-
-    # -- serial (chain) execution ---------------------------------------------
-
-    def _compile(self, composition: Composition):
-        """Per-composition execution plan: ``(chain_steps, steps_by_name)``.
-
-        Every node gets a :class:`_NodeStep` with its static execution
-        facts resolved once — function binary, context capacity, input/
-        output set order, outgoing edges, engine group — so the per-
-        invocation hot path does no registry lookups or edge scans.
-
-        ``chain_steps`` is the topological step order when the
-        composition is a *chain* (every node's outgoing edges all target
-        the next node and every node's incoming edges all come from the
-        previous one), else ``None``.  Under the event-driven schedule a
-        chain runs strictly sequentially (node ``k+1`` cannot start
-        before node ``k`` finishes), so :class:`_ChainRun` produces
-        identical virtual-time behaviour with none of the per-node event
-        plumbing (tests/dispatcher/test_runner_equivalence.py holds the
-        two runners to that).  The plan is structural, so it is cached per
-        composition object (registrations are immutable: the registry
-        rejects re-registration under an existing name).
+        Every node's static execution facts are resolved once — function
+        binary, context capacity, input/output set order, engine group,
+        producers, outgoing edges with their target slots, output
+        bindings — so the per-invocation hot path does no registry
+        lookups or edge scans.  The plan is structural, so it is cached
+        per composition object (registrations are immutable: the
+        registry rejects re-registration under an existing name).
         """
-        cached = self._serial_cache.get(id(composition))
-        if cached is not None and cached[0] is composition:
-            return cached[1], cached[2]
-        steps_by_name = {
-            name: _NodeStep(self, composition, node)
-            for name, node in composition.nodes.items()
-        }
-        order = composition.topological_order
-        chain = [steps_by_name[name] for name in order]
-        for index in range(len(order) - 1):
-            current, successor = order[index], order[index + 1]
-            outgoing = composition.outgoing_edges(current)
-            if not outgoing or any(edge.target != successor for edge in outgoing):
-                chain = None
-                break
-            if any(
-                edge.source != current
-                for edge in composition.incoming_edges(successor)
-            ):
-                chain = None
-                break
-        self._serial_cache[id(composition)] = (composition, chain, steps_by_name)
-        return chain, steps_by_name
+        plan = self._plans.get(id(composition))
+        if plan is None or plan.composition is not composition:
+            plan = self._plans[id(composition)] = _Plan(self, composition)
+        return plan
 
     def _release_contexts(self, contexts: list) -> None:
         for context in contexts:
             self._release_context(context)
-
-    def _run_node(self, state: "_CompositionRun", node):
-        """Process executing one node of a composition run."""
-        composition = state.composition
-        delivery_events = [
-            state.deliveries[(node.name, set_name)] for set_name in node.input_sets
-        ]
-        yield self.env.all_of(delivery_events)
-        delivered = [
-            (set_name, *state.deliveries[(node.name, set_name)].value)
-            for set_name in node.input_sets
-        ]
-
-        upstream_failure = next(
-            (data for _n, _d, data in delivered if isinstance(data, NodeFailure)), None
-        )
-        if upstream_failure is not None:
-            self._mark_consumed(state, node)
-            self._propagate(state, node, failure=upstream_failure)
-            return
-
-        try:
-            plans = expand_instances(node.name, delivered)
-        except InvocationError as exc:
-            self._mark_consumed(state, node)
-            self._propagate(state, node, failure=NodeFailure(node.name, exc))
-            return
-
-        # Instances copy their inputs in as they start, in this heap
-        # step; upstream producers free theirs a step later.
-        self._mark_consumed(state, node)
-        gather = _Gather(self, state, node, len(plans))
-        step = state.steps[node.name]
-        for plan in plans:
-            self._start_instance(step, plan, state.invocation_id, gather.instance_done)
-        per_instance = yield gather.done
-        failure = next(
-            (value for value in per_instance if isinstance(value, NodeFailure)), None
-        )
-        if failure is not None:
-            self._propagate(state, node, failure=failure)
-            return
-        merged = merge_instance_outputs(list(node.output_sets), per_instance)
-        self._propagate(state, node, outputs=merged)
-
-    def _mark_consumed(self, state: "_CompositionRun", node) -> None:
-        for set_name in node.input_sets:
-            event = state.consumed[(node.name, set_name)]
-            if not event.triggered:
-                event.succeed()
-
-    def _propagate(self, state, node, outputs=None, failure=None) -> None:
-        """Deliver a node's outputs (or failure) downstream and to bindings."""
-        composition = state.composition
-        for edge in composition.outgoing_edges(node.name):
-            payload = failure if failure is not None else DataSet.renamed(
-                outputs[edge.source_set], edge.target_set
-            )
-            state.deliveries[(edge.target, edge.target_set)].succeed(
-                (edge.distribution, payload)
-            )
-        for binding in composition.outputs:
-            if binding.node == node.name:
-                value = failure if failure is not None else outputs[binding.node_set]
-                state.output_events[binding.external].succeed(value)
 
     # -- instance execution ---------------------------------------------------
 
@@ -531,28 +440,6 @@ class Dispatcher:
             delay *= 1.0 + _RETRY_JITTER_FRACTION * self.retry_rng.uniform()
         return delay
 
-    def _free_after_consumption(self, state, node, context: MemoryContext) -> None:
-        """Arrange for ``context`` to be freed once consumers are done.
-
-        Registered as a callback on the consumed/output events rather
-        than as a generator process: per instance this saves one
-        process object plus its initialize/resume event churn.
-        """
-        composition = state.composition
-        waits = [
-            state.consumed[(edge.target, edge.target_set)]
-            for edge in composition.outgoing_edges(node.name)
-        ]
-        for binding in composition.outputs:
-            if binding.node == node.name:
-                waits.append(state.output_events[binding.external])
-        if not waits:
-            self._release_context(context)
-            return
-        self.env.all_of(waits).callbacks.append(
-            lambda _event: self._release_context(context)
-        )
-
     def _release_context(self, context: MemoryContext) -> None:
         context.free()
         self.memory.release(context)
@@ -585,42 +472,266 @@ class Dispatcher:
         return True
 
 
-@dataclass
 class _CompositionRun:
-    """Shared state of one composition run."""
+    """One run of a composition: nodes are queued as their inputs arrive.
 
-    composition: Composition
-    deliveries: dict
-    consumed: dict
-    output_events: dict
-    invocation_id: int
-    steps: dict
+    Per node, ``pending`` counts the input sets still to be delivered
+    and, once the node has started, its instances still running;
+    ``consumers`` counts the consumers (outgoing edges, output bindings)
+    that have not yet picked up its outputs, and the contexts holding
+    them (``held``) are freed when it reaches zero.  Delivered sets wait
+    in ``slots`` only until their node starts.  A failure travels the
+    same edges as data and reaches the outputs it feeds.
 
+    The heap hops mirror what the former generator runner's events
+    implied (tests/dispatcher/generator_oracle.py;
+    test_runner_equivalence.py holds the two to the same schedule):
 
-class _Gather:
-    """The general runner's wait for every instance of one node:
-    ``done`` fires with their values in plan order."""
+    * a lone node with one instance starts in the heap step that
+      delivered its last input;
+    * anything more — a fan-out, several nodes ready in one step — is
+      one *batch*, started one hop later in readiness order: by then
+      the engine whose completion led here is waiting on the queue
+      again, so the tasks meet the engines (and their fault and cache
+      draws) in the same order.  A node that becomes ready while a
+      batch is pending joins it;
+    * a producer's contexts are released one hop after its last
+      consumer has started (or, for an output binding, been handed the
+      data), so after that consumer's instances have allocated;
+    * a node with no instances (an empty ``each``/``key`` delivery)
+      completes one hop after its start, after that release, and so
+      does a batch member that a failure stops;
+    * a nested composition begins, and reports back, one hop away.
 
-    __slots__ = ("dispatcher", "state", "node", "values", "remaining", "done")
+    What these hops do not reproduce: when two task completions (or
+    deadline expiries, which a batch arms for the same instant) fall in
+    one instant, the allocations and releases they cause can interleave
+    differently, because a lone start takes no hop where the former
+    runner took three.  The chain runner this replaces did the same.
+    """
 
-    def __init__(self, dispatcher: Dispatcher, state: _CompositionRun, node, count: int):
+    __slots__ = (
+        "dispatcher", "plan", "invocation_id", "on_done", "pending",
+        "consumers", "slots", "held", "outputs", "outputs_left", "batch",
+    )
+
+    def __init__(self, dispatcher: Dispatcher, plan: _Plan, inputs, invocation_id: int, on_done):
         self.dispatcher = dispatcher
-        self.state = state
-        self.node = node
-        self.values = [None] * count
-        self.remaining = count
-        self.done = dispatcher.env.event()
-        if not count:
-            # An empty ``each``/``key`` delivery: nothing to wait for.
-            self.done.succeed(self.values)
+        self.plan = plan
+        self.invocation_id = invocation_id
+        self.on_done = on_done
+        pending = self.pending = plan.pending[:]
+        self.consumers = plan.consumers[:]
+        slots = self.slots = [None] * plan.slot_count
+        self.held = [None] * len(pending)  # node -> its contexts, until consumed
+        outputs_left = self.outputs_left = len(plan.outputs)
+        self.outputs = [None] * outputs_left
+        self.batch = None
+        steps = plan.steps
+        ready = plan.sources[:]
+        for slot, node, external, node_set in plan.feeds:
+            slots[slot] = (Distribution.ALL, DataSet.renamed(inputs[external], node_set))
+            pending[node] -= 1
+            if not pending[node]:
+                ready.append(steps[node])
+        self._launch(ready)
 
-    def instance_done(self, index: int, context, value) -> None:
+    def _launch(self, ready: list) -> None:
+        """Start the steps in ``ready``, whose inputs have all arrived."""
+        batch = self.batch
+        if batch is None and len(ready) == 1:
+            step = ready[0]
+            plans = self._expand(step)
+            if isinstance(plans, NodeFailure):
+                self._consume(step)
+                self._deliver(step, None, plans)
+            elif len(plans) == 1:
+                self._consume(step)
+                self._start(step, plans)
+            elif plans:
+                self._begin_batch([(step, plans)])
+                # Scheduled after the batch: released once it has allocated.
+                self._consume(step)
+            else:
+                self._consume(step)
+                self.dispatcher.env.call_later(0.0, self._complete_empty, [step])
+            return
+        if batch is None:
+            batch = self._begin_batch([])
+        batch.extend((step, None) for step in ready)
+
+    def _begin_batch(self, batch: list) -> list:
+        # One hop from now: the engine that completed the producer is
+        # back on the queue, so the batch's tasks reach the engines in
+        # readiness order, as they did from the former runner's steps.
+        self.batch = batch
+        self.dispatcher.env.call_later(0.0, self._run_batch)
+        return batch
+
+    def _run_batch(self) -> None:
+        call_later = self.dispatcher.env.call_later
+        empty = []
+        # Steps made ready while the batch runs are appended to it.
+        for step, plans in self.batch:
+            if plans is None:
+                plans = self._expand(step)
+                self._consume(step)
+                if isinstance(plans, NodeFailure):
+                    # Passed on one hop later, in batch order with the
+                    # releases and nested starts this batch schedules.
+                    call_later(0.0, self._deliver, step, None, plans)
+                    continue
+            if plans:
+                self._start(step, plans)
+            else:
+                empty.append(step)
+        self.batch = None
+        if empty:
+            # After every hop the batch scheduled.
+            call_later(0.0, self._complete_empty, empty)
+
+    def _complete_empty(self, steps: list) -> None:
+        """Nodes with no instances (an empty ``each``/``key`` delivery)
+        complete one hop after their start, after their producers'
+        release; the nodes they make ready start together, here or in
+        the batch already pending."""
+        batch = self.batch
+        if batch is None:
+            self.batch = []
+        for step in steps:
+            self._node_done(step, [])
+        if batch is None:
+            self._run_batch()
+
+    def _expand(self, step: _NodeStep):
+        """The node's instance plans, or the :class:`NodeFailure` (from
+        upstream, or of the expansion) that stops it."""
+        slots = self.slots
+        slot = step.first_slot
+        delivered = []
+        failure = None
+        for set_name in step.input_names:
+            distribution, data = slots[slot]
+            slots[slot] = None
+            slot += 1
+            if failure is None and isinstance(data, NodeFailure):
+                failure = data
+            delivered.append((set_name, distribution, data))
+        if failure is not None:
+            return failure
+        try:
+            return expand_instances(step.node.name, delivered)
+        except InvocationError as exc:
+            return NodeFailure(step.node.name, exc)
+
+    def _consume(self, step: _NodeStep) -> None:
+        """The node has taken its inputs: count it off its producers and
+        release the contexts nobody else awaits."""
+        consumers, held = self.consumers, self.held
+        released = None
+        for producer in step.producers:
+            consumers[producer] -= 1
+            if not consumers[producer] and held[producer]:
+                released = held[producer] if released is None else released + held[producer]
+                held[producer] = None
+        if released:
+            self._release_later(released)
+
+    def _release_later(self, contexts: list) -> None:
+        # One hop from now: after the consumer's instances have allocated.
+        dispatcher = self.dispatcher
+        dispatcher.env.call_later(0.0, dispatcher._release_contexts, contexts)
+
+    def _start(self, step: _NodeStep, plans: list) -> None:
+        count = len(plans)
+        # From here on the node's pending counter counts running instances.
+        self.pending[step.index] = count
+        instance_done = partial(self._instance_done, step, [None] * count)
+        if step.kind != "composition":
+            self._start_instances(step, plans, instance_done)
+            return
+        # A nested run is one hop away on both sides, as the former
+        # runner's processes were: it begins after this node's producers
+        # are released and the nodes started beside it are on the
+        # queues, and its outcome arrives after its own last contexts
+        # are released.
+        call_later = self.dispatcher.env.call_later
+        call_later(
+            0.0, self._start_instances, step, plans, partial(call_later, 0.0, instance_done)
+        )
+
+    def _start_instances(self, step: _NodeStep, plans: list, instance_done) -> None:
+        start_instance = self.dispatcher._start_instance
+        invocation_id = self.invocation_id
+        for plan in plans:
+            start_instance(step, plan, invocation_id, instance_done)
+
+    def _instance_done(self, step: _NodeStep, values: list, index: int, context, value) -> None:
+        values[index] = value
+        node = step.index
         if context is not None:
-            self.dispatcher._free_after_consumption(self.state, self.node, context)
-        self.values[index] = value
-        self.remaining -= 1
-        if not self.remaining:
-            self.done.succeed(self.values)
+            if not self.consumers[node]:
+                # Nothing consumes this node's outputs.
+                self.dispatcher._release_context(context)
+            elif self.held[node] is None:
+                self.held[node] = [context]
+            else:
+                self.held[node].append(context)
+        self.pending[node] -= 1
+        if not self.pending[node]:
+            self._node_done(step, values)
+
+    def _node_done(self, step: _NodeStep, values: list) -> None:
+        for value in values:
+            if isinstance(value, NodeFailure):
+                # Successful siblings' contexts go when consumers take it.
+                self._deliver(step, None, value)
+                return
+        self._deliver(step, merge_instance_outputs(step.output_names, values), None)
+
+    def _deliver(self, step: _NodeStep, outputs, failure) -> None:
+        """Hand a node's outputs (or failure) to its consumers."""
+        bindings = step.bindings
+        if bindings:
+            # Output bindings take the data now; counted first, so a
+            # release this causes is scheduled before anything below.
+            node = step.index
+            left = self.consumers[node] = self.consumers[node] - len(bindings)
+            if not left and self.held[node]:
+                self._release_later(self.held[node])
+                self.held[node] = None
+        if step.edges_out:
+            slots = self.slots
+            pending = self.pending
+            steps = self.plan.steps
+            ready = []
+            for target, slot, distribution, source_set, target_set in step.edges_out:
+                slots[slot] = (
+                    distribution,
+                    failure or DataSet.renamed(outputs[source_set], target_set),
+                )
+                pending[target] -= 1
+                if not pending[target]:
+                    ready.append(steps[target])
+            if ready:
+                self._launch(ready)
+        if bindings:
+            for position, node_set in bindings:
+                self.outputs[position] = failure or outputs[node_set]
+                self.outputs_left -= 1
+            if not self.outputs_left:
+                self._finish()
+
+    def _finish(self) -> None:
+        outputs: dict[str, DataSet] = {}
+        failure: Optional[NodeFailure] = None
+        for external, value in zip(self.plan.outputs, self.outputs):
+            if isinstance(value, NodeFailure):
+                failure = value
+            else:
+                outputs[external] = DataSet.renamed(value, external)
+        self.outputs = None
+        self.on_done(outputs if failure is None else _node_failed(failure))
 
 
 class _TaskRun:
@@ -763,126 +874,3 @@ class _TaskRun:
     def _fail(self, error: BaseException) -> None:
         self.dispatcher._release_context(self.context)
         self.on_done(self.index, None, NodeFailure(self.task.node_name, error))
-
-
-class _ChainRun:
-    """One run of a chain composition, node by node, as callbacks.
-
-    Timing-equivalent to the general event-driven path: instances run
-    through the same :class:`_TaskRun`, and a producer's contexts are
-    released one zero-delay heap hop after its successor has allocated
-    (matching the consumed-event hop of the general path); the last
-    node's when the composition completes.
-    """
-
-    __slots__ = (
-        "dispatcher", "composition", "invocation_id", "steps", "delivered",
-        "outputs", "pending", "step", "results", "remaining", "on_done",
-    )
-
-    def __init__(self, dispatcher: Dispatcher, composition, inputs, invocation_id, chain, on_done):
-        self.dispatcher = dispatcher
-        self.composition = composition
-        self.invocation_id = invocation_id
-        self.steps = iter(chain)
-        self.on_done = on_done
-        delivered = self.delivered = {name: {} for name in composition.nodes}
-        for binding in composition.inputs:
-            delivered[binding.node][binding.node_set] = (
-                Distribution.ALL,
-                DataSet.renamed(inputs[binding.external], binding.node_set),
-            )
-        self.outputs: dict[str, dict] = {}   # node name -> merged output sets
-        self.pending: list[MemoryContext] = []  # previous node's, freed at successor launch
-        self._advance()
-
-    def _advance(self) -> None:
-        step = self.step = next(self.steps, None)
-        if step is None:
-            outputs = self.outputs
-            self._finish(
-                {
-                    binding.external: DataSet.renamed(
-                        outputs[binding.node][binding.node_set], binding.external
-                    )
-                    for binding in self.composition.outputs
-                }
-            )
-            return
-        node = step.node
-        node_deliveries = self.delivered[node.name]
-        triples = [
-            (set_name, *node_deliveries[set_name]) for set_name in step.input_names
-        ]
-        try:
-            plans = expand_instances(node.name, triples)
-        except InvocationError as exc:
-            self._finish(_node_failed(NodeFailure(node.name, exc)))
-            return
-        count = self.remaining = len(plans)
-        self.results = [None] * count
-        call_later = self.dispatcher.env.call_later
-        if count > 1:
-            # A fan-out starts one heap hop from now, as it does under
-            # the general runner: by then the engine whose completion
-            # led here is waiting on the queue again, so the tasks meet
-            # the engines (and their fault and cache draws) in the same
-            # order.
-            call_later(0.0, self._start, plans)
-        # Scheduled before the instances allocate, run after.
-        self._release_pending()
-        if count == 1:
-            self._start(plans)
-        elif not count:
-            # An empty ``each``/``key`` delivery: no instances, empty
-            # output sets, and on to the successor after that release.
-            call_later(0.0, self._node_done)
-
-    def _start(self, plans) -> None:
-        for plan in plans:
-            self.dispatcher._start_instance(
-                self.step, plan, self.invocation_id, self._instance_done
-            )
-
-    def _instance_done(self, index: int, context, value) -> None:
-        self.results[index] = (value, context)
-        self.remaining -= 1
-        if not self.remaining:
-            self._node_done()
-
-    def _node_done(self) -> None:
-        results = self.results
-        # Failed instances released their context already; successful
-        # siblings' contexts are consumed by the failure propagation, as
-        # in the general path.
-        self.pending = [ctx for _value, ctx in results if ctx is not None]
-        values = [value for value, _ctx in results]
-        failure = next(
-            (value for value in values if isinstance(value, NodeFailure)), None
-        )
-        if failure is not None:
-            self._finish(_node_failed(failure))
-            return
-        step = self.step
-        merged = self.outputs[step.node.name] = merge_instance_outputs(
-            step.output_names, values
-        )
-        for target, target_set, distribution, source_set in step.edges_out:
-            self.delivered[target][target_set] = (
-                distribution,
-                DataSet.renamed(merged[source_set], target_set),
-            )
-        self._advance()
-
-    def _release_pending(self) -> None:
-        """Release the pending contexts one heap hop from now, where the
-        general path's free condition fires: in a heap step at the same
-        virtual time as consumption."""
-        if self.pending:
-            dispatcher = self.dispatcher
-            dispatcher.env.call_later(0.0, dispatcher._release_contexts, self.pending)
-            self.pending = []
-
-    def _finish(self, outcome) -> None:
-        self._release_pending()
-        self.on_done(outcome)

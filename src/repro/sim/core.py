@@ -59,25 +59,12 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event lifecycle states.
@@ -249,14 +236,13 @@ class Process(Event):
     is the generator's return value.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
     @property
@@ -264,35 +250,11 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state == _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process blocked on an event detaches it from that event.
-        """
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is self:
-            raise SimulationError("process cannot interrupt itself")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event._state = _TRIGGERED
-        # Detach from the event the process currently waits on, so the
-        # original event's callback no longer resumes us.
-        if self._target is not None and self._resume in self._target.callbacks:
-            self._target.callbacks.remove(self._resume)
-        self._target = None
-        interrupt_event.callbacks.append(self._resume)
-        self.env._schedule(interrupt_event, priority=0)
-
     # -- internal -----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         env = self.env
         generator = self._generator
-        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -330,7 +292,6 @@ class Process(Event):
                     continue
 
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
 
             exc = SimulationError(
@@ -340,8 +301,6 @@ class Process(Event):
             event._ok = False
             event._value = exc
             event._defused = True
-
-        env._active_process = None
 
 
 class _Condition(Event):
@@ -430,23 +389,17 @@ class AnyOf(_Condition):
 class Environment:
     """The simulation environment: virtual clock plus event queue."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process")
+    __slots__ = ("_now", "_queue", "_seq")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event | _Call]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- factories ----------------------------------------------------
 
@@ -492,11 +445,6 @@ class Environment:
     def events_scheduled(self) -> int:
         """Heap entries (events and calls) scheduled so far."""
         return self._seq
-
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -1,6 +1,6 @@
 """Seeded violation corpus for the composition analyzer's RACE/CON/COST rules.
 
-Eighteen compositions, each deliberately racy or contract-breaking in
+Seventeen compositions, each deliberately racy or contract-breaking in
 one specific way, proving every RACE/CON/COST rule fires (mirroring the
 purity pass's 18/18 dynamic-violation table from PR 4).  The corpus is
 shared by test_dataflow.py and test_registry_verify.py:
@@ -17,7 +17,7 @@ their source; they exercise both the raw-vfs and SDK read/write paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.compositions import CompositionReport, analyze_composition
 from repro.composition.dsl import parse_composition
@@ -204,7 +204,6 @@ class CorpusEntry:
     description: str
     dsl: str
     expected_codes: tuple        # codes that must all fire
-    analyze_kwargs: dict = field(default_factory=dict)
 
 
 CORPUS = [
@@ -468,24 +467,6 @@ CORPUS = [
         expected_codes=("COST001",),
     ),
     CorpusEntry(
-        name="cost_memory_wide",
-        rule="COST002",
-        description="3-wide fan-out of 64 MiB contexts vs 1 MiB capacity",
-        dsl="""
-        composition cost_memory_wide {
-            compute gen uses df_emit3 in(src) out(parts);
-            compute work uses df_item_copy in(part) out(dst);
-            compute sink uses df_collect in(dst) out(result);
-            input start -> gen.src;
-            gen.parts -> work.part [each];
-            work.dst -> sink.dst [all];
-            output sink.result -> result;
-        }
-        """,
-        expected_codes=("COST002",),
-        analyze_kwargs={"memory_capacity": 1 << 20},
-    ),
-    CorpusEntry(
         name="cost_unbounded_fanout",
         rule="COST003",
         description="deadline declared over a statically unbounded fan-out",
@@ -525,9 +506,7 @@ def build_registry() -> Registry:
 def analyze_entry(entry: CorpusEntry, registry=None) -> CompositionReport:
     if registry is None:
         registry = build_registry()
-    return analyze_composition(
-        registry.composition(entry.name), registry, **entry.analyze_kwargs
-    )
+    return analyze_composition(registry.composition(entry.name), registry)
 
 
 def analyze_corpus(registry=None) -> dict:

@@ -17,7 +17,7 @@ from .dataflow_corpus import CORPUS, analyze_corpus, build_registry
 ALL_RULES = (
     "RACE001", "RACE002", "RACE003", "RACE004",
     "CON001", "CON002", "CON003",
-    "COST001", "COST002", "COST003",
+    "COST001", "COST003",
 )
 
 
@@ -105,10 +105,19 @@ def test_cost_summary_chain_numbers(registry, corpus_reports):
 
 
 def test_cost_summary_wide_fanout(corpus_reports):
-    summary = corpus_reports["cost_memory_wide"].summary
+    summary = corpus_reports["race_fanout_each"].summary
     assert summary.max_parallel_width == 3  # each over 3 constant items
     assert summary.deadline_seconds is None
     assert summary.deadline_feasible is None
+
+
+def test_memory_capacity_rule_is_gone(registry):
+    # COST002 compared the peak estimate with a capacity only a caller
+    # could supply, and no caller did.
+    with pytest.raises(TypeError):
+        analyze_composition(
+            registry.composition("race_fanout_each"), registry, memory_capacity=1
+        )
 
 
 def test_cost_summary_unbounded(corpus_reports):

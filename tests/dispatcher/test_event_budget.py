@@ -1,4 +1,4 @@
-"""Kernel events scheduled per echo invocation: an exact, deterministic pin.
+"""Kernel events scheduled per invocation: exact, deterministic pins.
 
 The request path is continuation-passing (docs/architecture.md): two
 frontend calls, the engine's queue hand-off and the task completion are
@@ -11,12 +11,23 @@ an item named after the input set), so the first two pins cover the
 path where the task fails and its context is released in place; the
 hedging pin uses an echo that succeeds, which adds the zero-delay call
 that releases the producer's context.
+
+The DAG pins (one SSB query, one logproc invocation) run through the
+communication engines, whose green threads are still processes; what
+they pin is that no process comes from the dispatcher: a composition
+run is one callback state machine however it fans out or joins.
 """
+
+import os
 
 import pytest
 
+from repro import dispatcher
+from repro.apps import DEFAULT_TOKEN, register_logproc_app, setup_log_services
 from repro.cluster.manager import ClusterManager
 from repro.functions import compute_function
+from repro.net import ObjectStoreService
+from repro.query import generate_ssb_tables, load_ssb_to_store, register_ssb_query
 from repro.sim import core
 from repro.worker import WorkerConfig, WorkerNode
 
@@ -113,3 +124,46 @@ def test_hedging_cluster_with_deadline_event_budget(processes_created):
     assert events_per_invocation(cluster, processes_created, "gray_echo") == 9
     assert cluster.hedges_issued == 0
     assert cluster.latencies.count == cluster.hedge_min_samples + 1 + INVOCATIONS
+
+
+DISPATCHER_DIR = os.path.dirname(dispatcher.__file__) + os.sep
+
+
+def dag_events_per_invocation(worker, processes_created, composition, inputs, count) -> float:
+    assert worker.invoke_and_run(composition, inputs).ok  # warm-up: plan, binary cache
+    del processes_created[:]
+    before = worker.env.events_scheduled
+    for _ in range(count):
+        assert worker.invoke_and_run(composition, inputs).ok
+    assert processes_created, "the comm engines still run green-thread processes"
+    assert not [
+        generator for generator in processes_created
+        if generator.gi_code.co_filename.startswith(DISPATCHER_DIR)
+    ]
+    return (worker.env.events_scheduled - before) / count
+
+
+def test_ssb_query_event_budget(processes_created):
+    # gen -> (fetch_lo, fetch_dims) -> 4 partials -> final.  Six of the
+    # entries are the runner's own calls (two batches, four context
+    # releases); the process per vertex made it 106.
+    worker = WorkerNode(WorkerConfig(total_cores=8, control_plane_enabled=False))
+    store = ObjectStoreService()
+    worker.network.register(store)
+    load_ssb_to_store(generate_ssb_tables(scale_factor=0.001, seed=1), store, partitions=4)
+    composition = register_ssb_query(worker, "Q2.1", partitions=4)
+    assert dag_events_per_invocation(
+        worker, processes_created, composition, {"query": b"Q2.1"}, 3
+    ) == 70
+
+
+def test_logproc_event_budget(processes_created):
+    # A chain with an ``each`` fan-out.  Six of the entries are the
+    # runner's own calls: one batch (the four fetches) and a context
+    # release per node.
+    worker = WorkerNode(WorkerConfig(total_cores=4, control_plane_enabled=False))
+    setup_log_services(worker, shard_count=4, lines_per_shard=20)
+    composition = register_logproc_app(worker)
+    assert dag_events_per_invocation(
+        worker, processes_created, composition, {"token": DEFAULT_TOKEN.encode()}, 5
+    ) == 52

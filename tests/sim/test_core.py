@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
-    Interrupt,
     SimulationError,
 )
 
@@ -327,35 +326,14 @@ def test_any_of_duplicate_events_fire_once():
     assert env.run(until=p) == {evt: "x"}
 
 
-def test_interrupt_wakes_blocked_process():
-    env = Environment()
-
-    def victim():
-        try:
-            yield env.timeout(100)
-            return "finished"
-        except Interrupt as interrupt:
-            return ("interrupted", env.now, interrupt.cause)
-
-    def attacker(target):
-        yield env.timeout(2)
-        target.interrupt(cause="preempted")
-
-    v = env.process(victim())
-    env.process(attacker(v))
-    assert env.run(until=v) == ("interrupted", 2, "preempted")
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
+def test_interrupt_is_gone():
+    # Nothing in the program interrupts a process: work that may be
+    # abandoned is a scheduled call or a raced event instead.
+    with pytest.raises(ImportError):
+        from repro.sim import Interrupt  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.sim.core import Interrupt  # noqa: F401, F811
+    assert not hasattr(Environment(), "active_process")
 
 
 def test_peek_reports_next_event_time():
@@ -364,20 +342,6 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 7
     env.run()
     assert env.peek() == float("inf")
-
-
-def test_active_process_visible_inside():
-    env = Environment()
-    seen = []
-
-    def proc():
-        seen.append(env.active_process)
-        yield env.timeout(1)
-
-    p = env.process(proc())
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
 
 
 def test_run_until_event_exhaustion_error():
