@@ -61,6 +61,10 @@ HOT_PATH_MODULES = (
     "sim/cpu.py",
     "sim/resources.py",
     "engines/task.py",
+    "engines/compute_engine.py",
+    "engines/comm_engine.py",
+    "engines/group.py",
+    "net/network.py",
     "dispatcher/dispatcher.py",
     "dispatcher/memory.py",
     "data/context.py",

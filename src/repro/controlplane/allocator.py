@@ -1,4 +1,4 @@
-"""Control-plane process: periodic core re-allocation between engine types.
+"""Control plane: periodic core re-allocation between engine types.
 
 The decision — move a core toward compute, toward communication, or
 hold — is a pluggable core-scheduling policy from the unified layer
@@ -13,6 +13,7 @@ function type can be starved entirely.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from ..engines.group import EngineGroup
@@ -51,9 +52,6 @@ class CoreAllocator:
         self.comm_group = comm_group
         self.epoch_seconds = epoch_seconds
         self.policy = policy if policy is not None else PiCorePolicy(config)
-        # Back-compat: the wrapped PI controller stays reachable for
-        # telemetry (last error/signal); None for non-PI policies.
-        self.controller = getattr(self.policy, "controller", None)
         self.min_engines = min_engines
         self.enabled = enabled
         self.reassignments: list[tuple[float, str]] = []
@@ -61,42 +59,42 @@ class CoreAllocator:
         self._previous_compute_queue = 0
         self._previous_comm_queue = 0
         if enabled:
-            self.process = env.process(self._run())
+            # The first epoch is armed one hop from now, after the events
+            # scheduled while the worker is built.
+            env.call_later(0.0, env.call_later, epoch_seconds, self._epoch)
 
-    @property
-    def compute_cores(self) -> int:
-        return self.compute_group.engine_count
+    def _epoch(self) -> None:
+        compute_queue = self.compute_group.sample_queue()
+        comm_queue = self.comm_group.sample_queue()
+        snapshot = CoreSnapshot(
+            self.env.now,
+            compute_queue,
+            comm_queue,
+            compute_queue - self._previous_compute_queue,
+            comm_queue - self._previous_comm_queue,
+            self.compute_group.engine_count,
+            self.comm_group.engine_count,
+            self.min_engines,
+        )
+        self._previous_compute_queue = compute_queue
+        self._previous_comm_queue = comm_queue
+        decision = self.policy.decide(snapshot)
+        # A move waits for the retiring engine to finish its task; the
+        # next epoch is counted from the end of the move.
+        if decision > 0 and self.comm_group.engine_count > self.min_engines:
+            self.comm_group.shrink(partial(self._moved, self.compute_group, "comm->compute"))
+        elif decision < 0 and self.compute_group.engine_count > self.min_engines:
+            self.compute_group.shrink(partial(self._moved, self.comm_group, "compute->comm"))
+        else:
+            self._epoch_done()
 
-    @property
-    def comm_cores(self) -> int:
-        return self.comm_group.engine_count
+    def _moved(self, grown: EngineGroup, direction: str, _retired) -> None:
+        grown.grow()
+        self.reassignments.append((self.env.now, direction))
+        self._epoch_done()
 
-    def _run(self):
-        while True:
-            yield self.env.timeout(self.epoch_seconds)
-            compute_queue = self.compute_group.sample_queue()
-            comm_queue = self.comm_group.sample_queue()
-            snapshot = CoreSnapshot(
-                self.env.now,
-                compute_queue,
-                comm_queue,
-                compute_queue - self._previous_compute_queue,
-                comm_queue - self._previous_comm_queue,
-                self.compute_group.engine_count,
-                self.comm_group.engine_count,
-                self.min_engines,
-            )
-            self._previous_compute_queue = compute_queue
-            self._previous_comm_queue = comm_queue
-            decision = self.policy.decide(snapshot)
-            if decision > 0 and self.comm_group.engine_count > self.min_engines:
-                yield self.comm_group.shrink()
-                self.compute_group.grow()
-                self.reassignments.append((self.env.now, "comm->compute"))
-            elif decision < 0 and self.compute_group.engine_count > self.min_engines:
-                yield self.compute_group.shrink()
-                self.comm_group.grow()
-                self.reassignments.append((self.env.now, "compute->comm"))
-            self.allocation_history.append(
-                (self.env.now, self.compute_cores, self.comm_cores)
-            )
+    def _epoch_done(self) -> None:
+        self.allocation_history.append(
+            (self.env.now, self.compute_group.engine_count, self.comm_group.engine_count)
+        )
+        self.env.call_later(self.epoch_seconds, self._epoch)

@@ -746,7 +746,7 @@ class _TaskRun:
 
     __slots__ = (
         "dispatcher", "step", "index", "task", "context", "deadline_at",
-        "attempts", "on_done",
+        "attempts", "waiting", "on_done",
     )
 
     def __init__(self, dispatcher: Dispatcher, invocation_id: int, step: _NodeStep, plan, on_done):
@@ -755,6 +755,7 @@ class _TaskRun:
         self.index = plan.index
         self.on_done = on_done
         self.attempts = 0
+        self.waiting = False
         node_name = step.node.name
         binary = step.binary
         context = self.context = MemoryContext(
@@ -771,16 +772,12 @@ class _TaskRun:
             kind=step.kind,
             input_sets=plan.input_sets,
             output_set_names=step.output_names,
-            completion=env.event(),
-            context=context,
             binary=binary,
             cached=dispatcher._binary_cached(binary) if binary is not None else False,
             zero_copy=zero_copy,
             protocol=step.protocol,
             timeout=timeout,
-            invocation_id=invocation_id,
             node_name=node_name,
-            instance_index=plan.index,
         )
         # The deadline is a budget for the whole node execution —
         # attempts *and* the backoff sleeps between them — anchored at
@@ -790,27 +787,24 @@ class _TaskRun:
         self._submit()
 
     def _submit(self) -> None:
-        """Queue the task and wait for its completion, bounded by the
+        """Queue the task and wait for its outcome, bounded by the
         *remaining* budget until ``deadline_at`` (§6.1).  A missed
         deadline is a non-retryable :class:`DeadlineExceeded`; the
         engine may still finish the task later in virtual time, but its
-        completion then fires with no waiters and the result is
-        discarded."""
-        task = self.task
-        self.step.group.submit(task)
+        outcome then finds the run no longer waiting and is discarded."""
+        self.waiting = True
+        self.step.group.submit(self.task, self._completed)
         if self.deadline_at is not None:
             env = self.dispatcher.env
             remaining = self.deadline_at - env.now
             if remaining <= 0:
                 self._expire()
                 return
-            env.call_later(remaining, self._deadline, task.completion)
-        task.completion.callbacks.append(self._completed)
+            env.call_later(remaining, self._deadline, self.attempts)
 
-    def _deadline(self, completion) -> None:
+    def _deadline(self, attempt: int) -> None:
         # The timer of an attempt that already completed is stale.
-        if not completion.processed:
-            completion.callbacks.remove(self._completed)
+        if self.waiting and attempt == self.attempts:
             self._expire()
 
     def _expire(self, backing_off_for_retry: int = 0) -> None:
@@ -825,8 +819,10 @@ class _TaskRun:
             how = f"missed its {task.timeout}s deadline"
         self._fail(DeadlineExceeded(f"node {task.node_name!r} {how}"))
 
-    def _completed(self, completion) -> None:
-        outcome: TaskOutcome = completion.value
+    def _completed(self, outcome: TaskOutcome) -> None:
+        if not self.waiting:
+            return  # the deadline expired first
+        self.waiting = False
         dispatcher = self.dispatcher
         if outcome.success:
             # Outputs live in the instance's context until consumers
@@ -862,15 +858,14 @@ class _TaskRun:
         dispatcher.env.call_later(delay, self._resubmit)
 
     def _resubmit(self) -> None:
-        # Retry the same task with fresh per-attempt state: a new
-        # completion event and a re-drawn cache outcome (identical rng
-        # stream to rebuilding the task).
+        # Retry the same task with a re-drawn cache outcome (identical
+        # rng stream to rebuilding the task).
         task = self.task
-        task.completion = self.dispatcher.env.event()
         if task.binary is not None:
             task.cached = self.dispatcher._binary_cached(task.binary)
         self._submit()
 
     def _fail(self, error: BaseException) -> None:
+        self.waiting = False
         self.dispatcher._release_context(self.context)
         self.on_done(self.index, None, NodeFailure(self.task.node_name, error))

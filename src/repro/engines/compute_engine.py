@@ -5,50 +5,41 @@ code. ... Compute functions do not block, so each compute engine only
 runs a single task at a time to completion to minimize interference and
 context switching." (§5)
 
-An engine is a simulation process pinned to one CPU core: it polls the
-compute task queue ("late binding"), charges the full sandbox breakdown
+An engine is pinned to one CPU core.  Its group hands it the oldest
+queued task ("late binding"); it charges the full sandbox breakdown
 (Table 1 stages plus modelled compute time) as busy time on its core,
-and reports a :class:`TaskOutcome`.
+reports a :class:`TaskOutcome` when that time has passed, and asks the
+group for the next task in the same step.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..backends.base import IsolationBackend
 from ..errors import FunctionFailure, FunctionTimeout, MemoryLimitExceeded
-from ..functions.purity import purity_guard
 from ..sim.core import Environment
-from ..sim.resources import Store
 from .task import Task, TaskOutcome
 
-__all__ = ["ComputeEngine", "SHUTDOWN"]
-
-# Sentinel pushed onto a queue to retire exactly one engine.
-SHUTDOWN = object()
+__all__ = ["ComputeEngine"]
 
 
 class ComputeEngine:
     """One compute engine bound to one CPU core."""
 
+    __slots__ = (
+        "env", "group", "backend", "name", "tasks_executed", "busy_seconds",
+        "_failure_rng", "_transient_failure_rate", "_throttle",
+    )
+
     def __init__(
-        self,
-        env: Environment,
-        queue: Store,
-        backend: IsolationBackend,
-        name: str = "compute-engine",
-        failure_rng=None,
-        transient_failure_rate: float = 0.0,
-        batch_guard: bool = False,
-        throttle=None,
+        self, env: Environment, group, backend: IsolationBackend, name: str = "compute-engine",
+        failure_rng=None, transient_failure_rate: float = 0.0, throttle=None,
     ):
         self.env = env
-        self.queue = queue
+        self.group = group
         self.backend = backend
         self.name = name
         self.tasks_executed = 0
         self.busy_seconds = 0.0
-        self.stopped = env.event()
         self._failure_rng = failure_rng
         self._transient_failure_rate = transient_failure_rate
         # Degraded-mode (limplock) model: the worker's shared throttle
@@ -56,45 +47,29 @@ class ComputeEngine:
         # and `service * 1.0 == service` exactly, so the fault-free
         # event stream is bit-identical to a build without throttling.
         self._throttle = throttle
-        # Engine-scoped purity guard: hold the (re-entrant) guard for
-        # the engine's whole lifetime so each compute run's own guard
-        # is a counter bump instead of the patch/unpatch loop.  Only
-        # safe when nothing else in the program performs blocked
-        # operations (open/sockets/...) while the simulation runs, so
-        # it is opt-in.
-        self._batch_guard = batch_guard
-        self.process = env.process(self._run())
 
-    def _run(self):
-        guard = purity_guard() if self._batch_guard else None
-        if guard is not None:
-            guard.__enter__()
-        try:
-            while True:
-                task = yield self.queue.get()
-                if task is SHUTDOWN:
-                    break
-                outcome = self._execute(task)
-                service = outcome.service_seconds
-                if self._throttle is not None:
-                    service *= self._throttle.multiplier
-                if service > 0:
-                    # Fire the completion directly at now + service and
-                    # stay busy by waiting on it — one event instead of
-                    # a Timeout followed by an immediate succeed.
-                    task.completion.succeed(outcome, delay=service)
-                    yield task.completion
-                    self.busy_seconds += service
-                    self.tasks_executed += 1
-                else:
-                    self.busy_seconds += service
-                    self.tasks_executed += 1
-                    task.completion.succeed(outcome)
-                del task, outcome  # an idle engine keeps no invocation's data alive
-        finally:
-            if guard is not None:
-                guard.__exit__(None, None, None)
-        self.stopped.succeed(self.name)
+    def run(self, task: Task, on_done) -> None:
+        """Execute ``task`` and call ``on_done(outcome)`` once its service
+        time has passed on this core."""
+        outcome = self._execute(task)
+        service = outcome.service_seconds
+        if self._throttle is not None:
+            service *= self._throttle.multiplier
+        if service > 0:
+            self.env.call_later(service, self._finish, outcome, service, on_done)
+            return
+        self.busy_seconds += service
+        self.tasks_executed += 1
+        self.env.call_later(0.0, on_done, outcome)
+        self.group.pull(self)
+
+    def _finish(self, outcome: TaskOutcome, service: float, on_done) -> None:
+        # The caller's continuation runs first, so a task it submits now
+        # is queued when this engine asks for its next one.
+        on_done(outcome)
+        self.busy_seconds += service
+        self.tasks_executed += 1
+        self.group.pull(self)
 
     def _execute(self, task: Task) -> TaskOutcome:
         # Engine-level transient fault injection (crashed sandbox, not
@@ -129,8 +104,5 @@ class ComputeEngine:
                 success=False, error=exc, service_seconds=creation, transient=False
             )
         return TaskOutcome(
-            success=True,
-            outputs=execution.outputs,
-            service_seconds=execution.total_seconds,
-            breakdown=execution.breakdown,
+            success=True, outputs=execution.outputs, service_seconds=execution.total_seconds
         )

@@ -1,46 +1,60 @@
 """Engine groups — dynamic pools of compute or communication engines.
 
 The control plane re-assigns CPU cores between the two engine types at
-runtime (§5).  A group owns one task queue and a resizable set of
-engines; shrinking retires exactly one engine via a shutdown sentinel
+runtime (§5).  A group owns one FIFO task queue and a resizable set of
+engines; shrinking retires exactly one engine through the same queue
 (the retiring engine finishes its current task first, so cores are
 never preempted mid-function), and growing starts a new engine
-immediately.
+immediately.  A free engine calls :meth:`EngineGroup.pull` and is
+handed the oldest queued task in that step, or waits, longest-waiting
+first, for :meth:`EngineGroup.submit` to hand it one a hop later.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable
 
 from ..sim.core import Environment
-from ..sim.resources import Store
-from .compute_engine import SHUTDOWN
 
 __all__ = ["EngineGroup"]
 
 
 class EngineGroup:
-    """A resizable pool of same-type engines sharing one task queue."""
+    """A resizable pool of same-type engines sharing one task queue.
+
+    ``engine_factory(group, name)`` builds one engine; an engine has
+    ``run(task, on_done)``, calls ``group.pull(engine)`` whenever it is
+    free for the next task, and counts ``tasks_executed`` and
+    ``busy_seconds``.
+    """
+
+    __slots__ = (
+        "env", "kind", "_engine_factory", "_engines", "_queue", "_idle", "_next_engine_id",
+        "_pending_shutdowns", "_retired_tasks_executed", "_retired_busy_seconds",
+    )
 
     def __init__(
         self,
         env: Environment,
         kind: str,
-        engine_factory: Callable[[Store, str], object],
+        engine_factory: Callable[["EngineGroup", str], object],
         initial_count: int = 1,
     ):
         self.env = env
         self.kind = kind
-        self.queue = Store(env)
         self._engine_factory = engine_factory
         self._engines: list = []
+        # (task, on_done) pairs, oldest first; a retirement is a pair
+        # whose task is None (see shrink).
+        self._queue: deque = deque()
+        self._idle: deque = deque()
         self._next_engine_id = 0
         self._pending_shutdowns = 0
         self._retired_tasks_executed = 0
         self._retired_busy_seconds = 0.0
-        self.queue_samples: list[tuple[float, int]] = []
         for _ in range(initial_count):
-            self._start_engine()
+            self.grow()
 
     # -- sizing -----------------------------------------------------------
 
@@ -53,58 +67,59 @@ class EngineGroup:
     def engines(self) -> list:
         return list(self._engines)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self.queue)
-
-    def _start_engine(self) -> None:
-        name = f"{self.kind}-engine-{self._next_engine_id}"
-        self._next_engine_id += 1
-        engine = self._engine_factory(self.queue, name)
-        self._engines.append(engine)
-
     def grow(self) -> None:
         """Assign one more core to this engine type."""
-        self._start_engine()
+        engine = self._engine_factory(self, f"{self.kind}-engine-{self._next_engine_id}")
+        self._next_engine_id += 1
+        self._engines.append(engine)
+        # A new engine asks for work one hop from now, after the step
+        # that created it.
+        self.env.call_later(0.0, self.pull, engine)
 
-    def shrink(self):
-        """Retire one engine; returns an event firing once it has exited.
-
-        The sentinel joins the FIFO queue, so the retiring engine first
-        drains any tasks ahead of it — shrinking never cancels work.
-        """
+    def shrink(self, on_retired: Callable[[object], None]) -> None:
+        """Retire one engine; ``on_retired(engine)`` is called once it has
+        exited.  The retirement joins the FIFO queue, so the retiring
+        engine first drains any tasks ahead of it — shrinking never
+        cancels work."""
         if self.engine_count <= 0:
             raise ValueError(f"no {self.kind} engine left to retire")
         self._pending_shutdowns += 1
-        self.queue.put(SHUTDOWN)
-        done = self.env.event()
-        self.env.process(self._await_retirement(done))
-        return done
+        self.submit(None, on_retired)
 
-    def _await_retirement(self, done):
-        # Any engine may consume the sentinel; wait until one reports.
-        stops = [engine.stopped for engine in self._engines]
-        yield self.env.any_of(stops)
-        retired = [engine for engine in self._engines if engine.stopped.triggered]
-        for engine in retired:
-            if engine in self._engines:
-                self._engines.remove(engine)
-                self._pending_shutdowns -= 1
-                self._retired_tasks_executed += engine.tasks_executed
-                self._retired_busy_seconds += engine.busy_seconds
-        done.succeed()
+    def submit(self, task, on_done: Callable) -> None:
+        """Queue ``task``; its engine calls ``on_done(outcome)``."""
+        if self._idle:
+            # One hop from now: the task starts after the submitting step.
+            self.env.call_later(0.0, self._hand, self._idle.popleft(), task, on_done)
+        else:
+            self._queue.append((task, on_done))
 
-    # -- submission and telemetry -------------------------------------------
+    def pull(self, engine) -> None:
+        """``engine`` is free for its next task."""
+        if self._queue:
+            self._hand(engine, *self._queue.popleft())
+        else:
+            self._idle.append(engine)
 
-    def submit(self, task) -> None:
-        task.enqueued_at = self.env.now
-        self.queue.put(task)
+    def _hand(self, engine, task, on_done) -> None:
+        if task is not None:
+            engine.run(task, on_done)
+            return
+        self._engines.remove(engine)
+        self._pending_shutdowns -= 1
+        self._retired_tasks_executed += engine.tasks_executed
+        self._retired_busy_seconds += engine.busy_seconds
+        # The shrinking caller resumes three hops from now; its place
+        # among same-instant events is the one tests/engines/
+        # test_engine_equivalence.py holds the group to.
+        call_later = self.env.call_later
+        call_later(0.0, call_later, 0.0, call_later, 0.0, on_done, engine)
+
+    # -- telemetry ------------------------------------------------------------
 
     def sample_queue(self) -> int:
-        """Record the current queue length (control-plane telemetry)."""
-        length = len(self.queue)
-        self.queue_samples.append((self.env.now, length))
-        return length
+        """The current queue length (control-plane telemetry)."""
+        return len(self._queue)
 
     @property
     def tasks_executed(self) -> int:

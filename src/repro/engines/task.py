@@ -7,21 +7,16 @@ contexts containing the results."
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..composition.registry import FunctionBinary
-from ..data.context import MemoryContext
 from ..data.items import DataSet
-from ..sim.core import Event
 
 __all__ = ["Task", "TaskOutcome", "COMPUTE", "COMMUNICATION"]
 
 COMPUTE = "compute"
 COMMUNICATION = "communication"
-
-_task_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -32,7 +27,6 @@ class TaskOutcome:
     outputs: Optional[list[DataSet]] = None
     error: Optional[BaseException] = None
     service_seconds: float = 0.0      # engine-side time spent on the task
-    breakdown: Optional[dict[str, float]] = None
     transient: bool = False           # retryable (engine-level) failure
 
 
@@ -40,26 +34,21 @@ class TaskOutcome:
 class Task:
     """One function instance ready for execution.
 
-    ``completion`` fires with a :class:`TaskOutcome` when the engine is
-    done.  ``context`` is the instance's prepared memory context (its
-    committed bytes are the platform's memory footprint for the task).
+    The engine reports a :class:`TaskOutcome` to the ``on_done`` passed
+    with the task to :meth:`~repro.engines.group.EngineGroup.submit`;
+    the task does not hold it, so a caller that holds the task is not
+    referred back to.
     """
 
     kind: str
     input_sets: list[DataSet]
     output_set_names: list[str]
-    completion: Event
-    context: Optional[MemoryContext] = None
     binary: Optional[FunctionBinary] = None   # compute tasks only
     cached: bool = False                      # binary served from RAM cache
     zero_copy: bool = False                   # inputs remapped, not copied (§6.1)
     protocol: str = "http"                    # communication tasks only
     timeout: Optional[float] = None
-    invocation_id: int = 0
     node_name: str = ""
-    instance_index: int = 0
-    task_id: int = field(default_factory=lambda: next(_task_ids))
-    enqueued_at: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (COMPUTE, COMMUNICATION):

@@ -42,9 +42,6 @@ class EngineThrottle:
             raise ValueError(f"throttle multiplier {multiplier} must be >= 1.0")
         self.multiplier = multiplier
 
-    def clear(self) -> None:
-        self.multiplier = 1.0
-
     @property
     def limping(self) -> bool:
         return self.multiplier > 1.0

@@ -110,11 +110,10 @@ class Frontend(HttpService):
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Serve registration/invocation over HTTP (synchronous paths).
 
-        Invocation over HTTP is served through
-        :meth:`handle_invoke_process` because it must wait on the
-        dispatcher; plain ``handle`` only accepts registrations and
-        returns 202 for invocations (poll-style), keeping the
-        HttpService contract synchronous.
+        Invocation over HTTP is served through :meth:`serve` because it
+        must wait on the dispatcher; plain ``handle`` only accepts
+        registrations and returns 202 for invocations (poll-style),
+        keeping the HttpService contract synchronous.
         """
         if request.method == "POST" and request.path.startswith("/v1/compositions"):
             verify = None
@@ -137,36 +136,44 @@ class Frontend(HttpService):
             return HttpResponse(status=202, body=b"accepted")
         return HttpResponse(status=404, reason="unknown endpoint")
 
-    def handle_process(self, request: HttpRequest):
-        """Generator handler driving full invocations in virtual time.
+    def serve(self, request: HttpRequest, on_done: Callable[[HttpResponse], None]) -> None:
+        """Serve ``request`` in virtual time, then ``on_done(response)``.
 
-        Registering the frontend on a :class:`SimulatedNetwork` makes
-        the worker itself reachable over HTTP, so compositions can
-        spawn other compositions dynamically (§4.1): a communication
-        function POSTs to ``/v1/invoke/<name>`` and receives the nested
-        invocation's outputs.
+        Registered on a :class:`SimulatedNetwork`, the worker is itself
+        reachable over HTTP, so compositions can spawn compositions
+        (§4.1): a communication function POSTs to ``/v1/invoke/<name>``
+        and receives the nested invocation's outputs.  Anything else is
+        :meth:`handle` after the parsing overhead.
         """
-        if request.method == "POST" and "/v1/invoke/" in request.path:
-            response = yield from self.handle_invoke_process(request)
-            return response
-        yield self.env.timeout(_FRONTEND_OVERHEAD_SECONDS)
-        return self.handle(request)
-
-    def handle_invoke_process(self, request: HttpRequest):
-        """Simulation process serving a full HTTP invocation round trip."""
+        if not (request.method == "POST" and "/v1/invoke/" in request.path):
+            self.env.call_later(
+                _FRONTEND_OVERHEAD_SECONDS, self._answer, on_done, self.handle, request
+            )
+            return
         name = request.path.split("/v1/invoke/", 1)[1].split("?")[0]
         if not self.registry.has_composition(name):
-            return HttpResponse(status=404, reason=f"unknown composition {name!r}")
+            on_done(HttpResponse(status=404, reason=f"unknown composition {name!r}"))
+            return
         try:
             payload = json.loads(request.body.decode("utf-8")) if request.body else {}
-        except ValueError:
-            return HttpResponse(status=400, reason="invalid JSON body")
-        inputs = {
-            key: DataSet(key, [DataItem(key, value.encode("utf-8"))])
-            for key, value in payload.items()
-        }
-        result = yield self.invoke(name, inputs)
-        return self.serialize_result(result)
+            inputs = {
+                key: DataSet(key, [DataItem(key, value.encode("utf-8"))])
+                for key, value in payload.items()
+            }
+        except (ValueError, AttributeError):
+            # Not JSON, or not an object of strings.
+            on_done(HttpResponse(status=400, reason="invalid JSON body"))
+            return
+        # The reply is serialized one hop after the result leaves the
+        # frontend.
+        self.start(
+            name, inputs,
+            partial(self.env.call_later, 0.0, self._answer, on_done, self.serialize_result),
+        )
+
+    @staticmethod
+    def _answer(on_done, respond, value) -> None:
+        on_done(respond(value))
 
     @staticmethod
     def serialize_result(result: InvocationResult) -> HttpResponse:

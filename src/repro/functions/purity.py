@@ -23,8 +23,6 @@ well-behaved).  The guard is re-entrant with depth counting, which also
 gives an *engine-scoped* mode for free: wrap a batch of compute runs in
 one outer ``purity_guard()`` and every inner per-function guard costs
 only a counter increment — the setattr loop is paid once per batch.
-:class:`~repro.engines.compute_engine.ComputeEngine` exposes this as
-its ``batch_guard`` option.
 
 This is an in-process guard, not a hardware boundary: the real system
 gets memory isolation from KVM/CHERI/processes/rWasm.  What the guard

@@ -9,6 +9,8 @@ while producing real bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from ..sim.core import Environment
 from .http import HttpRequest, HttpResponse
@@ -42,6 +44,8 @@ class HttpService:
     :meth:`service_seconds` (the modelled server-side processing time).
     """
 
+    __slots__ = ("host", "requests_served")
+
     def __init__(self, host: str):
         if not host:
             raise ValueError("service host must be non-empty")
@@ -60,7 +64,12 @@ class HttpService:
 
 
 class SimulatedNetwork:
-    """Routes HTTP requests to registered services with modelled latency."""
+    """Routes HTTP requests to registered services with modelled latency.
+
+    An exchange is a scheduled call per leg: request, service, response.
+    """
+
+    __slots__ = ("env", "latency", "_services", "requests_sent", "bytes_sent", "bytes_received")
 
     def __init__(self, env: Environment, latency: LatencyModel = LatencyModel()):
         self.env = env
@@ -75,57 +84,70 @@ class SimulatedNetwork:
             raise ValueError(f"host {service.host!r} already registered")
         self._services[service.host] = service
 
-    def service(self, host: str) -> HttpService:
-        try:
-            return self._services[host]
-        except KeyError:
-            raise KeyError(f"no service registered for host {host!r}") from None
-
     @property
     def hosts(self) -> list[str]:
         return sorted(self._services)
 
-    def perform(self, request: HttpRequest):
-        """Simulation process carrying out one HTTP exchange.
+    def perform(self, request: HttpRequest, on_done: Callable[[HttpResponse], None]) -> None:
+        """Carry out one HTTP exchange; ``on_done(response)`` is called
+        when the response has arrived in virtual time.
 
-        Yields timeouts for network and service time, then returns the
-        :class:`HttpResponse`.  Unknown hosts return a 502 response
-        after one RTT (connection refused), mirroring how the real
-        communication function surfaces unreachable services as errors
-        rather than crashing the engine.
+        Unknown hosts return a 502 response after one RTT (connection
+        refused), mirroring how the real communication function surfaces
+        unreachable services as errors rather than crashing the engine.
 
-        Services that define a generator method ``handle_process``
-        (e.g. a Dandelion worker frontend serving a full invocation)
-        are driven in virtual time instead of the synchronous
-        ``handle`` + fixed service-time model — this is what lets
-        compositions "spawn new compositions dynamically through
-        Dandelion's HTTP interface" (§4.1).
+        Services that define ``serve(request, on_done)`` (a Dandelion
+        worker frontend serving a full invocation) are driven in virtual
+        time instead of the synchronous ``handle`` + fixed service-time
+        model — this is what lets compositions "spawn new compositions
+        dynamically through Dandelion's HTTP interface" (§4.1).
         """
         self.requests_sent += 1
         self.bytes_sent += request.size
         service = self._services.get(request.host)
         if service is None:
-            yield self.env.timeout(self.latency.round_trip_seconds)
-            return HttpResponse(status=502, reason=f"no route to host {request.host!r}")
-        yield self.env.timeout(self.latency.request_seconds(request))
-        handler_process = getattr(service, "handle_process", None)
-        if handler_process is not None:
-            response = yield self.env.process(handler_process(request))
-            service._count()
-        else:
-            response = service.handle(request)
-            service._count()
-            yield self.env.timeout(service.service_seconds(request, response))
-        yield self.env.timeout(self.latency.response_seconds(response))
-        self.bytes_received += response.size
-        return response
+            response = HttpResponse(status=502, reason=f"no route to host {request.host!r}")
+            self.env.call_later(self.latency.round_trip_seconds, on_done, response)
+            return
+        self.env.call_later(
+            self.latency.request_seconds(request), self._serve, service, request, on_done
+        )
 
-    def perform_kv(self, host: str, op: str, key: str, value: bytes):
-        """Carry out one key-value exchange over the TCP-style protocol.
+    def _serve(self, service: HttpService, request: HttpRequest, on_done) -> None:
+        call_later = self.env.call_later
+        serve = getattr(service, "serve", None)
+        if serve is not None:
+            # The service starts one hop after the request arrives, and
+            # its response leaves one hop after it answers.
+            served = partial(call_later, 0.0, self._served, service, on_done)
+            call_later(0.0, serve, request, served)
+            return
+        response = service.handle(request)
+        service._count()
+        call_later(
+            service.service_seconds(request, response), call_later,
+            self.latency.response_seconds(response),
+            self._received, response.size, response, on_done,
+        )
 
-        Returns ``(status, value_bytes, reason)``.  Targets services
-        exposing :meth:`handle_kv` (see :mod:`repro.net.kv`); other
-        services — or unknown hosts — yield a 502 after one RTT.
+    def _served(self, service: HttpService, on_done, response: HttpResponse) -> None:
+        service._count()
+        self.env.call_later(
+            self.latency.response_seconds(response),
+            self._received, response.size, response, on_done,
+        )
+
+    def _received(self, size: int, result, on_done) -> None:
+        self.bytes_received += size
+        on_done(result)
+
+    def perform_kv(self, host: str, op: str, key: str, value: bytes, on_done) -> None:
+        """Carry out one key-value exchange over the TCP-style protocol;
+        ``on_done((status, value_bytes, reason))`` is called at its end.
+
+        Targets services exposing :meth:`handle_kv` (see
+        :mod:`repro.net.kv`); other services — or unknown hosts — answer
+        a 502 after one RTT.
         """
         self.requests_sent += 1
         request_bytes = len(key) + len(value) + 16
@@ -133,18 +155,21 @@ class SimulatedNetwork:
         service = self._services.get(host)
         handle_kv = getattr(service, "handle_kv", None)
         if handle_kv is None:
-            yield self.env.timeout(self.latency.round_trip_seconds)
-            return 502, b"", f"no kv service at host {host!r}"
-        yield self.env.timeout(
-            self.latency.round_trip_seconds / 2
-            + self.latency.transfer_seconds(request_bytes)
+            result = (502, b"", f"no kv service at host {host!r}")
+            self.env.call_later(self.latency.round_trip_seconds, on_done, result)
+            return
+        self.env.call_later(
+            self.latency.round_trip_seconds / 2 + self.latency.transfer_seconds(request_bytes),
+            self._serve_kv, service, handle_kv, op, key, value, on_done,
         )
-        status, response_value, reason = handle_kv(op, key, value)
+
+    def _serve_kv(self, service, handle_kv, op: str, key: str, value: bytes, on_done) -> None:
+        result = handle_kv(op, key, value)
         service._count()
-        yield self.env.timeout(service.service_seconds(len(response_value)))
-        yield self.env.timeout(
-            self.latency.round_trip_seconds / 2
-            + self.latency.transfer_seconds(len(response_value) + 16)
+        size = len(result[1]) + 16
+        call_later = self.env.call_later
+        call_later(
+            service.service_seconds(len(result[1])), call_later,
+            self.latency.round_trip_seconds / 2 + self.latency.transfer_seconds(size),
+            self._received, size, result, on_done,
         )
-        self.bytes_received += len(response_value) + 16
-        return status, response_value, reason

@@ -12,7 +12,7 @@ from .core import (
 from .cpu import ProcessorSharingCpu
 from .distributions import Rng
 from .metrics import Counter, LatencyRecorder, TimeSeries, percentile, relative_variance
-from .resources import PriorityStore, Request, Resource, Store
+from .resources import Request, Resource
 
 __all__ = [
     "AllOf",
@@ -29,8 +29,6 @@ __all__ = [
     "TimeSeries",
     "percentile",
     "relative_variance",
-    "PriorityStore",
     "Request",
     "Resource",
-    "Store",
 ]

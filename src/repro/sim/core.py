@@ -120,26 +120,17 @@ class Event:
 
     # -- triggering ---------------------------------------------------
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Schedule the event to occur, carrying ``value``.
-
-        ``delay`` schedules the occurrence that many virtual seconds in
-        the future (default: now).  A delayed succeed lets a producer
-        that already knows an outcome publish it without allocating a
-        separate :class:`Timeout` — engines use this to fire a task's
-        completion directly at ``now + service_time``.
-        """
+    def succeed(self, value: Any = None) -> "Event":
+        """Schedule the event to occur now, carrying ``value``."""
         if self._state != _PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now + delay, 1, seq, self))
+        heappush(env._queue, (env._now, 1, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -156,9 +147,6 @@ class Event:
         env._seq = seq + 1
         heappush(env._queue, (env._now, 1, seq, self))
         return self
-
-    def _mark_processed(self) -> None:
-        self._state = _PROCESSED
 
     def __repr__(self) -> str:
         state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}[self._state]
@@ -244,11 +232,6 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._state == _PENDING
 
     # -- internal -----------------------------------------------------
 

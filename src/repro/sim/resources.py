@@ -1,31 +1,20 @@
 """Shared resources for simulation processes.
 
-Provides the queueing primitives the platforms are built from:
-
 ``Resource``
     A counted resource (e.g. a pool of CPU cores) with a FIFO wait
     queue.  Used via ``req = resource.request(); yield req; ...;
     resource.release(req)`` or the :meth:`Resource.acquire` helper.
-
-``Store``
-    An unbounded (or bounded) FIFO buffer of items with blocking
-    ``get`` and ``put``.  Engine task queues are Stores.
-
-``PriorityStore``
-    A Store whose items are retrieved lowest-priority-value first.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 from .core import Environment, Event, SimulationError
 from .core import _PROCESSED
 
-__all__ = ["Resource", "Request", "Store", "PriorityStore"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -105,17 +94,6 @@ class Resource:
         """
         return _ResourceContext(self)
 
-    def resize(self, capacity: int) -> None:
-        """Change capacity; newly freed slots are granted immediately.
-
-        Shrinking below the in-use count does not preempt holders; the
-        resource simply grants no new slots until usage drops.
-        """
-        if capacity < 1:
-            raise SimulationError("capacity must be >= 1")
-        self._capacity = capacity
-        self._trigger()
-
     def _trigger(self) -> None:
         while self._queue and len(self._users) < self._capacity:
             request = self._queue.popleft()
@@ -140,139 +118,3 @@ class _ResourceContext:
             self.resource.release(self.request)
         else:
             self.request.cancel()
-
-
-class Store:
-    """A FIFO buffer with blocking ``get``/``put``.
-
-    ``capacity`` bounds the number of stored items (``inf`` by
-    default).  ``get`` returns an event carrying the item.
-    """
-
-    __slots__ = ("env", "capacity", "_items", "_getters", "_putters")
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> list[Any]:
-        """Snapshot of buffered items (oldest first)."""
-        return list(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Add ``item``; the event fires once the item is accepted."""
-        event = Event(self.env)
-        if not self._putters and len(self) < self.capacity:
-            # Fast path: the item is accepted immediately, so the put
-            # event is born processed — no heap round trip.  Waiting
-            # getters are still woken through the heap (FIFO order).
-            self._push_item(item)
-            event._value = item
-            event._state = _PROCESSED
-            if self._getters:
-                self._dispatch()
-            return event
-        self._putters.append((event, item))
-        self._dispatch()
-        return event
-
-    def get(self) -> Event:
-        """Take the oldest item; the event fires carrying the item."""
-        event = Event(self.env)
-        if not self._getters and len(self):
-            # Fast path: an item is ready and nobody is ahead of us —
-            # hand it over synchronously.
-            event._value = self._pop_item()
-            event._state = _PROCESSED
-            if self._putters:
-                self._dispatch()
-            return event
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _pop_item(self) -> Any:
-        return self._items.popleft()
-
-    def _push_item(self, item: Any) -> None:
-        self._items.append(item)
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self._items) < self.capacity:
-                event, item = self._putters.popleft()
-                self._push_item(item)
-                event.succeed(item)
-                progressed = True
-            while self._getters and self._items:
-                event = self._getters.popleft()
-                event.succeed(self._pop_item())
-                progressed = True
-
-
-class PriorityStore(Store):
-    """A Store retrieving the lowest-priority item first.
-
-    Items are ``(priority, item)`` tuples on ``put``; ``get`` returns
-    just the item.  Ties are broken by insertion order.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._heap: list[tuple[Any, int, Any]] = []
-        self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> list[Any]:
-        return [item for _p, _s, item in sorted(self._heap)]
-
-    def put(self, item: Any, priority: Any = 0) -> Event:  # type: ignore[override]
-        event = Event(self.env)
-        if not self._putters and len(self) < self.capacity:
-            self._push_item((priority, item))
-            event._value = item
-            event._state = _PROCESSED
-            if self._getters:
-                self._dispatch()
-            return event
-        self._putters.append((event, (priority, item)))
-        self._dispatch()
-        return event
-
-    def _push_item(self, pair: Any) -> None:
-        priority, item = pair
-        heapq.heappush(self._heap, (priority, next(self._seq), item))
-
-    def _pop_item(self) -> Any:
-        _priority, _seq, item = heapq.heappop(self._heap)
-        return item
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self._heap) < self.capacity:
-                event, pair = self._putters.popleft()
-                self._push_item(pair)
-                event.succeed(pair[1])
-                progressed = True
-            while self._getters and self._heap:
-                event = self._getters.popleft()
-                event.succeed(self._pop_item())
-                progressed = True

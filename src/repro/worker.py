@@ -93,9 +93,9 @@ class WorkerNode:
         self.compute_group = EngineGroup(
             self.env,
             kind="compute",
-            engine_factory=lambda queue, name: ComputeEngine(
+            engine_factory=lambda group, name: ComputeEngine(
                 self.env,
-                queue,
+                group,
                 self.backend,
                 name=name,
                 failure_rng=failure_rng,
@@ -107,9 +107,9 @@ class WorkerNode:
         self.comm_group = EngineGroup(
             self.env,
             kind="communication",
-            engine_factory=lambda queue, name: CommunicationEngine(
+            engine_factory=lambda group, name: CommunicationEngine(
                 self.env,
-                queue,
+                group,
                 self.network,
                 name=name,
                 failure_rng=self._rng.fork(3) if config.comm_failure_rate > 0 else None,

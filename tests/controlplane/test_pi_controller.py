@@ -67,12 +67,12 @@ def _make_groups(env, compute=2, comm=2):
     network = SimulatedNetwork(env, LatencyModel())
     compute_group = EngineGroup(
         env, "compute",
-        lambda queue, name: ComputeEngine(env, queue, backend, name=name),
+        lambda group, name: ComputeEngine(env, group, backend, name=name),
         initial_count=compute,
     )
     comm_group = EngineGroup(
         env, "communication",
-        lambda queue, name: CommunicationEngine(env, queue, network, name=name),
+        lambda group, name: CommunicationEngine(env, group, network, name=name),
         initial_count=comm,
     )
     return compute_group, comm_group
@@ -90,11 +90,9 @@ def _slow_task(env, group):
         kind="compute",
         input_sets=[],
         output_set_names=["out"],
-        completion=env.event(),
         binary=slow,
     )
-    group.submit(task)
-    return task
+    group.submit(task, lambda outcome: None)
 
 
 def test_allocator_moves_core_under_compute_pressure():

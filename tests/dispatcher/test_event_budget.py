@@ -13,16 +13,17 @@ hedging pin uses an echo that succeeds, which adds the zero-delay call
 that releases the producer's context.
 
 The DAG pins (one SSB query, one logproc invocation) run through the
-communication engines, whose green threads are still processes; what
-they pin is that no process comes from the dispatcher: a composition
-run is one callback state machine however it fans out or joins.
+communication engines and the network, and no `Process` comes from
+anywhere: a composition run is one callback state machine however it
+fans out or joins, an engine is a state object its group hands tasks
+to, and a green thread is a chain of scheduled calls.  Each zero-delay
+hop left on those paths keeps an order the former processes had; the
+pins below say which.  Nor does the control plane start a process when
+it moves a core between the engine groups.
 """
-
-import os
 
 import pytest
 
-from repro import dispatcher
 from repro.apps import DEFAULT_TOKEN, register_logproc_app, setup_log_services
 from repro.cluster.manager import ClusterManager
 from repro.functions import compute_function
@@ -126,27 +127,34 @@ def test_hedging_cluster_with_deadline_event_budget(processes_created):
     assert cluster.latencies.count == cluster.hedge_min_samples + 1 + INVOCATIONS
 
 
-DISPATCHER_DIR = os.path.dirname(dispatcher.__file__) + os.sep
-
-
 def dag_events_per_invocation(worker, processes_created, composition, inputs, count) -> float:
     assert worker.invoke_and_run(composition, inputs).ok  # warm-up: plan, binary cache
     del processes_created[:]
     before = worker.env.events_scheduled
     for _ in range(count):
         assert worker.invoke_and_run(composition, inputs).ok
-    assert processes_created, "the comm engines still run green-thread processes"
-    assert not [
-        generator for generator in processes_created
-        if generator.gi_code.co_filename.startswith(DISPATCHER_DIR)
-    ]
+    assert processes_created == []
     return (worker.env.events_scheduled - before) / count
+
+
+# A communication task costs its engine's parse timeout, the network's
+# three legs per request (request, service, response) and these
+# zero-delay hops:
+# - the hand-off, when the task meets an idle engine: it starts after
+#   whatever the submitting step still does, as the woken queue read did;
+# - the green thread's start: after the engine has taken its next task;
+# - with several items, one start for all of them (after the task's own
+#   start) and the last item's exit (after that item's step);
+# - the completion: the caller resumes after the green thread's step.
+# The `_handle` process's own completion, which nothing waited on, is
+# gone; so are the per-item starts and exits but one each.
 
 
 def test_ssb_query_event_budget(processes_created):
     # gen -> (fetch_lo, fetch_dims) -> 4 partials -> final.  Six of the
     # entries are the runner's own calls (two batches, four context
-    # releases); the process per vertex made it 106.
+    # releases); the process per vertex made it 106, the process per
+    # green thread and per request item 70.
     worker = WorkerNode(WorkerConfig(total_cores=8, control_plane_enabled=False))
     store = ObjectStoreService()
     worker.network.register(store)
@@ -154,16 +162,39 @@ def test_ssb_query_event_budget(processes_created):
     composition = register_ssb_query(worker, "Q2.1", partitions=4)
     assert dag_events_per_invocation(
         worker, processes_created, composition, {"query": b"Q2.1"}, 3
-    ) == 70
+    ) == 56
 
 
 def test_logproc_event_budget(processes_created):
     # A chain with an ``each`` fan-out.  Six of the entries are the
     # runner's own calls: one batch (the four fetches) and a context
-    # release per node.
+    # release per node.  Five communication tasks of one item each, on
+    # one engine: 7 entries for the first task of a burst, 6 for the
+    # three it takes from the queue; with a `_handle` process each, 52.
     worker = WorkerNode(WorkerConfig(total_cores=4, control_plane_enabled=False))
     setup_log_services(worker, shard_count=4, lines_per_shard=20)
     composition = register_logproc_app(worker)
     assert dag_events_per_invocation(
         worker, processes_created, composition, {"token": DEFAULT_TOKEN.encode()}, 5
-    ) == 52
+    ) == 47
+
+
+@compute_function(compute_cost=0.01)
+def budget_slow(vfs):
+    vfs.write_bytes("/out/result/reply", vfs.read_bytes("/in/input/input"))
+
+
+def test_control_plane_moves_cores_without_processes(processes_created):
+    # The allocator's epoch is a scheduled call, and a shrink reports
+    # its retired engine through a continuation: moving a core between
+    # the groups starts no process, nor does the engine grown.
+    worker = WorkerNode(WorkerConfig(total_cores=4, control_epoch_seconds=0.01))
+    worker.frontend.register_function(budget_slow)
+    worker.frontend.register_composition(
+        ECHO_COMPOSITION.replace("echo_once", "slow_once").replace("budget_echo", "budget_slow")
+    )
+    done = [worker.frontend.invoke("slow_once", {"input": b"x"}) for _ in range(40)]
+    worker.env.run(until=worker.env.all_of(done))
+    assert all(event.value.ok for event in done)
+    assert worker.allocator.reassignments
+    assert processes_created == []

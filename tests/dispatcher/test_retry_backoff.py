@@ -8,6 +8,7 @@ hangs.
 """
 
 from repro.data import DataSet
+from repro.engines import EngineGroup
 from repro.errors import DeadlineExceeded, InvocationError
 from repro.functions import compute_function
 from repro.net import EchoService
@@ -41,23 +42,24 @@ def prepare(worker):
     worker.frontend.register_composition(SINGLE_NODE)
 
 
-def spy_on_submissions(worker):
+def spy_on_submissions(worker, monkeypatch):
     """Record the virtual time of every compute-task submission."""
     times = []
-    original = worker.compute_group.submit
+    original = EngineGroup.submit
 
-    def recording_submit(task):
-        times.append(worker.env.now)
-        return original(task)
+    def recording_submit(group, task, on_done):
+        if group is worker.compute_group:
+            times.append(worker.env.now)
+        original(group, task, on_done)
 
-    worker.compute_group.submit = recording_submit
+    monkeypatch.setattr(EngineGroup, "submit", recording_submit)
     return times
 
 
-def test_exhausted_retries_use_strictly_increasing_backoff():
+def test_exhausted_retries_use_strictly_increasing_backoff(monkeypatch):
     worker = make_worker(transient_failure_rate=1.0, max_retries=4)
     prepare(worker)
-    times = spy_on_submissions(worker)
+    times = spy_on_submissions(worker, monkeypatch)
     result = worker.invoke_and_run("bk_single", {"text": b"x"})
     assert not result.ok
     # One initial attempt plus max_retries re-submissions.
@@ -70,11 +72,11 @@ def test_exhausted_retries_use_strictly_increasing_backoff():
     assert all(later > earlier for earlier, later in zip(gaps, gaps[1:])), gaps
 
 
-def test_backoff_jitter_is_deterministic_per_seed():
+def test_backoff_jitter_is_deterministic_per_seed(monkeypatch):
     def run(seed):
         worker = make_worker(transient_failure_rate=1.0, max_retries=3, seed=seed)
         prepare(worker)
-        times = spy_on_submissions(worker)
+        times = spy_on_submissions(worker, monkeypatch)
         worker.invoke_and_run("bk_single", {"text": b"x"})
         return times
 
@@ -82,10 +84,10 @@ def test_backoff_jitter_is_deterministic_per_seed():
     assert run(7) != run(8)  # jitter actually depends on the seed
 
 
-def test_zero_fault_run_takes_no_retry_fast_path():
+def test_zero_fault_run_takes_no_retry_fast_path(monkeypatch):
     worker = make_worker(transient_failure_rate=0.0)
     prepare(worker)
-    times = spy_on_submissions(worker)
+    times = spy_on_submissions(worker, monkeypatch)
     result = worker.invoke_and_run("bk_single", {"text": b"fast"})
     assert result.ok
     assert len(times) == 1  # exactly one submission, no retry machinery
@@ -103,7 +105,7 @@ def test_transient_faults_eventually_succeed_and_count_retries():
     assert worker.dispatcher.retries_performed > 0
 
 
-def test_backoff_never_sleeps_past_the_deadline():
+def test_backoff_never_sleeps_past_the_deadline(monkeypatch):
     # Regression: each backoff sleep used to be taken unconditionally,
     # so a transient-fault retry chain could keep sleeping long after
     # the invocation's deadline — the caller had already been promised a
@@ -116,7 +118,7 @@ def test_backoff_never_sleeps_past_the_deadline():
         transient_failure_rate=1.0, max_retries=20, default_timeout=deadline
     )
     prepare(worker)
-    times = spy_on_submissions(worker)
+    times = spy_on_submissions(worker, monkeypatch)
     started = worker.env.now
     result = worker.invoke_and_run("bk_single", {"text": b"x"})
     assert not result.ok

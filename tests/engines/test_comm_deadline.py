@@ -5,33 +5,38 @@ import json
 import pytest
 
 from repro.data import DataItem, DataSet
-from repro.engines import CommunicationEngine, Task
+from repro.engines import CommunicationEngine, EngineGroup, Task
 from repro.engines.comm_engine import IDEMPOTENT_KV_OPS, IDEMPOTENT_METHODS
 from repro.functions import format_http_request, parse_http_response_item
 from repro.net import EchoService, LatencyModel, SimulatedNetwork
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 def setup(extra_service_seconds=0.0, max_retries=3):
     env = Environment()
     network = SimulatedNetwork(env, LatencyModel())
     network.register(EchoService(extra_seconds=extra_service_seconds))
-    queue = Store(env)
-    engine = CommunicationEngine(env, queue, network, max_retries=max_retries)
-    return env, network, queue, engine
+    group = EngineGroup(
+        env,
+        "communication",
+        lambda group, name: CommunicationEngine(env, group, network, max_retries=max_retries),
+    )
+    (engine,) = group.engines
+    return env, network, group, engine
 
 
-def comm_task(env, queue, request_items, timeout=None, protocol="http"):
+def comm_task(env, group, request_items, timeout=None, protocol="http"):
+    """Queue a task; the returned event fires with its outcome."""
     task = Task(
         kind="communication",
         input_sets=[DataSet("request", request_items)],
         output_set_names=["response"],
-        completion=env.event(),
         protocol=protocol,
         timeout=timeout,
     )
-    queue.put(task)
-    return task
+    done = env.event()
+    group.submit(task, done.succeed)
+    return done
 
 
 def request_item(method="GET", body=b""):
@@ -46,9 +51,9 @@ def test_idempotency_tables():
 
 
 def test_fast_exchange_unaffected_by_timeout():
-    env, _network, queue, engine = setup()
-    task = comm_task(env, queue, [request_item(body=b"hi")], timeout=1.0)
-    outcome = env.run(until=task.completion)
+    env, _network, group, engine = setup()
+    task = comm_task(env, group, [request_item(body=b"hi")], timeout=1.0)
+    outcome = env.run(until=task)
     assert outcome.success
     envelope = parse_http_response_item(outcome.outputs[0].item("r0").data)
     assert envelope["status"] == 200
@@ -59,9 +64,9 @@ def test_idempotent_exchange_retried_on_timeout_then_504():
     # 50 ms of service time against a 5 ms deadline: every attempt
     # times out, GET is idempotent, so the engine retries max_retries
     # times before reporting a gateway-timeout error item.
-    env, _network, queue, engine = setup(extra_service_seconds=0.05, max_retries=2)
-    task = comm_task(env, queue, [request_item("GET")], timeout=0.005)
-    outcome = env.run(until=task.completion)
+    env, _network, group, engine = setup(extra_service_seconds=0.05, max_retries=2)
+    task = comm_task(env, group, [request_item("GET")], timeout=0.005)
+    outcome = env.run(until=task)
     assert outcome.success  # the task completes; the *item* carries the error
     envelope = json.loads(outcome.outputs[0].item("r0").data)
     assert envelope["status"] == 504
@@ -71,9 +76,9 @@ def test_idempotent_exchange_retried_on_timeout_then_504():
 
 
 def test_non_idempotent_exchange_not_retried_on_timeout():
-    env, _network, queue, engine = setup(extra_service_seconds=0.05, max_retries=3)
-    task = comm_task(env, queue, [request_item("POST", body=b"pay")], timeout=0.005)
-    outcome = env.run(until=task.completion)
+    env, _network, group, engine = setup(extra_service_seconds=0.05, max_retries=3)
+    task = comm_task(env, group, [request_item("POST", body=b"pay")], timeout=0.005)
+    outcome = env.run(until=task)
     assert outcome.success
     envelope = json.loads(outcome.outputs[0].item("r0").data)
     assert envelope["status"] == 504
@@ -83,34 +88,32 @@ def test_non_idempotent_exchange_not_retried_on_timeout():
 
 
 def test_timed_out_exchange_does_not_block_later_tasks():
-    env, _network, queue, engine = setup(extra_service_seconds=0.05)
-    slow = comm_task(env, queue, [request_item("POST")], timeout=0.005)
-    fast = comm_task(env, queue, [request_item("GET", body=b"ok")])
-    env.run(until=slow.completion)
-    outcome = env.run(until=fast.completion)
+    env, _network, group, engine = setup(extra_service_seconds=0.05)
+    slow = comm_task(env, group, [request_item("POST")], timeout=0.005)
+    fast = comm_task(env, group, [request_item("GET", body=b"ok")])
+    env.run(until=slow)
+    outcome = env.run(until=fast)
     assert outcome.success
     envelope = parse_http_response_item(outcome.outputs[0].item("r0").data)
     assert envelope["status"] == 200
 
 
-def _broken_handler(engine, item, protocol, timeout=None):
-    yield engine.env.timeout(0.0)
+def _broken_handler(engine, item, protocol, timeout, on_done):
     raise RuntimeError("handler bug")
 
 
 def test_raising_handler_fails_completion_instead_of_hanging(monkeypatch):
     # Regression: a protocol handler that raises used to leave
-    # task.completion pending forever, deadlocking the dispatcher.
+    # task pending forever, deadlocking the dispatcher.
     monkeypatch.setitem(CommunicationEngine._PROTOCOL_HANDLERS, "http", _broken_handler)
-    env, _network, queue, engine = setup()
-    task = comm_task(env, queue, [request_item()])
-    outcome = env.run(until=task.completion)  # returns => no hang
+    env, _network, group, engine = setup()
+    task = comm_task(env, group, [request_item()])
+    outcome = env.run(until=task)  # returns => no hang
     assert not outcome.success
     assert isinstance(outcome.error, RuntimeError)
     assert "handler bug" in str(outcome.error)
     assert not outcome.transient
     assert engine.handler_faults == 1
-    assert engine.active_green_threads == 0
 
 
 def test_raising_handler_surfaces_as_node_failure_at_invocation_level(monkeypatch):

@@ -5,30 +5,33 @@ import json
 import pytest
 
 from repro.data import DataItem, DataSet
-from repro.engines import CommunicationEngine, Task
+from repro.engines import CommunicationEngine, EngineGroup, Task
 from repro.functions import format_http_request, parse_http_response_item
 from repro.net import EchoService, LatencyModel, SimulatedNetwork
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 def setup(extra_service_seconds=0.0):
     env = Environment()
     network = SimulatedNetwork(env, LatencyModel())
     network.register(EchoService(extra_seconds=extra_service_seconds))
-    queue = Store(env)
-    engine = CommunicationEngine(env, queue, network)
-    return env, network, queue, engine
+    group = EngineGroup(
+        env, "communication", lambda group, name: CommunicationEngine(env, group, network)
+    )
+    (engine,) = group.engines
+    return env, network, group, engine
 
 
-def comm_task(env, queue, request_items):
+def comm_task(env, group, request_items):
+    """Queue a task; the returned event fires with its outcome."""
     task = Task(
         kind="communication",
         input_sets=[DataSet("request", request_items)],
         output_set_names=["response"],
-        completion=env.event(),
     )
-    queue.put(task)
-    return task
+    done = env.event()
+    group.submit(task, done.succeed)
+    return done
 
 
 def echo_request(i=0, body=b"ping"):
@@ -36,9 +39,9 @@ def echo_request(i=0, body=b"ping"):
 
 
 def test_single_exchange_roundtrip():
-    env, _network, queue, _engine = setup()
-    task = comm_task(env, queue, [echo_request(body=b"hello")])
-    outcome = env.run(until=task.completion)
+    env, _network, group, _engine = setup()
+    task = comm_task(env, group, [echo_request(body=b"hello")])
+    outcome = env.run(until=task)
     assert outcome.success
     envelope = parse_http_response_item(outcome.outputs[0].item("r0").data)
     assert envelope["status"] == 200
@@ -46,9 +49,9 @@ def test_single_exchange_roundtrip():
 
 
 def test_multiple_items_fan_out_in_parallel():
-    env, _network, queue, _engine = setup(extra_service_seconds=0.01)
-    task = comm_task(env, queue, [echo_request(i) for i in range(8)])
-    outcome = env.run(until=task.completion)
+    env, _network, group, _engine = setup(extra_service_seconds=0.01)
+    task = comm_task(env, group, [echo_request(i) for i in range(8)])
+    outcome = env.run(until=task)
     assert outcome.success
     assert len(outcome.outputs[0]) == 8
     # 8 exchanges at 10ms service each, overlapped: far below 80ms.
@@ -56,68 +59,68 @@ def test_multiple_items_fan_out_in_parallel():
 
 
 def test_io_overlaps_across_tasks():
-    env, _network, queue, engine = setup(extra_service_seconds=0.02)
-    first = comm_task(env, queue, [echo_request(0)])
-    second = comm_task(env, queue, [echo_request(1)])
-    env.run(until=env.all_of([first.completion, second.completion]))
+    env, _network, group, engine = setup(extra_service_seconds=0.02)
+    first = comm_task(env, group, [echo_request(0)])
+    second = comm_task(env, group, [echo_request(1)])
+    env.run(until=env.all_of([first, second]))
     # Cooperative I/O: both 20ms exchanges overlap on one engine core.
     assert env.now < 0.035
     assert engine.tasks_executed == 2
 
 
 def test_invalid_envelope_yields_error_item():
-    env, _network, queue, _engine = setup()
+    env, _network, group, _engine = setup()
     bad = DataItem("bad", b"this is not json")
-    task = comm_task(env, queue, [bad])
-    outcome = env.run(until=task.completion)
+    task = comm_task(env, group, [bad])
+    outcome = env.run(until=task)
     assert outcome.success  # the task succeeds; the item carries the error
     envelope = json.loads(outcome.outputs[0].item("bad").data)
     assert envelope["status"] == 400
 
 
 def test_unsanitary_request_rejected_without_network_call():
-    env, network, queue, _engine = setup()
+    env, network, group, _engine = setup()
     evil = DataItem(
         "evil",
         format_http_request("GET", "http://echo.internal/a b", body=b""),
     )
-    task = comm_task(env, queue, [evil])
-    outcome = env.run(until=task.completion)
+    task = comm_task(env, group, [evil])
+    outcome = env.run(until=task)
     envelope = json.loads(outcome.outputs[0].item("evil").data)
     assert envelope["status"] == 400
     assert network.requests_sent == 0  # never reached the network
 
 
 def test_disallowed_method_rejected():
-    env, network, queue, _engine = setup()
+    env, network, group, _engine = setup()
     evil = DataItem("t", format_http_request("TRACE", "http://echo.internal/"))
-    task = comm_task(env, queue, [evil])
-    outcome = env.run(until=task.completion)
+    task = comm_task(env, group, [evil])
+    outcome = env.run(until=task)
     assert json.loads(outcome.outputs[0].item("t").data)["status"] == 400
     assert network.requests_sent == 0
 
 
 def test_unknown_host_becomes_502_response_item():
-    env, _network, queue, _engine = setup()
+    env, _network, group, _engine = setup()
     request = DataItem("g", format_http_request("GET", "http://ghost.internal/"))
-    task = comm_task(env, queue, [request])
-    outcome = env.run(until=task.completion)
+    task = comm_task(env, group, [request])
+    outcome = env.run(until=task)
     envelope = parse_http_response_item(outcome.outputs[0].item("g").data)
     assert envelope["status"] == 502
 
 
 def test_keys_preserved_on_responses():
-    env, _network, queue, _engine = setup()
+    env, _network, group, _engine = setup()
     keyed = DataItem("k", format_http_request("GET", "http://echo.internal/"), key="shard3")
-    task = comm_task(env, queue, [keyed])
-    outcome = env.run(until=task.completion)
+    task = comm_task(env, group, [keyed])
+    outcome = env.run(until=task)
     assert outcome.outputs[0].item("k").key == "shard3"
 
 
 def test_engine_counts_busy_cpu_not_network_wait():
-    env, _network, queue, engine = setup(extra_service_seconds=0.05)
-    task = comm_task(env, queue, [echo_request()])
-    env.run(until=task.completion)
+    env, _network, group, engine = setup(extra_service_seconds=0.05)
+    task = comm_task(env, group, [echo_request()])
+    env.run(until=task)
     # Busy time is microseconds of CPU, not the 50ms network wait.
     assert engine.busy_seconds < 0.001
     assert env.now > 0.05

@@ -8,40 +8,44 @@ the failure to the user instead of risking duplicated side effects.
 import json
 
 from repro.data import DataItem, DataSet
-from repro.engines import CommunicationEngine, Task
+from repro.engines import CommunicationEngine, EngineGroup, Task
 from repro.engines.comm_engine import IDEMPOTENT_METHODS
 from repro.functions import format_http_request, parse_http_response_item
 from repro.net import EchoService, LatencyModel, SimulatedNetwork
-from repro.sim import Environment, Rng, Store
+from repro.sim import Environment, Rng
 
 
 def setup(failure_rate, seed=1, max_retries=2):
     env = Environment()
     network = SimulatedNetwork(env, LatencyModel())
     network.register(EchoService())
-    queue = Store(env)
-    engine = CommunicationEngine(
+    group = EngineGroup(
         env,
-        queue,
-        network,
-        failure_rng=Rng(seed),
-        transient_failure_rate=failure_rate,
-        max_retries=max_retries,
+        "communication",
+        lambda group, name: CommunicationEngine(
+            env,
+            group,
+            network,
+            failure_rng=Rng(seed),
+            transient_failure_rate=failure_rate,
+            max_retries=max_retries,
+        ),
     )
-    return env, network, queue, engine
+    (engine,) = group.engines
+    return env, network, group, engine
 
 
-def run_one(env, queue, method="GET", body=b""):
+def run_one(env, group, method="GET", body=b""):
     task = Task(
         kind="communication",
         input_sets=[DataSet("request", [
             DataItem("r", format_http_request(method, "http://echo.internal/", body=body))
         ])],
         output_set_names=["response"],
-        completion=env.event(),
     )
-    queue.put(task)
-    outcome = env.run(until=task.completion)
+    done = env.event()
+    group.submit(task, done.succeed)
+    outcome = env.run(until=done)
     return parse_http_response_item(outcome.outputs[0].item("r").data)
 
 
@@ -52,8 +56,8 @@ def test_idempotent_methods_set():
 
 
 def test_no_failures_no_retries():
-    env, _network, queue, engine = setup(failure_rate=0.0)
-    envelope = run_one(env, queue)
+    env, _network, group, engine = setup(failure_rate=0.0)
+    envelope = run_one(env, group)
     assert envelope["status"] == 200
     assert engine.retries_performed == 0
 
@@ -61,15 +65,15 @@ def test_no_failures_no_retries():
 def test_get_retried_through_transient_failures():
     # Failure rate 0.5 with 2 retries: some exchanges need retries yet
     # ultimately succeed for most requests.
-    env, _network, queue, engine = setup(failure_rate=0.5, seed=3)
-    statuses = [run_one(env, queue)["status"] for _ in range(30)]
+    env, _network, group, engine = setup(failure_rate=0.5, seed=3)
+    statuses = [run_one(env, group)["status"] for _ in range(30)]
     assert engine.retries_performed > 0
     assert statuses.count(200) > 20
 
 
 def test_post_never_retried():
-    env, network, queue, engine = setup(failure_rate=1.0)
-    envelope = run_one(env, queue, method="POST", body=b"side-effect")
+    env, network, group, engine = setup(failure_rate=1.0)
+    envelope = run_one(env, group, method="POST", body=b"side-effect")
     assert envelope["status"] == 503
     assert envelope["idempotent"] is False
     assert envelope["retried"] == 0
@@ -79,8 +83,8 @@ def test_post_never_retried():
 
 
 def test_get_gives_up_after_max_retries():
-    env, _network, queue, engine = setup(failure_rate=1.0, max_retries=3)
-    envelope = run_one(env, queue)
+    env, _network, group, engine = setup(failure_rate=1.0, max_retries=3)
+    envelope = run_one(env, group)
     assert envelope["status"] == 503
     assert envelope["idempotent"] is True
     assert envelope["retried"] == 3
@@ -88,11 +92,11 @@ def test_get_gives_up_after_max_retries():
 
 
 def test_retries_cost_time():
-    env_clean, _n1, queue_clean, _e1 = setup(failure_rate=0.0)
-    run_one(env_clean, queue_clean)
+    env_clean, _n1, group_clean, _e1 = setup(failure_rate=0.0)
+    run_one(env_clean, group_clean)
     clean_time = env_clean.now
-    env_flaky, _n2, queue_flaky, _e2 = setup(failure_rate=1.0, max_retries=3)
-    run_one(env_flaky, queue_flaky)
+    env_flaky, _n2, group_flaky, _e2 = setup(failure_rate=1.0, max_retries=3)
+    run_one(env_flaky, group_flaky)
     # Four failed connection attempts each cost a round trip.
     assert env_flaky.now > clean_time
 

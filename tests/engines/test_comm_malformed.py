@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.data import DataItem, DataSet, EnvelopeItem
-from repro.engines import CommunicationEngine, Task
+from repro.engines import CommunicationEngine, EngineGroup, Task
 from repro.functions import format_http_request, parse_http_response_item
 from repro.net import (
     EchoService,
@@ -21,7 +21,7 @@ from repro.net import (
     format_kv_request,
     parse_kv_response_item,
 )
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 _HTTP_OK = {"method": "GET", "url": "http://echo.internal/", "headers": {}, "body_hex": ""}
 _KV_OK = {"op": "get", "host": "cache.internal", "key": "k", "value_hex": ""}
@@ -73,17 +73,19 @@ def _run(protocol, items):
     network = SimulatedNetwork(env, LatencyModel())
     network.register(EchoService())
     network.register(KeyValueStoreService())
-    queue = Store(env)
-    engine = CommunicationEngine(env, queue, network)
+    group = EngineGroup(
+        env, "communication", lambda group, name: CommunicationEngine(env, group, network)
+    )
+    (engine,) = group.engines
     task = Task(
         kind="communication",
         input_sets=[DataSet("request", items)],
         output_set_names=["response"],
-        completion=env.event(),
         protocol=protocol,
     )
-    queue.put(task)
-    outcome = env.run(until=task.completion)
+    done = env.event()
+    group.submit(task, done.succeed)
+    outcome = env.run(until=done)
     return engine, outcome
 
 
@@ -131,10 +133,10 @@ def test_cached_rejection_repeats_the_same_item():
         kind="communication",
         input_sets=[DataSet("request", [DataItem("a", raw)])],
         output_set_names=["response"],
-        completion=env.event(),
     )
-    engine.queue.put(task)
-    second = env.run(until=task.completion)
+    done = env.event()
+    engine.group.submit(task, done.succeed)
+    second = env.run(until=done)
     assert first.outputs[0].item("a").data == second.outputs[0].item("a").data
     assert engine.handler_faults == 0
 

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.backends import create_backend
-from repro.engines import SHUTDOWN, ComputeEngine, Task
-from repro.functions import compute_function
+from repro.engines import ComputeEngine, EngineGroup, Task
+from repro.functions import compute_function, purity_guard
 from repro.data import DataItem, DataSet
-from repro.sim import Environment, Rng, Store
+from repro.sim import Environment, Rng
 
 
 @compute_function(compute_cost=0.01)
@@ -19,28 +19,34 @@ def buggy(vfs):
     raise ValueError("user bug")
 
 
-def make_engine(env, queue, **kwargs):
-    return ComputeEngine(env, queue, create_backend("kvm", "linux"), **kwargs)
+def make_group(env, count=1, **kwargs):
+    backend = create_backend("kvm", "linux")
+    return EngineGroup(
+        env,
+        "compute",
+        lambda group, name: ComputeEngine(env, group, backend, name=name, **kwargs),
+        initial_count=count,
+    )
 
 
-def submit(env, queue, binary, inputs=None):
+def submit(env, group, binary, inputs=None):
+    """Queue a task; the returned event fires with its outcome."""
     task = Task(
         kind="compute",
         input_sets=inputs or [],
         output_set_names=["out"],
-        completion=env.event(),
         binary=binary,
     )
-    queue.put(task)
-    return task
+    done = env.event()
+    group.submit(task, done.succeed)
+    return done
 
 
 def test_engine_executes_task_and_charges_time():
     env = Environment()
-    queue = Store(env)
-    engine = make_engine(env, queue)
-    task = submit(env, queue, work)
-    outcome = env.run(until=task.completion)
+    group = make_group(env)
+    (engine,) = group.engines
+    outcome = env.run(until=submit(env, group, work))
     assert outcome.success
     assert outcome.outputs[0].item("r").data == b"done"
     assert env.now >= 0.01  # compute cost charged as virtual time
@@ -50,31 +56,26 @@ def test_engine_executes_task_and_charges_time():
 
 def test_run_to_completion_serializes_tasks():
     env = Environment()
-    queue = Store(env)
-    make_engine(env, queue)
-    first = submit(env, queue, work)
-    second = submit(env, queue, work)
-    env.run(until=second.completion)
+    group = make_group(env)
+    submit(env, group, work)
+    second = submit(env, group, work)
+    env.run(until=second)
     # One engine, two 10ms tasks: strictly sequential.
     assert env.now >= 0.02
 
 
 def test_two_engines_parallelize():
     env = Environment()
-    queue = Store(env)
-    make_engine(env, queue)
-    make_engine(env, queue)
-    tasks = [submit(env, queue, work) for _ in range(2)]
-    env.run(until=env.all_of([t.completion for t in tasks]))
+    group = make_group(env, count=2)
+    done = [submit(env, group, work) for _ in range(2)]
+    env.run(until=env.all_of(done))
     assert env.now < 0.015  # ran in parallel
 
 
 def test_user_failure_reported_not_raised():
     env = Environment()
-    queue = Store(env)
-    make_engine(env, queue)
-    task = submit(env, queue, buggy)
-    outcome = env.run(until=task.completion)
+    group = make_group(env)
+    outcome = env.run(until=submit(env, group, buggy))
     assert not outcome.success
     assert not outcome.transient
     assert "user bug" in str(outcome.error)
@@ -82,51 +83,40 @@ def test_user_failure_reported_not_raised():
 
 def test_transient_fault_injection():
     env = Environment()
-    queue = Store(env)
-    ComputeEngine(
-        env,
-        queue,
-        create_backend("kvm", "linux"),
-        failure_rng=Rng(7),
-        transient_failure_rate=1.0,
-    )
-    task = submit(env, queue, work)
-    outcome = env.run(until=task.completion)
+    group = make_group(env, failure_rng=Rng(7), transient_failure_rate=1.0)
+    outcome = env.run(until=submit(env, group, work))
     assert not outcome.success
     assert outcome.transient
 
 
 def test_shutdown_sentinel_stops_engine():
     env = Environment()
-    queue = Store(env)
-    engine = make_engine(env, queue)
-    task = submit(env, queue, work)
-    queue.put(SHUTDOWN)
-    env.run(until=engine.stopped)
-    # The task ahead of the sentinel was completed first.
-    assert task.completion.triggered
+    group = make_group(env)
+    (engine,) = group.engines
+    task = submit(env, group, work)
+    retired = env.event()
+    group.shrink(retired.succeed)
+    assert env.run(until=retired) is engine
+    # The task ahead of the retirement was completed first.
+    assert task.triggered
     assert engine.tasks_executed == 1
 
 
 def test_task_requires_binary():
-    env = Environment()
     with pytest.raises(ValueError, match="binary"):
-        Task(kind="compute", input_sets=[], output_set_names=[], completion=env.event())
+        Task(kind="compute", input_sets=[], output_set_names=[])
 
 
 def test_task_rejects_unknown_kind():
-    env = Environment()
     with pytest.raises(ValueError, match="kind"):
-        Task(kind="gpu", input_sets=[], output_set_names=[], completion=env.event())
+        Task(kind="gpu", input_sets=[], output_set_names=[])
 
 
 def test_task_input_bytes():
-    env = Environment()
     task = Task(
         kind="compute",
         input_sets=[DataSet("a", [DataItem("x", b"1234")])],
         output_set_names=[],
-        completion=env.event(),
         binary=work,
     )
     assert task.input_bytes == 4
@@ -138,29 +128,25 @@ def sneaky(vfs):
 
 
 def test_batch_guard_executes_and_restores_on_shutdown():
-    # Engine-scoped purity guard: one outer guard for the engine's
-    # lifetime, restored when the engine retires.
+    # The engine-scoped purity guard (docs in repro.functions.purity):
+    # one outer guard held across a batch of engine runs makes each
+    # run's own guard a counter bump, and leaving it restores the real
+    # builtins.
     import builtins
 
     original = builtins.open
     env = Environment()
-    queue = Store(env)
-    engine = make_engine(env, queue, batch_guard=True)
-    task = submit(env, queue, work)
-    outcome = env.run(until=task.completion)
+    group = make_group(env)
+    with purity_guard():
+        outcome = env.run(until=submit(env, group, work))
     assert outcome.success
-    queue.put(SHUTDOWN)
-    env.run(until=engine.stopped)
     assert builtins.open is original
 
 
 def test_batch_guard_still_blocks_syscalls():
     env = Environment()
-    queue = Store(env)
-    engine = make_engine(env, queue, batch_guard=True)
-    task = submit(env, queue, sneaky)
-    outcome = env.run(until=task.completion)
+    group = make_group(env)
+    with purity_guard():
+        outcome = env.run(until=submit(env, group, sneaky))
     assert not outcome.success
     assert "cannot use open" in str(outcome.error)
-    queue.put(SHUTDOWN)
-    env.run(until=engine.stopped)

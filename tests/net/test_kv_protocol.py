@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.data import DataItem, DataSet
-from repro.engines import CommunicationEngine, Task
+from repro.engines import CommunicationEngine, EngineGroup, Task
 from repro.net import (
     KeyValueStoreService,
     LatencyModel,
@@ -17,7 +17,7 @@ from repro.net import (
     sanitize_kv_request,
 )
 from repro.functions import compute_function, read_items, write_item
-from repro.sim import Environment, Store
+from repro.sim import Environment
 from repro.worker import WorkerConfig, WorkerNode
 
 
@@ -96,16 +96,17 @@ def test_service_fast():
 # -- engine-level exchange -----------------------------------------------------
 
 
-def kv_task(env, queue, items):
+def kv_task(env, group, items):
+    """Queue a kv task; the returned event fires with its outcome."""
     task = Task(
         kind="communication",
         input_sets=[DataSet("request", items)],
         output_set_names=["response"],
-        completion=env.event(),
         protocol="kv",
     )
-    queue.put(task)
-    return task
+    done = env.event()
+    group.submit(task, done.succeed)
+    return done
 
 
 def setup_engine():
@@ -113,65 +114,66 @@ def setup_engine():
     network = SimulatedNetwork(env, LatencyModel())
     store = KeyValueStoreService()
     network.register(store)
-    queue = Store(env)
-    CommunicationEngine(env, queue, network)
-    return env, network, store, queue
+    group = EngineGroup(
+        env, "communication", lambda group, name: CommunicationEngine(env, group, network)
+    )
+    return env, network, store, group
 
 
 def test_engine_kv_set_then_get():
-    env, _network, store, queue = setup_engine()
-    set_task = kv_task(env, queue, [
+    env, _network, store, group = setup_engine()
+    set_task = kv_task(env, group, [
         DataItem("w", format_kv_request("set", "cache.internal", "greeting", b"hello"))
     ])
-    env.run(until=set_task.completion)
+    env.run(until=set_task)
     assert store.get("greeting") == b"hello"
-    get_task = kv_task(env, queue, [
+    get_task = kv_task(env, group, [
         DataItem("r", format_kv_request("get", "cache.internal", "greeting"))
     ])
-    outcome = env.run(until=get_task.completion)
+    outcome = env.run(until=get_task)
     envelope = parse_kv_response_item(outcome.outputs[0].item("r").data)
     assert envelope["status"] == 200
     assert envelope["value"] == b"hello"
 
 
 def test_engine_kv_sanitization_blocks_before_network():
-    env, network, _store, queue = setup_engine()
-    task = kv_task(env, queue, [
+    env, network, _store, group = setup_engine()
+    task = kv_task(env, group, [
         DataItem("bad", format_kv_request("get", "cache.internal", "has space"))
     ])
-    outcome = env.run(until=task.completion)
+    outcome = env.run(until=task)
     assert json.loads(outcome.outputs[0].item("bad").data)["status"] == 400
     assert network.requests_sent == 0
 
 
 def test_engine_kv_unknown_host_502():
-    env, _network, _store, queue = setup_engine()
-    task = kv_task(env, queue, [
+    env, _network, _store, group = setup_engine()
+    task = kv_task(env, group, [
         DataItem("g", format_kv_request("get", "ghost.internal", "k"))
     ])
-    outcome = env.run(until=task.completion)
+    outcome = env.run(until=task)
     assert parse_kv_response_item(outcome.outputs[0].item("g").data)["status"] == 502
 
 
 def test_engine_unknown_protocol_rejected():
-    env, _network, _store, queue = setup_engine()
+    env, _network, _store, group = setup_engine()
     task = Task(
         kind="communication",
         input_sets=[DataSet("request", [DataItem("x", b"whatever")])],
         output_set_names=["response"],
-        completion=env.event(),
         protocol="smtp",
     )
-    queue.put(task)
-    outcome = env.run(until=task.completion)
+    done = env.event()
+    group.submit(task, done.succeed)
+    outcome = env.run(until=done)
     assert json.loads(outcome.outputs[0].item("x").data)["status"] == 400
 
 
 def test_kv_faster_than_http_exchange():
     # The in-memory store answers in tens of µs vs ms-scale HTTP services.
-    env, _network, _store, queue = setup_engine()
-    task = kv_task(env, queue, [DataItem("r", format_kv_request("get", "cache.internal", "k"))])
-    env.run(until=task.completion)
+    env, _network, _store, group = setup_engine()
+    task = kv_task(env, group, [DataItem("r", format_kv_request("get", "cache.internal", "k"))])
+    env.run(until=task)
     assert env.now < 1e-3
 
 

@@ -19,14 +19,9 @@ from repro.sim import Environment
 
 
 def run_request(network, request):
-    env = network.env
-
-    def proc():
-        response = yield from network.perform(request)
-        return response
-
-    p = env.process(proc())
-    return env.run(until=p)
+    done = network.env.event()
+    network.perform(request, done.succeed)
+    return network.env.run(until=done)
 
 
 def make_network():

@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, ProcessorSharingCpu, Resource, Store
+from repro.sim import Environment, ProcessorSharingCpu, Resource
+
+from ..engines.generator_engines import Store
 
 # Small random workloads: (arrival_delay, service_time) pairs.
 _jobs = st.lists(
@@ -70,6 +72,8 @@ def test_property_ps_cpu_conserves_work(jobs, cores):
     assert env.now <= last_arrival + total_work + epsilon
 
 
+# The queue of the generator engines the engine-equivalence property
+# runs as its oracle.
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 1000), min_size=0, max_size=30),

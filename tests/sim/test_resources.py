@@ -1,8 +1,15 @@
-"""Unit tests for Resource, Store and PriorityStore."""
+"""Unit tests for Resource, and for the Store the generator engines read.
+
+`Store` left `repro.sim` with the generator engines; its copy in
+`tests/engines/generator_engines.py` is the queue of the oracle that
+`test_engine_equivalence` runs, so its semantics stay pinned here.
+"""
 
 import pytest
 
-from repro.sim import Environment, PriorityStore, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError
+
+from ..engines.generator_engines import Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -82,48 +89,6 @@ def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-
-
-def test_resource_resize_grows_grants_waiters():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    grants = []
-
-    def worker(tag):
-        request = resource.request()
-        yield request
-        grants.append((tag, env.now))
-        yield env.timeout(100)
-        resource.release(request)
-
-    def grower():
-        yield env.timeout(3)
-        resource.resize(2)
-
-    env.process(worker("a"))
-    env.process(worker("b"))
-    env.process(grower())
-    env.run(until=50)
-    assert grants == [("a", 0), ("b", 3)]
-
-
-def test_resource_resize_shrink_does_not_preempt():
-    env = Environment()
-    resource = Resource(env, capacity=2)
-
-    def worker():
-        request = resource.request()
-        yield request
-        yield env.timeout(10)
-        resource.release(request)
-
-    env.process(worker())
-    env.process(worker())
-    env.run(until=1)
-    resource.resize(1)
-    assert resource.count == 2  # both holders keep their slots
-    env.run()
-    assert resource.count == 0
 
 
 def test_resource_acquire_context_manager():
@@ -231,47 +196,6 @@ def test_store_len_and_items():
     env.run()
     assert len(store) == 2
     assert store.items == [1, 2]
-
-
-def test_priority_store_orders_by_priority():
-    env = Environment()
-    store = PriorityStore(env)
-    received = []
-
-    def producer():
-        yield store.put("low", priority=10)
-        yield store.put("high", priority=1)
-        yield store.put("mid", priority=5)
-
-    def consumer():
-        yield env.timeout(1)  # let all puts land before the first get
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert received == ["high", "mid", "low"]
-
-
-def test_priority_store_ties_fifo():
-    env = Environment()
-    store = PriorityStore(env)
-    received = []
-
-    def producer():
-        for tag in ["first", "second", "third"]:
-            yield store.put(tag, priority=0)
-
-    def consumer():
-        for _ in range(3):
-            received.append((yield store.get()))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert received == ["first", "second", "third"]
 
 
 def test_many_consumers_each_get_distinct_items():

@@ -23,10 +23,10 @@ from repro.data import (
 )
 from repro.dispatcher import expand_instances
 from repro.dispatcher.dispatcher import InvocationResult
-from repro.engines import CommunicationEngine, Task
+from repro.engines import CommunicationEngine, EngineGroup, Task
 from repro.functions import compute_function, format_http_request, parse_http_response_item
 from repro.net import EchoService, LatencyModel, SimulatedNetwork
-from repro.sim import Environment, Store
+from repro.sim import Environment
 from repro.worker import WorkerConfig, WorkerNode
 
 ALL = Distribution.ALL
@@ -102,18 +102,19 @@ def test_comm_engine_exchanges_lazy_request_items():
     env = Environment()
     network = SimulatedNetwork(env, LatencyModel())
     network.register(EchoService())
-    queue = Store(env)
-    CommunicationEngine(env, queue, network)
+    group = EngineGroup(
+        env, "communication", lambda group, name: CommunicationEngine(env, group, network)
+    )
     request = format_http_request("POST", "http://echo.internal/", body=b"lazy ping")
     view = lazy_set("request", [DataItem("r0", request)])
     task = Task(
         kind="communication",
         input_sets=[view],
         output_set_names=["response"],
-        completion=env.event(),
     )
-    queue.put(task)
-    outcome = env.run(until=task.completion)
+    done = env.event()
+    group.submit(task, done.succeed)
+    outcome = env.run(until=done)
     assert outcome.success
     envelope = parse_http_response_item(outcome.outputs[0].item("r0").data)
     assert envelope["status"] == 200

@@ -129,8 +129,9 @@ def test_http_full_invocation_roundtrip():
         "http://dandelion.internal/v1/invoke/shout_comp",
         body=json.dumps({"text": "over http"}).encode(),
     )
-    process = worker.env.process(worker.frontend.handle_invoke_process(request))
-    response = worker.env.run(until=process)
+    served = worker.env.event()
+    worker.frontend.serve(request, served.succeed)
+    response = worker.env.run(until=served)
     assert response.status == 200
     payload = json.loads(response.body)
     assert bytes.fromhex(payload["result"]["text"]) == b"OVER HTTP"
@@ -141,9 +142,19 @@ def test_http_invocation_bad_json():
     request = HttpRequest(
         "POST", "http://dandelion.internal/v1/invoke/shout_comp", body=b"{broken"
     )
-    process = worker.env.process(worker.frontend.handle_invoke_process(request))
-    response = worker.env.run(until=process)
+    served = worker.env.event()
+    worker.frontend.serve(request, served.succeed)
+    response = worker.env.run(until=served)
     assert response.status == 400
+
+
+@pytest.mark.parametrize("body", [b"[1, 2]", b'{"text": 5}', b'"text"'])
+def test_http_invocation_json_that_is_not_an_object_of_strings_is_400(body):
+    worker = make_worker()
+    request = HttpRequest("POST", "http://dandelion.internal/v1/invoke/shout_comp", body=body)
+    served = worker.env.event()
+    worker.frontend.serve(request, served.succeed)
+    assert worker.env.run(until=served).status == 400
 
 
 def test_serialize_failed_result_is_500():
@@ -172,11 +183,8 @@ def test_http_register_composition_over_network():
         "POST", "http://dandelion.internal/v1/compositions", body=source.encode()
     )
 
-    def exchange():
-        response = yield from worker.network.perform(request)
-        return response
-
-    process = worker.env.process(exchange())
-    response = worker.env.run(until=process)
+    done = worker.env.event()
+    worker.network.perform(request, done.succeed)
+    response = worker.env.run(until=done)
     assert response.status == 201
     assert worker.registry.has_composition("netreg")
