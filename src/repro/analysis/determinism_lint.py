@@ -55,7 +55,8 @@ _WALLCLOCK_ATTRS = {
 # Modules whose classes went through the __slots__ conversion in PRs
 # 1–2; new instance-bearing classes here must keep the discipline.
 # The repro.sched policy/snapshot layer was born under it: snapshots
-# are built and policies consulted on every routed invocation.
+# are built and policies consulted on every routed invocation.  Query
+# tables and their operators are built per partition of an SSB query.
 HOT_PATH_MODULES = (
     "sim/core.py",
     "sim/cpu.py",
@@ -81,6 +82,8 @@ HOT_PATH_MODULES = (
     "scenario/engine.py",
     "scenario/kpis.py",
     "scenario/sweep.py",
+    "query/columnar.py",
+    "query/operators.py",
 )
 
 _EXEMPT_BASE_HINTS = ("Error", "Exception", "Warning", "Enum", "Protocol", "ABC")

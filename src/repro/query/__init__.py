@@ -20,7 +20,13 @@ from .plan_to_dag import (
     register_ssb_query,
 )
 from .sql import SqlDatabase, SqlError, SqlQuery, parse_sql
-from .ssb import SSB_QUERY_NAMES, generate_ssb_tables, run_ssb_query, ssb_query_functions
+from .ssb import (
+    SSB_QUERY_NAMES,
+    DimensionSide,
+    generate_ssb_tables,
+    run_ssb_query,
+    ssb_dimension_side,
+)
 
 __all__ = [
     "AthenaModel",
@@ -46,7 +52,8 @@ __all__ = [
     "SqlQuery",
     "parse_sql",
     "SSB_QUERY_NAMES",
+    "DimensionSide",
     "generate_ssb_tables",
     "run_ssb_query",
-    "ssb_query_functions",
+    "ssb_dimension_side",
 ]

@@ -55,12 +55,16 @@ class _LazyStrings:
 
 
 class Table:
-    """An immutable-by-convention named collection of columns."""
+    """An immutable-by-convention named collection of columns.
+
+    The public constructor checks what it is given (:meth:`_normalize`);
+    operators build their results with :meth:`_of`, which adopts the
+    arrays they have just produced without looking at them again."""
+
+    __slots__ = ("name", "_columns", "_length", "__weakref__")
 
     def __init__(self, name: str, columns: dict[str, "np.ndarray | list"]):
-        if not name:
-            raise TableError("table name must be non-empty")
-        self.name = name
+        self.name = _checked_name(name)
         self._columns: dict[str, "np.ndarray | _LazyStrings"] = {}
         length: Optional[int] = None
         for column_name, values in columns.items():
@@ -74,24 +78,41 @@ class Table:
             self._columns[column_name] = array
         self._length = length or 0
 
+    @classmethod
+    def _of(cls, name: str, columns: dict[str, "np.ndarray | _LazyStrings"], length: int) -> "Table":
+        """A table over columns an operator just built (arrays, or string
+        columns still undecoded), adopted as they are: ``length`` rows
+        each, and none if there are no columns."""
+        table = object.__new__(cls)
+        table.name, table._columns, table._length = name, columns, length if columns else 0
+        return table
+
     @staticmethod
-    def _normalize(values) -> "np.ndarray | _LazyStrings":
-        if isinstance(values, _LazyStrings):
-            return values
+    def _normalize(values) -> np.ndarray:
+        """One column given to the public constructor.  Lists of numbers
+        become int64 (bools too), or float64 if any is a float; lists of
+        str become object columns, as does anything else.  Mixing str with
+        other values, an int outside int64 or a column that is not
+        one-dimensional is a :class:`TableError`."""
         if isinstance(values, np.ndarray):
-            if values.dtype.kind in _NUMERIC_KINDS:
-                return values
-            return np.asarray(values, dtype=object)
-        values = list(values)
-        if values and isinstance(values[0], str):
-            return np.asarray(values, dtype=object)
-        if values and isinstance(values[0], (int, np.integer)):
-            return np.asarray(values, dtype=np.int64)
-        if values and isinstance(values[0], (float, np.floating)):
-            return np.asarray(values, dtype=np.float64)
-        if not values:
-            return np.asarray(values, dtype=np.int64)
-        return np.asarray(values, dtype=object)
+            array = values if values.dtype.kind in _NUMERIC_KINDS else values.astype(object, copy=False)
+        else:
+            values = list(values)
+            if not values:
+                return np.asarray(values, dtype=np.int64)
+            first = values[0]
+            if isinstance(first, str):
+                if not all(isinstance(value, str) for value in values):
+                    raise TableError("a column mixes str with other values")
+                return np.asarray(values, dtype=object)
+            if isinstance(first, (int, float, np.integer, np.floating)):
+                return _numbers(values)
+            if any(isinstance(value, str) for value in values):
+                raise TableError("a column mixes str with other values")
+            array = np.asarray(values, dtype=object)
+        if array.ndim != 1:
+            raise TableError(f"a column must be one-dimensional, not of shape {array.shape}")
+        return array
 
     # -- shape ------------------------------------------------------------
 
@@ -119,14 +140,6 @@ class Table:
 
     # -- construction helpers ------------------------------------------------
 
-    @classmethod
-    def from_rows(cls, name: str, rows: Iterable[dict]) -> "Table":
-        rows = list(rows)
-        if not rows:
-            return cls(name, {})
-        columns = {key: [row[key] for row in rows] for key in rows[0]}
-        return cls(name, columns)
-
     def to_rows(self) -> list[dict]:
         names = self.column_names
         arrays = [self.column(n) for n in names]
@@ -140,25 +153,22 @@ class Table:
 
     def take(self, indices: np.ndarray) -> "Table":
         """Row subset by integer indices (or boolean mask)."""
-        return Table(
-            self.name, {name: array[indices] for name, array in self._columns.items()}
-        )
+        columns = {name: array[indices] for name, array in self._columns.items()}
+        return Table._of(self.name, columns, len(next(iter(columns.values()), ())))
 
     def select(self, names: Iterable[str]) -> "Table":
         names = list(names)
         missing = [n for n in names if n not in self._columns]
         if missing:
             raise TableError(f"table {self.name!r} missing columns {missing}")
-        return Table(self.name, {n: self._columns[n] for n in names})
+        return Table._of(self.name, {n: self._columns[n] for n in names}, self._length)
 
     def rename(self, mapping: dict[str, str]) -> "Table":
-        return Table(
-            self.name,
-            {mapping.get(name, name): array for name, array in self._columns.items()},
-        )
+        columns = {mapping.get(name, name): array for name, array in self._columns.items()}
+        return Table._of(self.name, columns, self._length)
 
     def with_name(self, name: str) -> "Table":
-        return Table(name, dict(self._columns))
+        return Table._of(_checked_name(name), dict(self._columns), self._length)
 
     # -- serialization --------------------------------------------------------
 
@@ -247,24 +257,45 @@ class Table:
                 raise TableError(f"unknown column kind {kind!r}")
         if position != len(view):
             raise TableError(f"{len(view) - position} trailing bytes after the last buffer")
-        return cls(name, columns)
+        return cls._of(_checked_name(name), columns, rows)
 
     # -- misc --------------------------------------------------------------
 
-    def concat(self, other: "Table") -> "Table":
-        """Row-wise concatenation (schemas must match)."""
-        if set(self.column_names) != set(other.column_names):
+    def concat(self, *others: "Table") -> "Table":
+        """Row-wise concatenation of this table and ``others``, in one copy
+        per column (schemas must match)."""
+        names = self.column_names
+        if any(set(other.column_names) != set(names) for other in others):
             raise TableError("concat requires identical schemas")
-        return Table(
-            self.name,
-            {
-                name: np.concatenate([self.column(name), other.column(name)])
-                for name in self.column_names
-            },
-        )
+        tables = (self, *others)
+        columns = {name: np.concatenate([table.column(name) for table in tables]) for name in names}
+        return Table._of(self.name, columns, sum(len(table) for table in tables))
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {self._length} rows x {len(self._columns)} cols)"
+
+
+def _checked_name(name: str) -> str:
+    if not name:
+        raise TableError("table name must be non-empty")
+    return name
+
+
+def _numbers(values: list) -> np.ndarray:
+    """A list led by a number: int64, or float64 if any value is a float."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # a sequence among the numbers
+        raise TableError(f"a column must be one-dimensional: {exc}") from None
+    kind = array.dtype.kind
+    if kind == "U":
+        raise TableError("a column mixes str with other values")
+    # NumPy also makes float64 of ints that no one integer dtype holds.
+    if kind == "f" and any(isinstance(value, (float, np.floating)) for value in values):
+        return array.astype(np.float64, copy=False)
+    if kind in "biu" and (kind != "u" or array.max() <= np.iinfo(np.int64).max):
+        return array.astype(np.int64, copy=False)
+    raise TableError("a column holds a value that is neither a float nor an int in int64")
 
 
 def _decode_strings(payload: bytes, offsets: np.ndarray) -> "np.ndarray | _LazyStrings":

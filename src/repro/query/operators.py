@@ -51,6 +51,8 @@ class Predicate:
     ``between`` adds an inclusive range; ``isin`` a membership test.
     """
 
+    __slots__ = ("_clauses", "_descriptions")
+
     def __init__(self):
         self._clauses: list[Callable[[Table], np.ndarray]] = []
         self._descriptions: list[str] = []
@@ -117,7 +119,8 @@ def hash_join(
     ``searchsorted``); right-side columns may get a prefix to avoid name
     collisions.  Keys must sort against each other; a NaN float key or
     uint64 against signed keys (compared as float64) is a
-    :class:`TableError`.  Unique right keys take one search per left row."""
+    :class:`TableError`.  Unique right keys take one search per left row,
+    and strictly increasing ones (an SSB dimension side) no sort."""
     left_values, right_values = left.column(left_key), right.column(right_key)
     keys = f"join keys {left_key!r} and {right_key!r}"
     dtypes = left_values.dtype, right_values.dtype
@@ -126,10 +129,11 @@ def hash_join(
     if np.result_type(*dtypes).kind == "f" and "f" not in (dtypes[0].kind, dtypes[1].kind):
         raise TableError(f"{keys} mix uint64 with signed integers")
     try:
-        order = np.argsort(right_values, kind="stable")
-        sorted_keys = right_values[order]
+        presorted = len(right_values) > 0 and (right_values[1:] > right_values[:-1]).all()
+        order = np.arange(len(right_values)) if presorted else np.argsort(right_values, kind="stable")
+        sorted_keys = right_values if presorted else right_values[order]
         first = np.searchsorted(sorted_keys, left_values, side="left")
-        if len(sorted_keys) and (sorted_keys[1:] != sorted_keys[:-1]).all():
+        if presorted or len(sorted_keys) and (sorted_keys[1:] != sorted_keys[:-1]).all():
             # Unique build keys: the only candidate is at ``first``, clamped to the end.
             first = np.minimum(first, len(sorted_keys) - 1)
             left_idx = np.flatnonzero(sorted_keys[first] == left_values)
@@ -143,20 +147,21 @@ def hash_join(
     except TypeError as exc:
         raise TableError(f"{keys} do not compare: {exc}") from exc
     # The gathered columns, string ones still undecoded.
-    columns = dict(left.take(left_idx)._columns)
-    gathered = right.take(right_idx)._columns
-    for name in right.column_names:
+    columns = {name: array[left_idx] for name, array in left._columns.items()}
+    for name, array in right._columns.items():
         out_name = f"{right_prefix}{name}"
         if out_name in columns:
             if name == right_key:
                 continue  # equal by construction
             out_name = f"{right.name}.{name}"
-        columns[out_name] = gathered[name]
-    return Table(left.name, columns)
+        columns[out_name] = array[right_idx]
+    return Table._of(left.name, columns, len(left_idx))
 
 
 class Aggregation:
     """One aggregate: output column name, function, input column."""
+
+    __slots__ = ("output", "function", "column")
 
     FUNCTIONS = ("sum", "count", "min", "max", "avg")
 

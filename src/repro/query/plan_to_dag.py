@@ -14,8 +14,8 @@ dimension table; the communication function fetches them from the
 (simulated) S3 bucket; one ``partial`` instance per partition joins its
 chunk with the broadcast dimensions and computes partial aggregates;
 ``final`` merges partials (all SSB aggregates are re-aggregable sums)
-and applies the query's ordering.  An invocation's partials share one
-read-only decoded table per dimension item (:func:`broadcast_table`).
+and applies the query's ordering.  An invocation's partials probe one
+read-only dimension side, decoded and built once (:func:`dimension_side`).
 
 This is exactly how "Dandelion quickly boots sandboxes and spreads
 query execution across all 32 CPU cores": partition parallelism via an
@@ -38,7 +38,7 @@ from ..net.services import ObjectStoreService
 from ..worker import WorkerNode
 from .columnar import Table
 from .operators import Aggregation, group_aggregate, sort_rows
-from .ssb import SSB_QUERY_NAMES, run_ssb_query
+from .ssb import SSB_QUERY_NAMES, DimensionSide, ssb_dimension_side
 
 __all__ = [
     "QueryShape",
@@ -124,19 +124,23 @@ def load_ssb_to_store(
     return manifest
 
 
-_BROADCAST: dict[int, Table] = {}  # id(item) -> its table, while the item lives
+_BROADCAST: dict[tuple, DimensionSide] = {}  # (query, id(item), ...) -> its side, while the items live
 
 
-def broadcast_table(item) -> Table:
-    """The table in a response item, decoded once per item (by identity,
-    never content) and shared read-only by every instance that receives
-    it; the entry dies with the item, so each invocation decodes anew."""
-    key = id(item)
-    table = _BROADCAST.get(key)
-    if table is None:
-        table = _BROADCAST[key] = Table.from_bytes(parse_http_response_item(item)["body"])
-        weakref.finalize(item, _BROADCAST.pop, key, None)
-    return table
+def dimension_side(query_name: str, items) -> DimensionSide:
+    """``query_name``'s dimension side over the tables in broadcast
+    response ``items``: decoded and built once per tuple of items (by
+    identity, never content) and probed read-only by every instance that
+    receives them; the entry dies with the items, so each invocation
+    builds anew."""
+    key = (query_name, *map(id, items))
+    side = _BROADCAST.get(key)
+    if side is None:
+        tables = {item.ident: Table.from_bytes(parse_http_response_item(item)["body"]) for item in items}
+        side = _BROADCAST[key] = ssb_dimension_side(query_name, tables)
+        for item in items:
+            weakref.finalize(item, _BROADCAST.pop, key, None)
+    return side
 
 
 def register_ssb_query(
@@ -174,10 +178,8 @@ def register_ssb_query(
     def partial(vfs):
         chunk_item = read_items(vfs, "chunk")[0]
         chunk = Table.from_bytes(parse_http_response_item(chunk_item)["body"])
-        tables = {"lineorder": chunk.with_name("lineorder")}
-        for item in read_items(vfs, "dims"):
-            tables[item.ident] = broadcast_table(item)
-        result = run_ssb_query(query_name, tables)
+        side = dimension_side(query_name, read_items(vfs, "dims"))
+        result = side.probe(chunk.with_name("lineorder"))
         write_item(vfs, "partial", "agg", result.to_bytes())
 
     @compute_function(
@@ -187,9 +189,7 @@ def register_ssb_query(
     )
     def final(vfs):
         partials = [Table.from_bytes(item.data) for item in read_items(vfs, "partials")]
-        merged = partials[0]
-        for extra in partials[1:]:
-            merged = merged.concat(extra)
+        merged = partials[0].concat(*partials[1:])
         result = group_aggregate(
             merged,
             shape.group_by,

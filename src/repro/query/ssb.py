@@ -14,7 +14,9 @@ the absolute data volume, drive the comparison with Athena).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
+
+import numpy as np
 
 from ..sim.distributions import Rng
 from .columnar import Table
@@ -30,8 +32,9 @@ from .operators import (
 __all__ = [
     "generate_ssb_tables",
     "SSB_QUERY_NAMES",
+    "DimensionSide",
     "run_ssb_query",
-    "ssb_query_functions",
+    "ssb_dimension_side",
 ]
 
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
@@ -198,30 +201,80 @@ def generate_ssb_tables(scale_factor: float = 0.001, seed: int = 0) -> dict[str,
 
 
 # -- the 13 queries -----------------------------------------------------------
+#
+# Every query is a star join of lineorder with filtered dimensions.  It is
+# split in two: a dimension side, which depends on the dimension tables
+# alone, and a probe of one lineorder table (all of it, or one partition)
+# against that side.  A composition builds the side once per invocation
+# and every partition probes it.
+
+# Dimension -> (lineorder foreign key, dimension key).
+_JOIN_KEYS = {
+    "date": ("lo_orderdate", "d_datekey"),
+    "customer": ("lo_custkey", "c_custkey"),
+    "supplier": ("lo_suppkey", "s_suppkey"),
+    "part": ("lo_partkey", "p_partkey"),
+}
 
 
-def _q1(tables, year_pred: Predicate, discount_low, discount_high, quantity_pred) -> Table:
-    lineorder = filter_rows(
-        tables["lineorder"],
-        quantity_pred.between("lo_discount", discount_low, discount_high),
+class DimensionSide:
+    """An SSB query with its dimension side built, ready to probe.
+
+    Per dimension, in join order: the rows its predicate keeps, projected
+    on its key and on the columns the query ``reads``, in stable key
+    order.  A join's output rows come left-major either way, and SSB keys
+    are unique, so :func:`hash_join` probes them without a sort.  A probe
+    projects lineorder on the foreign keys and on the ``reads`` no
+    dimension holds, keeps the rows ``where`` selects, joins, and hands
+    the result to ``finish``.  It only reads the side, so the partitions
+    of an invocation share one.
+    """
+
+    def __init__(self, tables, dimensions: dict[str, Predicate], reads: list[str],
+                 finish: Callable[[Table], Table], where: Optional[Predicate] = None):
+        self._sides: dict[str, Table] = {}
+        for name, predicate in dimensions.items():
+            key, table = _JOIN_KEYS[name][1], tables[name]
+            side = filter_rows(table, predicate).select([key, *(c for c in reads if c in table)])
+            self._sides[name] = side.take(np.argsort(side.column(key), kind="stable"))
+        held = {column for side in self._sides.values() for column in side.column_names}
+        self._fact = [*(_JOIN_KEYS[name][0] for name in dimensions), *(c for c in reads if c not in held)]
+        self._where, self._finish = where, finish
+
+    def probe(self, lineorder: Table) -> Table:
+        """The query's result over ``lineorder``: all of it, or one partition."""
+        joined = lineorder.select(self._fact)
+        if self._where is not None:
+            joined = filter_rows(joined, self._where)
+        for name, side in self._sides.items():
+            joined = hash_join(joined, side, *_JOIN_KEYS[name])
+        return self._finish(joined)
+
+
+def _q1(tables, year_pred: Predicate, discount_low, discount_high, quantity_pred) -> DimensionSide:
+    return DimensionSide(
+        tables, {"date": year_pred}, ["lo_quantity", "lo_discount", "lo_extendedprice"], _q1_revenue,
+        where=quantity_pred.between("lo_discount", discount_low, discount_high),
     )
-    joined = hash_join(lineorder, filter_rows(tables["date"], year_pred), "lo_orderdate", "d_datekey")
+
+
+def _q1_revenue(joined: Table) -> Table:
     amounts = joined.column("lo_extendedprice") * joined.column("lo_discount")
     table = Table("q1", {"amount": amounts})
     return group_aggregate(table, [], [Aggregation("revenue", "sum", "amount")])
 
 
-def q1_1(tables) -> Table:
+def q1_1(tables) -> DimensionSide:
     return _q1(tables, Predicate.where("d_year", "==", 1993), 1, 3,
                Predicate.where("lo_quantity", "<", 25))
 
 
-def q1_2(tables) -> Table:
+def q1_2(tables) -> DimensionSide:
     return _q1(tables, Predicate.where("d_yearmonthnum", "==", 199401), 4, 6,
                Predicate.true().between("lo_quantity", 26, 35))
 
 
-def q1_3(tables) -> Table:
+def q1_3(tables) -> DimensionSide:
     return _q1(
         tables,
         Predicate.where("d_weeknuminyear", "==", 6).and_where("d_year", "==", 1994),
@@ -230,25 +283,27 @@ def q1_3(tables) -> Table:
     )
 
 
-def _q2(tables, part_pred: Predicate, supplier_region: str) -> Table:
-    part = filter_rows(tables["part"], part_pred)
-    supplier = filter_rows(
-        tables["supplier"], Predicate.where("s_region", "==", supplier_region)
-    )
-    joined = hash_join(tables["lineorder"], part, "lo_partkey", "p_partkey")
-    joined = hash_join(joined, supplier, "lo_suppkey", "s_suppkey")
-    joined = hash_join(joined, tables["date"], "lo_orderdate", "d_datekey")
+def _q2(tables, part_pred: Predicate, supplier_region: str) -> DimensionSide:
+    dimensions = {
+        "part": part_pred,
+        "supplier": Predicate.where("s_region", "==", supplier_region),
+        "date": Predicate.true(),
+    }
+    return DimensionSide(tables, dimensions, ["d_year", "p_brand1", "lo_revenue"], _q2_revenue)
+
+
+def _q2_revenue(joined: Table) -> Table:
     result = group_aggregate(
         joined, ["d_year", "p_brand1"], [Aggregation("revenue", "sum", "lo_revenue")]
     )
     return sort_rows(result, ["d_year", "p_brand1"])
 
 
-def q2_1(tables) -> Table:
+def q2_1(tables) -> DimensionSide:
     return _q2(tables, Predicate.where("p_category", "==", "MFGR#12"), "AMERICA")
 
 
-def q2_2(tables) -> Table:
+def q2_2(tables) -> DimensionSide:
     return _q2(
         tables,
         Predicate.true().between("p_brand1", "MFGR#2221", "MFGR#2228"),
@@ -256,25 +311,22 @@ def q2_2(tables) -> Table:
     )
 
 
-def q2_3(tables) -> Table:
+def q2_3(tables) -> DimensionSide:
     return _q2(tables, Predicate.where("p_brand1", "==", "MFGR#2239"), "EUROPE")
 
 
-def _q3(tables, customer_pred, supplier_pred, date_pred, group_cols) -> Table:
-    customer = filter_rows(tables["customer"], customer_pred)
-    supplier = filter_rows(tables["supplier"], supplier_pred)
-    dates = filter_rows(tables["date"], date_pred)
-    joined = hash_join(tables["lineorder"], customer, "lo_custkey", "c_custkey")
-    joined = hash_join(joined, supplier, "lo_suppkey", "s_suppkey")
-    joined = hash_join(joined, dates, "lo_orderdate", "d_datekey")
-    result = group_aggregate(
-        joined, group_cols, [Aggregation("revenue", "sum", "lo_revenue")]
-    )
-    result = sort_rows(result, "revenue", ascending=False)
-    return result
+def _q3(tables, customer_pred, supplier_pred, date_pred, group_cols) -> DimensionSide:
+    def revenue(joined: Table) -> Table:
+        result = group_aggregate(
+            joined, group_cols, [Aggregation("revenue", "sum", "lo_revenue")]
+        )
+        return sort_rows(result, "revenue", ascending=False)
+
+    dimensions = {"customer": customer_pred, "supplier": supplier_pred, "date": date_pred}
+    return DimensionSide(tables, dimensions, [*group_cols, "lo_revenue"], revenue)
 
 
-def q3_1(tables) -> Table:
+def q3_1(tables) -> DimensionSide:
     return _q3(
         tables,
         Predicate.where("c_region", "==", "ASIA"),
@@ -284,7 +336,7 @@ def q3_1(tables) -> Table:
     )
 
 
-def q3_2(tables) -> Table:
+def q3_2(tables) -> DimensionSide:
     return _q3(
         tables,
         Predicate.where("c_nation", "==", "UNITED STATES"),
@@ -303,7 +355,7 @@ def _ki_cities(tables) -> list[str]:
     return sorted(cities)[:2] or ["UNITED KI1", "UNITED KI5"]
 
 
-def q3_3(tables) -> Table:
+def q3_3(tables) -> DimensionSide:
     cities = _ki_cities(tables)
     return _q3(
         tables,
@@ -314,7 +366,7 @@ def q3_3(tables) -> Table:
     )
 
 
-def q3_4(tables) -> Table:
+def q3_4(tables) -> DimensionSide:
     cities = _ki_cities(tables)
     return _q3(
         tables,
@@ -325,26 +377,23 @@ def q3_4(tables) -> Table:
     )
 
 
-def _q4(tables, customer_pred, supplier_pred, part_pred, date_pred, group_cols) -> Table:
-    joined = hash_join(
-        tables["lineorder"], filter_rows(tables["customer"], customer_pred),
-        "lo_custkey", "c_custkey",
-    )
-    joined = hash_join(joined, filter_rows(tables["supplier"], supplier_pred), "lo_suppkey", "s_suppkey")
-    joined = hash_join(joined, filter_rows(tables["part"], part_pred), "lo_partkey", "p_partkey")
-    joined = hash_join(joined, filter_rows(tables["date"], date_pred), "lo_orderdate", "d_datekey")
-    profits = joined.column("lo_revenue") - joined.column("lo_supplycost")
-    augmented = Table(
-        "q4",
-        {**{c: joined.column(c) for c in group_cols}, "profit_amount": profits},
-    )
-    result = group_aggregate(
-        augmented, group_cols, [Aggregation("profit", "sum", "profit_amount")]
-    )
-    return sort_rows(result, group_cols)
+def _q4(tables, customer_pred, supplier_pred, part_pred, date_pred, group_cols) -> DimensionSide:
+    def profit(joined: Table) -> Table:
+        profits = joined.column("lo_revenue") - joined.column("lo_supplycost")
+        augmented = Table(
+            "q4",
+            {**{c: joined.column(c) for c in group_cols}, "profit_amount": profits},
+        )
+        result = group_aggregate(
+            augmented, group_cols, [Aggregation("profit", "sum", "profit_amount")]
+        )
+        return sort_rows(result, group_cols)
+
+    dimensions = {"customer": customer_pred, "supplier": supplier_pred, "part": part_pred, "date": date_pred}
+    return DimensionSide(tables, dimensions, [*group_cols, "lo_revenue", "lo_supplycost"], profit)
 
 
-def q4_1(tables) -> Table:
+def q4_1(tables) -> DimensionSide:
     return _q4(
         tables,
         Predicate.where("c_region", "==", "AMERICA"),
@@ -355,7 +404,7 @@ def q4_1(tables) -> Table:
     )
 
 
-def q4_2(tables) -> Table:
+def q4_2(tables) -> DimensionSide:
     return _q4(
         tables,
         Predicate.where("c_region", "==", "AMERICA"),
@@ -366,7 +415,7 @@ def q4_2(tables) -> Table:
     )
 
 
-def q4_3(tables) -> Table:
+def q4_3(tables) -> DimensionSide:
     return _q4(
         tables,
         Predicate.true(),
@@ -377,21 +426,23 @@ def q4_3(tables) -> Table:
     )
 
 
-def ssb_query_functions() -> dict[str, Callable[[dict], Table]]:
-    """All 13 queries as name -> callable(tables) -> result table."""
-    return {
-        "Q1.1": q1_1, "Q1.2": q1_2, "Q1.3": q1_3,
-        "Q2.1": q2_1, "Q2.2": q2_2, "Q2.3": q2_3,
-        "Q3.1": q3_1, "Q3.2": q3_2, "Q3.3": q3_3, "Q3.4": q3_4,
-        "Q4.1": q4_1, "Q4.2": q4_2, "Q4.3": q4_3,
-    }
+_QUERIES: dict[str, Callable[[dict], DimensionSide]] = {
+    "Q1.1": q1_1, "Q1.2": q1_2, "Q1.3": q1_3,
+    "Q2.1": q2_1, "Q2.2": q2_2, "Q2.3": q2_3,
+    "Q3.1": q3_1, "Q3.2": q3_2, "Q3.3": q3_3, "Q3.4": q3_4,
+    "Q4.1": q4_1, "Q4.2": q4_2, "Q4.3": q4_3,
+}
+
+SSB_QUERY_NAMES = list(_QUERIES)
 
 
-SSB_QUERY_NAMES = list(ssb_query_functions())
+def ssb_dimension_side(name: str, tables: dict[str, Table]) -> DimensionSide:
+    """Query ``name``'s dimension side over ``tables`` (the four
+    dimensions; lineorder is not read)."""
+    if name not in _QUERIES:
+        raise KeyError(f"unknown SSB query {name!r}; expected one of {SSB_QUERY_NAMES}")
+    return _QUERIES[name](tables)
 
 
 def run_ssb_query(name: str, tables: dict[str, Table]) -> Table:
-    functions = ssb_query_functions()
-    if name not in functions:
-        raise KeyError(f"unknown SSB query {name!r}; expected one of {SSB_QUERY_NAMES}")
-    return functions[name](tables)
+    return ssb_dimension_side(name, tables).probe(tables["lineorder"])

@@ -1,11 +1,12 @@
-"""Broadcast dimension tables: decoded once per invocation, and only then.
+"""Broadcast dimensions: decoded and built into a side once per invocation.
 
 The ``partial`` instances of one SSB invocation receive the same four
-dimension items over the ``all`` edge and share one decoded table per
-item.  The sharing is scoped to the item: a second invocation decodes
-again, and nothing outlives the invocation.  The differential runs every
-query as shipped and with a decode per ``partial`` instance: outputs,
-virtual finish time and the committed-memory series must agree.
+dimension items over the ``all`` edge and probe one shared dimension
+side: the tables decoded, filtered, projected and ordered once.  The
+sharing is scoped to the items: a second invocation builds again, and
+nothing outlives the invocation.  The differential runs every query as
+shipped and with a side decoded and built per ``partial`` instance:
+outputs, virtual finish time and the committed-memory series must agree.
 """
 
 import gc
@@ -14,7 +15,15 @@ import weakref
 import pytest
 
 from repro.functions.sdk import parse_http_response_item
-from repro.query import SSB_QUERY_NAMES, Table, generate_ssb_tables, plan_to_dag, register_ssb_query
+from repro.query import (
+    SSB_QUERY_NAMES,
+    Table,
+    generate_ssb_tables,
+    plan_to_dag,
+    register_ssb_query,
+    ssb,
+    ssb_dimension_side,
+)
 
 from .test_plan_to_dag import make_worker_with_store
 
@@ -83,6 +92,56 @@ def test_no_decoded_dimension_outlives_its_invocation(ssb_tables, decodes):
     assert plan_to_dag._BROADCAST == {}
 
 
+@pytest.fixture
+def sides_built(monkeypatch):
+    """Every dimension side the composition path builds, in build order."""
+    built = []
+
+    def recording(name, tables):
+        built.append(ssb_dimension_side(name, tables))
+        return built[-1]
+
+    monkeypatch.setattr(plan_to_dag, "ssb_dimension_side", recording)
+    return built
+
+
+def test_no_side_outlives_or_crosses_its_invocation(ssb_tables, sides_built):
+    worker, _store, _manifest = make_worker_with_store(ssb_tables, partitions=4)
+    composition = register_ssb_query(worker, "Q3.3", partitions=4)
+    assert worker.invoke_and_run(composition, {"query": b"Q3.3"}).ok
+    assert len(sides_built) == 1
+    # Two invocations in flight at once: one side each, neither shared.
+    invocations = [worker.frontend.invoke(composition, {"query": b"Q3.3"}) for _ in range(2)]
+    worker.run()
+    assert all(invocation.value.ok for invocation in invocations)
+    assert len(sides_built) == 3 and sides_built[1] is not sides_built[2]
+    refs = [weakref.ref(side) for side in sides_built]
+    sides_built.clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+    assert plan_to_dag._BROADCAST == {}
+
+
+@pytest.mark.parametrize("query, dimensions", [("Q1.1", 1), ("Q2.1", 3), ("Q4.1", 4)])
+def test_dimension_filters_per_invocation_do_not_grow_with_partitions(ssb_tables, monkeypatch, query, dimensions):
+    # Each dimension is filtered once per invocation, not once per
+    # partial (a side built per partial filters Q4.1's four P times).
+    filtered = []
+    real = ssb.filter_rows
+
+    def counting(table, predicate):
+        filtered.append(table.name)
+        return real(table, predicate)
+
+    monkeypatch.setattr(ssb, "filter_rows", counting)
+    for partitions in (1, 2, 4):
+        filtered.clear()
+        worker, _store, _manifest = make_worker_with_store(ssb_tables, partitions=partitions)
+        composition = register_ssb_query(worker, query, partitions=partitions)
+        assert worker.invoke_and_run(composition, {"query": query.encode()}).ok
+        assert len([name for name in filtered if name != "lineorder"]) == dimensions, partitions
+
+
 def _run(tables, query):
     worker, _store, _manifest = make_worker_with_store(tables, partitions=4)
     result = worker.invoke_and_run(register_ssb_query(worker, query, partitions=4), {"query": query.encode()})
@@ -95,13 +154,16 @@ def _run(tables, query):
     return outputs, result.finished_at, series.times, series.values, worker.memory.peak_bytes
 
 
-def _decode_every_call(item):
-    return Table.from_bytes(parse_http_response_item(item)["body"])
+def _side_every_call(query_name, items):
+    tables = {item.ident: Table.from_bytes(parse_http_response_item(item)["body"]) for item in items}
+    return ssb_dimension_side(query_name, tables)
 
 
 @pytest.mark.parametrize("query", SSB_QUERY_NAMES)
 def test_shared_decode_equals_decode_per_instance(ssb_tables, query, monkeypatch):
+    # Per instance: each partial decodes its own dimension tables and
+    # builds its own side from them.
     shared = _run(ssb_tables, query)
-    monkeypatch.setattr(plan_to_dag, "broadcast_table", _decode_every_call)
+    monkeypatch.setattr(plan_to_dag, "dimension_side", _side_every_call)
     assert shared == _run(ssb_tables, query)
     assert len(shared[2]) > 4 and shared[4] > 0  # a real memory series was compared

@@ -45,8 +45,33 @@ def test_missing_column_rejected():
 
 def test_from_rows_to_rows_roundtrip():
     rows = [{"x": 1, "y": "p"}, {"x": 2, "y": "q"}]
-    table = Table.from_rows("t", rows)
+    table = Table("t", {"x": [1, 2], "y": ["p", "q"]})
     assert table.to_rows() == rows
+
+
+def test_ints_mixed_with_floats_become_float64():
+    column = Table("t", {"x": [1, 2.5]}).column("x")
+    assert column.dtype == np.float64 and column.tolist() == [1.0, 2.5]
+    # Bools stay as they were: int64.
+    assert Table("t", {"b": [True, False]}).column("b").tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("values", [["a", 1], [1, "a"], [None, "a"], [2.5, "a"]])
+def test_str_mixed_with_other_values_rejected(values):
+    with pytest.raises(TableError, match="mixes str"):
+        Table("t", {"x": values})
+
+
+@pytest.mark.parametrize("values", [[2**63], [1, 2**64], [-1, 2**63], [np.uint64(2**63)], [1, None]])
+def test_ints_outside_int64_rejected(values):
+    with pytest.raises(TableError, match="int64"):
+        Table("t", {"x": values})
+
+
+@pytest.mark.parametrize("values", [np.zeros((2, 2)), np.asarray(5), [[1, 2], [3, 4]], [[1], [2]], [1, [2]]])
+def test_columns_that_are_not_one_dimensional_rejected(values):
+    with pytest.raises(TableError, match="one-dimensional"):
+        Table("t", {"x": values})
 
 
 def test_to_rows_returns_python_types():
@@ -81,6 +106,12 @@ def test_concat():
     assert doubled.num_rows == 6
     with pytest.raises(TableError):
         table.concat(Table("u", {"other": [1]}))
+    tripled = table.concat(table.select(["score", "name", "id"]), table)
+    assert tripled.column_names == table.column_names
+    assert tripled.to_rows() == table.to_rows() * 3
+    assert tripled.to_bytes() == doubled.concat(table).to_bytes()
+    with pytest.raises(TableError):
+        table.concat(table, Table("u", {"other": [1]}))
 
 
 def test_serialization_roundtrip():

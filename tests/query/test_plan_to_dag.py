@@ -85,3 +85,33 @@ def test_rows_output_is_json(ssb_tables):
     assert isinstance(rows, list)
     if rows:
         assert "revenue" in rows[0]
+
+
+@pytest.mark.parametrize("partitions", [2, 8])
+def test_final_merges_its_partials_with_one_concat(ssb_tables, monkeypatch, partitions):
+    # One multi-way concat, not P - 1 pairwise ones (O(P^2) rows copied);
+    # its bytes equal a pairwise fold's.
+    real = Table.concat
+    calls = []
+
+    def counting(self, *others):
+        calls.append(len(others))
+        return real(self, *others)
+
+    def pairwise(self, *others):
+        merged = self
+        for other in others:
+            merged = real(merged, other)
+        return merged
+
+    def run(concat):
+        monkeypatch.setattr(Table, "concat", concat)
+        worker, _store, _m = make_worker_with_store(ssb_tables, partitions=partitions)
+        composition = register_ssb_query(worker, "Q2.1", partitions=partitions)
+        result = worker.invoke_and_run(composition, {"query": b"Q2.1"})
+        assert result.ok
+        return [(item.key, item.data) for item in result.output("result")]
+
+    merged_once = run(counting)
+    assert calls == [partitions - 1]
+    assert merged_once == run(pairwise)
