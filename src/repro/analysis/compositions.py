@@ -98,10 +98,8 @@ DEFAULT_SET_BYTES = 64 * 1024
 class CompositionCostSummary:
     """Static cost envelope of one composition.
 
-    Consumed by ``Dispatcher`` static admission (reject invocations
-    whose deadline is statically unreachable before scheduling them)
-    and by ``repro.sched`` policies (see
-    :mod:`repro.sched.hints`).  All figures are *lower bounds* when
+    Consumed by the COST rules and by the scenario pass's SCN007
+    deadline check.  All figures are *lower bounds* when
     ``statically_bounded`` is False.
     """
 

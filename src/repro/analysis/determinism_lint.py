@@ -54,8 +54,8 @@ _WALLCLOCK_ATTRS = {
 
 # Modules whose classes went through the __slots__ conversion in PRs
 # 1–2; new instance-bearing classes here must keep the discipline.
-# The repro.sched policy/snapshot layer was born under it: snapshots
-# are built and policies consulted on every routed invocation.  Query
+# The repro.sched routing layer was born under it: a snapshot is built
+# and a policy consulted on every routed invocation.  Query
 # tables and their operators are built per partition of an SSB query.
 HOT_PATH_MODULES = (
     "sim/core.py",
@@ -75,9 +75,6 @@ HOT_PATH_MODULES = (
     "sched/routing.py",
     "engines/throttle.py",
     "cluster/health.py",
-    "sched/sandbox.py",
-    "sched/scaling.py",
-    "sched/cores.py",
     "scenario/spec.py",
     "scenario/engine.py",
     "scenario/kpis.py",

@@ -13,8 +13,10 @@ code   severity meaning
 SCN001 error    spec fails to parse or validate (TOML syntax, unknown
                 key, out-of-range value)
 SCN002 error    unknown routing policy (`repro.sched.ROUTING_POLICIES`)
-SCN003 error    unknown core policy (`repro.sched.CORE_POLICIES`)
-SCN004 error    unknown autoscaler (`repro.sched.SCALING_POLICIES`)
+SCN003 error    unknown core split (``static`` or ``pi``)
+SCN004          retired with the ``sched.autoscaler`` field (an
+                ``autoscaler`` key is now an unknown key, SCN001); the
+                code is not reused
 SCN005 error    unknown backend or machine profile
 SCN006 warning  no explicit ``seed`` — the run is still deterministic,
                 but the spec doesn't *say* which stream it pins
@@ -100,8 +102,7 @@ def _name_diagnostics(spec, file: str) -> list:
 
     hints = {
         "SCN002": "pick a policy from repro.sched.ROUTING_POLICIES",
-        "SCN003": "pick a policy from repro.sched.CORE_POLICIES",
-        "SCN004": "pick a policy from repro.sched.SCALING_POLICIES",
+        "SCN003": 'use cores = "static" or "pi"',
         "SCN005": "pick a backend/machine from repro.backends",
     }
     return [

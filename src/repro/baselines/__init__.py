@@ -2,13 +2,10 @@
 
 from .base import (
     FaasPlatform,
-    FixedHotRatioPolicy,
     FunctionModel,
-    KeepAlivePolicy,
     Phase,
     PlatformSpec,
     RequestRecord,
-    Sandbox,
     compute_phase,
     io_phase,
 )
@@ -25,13 +22,10 @@ from .specs import (
 
 __all__ = [
     "FaasPlatform",
-    "FixedHotRatioPolicy",
     "FunctionModel",
-    "KeepAlivePolicy",
     "Phase",
     "PlatformSpec",
     "RequestRecord",
-    "Sandbox",
     "compute_phase",
     "io_phase",
     "DHybridPlatform",

@@ -14,29 +14,22 @@ burn CPU (scaled by the platform's slowdown), ``io`` phases block
 without using CPU — which is how the mixed compute/I-O workloads of
 §7.5–7.6 are expressed on the baselines.
 
-Two sandbox policies cover the paper's setups (both live in the
-unified scheduling layer, :mod:`repro.sched.sandbox`, and are
-re-exported here for compatibility):
-
-* :class:`FixedHotRatioPolicy` — each request is *hot* with fixed
-  probability (the 97%-hot setting justified by the Azure trace, §7.3);
-* :class:`KeepAlivePolicy` — sandboxes stay warm for a keep-alive
-  window after each request (the Knative-autoscaling memory behaviour
-  of Figs 1 and 10).
-
-The per-request hot/cold/reuse decision routes through
-``policy.decide(SandboxSnapshot) -> SandboxChoice`` (docs/scheduling.md);
-the platform actuates the choice — scanning its idle pool, charging
-memory, arming reap timers.
+Each request is *hot* with a fixed probability ``hot_ratio`` (the
+97%-hot setting justified by the Azure trace, §7.3): one
+``rng.bernoulli(hot_ratio)`` draw per request, at arrival.  Hot
+requests are served by a standing pool of pre-provisioned sandboxes
+(8 per function, charged to committed memory at registration); a cold
+request boots a fresh sandbox that is torn down after use.  The
+Knative keep-alive memory behaviour of Figs 1 and 10 is modelled by
+the sharded trace replay's lean FaaS worker
+(:mod:`repro.sim.sharded.shard`), not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..sched.sandbox import FixedHotRatioPolicy, KeepAlivePolicy, SandboxPolicy
-from ..sched.snapshots import SandboxSnapshot
 from ..sim.core import Environment
 from ..sim.cpu import ProcessorSharingCpu
 from ..sim.distributions import Rng
@@ -48,14 +41,14 @@ __all__ = [
     "io_phase",
     "PlatformSpec",
     "FunctionModel",
-    "Sandbox",
-    "FixedHotRatioPolicy",
-    "KeepAlivePolicy",
     "FaasPlatform",
     "RequestRecord",
 ]
 
 MiB = 1024 * 1024
+
+# Pre-provisioned hot sandboxes per function while hot_ratio > 0.
+_HOT_POOL_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -123,18 +116,6 @@ class FunctionModel:
         return sum(p.seconds for p in self.phases if p.kind == "io")
 
 
-@dataclass
-class Sandbox:
-    """One live sandbox (MicroVM / container / Wasm instance)."""
-
-    function_name: str
-    memory_bytes: int
-    created_at: float
-    busy: bool = True
-    expires_at: float = float("inf")
-    generation: int = 0
-
-
 @dataclass(frozen=True)
 class RequestRecord:
     """Telemetry for one completed request."""
@@ -150,27 +131,27 @@ class RequestRecord:
 
 
 class FaasPlatform:
-    """A baseline FaaS worker node."""
+    """A baseline FaaS worker node serving a fixed share of hot requests."""
 
     def __init__(
         self,
         env: Environment,
         spec: PlatformSpec,
         cores: int,
-        policy: SandboxPolicy,
-        rng: Optional[Rng] = None,
+        hot_ratio: float,
+        rng: Rng,
     ):
+        if not 0.0 <= hot_ratio <= 1.0:
+            raise ValueError(f"hot_ratio {hot_ratio} out of range")
         self.env = env
         self.spec = spec
         self.cores = cores
-        self.policy = policy
-        self.rng = rng or Rng(0)
+        self.hot_ratio = hot_ratio
+        self.rng = rng
         self.cpu = ProcessorSharingCpu(
             env, cores, switch_overhead_seconds=spec.context_switch_seconds
         )
         self._functions: dict[str, FunctionModel] = {}
-        # Idle (warm) sandboxes per function, newest last.
-        self._idle: dict[str, list[Sandbox]] = {}
         self._standing_memory = 0
         self._dynamic_memory = 0
         self._active_memory = 0
@@ -196,11 +177,9 @@ class FaasPlatform:
             raise ValueError(f"function {name!r} already registered")
         function = FunctionModel(name, tuple(phases), memory_bytes)
         self._functions[name] = function
-        self._idle[name] = []
         self.per_function_latencies[name] = LatencyRecorder(name)
-        standing = self.policy.standing_sandboxes(function)
-        if standing:
-            self._standing_memory += standing * self._memory_of(function)
+        if self.hot_ratio > 0:
+            self._standing_memory += _HOT_POOL_SIZE * self._memory_of(function)
             self._record_memory()
         return function
 
@@ -232,14 +211,12 @@ class FaasPlatform:
 
     def _serve(self, function: FunctionModel):
         arrived_at = self.env.now
-        sandbox, cold = self._acquire(function)
+        cold = not self.rng.bernoulli(self.hot_ratio)
         memory = self._memory_of(function)
         self._active_memory += memory
         if cold:
             self.cold_requests += 1
-            if sandbox is None:
-                sandbox = Sandbox(function.name, memory, created_at=self.env.now)
-                self._dynamic_memory += memory
+            self._dynamic_memory += memory
             self._record_memory()
             cold_seconds = self.spec.cold_start_total_seconds(memory)
             if self.spec.cold_start_uses_cpu:
@@ -258,7 +235,10 @@ class FaasPlatform:
                 yield self.env.timeout(phase.seconds)
 
         self._active_memory -= memory
-        self._release(function, sandbox, was_cold=cold)
+        if cold:
+            # The cold-started sandbox is torn down after use.
+            self._dynamic_memory -= memory
+        self._record_memory()
         finished_at = self.env.now
         record = RequestRecord(function.name, arrived_at, finished_at, cold)
         self.records.append(record)
@@ -266,67 +246,8 @@ class FaasPlatform:
         self.per_function_latencies[function.name].record(record.latency)
         return record
 
-    def _acquire(self, function: FunctionModel):
-        """Returns (sandbox_or_None, cold?).
-
-        The hot/cold/reuse *decision* is the policy's
-        (``decide(SandboxSnapshot) -> SandboxChoice``); this method
-        actuates it against the idle pool.
-        """
-        idle = self._idle[function.name]
-        choice = self.policy.decide(
-            SandboxSnapshot(self.env.now, function, len(idle))
-        )
-        kind = choice.kind
-        if kind == "hot":
-            # Served by the standing hot pool; no sandbox object changes.
-            return None, False
-        if kind == "cold":
-            return None, True
-        # "reuse": take the newest unexpired idle sandbox, else cold-start.
-        while idle:
-            sandbox = idle.pop()
-            if sandbox.expires_at > self.env.now:
-                sandbox.busy = True
-                sandbox.generation += 1
-                return sandbox, False
-            # Expired but not yet reaped; reclaim now.
-            self._dynamic_memory -= sandbox.memory_bytes
-        return None, True
-
-    def _release(self, function: FunctionModel, sandbox: Optional[Sandbox], was_cold: bool):
-        if not self.policy.keep_after_use():
-            if was_cold and sandbox is not None:
-                self._dynamic_memory -= sandbox.memory_bytes
-            self._record_memory()
-            return
-        assert sandbox is not None
-        sandbox.busy = False
-        sandbox.expires_at = self.env.now + self.policy.keep_alive_seconds
-        generation = sandbox.generation
-        self._idle[function.name].append(sandbox)
-        # Reap via a direct timer callback: a generator process per
-        # released sandbox (Process + Initialize + completion event)
-        # is measurable churn on keep-alive-heavy runs (Fig 1/Fig 10
-        # Azure replays release a sandbox per request).
-        timer = self.env.timeout(self.policy.keep_alive_seconds)
-        timer.callbacks.append(
-            lambda _evt: self._reap(function.name, sandbox, generation)
-        )
-        self._record_memory()
-
-    def _reap(self, function_name: str, sandbox: Sandbox, generation: int) -> None:
-        idle = self._idle[function_name]
-        if sandbox in idle and sandbox.generation == generation:
-            idle.remove(sandbox)
-            self._dynamic_memory -= sandbox.memory_bytes
-            self._record_memory()
-
     # -- reporting --------------------------------------------------------------
 
     def cold_fraction(self) -> float:
         total = self.cold_requests + self.hot_requests
         return self.cold_requests / total if total else 0.0
-
-    def warm_sandbox_count(self) -> int:
-        return sum(len(idle) for idle in self._idle.values())

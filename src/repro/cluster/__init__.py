@@ -1,12 +1,9 @@
 """Cluster-level orchestration: Dirigent-like manager over worker fleets."""
 
-from .autoscaler import KnativeConfig, KnativeFaasPlatform
 from .faults import WorkerFaultInjector
 from .manager import ROUTING_POLICIES, ClusterManager
 
 __all__ = [
-    "KnativeConfig",
-    "KnativeFaasPlatform",
     "ROUTING_POLICIES",
     "ClusterManager",
     "WorkerFaultInjector",

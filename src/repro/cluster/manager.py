@@ -113,7 +113,6 @@ class ClusterManager:
         seed: int = 0,
         max_reroutes: int = 3,
         latency_health: bool = False,
-        health_tracker: Optional[LatencyHealthTracker] = None,
         quarantine_ttl_seconds: float = 1.0,
         hedge: bool = False,
         hedge_percentile: float = 95.0,
@@ -165,12 +164,9 @@ class ClusterManager:
         # the snapshot free of health references, so every routing
         # policy sees exactly the legacy inputs and fault-free runs
         # stay bit-identical.
-        if health_tracker is not None:
-            self.health: Optional[LatencyHealthTracker] = health_tracker
-        elif latency_health:
-            self.health = LatencyHealthTracker()
-        else:
-            self.health = None
+        self.health: Optional[LatencyHealthTracker] = (
+            LatencyHealthTracker() if latency_health else None
+        )
         # Preferred ring: healthy AND not quarantined, maintained
         # incrementally like the healthy ring (rebuilt only on
         # quarantine flips and membership changes).
@@ -359,13 +355,6 @@ class ClusterManager:
             sorted(registered.required_functions())
         )
         self._hedgeable[registered.name] = _pure_compute(registered)
-        ingest = getattr(self.routing_policy, "ingest_summary", None)
-        if ingest is not None and self.workers:
-            # Cost-aware policies take the static dataflow summary at
-            # registration time; other policies never pay for analysis.
-            summary = self.workers[0].dispatcher.cost_summary(registered.name)
-            if summary is not None:
-                ingest(summary)
         return registered
 
     # -- routing ---------------------------------------------------------------

@@ -1,26 +1,22 @@
 """Control plane: periodic core re-allocation between engine types.
 
-The decision — move a core toward compute, toward communication, or
-hold — is a pluggable core-scheduling policy from the unified layer
-(:mod:`repro.sched.cores`, docs/scheduling.md).  The default is the
-paper's PI controller over queue-growth error signals
-(:class:`~repro.sched.cores.PiCorePolicy`); the allocator samples both
-engine groups each epoch, builds a
-:class:`~repro.sched.snapshots.CoreSnapshot`, and actuates whatever the
-policy decides, subject to the ``min_engines`` floor so neither
-function type can be starved entirely.
+Every epoch the allocator samples both engine groups' queues and feeds
+their growth since the previous epoch into the paper's PI controller
+(:class:`~repro.controlplane.pi_controller.PiController`).  It actuates
+the controller's decision — move a core toward compute, toward
+communication, or hold — subject to the ``min_engines`` floor so
+neither function type can be starved entirely.  A static split is the
+allocator switched off (``enabled=False``; ``sched.cores = "static"``
+in a scenario spec).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from ..engines.group import EngineGroup
-from ..sched.cores import CorePolicy, PiCorePolicy
-from ..sched.snapshots import CoreSnapshot
 from ..sim.core import Environment
-from .pi_controller import PiConfig
+from .pi_controller import PiConfig, PiController
 
 __all__ = ["CoreAllocator", "CONTROL_EPOCH_SECONDS"]
 
@@ -28,12 +24,10 @@ CONTROL_EPOCH_SECONDS = 0.030  # the paper's 30 ms control period
 
 
 class CoreAllocator:
-    """Runs the core policy and moves cores between the two engine groups.
+    """Runs the PI controller and moves cores between the two engine groups.
 
     Each group always keeps at least ``min_engines`` cores so neither
-    function type can be starved entirely.  Pass ``policy`` to slot in
-    an alternative controller; ``config`` configures the default PI
-    policy and is ignored when ``policy`` is given.
+    function type can be starved entirely.
     """
 
     def __init__(
@@ -45,13 +39,12 @@ class CoreAllocator:
         config: PiConfig = PiConfig(),
         min_engines: int = 1,
         enabled: bool = True,
-        policy: Optional[CorePolicy] = None,
     ):
         self.env = env
         self.compute_group = compute_group
         self.comm_group = comm_group
         self.epoch_seconds = epoch_seconds
-        self.policy = policy if policy is not None else PiCorePolicy(config)
+        self.controller = PiController(config)
         self.min_engines = min_engines
         self.enabled = enabled
         self.reassignments: list[tuple[float, str]] = []
@@ -66,19 +59,12 @@ class CoreAllocator:
     def _epoch(self) -> None:
         compute_queue = self.compute_group.sample_queue()
         comm_queue = self.comm_group.sample_queue()
-        snapshot = CoreSnapshot(
-            self.env.now,
-            compute_queue,
-            comm_queue,
+        decision = self.controller.update(
             compute_queue - self._previous_compute_queue,
             comm_queue - self._previous_comm_queue,
-            self.compute_group.engine_count,
-            self.comm_group.engine_count,
-            self.min_engines,
         )
         self._previous_compute_queue = compute_queue
         self._previous_comm_queue = comm_queue
-        decision = self.policy.decide(snapshot)
         # A move waits for the retiring engine to finish its task; the
         # next epoch is counted from the end of the move.
         if decision > 0 and self.comm_group.engine_count > self.min_engines:

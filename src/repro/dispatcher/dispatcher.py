@@ -230,9 +230,6 @@ class Dispatcher:
         "retry_backoff_base",
         "retries_performed",
         "deadline_expirations",
-        "static_admission",
-        "admission_rejections",
-        "_cost_summaries",
         "_warm_binaries",
         "_plans",
         "_invocation_ids",
@@ -256,7 +253,6 @@ class Dispatcher:
         data_passing: str = "copy",
         retry_rng=None,
         retry_backoff_base: float = _RETRY_BACKOFF_BASE_SECONDS,
-        static_admission: bool = False,
     ):
         self.env = env
         self.registry = registry
@@ -282,15 +278,6 @@ class Dispatcher:
         self.retry_backoff_base = retry_backoff_base
         self.retries_performed = 0
         self.deadline_expirations = 0
-        # Static admission (repro.analysis.compositions): when enabled,
-        # invocations of a composition whose declared deadline is
-        # statically unreachable are rejected before any scheduling or
-        # memory-context work happens — the cost summary is a lower
-        # bound (unbounded parallelism), so a failing path can *never*
-        # meet the deadline.
-        self.static_admission = static_admission
-        self.admission_rejections = 0
-        self._cost_summaries: dict[int, object] = {}
         self._warm_binaries: set[str] = set()
         # Composition id -> its _Plan; see _compile.
         self._plans: dict[int, _Plan] = {}
@@ -312,22 +299,6 @@ class Dispatcher:
         """
         return self._warm_binaries
 
-    def cost_summary(self, composition_name: str):
-        """Static cost envelope of a registered composition (cached).
-
-        Computed lazily by :func:`repro.analysis.compositions.cost_summary`
-        on first request and memoized per composition object.
-        """
-        composition = self.registry.composition(composition_name)
-        key = id(composition)
-        summary = self._cost_summaries.get(key)
-        if summary is None:
-            from ..analysis.compositions import cost_summary as analyze_cost
-
-            summary = analyze_cost(composition, self.registry)
-            self._cost_summaries[key] = summary
-        return summary
-
     def invoke(self, composition_name: str, inputs: dict[str, DataSet]):
         """Start an invocation; returns an event → InvocationResult."""
         done = self.env.event()
@@ -342,18 +313,6 @@ class Dispatcher:
         self.invocations_started += 1
         result = InvocationResult(invocation_id=invocation_id, started_at=self.env.now)
         finish = partial(self._finish, result, on_done)
-        if self.static_admission and composition.deadline_seconds is not None:
-            summary = self.cost_summary(composition.name)
-            if summary.deadline_feasible is False:
-                self.admission_rejections += 1
-                finish(
-                    InvocationError(
-                        f"composition {composition.name!r} statically rejected: "
-                        f"critical path {summary.critical_path_seconds:.6g}s "
-                        f"cannot meet the {composition.deadline_seconds}s deadline"
-                    )
-                )
-                return
         self._run_composition(composition, inputs, invocation_id, finish)
 
     def _finish(self, result: InvocationResult, on_done, outcome) -> None:

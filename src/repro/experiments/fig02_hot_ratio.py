@@ -9,7 +9,7 @@ log scale).
 
 from __future__ import annotations
 
-from ..baselines import FIRECRACKER_SNAPSHOT, FaasPlatform, FixedHotRatioPolicy, compute_phase
+from ..baselines import FIRECRACKER_SNAPSHOT, FaasPlatform, compute_phase
 from ..sim.core import Environment
 from ..sim.distributions import Rng
 from ..workloads.loadgen import run_open_loop
@@ -38,8 +38,9 @@ def run_fig02(
         platform = FaasPlatform(
             env,
             FIRECRACKER_SNAPSHOT,
-            cores=cores,
-            policy=FixedHotRatioPolicy(hot_ratio, Rng(seed * 100 + index)),
+            cores,
+            hot_ratio,
+            Rng(seed * 100 + index),
         )
         platform.register_function("matmul", [compute_phase(MATMUL_128_SECONDS)])
         load = run_open_loop(

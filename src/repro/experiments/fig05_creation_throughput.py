@@ -18,7 +18,6 @@ from ..baselines import (
     HYPERLIGHT,
     WASMTIME,
     FaasPlatform,
-    FixedHotRatioPolicy,
     compute_phase,
 )
 from ..data.items import DataItem, DataSet
@@ -76,9 +75,7 @@ def _make_submit(system: str, env: Environment, cores: int, seed: int):
         )
         return model.request
     spec = _BASELINE_SPECS[system]
-    platform = FaasPlatform(
-        env, spec, cores=cores, policy=FixedHotRatioPolicy(0.0, Rng(seed))
-    )
+    platform = FaasPlatform(env, spec, cores, 0.0, Rng(seed))
     platform.register_function("matmul1x1", [compute_phase(MATMUL_1x1_SECONDS)])
     return lambda: platform.request("matmul1x1")
 

@@ -18,7 +18,6 @@ from ..baselines import (
     HYPERLIGHT_MATMUL,
     WASMTIME,
     FaasPlatform,
-    FixedHotRatioPolicy,
     compute_phase,
 )
 from ..data.items import DataItem, DataSet
@@ -88,18 +87,11 @@ def _make_submit(system: str, env: Environment, cores: int, seed: int):
         )
         return model.request
     if system == "firecracker-snapshot":
-        platform = FaasPlatform(
-            env, FIRECRACKER_SNAPSHOT, cores=cores,
-            policy=FixedHotRatioPolicy(0.97, Rng(seed)),
-        )
+        platform = FaasPlatform(env, FIRECRACKER_SNAPSHOT, cores, 0.97, Rng(seed))
     elif system == "wasmtime":
-        platform = FaasPlatform(
-            env, WASMTIME, cores=cores, policy=FixedHotRatioPolicy(0.0, Rng(seed))
-        )
+        platform = FaasPlatform(env, WASMTIME, cores, 0.0, Rng(seed))
     elif system == "hyperlight":
-        platform = FaasPlatform(
-            env, HYPERLIGHT_MATMUL, cores=cores, policy=FixedHotRatioPolicy(0.0, Rng(seed))
-        )
+        platform = FaasPlatform(env, HYPERLIGHT_MATMUL, cores, 0.0, Rng(seed))
     else:
         raise KeyError(f"unknown system {system!r}")
     platform.register_function("matmul128", [compute_phase(MATMUL_128_SECONDS)])

@@ -23,7 +23,6 @@ from ..baselines import (
     FIRECRACKER_SNAPSHOT,
     WASMTIME,
     FaasPlatform,
-    FixedHotRatioPolicy,
     compute_phase,
     io_phase,
 )
@@ -96,9 +95,7 @@ def _dandelion_submits(cores: int):
 
 def _baseline_submits(spec, hot_ratio, cores, seed):
     env = Environment()
-    platform = FaasPlatform(
-        env, spec, cores=cores, policy=FixedHotRatioPolicy(hot_ratio, Rng(seed))
-    )
+    platform = FaasPlatform(env, spec, cores, hot_ratio, Rng(seed))
     platform.register_function("logproc", _LOGPROC_PHASES)
     platform.register_function("compress", _COMPRESS_PHASES)
     return env, platform, {

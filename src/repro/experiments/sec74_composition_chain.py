@@ -20,7 +20,6 @@ from ..baselines import (
     FIRECRACKER_SNAPSHOT,
     WASMTIME,
     FaasPlatform,
-    FixedHotRatioPolicy,
 )
 from ..sim.core import Environment
 from ..sim.distributions import Rng
@@ -54,9 +53,7 @@ def _dandelion_latency(depth: int, cache_mode: str, cores: int) -> float:
 
 def _baseline_latency(spec, hot_ratio: float, depth: int, cores: int) -> float:
     env = Environment()
-    platform = FaasPlatform(
-        env, spec, cores=cores, policy=FixedHotRatioPolicy(hot_ratio, Rng(1))
-    )
+    platform = FaasPlatform(env, spec, cores, hot_ratio, Rng(1))
     platform.register_function("chain", fetch_and_compute_phases(depth))
     record = env.run(until=platform.request("chain"))
     return record.latency

@@ -16,10 +16,10 @@ their canonical forms are equal, and ``parse → serialize → parse`` is
 the identity (pinned by a hypothesis property in the test suite).
 
 Policy/backend *names* in a spec resolve against the live registries
-(:data:`repro.sched.ROUTING_POLICIES`, :data:`~repro.sched.CORE_POLICIES`,
-:data:`~repro.sched.SCALING_POLICIES`, :data:`repro.backends.BACKEND_NAMES`)
-via :func:`validate_names` — shared by the engine and the SCN lint
-pass so a spec never fails deep inside cluster assembly.
+(:data:`repro.sched.ROUTING_POLICIES`, :data:`repro.backends.BACKEND_NAMES`)
+and the core split against ``("static", "pi")`` via
+:func:`validate_names` — shared by the engine and the SCN lint pass so
+a spec never fails deep inside cluster assembly.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ SPEC_SCHEMA = "repro-scenario/v1"
 
 _TRACE_KINDS = ("synthetic", "streamed")
 _PLATFORMS = ("dandelion", "faas")
+# "static" keeps the spec'd split; "pi" enables the worker control plane.
+_CORE_SPLITS = ("static", "pi")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -252,9 +254,8 @@ class FaultSpec:
 class SchedSpec:
     """Scheduling knobs, by registry name (see docs/scheduling.md)."""
 
-    routing: str = "least_loaded"
-    cores: str = "static"      # CORE_POLICIES; "pi" enables the control plane
-    autoscaler: str = "none"   # SCALING_POLICIES
+    routing: str = "least_loaded"  # ROUTING_POLICIES
+    cores: str = "static"          # _CORE_SPLITS
     latency_health: bool = False
     hedge: bool = False
     hedge_percentile: float = 95.0
@@ -478,7 +479,7 @@ def validate_names(spec: ScenarioSpec) -> list:
     pass (reports all of them), so the two can never disagree.
     """
     from ..backends.base import BACKEND_NAMES, BACKEND_SPECS
-    from ..sched import CORE_POLICIES, ROUTING_POLICIES, SCALING_POLICIES
+    from ..sched.routing import ROUTING_POLICIES
 
     problems = []
     if spec.sched.routing not in ROUTING_POLICIES:
@@ -487,18 +488,11 @@ def validate_names(spec: ScenarioSpec) -> list:
             f"sched.routing: unknown routing policy {spec.sched.routing!r} "
             f"(registered: {', '.join(sorted(ROUTING_POLICIES))})",
         ))
-    if spec.sched.cores not in CORE_POLICIES:
+    if spec.sched.cores not in _CORE_SPLITS:
         problems.append((
             "SCN003",
-            f"sched.cores: unknown core policy {spec.sched.cores!r} "
-            f"(registered: {', '.join(sorted(CORE_POLICIES))})",
-        ))
-    if spec.sched.autoscaler not in SCALING_POLICIES:
-        problems.append((
-            "SCN004",
-            f"sched.autoscaler: unknown scaling policy "
-            f"{spec.sched.autoscaler!r} "
-            f"(registered: {', '.join(sorted(SCALING_POLICIES))})",
+            f"sched.cores: unknown core split {spec.sched.cores!r} "
+            f"(expected one of: {', '.join(_CORE_SPLITS)})",
         ))
     if spec.fleet.backend not in BACKEND_NAMES:
         problems.append((

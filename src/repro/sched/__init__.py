@@ -1,42 +1,24 @@
-"""Unified pluggable scheduling layer (`repro.sched`).
+"""Cluster routing (`repro.sched`).
 
-Dandelion's elasticity rests on fast, explicit scheduling decisions at
-every layer of the stack — cluster routing (§5), engine queueing,
-sandbox pooling (§7 baselines), and PI-controlled core reallocation
-(§5).  This package makes each of those decision points a first-class
-*policy object* over immutable, cheaply-built snapshot views, so that
-alternative schedulers (power-of-d-choices, locality-aware routing,
-different core controllers) can be slotted in and benchmarked without
-touching the subsystems they steer.
+Dandelion's cluster manager places every invocation on a worker (§5).
+This package makes that decision a *policy object* over an immutable,
+cheaply-built :class:`ClusterSnapshot`, so alternative routers
+(power-of-d-choices, locality-aware, latency-quarantine) can be swept
+without touching the cluster manager (see docs/scheduling.md):
 
-The contract is deliberately small (see docs/scheduling.md):
-
-* a **snapshot** is a read-only view of the decision inputs, built in
+* the **snapshot** is a read-only view of the decision inputs, built in
   O(1) on the hot path (shared tuples are maintained incrementally by
-  the subsystem that owns the state);
-* a **policy** implements ``decide(snapshot) -> choice`` and owns all
-  of its mutable state (cursors, RNG streams), so two policies never
-  interfere and a policy's decision stream is reproducible from its
-  seed;
-* the **subsystem actuates** the returned choice — policies never
+  the cluster manager);
+* a **policy** implements ``decide(snapshot) -> worker index`` and owns
+  all of its mutable state (cursors, RNG streams), so two policies
+  never interfere and a policy's decision stream is reproducible from
+  its seed;
+* the **cluster manager actuates** the returned choice — policies never
   mutate the system themselves.
 
-Decision points and their policy families:
-
-=====================  =============================  ======================
-decision point         snapshot                       policies
-=====================  =============================  ======================
-cluster routing        :class:`ClusterSnapshot`       :data:`ROUTING_POLICIES`
-KPA pod scaling        :class:`PoolSnapshot`          :class:`KpaScalingPolicy`
-baseline sandboxes     :class:`SandboxSnapshot`       :class:`FixedHotRatioPolicy`,
-                                                      :class:`KeepAlivePolicy`
-core reallocation      :class:`CoreSnapshot`          :class:`PiCorePolicy`,
-                                                      :class:`StaticCorePolicy`
-=====================  =============================  ======================
+The registered names live in :data:`ROUTING_POLICIES`.
 """
 
-from .cores import CorePolicy, CORE_POLICIES, PiCorePolicy, StaticCorePolicy
-from .hints import CostAware, StaticHints
 from .routing import (
     JSQ,
     GrayFailureAware,
@@ -48,47 +30,17 @@ from .routing import (
     ROUTING_POLICIES,
     make_routing_policy,
 )
-from .sandbox import (
-    FixedHotRatioPolicy,
-    KeepAlivePolicy,
-    SandboxChoice,
-    SandboxPolicy,
-)
-from .scaling import KpaScalingPolicy, SCALING_POLICIES, ScaleChoice
-from .snapshots import (
-    ClusterSnapshot,
-    CoreSnapshot,
-    PoolSnapshot,
-    SandboxSnapshot,
-    WorkerSnapshot,
-)
+from .snapshots import ClusterSnapshot
 
 __all__ = [
     "ClusterSnapshot",
-    "CORE_POLICIES",
-    "CorePolicy",
-    "CoreSnapshot",
-    "CostAware",
-    "FixedHotRatioPolicy",
     "GrayFailureAware",
     "JSQ",
-    "KeepAlivePolicy",
-    "KpaScalingPolicy",
     "LeastOutstanding",
     "LocalityAware",
-    "PiCorePolicy",
-    "PoolSnapshot",
     "RandomRouting",
     "RoundRobin",
     "RoutingPolicy",
     "ROUTING_POLICIES",
-    "SCALING_POLICIES",
-    "SandboxChoice",
-    "SandboxPolicy",
-    "SandboxSnapshot",
-    "ScaleChoice",
-    "StaticCorePolicy",
-    "StaticHints",
-    "WorkerSnapshot",
     "make_routing_policy",
 ]

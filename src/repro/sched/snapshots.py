@@ -1,76 +1,26 @@
-"""Immutable snapshot views consumed by scheduling policies.
+"""The immutable routing view consumed by :mod:`repro.sched.routing`.
 
-A snapshot is the *decision input* for one scheduling choice: a cheap,
-read-only view of the relevant slice of system state.  Snapshots are
-built on the hot path, so construction must be O(1) — the expensive
-parts (the healthy-index ring, per-worker counters, warm-binary sets)
-are references to state the owning subsystem maintains incrementally,
-never copies.  Policies must treat every field as frozen: mutating a
-snapshot (or the containers it references) is a contract violation and
-would corrupt the subsystem that lent the view.
-
-Snapshot types, one per decision point:
-
-* :class:`ClusterSnapshot` — cluster-manager routing (§5): the healthy
-  worker ring, per-worker in-flight counts, and warm-binary locality
-  signals for the invoked composition;
-* :class:`WorkerSnapshot` — a per-worker slice of the cluster view,
-  materialized lazily for policies (and tests) that want one worker's
-  state as a value;
-* :class:`PoolSnapshot` — one function's pod pool as the Knative KPA
-  sees it at an evaluation tick (windowed concurrency averages);
-* :class:`SandboxSnapshot` — one baseline-platform request's
-  hot/cold/reuse decision input;
-* :class:`CoreSnapshot` — one control-plane epoch's queue growths and
-  current core split.
+A :class:`ClusterSnapshot` is the *decision input* for one routing
+choice (§5): the healthy worker ring, per-worker in-flight counts, and
+warm-binary locality signals for the invoked composition.  Snapshots
+are built on the hot path, so construction must be O(1) — the
+expensive parts (the healthy-index ring, per-worker counters,
+warm-binary sets) are references to state the cluster manager
+maintains incrementally, never copies.  Policies must treat every
+field as frozen: mutating a snapshot (or the containers it references)
+is a contract violation and would corrupt the cluster manager that
+lent the view.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-__all__ = [
-    "ClusterSnapshot",
-    "CoreSnapshot",
-    "PoolSnapshot",
-    "SandboxSnapshot",
-    "WorkerSnapshot",
-]
+__all__ = ["ClusterSnapshot"]
 
 _EMPTY_SET: frozenset = frozenset()
 
 _NAN = float("nan")
-
-
-class WorkerSnapshot:
-    """Read-only view of one worker at decision time."""
-
-    __slots__ = (
-        "index",
-        "healthy",
-        "in_flight",
-        "warm_functions",
-        "latency_ewma",
-        "quarantined",
-    )
-
-    def __init__(self, index: int, healthy: bool, in_flight: int,
-                 warm_functions: frozenset,
-                 latency_ewma: float = _NAN,
-                 quarantined: bool = False):
-        self.index = index
-        self.healthy = healthy
-        self.in_flight = in_flight
-        self.warm_functions = warm_functions
-        self.latency_ewma = latency_ewma
-        self.quarantined = quarantined
-
-    def __repr__(self) -> str:
-        return (
-            f"WorkerSnapshot(index={self.index}, healthy={self.healthy}, "
-            f"in_flight={self.in_flight}, warm={len(self.warm_functions)}, "
-            f"quarantined={self.quarantined})"
-        )
 
 
 class ClusterSnapshot:
@@ -88,7 +38,7 @@ class ClusterSnapshot:
     references: ``preferred`` (healthy AND not latency-quarantined —
     another incrementally-maintained ring), ``scores`` (per-worker
     completion-latency EWMAs) and ``quarantined`` (per-worker flags).
-    Deployments without a health tracker leave them at their defaults
+    Deployments without latency health leave them at their defaults
     and every policy behaves exactly as before: ``candidates`` falls
     back to ``healthy``.
     """
@@ -175,115 +125,8 @@ class ClusterSnapshot:
             return 0
         return sum(1 for name in functions if name in warm)
 
-    def worker(self, index: int) -> WorkerSnapshot:
-        """Materialize one worker's slice as a value (not hot path)."""
-        return WorkerSnapshot(
-            index,
-            self.is_healthy(index),
-            self.in_flight(index),
-            frozenset(self.warm_functions(index)),
-            self.latency_score(index),
-            self.is_quarantined(index),
-        )
-
     def __repr__(self) -> str:
         return (
             f"ClusterSnapshot({len(self.healthy)}/{self.worker_count} healthy, "
             f"composition={self.composition!r})"
-        )
-
-
-class PoolSnapshot:
-    """One function's pod pool as the autoscaler sees it at a tick."""
-
-    __slots__ = (
-        "function_name",
-        "now",
-        "ready",
-        "busy",
-        "provisioned",
-        "stable_concurrency",
-        "panic_concurrency",
-    )
-
-    def __init__(
-        self,
-        function_name: str,
-        now: float,
-        ready: int,
-        busy: int,
-        provisioned: int,
-        stable_concurrency: float,
-        panic_concurrency: float,
-    ):
-        self.function_name = function_name
-        self.now = now
-        self.ready = ready
-        self.busy = busy
-        self.provisioned = provisioned
-        self.stable_concurrency = stable_concurrency
-        self.panic_concurrency = panic_concurrency
-
-    def __repr__(self) -> str:
-        return (
-            f"PoolSnapshot({self.function_name!r}, ready={self.ready}, "
-            f"busy={self.busy}, provisioned={self.provisioned}, "
-            f"stable={self.stable_concurrency:.2f}, "
-            f"panic={self.panic_concurrency:.2f})"
-        )
-
-
-class SandboxSnapshot:
-    """One baseline request's sandbox-acquisition decision input."""
-
-    __slots__ = ("now", "function", "idle_count")
-
-    def __init__(self, now: float, function, idle_count: int):
-        self.now = now
-        self.function = function
-        self.idle_count = idle_count
-
-    def __repr__(self) -> str:
-        name = getattr(self.function, "name", self.function)
-        return f"SandboxSnapshot({name!r}, idle={self.idle_count}, now={self.now})"
-
-
-class CoreSnapshot:
-    """One control-plane epoch's view of both engine groups."""
-
-    __slots__ = (
-        "now",
-        "compute_queue",
-        "comm_queue",
-        "compute_growth",
-        "comm_growth",
-        "compute_cores",
-        "comm_cores",
-        "min_cores",
-    )
-
-    def __init__(
-        self,
-        now: float,
-        compute_queue: int,
-        comm_queue: int,
-        compute_growth: float,
-        comm_growth: float,
-        compute_cores: int,
-        comm_cores: int,
-        min_cores: int = 1,
-    ):
-        self.now = now
-        self.compute_queue = compute_queue
-        self.comm_queue = comm_queue
-        self.compute_growth = compute_growth
-        self.comm_growth = comm_growth
-        self.compute_cores = compute_cores
-        self.comm_cores = comm_cores
-        self.min_cores = min_cores
-
-    def __repr__(self) -> str:
-        return (
-            f"CoreSnapshot(compute={self.compute_cores}c/q{self.compute_queue}, "
-            f"comm={self.comm_cores}c/q{self.comm_queue})"
         )

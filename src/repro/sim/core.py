@@ -2,8 +2,8 @@
 
 This module implements a small, self-contained process-based
 discrete-event simulator in the style of SimPy.  Every platform in the
-reproduction (Dandelion worker nodes, Firecracker hosts, the Knative
-autoscaler, the simulated network) runs on top of this kernel, so that
+reproduction (Dandelion worker nodes, Firecracker hosts, the simulated
+network) runs on top of this kernel, so that
 microsecond-scale timing behaviour from the paper can be modelled
 faithfully even though the host is Python.
 

@@ -158,8 +158,7 @@ class _Sandbox:
 class _LeanFaasWorker:
     """Firecracker+Knative-style node with keep-alive sandbox reuse.
 
-    A lean restatement of :class:`~repro.baselines.base.FaasPlatform`
-    under :class:`~repro.baselines.base.KeepAlivePolicy`: committed
+    The repository's one keep-alive model (Figs 1 and 10): committed
     memory covers warm (idle) and busy sandboxes, active memory only
     busy ones; a cold start pays the control-plane + restore + paging
     path, a warm start only the hot hop.  Reuse pops the most recently

@@ -53,11 +53,17 @@ def test_scn002_to_scn005_unknown_names():
         "seed = 1\n\n[trace]\nrps = 1.0\n\n"
         "[fleet]\nbackend = \"qemu\"\nmachine = \"sparc\"\n\n"
         "[sched]\nrouting = \"fastest\"\ncores = \"magic\"\n"
-        "autoscaler = \"hpa\"\n"
     )
     diagnostics = lint_scenario_text(text, "bad.toml")
-    assert _codes(diagnostics) == [
-        "SCN002", "SCN003", "SCN004", "SCN005", "SCN005"]
+    assert _codes(diagnostics) == ["SCN002", "SCN003", "SCN005", "SCN005"]
+
+
+def test_autoscaler_key_is_unknown():
+    # sched.autoscaler was validated but never read; SCN004 is retired.
+    text = "seed = 1\n\n[trace]\nrps = 1.0\n\n[sched]\nautoscaler = \"none\"\n"
+    diagnostics = lint_scenario_text(text, "bad.toml")
+    assert _codes(diagnostics) == ["SCN001"]
+    assert "autoscaler" in diagnostics[0].message
 
 
 def test_scn006_missing_seed_is_a_warning():

@@ -8,8 +8,6 @@ from repro.baselines import (
     GVISOR,
     WASMTIME,
     FaasPlatform,
-    FixedHotRatioPolicy,
-    KeepAlivePolicy,
     Phase,
     compute_phase,
     io_phase,
@@ -17,10 +15,9 @@ from repro.baselines import (
 from repro.sim import Environment, Rng
 
 
-def make_platform(spec=FIRECRACKER_SNAPSHOT, policy=None, cores=4, seed=0):
+def make_platform(spec=FIRECRACKER_SNAPSHOT, hot_ratio=1.0, cores=4, seed=0):
     env = Environment()
-    policy = policy or FixedHotRatioPolicy(1.0, Rng(seed))
-    platform = FaasPlatform(env, spec, cores=cores, policy=policy)
+    platform = FaasPlatform(env, spec, cores, hot_ratio, Rng(seed))
     return env, platform
 
 
@@ -41,7 +38,7 @@ def test_hot_request_latency_no_cold_start():
 
 
 def test_cold_request_pays_boot():
-    env, platform = make_platform(policy=FixedHotRatioPolicy(0.0, Rng(0)))
+    env, platform = make_platform(hot_ratio=0.0)
     platform.register_function("f", [compute_phase(0.002)])
     record = env.run(until=platform.request("f"))
     assert record.cold
@@ -49,10 +46,10 @@ def test_cold_request_pays_boot():
 
 
 def test_fresh_boot_much_slower_than_snapshot():
-    _env1, fresh = make_platform(spec=FIRECRACKER, policy=FixedHotRatioPolicy(0.0, Rng(0)))
+    _env1, fresh = make_platform(spec=FIRECRACKER, hot_ratio=0.0)
     fresh.register_function("f", [compute_phase(0.001)])
     record_fresh = fresh.env.run(until=fresh.request("f"))
-    _env2, snap = make_platform(spec=FIRECRACKER_SNAPSHOT, policy=FixedHotRatioPolicy(0.0, Rng(0)))
+    _env2, snap = make_platform(spec=FIRECRACKER_SNAPSHOT, hot_ratio=0.0)
     snap.register_function("f", [compute_phase(0.001)])
     record_snap = snap.env.run(until=snap.request("f"))
     # Fresh boot ~150 ms vs restore (~12 ms + demand paging).
@@ -60,7 +57,7 @@ def test_fresh_boot_much_slower_than_snapshot():
 
 
 def test_hot_ratio_statistics():
-    env, platform = make_platform(policy=FixedHotRatioPolicy(0.97, Rng(5)))
+    env, platform = make_platform(hot_ratio=0.97, seed=5)
     platform.register_function("f", [compute_phase(1e-4)])
 
     def run_many():
@@ -73,7 +70,13 @@ def test_hot_ratio_statistics():
 
 def test_hot_ratio_bounds_validated():
     with pytest.raises(ValueError):
-        FixedHotRatioPolicy(1.5, Rng(0))
+        make_platform(hot_ratio=1.5)
+
+
+def test_policy_argument_removed():
+    # Sandbox policy objects are gone: the hot ratio is a plain argument.
+    with pytest.raises(TypeError):
+        FaasPlatform(Environment(), FIRECRACKER_SNAPSHOT, cores=4, policy=object())
 
 
 def test_io_phase_does_not_consume_cpu():
@@ -106,55 +109,21 @@ def test_gvisor_slower_than_snapshot_cold():
     assert GVISOR.cold_start_seconds > FIRECRACKER_SNAPSHOT.cold_start_seconds
 
 
-def test_keep_alive_makes_second_request_warm():
-    env, platform = make_platform(policy=KeepAlivePolicy(keep_alive_seconds=60))
-    platform.register_function("f", [compute_phase(0.001)])
-    first = env.run(until=platform.request("f"))
-    second = env.run(until=platform.request("f"))
-    assert first.cold
-    assert not second.cold
-
-
-def test_keep_alive_expires_sandbox():
-    env, platform = make_platform(policy=KeepAlivePolicy(keep_alive_seconds=1.0))
-    platform.register_function("f", [compute_phase(0.001)])
-    env.run(until=platform.request("f"))
-
-    def later():
-        yield env.timeout(5.0)
-        record = yield platform.request("f")
-        return record
-
-    record = env.run(until=env.process(later()))
-    assert record.cold
-    assert platform.warm_sandbox_count() <= 1
-
-
-def test_keep_alive_memory_committed_while_idle():
-    env, platform = make_platform(policy=KeepAlivePolicy(keep_alive_seconds=10.0))
-    platform.register_function("f", [compute_phase(0.001)])
-    env.run(until=platform.request("f"))
-    # Request done, but the sandbox memory is still committed.
-    assert platform.committed_bytes == FIRECRACKER_SNAPSHOT.sandbox_memory_bytes
-    env.run(until=env.timeout(20.0))
-    assert platform.committed_bytes == 0
-
-
 def test_memory_released_immediately_without_keepalive():
-    env, platform = make_platform(policy=KeepAlivePolicy(keep_alive_seconds=0.0))
+    env, platform = make_platform(hot_ratio=0.0)
     platform.register_function("f", [compute_phase(0.001)])
     env.run(until=platform.request("f"))
     assert platform.committed_bytes == 0
 
 
 def test_standing_pool_memory_for_hot_ratio_policy():
-    env, platform = make_platform(policy=FixedHotRatioPolicy(0.97, Rng(0), hot_pool_size=4))
+    env, platform = make_platform(hot_ratio=0.97)
     platform.register_function("f", [compute_phase(0.001)])
-    assert platform.committed_bytes == 4 * FIRECRACKER_SNAPSHOT.sandbox_memory_bytes
+    assert platform.committed_bytes == 8 * FIRECRACKER_SNAPSHOT.sandbox_memory_bytes
 
 
 def test_active_memory_tracks_running_requests():
-    env, platform = make_platform(policy=KeepAlivePolicy(keep_alive_seconds=0.0))
+    env, platform = make_platform(hot_ratio=0.0)
     platform.register_function("f", [compute_phase(0.01)])
     platform.request("f")
     env.run(until=env.timeout(0.005))

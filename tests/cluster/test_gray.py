@@ -358,3 +358,9 @@ def test_zero_hedge_budget_never_hedges():
     offered, completed = drive(cluster, count=80)
     assert completed == offered
     assert cluster.hedges_issued == 0
+
+
+def test_health_tracker_argument_removed():
+    # Latency health is switched on by latency_health=True alone.
+    with pytest.raises(TypeError):
+        ClusterManager(worker_count=1, health_tracker=LatencyHealthTracker())

@@ -149,3 +149,12 @@ def test_allocation_history_recorded():
     assert len(allocator.allocation_history) >= 4
     times = [t for t, _c, _m in allocator.allocation_history]
     assert times == sorted(times)
+
+
+def test_allocator_takes_no_policy_object():
+    # The PI controller is the allocator's one core policy; a static
+    # split is enabled=False.
+    env = Environment()
+    compute_group, comm_group = _make_groups(env)
+    with pytest.raises(TypeError):
+        CoreAllocator(env, compute_group, comm_group, policy=object())

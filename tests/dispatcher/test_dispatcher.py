@@ -3,6 +3,7 @@
 import pytest
 
 from repro.data import DataItem, DataSet
+from repro.dispatcher import Dispatcher
 from repro.errors import InvocationError
 from repro.functions import (
     compute_function,
@@ -419,3 +420,34 @@ def test_output_store_programming_error_propagates(monkeypatch):
     monkeypatch.setattr(MemoryContext, "store_sets", _broken_store(TypeError))
     with pytest.raises(TypeError, match="injected store failure"):
         worker.invoke_and_run("upper_exclaim", {"text": b"hello"})
+
+
+@compute_function(compute_cost=0.1)
+def deadline_slow_step(vfs):
+    (item,) = read_items(vfs, "src")
+    vfs.write_bytes("/out/dst/item", item.data)
+
+
+def test_dsl_deadline_is_not_enforced_at_run_time():
+    # A DSL deadline is a lint-time declaration (COST001/COST003): the
+    # dispatcher runs a composition whose deadline its critical path
+    # cannot meet, and has no switch to reject it instead.
+    worker = make_worker()
+    worker.frontend.register_function(deadline_slow_step)
+    worker.frontend.register_composition("""
+        composition slow_deadline_chain {
+            deadline 50ms;
+            compute s1 uses deadline_slow_step in(src) out(dst);
+            compute s2 uses deadline_slow_step in(src) out(dst);
+            input start -> s1.src;
+            s1.dst -> s2.src;
+            output s2.dst -> result;
+        }
+    """)
+    result = worker.invoke_and_run("slow_deadline_chain", {"start": b"x"})
+    assert result.ok
+    assert result.output("result").item("item").data == b"x"
+    dispatcher = worker.dispatcher
+    with pytest.raises(TypeError):
+        Dispatcher(worker.env, dispatcher.registry, dispatcher.compute_group,
+                   dispatcher.comm_group, static_admission=True)

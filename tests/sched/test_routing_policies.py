@@ -196,7 +196,6 @@ def test_registry_maps_names_to_classes():
         "jsq",
         "locality",
         "gray",
-        "cost",
     }
     for name, cls in ROUTING_POLICIES.items():
         assert issubclass(cls, RoutingPolicy)
@@ -217,6 +216,12 @@ def test_make_routing_policy_passes_instances_through():
 def test_make_routing_policy_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown policy"):
         make_routing_policy("fifo", Rng(0))
+
+
+def test_cost_routing_removed():
+    # The static-hint bin packer had no caller; its name is not reused.
+    with pytest.raises(ValueError, match="unknown policy"):
+        make_routing_policy("cost", Rng(0))
 
 
 def test_make_routing_policy_rejects_wrong_type():

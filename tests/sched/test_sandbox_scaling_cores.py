@@ -1,176 +1,67 @@
-"""Unit tests for the sandbox, pod-scaling, and core-scheduling policies."""
+"""The baseline hot/cold draw, and pins that the scheduling modules no
+workload reached stay deleted.
 
-import math
+``FaasPlatform`` makes one sandbox decision (§7.1): a single
+``rng.bernoulli(hot_ratio)`` draw per request, at arrival, with a
+standing hot pool of 8 sandboxes per function while ``hot_ratio > 0``.
+"""
+
+import importlib
 
 import pytest
 
-from repro.cluster.autoscaler import KnativeConfig
-from repro.controlplane import PiConfig
-from repro.sched.cores import PiCorePolicy, StaticCorePolicy
-from repro.sched.sandbox import FixedHotRatioPolicy, KeepAlivePolicy
-from repro.sched.scaling import KpaScalingPolicy
-from repro.sched.snapshots import CoreSnapshot, PoolSnapshot, SandboxSnapshot
-from repro.sim.distributions import Rng
+from repro.baselines import FIRECRACKER_SNAPSHOT, FaasPlatform, compute_phase
+from repro.sim import Environment, Rng
 
 
-def sandbox_view(idle_count=0):
-    return SandboxSnapshot(now=1.0, function="f", idle_count=idle_count)
+def platform(hot_ratio, seed=0):
+    env = Environment()
+    faas = FaasPlatform(env, FIRECRACKER_SNAPSHOT, 4, hot_ratio, Rng(seed))
+    faas.register_function("f", [compute_phase(1e-4)])
+    return env, faas
 
 
-# -- sandbox policies ---------------------------------------------------------
+def cold_pattern(hot_ratio, seed, count):
+    env, faas = platform(hot_ratio, seed)
+    return [env.run(until=faas.request("f")).cold for _ in range(count)]
 
 
 def test_fixed_hot_ratio_extremes():
-    always_hot = FixedHotRatioPolicy(1.0, Rng(0))
-    always_cold = FixedHotRatioPolicy(0.0, Rng(0))
-    for _ in range(20):
-        assert always_hot.decide(sandbox_view()).kind == "hot"
-        assert always_cold.decide(sandbox_view()).kind == "cold"
+    assert cold_pattern(1.0, 0, 20) == [False] * 20
+    assert cold_pattern(0.0, 0, 20) == [True] * 20
 
 
 def test_fixed_hot_ratio_decisions_are_seeded():
-    first = [FixedHotRatioPolicy(0.6, Rng(4)).decide(sandbox_view()).kind
-             for _ in range(1)]
-    # Same seed, same stream of decisions.
-    a = FixedHotRatioPolicy(0.6, Rng(4))
-    b = FixedHotRatioPolicy(0.6, Rng(4))
-    kinds_a = [a.decide(sandbox_view()).kind for _ in range(100)]
-    kinds_b = [b.decide(sandbox_view()).kind for _ in range(100)]
-    assert kinds_a == kinds_b
-    assert {"hot", "cold"} >= set(kinds_a + first)
+    pattern = cold_pattern(0.6, 4, 100)
+    assert pattern == cold_pattern(0.6, 4, 100)
+    # One draw per request, in arrival order, from the platform's stream.
+    stream = Rng(4)
+    assert pattern == [not stream.bernoulli(0.6) for _ in range(100)]
+    assert set(pattern) == {True, False}
 
 
 def test_fixed_hot_ratio_standing_pool_and_teardown():
-    policy = FixedHotRatioPolicy(0.97, Rng(0), hot_pool_size=8)
-    assert policy.standing_sandboxes("f") == 8
-    assert FixedHotRatioPolicy(0.0, Rng(0)).standing_sandboxes("f") == 0
-    assert not policy.keep_after_use()
+    _env, hot = platform(0.97)
+    assert hot.committed_bytes == 8 * FIRECRACKER_SNAPSHOT.sandbox_memory_bytes
+    env, cold = platform(0.0)
+    assert cold.committed_bytes == 0
+    assert env.run(until=cold.request("f")).cold
+    assert cold.committed_bytes == 0  # the cold sandbox was torn down
 
 
 def test_fixed_hot_ratio_validates_ratio():
-    with pytest.raises(ValueError):
-        FixedHotRatioPolicy(1.5, Rng(0))
+    for ratio in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            FaasPlatform(Environment(), FIRECRACKER_SNAPSHOT, 4, ratio, Rng(0))
 
 
-def test_keep_alive_decides_reuse_with_window():
-    policy = KeepAlivePolicy(30.0)
-    choice = policy.decide(sandbox_view(idle_count=2))
-    assert choice.kind == "reuse"
-    assert choice.keep_alive_seconds == 30.0
-    assert policy.keep_after_use()
-
-
-def test_keep_alive_zero_window_drops_sandboxes():
-    assert not KeepAlivePolicy(0.0).keep_after_use()
-    with pytest.raises(ValueError):
-        KeepAlivePolicy(-1.0)
-
-
-# -- KPA scaling policy -------------------------------------------------------
-
-
-def pool_view(stable, panic, provisioned, ready=0, busy=0):
-    return PoolSnapshot("f", 10.0, ready, busy, provisioned, stable, panic)
-
-
-def test_kpa_desired_is_ceil_of_concurrency_over_target():
-    policy = KpaScalingPolicy(KnativeConfig(target_concurrency=2.0))
-    choice = policy.decide(pool_view(stable=5.0, panic=0.0, provisioned=3))
-    assert choice.desired_pods == math.ceil(5.0 / 2.0)
-    assert not choice.in_panic
-
-
-def test_kpa_panic_entry_boundary_is_inclusive():
-    # Panic triggers at panic_concurrency >= threshold * capacity;
-    # capacity = provisioned * target = 2 pods * 1.0 = 2, threshold 2.0.
-    policy = KpaScalingPolicy(KnativeConfig(target_concurrency=1.0, panic_threshold=2.0))
-    at_boundary = policy.decide(pool_view(stable=1.0, panic=4.0, provisioned=2))
-    assert at_boundary.in_panic
-    below = policy.decide(pool_view(stable=1.0, panic=4.0 - 1e-9, provisioned=2))
-    assert not below.in_panic
-
-
-def test_kpa_panic_uses_max_of_windows():
-    policy = KpaScalingPolicy(KnativeConfig(target_concurrency=1.0, panic_threshold=2.0))
-    # In panic the burstier window drives desired pods upward...
-    choice = policy.decide(pool_view(stable=3.0, panic=8.0, provisioned=1))
-    assert choice.in_panic
-    assert choice.desired_pods == 8
-    # ...but a stale high stable average still wins if it is larger.
-    choice = policy.decide(pool_view(stable=9.0, panic=8.0, provisioned=1))
-    assert choice.desired_pods == 9
-
-
-def test_kpa_panic_exit_when_capacity_catches_up():
-    # Same panic concurrency, more provisioned pods: capacity doubled,
-    # so the 2x threshold is no longer crossed and panic exits.
-    policy = KpaScalingPolicy(KnativeConfig(target_concurrency=1.0, panic_threshold=2.0))
-    assert policy.decide(pool_view(stable=4.0, panic=4.0, provisioned=2)).in_panic
-    assert not policy.decide(pool_view(stable=4.0, panic=4.0, provisioned=4)).in_panic
-
-
-def test_kpa_zero_provisioned_counts_as_one_pod_capacity():
-    # Scale-to-zero pools must still be able to panic on the first burst.
-    policy = KpaScalingPolicy(KnativeConfig(target_concurrency=1.0, panic_threshold=2.0))
-    assert policy.decide(pool_view(stable=0.0, panic=2.0, provisioned=0)).in_panic
-
-
-def test_kpa_caps_at_max_pods():
-    policy = KpaScalingPolicy(
-        KnativeConfig(target_concurrency=1.0, max_pods_per_function=5)
-    )
-    choice = policy.decide(pool_view(stable=40.0, panic=0.0, provisioned=1))
-    assert choice.desired_pods == 5
-
-
-def test_kpa_acquire_warm_takes_ready_pods():
-    policy = KpaScalingPolicy(KnativeConfig())
-    assert policy.acquire_warm(sandbox_view(idle_count=1))
-    assert not policy.acquire_warm(sandbox_view(idle_count=0))
-
-
-# -- core policies ------------------------------------------------------------
-
-
-def core_view(compute_growth, comm_growth):
-    return CoreSnapshot(
-        now=0.03,
-        compute_queue=10,
-        comm_queue=10,
-        compute_growth=compute_growth,
-        comm_growth=comm_growth,
-        compute_cores=2,
-        comm_cores=2,
-        min_cores=1,
-    )
-
-
-def test_pi_core_policy_follows_queue_growth():
-    policy = PiCorePolicy(PiConfig())
-    assert policy.decide(core_view(10.0, 0.0)) == +1
-    assert PiCorePolicy(PiConfig()).decide(core_view(0.0, 10.0)) == -1
-    assert PiCorePolicy(PiConfig()).decide(core_view(5.0, 5.0)) == 0
-
-
-def test_pi_core_policy_reset_clears_controller_state():
-    policy = PiCorePolicy(PiConfig())
-    policy.decide(core_view(10.0, 0.0))
-    assert policy.controller.integral != 0.0
-    policy.reset()
-    assert policy.controller.integral == 0.0
-    assert policy.controller.last_signal == 0.0
-
-
-def test_pi_core_policy_wraps_supplied_controller():
-    from repro.controlplane import PiController
-
-    controller = PiController(PiConfig(deadband=100.0))
-    policy = PiCorePolicy(controller=controller)
-    assert policy.controller is controller
-    assert policy.decide(core_view(50.0, 0.0)) == 0  # inside the wide deadband
-
-
-def test_static_core_policy_never_moves():
-    policy = StaticCorePolicy()
-    for growths in [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0)]:
-        assert policy.decide(core_view(*growths)) == 0
+@pytest.mark.parametrize("module", [
+    "repro.cluster.autoscaler",
+    "repro.sched.cores",
+    "repro.sched.hints",
+    "repro.sched.sandbox",
+    "repro.sched.scaling",
+])
+def test_deleted_scheduling_modules_stay_deleted(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)

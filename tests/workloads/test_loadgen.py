@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import FIRECRACKER_SNAPSHOT, FaasPlatform, FixedHotRatioPolicy, compute_phase
+from repro.baselines import FIRECRACKER_SNAPSHOT, FaasPlatform, compute_phase
 from repro.sim import Environment, Rng
 from repro.workloads import (
     FixedDelayService,
@@ -17,9 +17,7 @@ from repro.worker import WorkerConfig, WorkerNode
 
 def make_fc(cores=4, hot_ratio=1.0):
     env = Environment()
-    platform = FaasPlatform(
-        env, FIRECRACKER_SNAPSHOT, cores=cores, policy=FixedHotRatioPolicy(hot_ratio, Rng(0))
-    )
+    platform = FaasPlatform(env, FIRECRACKER_SNAPSHOT, cores, hot_ratio, Rng(0))
     platform.register_function("f", [compute_phase(0.001)])
     return env, platform
 
