@@ -39,7 +39,6 @@ def test_ablation_pi_controller_vs_static(benchmark):
             WorkerConfig(
                 total_cores=8,
                 control_plane_enabled=control_plane_enabled,
-                initial_comm_cores=1,
             )
         )
         name = register_phase_composition(worker, "io_app", fetch_and_compute_phases(4))

@@ -18,7 +18,7 @@ registration time, plus its companions:
   fan-out explosion, shadowing, never-written sets), cross-node races
   and producer/consumer contracts (RACE/CON) from the purity pass's
   read/write summaries, and the static cost envelope (COST,
-  ``CompositionCostSummary``) the dispatcher and ``repro.sched`` read;
+  ``CompositionCostSummary``) that scenario lint's SCN007 reads;
 - :mod:`repro.analysis.determinism_lint` — a self-lint over
   ``src/repro`` guarding the repo's byte-identical-output invariant
   (no wall clocks, no unseeded RNG, no set-ordered iteration, no

@@ -28,7 +28,7 @@ the sharded trace replay's lean FaaS worker
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..sim.core import Environment
 from ..sim.cpu import ProcessorSharingCpu
@@ -83,10 +83,6 @@ class PlatformSpec:
     compute_slowdown: float = 1.0
     sandbox_memory_bytes: int = 128 * MiB
     context_switch_seconds: float = 5e-6
-    # Whether cold-start work burns CPU (VM boot does; some of snapshot
-    # restore is I/O but the paper attributes FC saturation to CPU
-    # contention between serving and creation, so we charge it).
-    cold_start_uses_cpu: bool = True
     # Extra cold-start cost per MiB of sandbox memory: snapshot restores
     # demand-page the guest working set on first touch (§2.3 attributes
     # >8ms to "snapshot demand paging and guest-host connection
@@ -101,11 +97,11 @@ class PlatformSpec:
 
 @dataclass(frozen=True)
 class FunctionModel:
-    """A function as the baseline platforms see it: phases + memory."""
+    """A function as the baseline platforms see it: its phases.  Its
+    sandbox commits the platform's ``sandbox_memory_bytes``."""
 
     name: str
     phases: tuple[Phase, ...]
-    memory_bytes: Optional[int] = None  # overrides the spec default
 
     @property
     def compute_seconds(self) -> float:
@@ -167,24 +163,16 @@ class FaasPlatform:
 
     # -- registration ---------------------------------------------------------
 
-    def register_function(
-        self,
-        name: str,
-        phases: Iterable[Phase],
-        memory_bytes: Optional[int] = None,
-    ) -> FunctionModel:
+    def register_function(self, name: str, phases: Iterable[Phase]) -> FunctionModel:
         if name in self._functions:
             raise ValueError(f"function {name!r} already registered")
-        function = FunctionModel(name, tuple(phases), memory_bytes)
+        function = FunctionModel(name, tuple(phases))
         self._functions[name] = function
         self.per_function_latencies[name] = LatencyRecorder(name)
         if self.hot_ratio > 0:
-            self._standing_memory += _HOT_POOL_SIZE * self._memory_of(function)
+            self._standing_memory += _HOT_POOL_SIZE * self.spec.sandbox_memory_bytes
             self._record_memory()
         return function
-
-    def _memory_of(self, function: FunctionModel) -> int:
-        return function.memory_bytes or self.spec.sandbox_memory_bytes
 
     # -- memory accounting ---------------------------------------------------
 
@@ -212,17 +200,16 @@ class FaasPlatform:
     def _serve(self, function: FunctionModel):
         arrived_at = self.env.now
         cold = not self.rng.bernoulli(self.hot_ratio)
-        memory = self._memory_of(function)
+        memory = self.spec.sandbox_memory_bytes
         self._active_memory += memory
         if cold:
             self.cold_requests += 1
             self._dynamic_memory += memory
             self._record_memory()
-            cold_seconds = self.spec.cold_start_total_seconds(memory)
-            if self.spec.cold_start_uses_cpu:
-                yield self.cpu.consume(cold_seconds)
-            else:
-                yield self.env.timeout(cold_seconds)
+            # Cold-start work burns CPU: VM boot does, and while part of
+            # a snapshot restore is I/O, the paper attributes FC
+            # saturation to CPU contention between serving and creation.
+            yield self.cpu.consume(self.spec.cold_start_total_seconds(memory))
         else:
             self.hot_requests += 1
             self._record_memory()

@@ -24,9 +24,9 @@ static choice — that is the comparison Fig 7 draws.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
-from ..backends.base import IsolationBackend, create_backend
+from ..backends.base import create_backend
 from ..composition.registry import DEFAULT_BINARY_SIZE, FunctionBinary
 from ..sim.core import Environment, Event, _PROCESSED
 from ..sim.cpu import ProcessorSharingCpu
@@ -52,7 +52,6 @@ class DHybridPlatform:
         cores: int,
         threads_per_core: int = 1,
         pinned: bool = False,
-        backend: Optional[IsolationBackend] = None,
     ):
         if cores < 1:
             raise ValueError("cores must be >= 1")
@@ -64,7 +63,8 @@ class DHybridPlatform:
         self.cores = cores
         self.threads_per_core = threads_per_core
         self.pinned = pinned
-        self.backend = backend or create_backend("kvm", "linux")
+        # The isolation backend of a default Dandelion worker.
+        self.backend = create_backend("kvm", "linux")
         self._functions: dict[str, FunctionModel] = {}
         self._binaries: dict[str, FunctionBinary] = {}
         # Sandbox-creation cost per function is load-independent; cache

@@ -6,7 +6,10 @@
 * **Fail-stop crash/restore cycles** — each worker lives for an
   exponentially distributed time-to-failure (MTTF), fail-stops, stays
   down for an exponentially distributed time-to-repair (MTTR), and is
-  then restored as a fresh node with registrations replayed.
+  then restored as a fresh node with registrations replayed.  The
+  injector never takes down the last healthy worker (it skips that
+  cycle): a total fleet outage would measure the injector, not the
+  platform.
 * **Limp (gray-failure) cycles** — optionally, workers periodically
   degrade to ``1/limp_severity`` of nominal engine throughput for a
   while and then recover, without ever leaving the healthy ring.  This
@@ -41,7 +44,6 @@ class WorkerFaultInjector:
         mttf_seconds: float,
         mttr_seconds: float,
         seed: int = 0,
-        spare_last_healthy: bool = True,
         limp_mttf_seconds: float = 0.0,
         limp_duration_seconds: float = 0.0,
         limp_severity: float = 1.0,
@@ -56,10 +58,6 @@ class WorkerFaultInjector:
         self.cluster = cluster
         self.mttf_seconds = mttf_seconds
         self.mttr_seconds = mttr_seconds
-        # A total fleet outage usually means the experiment measures the
-        # injector, not the platform; by default the injector refuses to
-        # take down the last healthy worker (skips that cycle).
-        self.spare_last_healthy = spare_last_healthy
         self.limp_mttf_seconds = limp_mttf_seconds
         self.limp_duration_seconds = limp_duration_seconds
         self.limp_severity = limp_severity
@@ -91,7 +89,7 @@ class WorkerFaultInjector:
                 # Someone else (a test, another injector) already failed
                 # this worker; wait out the cycle and try again.
                 continue
-            if self.spare_last_healthy and self.cluster.healthy_worker_count <= 1:
+            if self.cluster.healthy_worker_count <= 1:
                 self.crashes_skipped += 1
                 continue
             self.cluster.fail_worker(index)

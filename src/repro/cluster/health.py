@@ -8,9 +8,10 @@ average (EWMA) of recent per-worker completion latency, compared
 against the mean of its *peers'* EWMAs (excluding the worker itself —
 a fleet-wide average would be diluted by the very samples that should
 trigger detection).  A worker whose score drifts more than
-``quarantine_factor`` above its peers is **quarantined** — routing
+``QUARANTINE_FACTOR`` times its peers' is **quarantined** — routing
 prefers other workers — and released again (with hysteresis, at
-``release_factor``) once its completions recover.
+``RELEASE_FACTOR``) once its completions recover.  A worker is judged
+only after ``MIN_SAMPLES`` completions.
 
 Everything is maintained incrementally, O(1) per completion, the same
 way the healthy-index ring is: no fleet rescans, no sorting, no
@@ -32,6 +33,15 @@ __all__ = ["LatencyHealthTracker"]
 
 _NAN = float("nan")
 
+# EWMA weight of the newest completion latency.
+ALPHA = 0.2
+# Quarantine above QUARANTINE_FACTOR x the peer baseline; release at or
+# below RELEASE_FACTOR x (the gap between the two is the hysteresis).
+QUARANTINE_FACTOR = 2.0
+RELEASE_FACTOR = 1.4
+# Completions a worker needs before its score is judged.
+MIN_SAMPLES = 8
+
 
 class LatencyHealthTracker:
     """Incremental per-worker completion-latency EWMA with quarantine.
@@ -40,14 +50,10 @@ class LatencyHealthTracker:
     ``True`` when the worker's quarantine flag flipped (the manager
     then refreshes its preferred-index ring — the only non-O(1) step,
     and it only runs on flips, which are rare by construction thanks to
-    the ``release_factor < quarantine_factor`` hysteresis band).
+    the ``RELEASE_FACTOR < QUARANTINE_FACTOR`` hysteresis band).
     """
 
     __slots__ = (
-        "alpha",
-        "quarantine_factor",
-        "release_factor",
-        "min_samples",
         "_scores",
         "_counts",
         "_scores_sum",
@@ -57,27 +63,7 @@ class LatencyHealthTracker:
         "quarantine_exits",
     )
 
-    def __init__(
-        self,
-        alpha: float = 0.2,
-        quarantine_factor: float = 2.0,
-        release_factor: float = 1.4,
-        min_samples: int = 8,
-    ):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha {alpha} must be in (0, 1]")
-        if quarantine_factor <= 1.0:
-            raise ValueError("quarantine_factor must be > 1.0")
-        if not 1.0 <= release_factor <= quarantine_factor:
-            raise ValueError(
-                "release_factor must be in [1.0, quarantine_factor] (hysteresis)"
-            )
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        self.alpha = alpha
-        self.quarantine_factor = quarantine_factor
-        self.release_factor = release_factor
-        self.min_samples = min_samples
+    def __init__(self):
         self._scores: dict[int, float] = {}
         self._counts: dict[int, int] = {}
         # Running sum of per-worker EWMAs plus the number of workers
@@ -95,7 +81,6 @@ class LatencyHealthTracker:
         """Fold one completion latency in; True iff the flag flipped."""
         if latency < 0:
             raise ValueError(f"negative latency {latency}")
-        alpha = self.alpha
         count = self._counts.get(index, 0)
         if count == 0:
             self._scores[index] = latency
@@ -103,7 +88,7 @@ class LatencyHealthTracker:
             self._active += 1
         else:
             old = self._scores[index]
-            new = old + alpha * (latency - old)
+            new = old + ALPHA * (latency - old)
             self._scores[index] = new
             self._scores_sum += new - old
         self._counts[index] = count + 1
@@ -119,14 +104,14 @@ class LatencyHealthTracker:
         """Refresh one worker's quarantine flag; True iff it flipped."""
         quarantined = self._quarantined.get(index, False)
         baseline = self._peer_baseline(index)
-        if self._counts.get(index, 0) < self.min_samples or baseline <= 0:
+        if self._counts.get(index, 0) < MIN_SAMPLES or baseline <= 0:
             verdict = False
         else:
             ratio = self._scores[index] / baseline
             if quarantined:
-                verdict = ratio > self.release_factor
+                verdict = ratio > RELEASE_FACTOR
             else:
-                verdict = ratio > self.quarantine_factor
+                verdict = ratio > QUARANTINE_FACTOR
         if verdict == quarantined:
             return False
         self._quarantined[index] = verdict
@@ -160,11 +145,6 @@ class LatencyHealthTracker:
     def sample_count(self, index: int) -> int:
         return self._counts.get(index, 0)
 
-    @property
-    def fleet_score(self) -> float:
-        """Mean of all per-worker EWMAs (NaN before any sample)."""
-        return self._scores_sum / self._active if self._active else _NAN
-
     def is_quarantined(self, index: int) -> bool:
         return self._quarantined.get(index, False)
 
@@ -182,7 +162,4 @@ class LatencyHealthTracker:
         return sum(1 for flag in self._quarantined.values() if flag)
 
     def __repr__(self) -> str:
-        return (
-            f"LatencyHealthTracker(alpha={self.alpha}, "
-            f"quarantined={self.quarantined_count()})"
-        )
+        return f"LatencyHealthTracker(quarantined={self.quarantined_count()})"

@@ -87,6 +87,12 @@ __all__ = ["ClusterManager", "ROUTING_POLICIES"]
 
 # Cluster-manager hop: routing decision + request forwarding.
 _ROUTING_OVERHEAD_SECONDS = 50e-6
+# Re-routes after fail-stop crashes before an invocation fails with
+# WorkerCrashed.
+MAX_REROUTES = 3
+# Completions observed before the hedge trigger (a latency percentile)
+# is trusted; no hedge is sent before then.
+HEDGE_MIN_SAMPLES = 20
 
 
 def _pure_compute(composition: Composition) -> bool:
@@ -108,16 +114,12 @@ class ClusterManager:
         worker_count: int = 2,
         worker_config: Optional[WorkerConfig] = None,
         policy: Union[str, RoutingPolicy] = "least_loaded",
-        env: Optional[Environment] = None,
-        network: Optional[SimulatedNetwork] = None,
         seed: int = 0,
-        max_reroutes: int = 3,
         latency_health: bool = False,
         quarantine_ttl_seconds: float = 1.0,
         hedge: bool = False,
         hedge_percentile: float = 95.0,
         hedge_budget_fraction: float = 0.05,
-        hedge_min_samples: int = 20,
     ):
         if worker_count < 1:
             raise ValueError("cluster needs at least one worker")
@@ -125,16 +127,13 @@ class ClusterManager:
             raise ValueError("hedge_percentile must be in (0, 100)")
         if not 0.0 <= hedge_budget_fraction <= 1.0:
             raise ValueError("hedge_budget_fraction must be in [0, 1]")
-        if hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
-        self.env = env or Environment()
-        self.network = network or SimulatedNetwork(self.env, LatencyModel())
+        self.env = Environment()
+        self.network = SimulatedNetwork(self.env, LatencyModel())
         self._rng = Rng(seed)
         self.routing_policy = make_routing_policy(policy, self._rng)
         # Back-compat: `.policy` stays the string name experiments log.
         self.policy = policy if isinstance(policy, str) else self.routing_policy.name
         self._config = worker_config or WorkerConfig()
-        self.max_reroutes = max_reroutes
         self.workers: list[WorkerNode] = []
         self._functions: list[FunctionBinary] = []
         self._compositions: list = []
@@ -175,15 +174,14 @@ class ClusterManager:
         # worker receives (almost) no traffic, so its EWMA can never
         # recover on its own.  After the TTL the manager forgets the
         # worker's latency history and lets it re-earn its place — a
-        # still-limping worker re-quarantines within min_samples
-        # completions, a recovered one rejoins cleanly.
+        # still-limping worker re-quarantines within the tracker's
+        # MIN_SAMPLES completions, a recovered one rejoins cleanly.
         if quarantine_ttl_seconds <= 0:
             raise ValueError("quarantine_ttl_seconds must be positive")
         self.quarantine_ttl_seconds = quarantine_ttl_seconds
         self.hedge = hedge
         self.hedge_percentile = hedge_percentile
         self.hedge_budget_fraction = hedge_budget_fraction
-        self.hedge_min_samples = hedge_min_samples
         self.hedges_issued = 0
         self.hedges_won = 0
         self._hedged_invocations = 0
@@ -437,7 +435,7 @@ class ClusterManager:
     def _hedge_delay(self) -> Optional[float]:
         """Percentile-of-observed-latency hedge trigger, or ``None``
         until enough completions have been seen to estimate it."""
-        if self.latencies.count < self.hedge_min_samples:
+        if self.latencies.count < HEDGE_MIN_SAMPLES:
             return None
         return self.latencies.percentile(self.hedge_percentile)
 
@@ -644,7 +642,7 @@ class _Routed:
             self._finish(self.fallback, self.fallback_index)
             return
         self.reroutes += 1
-        if self.reroutes > cluster.max_reroutes:
+        if self.reroutes > MAX_REROUTES:
             self._fail(WorkerCrashed(self.primary))
             return
         cluster.reroutes += 1

@@ -13,29 +13,22 @@ core from the compute engine type to the communication engine type."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+__all__ = ["PiController"]
 
-__all__ = ["PiController", "PiConfig"]
-
-
-@dataclass(frozen=True)
-class PiConfig:
-    """Controller gains and actuation threshold."""
-
-    proportional_gain: float = 1.0
-    integral_gain: float = 0.1
-    # Signals within [-deadband, +deadband] cause no re-assignment,
-    # avoiding oscillation on balanced load.
-    deadband: float = 0.5
-    # Anti-windup clamp on the integral term.
-    integral_limit: float = 50.0
+# Controller gains and actuation threshold.
+PROPORTIONAL_GAIN = 1.0
+INTEGRAL_GAIN = 0.1
+# Signals within [-DEADBAND, +DEADBAND] cause no re-assignment,
+# avoiding oscillation on balanced load.
+DEADBAND = 0.5
+# Anti-windup clamp on the integral term.
+INTEGRAL_LIMIT = 50.0
 
 
 class PiController:
     """Discrete PI controller over queue-growth error signals."""
 
-    def __init__(self, config: PiConfig = PiConfig()):
-        self.config = config
+    def __init__(self):
         self._integral = 0.0
         self.last_error = 0.0
         self.last_signal = 0.0
@@ -58,20 +51,16 @@ class PiController:
         """
         error = compute_queue_growth - comm_queue_growth
         self._integral += error
-        limit = self.config.integral_limit
-        self._integral = max(-limit, min(limit, self._integral))
-        signal = (
-            self.config.proportional_gain * error
-            + self.config.integral_gain * self._integral
-        )
+        self._integral = max(-INTEGRAL_LIMIT, min(INTEGRAL_LIMIT, self._integral))
+        signal = PROPORTIONAL_GAIN * error + INTEGRAL_GAIN * self._integral
         self.last_error = error
         self.last_signal = signal
-        if signal > self.config.deadband:
+        if signal > DEADBAND:
             # Acting bleeds the integral so a satisfied demand does not
             # keep pulling cores epoch after epoch.
             self._integral *= 0.5
             return +1
-        if signal < -self.config.deadband:
+        if signal < -DEADBAND:
             self._integral *= 0.5
             return -1
         return 0

@@ -222,12 +222,9 @@ class Dispatcher:
         "memory",
         "data_passing",
         "cache_mode",
-        "cache_rng",
-        "cold_load_fraction",
         "max_retries",
         "default_timeout",
         "retry_rng",
-        "retry_backoff_base",
         "retries_performed",
         "deadline_expirations",
         "_warm_binaries",
@@ -246,20 +243,17 @@ class Dispatcher:
         comm_group: EngineGroup,
         memory: Optional[MemoryTracker] = None,
         cache_mode: str = "warm",
-        cache_rng=None,
-        cold_load_fraction: float = 0.0,
         max_retries: int = 2,
         default_timeout: Optional[float] = None,
         data_passing: str = "copy",
         retry_rng=None,
-        retry_backoff_base: float = _RETRY_BACKOFF_BASE_SECONDS,
     ):
         self.env = env
         self.registry = registry
         self.compute_group = compute_group
         self.comm_group = comm_group
         self.memory = memory or MemoryTracker(env)
-        if cache_mode not in ("warm", "always", "never", "fraction"):
+        if cache_mode not in ("warm", "always", "never"):
             raise ValueError(f"unknown cache_mode {cache_mode!r}")
         if data_passing not in ("copy", "remap"):
             raise ValueError(f"unknown data_passing mode {data_passing!r}")
@@ -270,12 +264,9 @@ class Dispatcher:
         # pages, only the fixed page-table cost at transfer time).
         self.data_passing = data_passing
         self.cache_mode = cache_mode
-        self.cache_rng = cache_rng
-        self.cold_load_fraction = cold_load_fraction
         self.max_retries = max_retries
         self.default_timeout = default_timeout
         self.retry_rng = retry_rng
-        self.retry_backoff_base = retry_backoff_base
         self.retries_performed = 0
         self.deadline_expirations = 0
         self._warm_binaries: set[str] = set()
@@ -394,7 +385,7 @@ class Dispatcher:
         ``attempt`` is 1-based.  The jitter draw only happens on actual
         retries, so fault-free runs never touch the rng stream.
         """
-        delay = self.retry_backoff_base * _RETRY_BACKOFF_FACTOR ** (attempt - 1)
+        delay = _RETRY_BACKOFF_BASE_SECONDS * _RETRY_BACKOFF_FACTOR ** (attempt - 1)
         if self.retry_rng is not None:
             delay *= 1.0 + _RETRY_JITTER_FRACTION * self.retry_rng.uniform()
         return delay
@@ -409,25 +400,18 @@ class Dispatcher:
         """Whether this load is served from the in-RAM binary cache.
 
         ``warm``: first invocation of a function loads from disk, later
-        ones hit the cache (optionally, ``cold_load_fraction`` of
-        requests bypass it, as in Fig 6's "3% of requests load from
-        disk").  ``always``/``never`` force one behaviour; ``fraction``
-        uses ``cold_load_fraction`` alone.
+        ones hit the cache.  ``always``/``never`` force one behaviour.
+        (Fig 6's "3% of requests load from disk" is modelled by
+        :class:`~repro.experiments.loaded_dandelion.DandelionLoadModel`.)
         """
         if self.cache_mode == "always":
             return True
         if self.cache_mode == "never":
             return False
-        if self.cache_mode == "fraction":
-            if self.cache_rng is None:
-                raise ValueError("cache_mode='fraction' requires cache_rng")
-            return not self.cache_rng.bernoulli(self.cold_load_fraction)
         # warm
         if binary.name not in self._warm_binaries:
             self._warm_binaries.add(binary.name)
             return False
-        if self.cold_load_fraction > 0 and self.cache_rng is not None:
-            return not self.cache_rng.bernoulli(self.cold_load_fraction)
         return True
 
 

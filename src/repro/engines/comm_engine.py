@@ -54,6 +54,10 @@ IDEMPOTENT_METHODS = frozenset({"GET", "HEAD", "PUT", "DELETE"})
 # and absolute writes can be blindly re-issued, increments cannot.
 IDEMPOTENT_KV_OPS = frozenset({"get", "set", "delete"})
 
+# Re-issues of an idempotent request after a transient network failure
+# or a missed exchange deadline.
+MAX_RETRIES = 2
+
 # A raced exchange that has not reported yet.
 _PENDING = object()
 
@@ -72,12 +76,12 @@ class CommunicationEngine:
     __slots__ = (
         "env", "group", "network", "name", "tasks_executed", "busy_seconds",
         "retries_performed", "exchange_timeouts", "handler_faults", "_throttle",
-        "_failure_rng", "_transient_failure_rate", "_max_retries", "_request_cache",
+        "_failure_rng", "_transient_failure_rate", "_request_cache",
     )
 
     def __init__(
         self, env: Environment, group, network: SimulatedNetwork, name: str = "comm-engine",
-        failure_rng=None, transient_failure_rate: float = 0.0, max_retries: int = 2, throttle=None,
+        failure_rng=None, transient_failure_rate: float = 0.0, throttle=None,
     ):
         self.env = env
         self.group = group
@@ -96,7 +100,6 @@ class CommunicationEngine:
         self.handler_faults = 0
         self._failure_rng = failure_rng
         self._transient_failure_rate = transient_failure_rate
-        self._max_retries = max_retries
         # Identity-keyed memo cache for the hot HTTP path.  Workloads
         # re-send the same request bytes, so the parse/sanitize work is
         # done once per distinct object.  Entries pin the keyed object,
@@ -348,7 +351,7 @@ class _Exchange:
         self._failed(504, f"{self.what} exceeded {self.timeout}s deadline")
 
     def _failed(self, status: int, error: str) -> None:
-        if not (self.retryable and self.attempts < self.engine._max_retries):
+        if not (self.retryable and self.attempts < MAX_RETRIES):
             self.on_done(
                 _reply(
                     self.item, status, error=error, retried=self.attempts,

@@ -37,6 +37,12 @@ __all__ = [
 
 _INF = float("inf")
 
+# Workers JSQ samples per decision (power of two choices).
+JSQ_D = 2
+# In-flight lead over the lightest healthy worker at which LocalityAware
+# and GrayFailureAware give up their preferred worker.
+SPILL_MARGIN = 3
+
 
 class RoutingPolicy:
     """Base class for cluster routing policies.
@@ -165,27 +171,24 @@ Random = RandomRouting
 class JSQ(RoutingPolicy):
     """Join-the-shortest-of-d-queues (power-of-d-choices) sampling.
 
-    Samples ``d`` distinct healthy workers from the seeded stream and
+    Samples ``JSQ_D`` distinct healthy workers from the seeded stream and
     routes to the least loaded of them, ties broken by index — the
     classic load-balancing result that two random choices already get
     exponentially close to least-loaded at a fraction of the state
-    freshness requirements (Mitzenmacher '01).  With ``d`` at or above
+    freshness requirements (Mitzenmacher '01).  With ``JSQ_D`` at or above
     the healthy fleet size no sampling happens (and no RNG draw is
     consumed): the decision stream is identical to
     :class:`LeastOutstanding`, which the property tests pin.
     """
 
-    __slots__ = ("rng", "d")
+    __slots__ = ("rng",)
 
     name = "jsq"
 
-    def __init__(self, rng, d: int = 2):
+    def __init__(self, rng):
         if rng is None:
             raise ValueError("JSQ requires a seeded Rng")
-        if d < 1:
-            raise ValueError("JSQ needs d >= 1 samples")
         self.rng = rng
-        self.d = d
 
     @classmethod
     def build(cls, rng) -> "JSQ":
@@ -195,9 +198,9 @@ class JSQ(RoutingPolicy):
         if not snapshot.healthy:
             return None
         pool = snapshot.candidates
-        if self.d >= len(pool):
+        if JSQ_D >= len(pool):
             return _least_outstanding_choice(snapshot, pool)
-        sampled = self.rng.sample(pool, self.d)
+        sampled = self.rng.sample(pool, JSQ_D)
         return _least_outstanding_choice(snapshot, sampled)
 
 
@@ -216,7 +219,7 @@ class LocalityAware(RoutingPolicy):
     binary and saturate it while the rest of the fleet idles.  So the
     preference is *bounded* (in the spirit of bounded-load consistent
     hashing): when the warmest candidate already carries
-    ``spill_margin`` more in-flight invocations than the least-loaded
+    ``SPILL_MARGIN`` more in-flight invocations than the least-loaded
     healthy worker, the decision spills to plain least-outstanding
     instead.  The spill target cold-loads the binary once and becomes
     warm itself, so a popular composition's warm set grows exactly as
@@ -229,14 +232,9 @@ class LocalityAware(RoutingPolicy):
     with cache affinity, without any pinned assignment to go stale.
     """
 
-    __slots__ = ("spill_margin",)
+    __slots__ = ()
 
     name = "locality"
-
-    def __init__(self, spill_margin: int = 3):
-        if spill_margin < 1:
-            raise ValueError("spill_margin must be >= 1")
-        self.spill_margin = spill_margin
 
     def decide(self, snapshot: ClusterSnapshot) -> Optional[int]:
         if not snapshot.healthy:
@@ -253,7 +251,7 @@ class LocalityAware(RoutingPolicy):
         if warm_count(warmest) == 0:
             return _least_outstanding_choice(snapshot, pool)
         lightest = min(in_flight(index) for index in pool)
-        if in_flight(warmest) - lightest >= self.spill_margin:
+        if in_flight(warmest) - lightest >= SPILL_MARGIN:
             return _least_outstanding_choice(snapshot, pool)
         return warmest
 
@@ -278,7 +276,7 @@ class GrayFailureAware(RoutingPolicy):
     * **Load-bounded spill-back** — quarantining shrinks the serving
       set, and a hot fleet can overload the survivors.  In the spirit
       of :class:`LocalityAware`'s bounded preference, when the chosen
-      preferred worker already carries ``spill_margin`` more in-flight
+      preferred worker already carries ``SPILL_MARGIN`` more in-flight
       invocations than the lightest *healthy* worker, the decision
       spills back to least-outstanding over the full healthy ring.
       The spill doubles as the recovery probe: quarantined workers keep
@@ -286,14 +284,9 @@ class GrayFailureAware(RoutingPolicy):
       a recovered worker re-earns its place.
     """
 
-    __slots__ = ("spill_margin",)
+    __slots__ = ()
 
     name = "gray"
-
-    def __init__(self, spill_margin: int = 3):
-        if spill_margin < 1:
-            raise ValueError("spill_margin must be >= 1")
-        self.spill_margin = spill_margin
 
     @staticmethod
     def _least_bad(snapshot: ClusterSnapshot, pool) -> int:
@@ -322,7 +315,7 @@ class GrayFailureAware(RoutingPolicy):
         if len(preferred) < len(healthy):
             loads = snapshot._in_flight
             lightest = min(loads[index] for index in healthy)
-            if loads[choice] - lightest >= self.spill_margin:
+            if loads[choice] - lightest >= SPILL_MARGIN:
                 return _least_outstanding_choice(snapshot, healthy)
         return choice
 

@@ -42,9 +42,9 @@ events per experiment, so the kernel keeps allocations minimal):
   fine — only the kernel's own classes need to stay lean);
 - ``Timeout``/``Initialize`` construction and ``succeed``/``fail`` push
   straight onto the environment heap without intermediate helpers;
-- heap entries are ``(time, priority, seq, event)`` tuples where ``seq``
-  is a monotonically increasing tie-breaker, giving deterministic FIFO
-  order for same-time events.
+- heap entries are ``(time, seq, event)`` tuples where ``seq`` is a
+  monotonically increasing tie-breaker, giving deterministic FIFO order
+  for same-time events.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, 1, seq, self))
+        heappush(env._queue, (env._now, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -145,7 +145,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, 1, seq, self))
+        heappush(env._queue, (env._now, seq, self))
         return self
 
     def __repr__(self) -> str:
@@ -172,7 +172,7 @@ class Timeout(Event):
         self.delay = delay
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now + delay, 1, seq, self))
+        heappush(env._queue, (env._now + delay, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -192,7 +192,7 @@ class Initialize(Event):
         self._state = _TRIGGERED
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, 1, seq, self))
+        heappush(env._queue, (env._now, seq, self))
 
 
 def _fire(call: "_Call") -> None:
@@ -252,7 +252,7 @@ class Process(Event):
                 self._state = _TRIGGERED
                 seq = env._seq
                 env._seq = seq + 1
-                heappush(env._queue, (env._now, 1, seq, self))
+                heappush(env._queue, (env._now, seq, self))
                 break
             except Exception as exc:
                 # KeyboardInterrupt / SystemExit are not the process's
@@ -262,7 +262,7 @@ class Process(Event):
                 self._state = _TRIGGERED
                 seq = env._seq
                 env._seq = seq + 1
-                heappush(env._queue, (env._now, 1, seq, self))
+                heappush(env._queue, (env._now, seq, self))
                 break
 
             if type(next_event) is Timeout or isinstance(next_event, Event):
@@ -376,7 +376,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event | _Call]] = []
+        self._queue: list[tuple[float, int, Event | _Call]] = []
         self._seq = 0
 
     @property
@@ -420,7 +420,7 @@ class Environment:
         call.callbacks = _FIRE
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, 1, seq, call))
+        heappush(self._queue, (self._now + delay, seq, call))
 
     # -- scheduling and execution --------------------------------------
 
@@ -438,7 +438,7 @@ class Environment:
         queue = self._queue
         if not queue:
             raise SimulationError("no more events")
-        when, _priority, _seq, event = heappop(queue)
+        when, _seq, event = heappop(queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -481,7 +481,7 @@ class Environment:
             else:
                 stop_event.callbacks.append(stopped.append)
             while queue and not stopped:
-                when, _priority, _seq, event = heappop(queue)
+                when, _seq, event = heappop(queue)
                 self._now = when
                 callbacks = event.callbacks
                 event.callbacks = []
@@ -501,7 +501,7 @@ class Environment:
             if queue[0][0] > stop_time:
                 self._now = stop_time
                 return None
-            when, _priority, _seq, event = heappop(queue)
+            when, _seq, event = heappop(queue)
             self._now = when
             callbacks = event.callbacks
             event.callbacks = []

@@ -44,7 +44,7 @@ from typing import Optional
 from ...cluster.sharding import ShardPlan
 from ...dispatcher.windowed import WindowedRouter
 from ..metrics import percentile
-from .shard import PLATFORM_DANDELION, PLATFORM_FAAS, ShardSim
+from .shard import DISPATCH_DELAY_SECONDS, GRID_STEP, PLATFORM_DANDELION, PLATFORM_FAAS, ShardSim
 
 __all__ = [
     "ShardedConfig",
@@ -63,27 +63,13 @@ class ShardedConfig:
     # identical for every value; one shard is the fastest).
     shards: int = 1
     window_seconds: float = 0.5
-    dispatch_delay_seconds: float = 0.0005
     platform: str = PLATFORM_DANDELION
     policy: str = "least_loaded"
     seed: int = 0
-    grid_step: float = 60.0
-    # Dandelion platform: sandbox-creation seconds (process backend).
-    creation_seconds: float = 0.001
-    # FaaS platform: Firecracker-snapshot MicroVMs (baselines.specs)
-    # under Knative-style keep-alive.  The guest overhead is what a
-    # MicroVM commits beyond the function's working set (guest kernel,
-    # rootfs page cache, agent; paper §2.3).  A cold start is the 12 ms
-    # snapshot restore plus 0.8 s of scale-from-zero orchestration
-    # (activator hop, autoscaler reaction, scheduling) — the path behind
-    # the paper's 46% p99 gap.  75 s keep-alive approximates Knative's
-    # 60 s stable window plus scale-to-zero grace and lands near the
-    # ~3.3% cold ratio the paper reports on this trace.
-    guest_overhead_bytes: int = 40 * 1024 * 1024
-    cold_start_seconds: float = 0.812
-    hot_start_seconds: float = 0.0014
-    paging_seconds_per_mib: float = 0.00012
-    compute_slowdown: float = 1.05
+    # FaaS platform keep-alive (the worker's model constants live in
+    # .shard).  75 s approximates Knative's 60 s stable window plus
+    # scale-to-zero grace and lands near the ~3.3% cold ratio the paper
+    # reports on this trace.
     keep_alive_seconds: float = 75.0
 
     def __post_init__(self):
@@ -93,8 +79,6 @@ class ShardedConfig:
             raise ValueError("shards must be >= 1")
         if not self.window_seconds > 0:
             raise ValueError("window_seconds must be positive")
-        if self.dispatch_delay_seconds < 0:
-            raise ValueError("dispatch_delay_seconds must be >= 0")
         if self.platform not in (PLATFORM_DANDELION, PLATFORM_FAAS):
             raise ValueError(f"unknown platform {self.platform!r}")
 
@@ -169,7 +153,6 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
         for shard in range(plan.shard_count)
     ]
     window = config.window_seconds
-    dispatch_delay = config.dispatch_delay_seconds
     begin_wall = time.perf_counter()
     stream = trace.iter_windows(window)
     routed = 0
@@ -181,7 +164,7 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
         # the windows after it only drain what is still running.
         arrivals = next(stream, ())
         routed += len(arrivals)
-        batches = router.route_window(arrivals, dispatch_delay)
+        batches = router.route_window(arrivals, DISPATCH_DELAY_SECONDS)
         for sim, batch in zip(sims, batches):
             sim.run_window(batch, end)
             latencies += sim.drain_latencies()
@@ -233,7 +216,7 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
         workers=config.workers,
         cores_per_worker=config.cores_per_worker,
         duration_seconds=duration,
-        grid_step=config.grid_step,
+        grid_step=GRID_STEP,
         routed=routed,
         completed=completed,
         cold_starts=cold_starts,

@@ -45,6 +45,26 @@ __all__ = [
 PLATFORM_DANDELION = "dandelion"
 PLATFORM_FAAS = "faas"
 
+# Cluster-manager dispatch delay: the coordinator's conservative
+# lookahead (docs/simulation.md).
+DISPATCH_DELAY_SECONDS = 0.0005
+# Resample grid of the committed/active memory series, in seconds.
+GRID_STEP = 60.0
+# Dandelion platform: sandbox-creation seconds (process backend).
+CREATION_SECONDS = 0.001
+# FaaS platform: Firecracker-snapshot MicroVMs (baselines.specs) under
+# Knative-style keep-alive (``ShardedConfig.keep_alive_seconds``).  The
+# guest overhead is what a MicroVM commits beyond the function's working
+# set (guest kernel, rootfs page cache, agent; paper §2.3).  A cold start
+# is the 12 ms snapshot restore plus 0.8 s of scale-from-zero
+# orchestration (activator hop, autoscaler reaction, scheduling) — the
+# path behind the paper's 46% p99 gap.
+GUEST_OVERHEAD_BYTES = 40 * 1024 * 1024
+COLD_START_SECONDS = 0.812
+HOT_START_SECONDS = 0.0014
+PAGING_SECONDS_PER_MIB = 0.00012
+COMPUTE_SLOWDOWN = 1.05
+
 
 # Heap-entry kinds (tuple field 3).
 _COMPLETE = 0
@@ -102,19 +122,18 @@ class _LeanDandelionWorker:
     """Dandelion node: per-request contexts, no keep-alive state."""
 
     __slots__ = (
-        "env", "cores_free", "queue", "committed", "creation",
+        "env", "cores_free", "queue", "committed",
         "memory_of", "latencies", "series", "completed",
     )
 
-    def __init__(self, env, cores, creation_seconds, memory_of, duration, grid_step):
+    def __init__(self, env, cores, memory_of, duration):
         self.env = env
         self.cores_free = cores
         self.queue = deque()
         self.committed = 0
-        self.creation = creation_seconds
         self.memory_of = memory_of
         self.latencies: list[float] = []
-        self.series = _StepSeries(duration, grid_step)
+        self.series = _StepSeries(duration, GRID_STEP)
         self.completed = 0
 
     def _start(self, fn_index, duration, arrival) -> None:
@@ -126,7 +145,7 @@ class _LeanDandelionWorker:
         env._seq = seq + 1
         heappush(
             env._queue,
-            (env._now + (self.creation + duration), seq, self, _COMPLETE, fn_index, arrival),
+            (env._now + (CREATION_SECONDS + duration), seq, self, _COMPLETE, fn_index, arrival),
         )
 
     def _complete(self, fn_index, arrival) -> None:
@@ -168,28 +187,21 @@ class _LeanFaasWorker:
 
     __slots__ = (
         "env", "cores_free", "queue", "committed", "active",
-        "memory_of", "overhead", "cold_start", "hot_start", "paging_per_mib",
-        "slowdown", "keep_alive", "latencies", "series", "active_series",
+        "memory_of", "keep_alive", "latencies", "series", "active_series",
         "completed", "cold_starts", "idle_of",
     )
 
-    def __init__(self, env, cores, memory_of, duration, grid_step, *,
-                 overhead, cold_start, hot_start, paging_per_mib, slowdown, keep_alive):
+    def __init__(self, env, cores, memory_of, duration, keep_alive):
         self.env = env
         self.cores_free = cores
         self.queue = deque()
         self.committed = 0
         self.active = 0
         self.memory_of = memory_of
-        self.overhead = overhead
-        self.cold_start = cold_start
-        self.hot_start = hot_start
-        self.paging_per_mib = paging_per_mib
-        self.slowdown = slowdown
         self.keep_alive = keep_alive
         self.latencies: list[float] = []
-        self.series = _StepSeries(duration, grid_step)
-        self.active_series = _StepSeries(duration, grid_step)
+        self.series = _StepSeries(duration, GRID_STEP)
+        self.active_series = _StepSeries(duration, GRID_STEP)
         self.completed = 0
         self.cold_starts = 0
         self.idle_of: dict[int, list[_Sandbox]] = {}
@@ -197,7 +209,7 @@ class _LeanFaasWorker:
     def _start(self, fn_index, duration, arrival) -> None:
         self.cores_free -= 1
         env = self.env
-        footprint = self.memory_of[fn_index] + self.overhead
+        footprint = self.memory_of[fn_index] + GUEST_OVERHEAD_BYTES
         sandbox = None
         stack = self.idle_of.get(fn_index)
         while stack:
@@ -210,9 +222,9 @@ class _LeanFaasWorker:
             self.cold_starts += 1
             self.committed += footprint
             self.series.record(env._now, self.committed)
-            setup = self.cold_start + self.paging_per_mib * (footprint / (1024 * 1024))
+            setup = COLD_START_SECONDS + PAGING_SECONDS_PER_MIB * (footprint / (1024 * 1024))
         else:
-            setup = self.hot_start
+            setup = HOT_START_SECONDS
         sandbox.idle = False
         sandbox.idle_token += 1
         self.active += footprint
@@ -221,12 +233,12 @@ class _LeanFaasWorker:
         env._seq = seq + 1
         heappush(
             env._queue,
-            (env._now + (setup + duration * self.slowdown), seq, self, _COMPLETE, sandbox, arrival),
+            (env._now + (setup + duration * COMPUTE_SLOWDOWN), seq, self, _COMPLETE, sandbox, arrival),
         )
 
     def _complete(self, sandbox, arrival) -> None:
         env = self.env
-        footprint = self.memory_of[sandbox.fn_index] + self.overhead
+        footprint = self.memory_of[sandbox.fn_index] + GUEST_OVERHEAD_BYTES
         self.active -= footprint
         self.active_series.record(env._now, self.active)
         self.latencies.append(env._now - arrival)
@@ -247,7 +259,7 @@ class _LeanFaasWorker:
     def _expire(self, sandbox, token) -> None:
         if sandbox.idle and not sandbox.dead and sandbox.idle_token == token:
             sandbox.dead = True
-            self.committed -= self.memory_of[sandbox.fn_index] + self.overhead
+            self.committed -= self.memory_of[sandbox.fn_index] + GUEST_OVERHEAD_BYTES
             self.series.record(self.env._now, self.committed)
 
 
@@ -261,25 +273,15 @@ class ShardSim:
         self.worker_indices = tuple(worker_indices)
         self.cores = config["cores_per_worker"]
         duration = config["duration_seconds"]
-        grid_step = config["grid_step"]
         memory_of = config["memory_of"]
         platform = config["platform"]
         self.workers = []
         for _ in self.worker_indices:
             if platform == PLATFORM_DANDELION:
-                worker = _LeanDandelionWorker(
-                    self.env, self.cores, config["creation_seconds"],
-                    memory_of, duration, grid_step,
-                )
+                worker = _LeanDandelionWorker(self.env, self.cores, memory_of, duration)
             elif platform == PLATFORM_FAAS:
                 worker = _LeanFaasWorker(
-                    self.env, self.cores, memory_of, duration, grid_step,
-                    overhead=config["guest_overhead_bytes"],
-                    cold_start=config["cold_start_seconds"],
-                    hot_start=config["hot_start_seconds"],
-                    paging_per_mib=config["paging_seconds_per_mib"],
-                    slowdown=config["compute_slowdown"],
-                    keep_alive=config["keep_alive_seconds"],
+                    self.env, self.cores, memory_of, duration, config["keep_alive_seconds"]
                 )
             else:
                 raise ValueError(f"unknown platform {platform!r}")

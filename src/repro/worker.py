@@ -18,13 +18,12 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .backends.base import IsolationBackend, create_backend
 from .composition.registry import Registry
-from .controlplane.allocator import CONTROL_EPOCH_SECONDS, CoreAllocator
-from .controlplane.pi_controller import PiConfig
+from .controlplane.allocator import CoreAllocator
 from .dispatcher.dispatcher import Dispatcher
 from .dispatcher.memory import MemoryTracker
 from .engines.comm_engine import CommunicationEngine
@@ -38,6 +37,10 @@ from .sim.distributions import Rng
 
 __all__ = ["WorkerNode", "WorkerConfig"]
 
+# Initial split of cores: one communication engine, the rest compute;
+# the control plane rebalances at runtime when enabled.
+INITIAL_COMM_CORES = 1
+
 
 @dataclass
 class WorkerConfig:
@@ -46,15 +49,9 @@ class WorkerConfig:
     total_cores: int = 16
     backend: str = "kvm"
     machine: str = "linux"
-    # Initial split of cores between compute and communication engines;
-    # the control plane rebalances at runtime when enabled.
-    initial_comm_cores: int = 1
     control_plane_enabled: bool = True
-    control_epoch_seconds: float = CONTROL_EPOCH_SECONDS
-    pi_config: PiConfig = field(default_factory=PiConfig)
     cache_mode: str = "warm"
     data_passing: str = "copy"
-    cold_load_fraction: float = 0.0
     max_retries: int = 2
     default_timeout: Optional[float] = None
     transient_failure_rate: float = 0.0
@@ -64,8 +61,6 @@ class WorkerConfig:
     def __post_init__(self):
         if self.total_cores < 2:
             raise ValueError("a worker needs at least 2 cores (compute + comm)")
-        if not 1 <= self.initial_comm_cores < self.total_cores:
-            raise ValueError("initial_comm_cores must leave at least one compute core")
 
 
 class WorkerNode:
@@ -76,12 +71,11 @@ class WorkerNode:
         config: WorkerConfig = WorkerConfig(),
         env: Optional[Environment] = None,
         network: Optional[SimulatedNetwork] = None,
-        registry: Optional[Registry] = None,
     ):
         self.config = config
         self.env = env or Environment()
         self.network = network or SimulatedNetwork(self.env, LatencyModel())
-        self.registry = registry or Registry()
+        self.registry = Registry()
         self.backend: IsolationBackend = create_backend(config.backend, config.machine)
         self._rng = Rng(config.seed)
 
@@ -102,7 +96,7 @@ class WorkerNode:
                 transient_failure_rate=config.transient_failure_rate,
                 throttle=self.throttle,
             ),
-            initial_count=config.total_cores - config.initial_comm_cores,
+            initial_count=config.total_cores - INITIAL_COMM_CORES,
         )
         self.comm_group = EngineGroup(
             self.env,
@@ -116,7 +110,7 @@ class WorkerNode:
                 transient_failure_rate=config.comm_failure_rate,
                 throttle=self.throttle,
             ),
-            initial_count=config.initial_comm_cores,
+            initial_count=INITIAL_COMM_CORES,
         )
         self.memory = MemoryTracker(self.env)
         self.dispatcher = Dispatcher(
@@ -127,8 +121,6 @@ class WorkerNode:
             memory=self.memory,
             cache_mode=config.cache_mode,
             data_passing=config.data_passing,
-            cache_rng=self._rng.fork(2),
-            cold_load_fraction=config.cold_load_fraction,
             max_retries=config.max_retries,
             default_timeout=config.default_timeout,
             retry_rng=self._rng.fork(4),
@@ -138,8 +130,6 @@ class WorkerNode:
             self.env,
             self.compute_group,
             self.comm_group,
-            epoch_seconds=config.control_epoch_seconds,
-            config=config.pi_config,
             enabled=config.control_plane_enabled,
         )
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterManager, WorkerFaultInjector
+from repro.cluster.manager import MAX_REROUTES
 from repro.errors import WorkerCrashed
 from repro.functions import compute_function
 from repro.sim import Rng
@@ -81,11 +82,18 @@ def test_in_flight_invocation_rerouted_on_crash():
 
 
 def test_reroute_exhaustion_surfaces_worker_crashed():
-    cluster = make_cluster(workers=2, max_reroutes=0)
-    fail_at(cluster, 1e-3, 0)
+    # least_loaded places the invocation on the lowest idle index, so
+    # crashing workers 0, 1, 2, ... 1 ms apart (service time is 2 ms)
+    # kills every attempt in flight.  The crash after the MAX_REROUTES-th
+    # re-route fails the invocation, with a healthy worker still left.
+    cluster = make_cluster(workers=MAX_REROUTES + 2)
+    for index in range(MAX_REROUTES + 1):
+        fail_at(cluster, (index + 1) * 1e-3, index)
     result = cluster.invoke_and_run("fault_echo", {"data": b"x"})
     assert not result.ok
     assert isinstance(result.error, WorkerCrashed)
+    assert cluster.reroutes == MAX_REROUTES == 3
+    assert cluster.healthy_worker_count == 1
     assert cluster.invocations_failed == 1
     assert cluster.failed_latencies.count == 1
 

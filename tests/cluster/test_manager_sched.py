@@ -38,7 +38,7 @@ def make_cluster(workers=2, policy="least_loaded", cores=4):
 
 
 def test_policy_object_injection():
-    cluster = make_cluster(policy=JSQ(rng=Rng(3), d=2))
+    cluster = make_cluster(policy=JSQ(rng=Rng(3)))
     assert isinstance(cluster.routing_policy, JSQ)
     assert cluster.policy == "jsq"  # the logged name follows the object
     result = cluster.invoke_and_run("sched_echo_comp", {"data": b"x"})

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.controlplane import PiConfig, PiController
+from repro.controlplane import PiController
 from repro.backends import create_backend
-from repro.controlplane.allocator import CoreAllocator
+from repro.controlplane.allocator import CONTROL_EPOCH_SECONDS, MIN_ENGINES, CoreAllocator
+from repro.controlplane.pi_controller import DEADBAND, INTEGRAL_GAIN, INTEGRAL_LIMIT, PROPORTIONAL_GAIN
 from repro.engines import CommunicationEngine, ComputeEngine, EngineGroup
 from repro.net import LatencyModel, SimulatedNetwork
 from repro.sim import Environment
@@ -28,23 +29,31 @@ def test_comm_pressure_moves_core_to_comm():
 
 
 def test_deadband_suppresses_small_errors():
-    controller = PiController(PiConfig(deadband=5.0, integral_gain=0.0))
-    assert controller.update(3, 0) == 0
-    assert controller.update(0, 3) == 0
+    controller = PiController()
+    assert controller.update(0.4, 0) == 0
+    assert 0 < controller.last_signal <= DEADBAND
+    assert controller.update(0, 0.4) == 0
+    assert abs(controller.last_signal) <= DEADBAND
 
 
 def test_integral_accumulates_persistent_small_error():
-    controller = PiController(PiConfig(proportional_gain=0.1, integral_gain=0.5, deadband=1.0))
-    decisions = [controller.update(1, 0) for _ in range(10)]
+    controller = PiController()
+    decisions = [controller.update(0.3, 0) for _ in range(10)]
+    assert decisions[0] == 0  # the proportional term alone is inside the deadband
     assert +1 in decisions  # small persistent error eventually acts
 
 
 def test_integral_clamped():
-    config = PiConfig(integral_limit=10.0, deadband=1e9)  # never act
-    controller = PiController(config)
-    for _ in range(100):
-        controller.update(1000, 0)
-    assert controller.integral <= 10.0
+    # Anti-windup at the shipped gains: however large the error, the
+    # integral term contributes at most INTEGRAL_GAIN * INTEGRAL_LIMIT.
+    for sign in (+1, -1):
+        controller = PiController()
+        for _ in range(100):
+            assert controller.update(sign * 1000, 0) == sign
+            assert controller.last_signal == sign * (
+                PROPORTIONAL_GAIN * 1000 + INTEGRAL_GAIN * INTEGRAL_LIMIT
+            )
+            assert abs(controller.integral) <= INTEGRAL_LIMIT
 
 
 def test_acting_bleeds_integral():
@@ -98,7 +107,7 @@ def _slow_task(env, group):
 def test_allocator_moves_core_under_compute_pressure():
     env = Environment()
     compute_group, comm_group = _make_groups(env, compute=1, comm=3)
-    allocator = CoreAllocator(env, compute_group, comm_group, epoch_seconds=0.01)
+    allocator = CoreAllocator(env, compute_group, comm_group)
 
     # Flood the single compute engine with 50ms tasks: its queue grows
     # every epoch while the comm queue stays flat.
@@ -117,9 +126,7 @@ def test_allocator_moves_core_under_compute_pressure():
 def test_allocator_respects_min_engines():
     env = Environment()
     compute_group, comm_group = _make_groups(env, compute=3, comm=1)
-    allocator = CoreAllocator(
-        env, compute_group, comm_group, epoch_seconds=0.01, min_engines=1
-    )
+    CoreAllocator(env, compute_group, comm_group)
 
     def pressure():
         for _ in range(300):
@@ -128,7 +135,7 @@ def test_allocator_respects_min_engines():
 
     env.process(pressure())
     env.run(until=0.3)
-    assert comm_group.engine_count >= 1
+    assert comm_group.engine_count == MIN_ENGINES
 
 
 def test_allocator_disabled_does_nothing():
@@ -144,9 +151,9 @@ def test_allocator_disabled_does_nothing():
 def test_allocation_history_recorded():
     env = Environment()
     compute_group, comm_group = _make_groups(env)
-    allocator = CoreAllocator(env, compute_group, comm_group, epoch_seconds=0.02)
-    env.run(until=0.1)
-    assert len(allocator.allocation_history) >= 4
+    allocator = CoreAllocator(env, compute_group, comm_group)
+    env.run(until=5.5 * CONTROL_EPOCH_SECONDS)
+    assert len(allocator.allocation_history) == 5
     times = [t for t, _c, _m in allocator.allocation_history]
     assert times == sorted(times)
 

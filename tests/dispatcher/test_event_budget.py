@@ -25,7 +25,7 @@ it moves a core between the engine groups.
 import pytest
 
 from repro.apps import DEFAULT_TOKEN, register_logproc_app, setup_log_services
-from repro.cluster.manager import ClusterManager
+from repro.cluster.manager import HEDGE_MIN_SAMPLES, ClusterManager
 from repro.functions import compute_function
 from repro.net import ObjectStoreService
 from repro.query import generate_ssb_tables, load_ssb_to_store, register_ssb_query
@@ -120,11 +120,11 @@ def test_hedging_cluster_with_deadline_event_budget(processes_created):
     )
     cluster.register_function(budget_gray_echo)
     cluster.register_composition(GRAY_ECHO_COMPOSITION)
-    for _ in range(cluster.hedge_min_samples):
+    for _ in range(HEDGE_MIN_SAMPLES):
         cluster.latencies.record(1.0)
     assert events_per_invocation(cluster, processes_created, "gray_echo") == 9
     assert cluster.hedges_issued == 0
-    assert cluster.latencies.count == cluster.hedge_min_samples + 1 + INVOCATIONS
+    assert cluster.latencies.count == HEDGE_MIN_SAMPLES + 1 + INVOCATIONS
 
 
 def dag_events_per_invocation(worker, processes_created, composition, inputs, count) -> float:
@@ -188,7 +188,7 @@ def test_control_plane_moves_cores_without_processes(processes_created):
     # The allocator's epoch is a scheduled call, and a shrink reports
     # its retired engine through a continuation: moving a core between
     # the groups starts no process, nor does the engine grown.
-    worker = WorkerNode(WorkerConfig(total_cores=4, control_epoch_seconds=0.01))
+    worker = WorkerNode(WorkerConfig(total_cores=4))
     worker.frontend.register_function(budget_slow)
     worker.frontend.register_composition(
         ECHO_COMPOSITION.replace("echo_once", "slow_once").replace("budget_echo", "budget_slow")

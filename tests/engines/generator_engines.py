@@ -21,7 +21,8 @@ code is the former `engines/compute_engine.py`, `engines/comm_engine.py`,
 * `Task` gains the `completion` event the product's no longer carries;
 * options and fields that nothing read are gone with the product's
   (`batch_guard`, `max_green_threads`, `enqueued_at`, `queue_samples`,
-  `TaskOutcome.breakdown`), and comments are shortened.
+  `TaskOutcome.breakdown`), the retry bound is the product's
+  `MAX_RETRIES` constant, and comments are shortened.
 """
 
 from collections import deque
@@ -31,6 +32,7 @@ from typing import Any, Callable
 from repro.data.envelope import EnvelopeItem
 from repro.data.items import DataItem, DataSet
 from repro.engines import task as product_task
+from repro.engines.comm_engine import MAX_RETRIES
 from repro.engines.task import TaskOutcome
 from repro.errors import FunctionFailure, FunctionTimeout, MemoryLimitExceeded
 from repro.functions.sdk import parse_http_request_item
@@ -65,7 +67,7 @@ def succeed_later(event: Event, value: Any = None, delay: float = 0.0) -> Event:
     env = event.env
     seq = env._seq
     env._seq = seq + 1
-    heappush(env._queue, (env._now + delay, 1, seq, event))
+    heappush(env._queue, (env._now + delay, seq, event))
     return event
 
 
@@ -298,7 +300,6 @@ class CommunicationEngine:
         name: str = "comm-engine",
         failure_rng=None,
         transient_failure_rate: float = 0.0,
-        max_retries: int = 2,
         throttle=None,
     ):
         self.env = env
@@ -315,7 +316,6 @@ class CommunicationEngine:
         self.stopped = env.event()
         self._failure_rng = failure_rng
         self._transient_failure_rate = transient_failure_rate
-        self._max_retries = max_retries
         self._request_cache: dict[int, tuple] = {}
         self.process = env.process(self._run())
 
@@ -409,7 +409,7 @@ class CommunicationEngine:
                     return reply(exchange.value)
                 self.exchange_timeouts += 1
                 status, error = 504, f"{what} exceeded {timeout}s deadline"
-            if not (retryable and attempts < self._max_retries):
+            if not (retryable and attempts < MAX_RETRIES):
                 return _reply(item, status, error=error, retried=attempts, idempotent=retryable)
             attempts += 1
             self.retries_performed += 1

@@ -6,20 +6,20 @@ import pytest
 
 from repro.data import DataItem, DataSet
 from repro.engines import CommunicationEngine, EngineGroup, Task
-from repro.engines.comm_engine import IDEMPOTENT_KV_OPS, IDEMPOTENT_METHODS
+from repro.engines.comm_engine import IDEMPOTENT_KV_OPS, IDEMPOTENT_METHODS, MAX_RETRIES
 from repro.functions import format_http_request, parse_http_response_item
 from repro.net import EchoService, LatencyModel, SimulatedNetwork
 from repro.sim import Environment
 
 
-def setup(extra_service_seconds=0.0, max_retries=3):
+def setup(extra_service_seconds=0.0):
     env = Environment()
     network = SimulatedNetwork(env, LatencyModel())
     network.register(EchoService(extra_seconds=extra_service_seconds))
     group = EngineGroup(
         env,
         "communication",
-        lambda group, name: CommunicationEngine(env, group, network, max_retries=max_retries),
+        lambda group, name: CommunicationEngine(env, group, network),
     )
     (engine,) = group.engines
     return env, network, group, engine
@@ -62,21 +62,22 @@ def test_fast_exchange_unaffected_by_timeout():
 
 def test_idempotent_exchange_retried_on_timeout_then_504():
     # 50 ms of service time against a 5 ms deadline: every attempt
-    # times out, GET is idempotent, so the engine retries max_retries
-    # times before reporting a gateway-timeout error item.
-    env, _network, group, engine = setup(extra_service_seconds=0.05, max_retries=2)
+    # times out, GET is idempotent, so the engine retries MAX_RETRIES
+    # (2) times before reporting a gateway-timeout error item.
+    env, _network, group, engine = setup(extra_service_seconds=0.05)
     task = comm_task(env, group, [request_item("GET")], timeout=0.005)
     outcome = env.run(until=task)
     assert outcome.success  # the task completes; the *item* carries the error
     envelope = json.loads(outcome.outputs[0].item("r0").data)
     assert envelope["status"] == 504
+    assert MAX_RETRIES == 2
     assert envelope["retried"] == 2
     assert envelope["idempotent"] is True
     assert engine.exchange_timeouts == 3  # initial attempt + 2 retries
 
 
 def test_non_idempotent_exchange_not_retried_on_timeout():
-    env, _network, group, engine = setup(extra_service_seconds=0.05, max_retries=3)
+    env, _network, group, engine = setup(extra_service_seconds=0.05)
     task = comm_task(env, group, [request_item("POST", body=b"pay")], timeout=0.005)
     outcome = env.run(until=task)
     assert outcome.success

@@ -9,13 +9,13 @@ import json
 
 from repro.data import DataItem, DataSet
 from repro.engines import CommunicationEngine, EngineGroup, Task
-from repro.engines.comm_engine import IDEMPOTENT_METHODS
+from repro.engines.comm_engine import IDEMPOTENT_METHODS, MAX_RETRIES
 from repro.functions import format_http_request, parse_http_response_item
 from repro.net import EchoService, LatencyModel, SimulatedNetwork
 from repro.sim import Environment, Rng
 
 
-def setup(failure_rate, seed=1, max_retries=2):
+def setup(failure_rate, seed=1):
     env = Environment()
     network = SimulatedNetwork(env, LatencyModel())
     network.register(EchoService())
@@ -28,7 +28,6 @@ def setup(failure_rate, seed=1, max_retries=2):
             network,
             failure_rng=Rng(seed),
             transient_failure_rate=failure_rate,
-            max_retries=max_retries,
         ),
     )
     (engine,) = group.engines
@@ -83,21 +82,21 @@ def test_post_never_retried():
 
 
 def test_get_gives_up_after_max_retries():
-    env, _network, group, engine = setup(failure_rate=1.0, max_retries=3)
+    env, _network, group, engine = setup(failure_rate=1.0)
     envelope = run_one(env, group)
     assert envelope["status"] == 503
     assert envelope["idempotent"] is True
-    assert envelope["retried"] == 3
-    assert engine.retries_performed == 3
+    assert envelope["retried"] == MAX_RETRIES == 2
+    assert engine.retries_performed == MAX_RETRIES
 
 
 def test_retries_cost_time():
     env_clean, _n1, group_clean, _e1 = setup(failure_rate=0.0)
     run_one(env_clean, group_clean)
     clean_time = env_clean.now
-    env_flaky, _n2, group_flaky, _e2 = setup(failure_rate=1.0, max_retries=3)
+    env_flaky, _n2, group_flaky, _e2 = setup(failure_rate=1.0)
     run_one(env_flaky, group_flaky)
-    # Four failed connection attempts each cost a round trip.
+    # Three failed connection attempts each cost a round trip.
     assert env_flaky.now > clean_time
 
 

@@ -4,12 +4,13 @@ docs/scheduling.md: a policy's decisions must be a pure function of
 (its constructor arguments, the sequence of snapshots it has seen).
 These tests feed every registered policy a seeded, varied snapshot
 stream twice and require identical decision sequences — and pin the
-JSQ(d >= fleet) == LeastOutstanding degeneration decision-for-decision.
+JSQ == LeastOutstanding degeneration on fleets of at most JSQ_D workers
+decision-for-decision.
 """
 
 import pytest
 
-from repro.sched.routing import JSQ, ROUTING_POLICIES, LeastOutstanding
+from repro.sched.routing import JSQ, JSQ_D, ROUTING_POLICIES, LeastOutstanding
 from repro.sched.snapshots import ClusterSnapshot
 from repro.sim.distributions import Rng
 
@@ -40,8 +41,8 @@ def snapshot_stream(seed: int, workers: int = WORKERS, steps: int = STEPS):
         )
 
 
-def decisions_of(policy, seed: int) -> list:
-    return [policy.decide(view) for view in snapshot_stream(seed)]
+def decisions_of(policy, seed: int, workers: int = WORKERS) -> list:
+    return [policy.decide(view) for view in snapshot_stream(seed, workers)]
 
 
 @pytest.mark.parametrize("name", sorted(ROUTING_POLICIES))
@@ -63,12 +64,12 @@ def test_policy_decisions_respect_health(name):
         assert view.is_healthy(choice)
 
 
-@pytest.mark.parametrize("d", [WORKERS, WORKERS + 1, WORKERS * 3])
-def test_jsq_with_d_at_or_above_fleet_matches_least_outstanding(d):
-    jsq = JSQ(Rng(3), d=d)
+@pytest.mark.parametrize("workers", [1, JSQ_D])
+def test_jsq_with_d_at_or_above_fleet_matches_least_outstanding(workers):
+    jsq = JSQ(Rng(3))
     reference = LeastOutstanding()
-    jsq_choices = decisions_of(jsq, seed=13)
-    reference_choices = decisions_of(reference, seed=13)
+    jsq_choices = decisions_of(jsq, seed=13, workers=workers)
+    reference_choices = decisions_of(reference, seed=13, workers=workers)
     assert jsq_choices == reference_choices
 
 

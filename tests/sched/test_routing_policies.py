@@ -4,6 +4,8 @@ import pytest
 
 from repro.sched.routing import (
     JSQ,
+    JSQ_D,
+    SPILL_MARGIN,
     ROUTING_POLICIES,
     LeastOutstanding,
     LocalityAware,
@@ -100,37 +102,28 @@ def test_random_requires_rng():
 # -- JSQ ----------------------------------------------------------------------
 
 
-def test_jsq_validates_d():
-    with pytest.raises(ValueError):
-        JSQ(Rng(0), d=0)
-
-
 def test_jsq_picks_least_loaded_of_sample():
     # Fixed seed: the sampled pair is deterministic, and the decision
     # must be the less-loaded member of that pair.
     rng = Rng(11)
-    policy = JSQ(Rng(11), d=2)
+    policy = JSQ(Rng(11))
     view = snap([4, 3, 2, 1, 0, 5])
     for _ in range(20):
-        expected_pair = rng.sample(tuple(range(6)), 2)
+        expected_pair = rng.sample(tuple(range(6)), JSQ_D)
         expected = min(expected_pair, key=lambda i: (view.in_flight(i), i))
         assert policy.decide(view) == expected
 
 
 def test_jsq_with_d_at_fleet_size_consumes_no_rng():
     rng = Rng(5)
-    policy = JSQ(rng, d=4)
-    assert policy.decide(snap([2, 0, 1, 3])) == 1
+    policy = JSQ(rng)
+    assert JSQ_D == 2
+    assert policy.decide(snap([2, 0])) == 1
     # No draw happened: the stream is still at its origin.
     assert rng.uniform() == Rng(5).uniform()
 
 
 # -- locality -----------------------------------------------------------------
-
-
-def test_locality_validates_margin():
-    with pytest.raises(ValueError):
-        LocalityAware(spill_margin=0)
 
 
 def test_locality_prefers_warm_worker():
@@ -162,7 +155,8 @@ def test_locality_without_warm_worker_falls_back_to_least_outstanding():
 
 
 def test_locality_spills_when_warm_worker_is_overloaded():
-    policy = LocalityAware(spill_margin=3)
+    policy = LocalityAware()
+    assert SPILL_MARGIN == 3
     # Below the margin the warm worker holds the traffic...
     held = snap([0, 2, 0], warm={1: {"f1"}}, functions=("f1",))
     assert policy.decide(held) == 1
@@ -173,7 +167,7 @@ def test_locality_spills_when_warm_worker_is_overloaded():
 
 def test_locality_spill_ignores_unhealthy_baseline():
     # The spill comparison is against the least-loaded *healthy* worker.
-    policy = LocalityAware(spill_margin=3)
+    policy = LocalityAware()
     view = snap(
         [0, 2, 2],
         healthy={1, 2},

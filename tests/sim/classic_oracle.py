@@ -11,7 +11,13 @@ only.
 
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
-from repro.sim.sharded.shard import PLATFORM_DANDELION, ShardSim, _StepSeries
+from repro.sim.sharded.shard import (
+    CREATION_SECONDS,
+    GRID_STEP,
+    PLATFORM_DANDELION,
+    ShardSim,
+    _StepSeries,
+)
 
 
 class ClassicShardSim:
@@ -28,8 +34,7 @@ class ClassicShardSim:
         self.cores = config["cores_per_worker"]
         self.workers = [
             _ClassicDandelionWorker(
-                self.env, self.cores, config["creation_seconds"],
-                config["memory_of"], config["duration_seconds"], config["grid_step"],
+                self.env, self.cores, config["memory_of"], config["duration_seconds"]
             )
             for _ in self.worker_indices
         ]
@@ -59,18 +64,17 @@ class _ClassicDandelionWorker:
     """Generator+Resource restatement of :class:`_LeanDandelionWorker`."""
 
     __slots__ = (
-        "env", "cores", "creation", "memory_of", "committed",
+        "env", "cores", "memory_of", "committed",
         "latencies", "series", "completed", "outstanding",
     )
 
-    def __init__(self, env, cores, creation_seconds, memory_of, duration, grid_step):
+    def __init__(self, env, cores, memory_of, duration):
         self.env = env
         self.cores = Resource(env, capacity=cores)
-        self.creation = creation_seconds
         self.memory_of = memory_of
         self.committed = 0
         self.latencies: list[float] = []
-        self.series = _StepSeries(duration, grid_step)
+        self.series = _StepSeries(duration, GRID_STEP)
         self.completed = 0
         self.outstanding = 0
 
@@ -85,7 +89,7 @@ class _ClassicDandelionWorker:
             yield slot
             self.committed += memory
             self.series.record(env._now, self.committed)
-            yield env.timeout(self.creation + duration)
+            yield env.timeout(CREATION_SECONDS + duration)
             self.committed -= memory
             self.series.record(env._now, self.committed)
         self.latencies.append(env._now - arrival)

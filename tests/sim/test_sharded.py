@@ -164,7 +164,6 @@ def test_executor_option_and_window_codec_are_gone():
         ("shards", 0),
         ("window_seconds", 0.0),   # the replay loop would never advance
         ("window_seconds", -0.5),
-        ("dispatch_delay_seconds", -0.001),  # deliveries in the past
         ("platform", "lambda"),
     ],
 )
