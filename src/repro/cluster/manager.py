@@ -344,10 +344,11 @@ class ClusterManager:
             worker.frontend.register_function(binary)
 
     def register_composition(self, composition_or_source) -> Composition:
-        registered: Optional[Composition] = None
+        """Register everywhere: the first worker parses DSL source, the rest reuse its object."""
+        registered = composition_or_source
         for worker in self.workers:
-            registered = worker.frontend.register_composition(composition_or_source)
-        assert registered is not None
+            registered = worker.frontend.register_composition(registered)
+        assert isinstance(registered, Composition)
         self._compositions.append(registered)
         self._composition_functions[registered.name] = tuple(
             sorted(registered.required_functions())

@@ -348,15 +348,16 @@ def serialized_size(sets: Iterable[DataSet]) -> int:
         size += _SET_ENTRY.size + _ITEM_ENTRY.size * len(data_set)
         wire = getattr(data_set, "_wire", None)
         if wire is None:
-            # Per-item wire bytes: name, key, key flag, length, payload.
             # Items are immutable and often shared across renamed sets,
             # so the sum is cached on the set and reused at every
             # downstream store (the chain hot path).
             wire = 0
             for item in data_set:
-                wire += 4 + _name_length(item.ident)
-                wire += 4 + _name_length(item.key if item.key is not None else "")
-                wire += 8 + item.size  # key flag + payload length + payload
+                # 16 bytes of fields, two names, and item.size (not .data).
+                key = item.key
+                wire += 16 + item.size + _name_length(item.ident)
+                if key is not None:
+                    wire += _name_length(key)
             try:
                 data_set._wire = wire
             except AttributeError:

@@ -57,12 +57,25 @@ def _normalize(path: str) -> str:
     return clean
 
 
-def _split(path: str) -> tuple[str, str, str]:
-    """Split ``/root/set/item`` into its three components."""
-    parts = [p for p in path.split("/") if p]
-    if len(parts) != 3:
-        raise VfsError(f"expected /in|/out/<set>/<item>, got {path!r}")
-    return "/" + parts[0], parts[1], parts[2]
+# Raw item path -> (clean, root, set, item): each path a function names
+# is parsed once per process.  Cleared when full; a path that fails to
+# parse is never stored, so it raises on every call.
+_ITEM_PATH_LIMIT = 4096
+_item_paths: dict[str, tuple[str, str, str, str]] = {}
+
+
+def _item_path(path: str) -> tuple[str, str, str, str]:
+    parsed = _item_paths.get(path)
+    if parsed is None:
+        clean = _normalize(path)
+        parts = [p for p in clean.split("/") if p]
+        if len(parts) != 3:
+            raise VfsError(f"expected /in|/out/<set>/<item>, got {clean!r}")
+        parsed = (clean, "/" + parts[0], parts[1], parts[2])
+        if len(_item_paths) >= _ITEM_PATH_LIMIT:
+            _item_paths.clear()
+        _item_paths[path] = parsed
+    return parsed
 
 
 class VirtualFileSystem:
@@ -100,18 +113,13 @@ class VirtualFileSystem:
         append.  Text modes decode/encode UTF-8.  ``key`` tags the
         written item with a grouping key.
         """
-        clean = _normalize(path)
         binary = mode.endswith("b")
         base_mode = mode.rstrip("b")
         if base_mode == "r":
-            data = self.read_bytes(clean)
+            data = self.read_bytes(path)
             return io.BytesIO(data) if binary else io.StringIO(data.decode("utf-8"))
         if base_mode in ("w", "a"):
-            root, set_name, _item = _split(clean)
-            if root != _OUT_ROOT:
-                raise VfsError(f"cannot write outside {_OUT_ROOT}: {path!r}")
-            if set_name not in self._output_names:
-                raise VfsError(f"{set_name!r} is not a declared output set")
+            clean = self._writable(path)
             initial = b""
             if base_mode == "a" and clean in self._output_files:
                 initial = self._output_files[clean][0]
@@ -121,8 +129,7 @@ class VirtualFileSystem:
 
     def read_bytes(self, path: str) -> bytes:
         """Read a whole file as bytes."""
-        clean = _normalize(path)
-        root, set_name, item_name = _split(clean)
+        clean, root, set_name, item_name = _item_path(path)
         if root == _IN_ROOT:
             data_set = self._inputs.get(set_name)
             if data_set is None:
@@ -154,13 +161,16 @@ class VirtualFileSystem:
         ``open(..., "wb")`` would, then publishes directly without the
         intermediate BytesIO buffer.
         """
-        clean = _normalize(path)
-        root, set_name, _item = _split(clean)
+        self._publish(self._writable(path), bytes(data), key)
+
+    def _writable(self, path: str) -> str:
+        """The clean path of ``path``, a file in a declared output set."""
+        clean, root, set_name, _item = _item_path(path)
         if root != _OUT_ROOT:
             raise VfsError(f"cannot write outside {_OUT_ROOT}: {path!r}")
         if set_name not in self._output_names:
             raise VfsError(f"{set_name!r} is not a declared output set")
-        self._publish(clean, bytes(data), key)
+        return clean
 
     def write_text(self, path: str, text: str, key: Optional[str] = None, encoding: str = "utf-8") -> None:
         self.write_bytes(path, text.encode(encoding), key=key)
@@ -202,10 +212,8 @@ class VirtualFileSystem:
 
     def _publish(self, path: str, data: bytes, key: Optional[str]) -> None:
         self._output_files[path] = (data, key)
-        _root, set_name, item_name = _split(path)
-        by_set = self._outputs_by_set.get(set_name)
-        if by_set is not None:
-            by_set[item_name] = path
+        _clean, _root, set_name, item_name = _item_path(path)
+        self._outputs_by_set[set_name][item_name] = path
 
     def collect_outputs(self) -> list[DataSet]:
         """Build the function's output sets from files written to /out.

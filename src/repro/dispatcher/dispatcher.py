@@ -706,9 +706,9 @@ class _TaskRun:
         )
         zero_copy = dispatcher.data_passing == "remap"
         if not zero_copy:
-            # Copy mode: inputs are duplicated into the new context.
+            # Only copy mode commits anything before the task runs.
             context.store_sets(plan.input_sets)
-        dispatcher.memory.observe(context)
+            dispatcher.memory.observe(context)
         env = dispatcher.env
         timeout = dispatcher.default_timeout
         self.task = Task(

@@ -43,26 +43,19 @@ class MemoryTracker:
         if now_committed == previous:
             return
         self._committed_by_context[key] = now_committed
-        self._record(now_committed - previous)
-
-    def release(self, context: MemoryContext) -> None:
-        """A context has been freed; drop its contribution."""
-        key = id(context)
-        previous = self._committed_by_context.pop(key, 0)
-        if previous:
-            self._record(-previous)
-
-    def _record(self, delta: int) -> None:
-        current = self.current_bytes + delta
+        current = self.current_bytes + now_committed - previous
         self.current_bytes = current
         if current > self.peak_bytes:
             self.peak_bytes = current
         self.series.record(self.env.now, current)
 
+    def release(self, context: MemoryContext) -> None:
+        """A context has been freed; drop its contribution."""
+        previous = self._committed_by_context.pop(id(context), 0)
+        if previous:
+            self.current_bytes -= previous
+            self.series.record(self.env.now, self.current_bytes)
+
     @property
     def live_context_count(self) -> int:
         return len(self._committed_by_context)
-
-    def average_committed(self, start: float = None, end: float = None) -> float:
-        """Time-weighted mean committed bytes over a window."""
-        return self.series.time_weighted_mean(start, end)

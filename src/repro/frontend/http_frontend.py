@@ -58,12 +58,9 @@ class Frontend(HttpService):
         """Register a Composition object or composition-language source;
         ``verify="warn"|"strict"`` runs the whole-composition
         analyzer (races, contracts, cost) at registration time."""
-        if isinstance(composition_or_source, Composition):
-            composition = composition_or_source
-        else:
-            composition = parse_composition(
-                composition_or_source, library=self.registry.compositions
-            )
+        composition = composition_or_source
+        if not isinstance(composition, Composition):
+            composition = parse_composition(composition, library=self.registry.compositions)
         self.registry.register_composition(composition, verify=verify)
         return composition
 

@@ -28,8 +28,10 @@ partition count of the streamed path — is an argument of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import Optional
 
 from ..cluster.faults import WorkerFaultInjector
@@ -196,19 +198,12 @@ def build_requests(spec: ScenarioSpec) -> list:
         return [(t, 0) for t in arrival_rng.poisson_arrivals(rps, duration)]
     app_rng = Rng(trace_seed).fork(1)
     weights = arrival_rng.zipf_weights(apps, spec.trace.zipf_skew)
-    cumulative = []
-    total = 0.0
-    for weight in weights:
-        total += weight
-        cumulative.append(total)
-    requests = []
-    for arrive_at in arrival_rng.poisson_arrivals(rps, duration):
-        draw = app_rng.uniform()
-        app = next(
-            index for index, edge in enumerate(cumulative) if draw <= edge
-        )
-        requests.append((arrive_at, app))
-    return requests
+    cumulative = list(accumulate(weights))
+    # The app is the first whose cumulative edge is >= the draw.
+    return [
+        (arrive_at, bisect_left(cumulative, app_rng.uniform()))
+        for arrive_at in arrival_rng.poisson_arrivals(rps, duration)
+    ]
 
 
 def _tally(counts: list, drained, result) -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ROUTING_POLICIES, ClusterManager
 from repro.composition.registry import RegistryError
+from repro.frontend import http_frontend
 from repro.functions import compute_function
 from repro.worker import WorkerConfig
 
@@ -52,6 +53,42 @@ def test_registration_fans_out_to_all_workers():
     for worker in cluster.workers:
         assert worker.registry.has_function("cluster_echo")
         assert worker.registry.has_composition("echo_comp")
+
+
+NESTED = """
+composition nested_comp {
+    compose inner uses echo_comp;
+    input data -> inner.data;
+    output inner.result -> result;
+}
+"""
+
+
+def test_fleet_parses_each_composition_once(monkeypatch):
+    calls = []
+    real_parse = http_frontend.parse_composition
+
+    def counting_parse(source, library=None):
+        calls.append(source)
+        return real_parse(source, library=library)
+
+    monkeypatch.setattr(http_frontend, "parse_composition", counting_parse)
+    cluster = make_cluster(workers=4)
+    nested = cluster.register_composition(NESTED)
+    assert calls == [COMPOSITION, NESTED]
+    echo_comp = cluster.workers[0].registry.composition("echo_comp")
+    assert nested.nodes["inner"].composition is echo_comp
+    for worker in cluster.workers:
+        assert worker.registry.composition("echo_comp") is echo_comp
+        assert worker.registry.composition("nested_comp") is nested
+        done = worker.frontend.invoke("nested_comp", {"data": b"deep"})
+        cluster.env.run(until=done)
+        assert done.value.output("result").item("data").data == b"deep"
+    # A restored worker replays the same objects; nothing is re-parsed.
+    cluster.fail_worker(1)
+    cluster.restore_worker(1)
+    assert cluster.workers[1].registry.composition("nested_comp") is nested
+    assert len(calls) == 2
 
 
 def test_round_robin_spreads_evenly():

@@ -14,6 +14,8 @@ from repro.data import (
     serialize_sets,
     serialized_size,
 )
+from repro.data.items import register_item_type
+
 from .corpus import V1_BLOB, _base_sets
 
 
@@ -257,6 +259,45 @@ def test_serialized_size_rejects_overlong_name_like_encoder():
     sets = [DataSet("s", [DataItem("i" * 4097, b"")])]
     with pytest.raises(ContextError):
         serialize_sets(sets)
+    with pytest.raises(ContextError):
+        serialized_size(sets)
+
+
+class _SizedOnlyItem:
+    """An item whose payload length is known but whose bytes are not:
+    reading ``.data`` fails the test."""
+
+    def __init__(self, ident, size, key=None):
+        self.ident = ident
+        self.key = key
+        self.size = size
+
+    @property
+    def data(self):
+        raise AssertionError("serialized_size read .data")
+
+
+register_item_type(_SizedOnlyItem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sets_any_names())
+def test_property_serialized_size_takes_payload_length_from_size(sets):
+    # The accounting never builds a payload (an envelope's bytes are
+    # built on first .data): it must match the eager encoder while
+    # every item's .data raises.
+    sized_only = [
+        DataSet(
+            data_set.ident,
+            [_SizedOnlyItem(item.ident, item.size, item.key) for item in data_set],
+        )
+        for data_set in sets
+    ]
+    assert serialized_size(sized_only) == len(serialize_sets(sets))
+
+
+def test_serialized_size_name_check_without_data():
+    sets = [DataSet("s", [_SizedOnlyItem("i", 3, key="k" * 4097)])]
     with pytest.raises(ContextError):
         serialized_size(sets)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import DataItem, DataSet, VfsError, VirtualFileSystem
+from repro.data import vfs as vfs_module
 
 
 def make_vfs():
@@ -164,3 +165,55 @@ def test_property_outputs_roundtrip_through_collection(files):
         vfs.write_bytes(f"/out/out/{name}", data)
     (collected,) = vfs.collect_outputs()
     assert {item.ident: item.data for item in collected} == files
+
+
+# -- the item-path memo ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda vfs: vfs.read_bytes("in/req/token"),
+        lambda vfs: vfs.read_bytes("/in/../x"),
+        lambda vfs: vfs.read_bytes("/in/req"),
+        lambda vfs: vfs.write_bytes("out/resp/r", b""),
+        lambda vfs: vfs.write_bytes("/out/resp", b""),
+        lambda vfs: vfs.write_bytes("/out/unknown/file", b""),
+        lambda vfs: vfs.write_bytes("/in/req/token", b""),
+    ],
+)
+def test_bad_path_raises_on_every_call(call):
+    # A path that fails to parse is never memoised, and a memoised
+    # path is still checked against this filesystem's sets.
+    for vfs in (make_vfs(), make_vfs()):
+        for _ in range(2):
+            with pytest.raises(VfsError):
+                call(vfs)
+
+
+def test_memoised_path_is_rechecked_per_filesystem():
+    make_vfs().write_bytes("/out/resp/r", b"1")
+    with pytest.raises(VfsError):
+        VirtualFileSystem([], ["other"]).write_bytes("/out/resp/r", b"1")
+    vfs = VirtualFileSystem([], ["resp"])
+    vfs.write_bytes("/out/resp/r", b"2")
+    assert vfs.read_bytes("/out/resp/r") == b"2"
+
+
+def test_item_path_memo_is_bounded():
+    vfs = make_vfs()
+    for index in range(3 * vfs_module._ITEM_PATH_LIMIT):
+        vfs.write_bytes(f"/out/logs/item{index}", b"")
+        assert len(vfs_module._item_paths) <= vfs_module._ITEM_PATH_LIMIT
+    assert len(vfs.listdir("/out/logs")) == 3 * vfs_module._ITEM_PATH_LIMIT
+
+
+def test_unnormalised_paths_share_the_clean_file():
+    vfs = make_vfs()
+    vfs.write_bytes("/out/resp//a/../r", b"x")
+    assert vfs.read_bytes("/out/resp/r") == b"x"
+    assert vfs.read_bytes("/out/./resp/r") == b"x"
+    assert vfs.listdir("/out/resp") == ["r"]
+    with vfs.open("/out/resp/./r", "rb") as handle:
+        assert handle.read() == b"x"
+    assert vfs.exists("/out//resp/r") and not vfs.exists("/out/resp/r/x")

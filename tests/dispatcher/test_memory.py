@@ -78,7 +78,7 @@ def test_average_committed_time_weighted():
 
     env.process(scenario())
     env.run()
-    average = tracker.average_committed(0, 20)
+    average = tracker.series.time_weighted_mean(0, 20)
     assert average == PAGE_SIZE / 2
 
 

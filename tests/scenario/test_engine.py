@@ -1,16 +1,23 @@
 """Scenario engine: seeded reproducibility and spec-driven assembly."""
 
+import hashlib
 import math
+from itertools import accumulate, cycle, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenario import (
     SpecError,
     assemble_cluster,
+    build_requests,
     load_spec,
     run_scenario,
     scenario_from_dict,
 )
+from repro.scenario import engine as scenario_engine
+from repro.sim.distributions import Rng
 
 
 def _mini_spec(**trace_overrides):
@@ -83,3 +90,83 @@ def test_process_executor_is_gone():
     # `executor` survives only as the benchmark-pinned "serial" literal.
     with pytest.raises(SpecError, match="only 'serial'"):
         run_scenario(load_spec("fig10_full"), executor="process")
+
+
+# -- the request stream ---------------------------------------------------------
+
+
+def _scan_requests(spec):
+    """The request stream as a running sum and a linear scan over the
+    Zipf edges build it."""
+    arrival_rng = Rng(spec.trace_seed())
+    app_rng = Rng(spec.trace_seed()).fork(1)
+    cumulative = []
+    total = 0.0
+    for weight in arrival_rng.zipf_weights(spec.trace.apps, spec.trace.zipf_skew):
+        total += weight
+        cumulative.append(total)
+    requests = []
+    for arrive_at in arrival_rng.poisson_arrivals(
+        spec.offered_rps(), spec.trace.duration_seconds
+    ):
+        draw = app_rng.uniform()
+        requests.append((arrive_at, _scan(cumulative, draw)))
+    return requests
+
+
+def _scan(cumulative, draw):
+    return next(index for index, edge in enumerate(cumulative) if draw <= edge)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    apps=st.integers(2, 40),
+    skew=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_property_build_requests_matches_linear_scan(apps, skew, seed):
+    spec = _mini_spec(apps=apps, zipf_skew=skew).with_overrides({"seed": seed})
+    assert build_requests(spec) == _scan_requests(spec)
+
+
+class _ScriptedDraws:
+    """Stands in for the forked app stream: ``uniform`` cycles through
+    the given draws."""
+
+    def __init__(self, draws):
+        self._draws = cycle(draws)
+
+    def uniform(self):
+        return next(self._draws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(apps=st.integers(2, 40), skew=st.floats(0.0, 3.0), data=st.data())
+def test_property_app_pick_matches_scan_on_and_beside_edges(apps, skew, data):
+    # ~200 arrivals: every scripted draw is used at least once.
+    spec = _mini_spec(apps=apps, zipf_skew=skew, rps=400.0)
+    cumulative = list(accumulate(Rng(0).zipf_weights(apps, skew)))
+    draws = [data.draw(st.floats(0.0, cumulative[-1]))]
+    for edge in cumulative:
+        draws += [edge, math.nextafter(edge, -math.inf)]
+        if edge < cumulative[-1]:
+            draws.append(math.nextafter(edge, math.inf))
+
+    class ScriptedRng(Rng):
+        def fork(self, index):
+            return _ScriptedDraws(draws)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_engine, "Rng", ScriptedRng)
+        requests = build_requests(spec)
+    expected = [_scan(cumulative, draw) for draw in islice(cycle(draws), len(requests))]
+    assert len(requests) >= len(draws)
+    assert [app for _arrive_at, app in requests] == expected
+
+
+def test_sec62_request_stream_is_pinned():
+    requests = build_requests(load_spec("sec62"))
+    assert len(requests) == 2371
+    assert hashlib.sha256(repr(requests).encode()).hexdigest() == (
+        "96f6f6f2c8fc56aba03c88e4e5870c0d74a85a663dcda4215e4b1cfbbee9de82"
+    )
