@@ -4,8 +4,8 @@ The generator formulation of the engines: each engine is a simulation
 `Process` reading its group's `Store`, a communication task runs as a
 `_handle` process with one more process per request item, a deadline is
 an `AnyOf` over a raced exchange process and a `Timeout`, and a shrink
-retires an engine through a `SHUTDOWN` sentinel and an `AnyOf` over the
-group's stop events.
+retires an engine through a `SHUTDOWN` sentinel and a group event that
+any engine's stop fires.
 
 It left the product when the engines became callback machines; it stays
 here so they are checked live against it on random task mixes.  The
@@ -19,6 +19,10 @@ code is the former `engines/compute_engine.py`, `engines/comm_engine.py`,
 * the kernel's `Event.succeed(delay=)`, which only the compute engine
   used, is `succeed_later` here;
 * `Task` gains the `completion` event the product's no longer carries;
+* a shrink waited on an `AnyOf` over the engines running when it was
+  called, so an engine grown later that took the sentinel never reported
+  its retirement; it waits on a group event every engine's stop fires,
+  which takes the same number of hops;
 * options and fields that nothing read are gone with the product's
   (`batch_guard`, `max_green_threads`, `enqueued_at`, `queue_samples`,
   `TaskOutcome.breakdown`), the retry bound is the product's
@@ -485,6 +489,7 @@ class EngineGroup:
         self._pending_shutdowns = 0
         self._retired_tasks_executed = 0
         self._retired_busy_seconds = 0.0
+        self._any_stopped = env.event()
         for _ in range(initial_count):
             self._start_engine()
 
@@ -501,6 +506,11 @@ class EngineGroup:
         self._next_engine_id += 1
         engine = self._engine_factory(self.queue, name)
         self._engines.append(engine)
+        engine.stopped.callbacks.append(self._engine_stopped)
+
+    def _engine_stopped(self, _event) -> None:
+        stopped, self._any_stopped = self._any_stopped, self.env.event()
+        stopped.succeed()
 
     def grow(self) -> None:
         self._start_engine()
@@ -515,9 +525,9 @@ class EngineGroup:
         return done
 
     def _await_retirement(self, done):
-        # Any engine may consume the sentinel; wait until one reports.
-        stops = [engine.stopped for engine in self._engines]
-        yield self.env.any_of(stops)
+        # Any engine may consume the sentinel, one started after the
+        # shrink included; wait until one reports.
+        yield self._any_stopped
         retired = [engine for engine in self._engines if engine.stopped.triggered]
         for engine in retired:
             if engine in self._engines:

@@ -308,6 +308,13 @@ def _assert_engines_agree(*args):
     [(1e-4, ("move", "compute")), (1e-4, ("limp", 2.5))],
     2e-3, 0.3, 0.3, 2, 1,
 )
+# An engine grown after a shrink takes the retirement.
+@example(
+    [(0.0, ("compute", 0, False, None), None)] * 2
+    + [(0.0, ("compute", 0, True, None), None)]
+    + [(0.0, ("comm", "http", [], None), None)] * 3,
+    [(0.0, ("move", "compute")), (1e-4, ("grow", "compute"))], 0.0, 0.0, 0.0, 2, 1,
+)
 def test_property_engines_match_generator_oracle(
     jobs, moves, echo_extra, compute_faults, comm_faults, compute_count, comm_count
 ):
