@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+from itertools import repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -102,12 +103,12 @@ class Table:
                 return np.asarray(values, dtype=np.int64)
             first = values[0]
             if isinstance(first, str):
-                if not all(isinstance(value, str) for value in values):
+                if not all(map(isinstance, values, repeat(str))):
                     raise TableError("a column mixes str with other values")
                 return np.asarray(values, dtype=object)
             if isinstance(first, (int, float, np.integer, np.floating)):
                 return _numbers(values)
-            if any(isinstance(value, str) for value in values):
+            if any(map(isinstance, values, repeat(str))):
                 raise TableError("a column mixes str with other values")
             array = np.asarray(values, dtype=object)
         if array.ndim != 1:
@@ -185,12 +186,21 @@ class Table:
                 )
                 buffers.append(data)
             else:
-                encoded = [str(v).encode("utf-8") for v in array]
-                offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-                np.cumsum([len(e) for e in encoded], out=offsets[1:])
+                # One encode; only non-ASCII text needs byte lengths per item.
+                strings = array.tolist()
+                try:
+                    text = "".join(strings)
+                except TypeError:  # not all str: each item's str()
+                    strings = list(map(str, strings))
+                    text = "".join(strings)
+                payload = text.encode("utf-8")
+                if len(payload) != len(text):
+                    strings = [string.encode("utf-8") for string in strings]
+                offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+                np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=offsets[1:])
                 header["columns"].append({"name": column_name, "kind": "string"})
                 buffers.append(offsets.tobytes())
-                buffers.append(b"".join(encoded))
+                buffers.append(payload)
         header_blob = json.dumps(header).encode("utf-8")
         out = io.BytesIO()
         out.write(_MAGIC)

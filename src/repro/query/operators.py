@@ -4,12 +4,14 @@ The set the paper's SSB port needs (§7.7): "The queries include filter,
 projection, join, order by, and aggregation operators, which we
 implement in Dandelion by porting the Apache Arrow Acero library
 operators."  All operators here are pure functions Table -> Table,
-vectorised with numpy (no per-row Python loop in join or grouping), so
-they can run inside Dandelion compute functions unchanged.  Guaranteed,
-because result tables are compared as bytes: ``hash_join`` pairs come
-left-major with right positions ascending, ``group_aggregate`` groups
-in order of first appearance, integer keys and sums are int64, strings
-object; a parsed string column that no operator reads stays undecoded.
+vectorised with numpy (no per-row Python loop in join or grouping, and
+none per group but for float sums and averages, which keep numpy's
+pairwise summation), so they can run inside Dandelion compute functions
+unchanged.  Guaranteed, because result tables are compared as bytes:
+``hash_join`` pairs come left-major with right positions ascending,
+``group_aggregate`` groups in order of first appearance, integer keys
+and sums are int64, strings object; a parsed string column that no
+operator reads stays undecoded.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .columnar import Table, TableError
+from .columnar import Table, TableError, _numbers
 
 __all__ = [
     "Predicate",
@@ -119,33 +121,23 @@ def hash_join(
     ``searchsorted``); right-side columns may get a prefix to avoid name
     collisions.  Keys must sort against each other; a NaN float key or
     uint64 against signed keys (compared as float64) is a
-    :class:`TableError`.  Unique right keys take one search per left row,
-    and strictly increasing ones (an SSB dimension side) no sort."""
+    :class:`TableError`.  Unique right keys take one search per left row."""
     left_values, right_values = left.column(left_key), right.column(right_key)
     keys = f"join keys {left_key!r} and {right_key!r}"
-    dtypes = left_values.dtype, right_values.dtype
-    if any(values.dtype.kind == "f" and np.isnan(values).any() for values in (left_values, right_values)):
-        raise TableError(f"{keys} hold NaN")
-    if np.result_type(*dtypes).kind == "f" and "f" not in (dtypes[0].kind, dtypes[1].kind):
-        raise TableError(f"{keys} mix uint64 with signed integers")
     try:
-        presorted = len(right_values) > 0 and (right_values[1:] > right_values[:-1]).all()
-        order = np.arange(len(right_values)) if presorted else np.argsort(right_values, kind="stable")
-        sorted_keys = right_values if presorted else right_values[order]
-        first = np.searchsorted(sorted_keys, left_values, side="left")
-        if presorted or len(sorted_keys) and (sorted_keys[1:] != sorted_keys[:-1]).all():
-            # Unique build keys: the only candidate is at ``first``, clamped to the end.
-            first = np.minimum(first, len(sorted_keys) - 1)
-            left_idx = np.flatnonzero(sorted_keys[first] == left_values)
-            right_idx = order[first[left_idx]]
-        else:
-            counts = np.searchsorted(sorted_keys, left_values, side="right") - first
-            left_idx = np.repeat(np.arange(len(left_values)), counts)
-            # Position of each output pair inside its left row's run of matches.
-            within = np.arange(len(left_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
-            right_idx = order[np.repeat(first, counts) + within]
+        order = np.argsort(right_values, kind="stable")
+        sorted_keys = right_values[order]
+        duplicates = (sorted_keys[1:] == sorted_keys[:-1]).any()
     except TypeError as exc:
         raise TableError(f"{keys} do not compare: {exc}") from exc
+    left_idx, first = _match_sorted(left_values, sorted_keys, keys)
+    if duplicates:
+        # Each matched left row pairs with its run of equal keys from ``first``.
+        counts = np.searchsorted(sorted_keys, left_values[left_idx], side="right") - first
+        left_idx = np.repeat(left_idx, counts)
+        within = np.arange(len(left_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+        first = np.repeat(first, counts) + within
+    right_idx = order[first]
     # The gathered columns, string ones still undecoded.
     columns = {name: array[left_idx] for name, array in left._columns.items()}
     for name, array in right._columns.items():
@@ -156,6 +148,27 @@ def hash_join(
             out_name = f"{right.name}.{name}"
         columns[out_name] = array[right_idx]
     return Table._of(left.name, columns, len(left_idx))
+
+
+def _match_sorted(values: np.ndarray, sorted_keys: np.ndarray, keys: str) -> "tuple[np.ndarray, np.ndarray]":
+    """Positions of ``values`` found in the ascending ``sorted_keys`` and the
+    first key equal to each.  NaN keys (equal to nothing), uint64 against
+    signed keys (sorted as float64, so 2**53 + 1 == 2**53) and keys that do
+    not compare are a :class:`TableError` naming ``keys``."""
+    for array in (values, sorted_keys):
+        if array.dtype.kind == "f" and np.isnan(array).any():
+            raise TableError(f"{keys} hold NaN")
+    kinds = values.dtype.kind, sorted_keys.dtype.kind
+    if np.result_type(values.dtype, sorted_keys.dtype).kind == "f" and "f" not in kinds:
+        raise TableError(f"{keys} mix uint64 with signed integers")
+    if not len(sorted_keys):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    try:
+        at = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
+        found = np.flatnonzero(sorted_keys[at] == values)
+    except TypeError as exc:
+        raise TableError(f"{keys} do not compare: {exc}") from exc
+    return found, at[found]
 
 
 class Aggregation:
@@ -174,20 +187,24 @@ class Aggregation:
         self.function = function
         self.column = column
 
-    def compute(self, table: Table, row_groups: "list[np.ndarray]") -> list:
+    def compute(self, table: Table, order, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """One value per run, run ``i`` being rows ``order[starts[i]:][:counts[i]]``;
+        only the one run of an empty table without group columns is empty."""
         if self.function == "count":
-            return [len(group) for group in row_groups]
-        values = table.column(self.column)
-        if self.function == "sum":
-            return [values[group].sum() if len(group) else 0 for group in row_groups]
-        if self.function in ("min", "max") and not all(map(len, row_groups)):
-            raise TableError(f"aggregate {self.function}({self.column}) over an empty group")
-        if self.function == "min":
-            return [values[group].min() for group in row_groups]
-        if self.function == "max":
-            return [values[group].max() for group in row_groups]
-        # avg
-        return [values[group].mean() if len(group) else float("nan") for group in row_groups]
+            return counts
+        values = table.column(self.column)[order]
+        if not len(values):
+            if self.function in ("min", "max"):
+                raise TableError(f"aggregate {self.function}({self.column}) over an empty group")
+            return np.asarray([0 if self.function == "sum" else float("nan")])
+        if self.function in ("min", "max"):
+            return (np.minimum if self.function == "min" else np.maximum).reduceat(values, starts)
+        if self.function == "sum" and values.dtype.kind in "iub":
+            return np.add.reduceat(values, starts)  # in the dtype .sum() adds in
+        # Float and object sums, every avg: numpy's pairwise sum per run.
+        method = "sum" if self.function == "sum" else "mean"
+        runs = zip(starts.tolist(), (starts + counts).tolist())
+        return np.fromiter((getattr(values[lo:hi], method)() for lo, hi in runs), dtype=object, count=len(starts))
 
 
 def group_aggregate(
@@ -196,7 +213,8 @@ def group_aggregate(
     aggregations: Iterable[Aggregation],
 ) -> Table:
     """Group-by aggregation; with no group columns, one global group.
-    Each key column must sort (one type); NaN keys form one group."""
+    Each key column must sort (one type); NaN keys form one group.  Each
+    result column has the dtype ``Table`` gives a list of its values."""
     group_by = list(group_by)
     aggregations = list(aggregations)
     if not aggregations:
@@ -204,27 +222,40 @@ def group_aggregate(
     if table.num_rows == 0 and group_by:
         return Table(table.name, {**{g: [] for g in group_by}, **{a.output: [] for a in aggregations}})
     if group_by:
-        # One dense code per row, re-densified after every key column
-        # so that no product of cardinalities can overflow.
-        codes = np.zeros(table.num_rows, dtype=np.int64)
+        # One code per row, re-densified only where the product of
+        # cardinalities would overflow int64.
+        codes, size = 0, 1
         try:
             for name in group_by:
                 uniques, inverse = np.unique(table.column(name), return_inverse=True)
-                codes = np.unique(codes * len(uniques) + inverse, return_inverse=True)[1]
+                if size * len(uniques) > 2**63:
+                    seen, codes = np.unique(codes, return_inverse=True)
+                    size = len(seen)
+                codes, size = codes * len(uniques) + inverse, size * len(uniques)
         except TypeError as exc:
             raise TableError(f"group key {name!r} does not sort: {exc}") from exc
-        # Stable: rows ascending inside a group; groups by first appearance.
-        by_code = np.argsort(codes, kind="stable")
-        row_groups = np.split(by_code, np.cumsum(np.bincount(codes))[:-1])
-        row_groups.sort(key=lambda rows: rows[0])
-        first_rows = [rows[0] for rows in row_groups]
-        columns = {name: list(table.column(name)[first_rows]) for name in group_by}
+        # One run of rows per group, rows ascending; groups by first row.
+        order = np.argsort(codes, kind="stable")
+        in_order = codes[order]
+        starts = np.flatnonzero(np.concatenate(([True], in_order[1:] != in_order[:-1])))
+        by_appearance = np.argsort(order[starts])
+        first_rows = order[starts[by_appearance]]
+        columns = {name: _listed(table.column(name)[first_rows]) for name in group_by}
     else:
-        row_groups = [np.arange(table.num_rows)]
+        order, starts, by_appearance = slice(None), np.zeros(1, dtype=np.intp), slice(None)
         columns = {}
+    counts = np.concatenate((starts[1:], [table.num_rows])) - starts
     for aggregation in aggregations:
-        columns[aggregation.output] = aggregation.compute(table, row_groups)
-    return Table(table.name, columns)
+        columns[aggregation.output] = _listed(aggregation.compute(table, order, starts, counts)[by_appearance])
+    return Table._of(table.name, columns, len(starts))
+
+
+def _listed(values: np.ndarray) -> np.ndarray:
+    """The column ``Table`` builds from ``list(values)``; a numeric array
+    (not empty) gets its dtype without a check per value."""
+    if values.dtype.kind in "iuf":
+        return _numbers(values)
+    return Table._normalize(list(values))
 
 
 def sort_rows(table: Table, by: "str | list", ascending: bool = True) -> Table:

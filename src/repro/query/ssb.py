@@ -19,13 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..sim.distributions import Rng
-from .columnar import Table
+from .columnar import Table, TableError
 from .operators import (
     Aggregation,
     Predicate,
+    _match_sorted,
     filter_rows,
     group_aggregate,
-    hash_join,
     sort_rows,
 )
 
@@ -221,13 +221,13 @@ class DimensionSide:
     """An SSB query with its dimension side built, ready to probe.
 
     Per dimension, in join order: the rows its predicate keeps, projected
-    on its key and on the columns the query ``reads``, in stable key
-    order.  A join's output rows come left-major either way, and SSB keys
-    are unique, so :func:`hash_join` probes them without a sort.  A probe
-    projects lineorder on the foreign keys and on the ``reads`` no
-    dimension holds, keeps the rows ``where`` selects, joins, and hands
-    the result to ``finish``.  It only reads the side, so the partitions
-    of an invocation share one.
+    on its key and on the columns the query ``reads``, in key order; a
+    key that is not unique is a :class:`TableError`.  A probe projects
+    lineorder on the foreign keys and on the ``reads`` no dimension holds,
+    keeps the rows ``where`` selects, searches each dimension for the
+    rows still alive, and gathers each column once into the table a
+    chain of :func:`hash_join` calls would give, for ``finish``.  It only
+    reads the side, so the partitions of an invocation share one.
     """
 
     def __init__(self, tables, dimensions: dict[str, Predicate], reads: list[str],
@@ -236,19 +236,29 @@ class DimensionSide:
         for name, predicate in dimensions.items():
             key, table = _JOIN_KEYS[name][1], tables[name]
             side = filter_rows(table, predicate).select([key, *(c for c in reads if c in table)])
-            self._sides[name] = side.take(np.argsort(side.column(key), kind="stable"))
+            side = side.take(np.argsort(side.column(key), kind="stable"))
+            keys = side.column(key)
+            if not (keys[1:] > keys[:-1]).all():
+                raise TableError(f"dimension {name!r} has a duplicate or NaN key {key!r}")
+            self._sides[name] = side
         held = {column for side in self._sides.values() for column in side.column_names}
         self._fact = [*(_JOIN_KEYS[name][0] for name in dimensions), *(c for c in reads if c not in held)]
         self._where, self._finish = where, finish
 
     def probe(self, lineorder: Table) -> Table:
         """The query's result over ``lineorder``: all of it, or one partition."""
-        joined = lineorder.select(self._fact)
-        if self._where is not None:
-            joined = filter_rows(joined, self._where)
+        fact = lineorder.select(self._fact)
+        rows = np.arange(len(fact)) if self._where is None else np.flatnonzero(self._where.mask(fact))
+        found: list[np.ndarray] = []  # per dimension so far, its side row for each of ``rows``
         for name, side in self._sides.items():
-            joined = hash_join(joined, side, *_JOIN_KEYS[name])
-        return self._finish(joined)
+            fact_key, key = _JOIN_KEYS[name]
+            hits, at = _match_sorted(fact.column(fact_key)[rows], side.column(key),
+                                     f"join keys {fact_key!r} and {key!r}")
+            rows, found = rows[hits], [positions[hits] for positions in found] + [at]
+        columns = {name: array[rows] for name, array in fact._columns.items()}
+        for side, positions in zip(self._sides.values(), found):
+            columns.update({name: array[positions] for name, array in side._columns.items()})
+        return self._finish(Table._of(lineorder.name, columns, len(rows)))
 
 
 def _q1(tables, year_pred: Predicate, discount_low, discount_high, quantity_pred) -> DimensionSide:

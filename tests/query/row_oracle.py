@@ -1,14 +1,16 @@
 """Reference join and group-by for ``test_kernel_equivalence``.
 
 The row-at-a-time dict formulations that ``repro.query.operators`` used
-before the sort-probe join and the factorised group-by.  They left the
-product; they stay here so "same values, same row order, same dtypes"
-is checked live against generated inputs rather than one frozen golden.
+before the sort-probe join and the factorised group-by, aggregates
+included: one numpy reduction per group, its results handed to
+``Table`` as lists.  They left the product; they stay here so "same
+values, same row order, same dtypes" is checked live against generated
+inputs rather than one frozen golden.
 """
 
 import numpy as np
 
-from repro.query import Table
+from repro.query import Table, TableError
 
 
 def row_loop_join(left, right, left_key, right_key, right_prefix=""):
@@ -59,5 +61,22 @@ def row_loop_group_aggregate(table, group_by, aggregations):
         row_groups = [np.arange(table.num_rows)]
         columns = {}
     for aggregation in aggregations:
-        columns[aggregation.output] = aggregation.compute(table, row_groups)
+        columns[aggregation.output] = row_loop_aggregate(table, aggregation, row_groups)
     return Table(table.name, columns)
+
+
+def row_loop_aggregate(table, aggregation, row_groups) -> list:
+    function = aggregation.function
+    if function == "count":
+        return [len(group) for group in row_groups]
+    values = table.column(aggregation.column)
+    results = []
+    for group in row_groups:
+        if not len(group):
+            if function in ("min", "max"):
+                raise TableError(f"{function} over an empty group")
+            results.append(0 if function == "sum" else float("nan"))
+        else:
+            method = {"sum": "sum", "min": "min", "max": "max", "avg": "mean"}[function]
+            results.append(getattr(values[group], method)())
+    return results

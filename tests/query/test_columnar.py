@@ -220,3 +220,41 @@ def test_property_roundtrip_mixed_columns(ints, strings):
     restored = Table.from_bytes(table.to_bytes())
     assert restored.column("i").tolist() == ints[:length]
     assert list(restored.column("s")) == strings[:length]
+
+
+def per_item_string_column(array) -> list:
+    """The string buffers as the encoder wrote them one item at a time."""
+    encoded = [str(v).encode("utf-8") for v in array]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(e) for e in encoded], out=offsets[1:])
+    return [offsets.tobytes(), b"".join(encoded)]
+
+
+def buffers(blob: bytes) -> list:
+    """The length-prefixed buffers after a blob's header."""
+    position, found = 8 + int.from_bytes(blob[4:8], "little"), []
+    while position < len(blob):
+        length = int.from_bytes(blob[position:position + 8], "little")
+        found.append(blob[position + 8:position + 8 + length])
+        position += 8 + length
+    return found
+
+
+OBJECTS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.just(np.True_),
+    st.builds(np.str_, st.text(max_size=4)), st.tuples(st.integers()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.text(alphabet=st.characters(max_codepoint=127), max_size=6), max_size=20),  # ASCII
+    st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), max_size=20),  # any text
+    st.lists(st.one_of(st.text(max_size=3).filter(str.isascii), OBJECTS), max_size=20),  # not all str
+))
+def test_string_column_bytes_equal_the_per_item_encoder(values):
+    array = np.empty(len(values), dtype=object)
+    for index, value in enumerate(values):  # tuples stay items
+        array[index] = value
+    blob = Table._of("t", {"s": array}, len(array)).to_bytes()
+    assert buffers(blob) == per_item_string_column(array)

@@ -137,28 +137,76 @@ ALL_AGGREGATES = [
 ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 3), st.sampled_from(STRINGS), st.integers(-(2**40), 2**40)),
-        max_size=40,
-    ),
-    st.sampled_from([["a"], ["s"], ["a", "s"], ["s", "a"]]),
-    INT_DTYPES,
-    st.booleans(),
-)
-def test_group_aggregate_matches_row_loop(rows, group_by, key_dtype, wire):
-    table = Table("t", {
-        "a": np.asarray([row[0] for row in rows], dtype=key_dtype),
-        "s": np.asarray([row[1] for row in rows], dtype=object),
-        "v": np.asarray([row[2] for row in rows], dtype=np.int64),
+KEY_DTYPES = [np.int32, np.int64, np.bool_, np.float32]
+VALUES = {
+    np.int32: st.integers(-(2**31), 2**31 - 1),
+    np.int64: st.integers(-(2**40), 2**40),
+    np.bool_: st.booleans(),
+    # Signed zeros, NaN and sums that round: compared as bytes below.
+    np.float32: st.one_of(st.floats(-(2.0**100), 2.0**100, width=32), st.just(float("nan"))),
+    np.float64: st.one_of(st.floats(-1e300, 1e300), st.just(float("nan"))),
+}
+
+
+@st.composite
+def grouped_tables(draw):
+    """Key ``a`` (int32, int64, bool or float32, with -0.0 beside 0.0),
+    string key ``s`` and value ``v`` of one of five dtypes."""
+    rows = draw(st.integers(0, 40))
+    column = lambda elements: st.lists(elements, min_size=rows, max_size=rows)  # noqa: E731
+    key_dtype, value_dtype = draw(st.sampled_from(KEY_DTYPES)), draw(st.sampled_from(list(VALUES)))
+    keys = draw(column(st.sampled_from([0, 1, 2, 3, -0.0, 0.5])))
+    return Table("t", {
+        "a": np.asarray(keys, dtype=np.float64).astype(key_dtype),
+        "s": np.asarray(draw(column(st.sampled_from(STRINGS))), dtype=object),
+        "v": np.asarray(draw(column(VALUES[value_dtype])), dtype=value_dtype),
     })
+
+
+def outcome(function, *args):
+    """The result table, or TableError if it raised one."""
+    try:
+        return function(*args)
+    except TableError:
+        return TableError
+
+
+def assert_same_groups(table, group_by):
+    result = outcome(group_aggregate, table, group_by, ALL_AGGREGATES)
+    expected = outcome(row_loop_group_aggregate, table, group_by, ALL_AGGREGATES)
+    if expected is TableError:
+        assert result is TableError
+        return
+    # Names, dtypes, then values bit for bit (NaN, -0.0) in group order.
+    assert result.column_names == expected.column_names
+    assert [result.column(n).dtype for n in result.column_names] == \
+        [expected.column(n).dtype for n in expected.column_names]
+    assert result.to_bytes() == expected.to_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_tables(), st.sampled_from([[], ["a"], ["s"], ["a", "s"], ["s", "a"]]), st.booleans())
+def test_group_aggregate_matches_row_loop(table, group_by, wire):
+    # Every aggregate over int32, int64, bool, float32 and float64 values.
     if wire:
         table = parsed(table)
-    assert_identical(
-        group_aggregate(table, group_by, ALL_AGGREGATES),
-        row_loop_group_aggregate(table, group_by, ALL_AGGREGATES),
-    )
+    assert_same_groups(table, group_by)
+
+
+@pytest.mark.parametrize("dtype", list(VALUES))
+def test_aggregates_of_an_empty_table_without_group_columns(dtype):
+    # One global group, empty: sum 0, count 0, avg NaN; min and max raise.
+    table = Table("t", {"v": np.zeros(0, dtype=dtype)})
+    assert_same_groups(table, [])
+    no_extremes = [a for a in ALL_AGGREGATES if a.function not in ("min", "max")]
+    result = group_aggregate(table, [], no_extremes)
+    assert result.to_bytes() == row_loop_group_aggregate(table, [], no_extremes).to_bytes()
+    assert result.column("total").tolist() == [0] and np.isnan(result.column("mean")).all()
+    for function in ("min", "max"):
+        with pytest.raises(TableError, match="empty group"):
+            group_aggregate(table, [], [Aggregation("x", function, "v")])
+        with pytest.raises(TableError):
+            row_loop_group_aggregate(table, [], [Aggregation("x", function, "v")])
 
 
 def test_group_codes_do_not_overflow_on_many_wide_keys():
