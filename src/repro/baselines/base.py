@@ -17,12 +17,10 @@ without using CPU — which is how the mixed compute/I-O workloads of
 Each request is *hot* with a fixed probability ``hot_ratio`` (the
 97%-hot setting justified by the Azure trace, §7.3): one
 ``rng.bernoulli(hot_ratio)`` draw per request, at arrival.  Hot
-requests are served by a standing pool of pre-provisioned sandboxes
-(8 per function, charged to committed memory at registration); a cold
-request boots a fresh sandbox that is torn down after use.  The
-Knative keep-alive memory behaviour of Figs 1 and 10 is modelled by
-the sharded trace replay's lean FaaS worker
-(:mod:`repro.sim.sharded.shard`), not here.
+requests start in a pre-provisioned sandbox; a cold request first
+boots a fresh one.  The model accounts time, not memory: the Knative
+keep-alive memory behaviour of Figs 1 and 10 is modelled by the sharded
+trace replay's lean FaaS worker (:mod:`repro.sim.sharded.shard`).
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Iterable
 from ..sim.core import Environment
 from ..sim.cpu import ProcessorSharingCpu
 from ..sim.distributions import Rng
-from ..sim.metrics import LatencyRecorder, TimeSeries
+from ..sim.metrics import LatencyRecorder
 
 __all__ = [
     "Phase",
@@ -46,9 +44,6 @@ __all__ = [
 ]
 
 MiB = 1024 * 1024
-
-# Pre-provisioned hot sandboxes per function while hot_ratio > 0.
-_HOT_POOL_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -148,13 +143,6 @@ class FaasPlatform:
             env, cores, switch_overhead_seconds=spec.context_switch_seconds
         )
         self._functions: dict[str, FunctionModel] = {}
-        self._standing_memory = 0
-        self._dynamic_memory = 0
-        self._active_memory = 0
-        self.committed_series = TimeSeries("committed_bytes")
-        self.active_series = TimeSeries("active_bytes")
-        self.committed_series.record(env.now, 0)
-        self.active_series.record(env.now, 0)
         self.latencies = LatencyRecorder(spec.name)
         self.per_function_latencies: dict[str, LatencyRecorder] = {}
         self.records: list[RequestRecord] = []
@@ -169,24 +157,7 @@ class FaasPlatform:
         function = FunctionModel(name, tuple(phases))
         self._functions[name] = function
         self.per_function_latencies[name] = LatencyRecorder(name)
-        if self.hot_ratio > 0:
-            self._standing_memory += _HOT_POOL_SIZE * self.spec.sandbox_memory_bytes
-            self._record_memory()
         return function
-
-    # -- memory accounting ---------------------------------------------------
-
-    @property
-    def committed_bytes(self) -> int:
-        return self._standing_memory + self._dynamic_memory
-
-    @property
-    def active_bytes(self) -> int:
-        return self._active_memory
-
-    def _record_memory(self) -> None:
-        self.committed_series.record(self.env.now, self.committed_bytes)
-        self.active_series.record(self.env.now, self._active_memory)
 
     # -- request path ----------------------------------------------------------
 
@@ -200,19 +171,16 @@ class FaasPlatform:
     def _serve(self, function: FunctionModel):
         arrived_at = self.env.now
         cold = not self.rng.bernoulli(self.hot_ratio)
-        memory = self.spec.sandbox_memory_bytes
-        self._active_memory += memory
         if cold:
             self.cold_requests += 1
-            self._dynamic_memory += memory
-            self._record_memory()
             # Cold-start work burns CPU: VM boot does, and while part of
             # a snapshot restore is I/O, the paper attributes FC
             # saturation to CPU contention between serving and creation.
-            yield self.cpu.consume(self.spec.cold_start_total_seconds(memory))
+            yield self.cpu.consume(
+                self.spec.cold_start_total_seconds(self.spec.sandbox_memory_bytes)
+            )
         else:
             self.hot_requests += 1
-            self._record_memory()
             yield self.cpu.consume(self.spec.hot_start_seconds)
 
         for phase in function.phases:
@@ -221,11 +189,6 @@ class FaasPlatform:
             else:
                 yield self.env.timeout(phase.seconds)
 
-        self._active_memory -= memory
-        if cold:
-            # The cold-started sandbox is torn down after use.
-            self._dynamic_memory -= memory
-        self._record_memory()
         finished_at = self.env.now
         record = RequestRecord(function.name, arrived_at, finished_at, cold)
         self.records.append(record)

@@ -23,6 +23,8 @@ concrete syntax:
         output render.html -> result;
     }
 
+``comm <node>;`` and ``comm <node> protocol http;`` are the same node:
+HTTP is the one protocol, and any other name is a :class:`DslError`.
 ``# ...`` comments run to end of line.  Nested compositions are
 declared with ``compose <node> uses <composition-name>;`` and resolved
 against the ``library`` mapping passed to :func:`parse_composition`.
@@ -207,12 +209,14 @@ class _Parser:
     def _parse_comm(self) -> CommunicationNode:
         self._expect("comm")
         node_name = self._identifier()
-        protocol = "http"
         if self._peek() is not None and self._peek().text == "protocol":
             self._next()
+            line = self._line()
             protocol = self._identifier()
+            if protocol != "http":
+                raise DslError(f"unsupported protocol {protocol!r}", line)
         self._expect(";")
-        return CommunicationNode(node_name, protocol=protocol)
+        return CommunicationNode(node_name)
 
     def _parse_compose(self) -> CompositionNode:
         token = self._expect("compose")

@@ -80,12 +80,10 @@ class CommunicationNode:
     """A vertex invoking a platform communication function.
 
     The implementation is trusted platform code (users can invoke but
-    not modify it).  Currently the HTTP protocol is supported, matching
-    the prototype; the field exists so further protocols can be added.
+    not modify it).  It speaks HTTP, the one protocol of the prototype.
     """
 
     name: str
-    protocol: str = "http"
 
     kind = "communication"
     input_sets: tuple[str, ...] = (COMM_INPUT_SET,)
@@ -287,19 +285,8 @@ class Composition:
     def outgoing_edges(self, node_name: str) -> list[Edge]:
         return [edge for edge in self.edges if edge.source == node_name]
 
-    def consumers_of(self, node_name: str, set_name: str) -> list[Edge]:
-        """Edges that consume a given output set."""
-        return [
-            edge
-            for edge in self.edges
-            if edge.source == node_name and edge.source_set == set_name
-        ]
-
     def compute_nodes(self) -> list[ComputeNode]:
         return [n for n in self.nodes.values() if n.kind == "compute"]
-
-    def communication_nodes(self) -> list[CommunicationNode]:
-        return [n for n in self.nodes.values() if n.kind == "communication"]
 
     def required_functions(self) -> set[str]:
         """Names of all function binaries this composition (recursively) needs."""

@@ -37,7 +37,7 @@ def composition_to_dsl(composition: Composition) -> str:
                 f"in({inputs}) out({outputs});"
             )
         elif node.kind == "communication":
-            lines.append(f"    comm {node.name} protocol {node.protocol};")
+            lines.append(f"    comm {node.name} protocol http;")
         else:
             lines.append(f"    compose {node.name} uses {node.composition.name};")
     for binding in composition.inputs:

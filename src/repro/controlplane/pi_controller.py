@@ -33,15 +33,6 @@ class PiController:
         self.last_error = 0.0
         self.last_signal = 0.0
 
-    def reset(self) -> None:
-        self._integral = 0.0
-        self.last_error = 0.0
-        self.last_signal = 0.0
-
-    @property
-    def integral(self) -> float:
-        return self._integral
-
     def update(self, compute_queue_growth: float, comm_queue_growth: float) -> int:
         """One control epoch; returns the actuation decision.
 

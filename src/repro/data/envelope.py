@@ -1,9 +1,9 @@
 """The JSON+hex envelope of communication-function items, accounted first.
 
 Request and response items are JSON objects whose binary part travels as
-hex in one ``<name>_hex`` field (``body_hex`` for HTTP, ``value_hex``
-for KV).  Only this module knows the format; docs/dataplane.md,
-"Accounting vs. movement", has the cost model.
+hex in one ``<name>_hex`` field (``body_hex`` for HTTP).  Only this
+module knows the format; docs/dataplane.md, "Accounting vs. movement",
+has the cost model.
 """
 
 from __future__ import annotations

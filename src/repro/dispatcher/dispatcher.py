@@ -97,7 +97,6 @@ class _NodeStep:
         "group",
         "input_names",
         "output_names",
-        "protocol",
         "index",
         "first_slot",
         "producers",
@@ -118,7 +117,6 @@ class _NodeStep:
             self.group = dispatcher.comm_group
         self.input_names = list(node.input_sets)
         self.output_names = list(node.output_sets)
-        self.protocol = getattr(node, "protocol", "http")
         name = node.name
         self.index = index_of[name]
         self.first_slot = slot_of[(name, self.input_names[0])] if self.input_names else 0
@@ -718,7 +716,6 @@ class _TaskRun:
             binary=binary,
             cached=dispatcher._binary_cached(binary) if binary is not None else False,
             zero_copy=zero_copy,
-            protocol=step.protocol,
             timeout=timeout,
             node_name=node_name,
         )

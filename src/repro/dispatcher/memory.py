@@ -2,35 +2,32 @@
 
 Dandelion "commits and consumes memory only while requests are actively
 running since a new context is created for each request" (§7.8).  The
-tracker observes every live memory context and maintains the
-committed-bytes time series that the Azure-trace experiments (Figs 1
-and 10) report.
+tracker observes every live memory context and keeps the worker's
+current and peak committed bytes.
 """
 
 from __future__ import annotations
 
 from ..data.context import MemoryContext
 from ..sim.core import Environment
-from ..sim.metrics import TimeSeries
 
 __all__ = ["MemoryTracker"]
 
 
 class MemoryTracker:
-    """Tracks committed bytes across live memory contexts over time."""
+    """Tracks committed bytes across live memory contexts."""
 
     __slots__ = (
         "env",
-        "series",
         "_committed_by_context",
         "current_bytes",
         "peak_bytes",
     )
 
     def __init__(self, env: Environment):
+        # The clock, for a subclass that records the committed series
+        # over time (the differential tests do); this class keeps none.
         self.env = env
-        self.series = TimeSeries("committed_bytes")
-        self.series.record(env.now, 0)
         self._committed_by_context: dict[int, int] = {}
         self.current_bytes = 0
         self.peak_bytes = 0
@@ -47,14 +44,10 @@ class MemoryTracker:
         self.current_bytes = current
         if current > self.peak_bytes:
             self.peak_bytes = current
-        self.series.record(self.env.now, current)
 
     def release(self, context: MemoryContext) -> None:
         """A context has been freed; drop its contribution."""
-        previous = self._committed_by_context.pop(id(context), 0)
-        if previous:
-            self.current_bytes -= previous
-            self.series.record(self.env.now, self.current_bytes)
+        self.current_bytes -= self._committed_by_context.pop(id(context), 0)
 
     @property
     def live_context_count(self) -> int:

@@ -28,7 +28,11 @@ from ..cluster.sharding import ShardPlan
 from ..sched import ClusterSnapshot, LeastOutstanding, make_routing_policy
 from ..sim.distributions import Rng
 
-__all__ = ["WindowedRouter"]
+__all__ = ["WindowedRouter", "DISPATCH_DELAY_SECONDS"]
+
+# Cluster-manager dispatch delay: the coordinator's conservative
+# lookahead (docs/simulation.md).
+DISPATCH_DELAY_SECONDS = 0.0005
 
 
 class WindowedRouter:
@@ -61,15 +65,16 @@ class WindowedRouter:
         """Replace estimates with the barrier reports (merged globally)."""
         self._estimates[:] = self._plan.merge(per_shard_outstanding)
 
-    def route_window(self, arrivals, dispatch_delay: float) -> "list[list[tuple]]":
+    def route_window(self, arrivals) -> "list[list[tuple]]":
         """Route one window of ``(time, fn_index, duration)`` arrivals.
 
         Returns per-shard delivery batches: lists of
         ``(delivery_time, worker, fn_index, duration, arrival_time)``
-        tuples in trace order, delivery being arrival plus the dispatch
-        delay (the conservative lookahead: nothing routed in this
-        window can take effect earlier than that).
+        tuples in trace order, delivery being arrival plus
+        :data:`DISPATCH_DELAY_SECONDS` (the conservative lookahead:
+        nothing routed in this window can take effect earlier than that).
         """
+        dispatch_delay = DISPATCH_DELAY_SECONDS
         batches = [[] for _ in range(self._plan.shard_count)]
         shard_of = self._plan.shard_of
         estimates = self._estimates

@@ -29,12 +29,11 @@ from ..data.envelope import EnvelopeItem
 from ..data.items import DataItem, DataSet
 from ..functions.sdk import parse_http_request_item
 from ..net.http import HttpRequest, SanitizationError, sanitize_request
-from ..net.kv import parse_kv_request_item, sanitize_kv_request
 from ..net.network import SimulatedNetwork
 from ..sim.core import Environment
 from .task import Task, TaskOutcome
 
-__all__ = ["CommunicationEngine", "RESPONSE_SET", "IDEMPOTENT_METHODS", "IDEMPOTENT_KV_OPS"]
+__all__ = ["CommunicationEngine", "RESPONSE_SET", "IDEMPOTENT_METHODS"]
 
 RESPONSE_SET = "response"
 
@@ -47,15 +46,10 @@ _CPU_BYTES_PER_SECOND = 5e9
 # complicated due to side effects.  Protocol specifications can help
 # Dandelion decide which functions can be re-executed ... For example,
 # HTTP PUT requests are idempotent."  Methods in this set may be
-# retried transparently after a transient network failure.
+# re-issued transparently after a missed exchange deadline.
 IDEMPOTENT_METHODS = frozenset({"GET", "HEAD", "PUT", "DELETE"})
 
-# Same §6.1 protocol reasoning for the TCP key-value protocol: reads
-# and absolute writes can be blindly re-issued, increments cannot.
-IDEMPOTENT_KV_OPS = frozenset({"get", "set", "delete"})
-
-# Re-issues of an idempotent request after a transient network failure
-# or a missed exchange deadline.
+# Re-issues of an idempotent request after a missed exchange deadline.
 MAX_RETRIES = 2
 
 # A raced exchange that has not reported yet.
@@ -74,14 +68,13 @@ class CommunicationEngine:
     """One communication engine bound to one CPU core."""
 
     __slots__ = (
-        "env", "group", "network", "name", "tasks_executed", "busy_seconds",
-        "retries_performed", "exchange_timeouts", "handler_faults", "_throttle",
-        "_failure_rng", "_transient_failure_rate", "_request_cache",
+        "env", "group", "network", "name", "tasks_executed", "retries_performed",
+        "exchange_timeouts", "handler_faults", "_throttle", "_request_cache",
     )
 
     def __init__(
         self, env: Environment, group, network: SimulatedNetwork, name: str = "comm-engine",
-        failure_rng=None, transient_failure_rate: float = 0.0, throttle=None,
+        throttle=None,
     ):
         self.env = env
         self.group = group
@@ -94,12 +87,9 @@ class CommunicationEngine:
         # schedule no extra events.
         self._throttle = throttle
         self.tasks_executed = 0
-        self.busy_seconds = 0.0
         self.retries_performed = 0
         self.exchange_timeouts = 0
         self.handler_faults = 0
-        self._failure_rng = failure_rng
-        self._transient_failure_rate = transient_failure_rate
         # Identity-keyed memo cache for the hot HTTP path.  Workloads
         # re-send the same request bytes, so the parse/sanitize work is
         # done once per distinct object.  Entries pin the keyed object,
@@ -117,16 +107,15 @@ class CommunicationEngine:
         self.env.call_later(cpu, self._parsed, task, on_done, cpu)
 
     def _parsed(self, task: Task, on_done, cpu: float) -> None:
-        self.busy_seconds += cpu
         self.tasks_executed += 1
         # The green thread starts one hop from now, after this engine
         # has taken its next task: I/O overlaps with further parsing.
         self.env.call_later(0.0, _GreenThread, self, task, on_done, cpu)
         self.group.pull(self)
 
-    def _http_exchange(self, item: DataItem, protocol: str, timeout, on_done) -> None:
-        """Carry one request item through sanitization and the network;
-        only :data:`IDEMPOTENT_METHODS` may be re-issued."""
+    def _http_exchange(self, item: DataItem, timeout, on_done) -> None:
+        """Carry one request item through sanitization and the network,
+        then call ``on_done(response item)`` once."""
         data = item.data
         cached = self._request_cache.get(id(data))
         if cached is None or cached[0] is not data:
@@ -145,42 +134,7 @@ class CommunicationEngine:
             # Same bytes, same sanitization verdict.
             on_done(_reply(item, 400, error=rejection))
             return
-        _Exchange(
-            self, item, partial(self.network.perform, request),
-            lambda r: _reply(item, r.status, "body_hex", r.body, reason=r.reason),
-            request.method in IDEMPOTENT_METHODS, timeout, "exchange",
-            self._transient_failure_rate, on_done,
-        )
-
-    def _kv_exchange(self, item: DataItem, protocol: str, timeout, on_done) -> None:
-        """Carry one key-value request through sanitization and the
-        network (§4.1's TCP text-protocol communication function).
-
-        Reads and absolute writes (:data:`IDEMPOTENT_KV_OPS`) may be
-        re-issued; an overdue ``incr`` surfaces an error item (a blind
-        re-issue could double-count, §6.1).
-        """
-        try:
-            envelope = sanitize_kv_request(parse_kv_request_item(item.data))
-        except (ValueError, SanitizationError) as exc:
-            on_done(_reply(item, 400, error=str(exc)))
-            return
-        host, op, key, value = (envelope[name] for name in ("host", "op", "key", "value"))
-        _Exchange(
-            self, item, partial(self.network.perform_kv, host, op, key, value),
-            lambda r: _reply(item, r[0], "value_hex", r[1], reason=r[2]),
-            op in IDEMPOTENT_KV_OPS, timeout, "kv exchange", 0.0, on_done,
-        )
-
-    def _unknown_protocol(self, item: DataItem, protocol: str, timeout, on_done) -> None:
-        on_done(_reply(item, 400, error=f"unsupported protocol {protocol!r}"))
-
-    # protocol -> handler(engine, item, protocol, timeout, on_done), which
-    # calls on_done(response item) once.
-    _PROTOCOL_HANDLERS = {
-        "http": _http_exchange,
-        "kv": _kv_exchange,
-    }
+        _Exchange(self, item, request, timeout, on_done)
 
 
 class _GreenThread:
@@ -198,19 +152,18 @@ class _GreenThread:
         self.left = len(items)  # None once the task has failed
         if len(items) == 1:
             # The common case: the exchange runs in this green thread.
-            self._start(items, task.protocol, task.timeout)
+            self._start(items, task.timeout)
         elif items:
             # A green thread per item, started one hop from now.
-            engine.env.call_later(0.0, self._start, items, task.protocol, task.timeout)
+            engine.env.call_later(0.0, self._start, items, task.timeout)
         else:
             self._finish(None)
 
-    def _start(self, items: list, protocol: str, timeout) -> None:
+    def _start(self, items: list, timeout) -> None:
         engine = self.engine
-        handler = engine._PROTOCOL_HANDLERS.get(protocol, CommunicationEngine._unknown_protocol)
         for index, item in enumerate(items):
             try:
-                handler(engine, item, protocol, timeout, partial(self._item_done, index))
+                engine._http_exchange(item, timeout, partial(self._item_done, index))
             except Exception as exc:  # noqa: BLE001 - any handler bug must fail the task
                 self._settle(exc)
 
@@ -251,77 +204,59 @@ class _GreenThread:
 
 
 class _Exchange:
-    """One request item through the network under the retry budget (§6.1).
-
-    Transient network failures (modelled by the injection knobs) and
-    exchanges that exceed ``timeout`` are retried transparently when the
-    protocol marks the request idempotent (``retryable``); otherwise the
-    failure surfaces to the user as an error item, since blind re-issue
-    could duplicate side effects.
+    """One request through the network under the retry budget (§6.1).
 
     With a ``timeout``, each attempt races the exchange against a timer;
     the first to report decides the race, which settles one hop later.
-    A report for a superseded attempt is stale (the shape of pydesim's
-    removed-event flag): an overdue exchange runs to its end in virtual
-    time, but its result is dropped.
+    An exchange that misses its deadline is re-issued when its method is
+    idempotent (:data:`IDEMPOTENT_METHODS`); otherwise the failure
+    surfaces to the user as an error item, since a blind re-issue could
+    duplicate side effects.  A report for a superseded attempt is stale
+    (the shape of pydesim's removed-event flag): an overdue exchange runs
+    to its end in virtual time, but its result is dropped.
     """
 
-    __slots__ = (
-        "engine", "item", "send", "reply", "retryable", "timeout", "what",
-        "failure_rate", "on_done", "attempts", "decided", "result",
-    )
+    __slots__ = ("engine", "item", "request", "timeout", "on_done", "attempts", "decided", "result")
 
-    def __init__(self, engine, item, send, reply, retryable, timeout, what, failure_rate, on_done):
+    def __init__(self, engine, item, request: HttpRequest, timeout, on_done):
         self.engine = engine
         self.item = item
-        self.send = send          # send(on_result) starts one network exchange
-        self.reply = reply        # reply(result) -> response item
-        self.retryable = retryable
+        self.request = request
         self.timeout = timeout
-        self.what = what
-        self.failure_rate = failure_rate
         self.on_done = on_done
         self.attempts = 0
         self._attempt()
 
     def _attempt(self) -> None:
-        engine = self.engine
-        env = engine.env
-        if (
-            self.failure_rate > 0
-            and engine._failure_rng is not None
-            and engine._failure_rng.bernoulli(self.failure_rate)
-        ):
-            # The connection dropped mid-exchange: charge a round trip,
-            # then decide whether the request may be retried.
-            env.call_later(
-                engine.network.latency.round_trip_seconds, self._failed, 503, "connection reset"
-            )
-        elif self.timeout is None:
+        if self.timeout is None:
             self._stretched(self._replied)
         else:
             # Race the exchange, started one hop from now, against the
             # task deadline (§6.1); it reports one hop after it ends.  The
             # limp stretch runs inside the race, so a limping NIC's slow
             # exchanges hit the deadline like real ones.
+            env = self.engine.env
             self.decided = False
             self.result = _PENDING
             landed = partial(env.call_later, 0.0, self._report, self.attempts)
             env.call_later(0.0, self._stretched, landed)
             env.call_later(self.timeout, self._report, self.attempts)
 
-    def _replied(self, result) -> None:
-        self.on_done(self.reply(result))
+    def _replied(self, response) -> None:
+        self.on_done(
+            _reply(self.item, response.status, "body_hex", response.body, reason=response.reason)
+        )
 
     def _stretched(self, on_result) -> None:
         """Start one exchange, stretched by the worker's limp factor: the
         extra wait follows the real exchange, so it composes with whatever
         the network charged.  Healthy workers schedule nothing extra."""
-        throttle = self.engine._throttle
+        engine = self.engine
+        throttle = engine._throttle
         if throttle is None or throttle.multiplier <= 1.0:
-            self.send(on_result)
+            engine.network.perform(self.request, on_result)
         else:
-            self.send(partial(self._stretch, self.engine.env.now, on_result))
+            engine.network.perform(self.request, partial(self._stretch, engine.env.now, on_result))
 
     def _stretch(self, started: float, on_result, result) -> None:
         env = self.engine.env
@@ -347,18 +282,17 @@ class _Exchange:
         if self.result is not _PENDING:
             self._replied(self.result)
             return
-        self.engine.exchange_timeouts += 1
-        self._failed(504, f"{self.what} exceeded {self.timeout}s deadline")
-
-    def _failed(self, status: int, error: str) -> None:
-        if not (self.retryable and self.attempts < MAX_RETRIES):
+        engine = self.engine
+        engine.exchange_timeouts += 1
+        retryable = self.request.method in IDEMPOTENT_METHODS
+        if not (retryable and self.attempts < MAX_RETRIES):
             self.on_done(
                 _reply(
-                    self.item, status, error=error, retried=self.attempts,
-                    idempotent=self.retryable,
+                    self.item, 504, error=f"exchange exceeded {self.timeout}s deadline",
+                    retried=self.attempts, idempotent=retryable,
                 )
             )
             return
         self.attempts += 1
-        self.engine.retries_performed += 1
+        engine.retries_performed += 1
         self._attempt()

@@ -26,7 +26,7 @@ class ComputeEngine:
     """One compute engine bound to one CPU core."""
 
     __slots__ = (
-        "env", "group", "backend", "name", "tasks_executed", "busy_seconds",
+        "env", "group", "backend", "name", "tasks_executed",
         "_failure_rng", "_transient_failure_rate", "_throttle",
     )
 
@@ -39,7 +39,6 @@ class ComputeEngine:
         self.backend = backend
         self.name = name
         self.tasks_executed = 0
-        self.busy_seconds = 0.0
         self._failure_rng = failure_rng
         self._transient_failure_rate = transient_failure_rate
         # Degraded-mode (limplock) model: the worker's shared throttle
@@ -56,18 +55,16 @@ class ComputeEngine:
         if self._throttle is not None:
             service *= self._throttle.multiplier
         if service > 0:
-            self.env.call_later(service, self._finish, outcome, service, on_done)
+            self.env.call_later(service, self._finish, outcome, on_done)
             return
-        self.busy_seconds += service
         self.tasks_executed += 1
         self.env.call_later(0.0, on_done, outcome)
         self.group.pull(self)
 
-    def _finish(self, outcome: TaskOutcome, service: float, on_done) -> None:
+    def _finish(self, outcome: TaskOutcome, on_done) -> None:
         # The caller's continuation runs first, so a task it submits now
         # is queued when this engine asks for its next one.
         on_done(outcome)
-        self.busy_seconds += service
         self.tasks_executed += 1
         self.group.pull(self)
 

@@ -25,13 +25,12 @@ class EngineGroup:
 
     ``engine_factory(group, name)`` builds one engine; an engine has
     ``run(task, on_done)``, calls ``group.pull(engine)`` whenever it is
-    free for the next task, and counts ``tasks_executed`` and
-    ``busy_seconds``.
+    free for the next task, and counts ``tasks_executed``.
     """
 
     __slots__ = (
         "env", "kind", "_engine_factory", "_engines", "_queue", "_idle", "_next_engine_id",
-        "_pending_shutdowns", "_retired_tasks_executed", "_retired_busy_seconds",
+        "_pending_shutdowns", "_retired_tasks_executed",
     )
 
     def __init__(
@@ -52,7 +51,6 @@ class EngineGroup:
         self._next_engine_id = 0
         self._pending_shutdowns = 0
         self._retired_tasks_executed = 0
-        self._retired_busy_seconds = 0.0
         for _ in range(initial_count):
             self.grow()
 
@@ -108,7 +106,6 @@ class EngineGroup:
         self._engines.remove(engine)
         self._pending_shutdowns -= 1
         self._retired_tasks_executed += engine.tasks_executed
-        self._retired_busy_seconds += engine.busy_seconds
         # The shrinking caller resumes three hops from now; its place
         # among same-instant events is the one tests/engines/
         # test_engine_equivalence.py holds the group to.
@@ -125,8 +122,3 @@ class EngineGroup:
     def tasks_executed(self) -> int:
         live = sum(engine.tasks_executed for engine in self._engines)
         return live + self._retired_tasks_executed
-
-    @property
-    def busy_seconds(self) -> float:
-        live = sum(engine.busy_seconds for engine in self._engines)
-        return live + self._retired_busy_seconds

@@ -46,7 +46,6 @@ class Task:
     binary: Optional[FunctionBinary] = None   # compute tasks only
     cached: bool = False                      # binary served from RAM cache
     zero_copy: bool = False                   # inputs remapped, not copied (§6.1)
-    protocol: str = "http"                    # communication tasks only
     timeout: Optional[float] = None
     node_name: str = ""
 

@@ -32,10 +32,8 @@ class EngineThrottle:
 
     __slots__ = ("multiplier",)
 
-    def __init__(self, multiplier: float = 1.0):
-        if multiplier < 1.0:
-            raise ValueError(f"throttle multiplier {multiplier} must be >= 1.0")
-        self.multiplier = multiplier
+    def __init__(self):
+        self.multiplier = 1.0
 
     def set(self, multiplier: float) -> None:
         if multiplier < 1.0:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from ..scenario.engine import run_scenario
 from ..scenario.spec import load_spec
+from ..sim.sharded.shard import GRID_STEP
 from .common import ExperimentResult
 
 __all__ = ["run_fig01", "run_fig10"]
@@ -53,7 +54,7 @@ def run_fig01(duration_seconds: float = 1200.0) -> ExperimentResult:
         zip(report.committed_grid, report.active_grid)
     ):
         result.add_row(
-            time_s=index * report.grid_step,
+            time_s=index * GRID_STEP,
             committed_mib=committed / MiB,
             active_mib=active / MiB,
         )
@@ -83,7 +84,7 @@ def run_fig10(duration_seconds: float = 1200.0) -> ExperimentResult:
         zip(dandelion.committed_grid, firecracker.committed_grid)
     ):
         result.add_row(
-            time_s=index * dandelion.grid_step,
+            time_s=index * GRID_STEP,
             dandelion_mib=dandelion_bytes / MiB,
             firecracker_mib=fc_bytes / MiB,
         )

@@ -5,12 +5,13 @@ composition/function registration and invocation.  It forwards these
 requests to the dispatcher and serializes and returns the final result
 to the client."
 
-The frontend exposes both a programmatic API (used by examples and
-experiments) and an HTTP-message API (POST ``/v1/functions``,
-``/v1/compositions``, ``/v1/invoke/<name>``) so a worker can itself be
-registered as an :class:`~repro.net.network.HttpService` — which is how
-compositions "spawn new compositions dynamically through Dandelion's
-HTTP interface" (§4.1).
+Registration is programmatic (:meth:`Frontend.register_function`,
+:meth:`Frontend.register_composition`).  Invocation is programmatic too,
+and also served over HTTP (POST ``/v1/invoke/<name>``): registered on a
+:class:`~repro.net.network.SimulatedNetwork`, a worker is reachable by
+communication functions, which is how compositions "spawn new
+compositions dynamically through Dandelion's HTTP interface" (§4.1);
+``examples/dynamic_spawn.py`` shows it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ _FRONTEND_OVERHEAD_SECONDS = 30e-6
 
 
 class Frontend(HttpService):
-    """Client entry point: registration and invocation."""
+    """Client entry point: registration and invocation.
+
+    As an :class:`HttpService` it answers through :meth:`serve` only.
+    """
 
     def __init__(self, env: Environment, registry: Registry, dispatcher: Dispatcher, host: str = "dandelion.internal"):
         super().__init__(host)
@@ -102,36 +106,7 @@ class Frontend(HttpService):
             return DataSet(name, [DataItem(name, value.encode("utf-8"))])
         return DataSet(name, list(value))
 
-    # -- HTTP-message API -------------------------------------------------------
-
-    def handle(self, request: HttpRequest) -> HttpResponse:
-        """Serve registration/invocation over HTTP (synchronous paths).
-
-        Invocation over HTTP is served through :meth:`serve` because it
-        must wait on the dispatcher; plain ``handle`` only accepts
-        registrations and returns 202 for invocations (poll-style),
-        keeping the HttpService contract synchronous.
-        """
-        if request.method == "POST" and request.path.startswith("/v1/compositions"):
-            verify = None
-            if "?" in request.path:
-                query = request.path.split("?", 1)[1]
-                for pair in query.split("&"):
-                    if pair.startswith("verify="):
-                        verify = pair.split("=", 1)[1] or None
-            try:
-                composition = self.register_composition(
-                    request.body.decode("utf-8"), verify=verify
-                )
-            except Exception as exc:  # noqa: BLE001 - surface as HTTP error
-                return HttpResponse(status=400, reason=str(exc))
-            return HttpResponse(status=201, body=composition.name.encode())
-        if request.method == "POST" and request.path.startswith("/v1/invoke/"):
-            name = request.path.split("/v1/invoke/", 1)[1].split("?")[0]
-            if not self.registry.has_composition(name):
-                return HttpResponse(status=404, reason=f"unknown composition {name!r}")
-            return HttpResponse(status=202, body=b"accepted")
-        return HttpResponse(status=404, reason="unknown endpoint")
+    # -- HTTP API -----------------------------------------------------------------
 
     def serve(self, request: HttpRequest, on_done: Callable[[HttpResponse], None]) -> None:
         """Serve ``request`` in virtual time, then ``on_done(response)``.
@@ -140,12 +115,10 @@ class Frontend(HttpService):
         reachable over HTTP, so compositions can spawn compositions
         (§4.1): a communication function POSTs to ``/v1/invoke/<name>``
         and receives the nested invocation's outputs.  Anything else is
-        :meth:`handle` after the parsing overhead.
+        a 404.
         """
         if not (request.method == "POST" and "/v1/invoke/" in request.path):
-            self.env.call_later(
-                _FRONTEND_OVERHEAD_SECONDS, self._answer, on_done, self.handle, request
-            )
+            on_done(HttpResponse(status=404, reason="unknown endpoint"))
             return
         name = request.path.split("/v1/invoke/", 1)[1].split("?")[0]
         if not self.registry.has_composition(name):

@@ -8,14 +8,6 @@ from .http import (
     SanitizationError,
     sanitize_request,
 )
-from .kv import (
-    KV_OPS,
-    KeyValueStoreService,
-    format_kv_request,
-    parse_kv_request_item,
-    parse_kv_response_item,
-    sanitize_kv_request,
-)
 from .network import HttpService, LatencyModel, SimulatedNetwork
 from .services import (
     AuthService,
@@ -33,12 +25,6 @@ __all__ = [
     "HttpResponse",
     "SanitizationError",
     "sanitize_request",
-    "KV_OPS",
-    "KeyValueStoreService",
-    "format_kv_request",
-    "parse_kv_request_item",
-    "parse_kv_response_item",
-    "sanitize_kv_request",
     "HttpService",
     "LatencyModel",
     "SimulatedNetwork",

@@ -140,36 +140,3 @@ class SimulatedNetwork:
     def _received(self, size: int, result, on_done) -> None:
         self.bytes_received += size
         on_done(result)
-
-    def perform_kv(self, host: str, op: str, key: str, value: bytes, on_done) -> None:
-        """Carry out one key-value exchange over the TCP-style protocol;
-        ``on_done((status, value_bytes, reason))`` is called at its end.
-
-        Targets services exposing :meth:`handle_kv` (see
-        :mod:`repro.net.kv`); other services — or unknown hosts — answer
-        a 502 after one RTT.
-        """
-        self.requests_sent += 1
-        request_bytes = len(key) + len(value) + 16
-        self.bytes_sent += request_bytes
-        service = self._services.get(host)
-        handle_kv = getattr(service, "handle_kv", None)
-        if handle_kv is None:
-            result = (502, b"", f"no kv service at host {host!r}")
-            self.env.call_later(self.latency.round_trip_seconds, on_done, result)
-            return
-        self.env.call_later(
-            self.latency.round_trip_seconds / 2 + self.latency.transfer_seconds(request_bytes),
-            self._serve_kv, service, handle_kv, op, key, value, on_done,
-        )
-
-    def _serve_kv(self, service, handle_kv, op: str, key: str, value: bytes, on_done) -> None:
-        result = handle_kv(op, key, value)
-        service._count()
-        size = len(result[1]) + 16
-        call_later = self.env.call_later
-        call_later(
-            service.service_seconds(len(result[1])), call_later,
-            self.latency.round_trip_seconds / 2 + self.latency.transfer_seconds(size),
-            self._received, size, result, on_done,
-        )

@@ -11,7 +11,7 @@ from .core import (
 )
 from .cpu import ProcessorSharingCpu
 from .distributions import Rng
-from .metrics import Counter, LatencyRecorder, TimeSeries, percentile, relative_variance
+from .metrics import LatencyRecorder, percentile, relative_variance
 from .resources import Request, Resource
 
 __all__ = [
@@ -24,9 +24,7 @@ __all__ = [
     "Timeout",
     "Rng",
     "ProcessorSharingCpu",
-    "Counter",
     "LatencyRecorder",
-    "TimeSeries",
     "percentile",
     "relative_variance",
     "Request",

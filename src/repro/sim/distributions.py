@@ -41,9 +41,6 @@ class Rng:
     def choice(self, items: Sequence):
         return self._random.choice(items)
 
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)
-
     def sample(self, items: Sequence, count: int) -> list:
         return self._random.sample(items, count)
 
@@ -65,17 +62,6 @@ class Rng:
         if median <= 0:
             raise ValueError("median must be positive")
         return self._random.lognormvariate(math.log(median), sigma)
-
-    def bounded_pareto(self, shape: float, low: float, high: float) -> float:
-        """Bounded Pareto variate on [low, high] with tail index ``shape``."""
-        if not 0 < low < high:
-            raise ValueError("need 0 < low < high")
-        if shape <= 0:
-            raise ValueError("shape must be positive")
-        u = self._random.random()
-        la = low**shape
-        ha = high**shape
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / shape)
 
     def zipf_weights(self, count: int, skew: float = 1.0) -> list[float]:
         """Normalised Zipf popularity weights for ``count`` items."""

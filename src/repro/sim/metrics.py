@@ -1,19 +1,17 @@
 """Measurement utilities used by experiments and platform telemetry.
 
 ``LatencyRecorder`` accumulates scalar samples and reports order
-statistics; ``TimeSeries`` records (time, value) pairs and supports
-time-weighted averaging (used for "committed memory over time" in the
-Azure-trace experiments, Figs 1 and 10); ``Counter`` is a labelled
-monotonic counter bag.
+statistics; :func:`percentile` and :func:`relative_variance` are the
+statistics themselves.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
-from typing import Iterable, Optional
+from bisect import insort
+from typing import Iterable
 
-__all__ = ["LatencyRecorder", "TimeSeries", "Counter", "percentile", "relative_variance"]
+__all__ = ["LatencyRecorder", "percentile", "relative_variance"]
 
 
 def percentile(sorted_samples: list[float], q: float) -> float:
@@ -71,10 +69,6 @@ class LatencyRecorder:
         insort(self._sorted, value)
         self._sum += value
 
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
-
     def __len__(self) -> int:
         return len(self._sorted)
 
@@ -113,147 +107,3 @@ class LatencyRecorder:
 
     def relative_variance(self) -> float:
         return relative_variance(self._sorted)
-
-    def summary(self) -> dict:
-        """All headline statistics as a plain dict (for report rows).
-
-        An empty recorder reports ``count: 0`` and ``nan`` for every
-        statistic — same keys either way, so report code never has to
-        special-case the no-completions arm.
-        """
-        if not self._sorted:
-            nan = float("nan")
-            return {
-                "name": self.name,
-                "count": 0,
-                "mean": nan,
-                "min": nan,
-                "p50": nan,
-                "p95": nan,
-                "p99": nan,
-                "max": nan,
-            }
-        return {
-            "name": self.name,
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.maximum,
-        }
-
-
-class TimeSeries:
-    """A piecewise-constant signal sampled at irregular times.
-
-    ``record(t, v)`` states that the signal holds value ``v`` from time
-    ``t`` until the next recording.  Queries assume recordings arrive
-    in non-decreasing time order.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._times: list[float] = []
-        self._values: list[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self._times and time < self._times[-1]:
-            raise ValueError("timestamps must be non-decreasing")
-        self._times.append(time)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> list[float]:
-        return list(self._times)
-
-    @property
-    def values(self) -> list[float]:
-        return list(self._values)
-
-    def value_at(self, time: float) -> float:
-        """Signal value at ``time`` (value of the latest recording <= t)."""
-        if not self._times:
-            raise ValueError("empty series")
-        index = bisect_right(self._times, time) - 1
-        if index < 0:
-            raise ValueError(f"time {time} precedes first recording")
-        return self._values[index]
-
-    def time_weighted_mean(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
-        """Average of the signal over [start, end], weighted by duration."""
-        if not self._times:
-            raise ValueError("empty series")
-        if start is None:
-            start = self._times[0]
-        if end is None:
-            end = self._times[-1]
-        if end < start:
-            raise ValueError("end before start")
-        if end == start:
-            return self.value_at(start)
-        total = 0.0
-        begin = bisect_left(self._times, start)
-        if begin > 0 and (begin == len(self._times) or self._times[begin] > start):
-            begin -= 1
-        previous_time = start
-        previous_value = self.value_at(start)
-        for index in range(begin, len(self._times)):
-            t = self._times[index]
-            if t <= start:
-                continue
-            if t >= end:
-                break
-            total += previous_value * (t - previous_time)
-            previous_time = t
-            previous_value = self._values[index]
-        total += previous_value * (end - previous_time)
-        return total / (end - start)
-
-    def maximum(self) -> float:
-        if not self._values:
-            raise ValueError("empty series")
-        return max(self._values)
-
-    def resample(self, step: float, start: Optional[float] = None, end: Optional[float] = None) -> "list[tuple[float, float]]":
-        """Return (t, value) pairs on a regular grid, for plotting rows."""
-        if step <= 0:
-            raise ValueError("step must be positive")
-        if not self._times:
-            raise ValueError("empty series")
-        if start is None:
-            start = self._times[0]
-        if end is None:
-            end = self._times[-1]
-        first, last = self._times[0], self._times[-1]
-        points = []
-        t = start
-        while t <= end + 1e-12:
-            # Clamp the lookup into the recorded span: grid points
-            # before the first recording take its value (instead of
-            # value_at raising), points past the last hold it.
-            points.append((t, self.value_at(min(max(t, first), last))))
-            t += step
-        return points
-
-
-class Counter:
-    """A bag of named monotonic counters."""
-
-    def __init__(self):
-        self._counts: dict[str, int] = {}
-
-    def increment(self, name: str, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters are monotonic")
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)

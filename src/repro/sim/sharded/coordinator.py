@@ -44,7 +44,7 @@ from typing import Optional
 from ...cluster.sharding import ShardPlan
 from ...dispatcher.windowed import WindowedRouter
 from ..metrics import percentile
-from .shard import DISPATCH_DELAY_SECONDS, GRID_STEP, PLATFORM_DANDELION, PLATFORM_FAAS, ShardSim
+from .shard import PLATFORM_DANDELION, PLATFORM_FAAS, ShardSim
 
 __all__ = [
     "ShardedConfig",
@@ -97,7 +97,6 @@ class ShardedReplayReport:
     workers: int
     cores_per_worker: int
     duration_seconds: float
-    grid_step: float
     routed: int
     completed: int
     cold_starts: int
@@ -164,7 +163,7 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
         # the windows after it only drain what is still running.
         arrivals = next(stream, ())
         routed += len(arrivals)
-        batches = router.route_window(arrivals, DISPATCH_DELAY_SECONDS)
+        batches = router.route_window(arrivals)
         for sim, batch in zip(sims, batches):
             sim.run_window(batch, end)
             latencies += sim.drain_latencies()
@@ -216,7 +215,6 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
         workers=config.workers,
         cores_per_worker=config.cores_per_worker,
         duration_seconds=duration,
-        grid_step=GRID_STEP,
         routed=routed,
         completed=completed,
         cold_starts=cold_starts,

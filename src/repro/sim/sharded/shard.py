@@ -45,9 +45,6 @@ __all__ = [
 PLATFORM_DANDELION = "dandelion"
 PLATFORM_FAAS = "faas"
 
-# Cluster-manager dispatch delay: the coordinator's conservative
-# lookahead (docs/simulation.md).
-DISPATCH_DELAY_SECONDS = 0.0005
 # Resample grid of the committed/active memory series, in seconds.
 GRID_STEP = 60.0
 # Dandelion platform: sandbox-creation seconds (process backend).
@@ -74,9 +71,8 @@ _EXPIRE = 1
 class _StepSeries:
     """Per-worker step-function accumulator over [0, duration].
 
-    Replaces :class:`~repro.sim.metrics.TimeSeries` for the sharded
-    kernel: instead of storing every point it folds each change into
-    the time-weighted integral and a fixed resample grid on the fly, so
+    Instead of storing every point it folds each change into the
+    time-weighted integral and a fixed resample grid on the fly, so
     memory stays O(grid) across millions of events.  Values are ints
     (bytes), so sums across workers are exact and grouping-independent.
     """
@@ -101,7 +97,8 @@ class _StepSeries:
             self.integral += old * (capped - last)
             self._last = capped
         # Grid points strictly before t keep the old value; a point at
-        # exactly t takes the new one (TimeSeries.value_at semantics).
+        # exactly t takes the new one (the latest recording at or before
+        # the point decides).
         grid = self.grid
         index = self._grid_index
         count = len(grid)

@@ -55,7 +55,6 @@ class WorkerConfig:
     max_retries: int = 2
     default_timeout: Optional[float] = None
     transient_failure_rate: float = 0.0
-    comm_failure_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -106,8 +105,6 @@ class WorkerNode:
                 group,
                 self.network,
                 name=name,
-                failure_rng=self._rng.fork(3) if config.comm_failure_rate > 0 else None,
-                transient_failure_rate=config.comm_failure_rate,
                 throttle=self.throttle,
             ),
             initial_count=INITIAL_COMM_CORES,

@@ -1,6 +1,6 @@
 """Load generators and cross-platform phase-model workloads."""
 
-from .loadgen import LoadResult, run_arrivals, run_open_loop, sweep_rates
+from .loadgen import LoadResult, run_arrivals, run_open_loop
 from .phase_apps import (
     FETCH_COMPUTE_SECONDS,
     FETCH_IO_SECONDS,
@@ -17,7 +17,6 @@ __all__ = [
     "LoadResult",
     "run_arrivals",
     "run_open_loop",
-    "sweep_rates",
     "FETCH_COMPUTE_SECONDS",
     "FETCH_IO_SECONDS",
     "FETCH_PAYLOAD_BYTES",

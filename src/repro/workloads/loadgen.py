@@ -16,7 +16,7 @@ from ..sim.core import Environment
 from ..sim.distributions import Rng
 from ..sim.metrics import LatencyRecorder
 
-__all__ = ["LoadResult", "run_open_loop", "run_arrivals", "sweep_rates"]
+__all__ = ["LoadResult", "run_open_loop", "run_arrivals"]
 
 
 @dataclass
@@ -40,22 +40,6 @@ class LoadResult:
     def saturated(self) -> bool:
         """Whether the system could not keep up with the offered load."""
         return self.achieved_rps < 0.95 * self.offered_rps
-
-    def summary(self) -> dict:
-        row = {
-            "offered_rps": self.offered_rps,
-            "achieved_rps": self.achieved_rps,
-            "completed": self.completed,
-            "failed": self.failed,
-        }
-        if len(self.latencies):
-            row.update(
-                mean=self.latencies.mean,
-                p50=self.latencies.percentile(50),
-                p95=self.latencies.percentile(95),
-                p99=self.latencies.percentile(99),
-            )
-        return row
 
 
 def run_open_loop(
@@ -159,21 +143,3 @@ def run_arrivals(
         latencies=latencies,
         makespan_seconds=makespan,
     )
-
-
-def sweep_rates(
-    make_environment: Callable[[], tuple],
-    rates: Iterable[float],
-    duration_seconds: float,
-    seed: int = 0,
-) -> list[LoadResult]:
-    """Run one fresh system per offered rate (no cross-rate pollution).
-
-    ``make_environment()`` must return ``(env, submit)``.
-    """
-    results = []
-    for index, rate in enumerate(rates):
-        env, submit = make_environment()
-        rng = Rng(seed * 1000 + index)
-        results.append(run_open_loop(env, submit, rate, duration_seconds, rng=rng))
-    return results

@@ -188,29 +188,3 @@ def test_frontend_register_composition_verify_strict():
     worker.frontend.register_composition(racy)  # default still permissive
     assert worker.frontend.registry.has_composition("frontend_racy")
 
-
-def test_frontend_http_verify_query_param():
-    from .dataflow_corpus import _FUNCTIONS
-    from repro.net import HttpRequest
-    from repro.worker import WorkerConfig, WorkerNode
-
-    worker = WorkerNode(WorkerConfig(total_cores=2, control_plane_enabled=False))
-    for binary in _FUNCTIONS:
-        worker.frontend.register_function(binary)
-    racy = (
-        "composition http_racy {"
-        " compute left uses df_sneaky_writer in(src) out(dst);"
-        " compute right uses df_sneaky_writer in(src) out(dst);"
-        " input a -> left.src; input b -> right.src;"
-        " output left.dst -> out_l; output right.dst -> out_r; }"
-    )
-    response = worker.frontend.handle(HttpRequest(
-        method="POST",
-        url="http://worker/v1/compositions?verify=strict",
-        body=racy.encode(),
-    ))
-    assert response.status == 400
-    response = worker.frontend.handle(HttpRequest(
-        method="POST", url="http://worker/v1/compositions", body=racy.encode(),
-    ))
-    assert response.status == 201

@@ -109,29 +109,6 @@ def test_gvisor_slower_than_snapshot_cold():
     assert GVISOR.cold_start_seconds > FIRECRACKER_SNAPSHOT.cold_start_seconds
 
 
-def test_memory_released_immediately_without_keepalive():
-    env, platform = make_platform(hot_ratio=0.0)
-    platform.register_function("f", [compute_phase(0.001)])
-    env.run(until=platform.request("f"))
-    assert platform.committed_bytes == 0
-
-
-def test_standing_pool_memory_for_hot_ratio_policy():
-    env, platform = make_platform(hot_ratio=0.97)
-    platform.register_function("f", [compute_phase(0.001)])
-    assert platform.committed_bytes == 8 * FIRECRACKER_SNAPSHOT.sandbox_memory_bytes
-
-
-def test_active_memory_tracks_running_requests():
-    env, platform = make_platform(hot_ratio=0.0)
-    platform.register_function("f", [compute_phase(0.01)])
-    platform.request("f")
-    env.run(until=env.timeout(0.005))
-    assert platform.active_bytes == FIRECRACKER_SNAPSHOT.sandbox_memory_bytes
-    env.run()
-    assert platform.active_bytes == 0
-
-
 def test_per_function_latencies_tracked():
     env, platform = make_platform()
     platform.register_function("a", [compute_phase(0.001)])

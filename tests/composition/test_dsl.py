@@ -3,9 +3,11 @@
 import pytest
 
 from repro.composition import (
+    CommunicationNode,
     Composition,
     Distribution,
     DslError,
+    composition_to_dsl,
     parse_composition,
 )
 
@@ -69,7 +71,35 @@ def test_comm_default_protocol_http():
     }
     """
     composition = parse_composition(source)
-    assert composition.nodes["h"].protocol == "http"
+    assert composition.nodes["h"] == CommunicationNode("h")
+    explicit = parse_composition(source.replace("comm h;", "comm h protocol http;"))
+    assert explicit.nodes == composition.nodes
+
+
+def _shape(composition):
+    return composition.nodes, composition.edges, composition.inputs, composition.outputs
+
+
+def test_protocol_http_round_trips_through_the_printer():
+    composition = parse_composition(LOGPROC)
+    printed = composition_to_dsl(composition)
+    assert "comm auth protocol http;" in printed
+    assert "comm fetch protocol http;" in printed
+    assert _shape(parse_composition(printed)) == _shape(composition)
+
+
+def test_unknown_protocol_is_a_dsl_error_naming_its_line():
+    source = """composition c {
+    compute a uses f in(x) out(request);
+    comm c protocol kv;
+    input x -> a.x;
+    a.request -> c.request;
+    output c.response -> r;
+}"""
+    with pytest.raises(DslError, match="unsupported protocol 'kv'") as exc_info:
+        parse_composition(source)
+    assert exc_info.value.line == 3
+    assert "line 3" in str(exc_info.value)
 
 
 def test_multiple_io_sets():

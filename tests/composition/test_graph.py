@@ -44,7 +44,7 @@ def test_communication_node_fixed_interface():
     node = CommunicationNode("http1")
     assert node.input_sets == ("request",)
     assert node.output_sets == ("response",)
-    assert node.protocol == "http"
+    assert node.kind == "communication"
 
 
 def test_distribution_parse():
@@ -181,9 +181,8 @@ def test_diamond_topology_and_queries():
     assert order[-1] == "sink"
     assert {e.target for e in composition.outgoing_edges("source")} == {"left", "right"}
     assert {e.source for e in composition.incoming_edges("sink")} == {"left", "right"}
-    consumers = composition.consumers_of("source", "y")
-    assert len(consumers) == 2
-    assert consumers[0].distribution is Distribution.EACH
+    consumers = composition.outgoing_edges("source")
+    assert [edge.distribution for edge in consumers] == [Distribution.EACH, Distribution.ALL]
 
 
 def test_nested_composition_node_interface():
@@ -218,5 +217,5 @@ def test_comm_node_in_composition():
         [InputBinding("input", "prepare", "input")],
         [OutputBinding("response", "http", "response")],
     )
-    assert composition.communication_nodes() == [http]
+    assert composition.nodes["http"] is http and http.kind == "communication"
     assert composition.compute_nodes() == [prepare]

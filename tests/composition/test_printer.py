@@ -53,7 +53,7 @@ def test_roundtrip_with_comm_and_distributions():
     restored = roundtrip(original)
     edge_by_target = {e.target: e for e in restored.edges}
     assert edge_by_target["http"].distribution is Distribution.EACH
-    assert restored.nodes["http"].protocol == "http"
+    assert restored.nodes["http"] == original.nodes["http"]
 
 
 def test_roundtrip_nested_composition():
@@ -121,16 +121,3 @@ def test_property_linear_chain_roundtrip(length, distributions):
     assert restored.topological_order == composition.topological_order
     assert restored.edges == composition.edges
 
-
-def test_roundtrip_kv_protocol_comm_node():
-    original = parse_composition("""
-        composition cached {
-            compute g uses gen in(seed) out(request);
-            comm cache protocol kv;
-            input seed -> g.seed;
-            g.request -> cache.request;
-            output cache.response -> result;
-        }
-    """)
-    restored = roundtrip(original)
-    assert restored.nodes["cache"].protocol == "kv"

@@ -53,22 +53,14 @@ def test_integral_clamped():
             assert controller.last_signal == sign * (
                 PROPORTIONAL_GAIN * 1000 + INTEGRAL_GAIN * INTEGRAL_LIMIT
             )
-            assert abs(controller.integral) <= INTEGRAL_LIMIT
 
 
 def test_acting_bleeds_integral():
     controller = PiController()
-    controller.update(10, 0)
-    after_first = controller.integral
-    assert after_first < 10.0
-
-
-def test_reset():
-    controller = PiController()
-    controller.update(10, 0)
-    controller.reset()
-    assert controller.integral == 0
-    assert controller.last_signal == 0
+    assert controller.update(10, 0) == +1
+    # A zero error next epoch sees the integral of 10 halved by acting.
+    assert controller.update(0, 0) == 0
+    assert controller.last_signal == INTEGRAL_GAIN * 10 / 2
 
 
 def _make_groups(env, compute=2, comm=2):

@@ -17,7 +17,6 @@ from repro.data import (
 )
 from repro.data.envelope import read_envelope, write_envelope
 from repro.functions import format_http_request, parse_http_request_item, parse_http_response_item
-from repro.net import format_kv_request, parse_kv_request_item, parse_kv_response_item
 
 # Reasons exercise JSON escaping: non-ASCII, quotes, backslashes, controls.
 _reasons = st.text(
@@ -73,20 +72,7 @@ def test_error_envelope_without_payload(status, error, retried, idempotent):
     item = EnvelopeItem("r0", fields)
     assert item.size == len(item.data)
     assert item.data == json.dumps(fields).encode()
-    for parse, name in ((parse_http_response_item, "body"), (parse_kv_response_item, "value")):
-        assert parse(item) == parse(item.data) == {**fields, name: b""}
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.binary(max_size=200), _reasons)
-def test_kv_envelope_and_cross_protocol_read(value, reason):
-    item = EnvelopeItem("g", {"status": 200, "reason": reason}, "value_hex", value)
-    assert item.data == _old_formula({"status": 200, "reason": reason}, "value_hex", value)
-    assert parse_kv_response_item(item) == parse_kv_response_item(item.data)
-    assert parse_kv_response_item(item)["value"] == value
-    # Read through the other protocol's parser: the wire form decides.
-    assert parse_http_response_item(item) == parse_http_response_item(item.data)
-    assert parse_http_response_item(item)["body"] == b""
+    assert parse_http_response_item(item) == parse_http_response_item(item.data) == {**fields, "body": b""}
 
 
 @settings(max_examples=100, deadline=None)
@@ -98,11 +84,6 @@ def test_request_writers_keep_their_wire_form(body, headers):
     )
     assert parse_http_request_item(http) == {
         "method": "POST", "url": "http://echo.internal/x", "headers": headers, "body": body,
-    }
-    kv = format_kv_request("set", "cache.internal", "k", body)
-    assert kv == _old_formula({"op": "set", "host": "cache.internal", "key": "k"}, "value_hex", body)
-    assert parse_kv_request_item(kv) == {
-        "op": "set", "host": "cache.internal", "key": "k", "value": body,
     }
 
 
@@ -129,8 +110,6 @@ def test_reader_accepts_any_item_type_and_bytes():
 def test_malformed_response_envelopes_raise_value_error(raw):
     with pytest.raises(ValueError):
         parse_http_response_item(raw)
-    with pytest.raises(ValueError):
-        parse_kv_response_item(raw.replace(b"body_hex", b"value_hex"))
 
 
 def test_envelope_item_rejects_misuse():

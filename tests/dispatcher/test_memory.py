@@ -1,8 +1,11 @@
-"""Tests for committed-memory accounting."""
+"""Tests for committed-memory accounting, and for the test-side series
+recorder the differential tests compare (``tests/memory_series.py``)."""
 
 from repro.data import MemoryContext, PAGE_SIZE
 from repro.dispatcher import MemoryTracker
 from repro.sim import Environment
+
+from ..memory_series import RecordingMemoryTracker
 
 
 def test_tracker_starts_at_zero():
@@ -35,13 +38,14 @@ def test_observe_updates_incrementally():
 
 def test_observe_same_size_no_new_sample():
     env = Environment()
-    tracker = MemoryTracker(env)
+    tracker = RecordingMemoryTracker(env)
     context = MemoryContext(PAGE_SIZE)
     context.write(0, b"x")
     tracker.observe(context)
-    samples_before = len(tracker.series)
+    samples_before = len(tracker.times)
     tracker.observe(context)
-    assert len(tracker.series) == samples_before
+    assert len(tracker.times) == samples_before
+    assert tracker.current_bytes == tracker.peak_bytes == PAGE_SIZE
 
 
 def test_release_drops_contribution():
@@ -65,7 +69,7 @@ def test_release_untracked_is_noop():
 
 def test_average_committed_time_weighted():
     env = Environment()
-    tracker = MemoryTracker(env)
+    tracker = RecordingMemoryTracker(env)
     context = MemoryContext(PAGE_SIZE)
 
     def scenario():
@@ -78,7 +82,9 @@ def test_average_committed_time_weighted():
 
     env.process(scenario())
     env.run()
-    average = tracker.series.time_weighted_mean(0, 20)
+    assert (tracker.times, tracker.values) == ([0, 10, 20], [0, PAGE_SIZE, 0])
+    steps = zip(tracker.times, tracker.times[1:], tracker.values)
+    average = sum(value * (end - start) for start, end, value in steps) / 20
     assert average == PAGE_SIZE / 2
 
 

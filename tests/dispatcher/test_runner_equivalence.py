@@ -31,6 +31,7 @@ from repro.data import DataItem, DataSet
 from repro.functions import compute_function, read_items, write_item
 from repro.worker import WorkerConfig, WorkerNode
 
+from .. import memory_series
 from . import generator_oracle
 from .test_differential import _DISTRIBUTIONS, _build_chain
 
@@ -53,17 +54,18 @@ def _items(item_count, key_count):
 def _observe(register, items, invocations, fault_rate, deadline, oracle):
     """Run ``invocations`` concurrent invocations of what ``register``
     registers and return everything the two runners must agree on."""
-    worker = WorkerNode(
-        WorkerConfig(
-            total_cores=2,
-            control_plane_enabled=False,
-            transient_failure_rate=fault_rate,
-            default_timeout=deadline,
-            seed=7,
-        )
-    )
-    name = register(worker)
     with pytest.MonkeyPatch.context() as patch:
+        memory_series.install(patch)
+        worker = WorkerNode(
+            WorkerConfig(
+                total_cores=2,
+                control_plane_enabled=False,
+                transient_failure_rate=fault_rate,
+                default_timeout=deadline,
+                seed=7,
+            )
+        )
+        name = register(worker)
         if oracle:
             generator_oracle.install(patch)
         done = [
@@ -86,7 +88,7 @@ def _observe(register, items, invocations, fault_rate, deadline, oracle):
         "retries": worker.dispatcher.retries_performed,
         "deadline_expirations": worker.dispatcher.deadline_expirations,
         "tasks": worker.compute_group.tasks_executed,
-        "memory": (worker.memory.series.times, worker.memory.series.values),
+        "memory": (worker.memory.times, worker.memory.values),
         "peak": worker.memory.peak_bytes,
         "live_contexts": worker.memory.live_context_count,
         "drained": worker.env.now,

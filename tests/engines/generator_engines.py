@@ -12,10 +12,9 @@ here so they are checked live against it on random task mixes.  The
 code is the former `engines/compute_engine.py`, `engines/comm_engine.py`,
 `engines/group.py` and `sim.resources.Store`, unchanged apart from:
 
-* `SimulatedNetwork.perform`/`perform_kv` are callback chains now, so
-  their generator forms are carried here as `perform`/`perform_kv`
-  (without the frontend-as-service branch, which the property does not
-  draw);
+* `SimulatedNetwork.perform` is a callback chain now, so its generator
+  form is carried here as `perform` (without the frontend-as-service
+  branch, which the property does not draw);
 * the kernel's `Event.succeed(delay=)`, which only the compute engine
   used, is `succeed_later` here;
 * `Task` gains the `completion` event the product's no longer carries;
@@ -26,7 +25,11 @@ code is the former `engines/compute_engine.py`, `engines/comm_engine.py`,
 * options and fields that nothing read are gone with the product's
   (`batch_guard`, `max_green_threads`, `enqueued_at`, `queue_samples`,
   `TaskOutcome.breakdown`), the retry bound is the product's
-  `MAX_RETRIES` constant, and comments are shortened.
+  `MAX_RETRIES` constant, and comments are shortened;
+* what the product dropped later is gone here too: the KV protocol and
+  the protocol table (HTTP is the one protocol), the communication
+  engine's injected connection resets (an exchange is retried on a
+  missed deadline only) and the `busy_seconds` counters.
 """
 
 from collections import deque
@@ -41,14 +44,12 @@ from repro.engines.task import TaskOutcome
 from repro.errors import FunctionFailure, FunctionTimeout, MemoryLimitExceeded
 from repro.functions.sdk import parse_http_request_item
 from repro.net.http import HttpRequest, HttpResponse, SanitizationError, sanitize_request
-from repro.net.kv import parse_kv_request_item, sanitize_kv_request
 from repro.sim.core import _PENDING, _PROCESSED, _TRIGGERED, Environment, Event, SimulationError
 
 RESPONSE_SET = "response"
 _PER_REQUEST_CPU_SECONDS = 20e-6
 _CPU_BYTES_PER_SECOND = 5e9
 IDEMPOTENT_METHODS = frozenset({"GET", "HEAD", "PUT", "DELETE"})
-IDEMPOTENT_KV_OPS = frozenset({"get", "set", "delete"})
 
 # Sentinel pushed onto a queue to retire exactly one engine.
 SHUTDOWN = object()
@@ -157,7 +158,7 @@ class Store:
                 progressed = True
 
 
-# -- SimulatedNetwork.perform / perform_kv --------------------------------------------
+# -- SimulatedNetwork.perform --------------------------------------------------------
 
 
 def perform(network, request: HttpRequest):
@@ -174,30 +175,6 @@ def perform(network, request: HttpRequest):
     yield network.env.timeout(network.latency.response_seconds(response))
     network.bytes_received += response.size
     return response
-
-
-def perform_kv(network, host: str, op: str, key: str, value: bytes):
-    network.requests_sent += 1
-    request_bytes = len(key) + len(value) + 16
-    network.bytes_sent += request_bytes
-    service = network._services.get(host)
-    handle_kv = getattr(service, "handle_kv", None)
-    if handle_kv is None:
-        yield network.env.timeout(network.latency.round_trip_seconds)
-        return 502, b"", f"no kv service at host {host!r}"
-    yield network.env.timeout(
-        network.latency.round_trip_seconds / 2
-        + network.latency.transfer_seconds(request_bytes)
-    )
-    status, response_value, reason = handle_kv(op, key, value)
-    service._count()
-    yield network.env.timeout(service.service_seconds(len(response_value)))
-    yield network.env.timeout(
-        network.latency.round_trip_seconds / 2
-        + network.latency.transfer_seconds(len(response_value) + 16)
-    )
-    network.bytes_received += len(response_value) + 16
-    return status, response_value, reason
 
 
 # -- engines/compute_engine.py ----------------------------------------------------
@@ -221,7 +198,6 @@ class ComputeEngine:
         self.backend = backend
         self.name = name
         self.tasks_executed = 0
-        self.busy_seconds = 0.0
         self.stopped = env.event()
         self._failure_rng = failure_rng
         self._transient_failure_rate = transient_failure_rate
@@ -243,10 +219,8 @@ class ComputeEngine:
                 # a Timeout followed by an immediate succeed.
                 succeed_later(task.completion, outcome, service)
                 yield task.completion
-                self.busy_seconds += service
                 self.tasks_executed += 1
             else:
-                self.busy_seconds += service
                 self.tasks_executed += 1
                 task.completion.succeed(outcome)
             del task, outcome  # an idle engine keeps no invocation's data alive
@@ -302,8 +276,6 @@ class CommunicationEngine:
         queue: Store,
         network,
         name: str = "comm-engine",
-        failure_rng=None,
-        transient_failure_rate: float = 0.0,
         throttle=None,
     ):
         self.env = env
@@ -312,14 +284,11 @@ class CommunicationEngine:
         self.name = name
         self._throttle = throttle
         self.tasks_executed = 0
-        self.busy_seconds = 0.0
         self.active_green_threads = 0
         self.retries_performed = 0
         self.exchange_timeouts = 0
         self.handler_faults = 0
         self.stopped = env.event()
-        self._failure_rng = failure_rng
-        self._transient_failure_rate = transient_failure_rate
         self._request_cache: dict[int, tuple] = {}
         self.process = env.process(self._run())
 
@@ -337,7 +306,6 @@ class CommunicationEngine:
             if self._throttle is not None:
                 cpu *= self._throttle.multiplier
             yield self.env.timeout(cpu)
-            self.busy_seconds += cpu
             self.tasks_executed += 1
             # The network exchange itself runs as a green thread so the
             # engine can pick up further tasks while I/O is in flight.
@@ -348,19 +316,14 @@ class CommunicationEngine:
     def _handle(self, task: Task, cpu_seconds: float):
         self.active_green_threads += 1
         try:
-            handler = self._PROTOCOL_HANDLERS.get(task.protocol)
             responses = DataSet(RESPONSE_SET)
             items = [item for data_set in task.input_sets for item in data_set]
-            if handler is None:
-                handler = type(self)._unknown_protocol_item
             if len(items) == 1:
-                response_item = yield from handler(
-                    self, items[0], task.protocol, task.timeout
-                )
+                response_item = yield from self._one_exchange(items[0], task.timeout)
                 responses.add(response_item)
             else:
                 exchanges = [
-                    self.env.process(handler(self, item, task.protocol, task.timeout))
+                    self.env.process(self._one_exchange(item, task.timeout))
                     for item in items
                 ]
                 for exchange in exchanges:
@@ -394,17 +357,10 @@ class CommunicationEngine:
             yield self.env.timeout(extra)
         return result
 
-    def _carry(self, item, start, reply, retryable, timeout, what, failure_rate=0.0):
+    def _carry(self, item, start, reply, retryable, timeout, what):
         attempts = 0
         while True:
-            if (
-                failure_rate > 0
-                and self._failure_rng is not None
-                and self._failure_rng.bernoulli(failure_rate)
-            ):
-                yield self.env.timeout(self.network.latency.round_trip_seconds)
-                status, error = 503, "connection reset"
-            elif timeout is None:
+            if timeout is None:
                 return reply((yield from self._stretched(start())))
             else:
                 exchange = self.env.process(self._stretched(start()))
@@ -418,7 +374,7 @@ class CommunicationEngine:
             attempts += 1
             self.retries_performed += 1
 
-    def _one_exchange(self, item: DataItem, protocol: str = "http", timeout=None):
+    def _one_exchange(self, item: DataItem, timeout=None):
         data = item.data
         cached = self._request_cache.get(id(data))
         if cached is None or cached[0] is not data:
@@ -439,32 +395,8 @@ class CommunicationEngine:
             item, lambda: perform(self.network, request),
             lambda r: _reply(item, r.status, "body_hex", r.body, reason=r.reason),
             request.method in IDEMPOTENT_METHODS, timeout, "exchange",
-            self._transient_failure_rate,
         )
         return response
-
-    def _unknown_protocol_item(self, item: DataItem, protocol: str, timeout=None):
-        if False:  # pragma: no cover - makes this a generator
-            yield None
-        return _reply(item, 400, error=f"unsupported protocol {protocol!r}")
-
-    def _kv_exchange(self, item: DataItem, protocol: str = "kv", timeout=None):
-        try:
-            envelope = sanitize_kv_request(parse_kv_request_item(item.data))
-        except (ValueError, SanitizationError) as exc:
-            return _reply(item, 400, error=str(exc))
-        host, op, key, value = (envelope[name] for name in ("host", "op", "key", "value"))
-        response = yield from self._carry(
-            item, lambda: perform_kv(self.network, host, op, key, value),
-            lambda r: _reply(item, r[0], "value_hex", r[1], reason=r[2]),
-            op in IDEMPOTENT_KV_OPS, timeout, "kv exchange",
-        )
-        return response
-
-    _PROTOCOL_HANDLERS = {
-        "http": _one_exchange,
-        "kv": _kv_exchange,
-    }
 
 
 # -- engines/group.py ---------------------------------------------------------------
@@ -488,7 +420,6 @@ class EngineGroup:
         self._next_engine_id = 0
         self._pending_shutdowns = 0
         self._retired_tasks_executed = 0
-        self._retired_busy_seconds = 0.0
         self._any_stopped = env.event()
         for _ in range(initial_count):
             self._start_engine()
@@ -534,7 +465,6 @@ class EngineGroup:
                 self._engines.remove(engine)
                 self._pending_shutdowns -= 1
                 self._retired_tasks_executed += engine.tasks_executed
-                self._retired_busy_seconds += engine.busy_seconds
         done.succeed()
 
     def submit(self, task) -> None:
@@ -547,8 +477,3 @@ class EngineGroup:
     def tasks_executed(self) -> int:
         live = sum(engine.tasks_executed for engine in self._engines)
         return live + self._retired_tasks_executed
-
-    @property
-    def busy_seconds(self) -> float:
-        live = sum(engine.busy_seconds for engine in self._engines)
-        return live + self._retired_busy_seconds

@@ -6,7 +6,7 @@ import pytest
 
 from repro.data import DataItem, DataSet
 from repro.engines import CommunicationEngine, EngineGroup, Task
-from repro.engines.comm_engine import IDEMPOTENT_KV_OPS, IDEMPOTENT_METHODS, MAX_RETRIES
+from repro.engines.comm_engine import IDEMPOTENT_METHODS, MAX_RETRIES
 from repro.functions import format_http_request, parse_http_response_item
 from repro.net import EchoService, LatencyModel, SimulatedNetwork
 from repro.sim import Environment
@@ -25,13 +25,12 @@ def setup(extra_service_seconds=0.0):
     return env, network, group, engine
 
 
-def comm_task(env, group, request_items, timeout=None, protocol="http"):
+def comm_task(env, group, request_items, timeout=None):
     """Queue a task; the returned event fires with its outcome."""
     task = Task(
         kind="communication",
         input_sets=[DataSet("request", request_items)],
         output_set_names=["response"],
-        protocol=protocol,
         timeout=timeout,
     )
     done = env.event()
@@ -46,8 +45,6 @@ def request_item(method="GET", body=b""):
 def test_idempotency_tables():
     assert "GET" in IDEMPOTENT_METHODS
     assert "POST" not in IDEMPOTENT_METHODS
-    assert "get" in IDEMPOTENT_KV_OPS
-    assert "incr" not in IDEMPOTENT_KV_OPS
 
 
 def test_fast_exchange_unaffected_by_timeout():
@@ -99,14 +96,14 @@ def test_timed_out_exchange_does_not_block_later_tasks():
     assert envelope["status"] == 200
 
 
-def _broken_handler(engine, item, protocol, timeout, on_done):
+def _broken_handler(engine, item, timeout, on_done):
     raise RuntimeError("handler bug")
 
 
 def test_raising_handler_fails_completion_instead_of_hanging(monkeypatch):
-    # Regression: a protocol handler that raises used to leave
+    # Regression: an exchange handler that raises used to leave
     # task pending forever, deadlocking the dispatcher.
-    monkeypatch.setitem(CommunicationEngine._PROTOCOL_HANDLERS, "http", _broken_handler)
+    monkeypatch.setattr(CommunicationEngine, "_http_exchange", _broken_handler)
     env, _network, group, engine = setup()
     task = comm_task(env, group, [request_item()])
     outcome = env.run(until=task)  # returns => no hang
@@ -121,7 +118,7 @@ def test_raising_handler_surfaces_as_node_failure_at_invocation_level(monkeypatc
     from repro.functions import compute_function, write_item
     from repro.worker import WorkerConfig, WorkerNode
 
-    monkeypatch.setitem(CommunicationEngine._PROTOCOL_HANDLERS, "http", _broken_handler)
+    monkeypatch.setattr(CommunicationEngine, "_http_exchange", _broken_handler)
     worker = WorkerNode(WorkerConfig(total_cores=4, control_plane_enabled=False))
     worker.network.register(EchoService())
 

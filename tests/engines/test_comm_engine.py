@@ -118,9 +118,9 @@ def test_keys_preserved_on_responses():
 
 
 def test_engine_counts_busy_cpu_not_network_wait():
-    env, _network, group, engine = setup(extra_service_seconds=0.05)
+    env, _network, group, _engine = setup(extra_service_seconds=0.05)
     task = comm_task(env, group, [echo_request()])
-    env.run(until=task)
+    outcome = env.run(until=task)
     # Busy time is microseconds of CPU, not the 50ms network wait.
-    assert engine.busy_seconds < 0.001
+    assert outcome.service_seconds < 0.001
     assert env.now > 0.05

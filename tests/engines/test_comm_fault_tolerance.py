@@ -1,34 +1,44 @@
 """Tests for §6.1 communication-function fault tolerance.
 
-Idempotent HTTP methods (GET/HEAD/PUT/DELETE) are transparently retried
-after transient network failures; non-idempotent methods (POST) surface
-the failure to the user instead of risking duplicated side effects.
+An exchange that misses its deadline is transparently re-issued when its
+HTTP method is idempotent (GET/HEAD/PUT/DELETE); non-idempotent methods
+(POST) surface the failure to the user instead of risking duplicated
+side effects.
 """
 
-import json
+import pytest
 
 from repro.data import DataItem, DataSet
 from repro.engines import CommunicationEngine, EngineGroup, Task
 from repro.engines.comm_engine import IDEMPOTENT_METHODS, MAX_RETRIES
 from repro.functions import format_http_request, parse_http_response_item
 from repro.net import EchoService, LatencyModel, SimulatedNetwork
-from repro.sim import Environment, Rng
+from repro.sim import Environment
+
+DEADLINE = 0.005
 
 
-def setup(failure_rate, seed=1):
+class SlowFirstEcho(EchoService):
+    """An echo service whose first ``slow`` exchanges overrun the
+    deadline by far; every later one is fast."""
+
+    def __init__(self, slow: int):
+        super().__init__()
+        self.slow = slow
+        self.calls = 0
+
+    def service_seconds(self, request, response) -> float:
+        self.calls += 1
+        extra = 0.05 if self.calls <= self.slow else 0.0
+        return extra + super().service_seconds(request, response)
+
+
+def setup(slow):
     env = Environment()
     network = SimulatedNetwork(env, LatencyModel())
-    network.register(EchoService())
+    network.register(SlowFirstEcho(slow))
     group = EngineGroup(
-        env,
-        "communication",
-        lambda group, name: CommunicationEngine(
-            env,
-            group,
-            network,
-            failure_rng=Rng(seed),
-            transient_failure_rate=failure_rate,
-        ),
+        env, "communication", lambda group, name: CommunicationEngine(env, group, network)
     )
     (engine,) = group.engines
     return env, network, group, engine
@@ -41,6 +51,7 @@ def run_one(env, group, method="GET", body=b""):
             DataItem("r", format_http_request(method, "http://echo.internal/", body=body))
         ])],
         output_set_names=["response"],
+        timeout=DEADLINE,
     )
     done = env.event()
     group.submit(task, done.succeed)
@@ -55,87 +66,46 @@ def test_idempotent_methods_set():
 
 
 def test_no_failures_no_retries():
-    env, _network, group, engine = setup(failure_rate=0.0)
+    env, _network, group, engine = setup(slow=0)
     envelope = run_one(env, group)
     assert envelope["status"] == 200
     assert engine.retries_performed == 0
+    assert engine.exchange_timeouts == 0
 
 
 def test_get_retried_through_transient_failures():
-    # Failure rate 0.5 with 2 retries: some exchanges need retries yet
-    # ultimately succeed for most requests.
-    env, _network, group, engine = setup(failure_rate=0.5, seed=3)
-    statuses = [run_one(env, group)["status"] for _ in range(30)]
-    assert engine.retries_performed > 0
-    assert statuses.count(200) > 20
+    # Two overdue attempts, then a fast one: within the retry budget.
+    env, network, group, engine = setup(slow=MAX_RETRIES)
+    envelope = run_one(env, group)
+    assert envelope["status"] == 200
+    assert engine.retries_performed == engine.exchange_timeouts == MAX_RETRIES
+    assert network.requests_sent == MAX_RETRIES + 1
 
 
 def test_post_never_retried():
-    env, network, group, engine = setup(failure_rate=1.0)
+    env, network, group, engine = setup(slow=1)
     envelope = run_one(env, group, method="POST", body=b"side-effect")
-    assert envelope["status"] == 503
+    assert envelope["status"] == 504
     assert envelope["idempotent"] is False
     assert envelope["retried"] == 0
     assert engine.retries_performed == 0
-    # The failed exchange never reached the service.
-    assert network.requests_sent == 0
+    # The one overdue exchange is the only one sent.
+    assert network.requests_sent == 1
 
 
 def test_get_gives_up_after_max_retries():
-    env, _network, group, engine = setup(failure_rate=1.0)
+    env, _network, group, engine = setup(slow=MAX_RETRIES + 1)
     envelope = run_one(env, group)
-    assert envelope["status"] == 503
+    assert envelope["status"] == 504
     assert envelope["idempotent"] is True
     assert envelope["retried"] == MAX_RETRIES == 2
     assert engine.retries_performed == MAX_RETRIES
 
 
 def test_retries_cost_time():
-    env_clean, _n1, group_clean, _e1 = setup(failure_rate=0.0)
+    env_clean, _n1, group_clean, _e1 = setup(slow=0)
     run_one(env_clean, group_clean)
-    clean_time = env_clean.now
-    env_flaky, _n2, group_flaky, _e2 = setup(failure_rate=1.0)
+    env_flaky, _n2, group_flaky, _e2 = setup(slow=1)
     run_one(env_flaky, group_flaky)
-    # Three failed connection attempts each cost a round trip.
-    assert env_flaky.now > clean_time
-
-
-def test_worker_level_comm_failure_knob():
-    from repro.functions import compute_function, read_items, write_item
-    from repro.worker import WorkerConfig, WorkerNode
-
-    worker = WorkerNode(
-        WorkerConfig(total_cores=4, control_plane_enabled=False, comm_failure_rate=0.4, seed=9)
-    )
-    worker.network.register(EchoService())
-
-    @compute_function(compute_cost=1e-5)
-    def gen(vfs):
-        write_item(vfs, "request", "r", format_http_request("GET", "http://echo.internal/"))
-
-    @compute_function(compute_cost=1e-5)
-    def check(vfs):
-        envelope = parse_http_response_item(read_items(vfs, "response")[0].data)
-        write_item(vfs, "out", "status", str(envelope["status"]).encode())
-
-    worker.frontend.register_function(gen)
-    worker.frontend.register_function(check)
-    worker.frontend.register_composition("""
-        composition flaky_fetch {
-            compute g uses gen in(seed) out(request);
-            comm c;
-            compute k uses check in(response) out(out);
-            input seed -> g.seed;
-            g.request -> c.request [all];
-            c.response -> k.response [all];
-            output k.out -> out;
-        }
-    """)
-    successes = 0
-    for _ in range(10):
-        result = worker.invoke_and_run("flaky_fetch", {"seed": b""})
-        assert result.ok
-        if result.output("out").item("status").data == b"200":
-            successes += 1
-    # Retries push the success rate far above the raw 60% per attempt.
-    assert successes >= 8
+    # The overdue attempt costs its whole deadline before the re-issue.
+    assert env_flaky.now == pytest.approx(env_clean.now + DEADLINE)

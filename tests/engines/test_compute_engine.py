@@ -51,7 +51,7 @@ def test_engine_executes_task_and_charges_time():
     assert outcome.outputs[0].item("r").data == b"done"
     assert env.now >= 0.01  # compute cost charged as virtual time
     assert engine.tasks_executed == 1
-    assert engine.busy_seconds >= 0.01
+    assert outcome.service_seconds >= 0.01
 
 
 def test_run_to_completion_serializes_tasks():

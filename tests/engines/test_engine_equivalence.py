@@ -7,11 +7,12 @@ engines, their group and the network exchange are now callback machines
 whose claim is that schedule.  This holds them to it on random task
 mixes run through both:
 
-* compute tasks (fast, slow, failing, over their timeout) and HTTP, KV
-  and unknown-protocol tasks with 0-4 items, including unknown hosts,
+* compute tasks (fast, slow, failing, over their timeout) and
+  communication tasks with 0-4 items, including unknown hosts,
   malformed and unsanitary requests;
-* transient compute and communication faults, deadlines that do and do
-  not bite, limp multipliers switched mid-run, and a core moved between
+* transient compute faults, deadlines that do and do not bite (and
+  idempotent re-issues), limp multipliers switched mid-run, and a core
+  moved between
   the groups (shrink one, grow the other on retirement) or added;
 * a caller continuation that submits a follow-up task in the completion
   step, so a queued task is taken after it, and submissions, completions
@@ -20,8 +21,8 @@ mixes run through both:
 Compared: one trace, in heap order, of every outcome handed to the
 caller, every sandbox the backend builds, every fault draw and every
 request a service answers, each with its virtual time; per engine,
-retired ones included, `tasks_executed`, `busy_seconds` and, for the
-communication engines, `retries_performed`, `exchange_timeouts` and
+retired ones included, `tasks_executed` and, for the communication
+engines, `retries_performed`, `exchange_timeouts` and
 `handler_faults`; group totals and the network's counters.
 """
 
@@ -35,7 +36,7 @@ from repro.backends import create_backend
 from repro.data import DataItem, DataSet
 from repro.engines.throttle import EngineThrottle
 from repro.functions import compute_function, format_http_request
-from repro.net import EchoService, KeyValueStoreService, LatencyModel, SimulatedNetwork, format_kv_request
+from repro.net import EchoService, LatencyModel, SimulatedNetwork
 from repro.sim import Environment, Rng
 
 from . import generator_engines as oracle
@@ -66,15 +67,6 @@ _HTTP_ITEMS = [
     format_http_request("TRACE", "http://echo.internal/"),
     b"not json",
 ]
-_KV_ITEMS = [
-    format_kv_request("set", "cache.internal", "k", b"v"),
-    format_kv_request("get", "cache.internal", "k"),
-    format_kv_request("incr", "cache.internal", "n", b"2"),
-    format_kv_request("get", "ghost.internal", "k"),
-    format_kv_request("get", "cache.internal", "has space"),
-    b"{broken",
-]
-
 _TIMES = [0.0, 1e-4, 3e-4, 1e-3, 2.5e-3]
 _LIMPS = [1.0, 2.5, 4.0]
 
@@ -86,7 +78,6 @@ _compute_tasks = st.tuples(
 )
 _comm_tasks = st.tuples(
     st.just("comm"),
-    st.sampled_from(["http", "http", "kv", "smtp"]),
     st.lists(st.integers(0, len(_HTTP_ITEMS) - 1), max_size=4),
     st.sampled_from([None, 1e-3, 1.0]),               # timeout
 )
@@ -120,15 +111,13 @@ def _task(module, spec, index):
             cached=cached,
             timeout=timeout,
         )
-    _kind, protocol, items, timeout = spec
-    table = _KV_ITEMS if protocol == "kv" else _HTTP_ITEMS
+    _kind, items, timeout = spec
     return module.Task(
         kind="communication",
         input_sets=[
-            DataSet("request", [DataItem(f"i{n}", table[k], key=f"k{k}") for n, k in enumerate(items)])
+            DataSet("request", [DataItem(f"i{n}", _HTTP_ITEMS[k], key=f"k{k}") for n, k in enumerate(items)])
         ],
         output_set_names=["response"],
-        protocol=protocol,
         timeout=timeout,
     )
 
@@ -160,20 +149,18 @@ def _traced(env, trace, tag, target, method):
     setattr(target, method, traced)
 
 
-def _observe(jobs, moves, echo_extra, compute_faults, comm_faults, compute_count, comm_count, use_oracle):
+def _observe(jobs, moves, echo_extra, compute_faults, compute_count, comm_count, use_oracle):
     module = oracle if use_oracle else product
     env = Environment()
     trace = []
     network = SimulatedNetwork(env, LatencyModel())
     echo = EchoService(extra_seconds=echo_extra)
-    cache = KeyValueStoreService()
     network.register(echo)
-    network.register(cache)
     backend = create_backend("kvm", "linux")
     throttle = EngineThrottle()
     compute_rng = Rng(11)
     for tag, target, method in [
-        ("echo", echo, "handle"), ("cache", cache, "handle_kv"), ("compute", compute_rng, "bernoulli"),
+        ("echo", echo, "handle"), ("compute", compute_rng, "bernoulli"),
         ("sandbox", backend, "execute"), ("sandbox", backend, "creation_seconds"),
     ]:
         _traced(env, trace, tag, target, method)
@@ -188,12 +175,8 @@ def _observe(jobs, moves, echo_extra, compute_faults, comm_faults, compute_count
         return engines[name]
 
     def comm_engine(queue_or_group, name):
-        rng = Rng(13 + len(engines))
-        _traced(env, trace, name, rng, "bernoulli")
         engines[name] = module.CommunicationEngine(
-            env, queue_or_group, network, name=name,
-            failure_rng=rng if comm_faults else None,
-            transient_failure_rate=comm_faults, throttle=throttle,
+            env, queue_or_group, network, name=name, throttle=throttle
         )
         return engines[name]
 
@@ -249,7 +232,7 @@ def _observe(jobs, moves, echo_extra, compute_faults, comm_faults, compute_count
 
     counters = {}
     for name, engine in sorted(engines.items()):
-        counters[name] = (engine.tasks_executed, engine.busy_seconds) + tuple(
+        counters[name] = (engine.tasks_executed,) + tuple(
             getattr(engine, counter, None)
             for counter in ("retries_performed", "exchange_timeouts", "handler_faults")
         )
@@ -257,7 +240,7 @@ def _observe(jobs, moves, echo_extra, compute_faults, comm_faults, compute_count
         "trace": trace,
         "engines": counters,
         "groups": {
-            name: (group.engine_count, group.tasks_executed, group.busy_seconds)
+            name: (group.engine_count, group.tasks_executed)
             for name, group in groups.items()
         },
         "network": (network.requests_sent, network.bytes_sent, network.bytes_received),
@@ -277,49 +260,48 @@ def _assert_engines_agree(*args):
     _moves,
     st.sampled_from([0.0, 2e-3]),                     # echo service time: deadlines bite
     st.sampled_from([0.0, 0.3]),                      # transient compute faults
-    st.sampled_from([0.0, 0.3]),                      # transient comm faults
     st.integers(1, 3),                                # compute engines
     st.integers(1, 2),                                # comm engines
 )
 # A queued task is taken after the caller's continuation has run.
 @example(
-    [(0.0, ("compute", 0, False, None), None)] * 2, [], 0.0, 0.0, 0.0, 1, 1,
+    [(0.0, ("compute", 0, False, None), None)] * 2, [], 0.0, 0.0, 1, 1,
 )
 # A move's continuation comes three hops after the retirement, behind a
 # task submitted in the same instant.
 @example(
     [(0.0, ("compute", 0, False, None), None)] * 2
-    + [(0.001, ("comm", "http", [], None), None)],
-    [(0.001, ("move", "compute"))], 0.0, 0.0, 0.0, 2, 1,
+    + [(0.001, ("comm", [], None), None)],
+    [(0.001, ("move", "compute"))], 0.0, 0.0, 2, 1,
 )
 # A green thread starts one hop after its task's parse, behind a move.
 @example(
     [
         (0.0, ("compute", 0, False, None), None),
-        (0.0, ("comm", "http", [], None), None),
-        (1e-4, ("comm", "http", [], None), ("compute", 0, False, None)),
+        (0.0, ("comm", [], None), None),
+        (1e-4, ("comm", [], None), ("compute", 0, False, None)),
     ],
-    [(1e-4, ("move", "compute"))], 0.0, 0.0, 0.0, 3, 1,
+    [(1e-4, ("move", "compute"))], 0.0, 0.0, 3, 1,
 )
 # A move while tasks queue on both groups, with follow-ups.
 @example(
     [(0.0, ("compute", 1, False, None), ("compute", 0, True, None))] * 3
-    + [(0.0, ("comm", "http", [0, 1], 1e-3), ("comm", "kv", [0, 1, 2], None))],
+    + [(0.0, ("comm", [0, 1], 1e-3), ("comm", [0, 3, 5], None))],
     [(1e-4, ("move", "compute")), (1e-4, ("limp", 2.5))],
-    2e-3, 0.3, 0.3, 2, 1,
+    2e-3, 0.3, 2, 1,
 )
 # An engine grown after a shrink takes the retirement.
 @example(
     [(0.0, ("compute", 0, False, None), None)] * 2
     + [(0.0, ("compute", 0, True, None), None)]
-    + [(0.0, ("comm", "http", [], None), None)] * 3,
-    [(0.0, ("move", "compute")), (1e-4, ("grow", "compute"))], 0.0, 0.0, 0.0, 2, 1,
+    + [(0.0, ("comm", [], None), None)] * 3,
+    [(0.0, ("move", "compute")), (1e-4, ("grow", "compute"))], 0.0, 0.0, 2, 1,
 )
 def test_property_engines_match_generator_oracle(
-    jobs, moves, echo_extra, compute_faults, comm_faults, compute_count, comm_count
+    jobs, moves, echo_extra, compute_faults, compute_count, comm_count
 ):
     observed = _assert_engines_agree(
-        jobs, moves, echo_extra, compute_faults, comm_faults, compute_count, comm_count
+        jobs, moves, echo_extra, compute_faults, compute_count, comm_count
     )
     outcomes = [entry for entry in observed["trace"] if entry[1] == "outcome"]
     assert len(outcomes) == len(jobs) + sum(then is not None for _at, _spec, then in jobs)

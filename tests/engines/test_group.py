@@ -101,7 +101,6 @@ def test_tasks_executed_survives_retirement():
     done = shrink(env, group)
     env.run(until=done)
     assert group.tasks_executed == 1
-    assert group.busy_seconds >= 0.01
 
 
 def test_queue_sampling():

@@ -25,6 +25,7 @@ from repro.query import (
     ssb_dimension_side,
 )
 
+from .. import memory_series
 from .test_plan_to_dag import make_worker_with_store
 
 
@@ -143,15 +144,17 @@ def test_dimension_filters_per_invocation_do_not_grow_with_partitions(ssb_tables
 
 
 def _run(tables, query):
-    worker, _store, _manifest = make_worker_with_store(tables, partitions=4)
+    with pytest.MonkeyPatch.context() as patch:
+        memory_series.install(patch)
+        worker, _store, _manifest = make_worker_with_store(tables, partitions=4)
     result = worker.invoke_and_run(register_ssb_query(worker, query, partitions=4), {"query": query.encode()})
     assert result.ok
     outputs = {
         name: [(item.ident, item.key, item.data) for item in data_set]
         for name, data_set in result.outputs.items()
     }
-    series = worker.memory.series
-    return outputs, result.finished_at, series.times, series.values, worker.memory.peak_bytes
+    memory = worker.memory
+    return outputs, result.finished_at, memory.times, memory.values, memory.peak_bytes
 
 
 def _side_every_call(query_name, items):

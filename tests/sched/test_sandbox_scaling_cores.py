@@ -40,15 +40,6 @@ def test_fixed_hot_ratio_decisions_are_seeded():
     assert set(pattern) == {True, False}
 
 
-def test_fixed_hot_ratio_standing_pool_and_teardown():
-    _env, hot = platform(0.97)
-    assert hot.committed_bytes == 8 * FIRECRACKER_SNAPSHOT.sandbox_memory_bytes
-    env, cold = platform(0.0)
-    assert cold.committed_bytes == 0
-    assert env.run(until=cold.request("f")).cold
-    assert cold.committed_bytes == 0  # the cold sandbox was torn down
-
-
 def test_fixed_hot_ratio_validates_ratio():
     for ratio in (1.5, -0.1):
         with pytest.raises(ValueError):

@@ -42,21 +42,6 @@ def test_lognormal_median_roughly_correct():
     assert 90 < median < 110
 
 
-def test_bounded_pareto_respects_bounds():
-    rng = Rng(9)
-    for _ in range(1000):
-        value = rng.bounded_pareto(1.1, 1.0, 100.0)
-        assert 1.0 <= value <= 100.0
-
-
-def test_bounded_pareto_invalid_args():
-    rng = Rng(0)
-    with pytest.raises(ValueError):
-        rng.bounded_pareto(1.0, 5.0, 2.0)
-    with pytest.raises(ValueError):
-        rng.bounded_pareto(-1.0, 1.0, 2.0)
-
-
 def test_zipf_weights_normalised_and_decreasing():
     weights = Rng(0).zipf_weights(10, skew=1.0)
     assert sum(weights) == pytest.approx(1.0)

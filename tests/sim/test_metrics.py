@@ -1,8 +1,8 @@
-"""Unit tests for metrics (percentiles, time series, counters)."""
+"""Unit tests for metrics (percentiles, latency recorders)."""
 
 import pytest
 
-from repro.sim import Counter, LatencyRecorder, TimeSeries, percentile, relative_variance
+from repro.sim import LatencyRecorder, percentile, relative_variance
 
 
 def test_percentile_single_sample():
@@ -45,19 +45,6 @@ def test_relative_variance_matches_manual():
     assert relative_variance([1.0, 3.0]) == pytest.approx(25.0)
 
 
-def test_latency_recorder_summary():
-    recorder = LatencyRecorder("test")
-    recorder.extend([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert recorder.count == 5
-    assert recorder.mean == 3.0
-    assert recorder.median == 3.0
-    assert recorder.minimum == 1.0
-    assert recorder.maximum == 5.0
-    summary = recorder.summary()
-    assert summary["count"] == 5
-    assert summary["p50"] == 3.0
-
-
 def test_latency_recorder_rejects_negative():
     recorder = LatencyRecorder()
     with pytest.raises(ValueError):
@@ -70,134 +57,14 @@ def test_latency_recorder_empty_stats_are_nan():
     assert recorder.minimum != recorder.minimum
     assert recorder.maximum != recorder.maximum
     assert recorder.percentile(99) != recorder.percentile(99)
-    summary = recorder.summary()
-    assert summary["count"] == 0
-    # Same keys as a populated summary, every statistic NaN.
-    assert set(summary) == {"name", "count", "mean", "min", "p50", "p95", "p99", "max"}
-    for key in ("mean", "min", "p50", "p95", "p99", "max"):
-        assert summary[key] != summary[key]
 
 
 def test_latency_recorder_keeps_sorted_under_unordered_input():
     recorder = LatencyRecorder()
-    recorder.extend([5.0, 1.0, 3.0])
+    for value in (5.0, 1.0, 3.0, 4.0, 2.0):
+        recorder.record(value)
+    assert recorder.count == len(recorder) == 5
+    assert recorder.mean == 3.0
     assert recorder.minimum == 1.0
     assert recorder.maximum == 5.0
     assert recorder.median == 3.0
-
-
-def test_timeseries_value_at():
-    series = TimeSeries()
-    series.record(0, 10)
-    series.record(5, 20)
-    assert series.value_at(0) == 10
-    assert series.value_at(4.9) == 10
-    assert series.value_at(5) == 20
-    assert series.value_at(100) == 20
-
-
-def test_timeseries_value_before_first_rejected():
-    series = TimeSeries()
-    series.record(5, 1)
-    with pytest.raises(ValueError):
-        series.value_at(4)
-
-
-def test_timeseries_non_monotonic_rejected():
-    series = TimeSeries()
-    series.record(5, 1)
-    with pytest.raises(ValueError):
-        series.record(4, 2)
-
-
-def test_timeseries_time_weighted_mean():
-    series = TimeSeries()
-    series.record(0, 0)
-    series.record(10, 100)
-    # signal is 0 over [0,10) and 100 over [10,20]: mean over [0,20] = 50
-    assert series.time_weighted_mean(0, 20) == pytest.approx(50.0)
-
-
-def test_timeseries_time_weighted_mean_partial_window():
-    series = TimeSeries()
-    series.record(0, 4)
-    series.record(2, 8)
-    # over [1,3]: one second at 4, one second at 8 -> 6
-    assert series.time_weighted_mean(1, 3) == pytest.approx(6.0)
-
-
-def test_timeseries_mean_zero_width_window():
-    series = TimeSeries()
-    series.record(0, 7)
-    assert series.time_weighted_mean(0, 0) == 7
-
-
-def test_timeseries_maximum():
-    series = TimeSeries()
-    series.record(0, 1)
-    series.record(1, 9)
-    series.record(2, 3)
-    assert series.maximum() == 9
-
-
-def test_timeseries_resample_grid():
-    series = TimeSeries()
-    series.record(0, 1)
-    series.record(1, 2)
-    points = series.resample(step=0.5, start=0, end=1)
-    assert points == [(0, 1), (0.5, 1), (1.0, 2)]
-
-
-def test_timeseries_resample_start_before_first_sample():
-    # Grid points before the first recording clamp to its value
-    # instead of raising "time precedes first recording".
-    series = TimeSeries()
-    series.record(1.0, 5)
-    series.record(2.0, 7)
-    points = series.resample(step=1.0, start=0.0, end=2.0)
-    assert points == [(0.0, 5), (1.0, 5), (2.0, 7)]
-
-
-def test_timeseries_resample_step_past_end():
-    # The grid may extend beyond the last recording; trailing points
-    # hold the final value.
-    series = TimeSeries()
-    series.record(0.0, 3)
-    series.record(1.0, 9)
-    points = series.resample(step=2.0, start=0.0, end=4.0)
-    assert points == [(0.0, 3), (2.0, 9), (4.0, 9)]
-
-
-def test_timeseries_resample_window_outside_recordings():
-    series = TimeSeries()
-    series.record(5.0, 42)
-    assert series.resample(step=1.0, start=0.0, end=2.0) == [
-        (0.0, 42),
-        (1.0, 42),
-        (2.0, 42),
-    ]
-    assert series.resample(step=1.0, start=8.0, end=9.0) == [(8.0, 42), (9.0, 42)]
-
-
-def test_timeseries_resample_rejects_bad_step():
-    series = TimeSeries()
-    series.record(0.0, 1)
-    with pytest.raises(ValueError):
-        series.resample(step=0.0)
-    with pytest.raises(ValueError):
-        TimeSeries().resample(step=1.0)
-
-
-def test_counter_basics():
-    counter = Counter()
-    counter.increment("cold_starts")
-    counter.increment("cold_starts", 2)
-    assert counter.get("cold_starts") == 3
-    assert counter.get("missing") == 0
-    assert counter.as_dict() == {"cold_starts": 3}
-
-
-def test_counter_rejects_negative():
-    counter = Counter()
-    with pytest.raises(ValueError):
-        counter.increment("x", -1)

@@ -24,6 +24,8 @@ from repro.net.services import ObjectStoreService
 from repro.query import generate_ssb_tables, load_ssb_to_store, register_ssb_query
 from repro.worker import WorkerConfig, WorkerNode
 
+from . import memory_series
+
 
 def _ssb(worker):
     store = ObjectStoreService()
@@ -66,7 +68,9 @@ def _plain_item(*args, **kwargs):
 
 
 def _run(app):
-    worker = WorkerNode(WorkerConfig(total_cores=8, control_plane_enabled=False))
+    with pytest.MonkeyPatch.context() as patch:
+        memory_series.install(patch)
+        worker = WorkerNode(WorkerConfig(total_cores=8, control_plane_enabled=False))
     composition, inputs = APPS[app](worker)
     result = worker.invoke_and_run(composition, inputs)
     assert result.ok
@@ -74,8 +78,8 @@ def _run(app):
         name: [(item.ident, item.key, item.data) for item in data_set]
         for name, data_set in result.outputs.items()
     }
-    series = worker.memory.series
-    return outputs, result.finished_at, series.times, series.values, worker.memory.peak_bytes
+    memory = worker.memory
+    return outputs, result.finished_at, memory.times, memory.values, memory.peak_bytes
 
 
 @pytest.mark.parametrize("app", sorted(APPS))

@@ -84,40 +84,11 @@ def test_stats_shape():
     assert stats["peak_committed_bytes"] > 0
 
 
-def test_http_register_composition():
-    worker = make_worker()
-    source = SHOUT_DSL.replace("shout_comp", "shout2")
-    response = worker.frontend.handle(
-        HttpRequest("POST", "http://dandelion.internal/v1/compositions", body=source.encode())
-    )
-    assert response.status == 201
-    assert worker.registry.has_composition("shout2")
-
-
-def test_http_register_invalid_composition():
-    worker = make_worker()
-    response = worker.frontend.handle(
-        HttpRequest("POST", "http://dandelion.internal/v1/compositions", body=b"not valid dsl")
-    )
-    assert response.status == 400
-
-
-def test_http_invoke_accepted_then_unknown():
-    worker = make_worker()
-    accepted = worker.frontend.handle(
-        HttpRequest("POST", "http://dandelion.internal/v1/invoke/shout_comp")
-    )
-    assert accepted.status == 202
-    missing = worker.frontend.handle(
-        HttpRequest("POST", "http://dandelion.internal/v1/invoke/ghost")
-    )
-    assert missing.status == 404
-
-
 def test_http_unknown_endpoint():
     worker = make_worker()
-    response = worker.frontend.handle(HttpRequest("GET", "http://dandelion.internal/other"))
-    assert response.status == 404
+    served = worker.env.event()
+    worker.frontend.serve(HttpRequest("GET", "http://dandelion.internal/other"), served.succeed)
+    assert worker.env.run(until=served).status == 404
 
 
 def test_http_full_invocation_roundtrip():
@@ -171,23 +142,6 @@ def test_control_plane_runs_by_default():
     assert worker.allocator.enabled
 
 
-def test_http_register_composition_over_network():
-    # The frontend is itself a network service: registration can arrive
-    # through the simulated network like any other HTTP exchange.
-    worker = make_worker()
-    worker.network.register(worker.frontend)
-    source = SHOUT_DSL.replace("shout_comp", "netreg")
-    request = HttpRequest(
-        "POST", "http://dandelion.internal/v1/compositions", body=source.encode()
-    )
-
-    done = worker.env.event()
-    worker.network.perform(request, done.succeed)
-    response = worker.env.run(until=done)
-    assert response.status == 201
-    assert worker.registry.has_composition("netreg")
-
-
 # -- options that only ever took one value are module constants ----------------
 
 
@@ -202,7 +156,10 @@ def _build(constructor, **kwargs):
     from repro.cluster.health import LatencyHealthTracker
     from repro.controlplane import CoreAllocator
     from repro.dispatcher import Dispatcher
+    from repro.cluster.sharding import ShardPlan
+    from repro.dispatcher.windowed import WindowedRouter
     from repro.engines import CommunicationEngine
+    from repro.engines.throttle import EngineThrottle
     from repro.sched import JSQ, GrayFailureAware, LocalityAware
     from repro.sim import Environment, Rng
     from repro.sim.sharded import ShardedConfig
@@ -244,6 +201,10 @@ def _build(constructor, **kwargs):
         return FunctionModel("f", (), **kwargs)
     if constructor == "DHybridPlatform":
         return DHybridPlatform(Environment(), cores=1, **kwargs)
+    if constructor == "EngineThrottle":
+        return EngineThrottle(**kwargs)
+    if constructor == "WindowedRouter.route_window":
+        return WindowedRouter(ShardPlan(1, 1)).route_window([], **kwargs)
     raise AssertionError(constructor)
 
 
@@ -285,6 +246,11 @@ _REMOVED_OPTIONS = [
     ("FaasPlatform.register_function", "memory_bytes", None),
     ("FunctionModel", "memory_bytes", None),
     ("DHybridPlatform", "backend", None),
+    ("WorkerConfig", "comm_failure_rate", 0.0),
+    ("CommunicationEngine", "failure_rng", None),
+    ("CommunicationEngine", "transient_failure_rate", 0.0),
+    ("EngineThrottle", "multiplier", 1.0),
+    ("WindowedRouter.route_window", "dispatch_delay", 0.0005),
 ]
 
 

@@ -72,13 +72,6 @@ def test_run_arrivals_explicit_times():
     assert result.makespan_seconds >= 1.0
 
 
-def test_summary_shape():
-    env, platform = make_fc()
-    result = run_open_loop(env, lambda: platform.request("f"), 50, 1.0)
-    summary = result.summary()
-    assert {"offered_rps", "achieved_rps", "completed", "p99"} <= set(summary)
-
-
 def test_failed_invocations_counted():
     worker = WorkerNode(WorkerConfig(total_cores=4, control_plane_enabled=False))
     register_phase_composition(worker, "m", matmul_phases(1e-4))
