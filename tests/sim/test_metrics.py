@@ -45,6 +45,19 @@ def test_relative_variance_matches_manual():
     assert relative_variance([1.0, 3.0]) == pytest.approx(25.0)
 
 
+def test_latency_recorder_summary():
+    recorder = LatencyRecorder("test")
+    for value in (1.0, 2.0, 3.0, 4.0, 5.0):
+        recorder.record(value)
+    assert recorder.name == "test"
+    assert recorder.count == len(recorder) == 5
+    assert recorder.mean == 3.0
+    assert recorder.median == 3.0
+    assert recorder.minimum == 1.0
+    assert recorder.maximum == 5.0
+    assert recorder.p99 == pytest.approx(4.96)
+
+
 def test_latency_recorder_rejects_negative():
     recorder = LatencyRecorder()
     with pytest.raises(ValueError):
@@ -61,10 +74,8 @@ def test_latency_recorder_empty_stats_are_nan():
 
 def test_latency_recorder_keeps_sorted_under_unordered_input():
     recorder = LatencyRecorder()
-    for value in (5.0, 1.0, 3.0, 4.0, 2.0):
+    for value in (5.0, 1.0, 3.0):
         recorder.record(value)
-    assert recorder.count == len(recorder) == 5
-    assert recorder.mean == 3.0
     assert recorder.minimum == 1.0
     assert recorder.maximum == 5.0
     assert recorder.median == 3.0
