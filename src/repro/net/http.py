@@ -17,7 +17,7 @@ from __future__ import annotations
 import ipaddress
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping
 from urllib.parse import urlsplit
 
 __all__ = [
@@ -46,7 +46,7 @@ class HttpRequest:
 
     method: str
     url: str
-    headers: dict[str, str] = field(default_factory=dict)
+    headers: Mapping[str, str] = field(default_factory=dict)
     body: bytes = b""
     version: str = "HTTP/1.1"
 
@@ -70,9 +70,6 @@ class HttpRequest:
         """Approximate on-the-wire size in bytes."""
         header_bytes = sum(len(k) + len(v) + 4 for k, v in self.headers.items())
         return len(self.method) + len(self.url) + len(self.version) + 4 + header_bytes + len(self.body)
-
-    def first_line(self) -> str:
-        return f"{self.method} {self.url} {self.version}"
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,6 @@ class ObjectStoreService(HttpService):
     def get_object(self, bucket: str, key: str) -> bytes:
         return self._objects[f"/{bucket}/{key}"]
 
-    def object_count(self) -> int:
-        return len(self._objects)
-
     def handle(self, request: HttpRequest) -> HttpResponse:
         path = request.path.split("?")[0]
         if request.method == "GET":
@@ -108,10 +105,6 @@ class LogShardService(HttpService):
         super().__init__(host)
         self._lines = list(lines)
         self.base_latency_seconds = base_latency_seconds
-
-    @property
-    def line_count(self) -> int:
-        return len(self._lines)
 
     def handle(self, request: HttpRequest) -> HttpResponse:
         if request.method != "GET":

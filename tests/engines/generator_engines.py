@@ -289,7 +289,6 @@ class CommunicationEngine:
         self.exchange_timeouts = 0
         self.handler_faults = 0
         self.stopped = env.event()
-        self._request_cache: dict[int, tuple] = {}
         self.process = env.process(self._run())
 
     def _cpu_seconds(self, task: Task) -> float:
@@ -375,22 +374,13 @@ class CommunicationEngine:
             self.retries_performed += 1
 
     def _one_exchange(self, item: DataItem, timeout=None):
-        data = item.data
-        cached = self._request_cache.get(id(data))
-        if cached is None or cached[0] is not data:
-            try:
-                envelope = parse_http_request_item(data)
-                request = HttpRequest(
-                    envelope["method"], envelope["url"], envelope["headers"], envelope["body"]
-                )
-                cached = (data, sanitize_request(request), None)
-            except (ValueError, SanitizationError) as exc:
-                cached = (data, None, str(exc))
-            if len(self._request_cache) < 512:
-                self._request_cache[id(data)] = cached
-        _, request, rejection = cached
-        if request is None:
-            return _reply(item, 400, error=rejection)
+        try:
+            envelope = parse_http_request_item(item.data)
+            request = sanitize_request(
+                HttpRequest(envelope["method"], envelope["url"], envelope["headers"], envelope["body"])
+            )
+        except (ValueError, SanitizationError) as exc:
+            return _reply(item, 400, error=str(exc))
         response = yield from self._carry(
             item, lambda: perform(self.network, request),
             lambda r: _reply(item, r.status, "body_hex", r.body, reason=r.reason),

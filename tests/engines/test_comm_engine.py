@@ -1,13 +1,14 @@
-"""Tests for communication engines: sanitization, overlap, green threads."""
+"""Tests for communication engines: sanitization, overlap, green threads,
+the per-engine request memo."""
 
 import json
 
 import pytest
 
 from repro.data import DataItem, DataSet
-from repro.engines import CommunicationEngine, EngineGroup, Task
+from repro.engines import CommunicationEngine, EngineGroup, Task, comm_engine
 from repro.functions import format_http_request, parse_http_response_item
-from repro.net import EchoService, LatencyModel, SimulatedNetwork
+from repro.net import EchoService, HttpResponse, HttpService, LatencyModel, SimulatedNetwork
 from repro.sim import Environment
 
 
@@ -124,3 +125,91 @@ def test_engine_counts_busy_cpu_not_network_wait():
     # Busy time is microseconds of CPU, not the 50ms network wait.
     assert outcome.service_seconds < 0.001
     assert env.now > 0.05
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The request bytes the engine parses, one entry per parse."""
+    seen = []
+    real = comm_engine.parse_http_request_item
+
+    def counting(data):
+        seen.append(data)
+        return real(data)
+
+    monkeypatch.setattr(comm_engine, "parse_http_request_item", counting)
+    return seen
+
+
+def fresh(data: bytes) -> bytes:
+    """Equal bytes in a distinct object, as another invocation formats them."""
+    copy = bytes(bytearray(data))
+    assert copy is not data
+    return copy
+
+
+def test_equal_request_bytes_are_parsed_once_per_engine(parses):
+    env, network, group, _engine = setup()
+    wire = format_http_request("POST", "http://echo.internal/", body=b"ping")
+    first = comm_task(env, group, [DataItem("a", fresh(wire))])
+    second = comm_task(env, group, [DataItem("b", fresh(wire))])
+    env.run(until=env.all_of([first, second]))
+    for task, name in ((first, "a"), (second, "b")):
+        envelope = parse_http_response_item(task.value.outputs[0].item(name).data)
+        assert (envelope["status"], envelope["body"]) == (200, b"ping")
+    assert parses == [wire]
+    assert network.requests_sent == 2
+
+
+@pytest.mark.parametrize(
+    "wire",
+    [b"this is not json", format_http_request("GET", "http://echo.internal/a b")],
+    ids=["malformed", "unsanitary"],
+)
+def test_rejected_request_gets_the_same_400_every_time(parses, wire):
+    env, network, group, _engine = setup()
+    tasks = [comm_task(env, group, [DataItem("bad", fresh(wire))]) for _ in range(5)]
+    env.run(until=env.all_of(tasks))
+    replies = {task.value.outputs[0].item("bad").data for task in tasks}
+    assert len(replies) == 1
+    assert json.loads(replies.pop())["status"] == 400
+    assert parses == [wire]
+    assert network.requests_sent == 0
+
+
+def test_memo_is_bounded_and_every_request_is_served():
+    env, _network, group, engine = setup()
+    requests = [echo_request(i, body=b"%d" % i) for i in range(513)]
+    task = comm_task(env, group, requests)
+    outcome = env.run(until=task)
+    bodies = [parse_http_response_item(item.data)["body"] for item in outcome.outputs[0]]
+    assert bodies == [b"%d" % i for i in range(513)]
+    assert len(engine._request_cache) == 512
+
+
+class _HeaderMutator(HttpService):
+    """Records the headers it is sent, then tries to change them."""
+
+    def __init__(self):
+        super().__init__("mutator.internal")
+        self.seen = []
+        self.refused = 0
+
+    def handle(self, request):
+        self.seen.append(dict(request.headers))
+        try:
+            request.headers["x-injected"] = "1"
+        except TypeError:
+            self.refused += 1
+        return HttpResponse(status=200)
+
+
+def test_cached_request_headers_are_read_only():
+    env, network, group, _engine = setup()
+    service = _HeaderMutator()
+    network.register(service)
+    wire = format_http_request("GET", "http://mutator.internal/", headers={"accept": "text/plain"})
+    for name in ("a", "b"):
+        env.run(until=comm_task(env, group, [DataItem(name, fresh(wire))]))
+    assert service.seen == [{"accept": "text/plain"}] * 2
+    assert service.refused == 2

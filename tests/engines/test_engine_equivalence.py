@@ -112,11 +112,12 @@ def _task(module, spec, index):
             timeout=timeout,
         )
     _kind, items, timeout = spec
+    # Fresh bytes per item, as each invocation formats its own requests:
+    # the product's memo is keyed by value, the oracle parses every time.
+    requests = [DataItem(f"i{n}", bytearray(_HTTP_ITEMS[k]), key=f"k{k}") for n, k in enumerate(items)]
     return module.Task(
         kind="communication",
-        input_sets=[
-            DataSet("request", [DataItem(f"i{n}", _HTTP_ITEMS[k], key=f"k{k}") for n, k in enumerate(items)])
-        ],
+        input_sets=[DataSet("request", requests)],
         output_set_names=["response"],
         timeout=timeout,
     )

@@ -32,10 +32,6 @@ def test_request_size_includes_body_and_headers():
     assert big.size > small.size + 1000
 
 
-def test_first_line_format():
-    assert request().first_line() == "GET http://storage.internal/bucket/key HTTP/1.1"
-
-
 def test_response_ok_range():
     assert HttpResponse(200).ok
     assert HttpResponse(204).ok

@@ -87,8 +87,9 @@ def test_object_store_get_put_delete():
 def test_object_store_preload_helper():
     store = ObjectStoreService()
     store.put_object("b", "k", b"v")
-    assert store.object_count() == 1
     assert store.get_object("b", "k") == b"v"
+    with pytest.raises(KeyError):
+        store.get_object("b", "other")
 
 
 def test_object_store_method_not_allowed():
@@ -131,7 +132,6 @@ def test_log_shard_serves_lines():
     network.register(shard)
     response = run_request(network, HttpRequest("GET", "http://logs0.internal/logs"))
     assert response.text().splitlines() == ["line one", "line two"]
-    assert shard.line_count == 2
 
 
 def test_llm_service_latency_dominates():

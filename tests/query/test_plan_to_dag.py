@@ -41,8 +41,9 @@ def test_manifest_counts(ssb_tables):
     _worker, store, manifest = make_worker_with_store(ssb_tables, partitions=6)
     assert manifest["partitions"] == 6
     assert len(manifest["objects"]) == 6 + 4
-    assert store.object_count() == 10
-    assert manifest["total_bytes"] > 0
+    sizes = {name: len(store.get_object("ssb", name)) for name in manifest["objects"]}
+    assert sizes == manifest["objects"]
+    assert manifest["total_bytes"] == sum(sizes.values()) > 0
 
 
 @pytest.mark.parametrize("query_name", ["Q1.1", "Q2.1", "Q3.1", "Q4.2"])
