@@ -91,13 +91,9 @@ def is_data_set(value) -> bool:
 
 
 def group_items_by_key(items: Iterable) -> "dict[Optional[str], list]":
-    """Bucket items by their grouping key, first-appearance ordered.
-
-    Single pass: this is the shared engine behind ``keys()`` /
-    ``grouped_by_key()`` on both the eager and lazy sets, and the
-    dispatcher's ``key``-distribution expansion — all of which were
-    previously O(items x keys) membership scans.
-    """
+    """Bucket items by their grouping key (``None`` for an item without
+    one), keys and items in first-appearance order, in one pass: the
+    dispatcher's ``key``-distribution expansion."""
     groups: dict[Optional[str], list] = {}
     for item in items:
         bucket = groups.get(item.key)
@@ -193,21 +189,6 @@ class DataSet:
     def size(self) -> int:
         """Total payload bytes across all items."""
         return sum(item.size for item in self._items)
-
-    def keys(self) -> list[Optional[str]]:
-        """Distinct item keys in first-appearance order (O(items))."""
-        return list(dict.fromkeys(item.key for item in self._items))
-
-    def grouped_by_key(self) -> "list[DataSet]":
-        """Split into per-key sets (for ``key``-distributed edges).
-
-        Single pass over the items; previously this rescanned the whole
-        set once per distinct key.
-        """
-        return [
-            DataSet(self.ident, bucket)
-            for bucket in group_items_by_key(self._items).values()
-        ]
 
     def __repr__(self) -> str:
         return f"DataSet({self.ident!r}, {len(self._items)} items, {self.size} bytes)"

@@ -40,7 +40,7 @@ from .context import (
     ContextError,
     parse_sets,
 )
-from .items import DataSet, group_items_by_key, register_item_type, register_set_type
+from .items import register_item_type, register_set_type
 
 __all__ = ["parse_sets_lazy", "LazyDataSet", "LazyDataItem"]
 
@@ -187,7 +187,7 @@ class LazyDataSet:
     """A :class:`~repro.data.items.DataSet` view over wire bytes.
 
     Implements the full read surface (``__iter__``, ``__len__``,
-    ``item()``, ``keys()``, ``grouped_by_key()``, ``size``, ``ident``)
+    ``item()``, ``size``, ``ident``)
     without decoding anything up front: construction is O(1), ``size``
     and ``len`` come from the footer, and ``renamed`` shares the decode
     caches.  The view is read-only — ``add`` raises.
@@ -260,21 +260,6 @@ class LazyDataSet:
     def size(self) -> int:
         """Total payload bytes (from the footer; O(1), never decodes)."""
         return self._payload_total
-
-    def keys(self) -> list[Optional[str]]:
-        """Distinct item keys in first-appearance order (O(items))."""
-        return list(dict.fromkeys(item.key for item in self))
-
-    def grouped_by_key(self) -> "list[DataSet]":
-        """Split into per-key sets (for ``key``-distributed edges).
-
-        The buckets are eager :class:`DataSet` containers holding this
-        view's lazy items, so grouping never copies payload bytes.
-        """
-        return [
-            DataSet(self.ident, bucket)
-            for bucket in group_items_by_key(self).values()
-        ]
 
     def renamed(self, ident: str) -> "LazyDataSet":
         """A view of the same record under a new name (O(1), shares caches)."""

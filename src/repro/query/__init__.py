@@ -13,8 +13,6 @@ from .operators import (
     sort_rows,
 )
 from .plan_to_dag import (
-    QUERY_SHAPES,
-    QueryShape,
     load_ssb_to_store,
     partition_table,
     register_ssb_query,
@@ -42,8 +40,6 @@ __all__ = [
     "limit",
     "project",
     "sort_rows",
-    "QUERY_SHAPES",
-    "QueryShape",
     "load_ssb_to_store",
     "partition_table",
     "register_ssb_query",

@@ -16,6 +16,7 @@ operator reads stays undecoded.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -150,11 +151,13 @@ def hash_join(
     return Table._of(left.name, columns, len(left_idx))
 
 
-def _match_sorted(values: np.ndarray, sorted_keys: np.ndarray, keys: str) -> "tuple[np.ndarray, np.ndarray]":
+def _match_sorted(values: np.ndarray, sorted_keys: np.ndarray, keys: str,
+                  dense: Optional[np.ndarray] = None) -> "tuple[np.ndarray, np.ndarray]":
     """Positions of ``values`` found in the ascending ``sorted_keys`` and the
-    first key equal to each.  NaN keys (equal to nothing), uint64 against
-    signed keys (sorted as float64, so 2**53 + 1 == 2**53) and keys that do
-    not compare are a :class:`TableError` naming ``keys``."""
+    first key equal to each; ``dense`` is their :func:`_dense_index`, if
+    any.  NaN keys (equal to nothing), uint64 against signed keys (sorted
+    as float64, so 2**53 + 1 == 2**53) and keys that do not compare are a
+    :class:`TableError` naming ``keys``."""
     for array in (values, sorted_keys):
         if array.dtype.kind == "f" and np.isnan(array).any():
             raise TableError(f"{keys} hold NaN")
@@ -163,12 +166,36 @@ def _match_sorted(values: np.ndarray, sorted_keys: np.ndarray, keys: str) -> "tu
         raise TableError(f"{keys} mix uint64 with signed integers")
     if not len(sorted_keys):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if dense is not None and values.dtype.kind in "iu":
+        # Compared in their own dtypes; only values in range are offset.
+        inside = np.flatnonzero((values >= sorted_keys[0]) & (values <= sorted_keys[-1]))
+        at = dense[values[inside].astype(np.int64) - int(sorted_keys[0])]
+        hit = at >= 0
+        return inside[hit], at[hit]
     try:
         at = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
         found = np.flatnonzero(sorted_keys[at] == values)
     except TypeError as exc:
         raise TableError(f"{keys} do not compare: {exc}") from exc
     return found, at[found]
+
+
+_DENSE_SPAN = 1 << 20
+
+
+def _dense_index(sorted_keys: np.ndarray) -> Optional[np.ndarray]:
+    """For unique ascending integer keys (int64 or narrower) at most
+    ``_DENSE_SPAN`` apart, the position of each key at ``key -
+    sorted_keys[0]`` and -1 between them: a search then costs one gather
+    per value, not a binary search."""
+    if sorted_keys.dtype.kind not in "iu" or not np.can_cast(sorted_keys.dtype, np.int64) or not len(sorted_keys):
+        return None
+    low, span = int(sorted_keys[0]), int(sorted_keys[-1]) - int(sorted_keys[0]) + 1
+    if span > _DENSE_SPAN:
+        return None
+    dense = np.full(span, -1, dtype=np.intp)
+    dense[sorted_keys.astype(np.int64) - low] = np.arange(len(sorted_keys))
+    return dense
 
 
 class Aggregation:
@@ -220,33 +247,58 @@ def group_aggregate(
     if not aggregations:
         raise TableError("group_aggregate needs at least one aggregation")
     if table.num_rows == 0 and group_by:
-        return Table(table.name, {**{g: [] for g in group_by}, **{a.output: [] for a in aggregations}})
-    if group_by:
-        # One code per row, re-densified only where the product of
-        # cardinalities would overflow int64.
-        codes, size = 0, 1
+        return _no_groups(table.name, [*group_by, *(a.output for a in aggregations)])
+    codes = []
+    for name in group_by:
         try:
-            for name in group_by:
-                uniques, inverse = np.unique(table.column(name), return_inverse=True)
-                if size * len(uniques) > 2**63:
-                    seen, codes = np.unique(codes, return_inverse=True)
-                    size = len(seen)
-                codes, size = codes * len(uniques) + inverse, size * len(uniques)
+            uniques, inverse = np.unique(table.column(name), return_inverse=True)
         except TypeError as exc:
             raise TableError(f"group key {name!r} does not sort: {exc}") from exc
-        # One run of rows per group, rows ascending; groups by first row.
-        order = np.argsort(codes, kind="stable")
-        in_order = codes[order]
-        starts = np.flatnonzero(np.concatenate(([True], in_order[1:] != in_order[:-1])))
-        by_appearance = np.argsort(order[starts])
-        first_rows = order[starts[by_appearance]]
+        codes.append((len(uniques), inverse))
+    order, starts, groups = _group_runs(codes, by_appearance=True)
+    columns = {}
+    if group_by:
+        first_rows = order[starts[groups]]
         columns = {name: _listed(table.column(name)[first_rows]) for name in group_by}
-    else:
-        order, starts, by_appearance = slice(None), np.zeros(1, dtype=np.intp), slice(None)
-        columns = {}
+    return _aggregate_runs(table, columns, aggregations, order, starts, groups)
+
+
+def _no_groups(name: str, columns: list[str]) -> Table:
+    """The result of grouping no rows by at least one column."""
+    return Table(name, {column: [] for column in columns})
+
+
+def _group_runs(codes: "list[tuple[int, np.ndarray]]", by_appearance: bool):
+    """Rows in runs of one group each, from ``codes``: per key column, its
+    number of distinct values and each row's index among them, in sort
+    order.  Returns ``order`` (the rows, run by run, ascending within a
+    run), ``starts`` (where each run begins in it, groups by ascending
+    key) and ``groups`` (the runs in output order: by first row with
+    ``by_appearance``, else by key).  Without key columns, one run of
+    every row."""
+    if not codes:
+        return slice(None), np.zeros(1, dtype=np.intp), slice(None)
+    # One code per row, re-densified only where the product of
+    # cardinalities would overflow int64.
+    mixed, size = 0, 1
+    for count, inverse in codes:
+        if size * count > 2**63:
+            seen, mixed = np.unique(mixed, return_inverse=True)
+            size = len(seen)
+        mixed, size = mixed * count + inverse, size * count
+    order = np.argsort(mixed, kind="stable")
+    in_order = mixed[order]
+    starts = np.flatnonzero(np.concatenate(([True], in_order[1:] != in_order[:-1])))
+    return order, starts, np.argsort(order[starts]) if by_appearance else slice(None)
+
+
+def _aggregate_runs(table: Table, columns: dict, aggregations: "list[Aggregation]",
+                   order, starts: np.ndarray, groups) -> Table:
+    """``columns`` (the group keys, one row per group) followed by each of
+    ``aggregations`` over ``table``'s runs (:func:`_group_runs`)."""
     counts = np.concatenate((starts[1:], [table.num_rows])) - starts
     for aggregation in aggregations:
-        columns[aggregation.output] = _listed(aggregation.compute(table, order, starts, counts)[by_appearance])
+        columns[aggregation.output] = _listed(aggregation.compute(table, order, starts, counts)[groups])
     return Table._of(table.name, columns, len(starts))
 
 
@@ -259,22 +311,26 @@ def _listed(values: np.ndarray) -> np.ndarray:
 
 
 def sort_rows(table: Table, by: "str | list", ascending: bool = True) -> Table:
-    """Sort rows by one or several columns (last key is primary per
-    numpy lexsort, so we reverse the list)."""
+    """Stable sort of the rows by one or several columns, the first
+    primary; descending is the reversed ascending order.  Strings sort
+    as Python compares them; other objects by their ``str()``."""
     if isinstance(by, str):
         by = [by]
     if not by:
         raise TableError("sort needs at least one column")
-    keys = [table.column(name) for name in reversed(by)]
-    # Object (string) columns need conversion for lexsort.
-    keys = [
-        np.asarray([str(v) for v in key]) if key.dtype.kind == "O" else key
-        for key in keys
-    ]
-    order = np.lexsort(keys)
+    # np.lexsort takes the primary key last.
+    order = np.lexsort([_sort_key(table.column(name)) for name in reversed(by)])
     if not ascending:
         order = order[::-1]
     return table.take(order)
+
+
+def _sort_key(column: np.ndarray) -> np.ndarray:
+    if column.dtype.kind != "O":
+        return column
+    if all(map(isinstance, column, repeat(str))):
+        return np.unique(column, return_inverse=True)[1]
+    return np.asarray([str(value) for value in column])
 
 
 def limit(table: Table, count: int) -> Table:

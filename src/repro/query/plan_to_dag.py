@@ -37,12 +37,9 @@ from ..functions.sdk import (
 from ..net.services import ObjectStoreService
 from ..worker import WorkerNode
 from .columnar import Table
-from .operators import Aggregation, group_aggregate, sort_rows
-from .ssb import SSB_QUERY_NAMES, DimensionSide, ssb_dimension_side
+from .ssb import SSB_QUERIES, DimensionSide, ssb_dimension_side
 
 __all__ = [
-    "QueryShape",
-    "QUERY_SHAPES",
     "load_ssb_to_store",
     "register_ssb_query",
     "partition_table",
@@ -55,33 +52,6 @@ _DIMENSIONS = ("date", "customer", "supplier", "part")
 # execution time.
 _SECONDS_PER_INPUT_BYTE = 4e-9
 _PARTIAL_BASE_SECONDS = 200e-6
-
-
-class QueryShape:
-    """Re-aggregation metadata for one SSB query."""
-
-    def __init__(self, group_by: list[str], value_column: str, order_by, descending: bool):
-        self.group_by = group_by
-        self.value_column = value_column
-        self.order_by = order_by
-        self.descending = descending
-
-
-QUERY_SHAPES: dict[str, QueryShape] = {
-    "Q1.1": QueryShape([], "revenue", None, False),
-    "Q1.2": QueryShape([], "revenue", None, False),
-    "Q1.3": QueryShape([], "revenue", None, False),
-    "Q2.1": QueryShape(["d_year", "p_brand1"], "revenue", ["d_year", "p_brand1"], False),
-    "Q2.2": QueryShape(["d_year", "p_brand1"], "revenue", ["d_year", "p_brand1"], False),
-    "Q2.3": QueryShape(["d_year", "p_brand1"], "revenue", ["d_year", "p_brand1"], False),
-    "Q3.1": QueryShape(["c_nation", "s_nation", "d_year"], "revenue", "revenue", True),
-    "Q3.2": QueryShape(["c_city", "s_city", "d_year"], "revenue", "revenue", True),
-    "Q3.3": QueryShape(["c_city", "s_city", "d_year"], "revenue", "revenue", True),
-    "Q3.4": QueryShape(["c_city", "s_city", "d_year"], "revenue", "revenue", True),
-    "Q4.1": QueryShape(["d_year", "c_nation"], "profit", ["d_year", "c_nation"], False),
-    "Q4.2": QueryShape(["d_year", "s_nation", "p_category"], "profit", ["d_year", "s_nation", "p_category"], False),
-    "Q4.3": QueryShape(["d_year", "s_city", "p_brand1"], "profit", ["d_year", "s_city", "p_brand1"], False),
-}
 
 
 def partition_table(table: Table, partitions: int) -> list[Table]:
@@ -151,9 +121,9 @@ def register_ssb_query(
     partitions: int = 8,
 ) -> str:
     """Register composition + functions for one SSB query; returns its name."""
-    if query_name not in SSB_QUERY_NAMES:
+    if query_name not in SSB_QUERIES:
         raise KeyError(f"unknown SSB query {query_name!r}")
-    shape = QUERY_SHAPES[query_name]
+    query = SSB_QUERIES[query_name]
     tag = query_name.replace(".", "_").lower()
     composition_name = f"ssb_{tag}"
 
@@ -188,15 +158,7 @@ def register_ssb_query(
         memory_limit=1 << 31,
     )
     def final(vfs):
-        partials = [Table.from_bytes(item.data) for item in read_items(vfs, "partials")]
-        merged = partials[0].concat(*partials[1:])
-        result = group_aggregate(
-            merged,
-            shape.group_by,
-            [Aggregation(shape.value_column, "sum", shape.value_column)],
-        )
-        if shape.order_by:
-            result = sort_rows(result, shape.order_by, ascending=not shape.descending)
+        result = query.merge([Table.from_bytes(item.data) for item in read_items(vfs, "partials")])
         write_item(vfs, "result", "table", result.to_bytes())
         write_item(
             vfs, "result", "rows",

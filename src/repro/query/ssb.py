@@ -14,7 +14,7 @@ the absolute data volume, drive the comparison with Athena).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,7 +23,12 @@ from .columnar import Table, TableError
 from .operators import (
     Aggregation,
     Predicate,
+    _aggregate_runs,
+    _dense_index,
+    _group_runs,
+    _listed,
     _match_sorted,
+    _no_groups,
     filter_rows,
     group_aggregate,
     sort_rows,
@@ -31,7 +36,9 @@ from .operators import (
 
 __all__ = [
     "generate_ssb_tables",
+    "SSB_QUERIES",
     "SSB_QUERY_NAMES",
+    "SsbQuery",
     "DimensionSide",
     "run_ssb_query",
     "ssb_dimension_side",
@@ -202,11 +209,12 @@ def generate_ssb_tables(scale_factor: float = 0.001, seed: int = 0) -> dict[str,
 
 # -- the 13 queries -----------------------------------------------------------
 #
-# Every query is a star join of lineorder with filtered dimensions.  It is
-# split in two: a dimension side, which depends on the dimension tables
-# alone, and a probe of one lineorder table (all of it, or one partition)
-# against that side.  A composition builds the side once per invocation
-# and every partition probes it.
+# Every query is a star join of lineorder with filtered dimensions and a sum
+# per group, declared once (:class:`SsbQuery`).  It runs in two parts: a
+# dimension side, which depends on the dimension tables alone, and a probe
+# of one lineorder table (all of it, or one partition) against that side.
+# A composition builds the side once per invocation, every partition probes
+# it, and ``final`` merges the partial sums by the same declaration.
 
 # Dimension -> (lineorder foreign key, dimension key).
 _JOIN_KEYS = {
@@ -216,242 +224,174 @@ _JOIN_KEYS = {
     "part": ("lo_partkey", "p_partkey"),
 }
 
+_ARITHMETIC = {"*": np.multiply, "-": np.subtract}
+
+
+class SsbQuery(NamedTuple):
+    """One SSB query.  ``dimensions`` maps each dimension, in join order,
+    to the predicate that keeps its rows (or to a function of the tables
+    giving it); ``where`` filters lineorder.  The ``measure``, a lineorder
+    column or ``"a * b"`` / ``"a - b"`` of two, is summed per ``group_by``
+    group (each column held by a dimension) into column ``output`` of a
+    table named ``table``.  ``order`` is None, ``"keys"`` (group keys
+    ascending) or ``"desc"`` (``output`` descending)."""
+
+    dimensions: dict
+    group_by: tuple
+    measure: str
+    output: str
+    table: str
+    order: Optional[str] = None
+    where: Optional[Predicate] = None
+
+    def merge(self, partials: "list[Table]") -> Table:
+        """The result from the probes' partial results, in order."""
+        merged = partials[0].concat(*partials[1:])
+        result = group_aggregate(merged, self.group_by, [Aggregation(self.output, "sum", self.output)])
+        if self.order == "keys":
+            return sort_rows(result, list(self.group_by))
+        return sort_rows(result, self.output, ascending=False) if self.order == "desc" else result
+
 
 class DimensionSide:
     """An SSB query with its dimension side built, ready to probe.
 
     Per dimension, in join order: the rows its predicate keeps, projected
-    on its key and on the columns the query ``reads``, in key order; a
-    key that is not unique is a :class:`TableError`.  A probe projects
-    lineorder on the foreign keys and on the ``reads`` no dimension holds,
-    keeps the rows ``where`` selects, searches each dimension for the
-    rows still alive, and gathers each column once into the table a
-    chain of :func:`hash_join` calls would give, for ``finish``.  It only
-    reads the side, so the partitions of an invocation share one.
+    on its key and on the query's group columns it holds, in key order; a
+    key that is not unique is a :class:`TableError`.  Each group column is
+    coded once: its sorted distinct values and each side row's index among
+    them.  A probe keeps the lineorder rows ``where`` selects, searches
+    each dimension for the rows still alive, mixes the codes of the side
+    rows found into one group per joined row, sums the measure per group,
+    and looks up group values for the result rows alone.  It only reads
+    the side, so the partitions of an invocation share one.
     """
 
-    def __init__(self, tables, dimensions: dict[str, Predicate], reads: list[str],
-                 finish: Callable[[Table], Table], where: Optional[Predicate] = None):
+    def __init__(self, tables, query: SsbQuery):
+        self.query = query
         self._sides: dict[str, Table] = {}
-        for name, predicate in dimensions.items():
-            key, table = _JOIN_KEYS[name][1], tables[name]
-            side = filter_rows(table, predicate).select([key, *(c for c in reads if c in table)])
+        self._searches = []  # per dimension: fact key column, side keys, both named, dense index
+        for name, predicate in query.dimensions.items():
+            (fact_key, key), table = _JOIN_KEYS[name], tables[name]
+            predicate = predicate(tables) if callable(predicate) else predicate
+            side = filter_rows(table, predicate).select([key, *(c for c in query.group_by if c in table)])
             side = side.take(np.argsort(side.column(key), kind="stable"))
             keys = side.column(key)
             if not (keys[1:] > keys[:-1]).all():
                 raise TableError(f"dimension {name!r} has a duplicate or NaN key {key!r}")
             self._sides[name] = side
-        held = {column for side in self._sides.values() for column in side.column_names}
-        self._fact = [*(_JOIN_KEYS[name][0] for name in dimensions), *(c for c in reads if c not in held)]
-        self._where, self._finish = where, finish
+            label = f"join keys {fact_key!r} and {key!r}"
+            self._searches.append((fact_key, keys, label, _dense_index(keys)))
+        sides = list(self._sides.values())
+        self._codes = []  # per group column: its side's index, distinct values, each side row's index into them
+        for column in query.group_by:
+            index = next(i for i, side in enumerate(sides) if column in side)
+            try:
+                uniques, inverse = np.unique(sides[index].column(column), return_inverse=True)
+            except TypeError as exc:
+                raise TableError(f"group key {column!r} does not sort: {exc}") from exc
+            self._codes.append((index, uniques, inverse))
+        self._measure = query.measure.split()
+        self._sum = [Aggregation(query.output, "sum", query.output)]
 
     def probe(self, lineorder: Table) -> Table:
-        """The query's result over ``lineorder``: all of it, or one partition."""
-        fact = lineorder.select(self._fact)
-        rows = np.arange(len(fact)) if self._where is None else np.flatnonzero(self._where.mask(fact))
+        """The query's partial result over ``lineorder``: all of it, or one partition."""
+        query = self.query
+        rows = np.arange(len(lineorder)) if query.where is None else np.flatnonzero(query.where.mask(lineorder))
         found: list[np.ndarray] = []  # per dimension so far, its side row for each of ``rows``
-        for name, side in self._sides.items():
-            fact_key, key = _JOIN_KEYS[name]
-            hits, at = _match_sorted(fact.column(fact_key)[rows], side.column(key),
-                                     f"join keys {fact_key!r} and {key!r}")
+        for fact_key, keys, label, dense in self._searches:
+            hits, at = _match_sorted(lineorder.column(fact_key)[rows], keys, label, dense)
             rows, found = rows[hits], [positions[hits] for positions in found] + [at]
-        columns = {name: array[rows] for name, array in fact._columns.items()}
-        for side, positions in zip(self._sides.values(), found):
-            columns.update({name: array[positions] for name, array in side._columns.items()})
-        return self._finish(Table._of(lineorder.name, columns, len(rows)))
+        if query.group_by and not len(rows):
+            return _no_groups(query.table, [*query.group_by, query.output])
+        first, *rest = self._measure
+        measure = lineorder.column(first)[rows]
+        if rest:
+            measure = _ARITHMETIC[rest[0]](measure, lineorder.column(rest[1])[rows])
+        codes = [(uniques, inverse[found[index]]) for index, uniques, inverse in self._codes]
+        order, starts, groups = _group_runs([(len(uniques), code) for uniques, code in codes],
+                                            by_appearance=query.order == "desc")
+        columns = {}
+        if codes:
+            first_rows = order[starts[groups]]
+            columns = {column: _listed(uniques[code[first_rows]])
+                       for column, (uniques, code) in zip(query.group_by, codes)}
+        sums = Table._of(query.table, {query.output: measure}, len(rows))
+        result = _aggregate_runs(sums, columns, self._sum, order, starts, groups)
+        return sort_rows(result, query.output, ascending=False) if query.order == "desc" else result
 
 
-def _q1(tables, year_pred: Predicate, discount_low, discount_high, quantity_pred) -> DimensionSide:
-    return DimensionSide(
-        tables, {"date": year_pred}, ["lo_quantity", "lo_discount", "lo_extendedprice"], _q1_revenue,
-        where=quantity_pred.between("lo_discount", discount_low, discount_high),
-    )
+def _q1(year_pred: Predicate, discount_low, discount_high, quantity_pred) -> SsbQuery:
+    return SsbQuery({"date": year_pred}, (), "lo_extendedprice * lo_discount", "revenue", "q1",
+                    where=quantity_pred.between("lo_discount", discount_low, discount_high))
 
 
-def _q1_revenue(joined: Table) -> Table:
-    amounts = joined.column("lo_extendedprice") * joined.column("lo_discount")
-    table = Table("q1", {"amount": amounts})
-    return group_aggregate(table, [], [Aggregation("revenue", "sum", "amount")])
-
-
-def q1_1(tables) -> DimensionSide:
-    return _q1(tables, Predicate.where("d_year", "==", 1993), 1, 3,
-               Predicate.where("lo_quantity", "<", 25))
-
-
-def q1_2(tables) -> DimensionSide:
-    return _q1(tables, Predicate.where("d_yearmonthnum", "==", 199401), 4, 6,
-               Predicate.true().between("lo_quantity", 26, 35))
-
-
-def q1_3(tables) -> DimensionSide:
-    return _q1(
-        tables,
-        Predicate.where("d_weeknuminyear", "==", 6).and_where("d_year", "==", 1994),
-        5, 7,
-        Predicate.true().between("lo_quantity", 26, 35),
-    )
-
-
-def _q2(tables, part_pred: Predicate, supplier_region: str) -> DimensionSide:
+def _q2(part_pred: Predicate, supplier_region: str) -> SsbQuery:
     dimensions = {
         "part": part_pred,
         "supplier": Predicate.where("s_region", "==", supplier_region),
         "date": Predicate.true(),
     }
-    return DimensionSide(tables, dimensions, ["d_year", "p_brand1", "lo_revenue"], _q2_revenue)
+    return SsbQuery(dimensions, ("d_year", "p_brand1"), "lo_revenue", "revenue", "lineorder", "keys")
 
 
-def _q2_revenue(joined: Table) -> Table:
-    result = group_aggregate(
-        joined, ["d_year", "p_brand1"], [Aggregation("revenue", "sum", "lo_revenue")]
-    )
-    return sort_rows(result, ["d_year", "p_brand1"])
-
-
-def q2_1(tables) -> DimensionSide:
-    return _q2(tables, Predicate.where("p_category", "==", "MFGR#12"), "AMERICA")
-
-
-def q2_2(tables) -> DimensionSide:
-    return _q2(
-        tables,
-        Predicate.true().between("p_brand1", "MFGR#2221", "MFGR#2228"),
-        "ASIA",
-    )
-
-
-def q2_3(tables) -> DimensionSide:
-    return _q2(tables, Predicate.where("p_brand1", "==", "MFGR#2239"), "EUROPE")
-
-
-def _q3(tables, customer_pred, supplier_pred, date_pred, group_cols) -> DimensionSide:
-    def revenue(joined: Table) -> Table:
-        result = group_aggregate(
-            joined, group_cols, [Aggregation("revenue", "sum", "lo_revenue")]
-        )
-        return sort_rows(result, "revenue", ascending=False)
-
+def _q3(customer_pred, supplier_pred, date_pred, group_by) -> SsbQuery:
     dimensions = {"customer": customer_pred, "supplier": supplier_pred, "date": date_pred}
-    return DimensionSide(tables, dimensions, [*group_cols, "lo_revenue"], revenue)
+    return SsbQuery(dimensions, group_by, "lo_revenue", "revenue", "lineorder", "desc")
 
 
-def q3_1(tables) -> DimensionSide:
-    return _q3(
-        tables,
-        Predicate.where("c_region", "==", "ASIA"),
-        Predicate.where("s_region", "==", "ASIA"),
-        Predicate.true().between("d_year", 1992, 1997),
-        ["c_nation", "s_nation", "d_year"],
-    )
-
-
-def q3_2(tables) -> DimensionSide:
-    return _q3(
-        tables,
-        Predicate.where("c_nation", "==", "UNITED STATES"),
-        Predicate.where("s_nation", "==", "UNITED STATES"),
-        Predicate.true().between("d_year", 1992, 1997),
-        ["c_city", "s_city", "d_year"],
-    )
-
-
-def _ki_cities(tables) -> list[str]:
-    cities = {
-        str(city)
-        for city in tables["customer"].column("c_city")
-        if str(city).startswith("UNITED KI")
-    }
-    return sorted(cities)[:2] or ["UNITED KI1", "UNITED KI5"]
-
-
-def q3_3(tables) -> DimensionSide:
-    cities = _ki_cities(tables)
-    return _q3(
-        tables,
-        Predicate.true().isin("c_city", cities),
-        Predicate.true().isin("s_city", cities),
-        Predicate.true().between("d_year", 1992, 1997),
-        ["c_city", "s_city", "d_year"],
-    )
-
-
-def q3_4(tables) -> DimensionSide:
-    cities = _ki_cities(tables)
-    return _q3(
-        tables,
-        Predicate.true().isin("c_city", cities),
-        Predicate.true().isin("s_city", cities),
-        Predicate.where("d_yearmonth", "==", "Dec1997"),
-        ["c_city", "s_city", "d_year"],
-    )
-
-
-def _q4(tables, customer_pred, supplier_pred, part_pred, date_pred, group_cols) -> DimensionSide:
-    def profit(joined: Table) -> Table:
-        profits = joined.column("lo_revenue") - joined.column("lo_supplycost")
-        augmented = Table(
-            "q4",
-            {**{c: joined.column(c) for c in group_cols}, "profit_amount": profits},
-        )
-        result = group_aggregate(
-            augmented, group_cols, [Aggregation("profit", "sum", "profit_amount")]
-        )
-        return sort_rows(result, group_cols)
-
+def _q4(customer_pred, supplier_pred, part_pred, date_pred, group_by) -> SsbQuery:
     dimensions = {"customer": customer_pred, "supplier": supplier_pred, "part": part_pred, "date": date_pred}
-    return DimensionSide(tables, dimensions, [*group_cols, "lo_revenue", "lo_supplycost"], profit)
+    return SsbQuery(dimensions, group_by, "lo_revenue - lo_supplycost", "profit", "q4", "keys")
 
 
-def q4_1(tables) -> DimensionSide:
-    return _q4(
-        tables,
-        Predicate.where("c_region", "==", "AMERICA"),
-        Predicate.where("s_region", "==", "AMERICA"),
-        Predicate.true().isin("p_mfgr", ["MFGR#1", "MFGR#2"]),
-        Predicate.true(),
-        ["d_year", "c_nation"],
-    )
+def _in_ki_cities(column: str) -> Callable[[dict], Predicate]:
+    """Rows whose ``column`` is one of the first two "UNITED KI" cities
+    customers live in."""
+    def predicate(tables) -> Predicate:
+        cities = {str(city) for city in tables["customer"].column("c_city") if str(city).startswith("UNITED KI")}
+        return Predicate.true().isin(column, sorted(cities)[:2] or ["UNITED KI1", "UNITED KI5"])
+    return predicate
 
 
-def q4_2(tables) -> DimensionSide:
-    return _q4(
-        tables,
-        Predicate.where("c_region", "==", "AMERICA"),
-        Predicate.where("s_region", "==", "AMERICA"),
-        Predicate.true().isin("p_mfgr", ["MFGR#1", "MFGR#2"]),
-        Predicate.true().isin("d_year", [1997, 1998]),
-        ["d_year", "s_nation", "p_category"],
-    )
+_AMERICA = Predicate.where("c_region", "==", "AMERICA"), Predicate.where("s_region", "==", "AMERICA")
+_MFGR_1_2 = Predicate.true().isin("p_mfgr", ["MFGR#1", "MFGR#2"])
+_1992_TO_1997 = Predicate.true().between("d_year", 1992, 1997)
 
-
-def q4_3(tables) -> DimensionSide:
-    return _q4(
-        tables,
-        Predicate.true(),
-        Predicate.where("s_nation", "==", "UNITED STATES"),
-        Predicate.where("p_category", "==", "MFGR#14"),
-        Predicate.true().isin("d_year", [1997, 1998]),
-        ["d_year", "s_city", "p_brand1"],
-    )
-
-
-_QUERIES: dict[str, Callable[[dict], DimensionSide]] = {
-    "Q1.1": q1_1, "Q1.2": q1_2, "Q1.3": q1_3,
-    "Q2.1": q2_1, "Q2.2": q2_2, "Q2.3": q2_3,
-    "Q3.1": q3_1, "Q3.2": q3_2, "Q3.3": q3_3, "Q3.4": q3_4,
-    "Q4.1": q4_1, "Q4.2": q4_2, "Q4.3": q4_3,
+SSB_QUERIES: dict[str, SsbQuery] = {
+    "Q1.1": _q1(Predicate.where("d_year", "==", 1993), 1, 3, Predicate.where("lo_quantity", "<", 25)),
+    "Q1.2": _q1(Predicate.where("d_yearmonthnum", "==", 199401), 4, 6,
+                Predicate.true().between("lo_quantity", 26, 35)),
+    "Q1.3": _q1(Predicate.where("d_weeknuminyear", "==", 6).and_where("d_year", "==", 1994), 5, 7,
+                Predicate.true().between("lo_quantity", 26, 35)),
+    "Q2.1": _q2(Predicate.where("p_category", "==", "MFGR#12"), "AMERICA"),
+    "Q2.2": _q2(Predicate.true().between("p_brand1", "MFGR#2221", "MFGR#2228"), "ASIA"),
+    "Q2.3": _q2(Predicate.where("p_brand1", "==", "MFGR#2239"), "EUROPE"),
+    "Q3.1": _q3(Predicate.where("c_region", "==", "ASIA"), Predicate.where("s_region", "==", "ASIA"),
+                _1992_TO_1997, ("c_nation", "s_nation", "d_year")),
+    "Q3.2": _q3(Predicate.where("c_nation", "==", "UNITED STATES"),
+                Predicate.where("s_nation", "==", "UNITED STATES"),
+                _1992_TO_1997, ("c_city", "s_city", "d_year")),
+    "Q3.3": _q3(_in_ki_cities("c_city"), _in_ki_cities("s_city"), _1992_TO_1997, ("c_city", "s_city", "d_year")),
+    "Q3.4": _q3(_in_ki_cities("c_city"), _in_ki_cities("s_city"), Predicate.where("d_yearmonth", "==", "Dec1997"),
+                ("c_city", "s_city", "d_year")),
+    "Q4.1": _q4(*_AMERICA, _MFGR_1_2, Predicate.true(), ("d_year", "c_nation")),
+    "Q4.2": _q4(*_AMERICA, _MFGR_1_2, Predicate.true().isin("d_year", [1997, 1998]),
+                ("d_year", "s_nation", "p_category")),
+    "Q4.3": _q4(Predicate.true(), Predicate.where("s_nation", "==", "UNITED STATES"),
+                Predicate.where("p_category", "==", "MFGR#14"), Predicate.true().isin("d_year", [1997, 1998]),
+                ("d_year", "s_city", "p_brand1")),
 }
 
-SSB_QUERY_NAMES = list(_QUERIES)
+SSB_QUERY_NAMES = list(SSB_QUERIES)
 
 
 def ssb_dimension_side(name: str, tables: dict[str, Table]) -> DimensionSide:
     """Query ``name``'s dimension side over ``tables`` (the four
     dimensions; lineorder is not read)."""
-    if name not in _QUERIES:
+    if name not in SSB_QUERIES:
         raise KeyError(f"unknown SSB query {name!r}; expected one of {SSB_QUERY_NAMES}")
-    return _QUERIES[name](tables)
+    return DimensionSide(tables, SSB_QUERIES[name])
 
 
 def run_ssb_query(name: str, tables: dict[str, Table]) -> Table:

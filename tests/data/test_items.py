@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data import DataItem, DataSet, total_size
+from repro.data import DataItem, DataSet, group_items_by_key, total_size
 
 
 def test_item_holds_bytes():
@@ -82,20 +82,9 @@ def test_set_keys_first_appearance_order():
         DataItem("c", b"", key="k2"),
         DataItem("d", b""),
     ])
-    assert data_set.keys() == ["k2", "k1", None]
-
-
-def test_grouped_by_key_partitions_items():
-    data_set = DataSet("s", [
-        DataItem("a", b"1", key="x"),
-        DataItem("b", b"2", key="y"),
-        DataItem("c", b"3", key="x"),
-    ])
-    groups = data_set.grouped_by_key()
-    assert len(groups) == 2
-    by_key = {group[0].key: [i.ident for i in group] for group in groups}
-    assert by_key == {"x": ["a", "c"], "y": ["b"]}
-    assert all(group.ident == "s" for group in groups)
+    groups = group_items_by_key(data_set)
+    assert list(groups) == ["k2", "k1", None]
+    assert [[item.ident for item in bucket] for bucket in groups.values()] == [["a", "c"], ["b"], ["d"]]
 
 
 def test_total_size():
@@ -103,26 +92,7 @@ def test_total_size():
     assert total_size(sets) == 7
 
 
-def test_keys_and_grouping_with_many_distinct_keys():
-    # Regression for the O(items x keys) scans: every item carries its
-    # own key, which made keys()/grouped_by_key() quadratic before the
-    # single-pass rewrite.  2000 distinct keys finishes instantly now;
-    # the old implementation did 4M membership probes over a list.
-    count = 2000
-    data_set = DataSet(
-        "s", [DataItem(f"i{n}", b"x", key=f"k{n}") for n in range(count)]
-    )
-    data_set.add(DataItem("tail", b"y", key="k0"))  # repeat of the first key
-    assert data_set.keys() == [f"k{n}" for n in range(count)]
-    groups = data_set.grouped_by_key()
-    assert len(groups) == count
-    assert [item.ident for item in groups[0]] == ["i0", "tail"]
-    assert all(group.ident == "s" for group in groups)
-
-
 def test_group_items_by_key_single_pass_engine():
-    from repro.data import group_items_by_key
-
     items = [
         DataItem("a", b"", key="x"),
         DataItem("b", b""),
@@ -133,3 +103,4 @@ def test_group_items_by_key_single_pass_engine():
     assert list(groups) == ["x", None, "y"]
     assert [i.ident for i in groups["x"]] == ["a", "c"]
     assert [i.ident for i in groups[None]] == ["b"]
+    assert [i.ident for i in groups["y"]] == ["d"]

@@ -33,7 +33,6 @@ def _assert_equivalent(lazy_sets, strict_sets):
         assert lazy.ident == strict.ident
         assert len(lazy) == len(strict)
         assert lazy.size == strict.size
-        assert lazy.keys() == strict.keys()
         for item_lazy, item_strict in zip(lazy, strict):
             assert item_lazy.ident == item_strict.ident
             assert item_lazy.key == item_strict.key
@@ -191,23 +190,6 @@ def test_lazy_set_is_read_only():
     view = parse_sets_lazy(blob)[0]
     with pytest.raises(TypeError):
         view.add(DataItem("new", b""))
-
-
-def test_grouped_by_key_keeps_items_lazy():
-    sets = [
-        DataSet(
-            "s",
-            [DataItem(f"i{n}", b"payload", key=f"k{n % 3}") for n in range(9)],
-        )
-    ]
-    view = parse_sets_lazy(serialize_sets(sets))[0]
-    groups = view.grouped_by_key()
-    assert [group.keys() for group in groups] == [["k0"], ["k1"], ["k2"]]
-    for group in groups:
-        assert isinstance(group, DataSet)
-        for item in group:
-            assert isinstance(item, LazyDataItem)
-            assert item._data is None  # grouping never copied payloads
 
 
 def test_eager_set_accepts_lazy_items():

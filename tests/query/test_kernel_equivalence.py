@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.query import Aggregation, Table, TableError, group_aggregate, hash_join
+from repro.query.operators import _dense_index, _match_sorted
 
 from .row_oracle import row_loop_group_aggregate, row_loop_join
 
@@ -126,6 +127,49 @@ def test_join_of_string_with_numeric_keys_is_a_table_error():
     right = Table("r", {"k": [1, 2]})
     with pytest.raises(TableError, match="do not compare"):
         hash_join(left, right, "k", "k")
+
+
+DENSE_KEY_DTYPES = st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint32])
+INTEGER_DTYPES = st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint32, np.uint64])
+
+
+@st.composite
+def dense_searches(draw):
+    """Unique ascending integer keys a few hundred apart, and values near
+    them or at the ends of their own dtype, each dtype drawn."""
+    key_info, value_info = np.iinfo(draw(DENSE_KEY_DTYPES)), np.iinfo(draw(INTEGER_DTYPES))
+    base = draw(st.integers(int(key_info.min), int(key_info.max)))
+    steps = draw(st.lists(st.integers(0, 300), min_size=1, max_size=20))
+    keys = sorted({min(int(key_info.max), base + step) for step in steps})
+    near = st.integers(base - 5, base + 305).map(lambda v: min(max(v, int(value_info.min)), int(value_info.max)))
+    values = draw(st.lists(st.one_of(near, st.sampled_from([int(value_info.min), int(value_info.max), 0])),
+                           max_size=30))
+    return np.asarray(keys, dtype=key_info.dtype), np.asarray(values, dtype=value_info.dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_searches())
+@example((np.asarray([-1, 127], dtype=np.int8), np.asarray([0, 127, -128], dtype=np.int8)))
+@example((np.asarray([2**63 - 9, 2**63 - 1], dtype=np.int64), np.asarray([-2**63, 2**63 - 1], dtype=np.int64)))
+def test_dense_search_matches_binary_search(case):
+    keys, values = case
+    dense = _dense_index(keys)
+    assert dense is not None
+    try:
+        expected = _match_sorted(values, keys, "k")
+    except TableError:
+        with pytest.raises(TableError, match="mix uint64"):
+            _match_sorted(values, keys, "k", dense)
+        return
+    found, at = _match_sorted(values, keys, "k", dense)
+    assert (found.tolist(), at.tolist()) == (expected[0].tolist(), expected[1].tolist())
+
+
+def test_keys_spread_wide_get_no_dense_index():
+    assert _dense_index(np.asarray([0, 1 << 20], dtype=np.int64)) is None
+    assert _dense_index(np.asarray([1.0, 2.0])) is None
+    assert _dense_index(np.asarray([1, 2], dtype=np.uint64)) is None
+    assert _dense_index(np.asarray([0, (1 << 20) - 1], dtype=np.int64)).tolist().count(-1) == (1 << 20) - 2
 
 
 ALL_AGGREGATES = [

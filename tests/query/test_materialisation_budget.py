@@ -58,11 +58,12 @@ def test_q2_1_builds_only_its_filter_and_group_columns(strings_built):
     tables = run_query("Q2.1")
     # The partials share one decoded part and supplier table, so all of
     # part is built on p_category and all of supplier on s_region once
-    # per query, not once per partition; p_brand1 is built only for the
-    # rows that survive the three joins and for the partial-result rows
-    # ``final`` merges — 97 strings at this scale, not 2 x 200 part rows.
+    # per query, not once per partition.  p_brand1 is built once for the
+    # part rows the filter keeps (10 at this scale), where the side codes
+    # it, and for the partial-result rows ``final`` merges (23 + 21): 54
+    # strings, not one per joined row and not 2 x 200 part rows.
     assert strings_built == {
         "p_category": tables["part"].num_rows,
         "s_region": tables["supplier"].num_rows,
-        "p_brand1": 97,
+        "p_brand1": 54,
     }

@@ -175,3 +175,8 @@ def test_limit():
     assert limit(orders(), 0).num_rows == 0
     with pytest.raises(TableError):
         limit(orders(), -1)
+
+
+def test_sort_objects_that_are_not_str_by_their_str():
+    table = Table("t", {"x": np.asarray([10, 9, 100], dtype=object)})
+    assert sort_rows(table, "x").column("x").tolist() == [10, 100, 9]
