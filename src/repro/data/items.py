@@ -18,6 +18,7 @@ __all__ = [
     "DataSet",
     "total_size",
     "group_items_by_key",
+    "is_data_item",
     "is_data_set",
     "renamed_item",
     "register_item_type",
@@ -83,6 +84,11 @@ def renamed_item(item, ident: str):
     clone = copy.copy(item)
     object.__setattr__(clone, "ident", ident)  # DataItem is frozen
     return clone
+
+
+def is_data_item(value) -> bool:
+    """Whether ``value`` is a data item (eager or a registered view)."""
+    return isinstance(value, _ITEM_TYPES)
 
 
 def is_data_set(value) -> bool:

@@ -19,7 +19,7 @@ import io
 import posixpath
 from typing import Optional
 
-from .items import DataItem, DataSet
+from .items import DataItem, DataSet, is_data_item
 
 __all__ = ["VirtualFileSystem", "VfsError", "VirtualFile"]
 
@@ -96,9 +96,9 @@ class VirtualFileSystem:
         self._output_names = list(output_set_names)
         if len(set(self._output_names)) != len(self._output_names):
             raise VfsError("duplicate output set names")
-        # path -> (bytes, key); plus a per-set item-name index so
-        # listdir/collect_outputs avoid rescanning every written path.
-        self._output_files: dict[str, tuple[bytes, Optional[str]]] = {}
+        # path -> (bytes or an item, key); plus a per-set item-name index
+        # so listdir/collect_outputs avoid rescanning every written path.
+        self._output_files: dict[str, tuple[object, Optional[str]]] = {}
         self._outputs_by_set: dict[str, dict[str, str]] = {
             name: {} for name in self._output_names
         }
@@ -120,9 +120,7 @@ class VirtualFileSystem:
             return io.BytesIO(data) if binary else io.StringIO(data.decode("utf-8"))
         if base_mode in ("w", "a"):
             clean = self._writable(path)
-            initial = b""
-            if base_mode == "a" and clean in self._output_files:
-                initial = self._output_files[clean][0]
+            initial = self._written(clean) if base_mode == "a" and clean in self._output_files else b""
             raw = VirtualFile(self, clean, initial, key=key)
             return raw if binary else _TextWriter(raw)
         raise VfsError(f"unsupported mode {mode!r}")
@@ -140,7 +138,7 @@ class VirtualFileSystem:
                 raise VfsError(f"no file {clean!r}") from None
         if root == _OUT_ROOT:
             if clean in self._output_files:
-                return self._output_files[clean][0]
+                return self._written(clean)
             raise VfsError(f"no file {clean!r}")
         raise VfsError(f"unknown root {root!r}")
 
@@ -162,6 +160,14 @@ class VirtualFileSystem:
         intermediate BytesIO buffer.
         """
         self._publish(self._writable(path), bytes(data), key)
+
+    def write_item(self, path: str, item) -> None:
+        """Publish ``item`` (a registered item type named as the file) at
+        ``path`` by reference, with its own key: nothing is copied or built."""
+        clean = self._writable(path)
+        if not is_data_item(item) or _item_path(clean)[3] != item.ident:
+            raise VfsError(f"cannot publish a {type(item).__name__} as {clean!r}: not an item of that name")
+        self._publish(clean, item, item.key)
 
     def _writable(self, path: str) -> str:
         """The clean path of ``path``, a file in a declared output set."""
@@ -210,7 +216,11 @@ class VirtualFileSystem:
 
     # -- output collection -----------------------------------------------
 
-    def _publish(self, path: str, data: bytes, key: Optional[str]) -> None:
+    def _written(self, clean: str) -> bytes:
+        data = self._output_files[clean][0]
+        return data if isinstance(data, bytes) else data.data
+
+    def _publish(self, path: str, data, key: Optional[str]) -> None:
         self._output_files[path] = (data, key)
         _clean, _root, set_name, item_name = _item_path(path)
         self._outputs_by_set[set_name][item_name] = path
@@ -229,7 +239,7 @@ class VirtualFileSystem:
             by_set = self._outputs_by_set[set_name]
             for item_name in sorted(by_set):
                 data, key = self._output_files[by_set[item_name]]
-                data_set.add(DataItem(item_name, data, key=key))
+                data_set.add(DataItem(item_name, data, key=key) if isinstance(data, bytes) else data)
             outputs.append(data_set)
         return outputs
 

@@ -19,7 +19,7 @@ from ..composition.registry import (
     FunctionBinary,
 )
 from ..data.envelope import read_envelope, write_envelope
-from ..data.items import DataItem
+from ..data.items import DataItem, is_data_item
 from ..data.vfs import VirtualFileSystem
 
 __all__ = [
@@ -79,11 +79,18 @@ def write_item(
     vfs: VirtualFileSystem,
     set_name: str,
     item_name: str,
-    data: bytes,
+    data,
     key: Optional[str] = None,
 ) -> None:
-    """Write one output item (bytes) into an output set folder."""
-    vfs.write_bytes(f"/out/{set_name}/{item_name}", data, key=key)
+    """Write one output item into an output set folder: ``data`` is bytes
+    under ``key``, or a pre-built item named ``item_name`` (a
+    :class:`~repro.query.TableItem`, say) published by reference under
+    its own key."""
+    path = f"/out/{set_name}/{item_name}"
+    if not isinstance(data, (bytes, bytearray, memoryview)) and is_data_item(data):
+        vfs.write_item(path, data)
+    else:
+        vfs.write_bytes(path, data, key=key)
 
 
 def format_http_request(

@@ -1,7 +1,7 @@
 """Columnar query engine, SSB benchmark, mini-SQL, and Athena model."""
 
 from .athena import AthenaModel, Ec2CostModel, M7A_8XLARGE_HOURLY_USD
-from .columnar import Table, TableError
+from .columnar import Table, TableError, TableItem
 from .operators import (
     Aggregation,
     Predicate,
@@ -32,6 +32,7 @@ __all__ = [
     "M7A_8XLARGE_HOURLY_USD",
     "Table",
     "TableError",
+    "TableItem",
     "Aggregation",
     "Predicate",
     "filter_rows",

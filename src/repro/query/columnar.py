@@ -13,7 +13,6 @@ decoded when :meth:`Table.column` first asks (docs/dataplane.md, COLT).
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from itertools import repeat
@@ -21,7 +20,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-__all__ = ["Table", "TableError"]
+from ..data.items import register_item_type
+
+__all__ = ["Table", "TableError", "TableItem"]
 
 _MAGIC = b"COLT"
 _NUMERIC_KINDS = ("i", "u", "f", "b")
@@ -173,18 +174,16 @@ class Table:
 
     # -- serialization --------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Serialize to the self-describing binary format."""
-        header: dict = {"name": self.name, "rows": self._length, "columns": []}
-        buffers: list[bytes] = []
+    def _layout(self) -> tuple[bytes, list[np.ndarray]]:
+        """The header blob and the buffers after it, contiguous arrays of
+        ``nbytes`` each: the one layout of the format, which
+        :meth:`to_bytes` writes and :class:`TableItem` measures."""
+        columns, buffers = [], []
         for column_name in self._columns:
             array = self.column(column_name)
             if array.dtype.kind in _NUMERIC_KINDS:
-                data = np.ascontiguousarray(array).tobytes()
-                header["columns"].append(
-                    {"name": column_name, "kind": "numeric", "dtype": array.dtype.str}
-                )
-                buffers.append(data)
+                columns.append({"name": column_name, "kind": "numeric", "dtype": array.dtype.str})
+                buffers.append(np.ascontiguousarray(array))
             else:
                 # One encode; only non-ASCII text needs byte lengths per item.
                 strings = array.tolist()
@@ -198,18 +197,18 @@ class Table:
                     strings = [string.encode("utf-8") for string in strings]
                 offsets = np.zeros(len(strings) + 1, dtype=np.int64)
                 np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=offsets[1:])
-                header["columns"].append({"name": column_name, "kind": "string"})
-                buffers.append(offsets.tobytes())
-                buffers.append(payload)
-        header_blob = json.dumps(header).encode("utf-8")
-        out = io.BytesIO()
-        out.write(_MAGIC)
-        out.write(struct.pack("<I", len(header_blob)))
-        out.write(header_blob)
+                columns.append({"name": column_name, "kind": "string"})
+                buffers += (offsets, np.frombuffer(payload, np.uint8))
+        header = {"name": self.name, "rows": self._length, "columns": columns}
+        return json.dumps(header).encode("utf-8"), buffers
+
+    def to_bytes(self) -> bytes:
+        """Serialize to the self-describing binary format."""
+        header, buffers = self._layout()
+        parts = [_MAGIC, struct.pack("<I", len(header)), header]
         for buffer in buffers:
-            out.write(struct.pack("<Q", len(buffer)))
-            out.write(buffer)
-        return out.getvalue()
+            parts += (struct.pack("<Q", buffer.nbytes), buffer)
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Table":
@@ -230,8 +229,10 @@ class Table:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise TableError(f"corrupt table header: {exc!r}") from exc
         names = [name, *(field[0] for field in fields)]
-        if not all(isinstance(n, str) for n in names) or not isinstance(rows, int) or rows < 0:
+        if not all(isinstance(n, str) for n in names) or type(rows) is not int or rows < 0:
             raise TableError("corrupt table header: bad name or row count")
+        if len(set(names[1:])) != len(fields):
+            raise TableError("corrupt table header: duplicate column name")
 
         def next_array(dtype: np.dtype, count: Optional[int]) -> np.ndarray:
             nonlocal position
@@ -283,6 +284,33 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {self._length} rows x {len(self._columns)} cols)"
+
+
+class TableItem:
+    """A :class:`~repro.data.items.DataItem` that is an unwritten table:
+    ``table`` by reference, its columns made read-only so every reader
+    may share it, and ``size``, exactly ``len(table.to_bytes())``.  The
+    bytes are built only if ``.data`` is read."""
+
+    __slots__ = ("ident", "key", "table", "size", "_data", "__weakref__")
+
+    def __init__(self, ident: str, table: Table, key: Optional[str] = None):
+        for column in table._columns.values():
+            if isinstance(column, np.ndarray):
+                _read_only(column)
+        header, buffers = table._layout()
+        self.ident, self.key, self.table, self._data = ident, key, table, None
+        self.size = len(_MAGIC) + 4 + len(header) + sum(8 + buffer.nbytes for buffer in buffers)
+
+    @property
+    def data(self) -> bytes:
+        """The table's bytes, built on first access."""
+        if self._data is None:
+            self._data = self.table.to_bytes()
+        return self._data
+
+
+register_item_type(TableItem)
 
 
 def _checked_name(name: str) -> str:

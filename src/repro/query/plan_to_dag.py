@@ -14,8 +14,10 @@ dimension table; the communication function fetches them from the
 (simulated) S3 bucket; one ``partial`` instance per partition joins its
 chunk with the broadcast dimensions and computes partial aggregates;
 ``final`` merges partials (all SSB aggregates are re-aggregable sums)
-and applies the query's ordering.  An invocation's partials probe one
-read-only dimension side, decoded and built once (:func:`dimension_side`).
+and applies the query's ordering.  Stored tables are decoded once, where
+they are stored (:func:`load_ssb_to_store`); an invocation's partials
+probe one dimension side built once (:func:`dimension_side`), and partial
+and result tables travel by reference (:class:`~repro.query.TableItem`).
 
 This is exactly how "Dandelion quickly boots sandboxes and spreads
 query execution across all 32 CPU cores": partition parallelism via an
@@ -36,7 +38,7 @@ from ..functions.sdk import (
 )
 from ..net.services import ObjectStoreService
 from ..worker import WorkerNode
-from .columnar import Table
+from .columnar import Table, TableItem
 from .ssb import SSB_QUERIES, DimensionSide, ssb_dimension_side
 
 __all__ = [
@@ -67,6 +69,9 @@ def partition_table(table: Table, partitions: int) -> list[Table]:
     ]
 
 
+_DECODED: dict[int, tuple[bytes, Table]] = {}  # id(stored blob) -> (blob, its table), while the store lives
+
+
 def load_ssb_to_store(
     tables: dict[str, Table],
     store: ObjectStoreService,
@@ -76,22 +81,35 @@ def load_ssb_to_store(
     """Serialize SSB tables into the object store.
 
     The fact table is split into ``partitions`` objects
-    (``lineorder/part<i>``); dimensions are single objects.  Returns a
-    manifest with object names and total bytes.
+    (``lineorder/part<i>``); dimensions are single objects, and each is
+    decoded once, read-only (:func:`_stored_table`).  Returns a manifest
+    with object names and total bytes.
     """
     manifest = {"bucket": bucket, "partitions": partitions, "objects": {}, "total_bytes": 0}
-    for index, chunk in enumerate(partition_table(tables["lineorder"], partitions)):
-        key = f"lineorder/part{index}"
-        blob = chunk.to_bytes()
-        store.put_object(bucket, key, blob)
+    chunks = partition_table(tables["lineorder"], partitions)
+    objects = {f"lineorder/part{index}": chunk for index, chunk in enumerate(chunks)}
+    objects.update((name, tables[name]) for name in _DIMENSIONS)
+    for key, table in objects.items():
+        store.put_object(bucket, key, table.to_bytes())
+        blob = store.get_object(bucket, key)
+        _DECODED[id(blob)] = (blob, Table.from_bytes(blob))
+        weakref.finalize(store, _DECODED.pop, id(blob), None)
         manifest["objects"][key] = len(blob)
         manifest["total_bytes"] += len(blob)
-    for name in _DIMENSIONS:
-        blob = tables[name].to_bytes()
-        store.put_object(bucket, name, blob)
-        manifest["objects"][name] = len(blob)
-        manifest["total_bytes"] += len(blob)
     return manifest
+
+
+def _stored_table(item) -> Table:
+    """The table in response ``item``'s body: the one decoded where it is
+    stored if the body is that very object, else decoded now."""
+    body = parse_http_response_item(item)["body"]
+    entry = _DECODED.get(id(body))
+    return entry[1] if entry is not None and entry[0] is body else Table.from_bytes(body)
+
+
+def _item_table(item) -> Table:
+    """The table a ``partial`` wrote: held by reference, or decoded."""
+    return item.table if isinstance(item, TableItem) else Table.from_bytes(item.data)
 
 
 _BROADCAST: dict[tuple, DimensionSide] = {}  # (query, id(item), ...) -> its side, while the items live
@@ -99,14 +117,13 @@ _BROADCAST: dict[tuple, DimensionSide] = {}  # (query, id(item), ...) -> its sid
 
 def dimension_side(query_name: str, items) -> DimensionSide:
     """``query_name``'s dimension side over the tables in broadcast
-    response ``items``: decoded and built once per tuple of items (by
-    identity, never content) and probed read-only by every instance that
-    receives them; the entry dies with the items, so each invocation
-    builds anew."""
+    response ``items``: built once per tuple of items (by identity, never
+    content) and probed read-only by every instance that receives them;
+    the entry dies with the items, so each invocation builds anew."""
     key = (query_name, *map(id, items))
     side = _BROADCAST.get(key)
     if side is None:
-        tables = {item.ident: Table.from_bytes(parse_http_response_item(item)["body"]) for item in items}
+        tables = {item.ident: _stored_table(item) for item in items}
         side = _BROADCAST[key] = ssb_dimension_side(query_name, tables)
         for item in items:
             weakref.finalize(item, _BROADCAST.pop, key, None)
@@ -146,11 +163,9 @@ def register_ssb_query(
         memory_limit=1 << 31,
     )
     def partial(vfs):
-        chunk_item = read_items(vfs, "chunk")[0]
-        chunk = Table.from_bytes(parse_http_response_item(chunk_item)["body"])
+        chunk = _stored_table(read_items(vfs, "chunk")[0])
         side = dimension_side(query_name, read_items(vfs, "dims"))
-        result = side.probe(chunk.with_name("lineorder"))
-        write_item(vfs, "partial", "agg", result.to_bytes())
+        write_item(vfs, "partial", "agg", TableItem("agg", side.probe(chunk.with_name("lineorder"))))
 
     @compute_function(
         name=f"{tag}_final",
@@ -158,8 +173,8 @@ def register_ssb_query(
         memory_limit=1 << 31,
     )
     def final(vfs):
-        result = query.merge([Table.from_bytes(item.data) for item in read_items(vfs, "partials")])
-        write_item(vfs, "result", "table", result.to_bytes())
+        result = query.merge([_item_table(item) for item in read_items(vfs, "partials")])
+        write_item(vfs, "result", "table", TableItem("table", result))
         write_item(
             vfs, "result", "rows",
             json.dumps(result.to_rows(), default=str).encode(),

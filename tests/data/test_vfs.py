@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import DataItem, DataSet, VfsError, VirtualFileSystem
+from repro.data import DataItem, DataSet, EnvelopeItem, VfsError, VirtualFileSystem
 from repro.data import vfs as vfs_module
 
 
@@ -99,6 +99,29 @@ def test_overwrite_replaces():
     vfs.write_bytes("/out/resp/r", b"new")
     assert vfs.read_bytes("/out/resp/r") == b"new"
     assert len(vfs.collect_outputs()[0]) == 1
+
+
+def test_published_item_is_collected_by_reference():
+    vfs = make_vfs()
+    item = EnvelopeItem("reply", {"status": 200}, "body_hex", b"\x01", key="k")
+    vfs.write_item("/out/resp/reply", item)
+    assert vfs.read_bytes("/out/resp/reply") == item.data
+    with vfs.open("/out/resp/reply", "ab") as handle:  # appending writes bytes
+        handle.write(b"!")
+    assert vfs.read_bytes("/out/resp/reply") == item.data + b"!"
+    vfs.write_item("/out/resp/reply", item)
+    (collected,) = vfs.collect_outputs()[0]
+    assert collected is item and collected.key == "k"
+
+
+@pytest.mark.parametrize("path, item", [
+    ("/out/resp/other", DataItem("reply", b"x")),  # not named as the file
+    ("/out/resp/reply", b"x"),  # not an item
+    ("/in/req/reply", DataItem("reply", b"x")),  # not an output
+])
+def test_publishing_a_misfit_item_raises(path, item):
+    with pytest.raises(VfsError):
+        make_vfs().write_item(path, item)
 
 
 def test_listdir_roots_and_sets():

@@ -1,12 +1,18 @@
-"""Broadcast dimensions: decoded and built into a side once per invocation.
+"""Stored tables are decoded once; broadcast dimensions are built into a
+side once per invocation.
 
+``load_ssb_to_store`` decodes every chunk and dimension it stores, once;
+a ``partial`` whose response body is that very stored object probes the
+decoded table, and anything else (a re-PUT object, a body that took the
+wire path) is decoded again.  The decoded tables die with the store.
 The ``partial`` instances of one SSB invocation receive the same four
 dimension items over the ``all`` edge and probe one shared dimension
-side: the tables decoded, filtered, projected and ordered once.  The
-sharing is scoped to the items: a second invocation builds again, and
-nothing outlives the invocation.  The differential runs every query as
-shipped and with a side decoded and built per ``partial`` instance:
-outputs, virtual finish time and the committed-memory series must agree.
+side: the tables filtered, projected and ordered once.  The side is
+scoped to the items: a second invocation builds again, and no side
+outlives the invocation.  The differential runs every query as shipped
+and with every table decoded and a side built per ``partial`` instance,
+and ``final`` decoding the partial results: outputs, virtual finish time
+and the committed-memory series must agree.
 """
 
 import gc
@@ -14,6 +20,7 @@ import weakref
 
 import pytest
 
+from repro.data import DataItem, EnvelopeItem
 from repro.functions.sdk import parse_http_response_item
 from repro.query import (
     SSB_QUERY_NAMES,
@@ -49,48 +56,103 @@ def decodes(monkeypatch):
 
 
 @pytest.mark.parametrize("partitions", [1, 2, 4])
-def test_from_bytes_calls_are_four_plus_two_per_partition(ssb_tables, decodes, partitions):
-    # 4 dimensions once, then per partition its chunk (in ``partial``)
-    # and its partial result (in ``final``): Q2.1 at P=2 is 8, was 12.
+def test_from_bytes_runs_at_load_and_never_inside_an_invocation(ssb_tables, decodes, partitions):
+    # P chunks and 4 dimensions, where they are stored; an invocation
+    # used to add 4 + 2P (Q2.1 at P=2: 8).
     worker, _store, _manifest = make_worker_with_store(ssb_tables, partitions=partitions)
+    assert len(decodes) == partitions + 4
+    decodes.clear()
     composition = register_ssb_query(worker, "Q2.1", partitions=partitions)
     assert worker.invoke_and_run(composition, {"query": b"Q2.1"}).ok
-    assert len(decodes) == 4 + 2 * partitions
+    assert decodes == []
 
 
-TWICE_EACH = ["customer", "customer", "date", "date", "part", "part", "supplier", "supplier"]
-
-
-def dimension_decodes(decodes):
-    return sorted(table.name for table in decodes if table.name != "lineorder")
-
-
-def test_each_invocation_decodes_its_own_dimensions(ssb_tables, decodes):
+def test_no_decode_inside_an_invocation(ssb_tables, decodes):
     worker, _store, _manifest = make_worker_with_store(ssb_tables, partitions=2)
+    decodes.clear()
     composition = register_ssb_query(worker, "Q2.1", partitions=2)
     for _ in range(2):
         assert worker.invoke_and_run(composition, {"query": b"Q2.1"}).ok
-    assert len(decodes) == 16 and dimension_decodes(decodes) == TWICE_EACH
-    # Two invocations in flight at once hold equal dimension bytes: the
-    # memo is keyed by item identity, so neither reads the other's table.
-    decodes.clear()
+    # Two invocations in flight at once read the same stored tables.
     invocations = [worker.frontend.invoke(composition, {"query": b"Q2.1"}) for _ in range(2)]
     worker.run()
     assert all(invocation.value.ok for invocation in invocations)
-    assert dimension_decodes(decodes) == TWICE_EACH
+    assert decodes == []
 
 
-def test_no_decoded_dimension_outlives_its_invocation(ssb_tables, decodes):
-    worker, _store, _manifest = make_worker_with_store(ssb_tables, partitions=2)
+def test_decoded_tables_die_with_the_store(ssb_tables, decodes):
+    worker, store, _manifest = make_worker_with_store(ssb_tables, partitions=2)
     composition = register_ssb_query(worker, "Q3.1", partitions=2)
-    result = worker.invoke_and_run(composition, {"query": b"Q3.1"})
-    assert result.ok
-    refs = [weakref.ref(table) for table in decodes if table.name == "part"]
-    assert len(refs) == 1
+    assert worker.invoke_and_run(composition, {"query": b"Q3.1"}).ok
+    refs = [weakref.ref(table) for table in decodes]
+    assert len(refs) == 6 and all(ref() is not None for ref in refs)
+    del worker, store
     decodes.clear()
     gc.collect()
-    assert refs[0]() is None
-    assert plan_to_dag._BROADCAST == {}
+    assert [ref() for ref in refs] == [None] * 6
+    assert plan_to_dag._DECODED == {} and plan_to_dag._BROADCAST == {}
+
+
+def test_equal_bytes_under_another_object_are_decoded_again(ssb_tables, decodes):
+    worker, store, _manifest = make_worker_with_store(ssb_tables, partitions=2)
+    composition = register_ssb_query(worker, "Q2.1", partitions=2)
+    before = worker.invoke_and_run(composition, {"query": b"Q2.1"})
+    for key in ("lineorder/part1", "part"):
+        blob = store.get_object("ssb", key)
+        store.put_object("ssb", key, bytes(bytearray(blob)))  # equal, not the same object
+    decodes.clear()
+    after = worker.invoke_and_run(composition, {"query": b"Q2.1"})
+    assert sorted(table.name for table in decodes) == ["lineorder", "part"]
+    assert after.output("result").item("table").data == before.output("result").item("table").data
+
+
+def test_a_body_that_took_the_wire_path_is_decoded(ssb_tables, decodes):
+    _worker, store, _manifest = make_worker_with_store(ssb_tables, partitions=1)
+    blob = store.get_object("ssb", "supplier")
+    wire = DataItem("supplier", EnvelopeItem("supplier", {"status": 200}, "body_hex", blob).data)
+    decodes.clear()
+    assert plan_to_dag._stored_table(wire).to_bytes() == blob
+    assert len(decodes) == 1
+
+
+def test_stored_tables_are_unchanged_by_every_query(ssb_tables):
+    worker, store, manifest = make_worker_with_store(ssb_tables, partitions=2)
+    for query in SSB_QUERY_NAMES:
+        assert worker.invoke_and_run(register_ssb_query(worker, query, partitions=2), {"query": query.encode()}).ok
+    for key in manifest["objects"]:
+        blob = store.get_object("ssb", key)
+        stored, table = plan_to_dag._DECODED[id(blob)]
+        fresh = Table.from_bytes(blob)
+        assert stored is blob and table.column_names == fresh.column_names
+        for name in fresh.column_names:
+            assert table.column(name).dtype == fresh.column(name).dtype
+            assert table.column(name).tolist() == fresh.column(name).tolist()
+
+
+def _write_into(table, column):
+    table.column(column)[0] = table.column(column)[1]
+
+
+@pytest.mark.parametrize("target", ["part.p_partkey", "part.p_brand1", "lineorder.lo_revenue"])
+def test_a_partial_cannot_write_into_a_table_it_was_given(ssb_tables, monkeypatch, target):
+    table_name, column = target.split(".")
+    if table_name == "lineorder":
+        real_probe = ssb.DimensionSide.probe
+        monkeypatch.setattr(
+            ssb.DimensionSide, "probe", lambda side, chunk: (_write_into(chunk, column), real_probe(side, chunk))[1]
+        )
+    else:
+        monkeypatch.setattr(
+            plan_to_dag, "ssb_dimension_side",
+            lambda name, tables: (_write_into(tables[table_name], column), ssb_dimension_side(name, tables))[1],
+        )
+    worker, store, _manifest = make_worker_with_store(ssb_tables, partitions=2)
+    result = worker.invoke_and_run(register_ssb_query(worker, "Q2.1", partitions=2), {"query": b"Q2.1"})
+    assert not result.ok
+    assert "read-only" in str(result.error)
+    for key in ("lineorder/part0", "part"):
+        blob = store.get_object("ssb", key)
+        assert plan_to_dag._DECODED[id(blob)][1].to_bytes() == blob
 
 
 @pytest.fixture
@@ -157,16 +219,22 @@ def _run(tables, query):
     return outputs, result.finished_at, memory.times, memory.values, memory.peak_bytes
 
 
+def _decode_every_call(item):
+    return Table.from_bytes(parse_http_response_item(item)["body"])
+
+
 def _side_every_call(query_name, items):
-    tables = {item.ident: Table.from_bytes(parse_http_response_item(item)["body"]) for item in items}
-    return ssb_dimension_side(query_name, tables)
+    return ssb_dimension_side(query_name, {item.ident: _decode_every_call(item) for item in items})
 
 
 @pytest.mark.parametrize("query", SSB_QUERY_NAMES)
 def test_shared_decode_equals_decode_per_instance(ssb_tables, query, monkeypatch):
-    # Per instance: each partial decodes its own dimension tables and
-    # builds its own side from them.
+    # Per instance: each partial decodes its chunk and its own dimension
+    # tables and builds its own side from them; final decodes the
+    # partial results from their bytes.
     shared = _run(ssb_tables, query)
+    monkeypatch.setattr(plan_to_dag, "_stored_table", _decode_every_call)
     monkeypatch.setattr(plan_to_dag, "dimension_side", _side_every_call)
+    monkeypatch.setattr(plan_to_dag, "_item_table", lambda item: Table.from_bytes(item.data))
     assert shared == _run(ssb_tables, query)
     assert len(shared[2]) > 4 and shared[4] > 0  # a real memory series was compared

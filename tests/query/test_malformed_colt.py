@@ -51,12 +51,18 @@ CORPUS = {
     "name is empty": (colt({"name": "", "rows": 0, "columns": []}), "non-empty"),
     "rows is a string": (colt({"name": "t", "rows": "2", "columns": []}), "bad name or row count"),
     "rows is negative": (colt({"name": "t", "rows": -1, "columns": []}), "bad name or row count"),
+    "rows is a bool": (colt({"name": "t", "rows": True, "columns": []}), "bad name or row count"),
     "columns is a number": (colt({"name": "t", "rows": 0, "columns": 3}), "corrupt table header"),
     "descriptor is a string": (colt({"name": "t", "rows": 0, "columns": ["n"]}), "corrupt table header"),
     "descriptor lacks kind": (colt({"name": "t", "rows": 0, "columns": [{"name": "n"}]}), "corrupt table header"),
     "column name is a list": (colt({"name": "t", "rows": 2, "columns": [{"name": [], "kind": "numeric", "dtype": "<i8"}]}, INT64_PAIR), "bad name or row count"),
     "column name is a number": (colt({"name": "t", "rows": 0, "columns": [{"name": 3, "kind": "string"}]}), "bad name or row count"),
     "unknown column kind": (colt({"name": "t", "rows": 0, "columns": [{"name": "n", "kind": "blob"}]}), "unknown column kind"),
+    # Parsed, the second column would silently replace the first.
+    "duplicate column name": (
+        colt({"name": "t", "rows": 2, "columns": [numeric_header()["columns"][0]] * 2}, INT64_PAIR, INT64_PAIR),
+        "duplicate column name",
+    ),
     # numeric columns
     "unknown dtype": (colt(numeric_header("zz9"), INT64_PAIR), "no numeric dtype"),
     "object dtype": (colt(numeric_header("O"), INT64_PAIR), "no numeric dtype"),

@@ -60,10 +60,11 @@ def test_q2_1_builds_only_its_filter_and_group_columns(strings_built):
     # part is built on p_category and all of supplier on s_region once
     # per query, not once per partition.  p_brand1 is built once for the
     # part rows the filter keeps (10 at this scale), where the side codes
-    # it, and for the partial-result rows ``final`` merges (23 + 21): 54
-    # strings, not one per joined row and not 2 x 200 part rows.
+    # it; ``final`` merges the partial results by reference, so their
+    # rows (23 + 21) are not decoded again: 10 strings, not one per
+    # joined row and not 2 x 200 part rows.
     assert strings_built == {
         "p_category": tables["part"].num_rows,
         "s_region": tables["supplier"].num_rows,
-        "p_brand1": 54,
+        "p_brand1": 10,
     }
