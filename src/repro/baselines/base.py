@@ -20,7 +20,7 @@ Each request is *hot* with a fixed probability ``hot_ratio`` (the
 requests start in a pre-provisioned sandbox; a cold request first
 boots a fresh one.  The model accounts time, not memory: the Knative
 keep-alive memory behaviour of Figs 1 and 10 is modelled by the sharded
-trace replay's lean FaaS worker (:mod:`repro.sim.sharded.shard`).
+trace replay's FaaS worker (:mod:`repro.sim.sharded.shard`).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ experiment replays the same Dandelion-vs-Firecracker+Knative comparison
 at ``scale`` times the sample (``scale=100`` → 10,000 functions at
 1,200 rps aggregate) through :mod:`repro.sim.sharded`: a streamed trace
 (O(functions) memory), window-batched routing over the fleet snapshot,
-and the lean event kernel.
+and FIFO-core workers that need no event kernel.
 
 Everything wall-clock — event counts, coordinator wall seconds — lands
 in ``result.meta`` and never touches the deterministic rendered output.

@@ -14,21 +14,26 @@ so the sweep experiments use this reduced model:
 * per-request variation (binary served from RAM cache vs loaded from
   disk) follows the experiment's cold-load fraction.
 
+A FIFO run-to-completion pool needs no process per request: a request
+starts at ``max(arrival, earliest free core)``, so :meth:`request`
+keeps a heap of core free times, draws the service time at once (FIFO
+start order is arrival order, so the draws come in that order) and
+returns one event at the absolute completion time.
+
 The fully functional worker is exercised under load by the §7.4, Fig 7
 and Fig 8 experiments, where requests carry real data.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Optional
 
 from ..backends.base import create_backend
 from ..composition.registry import FunctionBinary
 from ..data.items import DataSet
-from ..sim.core import Environment
+from ..sim.core import Environment, Event
 from ..sim.distributions import Rng
-from ..sim.metrics import LatencyRecorder
-from ..sim.resources import Resource
 
 __all__ = ["DandelionLoadModel"]
 
@@ -48,19 +53,20 @@ class DandelionLoadModel:
         cold_load_fraction: float = 1.0,
         rng: Optional[Rng] = None,
     ):
+        if cores < 1:
+            raise ValueError("cores must be >= 1")
         self.env = env
-        self.cores = Resource(env, capacity=cores)
+        self.cores = cores
+        self._free_at: list[float] = []  # completion times, at most `cores`
         self.backend = create_backend(backend_name, machine)
         self.cold_load_fraction = cold_load_fraction
         self.rng = rng or Rng(0)
-        self.latencies = LatencyRecorder(f"dandelion-{backend_name}")
         # Functional verification run: the user code really executes.
         uncached = self.backend.execute(binary, input_sets, output_set_names, cached=False)
         cached = self.backend.execute(binary, input_sets, output_set_names, cached=True)
         self.outputs = uncached.outputs
         self.uncached_seconds = uncached.total_seconds
         self.cached_seconds = cached.total_seconds
-        self.requests_served = 0
 
     def service_seconds(self) -> float:
         if self.cold_load_fraction >= 1.0 or (
@@ -69,14 +75,12 @@ class DandelionLoadModel:
             return self.uncached_seconds
         return self.cached_seconds
 
-    def request(self):
-        """Submit one request; returns its simulation process."""
-        return self.env.process(self._serve())
-
-    def _serve(self):
-        arrived = self.env.now
-        with self.cores.acquire() as slot:
-            yield slot
-            yield self.env.timeout(self.service_seconds())
-        self.latencies.record(self.env.now - arrived)
-        self.requests_served += 1
+    def request(self) -> Event:
+        """Submit one request; returns the event that fires when it completes."""
+        free_at = self._free_at
+        start = self.env.now
+        if len(free_at) == self.cores:
+            start = max(start, heappop(free_at))
+        completion = start + self.service_seconds()
+        heappush(free_at, completion)
+        return self.env.timeout_at(completion)

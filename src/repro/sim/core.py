@@ -394,6 +394,22 @@ class Environment:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event firing at the absolute virtual time ``when``.
+
+        ``timeout(when - now)`` fires at ``now + (when - now)``, which
+        can miss ``when`` by an ulp; this lands on ``when`` exactly.
+        """
+        if when < self._now:
+            raise SimulationError(f"time {when} is in the past")
+        event = Event(self)
+        event._value = value
+        event._state = _TRIGGERED
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (when, seq, event))
+        return event
+
     def process(self, generator: Generator) -> Process:
         """Start running ``generator`` as a simulation process."""
         return Process(self, generator)

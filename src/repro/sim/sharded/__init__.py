@@ -1,9 +1,9 @@
 """Sharded trace replay: conservative time-window DES.
 
-The cluster simulation is partitioned across shards of workers — one
-event kernel (:class:`~repro.sim.core.Environment`) per shard — and
-synchronized by conservative time windows at the cluster-manager
-boundary, all inside one process.  See docs/simulation.md ("Sharded
+The cluster simulation is partitioned across shards of workers — each
+worker a FIFO core pool that needs no event kernel — and synchronized by
+conservative time windows at the cluster-manager boundary, all inside
+one process.  See docs/simulation.md ("Sharded
 execution") for the window and lookahead derivation, the determinism
 rules, and why the shard count is a test oracle rather than a speed
 knob.

@@ -13,8 +13,8 @@ the coordinator, and only at window barriers.  Each window of length
    window can take effect inside a shard earlier than that, and shards
    cannot affect each other at all, so any window length is causally
    safe;
-3. each shard ingests its batch, runs its kernel to the window end,
-   and reports outstanding counts plus the window's completion
+3. each shard ingests its batch, advances its workers to the window
+   end, and reports outstanding counts plus the window's completion
    latencies;
 4. the coordinator merges the reports (global worker order, see
    :class:`~repro.cluster.sharding.ShardPlan`) and the loop repeats
@@ -37,6 +37,7 @@ cannot change a KPI.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -75,12 +76,19 @@ class ShardedConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.cores_per_worker < 1:
+            # No core would ever free up: the replay would never drain.
+            raise ValueError("cores_per_worker must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if not self.window_seconds > 0:
             raise ValueError("window_seconds must be positive")
         if self.platform not in (PLATFORM_DANDELION, PLATFORM_FAAS):
             raise ValueError(f"unknown platform {self.platform!r}")
+        if not 0 <= self.keep_alive_seconds < math.inf:
+            # A negative timer would fire before the completion that set
+            # it, out of the workers' time order; a non-finite one is no time.
+            raise ValueError("keep_alive_seconds must be finite and >= 0")
 
 
 @dataclass

@@ -1,32 +1,16 @@
 """One shard of the partitioned cluster simulation.
 
-A :class:`ShardSim` owns one event kernel over its slice of the fleet.
-Between barriers it runs free; at a barrier it ingests the window's
-delivery batch, runs to the window end, and reports per-worker
-outstanding counts plus the window's completion latencies.
+At a barrier a :class:`ShardSim` ingests the window's delivery batch,
+hands each delivery due by the window end to its worker in time order,
+advances every worker to the end, and reports per-worker outstanding
+counts plus the window's completion latencies.
 
-The kernel drives the environment's heap directly with packed tuples
-``(time, seq, worker, kind, a, b)`` instead of :class:`~repro.sim.core.Event`
-objects: a completion is one tuple push, a delivery is *no* heap
-traffic at all — the window's batch is already time-sorted (trace order
-plus a constant dispatch delay), so :meth:`ShardSim.run_window` merges
-it against the heap head directly.  Each delivery still reserves one
-kernel sequence number at the barrier, which keeps same-time
-tie-breaking byte-identical to the event-object formulation and keeps
-the ``events`` KPI counting deliveries.  Worker semantics: FIFO core
-queueing, memory committed only while a core slot is held, service time
-= sandbox creation + duration.  The trace does not contain function
-*bodies*, so workers model timing and memory numerically while keeping
-the real node's scheduling structure (run-to-completion on a core pool,
-creation on the critical path).  The generator+``Resource`` formulation
-of the same worker lives on as a test oracle
-(``tests/sim/classic_oracle.py``); the invariance suite asserts both
-produce byte-identical KPIs.
-
-Everything a worker records is a function of its own delivery sequence
-only — workers never observe each other — so grouping workers into
-shards cannot change any per-worker result.  That is the whole
-shard-count-invariance argument; see docs/simulation.md.
+A worker is a FIFO run-to-completion core pool, modelled numerically
+and without an event kernel: a request starts at ``max(delivery,
+earliest free core)``, and ``events`` is a count by definition
+(docs/simulation.md, "The shard workers", has the recursion, its tie
+rule and its oracles).  A worker's results depend on its own delivery
+sequence only, so grouping workers into shards cannot change them.
 """
 
 from __future__ import annotations
@@ -34,13 +18,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 
-from ..core import Environment
-
-__all__ = [
-    "ShardSim",
-    "PLATFORM_DANDELION",
-    "PLATFORM_FAAS",
-]
+__all__ = ["ShardSim", "PLATFORM_DANDELION", "PLATFORM_FAAS"]
 
 PLATFORM_DANDELION = "dandelion"
 PLATFORM_FAAS = "faas"
@@ -61,11 +39,6 @@ COLD_START_SECONDS = 0.812
 HOT_START_SECONDS = 0.0014
 PAGING_SECONDS_PER_MIB = 0.00012
 COMPUTE_SLOWDOWN = 1.05
-
-
-# Heap-entry kinds (tuple field 3).
-_COMPLETE = 0
-_EXPIRE = 1
 
 
 class _StepSeries:
@@ -115,254 +88,189 @@ class _StepSeries:
         self.record(self.duration + self.step, self.value)
 
 
-class _LeanDandelionWorker:
-    """Dandelion node: per-request contexts, no keep-alive state."""
+class _CorePool:
+    """A FIFO run-to-completion pool: ``busy`` is a heap of at most ``cores``
+    pending ``(time, start number, payload, arrival)`` completions.
+
+    A delivery applies the completions at or before it; if every core is
+    still busy it applies the earliest, whose time is the start.  Starts
+    and applied completions are monotone, so the memory series are fed
+    in time order.  A completion applied past the window end waits in
+    ``later`` as ``(time, latency)`` until its own window reports it.
+    """
 
     __slots__ = (
-        "env", "cores_free", "queue", "committed",
-        "memory_of", "latencies", "series", "completed",
+        "cores", "busy", "later", "memory_of", "latencies", "series", "completed", "committed",
+        "_starts",
     )
 
-    def __init__(self, env, cores, memory_of, duration):
-        self.env = env
-        self.cores_free = cores
-        self.queue = deque()
-        self.committed = 0
-        self.memory_of = memory_of
+    def __init__(self, config):
+        self.cores = config["cores_per_worker"]
+        self.busy: list[tuple] = []
+        self.later: deque = deque()
+        self.memory_of = config["memory_of"]
         self.latencies: list[float] = []
-        self.series = _StepSeries(duration, GRID_STEP)
+        self.series = _StepSeries(config["duration_seconds"], GRID_STEP)
         self.completed = 0
+        self.committed = 0
+        self._starts = 0
 
-    def _start(self, fn_index, duration, arrival) -> None:
-        self.cores_free -= 1
-        env = self.env
-        self.committed += self.memory_of[fn_index]
-        self.series.record(env._now, self.committed)
-        seq = env._seq
-        env._seq = seq + 1
-        heappush(
-            env._queue,
-            (env._now + (CREATION_SECONDS + duration), seq, self, _COMPLETE, fn_index, arrival),
-        )
+    def deliver(self, t, fn_index, duration, arrival, end) -> None:
+        """Start a request delivered at ``t`` once a core is free."""
+        busy = self.busy
+        while busy and busy[0][0] <= t:
+            self._complete(end)
+        start = self._complete(end) if len(busy) == self.cores else t
+        completion, payload = self._start(start, fn_index, duration)
+        # Same-instant completions pop in start order.
+        self._starts += 1
+        heappush(busy, (completion, self._starts, payload, arrival))
 
-    def _complete(self, fn_index, arrival) -> None:
-        env = self.env
-        self.committed -= self.memory_of[fn_index]
-        self.series.record(env._now, self.committed)
-        self.latencies.append(env._now - arrival)
+    def _complete(self, end: float) -> float:
+        completion, _, payload, arrival = heappop(self.busy)
+        self._release(completion, payload)
         self.completed += 1
-        self.cores_free += 1
-        if self.queue:
-            self._start(*self.queue.popleft())
+        if completion <= end:
+            self.latencies.append(completion - arrival)
+        else:
+            self.later.append((completion, completion - arrival))
+        return completion
 
-    def _expire(self, a, b) -> None:  # pragma: no cover - dandelion never expires
-        raise AssertionError("dandelion workers schedule no expiry events")
+    def advance(self, end: float) -> None:
+        """Apply and report everything at or before the window ``end``."""
+        later = self.later
+        while later and later[0][0] <= end:
+            self.latencies.append(later.popleft()[1])
+        busy = self.busy
+        while busy and busy[0][0] <= end:
+            self._complete(end)
+
+
+class _DandelionWorker(_CorePool):
+    """Dandelion node: per-request contexts, no keep-alive state."""
+
+    __slots__ = ()
+    events_per_invocation = 2
+
+    def _start(self, start, fn_index, duration):
+        self.committed += self.memory_of[fn_index]
+        self.series.record(start, self.committed)
+        return start + (CREATION_SECONDS + duration), fn_index
+
+    def _release(self, completion, fn_index) -> None:
+        self.committed -= self.memory_of[fn_index]
+        self.series.record(completion, self.committed)
 
 
 class _Sandbox:
-    """One warm MicroVM; ``idle_token`` versions its keep-alive timer."""
+    __slots__ = ("fn_index", "footprint", "token")
 
-    __slots__ = ("fn_index", "idle_token", "idle", "dead")
-
-    def __init__(self, fn_index):
+    def __init__(self, fn_index, footprint):
         self.fn_index = fn_index
-        self.idle_token = 0
-        self.idle = False
-        self.dead = False
+        self.footprint = footprint
+        self.token = 0  # bumped by every start and completion
 
 
-class _LeanFaasWorker:
+class _FaasWorker(_CorePool):
     """Firecracker+Knative-style node with keep-alive sandbox reuse.
 
     The repository's one keep-alive model (Figs 1 and 10): committed
     memory covers warm (idle) and busy sandboxes, active memory only
     busy ones; a cold start pays the control-plane + restore + paging
-    path, a warm start only the hot hop.  Reuse pops the most recently
-    idled sandbox (LIFO), so the oldest warm sandboxes are the ones
-    keep-alive reaps.
+    path, a warm start only the hot hop.  Reuse is LIFO, so keep-alive
+    reaps the longest-idle sandbox, the bottom of its function's stack.
+    ``expiring`` holds ``(time, sandbox, token)`` timers in time order.
+    Tie rule: a timer at the instant of a start does not reap a sandbox
+    that start may reuse; a barrier applies every timer up to its end.
     """
 
-    __slots__ = (
-        "env", "cores_free", "queue", "committed", "active",
-        "memory_of", "keep_alive", "latencies", "series", "active_series",
-        "completed", "cold_starts", "idle_of",
-    )
+    __slots__ = ("keep_alive", "expiring", "active", "active_series", "cold_starts", "idle_of")
+    events_per_invocation = 3
 
-    def __init__(self, env, cores, memory_of, duration, keep_alive):
-        self.env = env
-        self.cores_free = cores
-        self.queue = deque()
-        self.committed = 0
+    def __init__(self, config):
+        super().__init__(config)
+        self.keep_alive = config["keep_alive_seconds"]
+        self.expiring: deque = deque()
         self.active = 0
-        self.memory_of = memory_of
-        self.keep_alive = keep_alive
-        self.latencies: list[float] = []
-        self.series = _StepSeries(duration, GRID_STEP)
-        self.active_series = _StepSeries(duration, GRID_STEP)
-        self.completed = 0
+        self.active_series = _StepSeries(config["duration_seconds"], GRID_STEP)
         self.cold_starts = 0
         self.idle_of: dict[int, list[_Sandbox]] = {}
 
-    def _start(self, fn_index, duration, arrival) -> None:
-        self.cores_free -= 1
-        env = self.env
-        footprint = self.memory_of[fn_index] + GUEST_OVERHEAD_BYTES
-        sandbox = None
+    def _start(self, start, fn_index, duration):
+        expiring = self.expiring
+        while expiring and expiring[0][0] < start:
+            self._expire()
         stack = self.idle_of.get(fn_index)
-        while stack:
-            candidate = stack.pop()
-            if not candidate.dead:
-                sandbox = candidate
-                break
-        if sandbox is None:
-            sandbox = _Sandbox(fn_index)
+        if stack:
+            sandbox = stack.pop()
+            setup = HOT_START_SECONDS
+        else:
+            footprint = self.memory_of[fn_index] + GUEST_OVERHEAD_BYTES
+            sandbox = _Sandbox(fn_index, footprint)
             self.cold_starts += 1
             self.committed += footprint
-            self.series.record(env._now, self.committed)
+            self.series.record(start, self.committed)
             setup = COLD_START_SECONDS + PAGING_SECONDS_PER_MIB * (footprint / (1024 * 1024))
-        else:
-            setup = HOT_START_SECONDS
-        sandbox.idle = False
-        sandbox.idle_token += 1
-        self.active += footprint
-        self.active_series.record(env._now, self.active)
-        seq = env._seq
-        env._seq = seq + 1
-        heappush(
-            env._queue,
-            (env._now + (setup + duration * COMPUTE_SLOWDOWN), seq, self, _COMPLETE, sandbox, arrival),
-        )
+        sandbox.token += 1
+        self.active += sandbox.footprint
+        self.active_series.record(start, self.active)
+        return start + (setup + duration * COMPUTE_SLOWDOWN), sandbox
 
-    def _complete(self, sandbox, arrival) -> None:
-        env = self.env
-        footprint = self.memory_of[sandbox.fn_index] + GUEST_OVERHEAD_BYTES
-        self.active -= footprint
-        self.active_series.record(env._now, self.active)
-        self.latencies.append(env._now - arrival)
-        self.completed += 1
-        sandbox.idle = True
-        sandbox.idle_token += 1
+    def _release(self, completion, sandbox) -> None:
+        self.active -= sandbox.footprint
+        self.active_series.record(completion, self.active)
+        sandbox.token += 1
         self.idle_of.setdefault(sandbox.fn_index, []).append(sandbox)
-        seq = env._seq
-        env._seq = seq + 1
-        heappush(
-            env._queue,
-            (env._now + self.keep_alive, seq, self, _EXPIRE, sandbox, sandbox.idle_token),
-        )
-        self.cores_free += 1
-        if self.queue:
-            self._start(*self.queue.popleft())
+        self.expiring.append((completion + self.keep_alive, sandbox, sandbox.token))
 
-    def _expire(self, sandbox, token) -> None:
-        if sandbox.idle and not sandbox.dead and sandbox.idle_token == token:
-            sandbox.dead = True
-            self.committed -= self.memory_of[sandbox.fn_index] + GUEST_OVERHEAD_BYTES
-            self.series.record(self.env._now, self.committed)
+    def _expire(self) -> None:
+        when, sandbox, token = self.expiring.popleft()
+        if sandbox.token == token:  # idle ever since the completion that set it
+            self.idle_of[sandbox.fn_index].remove(sandbox)
+            self.committed -= sandbox.footprint
+            self.series.record(when, self.committed)
+
+    def advance(self, end: float) -> None:
+        super().advance(end)
+        expiring = self.expiring
+        while expiring and expiring[0][0] <= end:
+            self._expire()
 
 
 class ShardSim:
-    """One shard: a lean event kernel over a slice of the fleet."""
+    """One shard: the workers of a slice of the fleet."""
 
-    __slots__ = ("env", "workers", "worker_indices", "cores", "_by_global", "_pending")
+    __slots__ = ("workers", "_by_global", "_pending", "_events_per_invocation", "events")
 
     def __init__(self, worker_indices, config: dict):
-        self.env = Environment()
-        self.worker_indices = tuple(worker_indices)
-        self.cores = config["cores_per_worker"]
-        duration = config["duration_seconds"]
-        memory_of = config["memory_of"]
-        platform = config["platform"]
-        self.workers = []
-        for _ in self.worker_indices:
-            if platform == PLATFORM_DANDELION:
-                worker = _LeanDandelionWorker(self.env, self.cores, memory_of, duration)
-            elif platform == PLATFORM_FAAS:
-                worker = _LeanFaasWorker(
-                    self.env, self.cores, memory_of, duration, config["keep_alive_seconds"]
-                )
-            else:
-                raise ValueError(f"unknown platform {platform!r}")
-            self.workers.append(worker)
-        self._by_global = {
-            index: worker for index, worker in zip(self.worker_indices, self.workers)
-        }
-        # Deliveries routed but not yet due: (time, seq, worker, fn,
-        # duration, arrival), time-sorted (see run_window).
+        worker_class = _FaasWorker if config["platform"] == PLATFORM_FAAS else _DandelionWorker
+        self.workers = [worker_class(config) for _ in worker_indices]
+        self._by_global = dict(zip(worker_indices, self.workers))
+        self._events_per_invocation = worker_class.events_per_invocation
+        # Routed deliveries not yet due.  Batches are time-sorted (trace
+        # order plus a constant dispatch delay): appending keeps the order.
         self._pending: list[tuple] = []
+        self.events = 0
 
     def run_window(self, records, end: float) -> None:
-        """Ingest one window's delivery batch and run the kernel to ``end``.
-
-        ``records`` is time-sorted (trace order shifted by the constant
-        dispatch delay), so instead of scheduling heap events the loop
-        merges the batch against the heap head.  Each delivery reserves
-        one kernel sequence number *at the barrier, in batch order* —
-        exactly the seqs per-delivery events would have drawn — so
-        same-time ordering against completion/expiry events is
-        byte-identical to the event-object formulation.
-        """
-        env = self.env
-        queue = env._queue
+        """Ingest one window's delivery batch and advance every worker to ``end``."""
         pending = self._pending
-        if records:
-            seq = env._seq
-            by_global = self._by_global
-            append = pending.append
-            for delivery, worker, fn_index, duration, arrival in records:
-                append((delivery, seq, by_global[worker], fn_index, duration, arrival))
-                seq += 1
-            env._seq = seq
-        # Deliveries drive the outer loop (the batch is already sorted
-        # and seq-ordered); the inner loop drains every heap event that
-        # sorts before the delivery at hand.  Same event order as a
-        # single merged loop, but each delivery tuple is fetched and
-        # compared once instead of once per interleaved event.
-        i = 0
-        n = len(pending)
-        while i < n:
-            d = pending[i]
-            d_time = d[0]
-            if d_time > end:
+        pending += records
+        self.events += self._events_per_invocation * len(records)
+        by_global = self._by_global
+        due = 0
+        for delivery, worker, fn_index, duration, arrival in pending:
+            if delivery > end:
                 break
-            d_seq = d[1]
-            while queue:
-                e = queue[0]
-                e_time = e[0]
-                if e_time > d_time or (e_time == d_time and e[1] > d_seq):
-                    break
-                heappop(queue)
-                env._now = e_time
-                if e[3]:
-                    e[2]._expire(e[4], e[5])
-                else:
-                    e[2]._complete(e[4], e[5])
-            i += 1
-            env._now = d_time
-            worker = d[2]
-            if worker.cores_free:
-                worker._start(d[3], d[4], d[5])
-            else:
-                worker.queue.append((d[3], d[4], d[5]))
-        if i:
-            del pending[:i]
-        while queue:
-            e = queue[0]
-            e_time = e[0]
-            if e_time > end:
-                break
-            heappop(queue)
-            env._now = e_time
-            if e[3]:
-                e[2]._expire(e[4], e[5])
-            else:
-                e[2]._complete(e[4], e[5])
-        env._now = end
+            by_global[worker].deliver(delivery, fn_index, duration, arrival, end)
+            due += 1
+        del pending[:due]
+        for worker in self.workers:
+            worker.advance(end)
 
     def outstanding(self) -> list[int]:
         """Queued + in-service count per worker, local order."""
-        return [
-            (self.cores - w.cores_free) + len(w.queue) for w in self.workers
-        ]
+        return [len(w.busy) + len(w.later) for w in self.workers]
 
     def drain_latencies(self) -> list[float]:
         """This window's completion latencies, worker order; clears them."""
@@ -371,10 +279,6 @@ class ShardSim:
             drained.extend(worker.latencies)
             worker.latencies.clear()
         return drained
-
-    @property
-    def events(self) -> int:
-        return self.env._seq
 
     def final_summary(self) -> dict:
         """Per-worker aggregates for the end-of-run merge."""
@@ -393,4 +297,4 @@ class ShardSim:
                 entry["active_grid"] = active.grid
                 entry["cold_starts"] = worker.cold_starts
             workers.append(entry)
-        return {"workers": workers, "events": self.env._seq}
+        return {"workers": workers, "events": self.events}

@@ -3,10 +3,10 @@
 The generator+``Resource`` formulation of the Dandelion trace worker —
 the pre-sharding simulation idiom — behind the
 :class:`~repro.sim.sharded.shard.ShardSim` interface.  It left the
-product when the lean kernel became the only one; it stays here so the
-equivalence check (same KPIs modulo ``events``) runs live for any
+product when the event-heap kernel became the only one; it stays here
+so the equivalence check (same KPIs modulo ``events``) runs live for any
 trace/seed instead of against one frozen golden.  Dandelion platform
-only.
+only; ``heap_oracle.py`` covers both platforms.
 """
 
 from repro.sim.core import Environment
@@ -61,7 +61,7 @@ class ClassicShardSim:
 
 
 class _ClassicDandelionWorker:
-    """Generator+Resource restatement of :class:`_LeanDandelionWorker`."""
+    """Generator+Resource restatement of :class:`_DandelionWorker`."""
 
     __slots__ = (
         "env", "cores", "memory_of", "committed",
@@ -85,13 +85,14 @@ class _ClassicDandelionWorker:
             yield env.timeout(delay)
         self.outstanding += 1
         memory = self.memory_of[fn_index]
-        with self.cores.acquire() as slot:
-            yield slot
-            self.committed += memory
-            self.series.record(env._now, self.committed)
-            yield env.timeout(CREATION_SECONDS + duration)
-            self.committed -= memory
-            self.series.record(env._now, self.committed)
+        slot = self.cores.request()
+        yield slot
+        self.committed += memory
+        self.series.record(env._now, self.committed)
+        yield env.timeout(CREATION_SECONDS + duration)
+        self.committed -= memory
+        self.series.record(env._now, self.committed)
+        self.cores.release(slot)
         self.latencies.append(env._now - arrival)
         self.completed += 1
         self.outstanding -= 1

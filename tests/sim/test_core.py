@@ -41,6 +41,16 @@ def test_negative_timeout_rejected():
         env.timeout(-1)
 
 
+def test_timeout_at_lands_on_the_absolute_time():
+    env = Environment(initial_time=0.784)
+    assert env.now + (3.73 - env.now) != 3.73  # a relative timeout misses it
+    event = env.timeout_at(3.73, "done")
+    assert env.run(until=event) == "done"
+    assert env.now == 3.73
+    with pytest.raises(SimulationError):
+        env.timeout_at(3.0)
+
+
 def test_process_return_value():
     env = Environment()
 

@@ -41,7 +41,8 @@ def test_property_resource_capacity_never_exceeded(jobs, capacity):
     assert max_seen["value"] <= capacity
     assert completed["count"] == len(jobs)
     assert resource.count == 0
-    assert resource.queue_length == 0
+    # The wait queue is empty: a fresh claim is granted synchronously.
+    assert resource.request().processed
 
 
 @settings(max_examples=60, deadline=None)

@@ -49,9 +49,10 @@ def test_resource_fifo_order():
     assert order == ["early", "late"]
 
 
-def test_resource_count_and_queue_length():
+def test_resource_count_and_fifo_wait():
     env = Environment()
     resource = Resource(env, capacity=1)
+    granted = []
 
     def holder():
         request = resource.request()
@@ -62,8 +63,9 @@ def test_resource_count_and_queue_length():
     def waiter():
         yield env.timeout(1)
         request = resource.request()
-        assert resource.queue_length == 1
+        assert not request.triggered  # waits behind the holder
         yield request
+        granted.append(env.now)
         resource.release(request)
 
     env.process(holder())
@@ -71,8 +73,10 @@ def test_resource_count_and_queue_length():
     env.run(until=2)
     assert resource.count == 1
     env.run()
+    assert granted == [5]
     assert resource.count == 0
-    assert resource.queue_length == 0
+    # Nothing is left waiting: a fresh claim is granted synchronously.
+    assert resource.request().processed
 
 
 def test_resource_release_unknown_request_rejected():
@@ -89,23 +93,6 @@ def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-
-
-def test_resource_acquire_context_manager():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    held = []
-
-    def worker():
-        with resource.acquire() as request:
-            yield request
-            held.append(resource.count)
-            yield env.timeout(1)
-        held.append(resource.count)
-
-    env.process(worker())
-    env.run()
-    assert held == [1, 0]
 
 
 def test_store_put_then_get():

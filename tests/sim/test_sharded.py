@@ -165,6 +165,10 @@ def test_executor_option_and_window_codec_are_gone():
         ("window_seconds", 0.0),   # the replay loop would never advance
         ("window_seconds", -0.5),
         ("platform", "lambda"),
+        ("cores_per_worker", 0),   # every request would queue forever
+        ("keep_alive_seconds", -3.0),
+        ("keep_alive_seconds", float("inf")),
+        ("keep_alive_seconds", float("nan")),
     ],
 )
 def test_config_rejects_values_the_replay_cannot_run(field, value):
