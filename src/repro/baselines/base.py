@@ -14,11 +14,12 @@ burn CPU (scaled by the platform's slowdown), ``io`` phases block
 without using CPU — which is how the mixed compute/I-O workloads of
 §7.5–7.6 are expressed on the baselines.
 
-Each request is *hot* with a fixed probability ``hot_ratio`` (the
-97%-hot setting justified by the Azure trace, §7.3): one
-``rng.bernoulli(hot_ratio)`` draw per request, at arrival.  Hot
-requests start in a pre-provisioned sandbox; a cold request first
-boots a fresh one.  The model accounts time, not memory: the Knative
+A request is a callback chain, :func:`run_phases` (shared with
+D-hybrid), not a generator process.  It is *hot* with a fixed
+probability ``hot_ratio`` (the 97%-hot setting justified by the Azure
+trace, §7.3): one ``rng.bernoulli(hot_ratio)`` draw per request, at
+arrival.  Hot requests start in a pre-provisioned sandbox; a cold
+request first boots a fresh one.  The model accounts time, not memory: the Knative
 keep-alive memory behaviour of Figs 1 and 10 is modelled by the sharded
 trace replay's FaaS worker (:mod:`repro.sim.sharded.shard`).
 """
@@ -26,9 +27,10 @@ trace replay's FaaS worker (:mod:`repro.sim.sharded.shard`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
-from ..sim.core import Environment
+from ..sim.core import Environment, Event
 from ..sim.cpu import ProcessorSharingCpu
 from ..sim.distributions import Rng
 from ..sim.metrics import LatencyRecorder
@@ -121,6 +123,27 @@ class RequestRecord:
         return self.finished_at - self.arrived_at
 
 
+def run_phases(cpu, phases, compute_slowdown, setup_seconds, finish, _event=None) -> None:
+    """Serve one baseline request as a callback chain: ``setup_seconds`` of
+    ``cpu``, then each phase, then ``finish()``.  Each step's event calls
+    the next step where a generator process's resume sat, so the heap gets
+    the generator's entries in its order."""
+    step = partial(_advance, cpu, phases, compute_slowdown, 0, finish)
+    cpu.consume(setup_seconds).callbacks.append(step)
+
+
+def _advance(cpu, phases: tuple, slowdown: float, index: int, finish, _event) -> None:
+    if index == len(phases):
+        finish()
+        return
+    phase = phases[index]
+    if phase.kind == "compute":
+        event = cpu.consume(phase.seconds * slowdown)
+    else:
+        event = cpu.env.timeout(phase.seconds)
+    event.callbacks.append(partial(_advance, cpu, phases, slowdown, index + 1, finish))
+
+
 class FaasPlatform:
     """A baseline FaaS worker node serving a fixed share of hot requests."""
 
@@ -149,8 +172,6 @@ class FaasPlatform:
         self.cold_requests = 0
         self.hot_requests = 0
 
-    # -- registration ---------------------------------------------------------
-
     def register_function(self, name: str, phases: Iterable[Phase]) -> FunctionModel:
         if name in self._functions:
             raise ValueError(f"function {name!r} already registered")
@@ -159,44 +180,37 @@ class FaasPlatform:
         self.per_function_latencies[name] = LatencyRecorder(name)
         return function
 
-    # -- request path ----------------------------------------------------------
-
-    def request(self, function_name: str):
-        """Start serving one request; returns the simulation process."""
+    def request(self, function_name: str) -> Event:
+        """Start serving one request; returns the event that fires with its
+        :class:`RequestRecord`."""
         function = self._functions.get(function_name)
         if function is None:
             raise KeyError(f"unknown function {function_name!r}")
-        return self.env.process(self._serve(function))
+        done = Event(self.env)
+        # The request is admitted one zero-delay hop after submission.
+        self.env.call_later(0, self._start, function, done)
+        return done
 
-    def _serve(self, function: FunctionModel):
-        arrived_at = self.env.now
+    def _start(self, function: FunctionModel, done: Event) -> None:
         cold = not self.rng.bernoulli(self.hot_ratio)
         if cold:
             self.cold_requests += 1
             # Cold-start work burns CPU: VM boot does, and while part of
             # a snapshot restore is I/O, the paper attributes FC
             # saturation to CPU contention between serving and creation.
-            yield self.cpu.consume(
-                self.spec.cold_start_total_seconds(self.spec.sandbox_memory_bytes)
-            )
+            setup = self.spec.cold_start_total_seconds(self.spec.sandbox_memory_bytes)
         else:
             self.hot_requests += 1
-            yield self.cpu.consume(self.spec.hot_start_seconds)
+            setup = self.spec.hot_start_seconds
+        finish = partial(self._finish, done, function.name, self.env.now, cold)
+        run_phases(self.cpu, function.phases, self.spec.compute_slowdown, setup, finish)
 
-        for phase in function.phases:
-            if phase.kind == "compute":
-                yield self.cpu.consume(phase.seconds * self.spec.compute_slowdown)
-            else:
-                yield self.env.timeout(phase.seconds)
-
-        finished_at = self.env.now
-        record = RequestRecord(function.name, arrived_at, finished_at, cold)
+    def _finish(self, done: Event, name: str, arrived_at: float, cold: bool) -> None:
+        record = RequestRecord(name, arrived_at, self.env.now, cold)
         self.records.append(record)
         self.latencies.record(record.latency)
-        self.per_function_latencies[function.name].record(record.latency)
-        return record
-
-    # -- reporting --------------------------------------------------------------
+        self.per_function_latencies[name].record(record.latency)
+        done.succeed(record)
 
     def cold_fraction(self) -> float:
         total = self.cold_requests + self.hot_requests

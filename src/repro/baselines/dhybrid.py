@@ -20,10 +20,15 @@ and the right choice depends on the workload mix:
 
 Dandelion proper (the engine split + PI controller) needs no such
 static choice — that is the comparison Fig 7 draws.
+
+No request is a generator process: a pinned one is one event on the
+Figs 5/6 load model's :class:`~repro.sim.resources.FifoCores`, an
+unpinned one the FaaS chain :func:`~repro.baselines.base.run_phases`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 from ..backends.base import create_backend
@@ -31,8 +36,8 @@ from ..composition.registry import DEFAULT_BINARY_SIZE, FunctionBinary
 from ..sim.core import Environment, Event, _PROCESSED
 from ..sim.cpu import ProcessorSharingCpu
 from ..sim.metrics import LatencyRecorder
-from ..sim.resources import Resource
-from .base import FunctionModel, Phase, RequestRecord
+from ..sim.resources import FifoCores, Resource
+from .base import FunctionModel, Phase, RequestRecord, run_phases
 
 __all__ = ["DHybridPlatform"]
 
@@ -66,25 +71,17 @@ class DHybridPlatform:
         # The isolation backend of a default Dandelion worker.
         self.backend = create_backend("kvm", "linux")
         self._functions: dict[str, FunctionModel] = {}
-        self._binaries: dict[str, FunctionBinary] = {}
-        # Sandbox-creation cost per function is load-independent; cache
-        # it at registration instead of recomputing per request.
-        self._creation_seconds: dict[str, float] = {}
-        # Pinned tasks hold their core through creation and every phase,
-        # so the whole residency collapses into one timeout.
-        self._pinned_residency: dict[str, float] = {}
+        # Per function: sandbox creation, or when pinned, the residency.
+        self._setup_seconds: dict[str, float] = {}
         if pinned:
-            self._core_pool = Resource(env, capacity=cores)
-            self._cpu = None
+            self._cores = FifoCores(cores)
         else:
             self._core_pool = Resource(env, capacity=cores * threads_per_core)
             # More threads per core means more context switches and
             # cache pollution while oversubscribed.
             efficiency = 1.0 - min(0.3, 0.05 * (threads_per_core - 1))
             self._cpu = ProcessorSharingCpu(
-                env,
-                cores,
-                switch_overhead_seconds=_CONTEXT_SWITCH_SECONDS,
+                env, cores, switch_overhead_seconds=_CONTEXT_SWITCH_SECONDS,
                 oversubscribed_efficiency=efficiency,
             )
         self.latencies = LatencyRecorder(f"d-hybrid-tpc{threads_per_core}{'-pinned' if pinned else ''}")
@@ -96,74 +93,41 @@ class DHybridPlatform:
         function = FunctionModel(name, tuple(phases))
         self._functions[name] = function
         binary = FunctionBinary(
-            name=name,
-            entry_point=_creation_placeholder,
-            binary_size=DEFAULT_BINARY_SIZE,
+            name=name, entry_point=_creation_placeholder, binary_size=DEFAULT_BINARY_SIZE
         )
-        self._binaries[name] = binary
         creation = self.backend.creation_seconds(binary)
-        self._creation_seconds[name] = creation
-        self._pinned_residency[name] = creation + sum(
-            phase.seconds for phase in function.phases
-        )
+        if self.pinned:
+            creation += sum(phase.seconds for phase in function.phases)
+        self._setup_seconds[name] = creation
         return function
 
-    def request(self, function_name: str):
+    def request(self, function_name: str) -> Event:
+        """Start one request; returns the event that fires with its record."""
         function = self._functions.get(function_name)
         if function is None:
             raise KeyError(f"unknown function {function_name!r}")
-        return self._serve(function)
-
-    def _serve(self, function: FunctionModel) -> Event:
-        """Run one request as a callback chain over heap events.
-
-        Requests dominate every loaded baseline sweep, so instead of a
-        generator process per request (an extra initialization event,
-        a process-end event and a generator resume per step) the same
-        admission → creation → phases → release sequence is chained
-        through event callbacks.  Virtual-time behaviour is identical:
-        each callback is appended exactly where the process resume
-        callback used to sit.
-        """
         env = self.env
-        completion = Event(env)
-        arrived_at = env.now
-        admission = self._core_pool.request()
-
-        def finish():
-            self._core_pool.release(admission)
-            record = RequestRecord(function.name, arrived_at, env.now, cold=True)
-            self.records.append(record)
-            self.latencies.record(record.latency)
-            completion.succeed(record)
-
+        setup = self._setup_seconds[function_name]
         if self.pinned:
-            def start(_event=None):
-                # The task owns its core outright: creation, compute and
-                # even I/O waits all elapse while holding the core, so
-                # the whole residency is one pre-summed timeout.
-                timer = env.timeout(self._pinned_residency[function.name])
-                timer.callbacks.append(lambda _e: finish())
-        else:
-            phases = function.phases
-
-            def advance(index):
-                if index >= len(phases):
-                    finish()
-                    return
-                phase = phases[index]
-                if phase.kind == "compute":
-                    step = self._cpu.consume(phase.seconds)
-                else:
-                    step = env.timeout(phase.seconds)
-                step.callbacks.append(lambda _e, i=index + 1: advance(i))
-
-            def start(_event=None):
-                step = self._cpu.consume(self._creation_seconds[function.name])
-                step.callbacks.append(lambda _e: advance(0))
-
+            end = self._cores.admit(env.now, setup)
+            done = env.timeout_at(end, RequestRecord(function_name, env.now, end, cold=True))
+            done.callbacks.append(lambda event: self._log(event._value))
+            return done
+        admission = self._core_pool.request()
+        done = Event(env)
+        finish = partial(self._finish, admission, done, function_name, env.now)
+        start = partial(run_phases, self._cpu, function.phases, 1.0, setup, finish)
         if admission._state == _PROCESSED:
             start()
         else:
             admission.callbacks.append(start)
-        return completion
+        return done
+
+    def _log(self, record: RequestRecord) -> RequestRecord:
+        self.records.append(record)
+        self.latencies.record(record.latency)
+        return record
+
+    def _finish(self, admission, done: Event, name: str, arrived_at: float) -> None:
+        self._core_pool.release(admission)
+        done.succeed(self._log(RequestRecord(name, arrived_at, self.env.now, cold=True)))

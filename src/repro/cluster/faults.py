@@ -68,65 +68,62 @@ class WorkerFaultInjector:
         self.limps_injected = 0
         self.limps_cleared = 0
         self.limps_skipped = 0
+        # Each life is a chain of scheduled calls, started one zero-delay
+        # hop after construction.
         rng = Rng(seed)
-        self._processes = [
-            cluster.env.process(self._worker_life(index, rng.fork(index + 1)))
-            for index in range(cluster.worker_count)
-        ]
+        call_later = cluster.env.call_later
+        for index in range(cluster.worker_count):
+            call_later(0, self._later, mttf_seconds, self._crash, index, rng.fork(index + 1))
         if limp_enabled and limp_severity > 1.0:
-            self._processes.extend(
-                cluster.env.process(
-                    self._limp_life(index, rng.fork(_LIMP_SALT_OFFSET + index))
-                )
-                for index in range(cluster.worker_count)
-            )
+            for index in range(cluster.worker_count):
+                salt = _LIMP_SALT_OFFSET + index
+                call_later(0, self._later, limp_mttf_seconds, self._limp, index, rng.fork(salt))
 
-    def _worker_life(self, index: int, rng: Rng):
-        env = self.cluster.env
-        while True:
-            yield env.timeout(rng.exponential(self.mttf_seconds))
-            if not self.cluster.is_healthy(index):
-                # Someone else (a test, another injector) already failed
-                # this worker; wait out the cycle and try again.
-                continue
-            if self.cluster.healthy_worker_count <= 1:
-                self.crashes_skipped += 1
-                continue
-            self.cluster.fail_worker(index)
+    def _later(self, mean: float, step, index: int, rng: Rng) -> None:
+        """Call ``step(index, rng)`` an exponential draw of ``mean`` from now."""
+        self.cluster.env.call_later(rng.exponential(mean), step, index, rng)
+
+    def _crash(self, index: int, rng: Rng) -> None:
+        cluster = self.cluster
+        if cluster.is_healthy(index) and cluster.healthy_worker_count > 1:
+            cluster.fail_worker(index)
             self.crashes_injected += 1
-            yield env.timeout(rng.exponential(self.mttr_seconds))
-            if self.cluster.is_healthy(index):
-                # An external actor (a test, a second injector, an
-                # operator script) restored the worker — and possibly
-                # re-failed and re-restored it — during our MTTR sleep.
-                # Restoring again would raise on a healthy worker, so
-                # skip this cycle's restore and keep the lifecycle loop
-                # alive instead of crashing the injector process.
-                self.restores_skipped += 1
-                continue
+            self._later(self.mttr_seconds, self._restore, index, rng)
+            return
+        # A worker someone else (a test, another injector) already
+        # failed just waits out the cycle; the last healthy one is spared.
+        if cluster.is_healthy(index):
+            self.crashes_skipped += 1
+        self._later(self.mttf_seconds, self._crash, index, rng)
+
+    def _restore(self, index: int, rng: Rng) -> None:
+        if self.cluster.is_healthy(index):
+            # An external actor restored the worker during the MTTR wait
+            # (and maybe re-failed and re-restored it); restoring again
+            # would raise on a healthy worker, so skip this restore.
+            self.restores_skipped += 1
+        else:
             self.cluster.restore_worker(index)
             self.restores_performed += 1
+        self._later(self.mttf_seconds, self._crash, index, rng)
 
-    def _limp_life(self, index: int, rng: Rng):
-        """Degrade/recover cycles: the worker stays up, just slower."""
-        env = self.cluster.env
+    def _limp(self, index: int, rng: Rng) -> None:
         cluster = self.cluster
-        while True:
-            yield env.timeout(rng.exponential(self.limp_mttf_seconds))
-            if not cluster.is_healthy(index):
-                # Crashed workers can't limp; fail-stop has priority.
-                self.limps_skipped += 1
-                continue
-            if cluster.limp_factor(index) > 1.0:
-                # Already limping (an external actor beat us to it).
-                self.limps_skipped += 1
-                continue
-            cluster.limp_worker(index, self.limp_severity)
-            self.limps_injected += 1
-            yield env.timeout(rng.exponential(self.limp_duration_seconds))
-            # The worker may have crashed (and been restored as a fresh,
-            # non-limping node) while degraded; only clear a limp that
-            # is still in force.
-            if cluster.is_healthy(index) and cluster.limp_factor(index) > 1.0:
-                cluster.clear_limp(index)
-                self.limps_cleared += 1
+        # Crashed workers can't limp (fail-stop has priority), and one
+        # already limping was degraded by an external actor.
+        if not cluster.is_healthy(index) or cluster.limp_factor(index) > 1.0:
+            self.limps_skipped += 1
+            self._later(self.limp_mttf_seconds, self._limp, index, rng)
+            return
+        cluster.limp_worker(index, self.limp_severity)
+        self.limps_injected += 1
+        self._later(self.limp_duration_seconds, self._recover, index, rng)
+
+    def _recover(self, index: int, rng: Rng) -> None:
+        cluster = self.cluster
+        # The worker may have crashed (and been restored as a fresh,
+        # non-limping node) while degraded; only clear a limp in force.
+        if cluster.is_healthy(index) and cluster.limp_factor(index) > 1.0:
+            cluster.clear_limp(index)
+            self.limps_cleared += 1
+        self._later(self.limp_mttf_seconds, self._limp, index, rng)

@@ -42,14 +42,13 @@ WORKLOADS = {
 }
 
 
-def _make_submit(system, tpc, pinned, workload, cores, env_holder):
+def _make_submit(system, tpc, pinned, workload, cores):
     phases = WORKLOADS[workload]()
     if system == "dandelion":
         worker = WorkerNode(
             WorkerConfig(total_cores=cores, control_plane_enabled=True, machine="linux")
         )
         name = register_phase_composition(worker, workload, phases)
-        env_holder.append(worker.env)
         return worker.env, lambda: worker.frontend.invoke(name, {"data": b"x"})
     env = Environment()
     platform = DHybridPlatform(env, cores=cores, threads_per_core=tpc, pinned=pinned)
@@ -75,7 +74,7 @@ def run_fig07(
                 f"dhybrid-tpc{tpc}{'-pinned' if pinned else ''}"
             )
             for rate in rates:
-                env, submit = _make_submit(system, tpc, pinned, workload, cores, [])
+                env, submit = _make_submit(system, tpc, pinned, workload, cores)
                 load = run_open_loop(env, submit, rate, duration_seconds, drain_seconds=5.0)
                 latencies = load.latencies
                 result.add_row(

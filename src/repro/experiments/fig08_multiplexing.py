@@ -17,6 +17,9 @@ vs Firecracker's 389.6% / 1495.17%.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
+
 from ..apps.compress import QOI_TO_PNG_SECONDS
 from ..apps.logproc import register_logproc_app, setup_log_services
 from ..baselines import (
@@ -31,6 +34,7 @@ from ..sim.core import Environment
 from ..sim.distributions import Rng
 from ..sim.metrics import LatencyRecorder
 from ..worker import WorkerConfig, WorkerNode
+from ..workloads.loadgen import run_arrivals
 from .common import ExperimentResult
 
 __all__ = ["run_fig08", "DEFAULT_SCHEDULE"]
@@ -98,7 +102,7 @@ def _baseline_submits(spec, hot_ratio, cores, seed):
     platform = FaasPlatform(env, spec, cores, hot_ratio, Rng(seed))
     platform.register_function("logproc", _LOGPROC_PHASES)
     platform.register_function("compress", _COMPRESS_PHASES)
-    return env, platform, {
+    return env, {
         "logproc": lambda: platform.request("logproc"),
         "compress": lambda: platform.request("compress"),
     }
@@ -118,29 +122,27 @@ def _arrival_lists(apps, schedule, seed):
     }
 
 
-def _drive(env, submits, schedule, seed):
-    """Run both apps' bursty arrival schedules concurrently."""
+def _record(env, recorder, started, event):
+    if getattr(event._value, "ok", True) is not False:
+        recorder.record(env.now - started)
+
+
+def _latencies(env, submits, schedule, seed):
+    """Run both apps' bursty schedules through one open-loop driver."""
     recorders = {app: LatencyRecorder(app) for app in submits}
-    arrival_lists = _arrival_lists(submits, schedule, seed)
+    arrivals = sorted(
+        ((t, app) for app, times in _arrival_lists(submits, schedule, seed).items() for t in times),
+        key=itemgetter(0),  # stable: at a tie, the app first in `submits` goes first
+    )
+    apps = iter([app for _t, app in arrivals])
 
-    def one(app, arrive_at):
-        delay = arrive_at - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        started = env.now
-        outcome = yield submits[app]()
-        if getattr(outcome, "ok", True) is not False:
-            recorders[app].record(env.now - started)
+    def submit():
+        app = next(apps)
+        completion = submits[app]()
+        completion.callbacks.append(partial(_record, env, recorders[app], env.now))
+        return completion
 
-    def driver():
-        processes = [
-            env.process(one(app, t))
-            for app, arrivals in arrival_lists.items()
-            for t in arrivals
-        ]
-        yield env.all_of(processes)
-
-    env.run(until=env.process(driver()))
+    run_arrivals(env, submit, [t for t, _app in arrivals])
     return recorders
 
 
@@ -154,17 +156,15 @@ def run_fig08(
         description="Multiplexing compute- and I/O-intensive apps under bursty load",
         headers=["system", "app", "mean_ms", "p99_ms", "rel_variance_pct", "requests"],
     )
-    systems = {}
-    worker, dandelion_submits = _dandelion_submits(cores)
-    dandelion_worker = worker
-    systems["dandelion"] = (worker.env, dandelion_submits)
-    fc_env, _fc, fc_submits = _baseline_submits(FIRECRACKER_SNAPSHOT, 0.97, cores, seed + 1)
-    systems["firecracker"] = (fc_env, fc_submits)
-    wt_env, _wt, wt_submits = _baseline_submits(WASMTIME, 0.0, cores, seed + 2)
-    systems["wasmtime"] = (wt_env, wt_submits)
+    dandelion_worker, dandelion_submits = _dandelion_submits(cores)
+    systems = {
+        "dandelion": (dandelion_worker.env, dandelion_submits),
+        "firecracker": _baseline_submits(FIRECRACKER_SNAPSHOT, 0.97, cores, seed + 1),
+        "wasmtime": _baseline_submits(WASMTIME, 0.0, cores, seed + 2),
+    }
 
     for system, (env, submits) in systems.items():
-        recorders = _drive(env, submits, schedule, seed)
+        recorders = _latencies(env, submits, schedule, seed)
         for app, recorder in recorders.items():
             result.add_row(
                 system=system,

@@ -14,11 +14,10 @@ so the sweep experiments use this reduced model:
 * per-request variation (binary served from RAM cache vs loaded from
   disk) follows the experiment's cold-load fraction.
 
-A FIFO run-to-completion pool needs no process per request: a request
-starts at ``max(arrival, earliest free core)``, so :meth:`request`
-keeps a heap of core free times, draws the service time at once (FIFO
-start order is arrival order, so the draws come in that order) and
-returns one event at the absolute completion time.
+A FIFO run-to-completion pool needs no process per request:
+:meth:`request` draws the service time at once (start order is arrival
+order) and returns one event at its completion on
+:class:`~repro.sim.resources.FifoCores`.
 
 The fully functional worker is exercised under load by the §7.4, Fig 7
 and Fig 8 experiments, where requests carry real data.
@@ -26,7 +25,6 @@ and Fig 8 experiments, where requests carry real data.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Optional
 
 from ..backends.base import create_backend
@@ -34,6 +32,7 @@ from ..composition.registry import FunctionBinary
 from ..data.items import DataSet
 from ..sim.core import Environment, Event
 from ..sim.distributions import Rng
+from ..sim.resources import FifoCores
 
 __all__ = ["DandelionLoadModel"]
 
@@ -53,11 +52,9 @@ class DandelionLoadModel:
         cold_load_fraction: float = 1.0,
         rng: Optional[Rng] = None,
     ):
-        if cores < 1:
-            raise ValueError("cores must be >= 1")
         self.env = env
         self.cores = cores
-        self._free_at: list[float] = []  # completion times, at most `cores`
+        self._pool = FifoCores(cores)
         self.backend = create_backend(backend_name, machine)
         self.cold_load_fraction = cold_load_fraction
         self.rng = rng or Rng(0)
@@ -77,10 +74,5 @@ class DandelionLoadModel:
 
     def request(self) -> Event:
         """Submit one request; returns the event that fires when it completes."""
-        free_at = self._free_at
-        start = self.env.now
-        if len(free_at) == self.cores:
-            start = max(start, heappop(free_at))
-        completion = start + self.service_seconds()
-        heappush(free_at, completion)
-        return self.env.timeout_at(completion)
+        env = self.env
+        return env.timeout_at(self._pool.admit(env.now, self.service_seconds()))

@@ -1,11 +1,15 @@
 """Discrete-event simulation kernel.
 
-This module implements a small, self-contained process-based
-discrete-event simulator in the style of SimPy.  Every platform in the
-reproduction (Dandelion worker nodes, Firecracker hosts, the simulated
-network) runs on top of this kernel, so that
-microsecond-scale timing behaviour from the paper can be modelled
-faithfully even though the host is Python.
+This module implements a small, self-contained discrete-event
+simulator in the style of SimPy.  Every platform in the reproduction
+(Dandelion worker nodes, Firecracker hosts, the simulated network) runs
+on top of this kernel, so that microsecond-scale timing behaviour from
+the paper can be modelled faithfully even though the host is Python.
+
+No generator process runs under ``src/`` (docs/simulation.md).
+:class:`Process`, :class:`AllOf` and :class:`AnyOf` stay for the
+benchmark (``perf/workloads.py``'s ``dag_logproc`` driver, two
+``perf/probes.py`` probes) and the generator oracles under ``tests/``.
 
 The public surface is:
 

@@ -1,19 +1,24 @@
-"""Shared resources for simulation processes.
+"""Core pools.
 
 ``Resource``
-    A counted resource (e.g. a pool of CPU cores) with a FIFO wait
-    queue.  Used via ``req = resource.request(); yield req; ...;
-    resource.release(req)``.
+    Counted slots with a FIFO wait queue: ``req = resource.request()``
+    is born processed when a slot is free, else fires when granted;
+    ``resource.release(req)`` frees the slot.
+``FifoCores``
+    Run-to-completion cores as a recursion, no event heap: a request
+    arriving at ``t`` starts at ``max(t, earliest free core)``.  Admit in
+    arrival order; ``env.timeout_at`` turns a completion into an event.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 
 from .core import Environment, Event, SimulationError
 from .core import _PROCESSED
 
-__all__ = ["Resource", "Request"]
+__all__ = ["FifoCores", "Resource", "Request"]
 
 
 class Request(Event):
@@ -76,3 +81,24 @@ class Resource:
             self._users.append(request)
             request.succeed(request)
 
+
+class FifoCores:
+    """``cores`` run-to-completion cores, granted in arrival order."""
+
+    __slots__ = ("cores", "_free_at")
+
+    def __init__(self, cores: int):
+        if cores < 1:
+            raise ValueError("cores must be >= 1")
+        self.cores = cores
+        self._free_at: list[float] = []  # a heap of at most `cores` completion times
+
+    def admit(self, arrival: float, service_seconds: float) -> float:
+        """Admit a request arriving at ``arrival``; return its completion time."""
+        free_at = self._free_at
+        start = arrival
+        if len(free_at) == self.cores:
+            start = max(start, heappop(free_at))
+        completion = start + service_seconds
+        heappush(free_at, completion)
+        return completion

@@ -5,14 +5,18 @@ open-loop arrival process at a configured request rate and report
 latency percentiles and achieved throughput.  :func:`run_open_loop`
 implements that harness over any ``submit`` callable — a Dandelion
 frontend invocation, a baseline-platform request, or a D-hybrid task.
+The driver is no generator process: one chain of scheduled calls
+submits each request at its arrival time, and a callback on the
+returned event counts its completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional
 
-from ..sim.core import Environment
+from ..sim.core import Environment, Event
 from ..sim.distributions import Rng
 from ..sim.metrics import LatencyRecorder
 
@@ -55,8 +59,8 @@ def run_open_loop(
 
     Arrivals are Poisson when ``rng`` is given, deterministic (evenly
     spaced) otherwise.  Requests arriving during the first
-    ``warmup_seconds`` are executed but not measured.  After the last
-    arrival, the run waits up to ``drain_seconds`` for stragglers.
+    ``warmup_seconds`` are executed but not measured.  After the arrival
+    window, the run waits up to ``drain_seconds`` for stragglers.
     """
     if rng is not None:
         arrivals = rng.poisson_arrivals(rate_rps, duration_seconds, start=env.now)
@@ -68,19 +72,15 @@ def run_open_loop(
             arrivals.append(t)
             t += step
     return run_arrivals(
-        env,
-        submit,
-        arrivals,
-        offered_rps=rate_rps,
-        duration_seconds=duration_seconds,
-        warmup_until=env.now + warmup_seconds,
+        env, submit, arrivals, offered_rps=rate_rps,
+        duration_seconds=duration_seconds, warmup_until=env.now + warmup_seconds,
         drain_seconds=drain_seconds,
     )
 
 
 def run_arrivals(
     env: Environment,
-    submit: Callable[[], object],
+    submit: Callable[[], Event],
     arrival_times: Iterable[float],
     offered_rps: float = 0.0,
     duration_seconds: float = 0.0,
@@ -88,58 +88,58 @@ def run_arrivals(
     drain_seconds: float = 60.0,
 ) -> LoadResult:
     """Like :func:`run_open_loop` but with explicit arrival timestamps
-    (used by bursty schedules and trace replay)."""
-    arrival_times = sorted(arrival_times)
-    latencies = LatencyRecorder()
-    state = {"completed": 0, "failed": 0}
+    (used by bursty schedules).  ``submit`` returns a pending event.
 
-    def finish(started: float, event) -> None:
-        # Completion callback for one request (a failed completion
-        # event propagates through the all_of below, as before).
+    The run ends when the last request completes or, given a
+    ``duration_seconds``, at ``duration_seconds + drain_seconds`` after
+    the start: a request that completes at or before that cutoff counts,
+    whatever the submitter; later stragglers go unmeasured.
+    """
+    arrivals = sorted(arrival_times)
+    latencies = LatencyRecorder()
+    done = Event(env)
+    completed = failed = outstanding = submitted = 0
+
+    def stop(_event=None) -> None:
+        if not done._state:
+            done.succeed()
+
+    def finish(started: float, event: Event) -> None:
+        nonlocal completed, failed, outstanding
         if not event._ok:
-            return
-        outcome = event._value
-        if getattr(outcome, "ok", True) is False:
-            state["failed"] += 1
+            return  # a failed completion leaves run() as its exception
+        outstanding -= 1
+        if getattr(event._value, "ok", True) is False:
+            failed += 1
         else:
-            state["completed"] += 1
+            completed += 1
             if started >= warmup_until:
                 latencies.record(env.now - started)
+        if not outstanding and submitted == len(arrivals):
+            stop()
 
-    def driver():
-        # One driver process submits every request at its arrival time
-        # and observes completions via callbacks — this used to be a
-        # process per request, whose create/initialize/resume churn
-        # dominated the event heap at high request counts.
-        pending = []
-        for arrive_at in arrival_times:
-            delay = arrive_at - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            started = env.now
-            completion = submit()
-            completion.callbacks.append(
-                lambda event, started=started: finish(started, event)
-            )
-            pending.append(completion)
-        if pending:
-            yield env.all_of(pending)
+    def step(woken: bool = False) -> None:
+        # Woken, submit at once: `now + (arrival - now)` may miss it by an ulp.
+        nonlocal outstanding, submitted
+        while submitted < len(arrivals):
+            delay = arrivals[submitted] - env.now
+            if delay > 0 and not woken:
+                env.call_later(delay, step, True)
+                return
+            woken = False
+            submitted += 1
+            outstanding += 1
+            submit().callbacks.append(partial(finish, env.now))
+        if not outstanding:
+            stop()
 
     start = env.now
-    driver_process = env.process(driver())
+    env.call_later(0, step)
     if duration_seconds:
-        # Stop at the drain deadline even if stragglers are still in
-        # flight (they simply go unmeasured).
-        cutoff = env.timeout(duration_seconds + drain_seconds)
-        env.run(until=env.any_of([driver_process, cutoff]))
-    else:
-        env.run(until=driver_process)
-    makespan = env.now - start
-    return LoadResult(
-        offered_rps=offered_rps,
-        duration_seconds=duration_seconds,
-        completed=state["completed"],
-        failed=state["failed"],
-        latencies=latencies,
-        makespan_seconds=makespan,
-    )
+        env.timeout(duration_seconds + drain_seconds).callbacks.append(stop)
+    env.run(until=done)
+    if outstanding or submitted < len(arrivals):
+        # Cut off: finish every event at the cutoff instant, so whether
+        # a completion there counts does not depend on its heap position.
+        env.run(until=env.now)
+    return LoadResult(offered_rps, duration_seconds, completed, failed, latencies, env.now - start)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import DHybridPlatform, compute_phase, io_phase
 from repro.sim import Environment
+from repro.workloads import run_arrivals
 
 
 def test_config_validation():
@@ -33,6 +34,25 @@ def test_pinned_io_holds_core_idle():
     env.run(until=env.all_of([first, second]))
     # Pinned: the io wait holds the only core, so requests serialize.
     assert env.now >= 0.10
+
+
+def test_pinned_ties_complete_in_arrival_order():
+    # Two pinned cores, residency c: two requests at 0 finish at c, a
+    # third waits, and a fourth arrives at exactly c.  Both start at c
+    # and finish at 2c, in arrival order (a Resource-granted core pool
+    # let the newcomer finish first).
+    solo = Environment()
+    probe = DHybridPlatform(solo, cores=2, pinned=True)
+    probe.register_function("f", [compute_phase(0.001), io_phase(0.002)])
+    c = solo.run(until=probe.request("f")).latency
+    env = Environment()
+    platform = DHybridPlatform(env, cores=2, pinned=True)
+    platform.register_function("f", [compute_phase(0.001), io_phase(0.002)])
+    run_arrivals(env, lambda: platform.request("f"), [0.0, 0.0, 0.0, c])
+    assert [(r.arrived_at, r.finished_at) for r in platform.records] == [
+        (0.0, c), (0.0, c), (0.0, c + c), (c, c + c)
+    ]
+    assert platform.latencies.mean == (c + c + (c + c) + c) / 4
 
 
 def test_unpinned_io_overlaps():

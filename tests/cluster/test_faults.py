@@ -298,12 +298,15 @@ def test_limp_streams_leave_crash_schedule_untouched():
 
 
 def test_limp_severity_one_creates_no_limp_processes():
+    # Each life starts with one scheduled call: a severity of 1.0 starts
+    # the crash lives only.
     cluster = make_cluster(workers=2)
+    before = cluster.env.events_scheduled
     injector = WorkerFaultInjector(
         cluster, mttf_seconds=1e9, mttr_seconds=1.0,
         limp_mttf_seconds=0.01, limp_duration_seconds=0.01,
         limp_severity=1.0,
     )
+    assert cluster.env.events_scheduled - before == cluster.worker_count
     _drive(cluster, count=30)
     assert injector.limps_injected == 0
-    assert len(injector._processes) == cluster.worker_count

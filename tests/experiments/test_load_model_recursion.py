@@ -12,9 +12,9 @@ run (draw its service time, schedule its completion) before the waiting
 one resumes; the recursion keeps arrival order for both.  Drawn float
 arrivals do not land on completion instants, so the property never
 meets it; ``test_the_three_way_tie`` pins it.  (The property runs
-without a drain cutoff: a completion exactly at ``run_arrivals``'s
-cutoff is counted here but not by the process model, whose completion
-event is scheduled only once its service ends.)
+without a drain cutoff.  A completion exactly at ``run_arrivals``'s
+cutoff counts under either model: the driver finishes the cutoff
+instant, see ``tests/workloads/test_loadgen.py``.)
 """
 
 import random

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.baselines import FIRECRACKER_SNAPSHOT, FaasPlatform, compute_phase
+import struct
+
+from repro.baselines import FIRECRACKER_SNAPSHOT, FaasPlatform, PlatformSpec, compute_phase, io_phase
+from repro.data import DataItem, DataSet
+from repro.experiments import DandelionLoadModel, matmul_1x1_binary
 from repro.sim import Environment, Rng
 from repro.workloads import (
     FixedDelayService,
@@ -70,6 +74,29 @@ def test_run_arrivals_explicit_times():
     result = run_arrivals(env, lambda: platform.request("f"), [0.0, 0.5, 1.0])
     assert result.completed == 3
     assert result.makespan_seconds >= 1.0
+
+
+def test_a_completion_at_the_cutoff_counts_whatever_the_submitter():
+    # One 0.89 ms request (the cold 1x1 matmul on the Morello KVM model)
+    # whose run is cut off at exactly its completion.  The load model
+    # schedules its completion at submission, the FaaS chain only when
+    # its last phase ends, after the cutoff's own entry: both count it.
+    inputs = [
+        DataSet("a", [DataItem("value", struct.pack("<q", 3))]),
+        DataSet("b", [DataItem("value", struct.pack("<q", 5))]),
+    ]
+    env = Environment()
+    model = DandelionLoadModel(env, matmul_1x1_binary(), inputs, ["c"], cores=1)
+    service = model.uncached_seconds
+    assert round(service * 1e3, 2) == 0.89
+    faas_env = Environment()
+    spec = PlatformSpec("instant", cold_start_seconds=0.0, hot_start_seconds=0.0)
+    faas = FaasPlatform(faas_env, spec, 1, 1.0, Rng(0))
+    faas.register_function("f", [io_phase(service)])
+    for env, submit in ((env, model.request), (faas_env, lambda: faas.request("f"))):
+        result = run_arrivals(env, submit, [0.0], duration_seconds=service, drain_seconds=0.0)
+        assert (result.completed, result.makespan_seconds) == (1, service)
+        assert result.latencies.mean == service
 
 
 def test_failed_invocations_counted():
