@@ -12,8 +12,8 @@ cluster-manager boundary needs:
   this, which is what makes merged results independent of the shard
   count: values are combined in global worker order no matter how the
   workers were grouped.
-* :meth:`workers_of` / :meth:`shard_of` — the routing side, used to
-  address a window batch to the shard owning the chosen worker.
+* :meth:`workers_of` — the routing side: each shard takes the routed
+  delivery lists of the workers it owns.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ class ShardPlan:
             tuple(range(shard, worker_count, self.shard_count))
             for shard in range(self.shard_count)
         )
-
-    def shard_of(self, worker: int) -> int:
-        return worker % self.shard_count
 
     def workers_of(self, shard: int) -> tuple:
         """Global worker indices owned by ``shard``, ascending."""

@@ -24,6 +24,8 @@ the trace and the barrier reports — not on the shard count.
 
 from __future__ import annotations
 
+from heapq import heapify, heapreplace
+
 from ..cluster.sharding import ShardPlan
 from ..sched import ClusterSnapshot, LeastOutstanding, make_routing_policy
 from ..sim.distributions import Rng
@@ -44,11 +46,10 @@ class WindowedRouter:
         worker_count = plan.worker_count
         self._plan = plan
         self._policy = make_routing_policy(policy, Rng(seed))
-        # Least-outstanding over a fault-free fleet is "first index of
-        # the minimum estimate" — computable with two C-level list scans
-        # instead of a Python loop over candidates.  The decision
-        # sequence is identical to ``policy.decide`` (ascending healthy
-        # tuple, tie-break by lowest index); pinned by a parity test.
+        # Least-outstanding over a fault-free fleet is the head of a heap
+        # of ``(estimate, worker)``: the lowest estimate, ties to the
+        # lowest index — ``policy.decide``'s choice (ascending healthy
+        # tuple) at one ``heapreplace`` per arrival; pinned by a property.
         self._fast_least = type(self._policy) is LeastOutstanding
         self._estimates = [0] * worker_count
         # One long-lived snapshot: `healthy`/`health` never change (the
@@ -68,25 +69,25 @@ class WindowedRouter:
     def route_window(self, arrivals) -> "list[list[tuple]]":
         """Route one window of ``(time, fn_index, duration)`` arrivals.
 
-        Returns per-shard delivery batches: lists of
-        ``(delivery_time, worker, fn_index, duration, arrival_time)``
-        tuples in trace order, delivery being arrival plus
+        Returns one delivery list per worker, global order, of
+        ``(delivery_time, fn_index, duration, arrival_time)`` tuples in
+        trace order, delivery being arrival plus
         :data:`DISPATCH_DELAY_SECONDS` (the conservative lookahead:
         nothing routed in this window can take effect earlier than that).
         """
         dispatch_delay = DISPATCH_DELAY_SECONDS
-        batches = [[] for _ in range(self._plan.shard_count)]
-        shard_of = self._plan.shard_of
         estimates = self._estimates
+        deliveries = [[] for _ in estimates]
         if self._fast_least:
-            index = estimates.index
+            heap = [(estimate, worker) for worker, estimate in enumerate(estimates)]
+            heapify(heap)
             for t, fn_index, duration in arrivals:
-                worker = index(min(estimates))
-                estimates[worker] += 1
-                batches[shard_of(worker)].append(
-                    (t + dispatch_delay, worker, fn_index, duration, t)
-                )
-            return batches
+                estimate, worker = heap[0]
+                heapreplace(heap, (estimate + 1, worker))
+                deliveries[worker].append((t + dispatch_delay, fn_index, duration, t))
+            for estimate, worker in heap:
+                estimates[worker] = estimate
+            return deliveries
         decide = self._policy.decide
         snapshot = self._snapshot
         for t, fn_index, duration in arrivals:
@@ -94,7 +95,5 @@ class WindowedRouter:
             if worker is None:  # fleet is never empty here
                 raise RuntimeError("routing policy declined a fault-free fleet")
             estimates[worker] += 1
-            batches[shard_of(worker)].append(
-                (t + dispatch_delay, worker, fn_index, duration, t)
-            )
-        return batches
+            deliveries[worker].append((t + dispatch_delay, fn_index, duration, t))
+        return deliveries

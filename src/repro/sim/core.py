@@ -442,6 +442,18 @@ class Environment:
         self._seq = seq + 1
         heappush(self._queue, (self._now + delay, seq, call))
 
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """:meth:`call_later` at the absolute virtual time ``when``, exactly."""
+        if when < self._now:
+            raise SimulationError(f"time {when} is in the past")
+        call = _Call()
+        call.fn = fn
+        call.args = args
+        call.callbacks = _FIRE
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (when, seq, call))
+
     # -- scheduling and execution --------------------------------------
 
     @property

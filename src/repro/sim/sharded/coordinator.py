@@ -7,15 +7,16 @@ the coordinator, and only at window barriers.  Each window of length
 1. the coordinator takes the window's arrivals from the trace stream
    (already one list per window, cut at the same ``end``) and routes
    them through the :class:`~repro.dispatcher.windowed.WindowedRouter`
-   against the fleet view merged from the *previous* barrier's reports;
+   against the fleet view merged from the *previous* barrier's reports,
+   which returns one delivery list per worker;
 2. every delivery time already includes the dispatch delay, the
    conservative lookahead — nothing the dispatcher decides in this
    window can take effect inside a shard earlier than that, and shards
    cannot affect each other at all, so any window length is causally
    safe;
-3. each shard ingests its batch, advances its workers to the window
-   end, and reports outstanding counts plus the window's completion
-   latencies;
+3. each shard takes the lists of the workers it owns, runs each
+   worker's window in one loop up to the window end, and reports
+   outstanding counts plus the window's completion latencies;
 4. the coordinator merges the reports (global worker order, see
    :class:`~repro.cluster.sharding.ShardPlan`) and the loop repeats
    until the stream is exhausted and every routed invocation has
@@ -29,8 +30,8 @@ invariant to sharding.  Determinism rules are spelled out in
 docs/simulation.md.
 
 Everything runs in this process: the coordinator loop steps its
-:class:`~.shard.ShardSim` objects directly and batches are plain tuple
-lists.  ``shards > 1`` buys no speed (it costs a little); it exists so
+:class:`~.shard.ShardSim` objects directly and deliveries are plain
+tuple lists.  ``shards > 1`` buys no speed (it costs a little); it exists so
 tests and ``perf --check`` can assert that partitioning the fleet
 cannot change a KPI.
 """
@@ -155,10 +156,8 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
         "duration_seconds": duration,
         "memory_of": trace.memory_bytes(),
     }
-    sims = [
-        ShardSim(plan.workers_of(shard), shard_config)
-        for shard in range(plan.shard_count)
-    ]
+    shard_workers = [plan.workers_of(shard) for shard in range(plan.shard_count)]
+    sims = [ShardSim(workers, shard_config) for workers in shard_workers]
     window = config.window_seconds
     begin_wall = time.perf_counter()
     stream = trace.iter_windows(window)
@@ -171,9 +170,9 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
         # the windows after it only drain what is still running.
         arrivals = next(stream, ())
         routed += len(arrivals)
-        batches = router.route_window(arrivals)
-        for sim, batch in zip(sims, batches):
-            sim.run_window(batch, end)
+        deliveries = router.route_window(arrivals)
+        for sim, workers in zip(sims, shard_workers):
+            sim.run_window([deliveries[worker] for worker in workers], end)
             latencies += sim.drain_latencies()
         router.refresh([sim.outstanding() for sim in sims])
         windows += 1

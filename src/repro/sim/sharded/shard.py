@@ -1,9 +1,10 @@
 """One shard of the partitioned cluster simulation.
 
-At a barrier a :class:`ShardSim` ingests the window's delivery batch,
-hands each delivery due by the window end to its worker in time order,
-advances every worker to the end, and reports per-worker outstanding
-counts plus the window's completion latencies.
+At a barrier a :class:`ShardSim` takes one routed delivery list per
+worker and runs each worker's window in one loop: the deliveries due
+by the window end in time order, then everything else up to the end.
+It reports per-worker outstanding counts plus the window's completion
+latencies.
 
 A worker is a FIFO run-to-completion core pool, modelled numerically
 and without an event kernel: a request starts at ``max(delivery,
@@ -15,8 +16,11 @@ sequence only, so grouping workers into shards cannot change them.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_right
+from collections import defaultdict, deque
 from heapq import heappop, heappush
+from operator import itemgetter
 
 __all__ = ["ShardSim", "PLATFORM_DANDELION", "PLATFORM_FAAS"]
 
@@ -48,9 +52,13 @@ class _StepSeries:
     time-weighted integral and a fixed resample grid on the fly, so
     memory stays O(grid) across millions of events.  Values are ints
     (bytes), so sums across workers are exact and grouping-independent.
+
+    The worker loops hold ``integral``, ``last`` and ``bound`` in locals
+    for a window: a change at ``t < bound`` only adds ``old * (t -
+    last)`` to the integral, any other goes through :meth:`fold`.
     """
 
-    __slots__ = ("duration", "step", "grid", "_grid_index", "value", "_last", "integral")
+    __slots__ = ("duration", "step", "grid", "_grid_index", "value", "last", "integral", "bound")
 
     def __init__(self, duration: float, step: float):
         self.duration = duration
@@ -58,29 +66,35 @@ class _StepSeries:
         self.grid = [0] * (int(duration / step) + 1)
         self._grid_index = 0
         self.value = 0
-        self._last = 0.0
+        self.last = 0.0
         self.integral = 0.0
+        self.bound = 0.0  # the first grid point
 
-    def record(self, t: float, value: int) -> None:
+    def fold(self, t: float, old: int, integral: float, last: float) -> tuple:
+        """Fold a change at ``t`` away from ``old``; returns the new
+        ``(integral, last, bound)``."""
         duration = self.duration
-        last = self._last
-        old = self.value
         if last < duration:
             capped = t if t < duration else duration
-            self.integral += old * (capped - last)
-            self._last = capped
+            integral += old * (capped - last)
+            last = capped
         # Grid points strictly before t keep the old value; a point at
         # exactly t takes the new one (the latest recording at or before
         # the point decides).
         grid = self.grid
         index = self._grid_index
         count = len(grid)
-        if index < count:
-            step = self.step
-            while index < count and index * step < t:
-                grid[index] = old
-                index += 1
-            self._grid_index = index
+        step = self.step
+        while index < count and index * step < t:
+            grid[index] = old
+            index += 1
+        self._grid_index = index
+        if not last < duration:
+            return integral, last, -math.inf
+        return integral, last, min(index * step if index < count else math.inf, duration)
+
+    def record(self, t: float, value: int) -> None:
+        self.integral, self.last, self.bound = self.fold(t, self.value, self.integral, self.last)
         self.value = value
 
     def finalize(self) -> None:
@@ -96,54 +110,26 @@ class _CorePool:
     still busy it applies the earliest, whose time is the start.  Starts
     and applied completions are monotone, so the memory series are fed
     in time order.  A completion applied past the window end waits in
-    ``later`` as ``(time, latency)`` until its own window reports it.
+    ``later`` as ``(time, latency)`` until its own window reports it;
+    a delivery past the window end waits in ``pending``.
     """
 
     __slots__ = (
-        "cores", "busy", "later", "memory_of", "latencies", "series", "completed", "committed",
-        "_starts",
+        "cores", "busy", "later", "pending", "memory_of", "latencies", "series", "completed",
+        "committed", "_starts",
     )
 
     def __init__(self, config):
         self.cores = config["cores_per_worker"]
         self.busy: list[tuple] = []
         self.later: deque = deque()
+        self.pending: list[tuple] = []
         self.memory_of = config["memory_of"]
         self.latencies: list[float] = []
         self.series = _StepSeries(config["duration_seconds"], GRID_STEP)
         self.completed = 0
         self.committed = 0
         self._starts = 0
-
-    def deliver(self, t, fn_index, duration, arrival, end) -> None:
-        """Start a request delivered at ``t`` once a core is free."""
-        busy = self.busy
-        while busy and busy[0][0] <= t:
-            self._complete(end)
-        start = self._complete(end) if len(busy) == self.cores else t
-        completion, payload = self._start(start, fn_index, duration)
-        # Same-instant completions pop in start order.
-        self._starts += 1
-        heappush(busy, (completion, self._starts, payload, arrival))
-
-    def _complete(self, end: float) -> float:
-        completion, _, payload, arrival = heappop(self.busy)
-        self._release(completion, payload)
-        self.completed += 1
-        if completion <= end:
-            self.latencies.append(completion - arrival)
-        else:
-            self.later.append((completion, completion - arrival))
-        return completion
-
-    def advance(self, end: float) -> None:
-        """Apply and report everything at or before the window ``end``."""
-        later = self.later
-        while later and later[0][0] <= end:
-            self.latencies.append(later.popleft()[1])
-        busy = self.busy
-        while busy and busy[0][0] <= end:
-            self._complete(end)
 
 
 class _DandelionWorker(_CorePool):
@@ -152,14 +138,52 @@ class _DandelionWorker(_CorePool):
     __slots__ = ()
     events_per_invocation = 2
 
-    def _start(self, start, fn_index, duration):
-        self.committed += self.memory_of[fn_index]
-        self.series.record(start, self.committed)
-        return start + (CREATION_SECONDS + duration), fn_index
-
-    def _release(self, completion, fn_index) -> None:
-        self.committed -= self.memory_of[fn_index]
-        self.series.record(completion, self.committed)
+    def run_window(self, deliveries, end: float) -> None:
+        """Run the due ``(delivery, fn_index, duration, arrival)``
+        deliveries in order, then the window ``end``: a last delivery
+        that applies everything at or before it and starts nothing."""
+        pending = self.pending
+        pending += deliveries
+        due = bisect_right(pending, end, key=itemgetter(0))
+        busy, cores, memory_of, later = self.busy, self.cores, self.memory_of, self.later
+        report = self.latencies.append
+        while later and later[0][0] <= end:
+            report(later.popleft()[1])
+        committed, completed, starts = self.committed, self.completed, self._starts
+        series = self.series
+        integral, last, bound = series.integral, series.last, series.bound
+        for t, fn_index, duration, arrival in pending[:due] + [(end, None, 0.0, 0.0)]:
+            start = t
+            while busy and (busy[0][0] <= t or len(busy) == cores and fn_index is not None):
+                completion, _, memory, began = heappop(busy)
+                if completion < bound:
+                    integral += committed * (completion - last)
+                    last = completion
+                else:
+                    integral, last, bound = series.fold(completion, committed, integral, last)
+                committed -= memory
+                completed += 1
+                if completion <= end:
+                    report(completion - began)
+                else:
+                    later.append((completion, completion - began))
+                if completion > start:
+                    start = completion
+            if fn_index is None:
+                break
+            memory = memory_of[fn_index]
+            if start < bound:
+                integral += committed * (start - last)
+                last = start
+            else:
+                integral, last, bound = series.fold(start, committed, integral, last)
+            committed += memory
+            # Same-instant completions pop in start order.
+            starts += 1
+            heappush(busy, (start + (CREATION_SECONDS + duration), starts, memory, arrival))
+        del pending[:due]
+        series.integral, series.last, series.bound, series.value = integral, last, bound, committed
+        self.committed, self.completed, self._starts = committed, completed, starts
 
 
 class _Sandbox:
@@ -194,79 +218,119 @@ class _FaasWorker(_CorePool):
         self.active = 0
         self.active_series = _StepSeries(config["duration_seconds"], GRID_STEP)
         self.cold_starts = 0
-        self.idle_of: dict[int, list[_Sandbox]] = {}
+        self.idle_of: defaultdict = defaultdict(list)
 
-    def _start(self, start, fn_index, duration):
-        expiring = self.expiring
-        while expiring and expiring[0][0] < start:
-            self._expire()
-        stack = self.idle_of.get(fn_index)
-        if stack:
-            sandbox = stack.pop()
-            setup = HOT_START_SECONDS
-        else:
-            footprint = self.memory_of[fn_index] + GUEST_OVERHEAD_BYTES
-            sandbox = _Sandbox(fn_index, footprint)
-            self.cold_starts += 1
-            self.committed += footprint
-            self.series.record(start, self.committed)
-            setup = COLD_START_SECONDS + PAGING_SECONDS_PER_MIB * (footprint / (1024 * 1024))
-        sandbox.token += 1
-        self.active += sandbox.footprint
-        self.active_series.record(start, self.active)
-        return start + (setup + duration * COMPUTE_SLOWDOWN), sandbox
-
-    def _release(self, completion, sandbox) -> None:
-        self.active -= sandbox.footprint
-        self.active_series.record(completion, self.active)
-        sandbox.token += 1
-        self.idle_of.setdefault(sandbox.fn_index, []).append(sandbox)
-        self.expiring.append((completion + self.keep_alive, sandbox, sandbox.token))
-
-    def _expire(self) -> None:
-        when, sandbox, token = self.expiring.popleft()
-        if sandbox.token == token:  # idle ever since the completion that set it
-            self.idle_of[sandbox.fn_index].remove(sandbox)
-            self.committed -= sandbox.footprint
-            self.series.record(when, self.committed)
-
-    def advance(self, end: float) -> None:
-        super().advance(end)
-        expiring = self.expiring
-        while expiring and expiring[0][0] <= end:
-            self._expire()
+    def run_window(self, deliveries, end: float) -> None:
+        """:meth:`_DandelionWorker.run_window` with sandboxes: a start
+        reuses an idle one or creates it cold, a completion idles it
+        under a keep-alive timer, an expired timer reaps it."""
+        pending = self.pending
+        pending += deliveries
+        due = bisect_right(pending, end, key=itemgetter(0))
+        busy, cores, memory_of, later = self.busy, self.cores, self.memory_of, self.later
+        report = self.latencies.append
+        while later and later[0][0] <= end:
+            report(later.popleft()[1])
+        expiring, idle_of, keep_alive = self.expiring, self.idle_of, self.keep_alive
+        committed, active, completed, starts = self.committed, self.active, self.completed, self._starts
+        cold_starts = self.cold_starts
+        series = self.series
+        integral, last, bound = series.integral, series.last, series.bound
+        active_series = self.active_series
+        active_integral, active_last, active_bound = (
+            active_series.integral, active_series.last, active_series.bound
+        )
+        for t, fn_index, duration, arrival in pending[:due] + [(end, None, 0.0, 0.0)]:
+            start = t
+            while busy and (busy[0][0] <= t or len(busy) == cores and fn_index is not None):
+                completion, _, sandbox, began = heappop(busy)
+                if completion < active_bound:
+                    active_integral += active * (completion - active_last)
+                    active_last = completion
+                else:
+                    active_integral, active_last, active_bound = active_series.fold(
+                        completion, active, active_integral, active_last
+                    )
+                active -= sandbox.footprint
+                sandbox.token += 1
+                idle_of[sandbox.fn_index].append(sandbox)
+                expiring.append((completion + keep_alive, sandbox, sandbox.token))
+                completed += 1
+                if completion <= end:
+                    report(completion - began)
+                else:
+                    later.append((completion, completion - began))
+                if completion > start:
+                    start = completion
+            if fn_index is None:  # the barrier applies every timer up to the end
+                start = math.nextafter(end, math.inf)
+            while expiring and expiring[0][0] < start:
+                when, sandbox, token = expiring.popleft()
+                if sandbox.token == token:  # idle ever since the completion that set it
+                    idle_of[sandbox.fn_index].remove(sandbox)
+                    if when < bound:
+                        integral += committed * (when - last)
+                        last = when
+                    else:
+                        integral, last, bound = series.fold(when, committed, integral, last)
+                    committed -= sandbox.footprint
+            if fn_index is None:
+                break
+            stack = idle_of.get(fn_index)
+            if stack:
+                sandbox = stack.pop()
+                setup = HOT_START_SECONDS
+            else:
+                footprint = memory_of[fn_index] + GUEST_OVERHEAD_BYTES
+                sandbox = _Sandbox(fn_index, footprint)
+                cold_starts += 1
+                if start < bound:
+                    integral += committed * (start - last)
+                    last = start
+                else:
+                    integral, last, bound = series.fold(start, committed, integral, last)
+                committed += footprint
+                setup = COLD_START_SECONDS + PAGING_SECONDS_PER_MIB * (footprint / (1024 * 1024))
+            sandbox.token += 1
+            if start < active_bound:
+                active_integral += active * (start - active_last)
+                active_last = start
+            else:
+                active_integral, active_last, active_bound = active_series.fold(
+                    start, active, active_integral, active_last
+                )
+            active += sandbox.footprint
+            starts += 1
+            heappush(busy, (start + (setup + duration * COMPUTE_SLOWDOWN), starts, sandbox, arrival))
+        del pending[:due]
+        series.integral, series.last, series.bound, series.value = integral, last, bound, committed
+        active_series.integral, active_series.last, active_series.bound, active_series.value = (
+            active_integral, active_last, active_bound, active
+        )
+        self.committed, self.active, self.completed, self._starts = committed, active, completed, starts
+        self.cold_starts = cold_starts
 
 
 class ShardSim:
     """One shard: the workers of a slice of the fleet."""
 
-    __slots__ = ("workers", "_by_global", "_pending", "_events_per_invocation", "events")
+    __slots__ = ("workers", "_events_per_invocation", "events")
 
     def __init__(self, worker_indices, config: dict):
         worker_class = _FaasWorker if config["platform"] == PLATFORM_FAAS else _DandelionWorker
         self.workers = [worker_class(config) for _ in worker_indices]
-        self._by_global = dict(zip(worker_indices, self.workers))
         self._events_per_invocation = worker_class.events_per_invocation
-        # Routed deliveries not yet due.  Batches are time-sorted (trace
-        # order plus a constant dispatch delay): appending keeps the order.
-        self._pending: list[tuple] = []
         self.events = 0
 
-    def run_window(self, records, end: float) -> None:
-        """Ingest one window's delivery batch and advance every worker to ``end``."""
-        pending = self._pending
-        pending += records
-        self.events += self._events_per_invocation * len(records)
-        by_global = self._by_global
-        due = 0
-        for delivery, worker, fn_index, duration, arrival in pending:
-            if delivery > end:
-                break
-            by_global[worker].deliver(delivery, fn_index, duration, arrival, end)
-            due += 1
-        del pending[:due]
-        for worker in self.workers:
-            worker.advance(end)
+    def run_window(self, deliveries, end: float) -> None:
+        """Run one window: ``deliveries[i]`` is local worker ``i``'s routed
+        list of ``(delivery, fn_index, duration, arrival)`` tuples in
+        trace order; every worker advances to ``end``."""
+        routed = 0
+        for worker, delivered in zip(self.workers, deliveries):
+            routed += len(delivered)
+            worker.run_window(delivered, end)
+        self.events += self._events_per_invocation * routed
 
     def outstanding(self) -> list[int]:
         """Queued + in-service count per worker, local order."""

@@ -49,6 +49,7 @@ __all__ = ["StreamedTrace", "streamed_trace"]
 # generate_functions is >= 30s), so bursts of consecutive periods never
 # overlap and sorting within one period keeps the stream monotone.
 _PERIODIC_JITTER = 10.0
+_TWOPI = 2.0 * math.pi  # random.gauss's constant
 
 
 def _burst_times(fn, duration, arng):
@@ -135,21 +136,20 @@ class StreamedTrace:
         return self._windows(window_seconds)
 
     def _windows(self, window):
+        exp, log, cos, sin, sqrt = math.exp, math.log, math.cos, math.sin, math.sqrt
         duration = self.duration_seconds
         base = Rng(self.seed)
         duration_base = base.fork(2)
         arrival_base = base.fork(3)
         # Per-function state, a list the calendar carries from window to
-        # window: [next arrival, index, step, rate, gauss, log_median,
-        # sigma].  Poisson (steady and rare) arrivals advance by
-        # ``step(rate)``, periodic ones (rate None) to ``step()``.
-        # `step` and `gauss` are the underlying generators' bound
-        # methods (an Rng wrapper call per invocation is measurable at
-        # 100× scale): ``expovariate(rate)`` is ``Rng.exponential(1 /
-        # rate)``'s draw, and ``exp(mu + sigma * gauss())`` a lognormal
-        # draw through the Box–Muller path, which amortizes one
-        # transcendental pair over two draws where ``lognormvariate``
-        # pays a rejection loop per draw.
+        # window: [next arrival, index, step, rate, draw, spare,
+        # log_median, sigma].  Poisson (steady and rare) arrivals advance
+        # by an exponential gap at ``rate`` over ``step``, the arrival
+        # stream's ``random``; periodic ones (rate None) to ``step()``.
+        # Durations are ``exp(log_median + sigma * z)``, ``z`` standard
+        # normal over ``draw``.  Both are ``expovariate`` and ``gauss``
+        # (a Box–Muller pair, ``spare`` its second half) written out: a
+        # method call per draw is measurable at 100× scale.
         due = []
         for index, fn in enumerate(self.functions):
             arng = arrival_base.fork(index + 1)
@@ -157,17 +157,16 @@ class StreamedTrace:
                 step, rate = _burst_times(fn, duration, arng).__next__, None
                 t = step()
             else:
-                step, rate = arng._random.expovariate, fn.mean_rate_rps
-                t = step(rate)
+                step, rate = arng._random.random, fn.mean_rate_rps
+                t = -log(1.0 - step()) / rate
             if t < duration:
-                gauss = duration_base.fork(index + 1)._random.gauss
-                log_median = math.log(fn.median_duration_seconds)
-                due.append([t, index, step, rate, gauss, log_median, fn.duration_sigma])
+                draw = duration_base.fork(index + 1)._random.random
+                log_median = log(fn.median_duration_seconds)
+                due.append([t, index, step, rate, draw, None, log_median, fn.duration_sigma])
         # Window index -> states whose next arrival falls in it.  Every
         # function starts in window 0 and files itself under its first
         # arrival's window from there, so there is one filing site.
         calendar = {0: due}
-        exp = math.exp
         k = 0
         while True:
             end = (k + 1) * window
@@ -175,9 +174,17 @@ class StreamedTrace:
             arrivals = []
             add = arrivals.append
             for state in calendar.pop(k, ()):
-                t, index, step, rate, gauss, log_median, sigma = state
+                t, index, step, rate, draw, spare, log_median, sigma = state
                 while t < stop:
-                    d = exp(log_median + sigma * gauss(0.0, 1.0))
+                    if spare is None:
+                        x2pi = draw() * _TWOPI
+                        g2rad = sqrt(-2.0 * log(1.0 - draw()))
+                        z = cos(x2pi) * g2rad
+                        spare = sin(x2pi) * g2rad
+                    else:
+                        z = spare
+                        spare = None
+                    d = exp(log_median + sigma * z)
                     if d < _DURATION_MIN:
                         d = _DURATION_MIN
                     elif d > _DURATION_MAX:
@@ -186,10 +193,11 @@ class StreamedTrace:
                     if rate is None:
                         t = step()
                     else:
-                        t += step(rate)
+                        t += -log(1.0 - step()) / rate
                 if t >= duration:
                     continue  # exhausted: its RNG streams go with the state
                 state[0] = t
+                state[5] = spare
                 # The coordinator's expression, not the quotient,
                 # decides which side of a boundary an arrival is on.
                 bucket = int(t / window)

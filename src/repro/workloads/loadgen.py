@@ -118,15 +118,13 @@ def run_arrivals(
         if not outstanding and submitted == len(arrivals):
             stop()
 
-    def step(woken: bool = False) -> None:
-        # Woken, submit at once: `now + (arrival - now)` may miss it by an ulp.
+    def step() -> None:
         nonlocal outstanding, submitted
         while submitted < len(arrivals):
-            delay = arrivals[submitted] - env.now
-            if delay > 0 and not woken:
-                env.call_later(delay, step, True)
+            arrival = arrivals[submitted]
+            if arrival > env.now:
+                env.call_at(arrival, step)
                 return
-            woken = False
             submitted += 1
             outstanding += 1
             submit().callbacks.append(partial(finish, env.now))

@@ -9,8 +9,11 @@ before they became callback chains:
   request and waited for them with ``all_of``, raced against the drain
   cutoff with ``any_of``.
 
-Both are kept as they ran, comments aside; the cost model and the
-random draws are the product's own.
+Both are kept as they ran, comments aside, but for one line: the
+driver waits with ``timeout_at(arrive_at)`` where it waited
+``timeout(arrive_at - now)``, which could submit an ulp off the drawn
+arrival (the product driver now submits on it exactly).  The cost
+model and the random draws are the product's own.
 """
 
 from repro.baselines import FaasPlatform, RequestRecord
@@ -80,9 +83,8 @@ def generator_run_arrivals(
     def driver():
         pending = []
         for arrive_at in arrival_times:
-            delay = arrive_at - env.now
-            if delay > 0:
-                yield env.timeout(delay)
+            if arrive_at > env.now:
+                yield env.timeout_at(arrive_at)
             started = env.now
             completion = submit()
             completion.callbacks.append(

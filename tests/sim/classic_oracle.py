@@ -24,7 +24,7 @@ class ClassicShardSim:
     """Same interface as :class:`ShardSim`; every delivery runs as a
     generator process acquiring a ``Resource`` core slot."""
 
-    __slots__ = ("env", "workers", "worker_indices", "cores", "_by_global")
+    __slots__ = ("env", "workers", "worker_indices", "cores")
 
     def __init__(self, worker_indices, config: dict):
         if config["platform"] != PLATFORM_DANDELION:
@@ -38,15 +38,14 @@ class ClassicShardSim:
             )
             for _ in self.worker_indices
         ]
-        self._by_global = {
-            index: worker for index, worker in zip(self.worker_indices, self.workers)
-        }
 
-    def run_window(self, records, end: float) -> None:
+    def run_window(self, deliveries, end: float) -> None:
+        # Workers share nothing, so spawning worker by worker (each list
+        # in trace order) serves every delivery as a time-ordered batch would.
         env = self.env
-        by_global = self._by_global
-        for delivery, worker, fn_index, duration, arrival in records:
-            env.process(by_global[worker].serve(delivery, fn_index, duration, arrival))
+        for worker, routed in zip(self.workers, deliveries):
+            for delivery, fn_index, duration, arrival in routed:
+                env.process(worker.serve(delivery, fn_index, duration, arrival))
         env.run(until=end)
 
     drain_latencies = ShardSim.drain_latencies

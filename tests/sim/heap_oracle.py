@@ -13,6 +13,7 @@ sequence counter, so the differential compares ``summary()`` whole.
 
 from collections import deque
 from heapq import heappop, heappush
+from operator import itemgetter
 
 from repro.sim.core import Environment
 from repro.sim.sharded.shard import (
@@ -163,7 +164,6 @@ class HeapShardSim:
                 self.env, self.cores, memory_of, duration, config["keep_alive_seconds"]
             )
         self.workers = [make() for _ in self.worker_indices]
-        self._by_global = dict(zip(self.worker_indices, self.workers))
         self._pending = []
 
     def _fire(self, entry):
@@ -173,12 +173,22 @@ class HeapShardSim:
         else:
             entry[2]._complete(entry[4], entry[5])
 
-    def run_window(self, records, end: float) -> None:
+    def run_window(self, deliveries, end: float) -> None:
         env = self.env
         queue = env._queue
         pending = self._pending
-        for delivery, worker, fn_index, duration, arrival in records:
-            pending.append((delivery, env._seq, self._by_global[worker], fn_index, duration, arrival))
+        # A stable sort of the per-worker lists by delivery time gives
+        # back the time-ordered shard batch the kernel took.
+        batch = sorted(
+            (
+                (delivery, worker, fn_index, duration, arrival)
+                for worker, routed in zip(self.workers, deliveries)
+                for delivery, fn_index, duration, arrival in routed
+            ),
+            key=itemgetter(0),
+        )
+        for delivery, worker, fn_index, duration, arrival in batch:
+            pending.append((delivery, env._seq, worker, fn_index, duration, arrival))
             env._seq += 1
         i = 0
         while i < len(pending) and pending[i][0] <= end:

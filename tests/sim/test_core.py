@@ -449,6 +449,21 @@ def test_call_later_negative_delay_rejected():
     assert env.peek() == float("inf")
 
 
+def test_call_at_lands_on_the_absolute_time_as_one_counted_entry():
+    env = Environment()
+    env.call_later(0.0024, list)
+    env.step()
+    seen = []
+    before = env.events_scheduled
+    env.call_at(0.0067, lambda: seen.append(env.now))
+    assert env.events_scheduled == before + 1
+    env.run()
+    # call_later(0.0067 - now) would land on 0.006699999999999999.
+    assert seen == [0.0067]
+    with pytest.raises(SimulationError, match="in the past"):
+        env.call_at(0.0066, list)
+
+
 def test_call_later_exception_surfaces_from_run():
     env = Environment()
     env.call_later(1.0, int, "not a number")

@@ -68,7 +68,7 @@ def test_a_queued_start_reuses_the_sandbox_its_keep_alive_reaps_that_instant():
     # keep-alive timer (0 s) fires at c, and the queued second request
     # starts at c.  Completions before the start, timers after it: the
     # start reuses the warm sandbox.
-    deliveries = [(0.0, 0, 0, 1.0, 0.0), (0.1, 0, 0, 1.0, 0.1)]
+    deliveries = [[(0.0, 0, 1.0, 0.0), (0.1, 0, 1.0, 0.1)]]
     for shard_class in (ShardSim, HeapShardSim):
         sim = _one_worker(
             shard_class, deliveries, 10.0,
@@ -84,11 +84,11 @@ def test_a_completion_popped_early_is_reported_in_its_own_window():
     # the first one's completion (1.001 s), past the 0.5 s window end,
     # and completes at 2.002 s.  Each latency arrives in the window
     # that contains its completion, and both stay outstanding until then.
-    deliveries = [(0.0, 0, 0, 1.0, 0.0), (0.1, 0, 0, 1.0, 0.1)]
+    deliveries = [[(0.0, 0, 1.0, 0.0), (0.1, 0, 1.0, 0.1)]]
     sim = _one_worker(ShardSim, deliveries, 0.5, platform="dandelion", cores_per_worker=1)
     assert (sim.outstanding(), sim.drain_latencies()) == ([2], [])
-    sim.run_window([], 1.5)
+    sim.run_window([[]], 1.5)
     assert (sim.outstanding(), sim.drain_latencies()) == ([1], [1.001])
-    sim.run_window([], 2.5)
+    sim.run_window([[]], 2.5)
     assert (sim.outstanding(), sim.drain_latencies()) == ([0], [2.002 - 0.1])
     assert sim.events == 4

@@ -33,7 +33,7 @@ class TestShardPlan:
         plan = ShardPlan(7, 3)
         workers = [plan.workers_of(s) for s in range(3)]
         assert workers == [(0, 3, 6), (1, 4), (2, 5)]
-        assert all(plan.shard_of(w) == w % 3 for w in range(7))
+        assert all(w in workers[w % 3] for w in range(7))
 
     def test_shard_count_clamped_to_workers(self):
         assert ShardPlan(2, 8).shard_count == 2

@@ -78,11 +78,11 @@ def test_dandelion_memory_returns_to_zero(small_trace):
         "memory_of": small_trace.memory_bytes(),
     }
     sim = ShardSim((0,), config)
-    deliveries = [(0.1 * i, 0, i % 10, 0.5, 0.1 * i) for i in range(40)]
-    sim.run_window(deliveries, 2.0)
+    deliveries = [(0.1 * i, i % 10, 0.5, 0.1 * i) for i in range(40)]
+    sim.run_window([deliveries], 2.0)
     (worker,) = sim.workers
     assert worker.committed > 0
-    sim.run_window([], 10.0)
+    sim.run_window([[]], 10.0)
     assert worker.completed == 40
     assert worker.committed == 0
 

@@ -191,6 +191,29 @@ def test_windows_match_the_heap_merge_oracle(functions, total_rps, seed, duratio
     assert all(isinstance(batch, list) for batch in windows)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rate=st.floats(0.05, 50.0),
+    median=st.floats(0.01, 5.0),
+    sigma=st.floats(0.0, 2.5),
+)
+def test_inline_draws_equal_the_standard_library_call_for_call(seed, rate, median, sigma):
+    # The stream writes out random.expovariate and random.gauss (its
+    # Box-Muller pair and spare) over each function's own random(); a
+    # change to either formula in a new CPython fails here.
+    fn = _function(mean_rate_rps=rate, median_duration_seconds=median, duration_sigma=sigma)
+    arrivals = Rng(seed).fork(3).fork(1)._random
+    durations = Rng(seed).fork(2).fork(1)._random
+    expected = []
+    t = arrivals.expovariate(rate)
+    while t < 30.0:
+        d = math.exp(math.log(median) + sigma * durations.gauss(0.0, 1.0))
+        expected.append((t, 0, min(_DURATION_MAX, max(_DURATION_MIN, d))))
+        t += arrivals.expovariate(rate)
+    assert list(StreamedTrace([fn], 30.0, seed).iter_invocations()) == expected
+
+
 def test_pinned_examples_sit_on_window_boundaries():
     on, low, high = _BOUNDARY_WINDOWS
     trace = StreamedTrace([_BOUNDARY_FN], 61.7, 5)

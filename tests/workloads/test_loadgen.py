@@ -1,8 +1,10 @@
 """Tests for open-loop load generation and phase-model registration."""
 
-import pytest
-
 import struct
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import FIRECRACKER_SNAPSHOT, FaasPlatform, PlatformSpec, compute_phase, io_phase
 from repro.data import DataItem, DataSet
@@ -74,6 +76,22 @@ def test_run_arrivals_explicit_times():
     result = run_arrivals(env, lambda: platform.request("f"), [0.0, 0.5, 1.0])
     assert result.completed == 3
     assert result.makespan_seconds >= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrivals=st.lists(st.floats(0.0, 0.02, allow_nan=False), max_size=30))
+@example([0.0024, 0.0067])  # 0.0024 + (0.0067 - 0.0024) == 0.006699999999999999
+def test_every_request_is_submitted_at_its_drawn_arrival(arrivals):
+    env, platform = make_fc()
+    submitted = []
+
+    def submit():
+        submitted.append(env.now)
+        return platform.request("f")
+
+    result = run_arrivals(env, submit, arrivals)
+    assert submitted == sorted(arrivals)
+    assert result.completed == len(arrivals)
 
 
 def test_a_completion_at_the_cutoff_counts_whatever_the_submitter():
