@@ -9,7 +9,7 @@ from .fig07_split_benefit import run_fig07
 from .fig08_multiplexing import run_fig08
 from .fig09_scaling import dandelion_query_seconds, run_fig09_scaling
 from .fig09_ssb_athena import run_fig09
-from .fig10_full import full_trace, run_fig10_full
+from .fig10_full import run_fig10_full
 from .loaded_dandelion import DandelionLoadModel
 from .sec61_fault_tolerance import run_sec61
 from .sec62_scheduling import run_sec62
@@ -26,7 +26,6 @@ __all__ = [
     "run_fig01",
     "run_fig10",
     "run_fig10_full",
-    "full_trace",
     "run_fig02",
     "run_fig05",
     "matmul_128_binary",

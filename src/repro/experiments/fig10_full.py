@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from ..scenario.engine import run_scenario
 from ..scenario.spec import FleetSpec, ScenarioSpec, TraceSpec
-from ..trace.stream import streamed_trace
 from .common import ExperimentResult
 
-__all__ = ["run_fig10_full", "full_trace"]
+__all__ = ["run_fig10_full"]
 
 MiB = 1 << 20
 
@@ -33,16 +32,6 @@ MiB = 1 << 20
 BASE_FUNCTIONS = 100
 BASE_TOTAL_RPS = 12.0
 BASE_DURATION_SECONDS = 1200.0
-
-
-def full_trace(scale: float = 100.0, seed: int = 42):
-    """The scaled population as a :class:`~repro.trace.stream.StreamedTrace`."""
-    return streamed_trace(
-        function_count=round(BASE_FUNCTIONS * scale),
-        duration_seconds=BASE_DURATION_SECONDS,
-        total_rps=BASE_TOTAL_RPS * scale,
-        seed=seed,
-    )
 
 
 def _fleet_for(scale: float) -> tuple[int, int]:

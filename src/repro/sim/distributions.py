@@ -15,7 +15,12 @@ import math
 import random
 from typing import Iterable, Sequence
 
-__all__ = ["Rng"]
+__all__ = ["Rng", "fork_seed"]
+
+
+def fork_seed(seed: int, salt: int) -> int:
+    """The seed of the stream :meth:`Rng.fork` derives from ``seed``."""
+    return (seed * 1_000_003 + salt) & 0x7FFFFFFF
 
 
 class Rng:
@@ -27,7 +32,7 @@ class Rng:
 
     def fork(self, salt: int) -> "Rng":
         """Derive an independent stream (stable for a given salt)."""
-        return Rng((self.seed * 1_000_003 + salt) & 0x7FFFFFFF)
+        return Rng(fork_seed(self.seed, salt))
 
     # -- raw draws ------------------------------------------------------
 

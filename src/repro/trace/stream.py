@@ -10,13 +10,20 @@ Peak memory is O(functions + one window) — there is never a full
 arrival list, so the paper's 100-function sample and a 100× population
 (over a million invocations) go through the same code.
 
-Every function forks its own pair of RNG streams keyed by its position
+Every function has its own pair of RNG streams keyed by its position
 and draws from them in its own arrival order, whatever the window
 length.  Each function's invocation sequence is therefore independent
 of how (or whether) the other functions are consumed — the property the
 sharded simulator's invariance argument leans on — and two iterations
 of the same :class:`StreamedTrace` yield byte-identical streams.  A
-function whose first arrival misses the trace never forks the second.
+function whose first arrival misses the trace never seeds the second.
+Each stream is a bare C generator (``_random.Random``, the base of
+``random.Random``) seeded with the value ``Rng(seed).fork(3).fork(i +
+1)`` (arrivals) or ``.fork(2).fork(i + 1)`` (durations) would carry,
+computed by :func:`~repro.sim.distributions.fork_seed`; no ``Rng`` and
+none of ``random.Random``'s Python seeding layers are built per
+function.  What is left of set-up is 5-6 µs of C seeding per
+generator.
 
 Arrival patterns: ``steady`` and ``rare`` functions are Poisson at
 their mean rate; ``periodic`` ones fire a burst every period from a
@@ -30,10 +37,11 @@ fields.
 from __future__ import annotations
 
 import math
+from _random import Random as _Generator  # random.Random's C base
 from itertools import chain
 from typing import Iterator
 
-from ..sim.distributions import Rng
+from ..sim.distributions import Rng, fork_seed
 from .azure import (
     TraceFunction,
     _DURATION_MAX,
@@ -52,19 +60,22 @@ _PERIODIC_JITTER = 10.0
 _TWOPI = 2.0 * math.pi  # random.gauss's constant
 
 
-def _burst_times(fn, duration, arng):
-    """A periodic function's arrival times, then ``inf`` (never due)."""
-    uniform = arng.uniform
-    t = uniform(0, fn.period_seconds)
+def _burst_times(fn, duration, random):
+    """A periodic function's arrival times, then ``inf`` (never due).
+
+    ``uniform(0, x)`` over ``random`` is ``x * random()``, bit for bit.
+    """
+    period = fn.period_seconds
+    t = period * random()
     while t < duration:
         batch = []
         for _ in range(fn.burst_size):
-            batch.append(t + uniform(0, _PERIODIC_JITTER))
+            batch.append(t + _PERIODIC_JITTER * random())
         batch.sort()
         for when in batch:
             if when < duration:
                 yield when
-        t += fn.period_seconds
+        t += period
     yield math.inf
 
 
@@ -106,8 +117,8 @@ class StreamedTrace:
         self.functions = list(functions)
         self.duration_seconds = float(duration_seconds)
         self.seed = seed
-        if not self.duration_seconds >= 0:
-            raise ValueError("duration_seconds must be >= 0")
+        if not 0 <= self.duration_seconds < math.inf:
+            raise ValueError("duration_seconds must be finite and >= 0")
         _reject_malformed(self.functions)
 
     @property
@@ -138,9 +149,11 @@ class StreamedTrace:
     def _windows(self, window):
         exp, log, cos, sin, sqrt = math.exp, math.log, math.cos, math.sin, math.sqrt
         duration = self.duration_seconds
-        base = Rng(self.seed)
-        duration_base = base.fork(2)
-        arrival_base = base.fork(3)
+        # Rng(seed).fork(3).fork(index + 1) draws the arrivals of
+        # function ``index``, .fork(2).fork(index + 1) its durations;
+        # each generator is seeded with that stream's seed directly.
+        duration_seed = fork_seed(self.seed, 2)
+        arrival_seed = fork_seed(self.seed, 3)
         # Per-function state, a list the calendar carries from window to
         # window: [next arrival, index, step, rate, draw, spare,
         # log_median, sigma].  Poisson (steady and rare) arrivals advance
@@ -152,15 +165,15 @@ class StreamedTrace:
         # method call per draw is measurable at 100× scale.
         due = []
         for index, fn in enumerate(self.functions):
-            arng = arrival_base.fork(index + 1)
+            arrival_random = _Generator(fork_seed(arrival_seed, index + 1)).random
             if fn.pattern == "periodic":
-                step, rate = _burst_times(fn, duration, arng).__next__, None
+                step, rate = _burst_times(fn, duration, arrival_random).__next__, None
                 t = step()
             else:
-                step, rate = arng._random.random, fn.mean_rate_rps
+                step, rate = arrival_random, fn.mean_rate_rps
                 t = -log(1.0 - step()) / rate
             if t < duration:
-                draw = duration_base.fork(index + 1)._random.random
+                draw = _Generator(fork_seed(duration_seed, index + 1)).random
                 log_median = log(fn.median_duration_seconds)
                 due.append([t, index, step, rate, draw, None, log_median, fn.duration_sigma])
         # Window index -> states whose next arrival falls in it.  Every

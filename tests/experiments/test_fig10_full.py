@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import run_fig10_full
-from repro.experiments.fig10_full import _base_spec, _fleet_for, full_trace
+from repro.experiments.fig10_full import _base_spec, _fleet_for
 from repro.scenario import run_scenario
 
 
@@ -49,12 +49,6 @@ def test_meta_carries_observability_not_rendered(result):
         assert stats["events"] > 0
         assert stats["windows"] > 0
     assert "wall_seconds" not in result.render()
-
-
-def test_full_trace_scales_population():
-    trace = full_trace(scale=2.0)
-    assert trace.function_count == 200
-    assert trace.duration_seconds == 1200.0
 
 
 def test_fleet_sizing():

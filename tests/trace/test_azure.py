@@ -97,6 +97,15 @@ def test_generate_functions_validation():
         generate_functions(10, total_rps=0, rng=Rng(0))
 
 
+@pytest.mark.parametrize("total_rps", [float("nan"), float("inf")])
+def test_non_finite_total_rps_is_rejected_before_any_draw(total_rps):
+    rng = Rng(0)
+    before = rng._random.getstate()
+    with pytest.raises(ValueError, match="total_rps must be positive and finite"):
+        generate_functions(10, total_rps=total_rps, rng=rng)
+    assert rng._random.getstate() == before
+
+
 def test_sample_functions_size_and_membership():
     functions = generate_functions(200, total_rps=10, rng=Rng(12))
     picked = sample_functions(functions, 50, Rng(13))

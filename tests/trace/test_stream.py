@@ -18,7 +18,8 @@ from repro.trace.azure import (
     generate_functions,
 )
 from repro.trace.sampler import sample_functions
-from repro.trace.stream import StreamedTrace, streamed_trace
+from repro.trace import stream
+from repro.trace.stream import StreamedTrace, _Generator, streamed_trace
 
 from .merge_oracle import merged_invocations, partitioned
 
@@ -113,10 +114,29 @@ def test_malformed_function_is_rejected_by_name(fields):
 def test_negative_duration_and_non_positive_window_are_rejected():
     with pytest.raises(ValueError, match="duration_seconds"):
         StreamedTrace([_function()], -1.0, 3)
+    # An infinite trace would yield empty windows forever.
+    for duration in (math.inf, math.nan):
+        with _within(1.0), pytest.raises(ValueError, match="duration_seconds"):
+            StreamedTrace([], duration, 0)
     trace = StreamedTrace([_function()], 60.0, 3)
     for window in (0.0, -0.5, float("nan")):
         with _within(1.0), pytest.raises(ValueError, match="window_seconds"):
             next(trace.iter_windows(window))
+
+
+def test_one_generator_per_function_and_one_per_function_that_fires(monkeypatch):
+    # 30x the Fig 10 sample over 120 s; a silent function seeds no
+    # duration generator.
+    seeded = []
+
+    def counted(seed):
+        seeded.append(seed)
+        return _Generator(seed)
+
+    monkeypatch.setattr(stream, "_Generator", counted)
+    trace = streamed_trace(function_count=3000, duration_seconds=120.0, total_rps=360.0)
+    firing = {index for _t, index, _d in trace.iter_invocations()}
+    assert len(seeded) == 3000 + len(firing) == 4877
 
 
 def test_shortest_accepted_period_stays_in_time_order():
