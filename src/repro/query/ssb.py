@@ -10,10 +10,19 @@ compositions.
 Scale factor 1 corresponds to ~6M lineorder rows; the reproduction's
 benchmarks run small fractions of that (the shapes of the queries, not
 the absolute data volume, drive the comparison with Athena).
+
+The generator's draws are the standard library's ``randint`` and
+``choice`` written out over the seeded generator's ``getrandbits``, and
+the derived lineorder columns (``lo_revenue``, ``lo_supplycost``) are
+computed with numpy; ``tests/query/test_ssb_generator_equivalence.py``
+checks both against the same tables drawn through the
+:class:`~repro.sim.distributions.Rng` helpers
+(``tests/query/ssb_generator_oracle.py``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -57,6 +66,7 @@ _MONTH_NAMES = [
     "Jan", "Feb", "Mar", "Apr", "May", "Jun",
     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 ]
+_COLORS = ("red", "green", "blue", "ivory", "peach")
 
 
 def _nations() -> list[str]:
@@ -109,35 +119,53 @@ def generate_ssb_tables(scale_factor: float = 0.001, seed: int = 0) -> dict[str,
     """Generate the five SSB tables at ``scale_factor``.
 
     Returns a dict with keys ``lineorder``, ``date``, ``customer``,
-    ``supplier``, ``part``.
+    ``supplier``, ``part``.  The rows draw from ``Rng(seed)`` row by row,
+    column by column.  Each draw is the standard library's ``randint`` or
+    ``choice`` written out over the generator's ``getrandbits``
+    (``_randbelow(n)``: ``n.bit_length()`` bits, redrawn while ``>= n``),
+    which saves the four method layers around it.  The lineorder loop
+    keeps only each draw's offset; its columns, ``lo_revenue`` and
+    ``lo_supplycost`` among them, are computed in numpy with the same
+    integer and IEEE-double operations as row-by-row Python.
+    ``tests/query/test_ssb_generator_equivalence.py`` checks the tables
+    and the generator's final state against the same draws made through
+    :meth:`Rng.randint` and :meth:`Rng.choice`.
     """
-    if scale_factor <= 0:
-        raise ValueError("scale_factor must be positive")
+    if not 0 < scale_factor < math.inf:
+        raise ValueError("scale_factor must be positive and finite")
     rng = Rng(seed)
+    getrandbits = rng._random.getrandbits
     nations = _nations()
     date_dim = _date_dimension()
-    datekeys = date_dim.column("d_datekey")
 
     customer_rows = max(50, int(CUSTOMER_ROWS_SF1 * scale_factor))
     supplier_rows = max(20, int(SUPPLIER_ROWS_SF1 * scale_factor))
     part_rows = max(100, int(PART_ROWS_SF1 * scale_factor))
     lineorder_rows = max(1000, int(LINEORDER_ROWS_SF1 * scale_factor))
 
+    def below(n: int) -> int:
+        """``_randbelow(n)``: ``randint(a, a + n - 1)`` is ``a + below(n)``,
+        ``choice(seq)`` is ``seq[below(len(seq))]``."""
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     def entity(prefix: str, count: int, table_name: str, key_name: str) -> Table:
-        keys, names, cities, nation_col, regions = [], [], [], [], []
+        names, cities, nation_col, regions = [], [], [], []
         for index in range(count):
-            nation_index = rng.randint(0, len(nations) - 1)
+            nation_index = below(len(nations))
             nation = nations[nation_index]
-            keys.append(index + 1)
             names.append(f"{prefix}#{index + 1:09d}")
-            cities.append(_city(nation, rng.randint(0, _CITIES_PER_NATION - 1)))
+            cities.append(_city(nation, below(_CITIES_PER_NATION)))
             nation_col.append(nation)
             regions.append(_nation_region(nation_index))
         short = prefix[0].lower()
         return Table(
             table_name,
             {
-                key_name: keys,
+                key_name: np.arange(1, count + 1, dtype=np.int64),
                 f"{short}_name": names,
                 f"{short}_city": cities,
                 f"{short}_nation": nation_col,
@@ -148,20 +176,19 @@ def generate_ssb_tables(scale_factor: float = 0.001, seed: int = 0) -> dict[str,
     customer = entity("Customer", customer_rows, "customer", "c_custkey")
     supplier = entity("Supplier", supplier_rows, "supplier", "s_suppkey")
 
-    part_keys, mfgrs, categories, brands, colors = [], [], [], [], []
-    for index in range(part_rows):
-        mfgr_index = rng.randint(1, 5)
-        category_index = rng.randint(1, 5)
-        brand_index = rng.randint(1, 40)
-        part_keys.append(index + 1)
+    mfgrs, categories, brands, colors = [], [], [], []
+    for _ in range(part_rows):
+        mfgr_index = 1 + below(5)
+        category_index = 1 + below(5)
+        brand_index = 1 + below(40)
         mfgrs.append(f"MFGR#{mfgr_index}")
         categories.append(f"MFGR#{mfgr_index}{category_index}")
         brands.append(f"MFGR#{mfgr_index}{category_index}{brand_index:02d}")
-        colors.append(rng.choice(["red", "green", "blue", "ivory", "peach"]))
+        colors.append(_COLORS[below(len(_COLORS))])
     part = Table(
         "part",
         {
-            "p_partkey": part_keys,
+            "p_partkey": np.arange(1, part_rows + 1, dtype=np.int64),
             "p_mfgr": mfgrs,
             "p_category": categories,
             "p_brand1": brands,
@@ -169,33 +196,36 @@ def generate_ssb_tables(scale_factor: float = 0.001, seed: int = 0) -> dict[str,
         },
     )
 
-    orderdate, custkey, partkey, suppkey = [], [], [], []
-    quantity, extendedprice, discount, revenue, supplycost = [], [], [], [], []
+    # Each lineorder column is randint(low, high), but lo_orderdate, a
+    # choice over the date keys: it draws an index, looked up afterwards.
+    datekeys = date_dim.column("d_datekey")
+    bounds = ((0, len(datekeys) - 1), (1, customer_rows), (1, part_rows), (1, supplier_rows),
+              (1, 50), (100, 10_000), (0, 10))
+    lows = [low for low, _ in bounds]
+    widths = [high - low + 1 for low, high in bounds]
+    drawn = [[] for _ in widths]
+    draws = [(column.append, n, n.bit_length()) for column, n in zip(drawn, widths)]
     for _ in range(lineorder_rows):
-        orderdate.append(int(rng.choice(datekeys)))
-        custkey.append(rng.randint(1, customer_rows))
-        partkey.append(rng.randint(1, part_rows))
-        suppkey.append(rng.randint(1, supplier_rows))
-        q = rng.randint(1, 50)
-        price = rng.randint(100, 10000)
-        d = rng.randint(0, 10)
-        quantity.append(q)
-        extendedprice.append(price)
-        discount.append(d)
-        revenue.append(price * (100 - d) // 100)
-        supplycost.append(int(price * 0.6))
+        for append, n, k in draws:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            append(r)
+    date_index, custkey, partkey, suppkey, quantity, extendedprice, discount = (
+        np.asarray(column, dtype=np.int64) + low for column, low in zip(drawn, lows)
+    )
     lineorder = Table(
         "lineorder",
         {
-            "lo_orderdate": orderdate,
+            "lo_orderdate": datekeys[date_index],
             "lo_custkey": custkey,
             "lo_partkey": partkey,
             "lo_suppkey": suppkey,
             "lo_quantity": quantity,
             "lo_extendedprice": extendedprice,
             "lo_discount": discount,
-            "lo_revenue": revenue,
-            "lo_supplycost": supplycost,
+            "lo_revenue": extendedprice * (100 - discount) // 100,
+            "lo_supplycost": (extendedprice * 0.6).astype(np.int64),
         },
     )
     return {

@@ -7,8 +7,9 @@ this module synthesises invocation streams matching that paper's
 published statistics:
 
 * invocation counts per function are extremely skewed — a few functions
-  receive almost all traffic while most fire rarely (we use Zipf
-  popularity over the total volume);
+  receive almost all traffic while most fire rarely (each function
+  draws one of four popularity classes, ``_RATE_CLASSES``, and a
+  log-uniform rate within it);
 * execution durations are short and heavy-tailed (roughly log-normal;
   ~50% of functions average under one second, many run tens of ms);
 * functions fall into arrival-pattern classes: roughly steady
@@ -87,12 +88,7 @@ _RATE_CLASSES = (
 _PERIODS = (30.0, 60.0, 120.0, 300.0)  # timer periods, in seconds
 
 
-def generate_functions(
-    count: int,
-    total_rps: float,
-    rng: Rng,
-    zipf_skew: float = 1.1,
-) -> list[TraceFunction]:
+def generate_functions(count: int, total_rps: float, rng: Rng) -> list[TraceFunction]:
     """Synthesize ``count`` functions sharing ``total_rps`` of traffic.
 
     Each function draws a popularity class, then a log-uniform rate

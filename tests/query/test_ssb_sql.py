@@ -1,5 +1,8 @@
 """Tests for SSB generation/queries, the SQL engine, and the Athena model."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.query import (
     parse_sql,
     run_ssb_query,
 )
+from repro.sim.distributions import Rng
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +36,9 @@ def test_schema_shapes(ssb):
 def test_generation_deterministic():
     a = generate_ssb_tables(scale_factor=0.001, seed=9)
     b = generate_ssb_tables(scale_factor=0.001, seed=9)
-    assert a["lineorder"].column("lo_revenue").tolist() == b["lineorder"].column("lo_revenue").tolist()
+    assert list(a) == list(b)
+    for name, table in a.items():
+        assert table.to_bytes() == b[name].to_bytes(), name
 
 
 def test_scale_factor_scales_rows():
@@ -42,8 +48,12 @@ def test_scale_factor_scales_rows():
 
 
 def test_invalid_scale_factor():
-    with pytest.raises(ValueError):
-        generate_ssb_tables(scale_factor=0)
+    for scale_factor in (0, -0.5, math.nan, math.inf, -math.inf):
+        # No generator is built, so none is drawn from.
+        with mock.patch("repro.query.ssb.Rng", wraps=Rng) as rng:
+            with pytest.raises(ValueError, match="positive and finite"):
+                generate_ssb_tables(scale_factor=scale_factor)
+        rng.assert_not_called()
 
 
 def test_foreign_keys_resolve(ssb):
