@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import TYPE_CHECKING
 
 from ..functions.sdk import (
     compute_function,
@@ -31,9 +32,10 @@ from ..functions.sdk import (
     write_item,
 )
 from ..net.services import LlmService, SqlDatabaseService
-from ..query.columnar import Table
-from ..query.sql import SqlDatabase
 from ..worker import WorkerNode
+
+if TYPE_CHECKING:  # repro.query brings numpy, which no other app needs
+    from ..query.sql import SqlDatabase
 
 __all__ = [
     "PAPER_STEP_SECONDS",
@@ -68,6 +70,9 @@ def extract_sql(completion: str) -> str:
 
 def sample_movie_database() -> SqlDatabase:
     """The toy database the example workflow queries."""
+    from ..query.columnar import Table
+    from ..query.sql import SqlDatabase
+
     db = SqlDatabase()
     db.add_table(Table("movies", {
         "title": [

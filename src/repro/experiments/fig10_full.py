@@ -5,7 +5,7 @@ elasticity claims are really about full Azure-trace populations.  This
 experiment replays the same Dandelion-vs-Firecracker+Knative comparison
 at ``scale`` times the sample (``scale=100`` → 10,000 functions at
 1,200 rps aggregate) through :mod:`repro.sim.sharded`: a streamed trace
-(O(functions) memory), window-batched routing over the fleet snapshot,
+(16 B per invocation), window-batched routing over the fleet snapshot,
 and FIFO-core workers that need no event kernel.
 
 Everything wall-clock — event counts, coordinator wall seconds — lands

@@ -229,8 +229,8 @@ def run_sharded_replay(trace, config: ShardedConfig) -> ShardedReplayReport:
         windows=windows,
         committed_grid=committed_grid,
         active_grid=active_grid,
-        committed_mean_bytes=committed_integral / duration,
-        active_mean_bytes=(active_integral / duration) if has_active else None,
+        committed_mean_bytes=committed_integral / duration if duration else 0.0,
+        active_mean_bytes=(active_integral / duration if duration else 0.0) if has_active else None,
         latencies=sorted(latencies),
         shard_stats=shard_stats,
         wall_seconds=wall_seconds,

@@ -1,19 +1,21 @@
 """Streamed trace generation: the invocation stream both platforms replay.
 
 :class:`StreamedTrace` keeps the *function* population materialized
-(O(functions), small) and generates the invocation stream a window at
-a time.  Each function that still has arrivals sits in a calendar
-bucket keyed by the window of its next one; producing a window touches
-only the functions due in it, draws their arrivals up to the window
-end, files each under its next window and sorts the window's list once.
-Peak memory is O(functions + one window) — there is never a full
-arrival list, so the paper's 100-function sample and a 100× population
-(over a million invocations) go through the same code.
+and hands the invocation stream out a window at a time.  The first
+window draws each function's arrivals and durations in one go into two
+``array('d')`` columns (16 B per invocation) and drops its generators
+before the next function is seeded; a function that never fires keeps
+nothing.  Each function with arrivals left sits in a calendar bucket
+keyed by the window of its next one; producing a window touches only
+the functions due in it, emits their arrivals up to the window end,
+files each under its next window and sorts the window's list once.
+Keeping two live generators per firing function instead (2 × 2,520 B)
+breaks even at about 320 invocations per function; the traces here
+average 7 (30× over 120 s) to 67 (100× over 1,200 s).
 
-Every function has its own pair of RNG streams keyed by its position
-and draws from them in its own arrival order, whatever the window
-length.  Each function's invocation sequence is therefore independent
-of how (or whether) the other functions are consumed — the property the
+Every function has its own pair of RNG streams keyed by its position,
+so its invocation sequence is independent of the window length and of
+how (or whether) the other functions are consumed — the property the
 sharded simulator's invariance argument leans on — and two iterations
 of the same :class:`StreamedTrace` yield byte-identical streams.  A
 function whose first arrival misses the trace never seeds the second.
@@ -22,8 +24,7 @@ Each stream is a bare C generator (``_random.Random``, the base of
 1)`` (arrivals) or ``.fork(2).fork(i + 1)`` (durations) would carry,
 computed by :func:`~repro.sim.distributions.fork_seed`; no ``Rng`` and
 none of ``random.Random``'s Python seeding layers are built per
-function.  What is left of set-up is 5-6 µs of C seeding per
-generator.
+function.
 
 Arrival patterns: ``steady`` and ``rare`` functions are Poisson at
 their mean rate; ``periodic`` ones fire a burst every period from a
@@ -37,6 +38,7 @@ fields.
 from __future__ import annotations
 
 import math
+from array import array
 from _random import Random as _Generator  # random.Random's C base
 from itertools import chain
 from typing import Iterator
@@ -60,23 +62,54 @@ _PERIODIC_JITTER = 10.0
 _TWOPI = 2.0 * math.pi  # random.gauss's constant
 
 
-def _burst_times(fn, duration, random):
-    """A periodic function's arrival times, then ``inf`` (never due).
+def _draw_ahead(fn, duration, arrival_seed, duration_seed, salt):
+    """One function's arrival times (then ``inf``, never due) and
+    durations as two ``array('d')``, or ``None`` if it never fires.
 
-    ``uniform(0, x)`` over ``random`` is ``x * random()``, bit for bit.
+    ``expovariate``, ``uniform(0, x)`` (``x * random()``) and ``gauss``
+    (a Box–Muller pair, odd draws its spare) are written out: a method
+    call per draw is measurable at 100× scale.  The generators die with
+    this frame.
     """
-    period = fn.period_seconds
-    t = period * random()
-    while t < duration:
-        batch = []
-        for _ in range(fn.burst_size):
-            batch.append(t + _PERIODIC_JITTER * random())
-        batch.sort()
-        for when in batch:
-            if when < duration:
-                yield when
-        t += period
-    yield math.inf
+    exp, log, cos, sin, sqrt = math.exp, math.log, math.cos, math.sin, math.sqrt
+    random = _Generator(fork_seed(arrival_seed, salt)).random
+    times = array("d")
+    add = times.append
+    if fn.pattern == "periodic":
+        period = fn.period_seconds
+        t = period * random()
+        while t < duration:
+            burst = sorted([t + _PERIODIC_JITTER * random() for _ in range(fn.burst_size)])
+            times.extend([when for when in burst if when < duration])
+            t += period
+    else:
+        rate = fn.mean_rate_rps
+        t = -log(1.0 - random()) / rate
+        while t < duration:
+            add(t)
+            t += -log(1.0 - random()) / rate
+    if not times:
+        return None
+    draw = _Generator(fork_seed(duration_seed, salt)).random
+    log_median, sigma = log(fn.median_duration_seconds), fn.duration_sigma
+    durations = array("d")
+    add = durations.append
+    for i in range(len(times)):
+        if i & 1:
+            z = spare
+        else:
+            x2pi = draw() * _TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - draw()))
+            z = cos(x2pi) * g2rad
+            spare = sin(x2pi) * g2rad
+        d = exp(log_median + sigma * z)
+        if d < _DURATION_MIN:
+            d = _DURATION_MIN
+        elif d > _DURATION_MAX:
+            d = _DURATION_MAX
+        add(d)
+    times.append(math.inf)
+    return times, durations
 
 
 def _reject_malformed(functions) -> None:
@@ -130,7 +163,7 @@ class StreamedTrace:
         return [fn.memory_bytes for fn in self.functions]
 
     def iter_invocations(self) -> Iterator[tuple]:
-        """Time-ordered invocation tuples; O(functions) peak memory."""
+        """Time-ordered invocation tuples, drawn ahead as 16 B per invocation."""
         # Any window length flattens to the same stream; a short one
         # keeps few invocations alive at a time.
         return chain.from_iterable(self.iter_windows(0.125))
@@ -147,39 +180,16 @@ class StreamedTrace:
         return self._windows(window_seconds)
 
     def _windows(self, window):
-        exp, log, cos, sin, sqrt = math.exp, math.log, math.cos, math.sin, math.sqrt
         duration = self.duration_seconds
-        # Rng(seed).fork(3).fork(index + 1) draws the arrivals of
-        # function ``index``, .fork(2).fork(index + 1) its durations;
-        # each generator is seeded with that stream's seed directly.
-        duration_seed = fork_seed(self.seed, 2)
-        arrival_seed = fork_seed(self.seed, 3)
+        seeds = fork_seed(self.seed, 3), fork_seed(self.seed, 2)  # arrivals, durations
         # Per-function state, a list the calendar carries from window to
-        # window: [next arrival, index, step, rate, draw, spare,
-        # log_median, sigma].  Poisson (steady and rare) arrivals advance
-        # by an exponential gap at ``rate`` over ``step``, the arrival
-        # stream's ``random``; periodic ones (rate None) to ``step()``.
-        # Durations are ``exp(log_median + sigma * z)``, ``z`` standard
-        # normal over ``draw``.  Both are ``expovariate`` and ``gauss``
-        # (a Box–Muller pair, ``spare`` its second half) written out: a
-        # method call per draw is measurable at 100× scale.
-        due = []
-        for index, fn in enumerate(self.functions):
-            arrival_random = _Generator(fork_seed(arrival_seed, index + 1)).random
-            if fn.pattern == "periodic":
-                step, rate = _burst_times(fn, duration, arrival_random).__next__, None
-                t = step()
-            else:
-                step, rate = arrival_random, fn.mean_rate_rps
-                t = -log(1.0 - step()) / rate
-            if t < duration:
-                draw = _Generator(fork_seed(duration_seed, index + 1)).random
-                log_median = log(fn.median_duration_seconds)
-                due.append([t, index, step, rate, draw, None, log_median, fn.duration_sigma])
+        # window: [cursor, index, times, durations], ``times[cursor]``
+        # the next arrival.
+        drawn = (_draw_ahead(fn, duration, *seeds, i + 1) for i, fn in enumerate(self.functions))
         # Window index -> states whose next arrival falls in it.  Every
         # function starts in window 0 and files itself under its first
         # arrival's window from there, so there is one filing site.
-        calendar = {0: due}
+        calendar = {0: [[0, index, *columns] for index, columns in enumerate(drawn) if columns]}
         k = 0
         while True:
             end = (k + 1) * window
@@ -187,30 +197,15 @@ class StreamedTrace:
             arrivals = []
             add = arrivals.append
             for state in calendar.pop(k, ()):
-                t, index, step, rate, draw, spare, log_median, sigma = state
+                cursor, index, times, durations = state
+                t = times[cursor]
                 while t < stop:
-                    if spare is None:
-                        x2pi = draw() * _TWOPI
-                        g2rad = sqrt(-2.0 * log(1.0 - draw()))
-                        z = cos(x2pi) * g2rad
-                        spare = sin(x2pi) * g2rad
-                    else:
-                        z = spare
-                        spare = None
-                    d = exp(log_median + sigma * z)
-                    if d < _DURATION_MIN:
-                        d = _DURATION_MIN
-                    elif d > _DURATION_MAX:
-                        d = _DURATION_MAX
-                    add((t, index, d))
-                    if rate is None:
-                        t = step()
-                    else:
-                        t += -log(1.0 - step()) / rate
+                    add((t, index, durations[cursor]))
+                    cursor += 1
+                    t = times[cursor]
                 if t >= duration:
-                    continue  # exhausted: its RNG streams go with the state
-                state[0] = t
-                state[5] = spare
+                    continue  # exhausted: its arrays go with the state
+                state[0] = cursor
                 # The coordinator's expression, not the quotient,
                 # decides which side of a boundary an arrival is on.
                 bucket = int(t / window)

@@ -1,5 +1,9 @@
 """End-to-end tests for the three paper applications on a worker node."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps import (
@@ -102,6 +106,30 @@ def test_logproc_shard_fanout_parallel():
     # fetches = 7 comm tasks.
     assert worker.compute_group.tasks_executed == 3
     assert worker.comm_group.tasks_executed == 7
+
+
+def test_logproc_loads_neither_numpy_nor_the_query_engine():
+    # Only Text2SQL's sample database needs repro.query (and numpy
+    # with it, about 12 MiB of RSS); a fresh interpreter running the
+    # log-processing app must not pay for them.
+    script = (
+        "import sys\n"
+        "from repro.apps import register_logproc_app, setup_log_services\n"
+        "from repro.worker import WorkerConfig, WorkerNode\n"
+        "worker = WorkerNode(WorkerConfig(total_cores=8, control_plane_enabled=False))\n"
+        "setup_log_services(worker)\n"
+        "register_logproc_app(worker)\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('repro.query')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # -- Text2SQL ----------------------------------------------------------------------

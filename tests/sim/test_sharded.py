@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.sharding import ShardPlan
 from repro.sim.sharded import ShardedConfig, coordinator, run_sharded_replay
-from repro.trace.stream import streamed_trace
+from repro.trace.stream import StreamedTrace, streamed_trace
 
 from .classic_oracle import ClassicShardSim
 
@@ -143,6 +143,19 @@ class TestWindowSemantics:
         wide = replay(window_seconds=2.0)
         narrow = replay(window_seconds=0.5)
         assert summary_key(wide) != summary_key(narrow)
+
+
+@pytest.mark.parametrize("platform", ["dandelion", "faas"])
+def test_zero_length_trace_replays_to_an_empty_report(platform):
+    # StreamedTrace accepts a duration of 0; the memory means used to
+    # divide by it.
+    report = run_sharded_replay(
+        StreamedTrace([], 0.0, 0), ShardedConfig(workers=2, platform=platform)
+    )
+    summary = report.summary()
+    assert (summary["routed"], summary["completed"], summary["latency_mean"]) == (0, 0, 0.0)
+    assert summary["committed_mean_bytes"] == 0.0
+    assert summary["active_mean_bytes"] == (0.0 if platform == "faas" else None)
 
 
 def test_engine_option_is_gone():

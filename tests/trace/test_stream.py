@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import gc
 import itertools
 import math
 import signal
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -137,6 +139,26 @@ def test_one_generator_per_function_and_one_per_function_that_fires(monkeypatch)
     trace = streamed_trace(function_count=3000, duration_seconds=120.0, total_rps=360.0)
     firing = {index for _t, index, _d in trace.iter_invocations()}
     assert len(seeded) == 3000 + len(firing) == 4877
+
+
+def test_no_generator_outlives_the_draws(monkeypatch):
+    # Each function draws all of its arrivals and durations at once;
+    # its generators (2,520 B of Mersenne Twister state each) must not
+    # live on in the calendar, however rarely the function fires.
+    alive = weakref.WeakSet()
+
+    class Tracked(_Generator):
+        def __init__(self, seed):
+            super().__init__(seed)
+            alive.add(self)
+
+    monkeypatch.setattr(stream, "_Generator", Tracked)
+    trace = streamed_trace(function_count=3000, duration_seconds=120.0, total_rps=360.0)
+    windows = trace.iter_windows(0.5)
+    next(windows)
+    gc.collect()
+    assert len(alive) == 0
+    assert sum(len(batch) for batch in windows) > 20_000
 
 
 def test_shortest_accepted_period_stays_in_time_order():
@@ -292,23 +314,26 @@ class TestSamplerAtScale:
         assert 0 < sampled_rps < 1200.0
 
     def test_streamed_generation_memory_bound(self):
-        # Once the per-function machinery is set up (generators + RNG
-        # streams, O(functions)), draining the whole stream must not
-        # grow memory with the invocation count — there is never a
-        # materialized arrival list.  An eager list of this stream
-        # would allocate several MB; the drain stays under 512 KiB.
+        # The stream holds each function's arrivals and durations as two
+        # array('d') columns, 16 B per invocation, and no generator, so
+        # set-up plus the whole drain stays a few MiB: two live
+        # generators per firing function took 35 MiB here.  Once set up,
+        # draining must not grow memory with the invocation count: the
+        # windows' tuples are built as they are handed out.
         trace = streamed_trace(
             function_count=10_000, duration_seconds=200.0, total_rps=600.0
         )
-        stream = trace.iter_invocations()
-        next(stream)  # pay the O(functions) setup before measuring
         tracemalloc.start()
-        baseline, _ = tracemalloc.get_traced_memory()
+        stream = trace.iter_invocations()
+        next(stream)  # set-up: every function's draws
+        baseline, setup_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         count = sum(1 for _ in stream)
-        _, peak = tracemalloc.get_traced_memory()
+        _, drain_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert count > 50_000
-        assert peak - baseline < 512 * 1024, (count, peak - baseline)
+        assert drain_peak - baseline < 512 * 1024, (count, drain_peak - baseline)
+        assert max(setup_peak, drain_peak) < 6 * 2**20, (setup_peak, drain_peak)
 
     def test_setup_forks_no_duration_stream_for_silent_functions(self, population):
         # Rare functions average at most one invocation per five
