@@ -33,79 +33,62 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from importlib import import_module
 
-from .experiments import (
-    run_fig01,
-    run_fig09_scaling,
-    run_sec61,
-    run_sec62,
-    run_sec63,
-    run_fig02,
-    run_fig05,
-    run_fig06,
-    run_fig07,
-    run_fig08,
-    run_fig09,
-    run_fig10,
-    run_fig10_full,
-    run_sec74,
-    run_sec77,
-    run_sec8_enforcement,
-    run_sec8_static,
-    run_sec8_tcb,
-    run_table1,
-)
-
-# name -> (defining module under repro.experiments, runner or None for
-# multi-table/CLI-special experiments).  `list` descriptions are the
-# modules' docstring first lines — one source of truth.
+# name -> (defining module under repro.experiments, runner attribute or
+# None for the multi-table sec8).  A module is imported only when its
+# experiment runs or is listed, so `--help` and `scenario` load no
+# experiment; `list` descriptions are the modules' docstring first
+# lines — one source of truth.
 EXPERIMENTS = {
-    "table1": ("table1_breakdown", None),
-    "fig1": ("fig01_fig10_azure", run_fig01),
-    "fig2": ("fig02_hot_ratio", run_fig02),
-    "fig5": ("fig05_creation_throughput", run_fig05),
-    "fig6": ("fig06_matmul_throughput", run_fig06),
-    "sec61": ("sec61_fault_tolerance", run_sec61),
-    "sec62": ("sec62_scheduling", run_sec62),
-    "sec63": ("sec63_gray_failures", run_sec63),
-    "sec74": ("sec74_composition_chain", run_sec74),
-    "fig7": ("fig07_split_benefit", run_fig07),
-    "fig8": ("fig08_multiplexing", run_fig08),
-    "fig9": ("fig09_ssb_athena", None),
-    "fig9scale": ("fig09_scaling", run_fig09_scaling),
-    "sec77": ("sec77_text2sql", run_sec77),
-    "fig10": ("fig01_fig10_azure", run_fig10),
-    "fig10full": ("fig10_full", None),
+    "table1": ("table1_breakdown", "run_table1"),
+    "fig1": ("fig01_fig10_azure", "run_fig01"),
+    "fig2": ("fig02_hot_ratio", "run_fig02"),
+    "fig5": ("fig05_creation_throughput", "run_fig05"),
+    "fig6": ("fig06_matmul_throughput", "run_fig06"),
+    "sec61": ("sec61_fault_tolerance", "run_sec61"),
+    "sec62": ("sec62_scheduling", "run_sec62"),
+    "sec63": ("sec63_gray_failures", "run_sec63"),
+    "sec74": ("sec74_composition_chain", "run_sec74"),
+    "fig7": ("fig07_split_benefit", "run_fig07"),
+    "fig8": ("fig08_multiplexing", "run_fig08"),
+    "fig9": ("fig09_ssb_athena", "run_fig09"),
+    "fig9scale": ("fig09_scaling", "run_fig09_scaling"),
+    "sec77": ("sec77_text2sql", "run_sec77"),
+    "fig10": ("fig01_fig10_azure", "run_fig10"),
+    "fig10full": ("fig10_full", "run_fig10_full"),
     "sec8": ("sec8_security", None),
 }
 
 
+def _experiment_module(name: str):
+    return import_module(f".experiments.{EXPERIMENTS[name][0]}", __package__)
+
+
 def experiment_description(name: str) -> str:
     """First docstring line of the experiment's defining module."""
-    from importlib import import_module
-
-    module_name, _runner = EXPERIMENTS[name]
-    module = import_module(f".experiments.{module_name}", __package__)
-    doc = (module.__doc__ or "").strip()
+    doc = (_experiment_module(name).__doc__ or "").strip()
     return doc.splitlines()[0] if doc else "(no description)"
 
 
 def _run_one(name: str, args) -> None:
+    module, runner_name = _experiment_module(name), EXPERIMENTS[name][1]
+    runner = getattr(module, runner_name) if runner_name else None
     started = time.time()
     if name == "table1":
-        print(run_table1("morello").render())
+        print(runner("morello").render())
         print()
-        print(run_table1("linux").render())
+        print(runner("linux").render())
     elif name == "fig9":
-        print(run_fig09(scale_factor=args.scale_factor).render())
+        print(runner(scale_factor=args.scale_factor).render())
     elif name == "sec8":
-        print(run_sec8_tcb().render())
+        print(module.run_sec8_tcb().render())
         print()
-        print(run_sec8_enforcement().render())
+        print(module.run_sec8_enforcement().render())
         print()
-        print(run_sec8_static().render())
+        print(module.run_sec8_static().render())
     elif name == "fig10full":
-        result = run_fig10_full(scale=args.trace_scale)
+        result = runner(scale=args.trace_scale)
         print(result.render())
         for platform, stats in result.meta["platforms"].items():
             print(
@@ -117,7 +100,6 @@ def _run_one(name: str, args) -> None:
     elif name in ("fig1", "fig10"):
         from .experiments.common import ascii_chart
 
-        _module, runner = EXPERIMENTS[name]
         result = runner()
         print(result.render())
         if name == "fig1":
@@ -130,7 +112,6 @@ def _run_one(name: str, args) -> None:
             print()
             print(ascii_chart(values, label=f"{label} over the trace window"))
     else:
-        _module, runner = EXPERIMENTS[name]
         print(runner().render())
     print(f"[{name} finished in {time.time() - started:.1f}s]\n")
 

@@ -1,31 +1,20 @@
 """Isolation backends (KVM / process / CHERI / rWasm) and cost models."""
 
-from .base import (
-    BACKEND_NAMES,
-    IsolationBackend,
-    SandboxExecution,
-    create_backend,
-    default_compute_seconds,
-)
-from .costs import (
-    BACKEND_SPECS,
-    BackendSpec,
-    MICROSECOND,
-    REFERENCE_BINARY_SIZE,
-    REFERENCE_PAYLOAD_SIZE,
-    StageCosts,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "BACKEND_NAMES",
-    "IsolationBackend",
-    "SandboxExecution",
-    "create_backend",
-    "default_compute_seconds",
-    "BACKEND_SPECS",
-    "BackendSpec",
-    "MICROSECOND",
-    "REFERENCE_BINARY_SIZE",
-    "REFERENCE_PAYLOAD_SIZE",
-    "StageCosts",
-]
+_EXPORTS = {
+    "BACKEND_NAMES": ".costs",
+    "IsolationBackend": ".base",
+    "SandboxExecution": ".base",
+    "create_backend": ".base",
+    "default_compute_seconds": ".base",
+    "BACKEND_SPECS": ".costs",
+    "BackendSpec": ".costs",
+    "MICROSECOND": ".costs",
+    "REFERENCE_BINARY_SIZE": ".costs",
+    "REFERENCE_PAYLOAD_SIZE": ".costs",
+    "StageCosts": ".costs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _EXPORTS)

@@ -27,11 +27,9 @@ from ..composition.registry import FunctionBinary
 from ..data.items import DataSet, total_size
 from ..errors import FunctionTimeout
 from ..functions.compute import ComputeResult, run_compute_function
-from .costs import BACKEND_SPECS, BackendSpec
+from .costs import BACKEND_NAMES, BACKEND_SPECS, BackendSpec
 
 __all__ = ["IsolationBackend", "SandboxExecution", "default_compute_seconds", "create_backend", "BACKEND_NAMES"]
-
-BACKEND_NAMES = ("cheri", "rwasm", "process", "kvm")
 
 # Default execution-time model for binaries with no declared cost:
 # a small fixed cost plus a per-byte term (~1 GB/s of touched data).

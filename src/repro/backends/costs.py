@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
+    "BACKEND_NAMES",
     "StageCosts",
     "BackendSpec",
     "BACKEND_SPECS",
@@ -35,6 +36,8 @@ __all__ = [
     "DISK_BYTES_PER_SECOND",
     "MEMORY_BYTES_PER_SECOND",
 ]
+
+BACKEND_NAMES = ("cheri", "rwasm", "process", "kvm")
 
 MICROSECOND = 1e-6
 

@@ -1,10 +1,12 @@
 """Cluster-level orchestration: Dirigent-like manager over worker fleets."""
 
-from .faults import WorkerFaultInjector
-from .manager import ROUTING_POLICIES, ClusterManager
+from .. import _lazy_exports
 
-__all__ = [
-    "ROUTING_POLICIES",
-    "ClusterManager",
-    "WorkerFaultInjector",
-]
+_EXPORTS = {
+    "ROUTING_POLICIES": "..sched.routing",
+    "ClusterManager": ".manager",
+    "WorkerFaultInjector": ".faults",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _EXPORTS)

@@ -1,15 +1,16 @@
 """Dispatcher: orchestration, instance expansion, memory accounting."""
 
-from .dispatcher import Dispatcher, InvocationResult, NodeFailure
-from .expansion import InstancePlan, expand_instances, merge_instance_outputs
-from .memory import MemoryTracker
+from .. import _lazy_exports
 
-__all__ = [
-    "Dispatcher",
-    "InvocationResult",
-    "NodeFailure",
-    "InstancePlan",
-    "expand_instances",
-    "merge_instance_outputs",
-    "MemoryTracker",
-]
+_EXPORTS = {
+    "Dispatcher": ".dispatcher",
+    "InvocationResult": ".dispatcher",
+    "NodeFailure": ".dispatcher",
+    "InstancePlan": ".expansion",
+    "expand_instances": ".expansion",
+    "merge_instance_outputs": ".expansion",
+    "MemoryTracker": ".memory",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _EXPORTS)

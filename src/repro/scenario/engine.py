@@ -32,15 +32,15 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..cluster.faults import WorkerFaultInjector
-from ..cluster.manager import ClusterManager
-from ..functions.sdk import compute_function
 from ..sim.distributions import Rng
-from ..worker import WorkerConfig
 from .kpis import CORE_HOUR_USD, KpiRecord
 from .spec import ScenarioSpec, SpecError, validate_names
+
+if TYPE_CHECKING:
+    from ..cluster.faults import WorkerFaultInjector
+    from ..cluster.manager import ClusterManager
 
 __all__ = [
     "ScenarioRun",
@@ -100,6 +100,8 @@ def _function_names(spec: ScenarioSpec) -> list:
 
 
 def _echo_binary(fn_name: str, compute_seconds: float, binary_bytes: int):
+    from ..functions.sdk import compute_function
+
     kwargs = {"name": fn_name, "compute_cost": compute_seconds}
     if binary_bytes > 0:
         kwargs["binary_size"] = binary_bytes
@@ -139,6 +141,11 @@ def assemble_cluster(spec: ScenarioSpec):
     ride the same injector (§6.3 disables crashes with an astronomical
     MTTF rather than a second injector).
     """
+    # Imported here so that a streamed replay never loads the worker node.
+    from ..cluster.faults import WorkerFaultInjector
+    from ..cluster.manager import ClusterManager
+    from ..worker import WorkerConfig
+
     _raise_on_unknown_names(spec)
     config = WorkerConfig(
         total_cores=spec.fleet.cores,

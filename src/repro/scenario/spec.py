@@ -478,7 +478,7 @@ def validate_names(spec: ScenarioSpec) -> list:
     Shared by the engine (raises on the first entry) and the SCN lint
     pass (reports all of them), so the two can never disagree.
     """
-    from ..backends.base import BACKEND_NAMES, BACKEND_SPECS
+    from ..backends.costs import BACKEND_NAMES, BACKEND_SPECS
     from ..sched.routing import ROUTING_POLICIES
 
     problems = []

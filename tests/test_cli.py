@@ -1,5 +1,9 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
@@ -57,6 +61,28 @@ def test_requires_command():
 
 
 # -- lint command -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scenario", "list"]])
+def test_help_and_scenario_list_load_no_experiment(argv):
+    # Experiment modules are imported on dispatch; the experiments
+    # package alone pulls in numpy and repro.query.
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['repro', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'numpy' or m.startswith('repro.experiments')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_lint_self_strict_is_clean(capsys):
