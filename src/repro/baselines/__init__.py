@@ -1,39 +1,24 @@
 """Baseline platforms: Firecracker, gVisor, Wasmtime, Hyperlight, D-hybrid."""
 
-from .base import (
-    FaasPlatform,
-    FunctionModel,
-    Phase,
-    PlatformSpec,
-    RequestRecord,
-    compute_phase,
-    io_phase,
-)
-from .dhybrid import DHybridPlatform
-from .specs import (
-    FIRECRACKER,
-    FIRECRACKER_SNAPSHOT,
-    GVISOR,
-    HYPERLIGHT,
-    HYPERLIGHT_MATMUL,
-    WASM_COMPUTE_SLOWDOWN,
-    WASMTIME,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "FaasPlatform",
-    "FunctionModel",
-    "Phase",
-    "PlatformSpec",
-    "RequestRecord",
-    "compute_phase",
-    "io_phase",
-    "DHybridPlatform",
-    "FIRECRACKER",
-    "FIRECRACKER_SNAPSHOT",
-    "GVISOR",
-    "HYPERLIGHT",
-    "HYPERLIGHT_MATMUL",
-    "WASM_COMPUTE_SLOWDOWN",
-    "WASMTIME",
-]
+_EXPORTS = {
+    "FaasPlatform": ".base",
+    "FunctionModel": ".base",
+    "Phase": ".base",
+    "RequestRecord": ".base",
+    "compute_phase": ".base",
+    "io_phase": ".base",
+    "DHybridPlatform": ".dhybrid",
+    "PlatformSpec": ".specs",
+    "FIRECRACKER": ".specs",
+    "FIRECRACKER_SNAPSHOT": ".specs",
+    "GVISOR": ".specs",
+    "HYPERLIGHT": ".specs",
+    "HYPERLIGHT_MATMUL": ".specs",
+    "WASM_COMPUTE_SLOWDOWN": ".specs",
+    "WASMTIME": ".specs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _EXPORTS)

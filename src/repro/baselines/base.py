@@ -34,18 +34,16 @@ from ..sim.core import Environment, Event
 from ..sim.cpu import ProcessorSharingCpu
 from ..sim.distributions import Rng
 from ..sim.metrics import LatencyRecorder
+from .specs import PlatformSpec
 
 __all__ = [
     "Phase",
     "compute_phase",
     "io_phase",
-    "PlatformSpec",
     "FunctionModel",
     "FaasPlatform",
     "RequestRecord",
 ]
-
-MiB = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -68,28 +66,6 @@ def compute_phase(seconds: float) -> Phase:
 
 def io_phase(seconds: float) -> Phase:
     return Phase("io", seconds)
-
-
-@dataclass(frozen=True)
-class PlatformSpec:
-    """Cost profile of one baseline platform."""
-
-    name: str
-    cold_start_seconds: float
-    hot_start_seconds: float
-    compute_slowdown: float = 1.0
-    sandbox_memory_bytes: int = 128 * MiB
-    context_switch_seconds: float = 5e-6
-    # Extra cold-start cost per MiB of sandbox memory: snapshot restores
-    # demand-page the guest working set on first touch (§2.3 attributes
-    # >8ms to "snapshot demand paging and guest-host connection
-    # re-establishment", growing with the function's footprint).
-    cold_paging_seconds_per_mib: float = 0.0
-
-    def cold_start_total_seconds(self, memory_bytes: int) -> float:
-        return self.cold_start_seconds + self.cold_paging_seconds_per_mib * (
-            memory_bytes / MiB
-        )
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,8 @@ class ShardedConfig:
     platform: str = PLATFORM_DANDELION
     policy: str = "least_loaded"
     seed: int = 0
-    # FaaS platform keep-alive (the worker's model constants live in
-    # .shard).  75 s approximates Knative's 60 s stable window plus
+    # FaaS platform keep-alive (the worker's costs live in
+    # baselines.specs).  75 s approximates Knative's 60 s stable window plus
     # scale-to-zero grace and lands near the ~3.3% cold ratio the paper
     # reports on this trace.
     keep_alive_seconds: float = 75.0

@@ -12,6 +12,11 @@ earliest free core)``, and ``events`` is a count by definition
 (docs/simulation.md, "The shard workers", has the recursion, its tie
 rule and its oracles).  A worker's results depend on its own delivery
 sequence only, so grouping workers into shards cannot change them.
+
+The workers define no cost of their own: the Dandelion worker charges
+``backends.costs.REPLAY_CREATION_SECONDS`` per request, the FaaS worker
+``baselines.specs.FIRECRACKER_SNAPSHOT`` plus that module's Knative
+orchestration and MicroVM guest overhead.
 """
 
 from __future__ import annotations
@@ -22,6 +27,14 @@ from collections import defaultdict, deque
 from heapq import heappop, heappush
 from operator import itemgetter
 
+from ...backends.costs import REPLAY_CREATION_SECONDS
+from ...baselines.specs import (
+    FIRECRACKER_SNAPSHOT,
+    KNATIVE_ORCHESTRATION_SECONDS,
+    MICROVM_GUEST_OVERHEAD_BYTES,
+    MiB,
+)
+
 __all__ = ["ShardSim", "PLATFORM_DANDELION", "PLATFORM_FAAS"]
 
 PLATFORM_DANDELION = "dandelion"
@@ -29,20 +42,6 @@ PLATFORM_FAAS = "faas"
 
 # Resample grid of the committed/active memory series, in seconds.
 GRID_STEP = 60.0
-# Dandelion platform: sandbox-creation seconds (process backend).
-CREATION_SECONDS = 0.001
-# FaaS platform: Firecracker-snapshot MicroVMs (baselines.specs) under
-# Knative-style keep-alive (``ShardedConfig.keep_alive_seconds``).  The
-# guest overhead is what a MicroVM commits beyond the function's working
-# set (guest kernel, rootfs page cache, agent; paper §2.3).  A cold start
-# is the 12 ms snapshot restore plus 0.8 s of scale-from-zero
-# orchestration (activator hop, autoscaler reaction, scheduling) — the
-# path behind the paper's 46% p99 gap.
-GUEST_OVERHEAD_BYTES = 40 * 1024 * 1024
-COLD_START_SECONDS = 0.812
-HOT_START_SECONDS = 0.0014
-PAGING_SECONDS_PER_MIB = 0.00012
-COMPUTE_SLOWDOWN = 1.05
 
 
 class _StepSeries:
@@ -152,6 +151,7 @@ class _DandelionWorker(_CorePool):
         committed, completed, starts = self.committed, self.completed, self._starts
         series = self.series
         integral, last, bound = series.integral, series.last, series.bound
+        creation = REPLAY_CREATION_SECONDS
         for t, fn_index, duration, arrival in pending[:due] + [(end, None, 0.0, 0.0)]:
             start = t
             while busy and (busy[0][0] <= t or len(busy) == cores and fn_index is not None):
@@ -180,7 +180,7 @@ class _DandelionWorker(_CorePool):
             committed += memory
             # Same-instant completions pop in start order.
             starts += 1
-            heappush(busy, (start + (CREATION_SECONDS + duration), starts, memory, arrival))
+            heappush(busy, (start + (creation + duration), starts, memory, arrival))
         del pending[:due]
         series.integral, series.last, series.bound, series.value = integral, last, bound, committed
         self.committed, self.completed, self._starts = committed, completed, starts
@@ -240,6 +240,11 @@ class _FaasWorker(_CorePool):
         active_integral, active_last, active_bound = (
             active_series.integral, active_series.last, active_series.bound
         )
+        spec = FIRECRACKER_SNAPSHOT
+        hot_start, slowdown = spec.hot_start_seconds, spec.compute_slowdown
+        # (restore + orchestration) + paging: the order the figures were drawn in.
+        cold_start = spec.cold_start_seconds + KNATIVE_ORCHESTRATION_SECONDS
+        paging_per_mib = spec.cold_paging_seconds_per_mib
         for t, fn_index, duration, arrival in pending[:due] + [(end, None, 0.0, 0.0)]:
             start = t
             while busy and (busy[0][0] <= t or len(busy) == cores and fn_index is not None):
@@ -279,9 +284,9 @@ class _FaasWorker(_CorePool):
             stack = idle_of.get(fn_index)
             if stack:
                 sandbox = stack.pop()
-                setup = HOT_START_SECONDS
+                setup = hot_start
             else:
-                footprint = memory_of[fn_index] + GUEST_OVERHEAD_BYTES
+                footprint = memory_of[fn_index] + MICROVM_GUEST_OVERHEAD_BYTES
                 sandbox = _Sandbox(fn_index, footprint)
                 cold_starts += 1
                 if start < bound:
@@ -290,7 +295,7 @@ class _FaasWorker(_CorePool):
                 else:
                     integral, last, bound = series.fold(start, committed, integral, last)
                 committed += footprint
-                setup = COLD_START_SECONDS + PAGING_SECONDS_PER_MIB * (footprint / (1024 * 1024))
+                setup = cold_start + paging_per_mib * (footprint / MiB)
             sandbox.token += 1
             if start < active_bound:
                 active_integral += active * (start - active_last)
@@ -301,7 +306,7 @@ class _FaasWorker(_CorePool):
                 )
             active += sandbox.footprint
             starts += 1
-            heappush(busy, (start + (setup + duration * COMPUTE_SLOWDOWN), starts, sandbox, arrival))
+            heappush(busy, (start + (setup + duration * slowdown), starts, sandbox, arrival))
         del pending[:due]
         series.integral, series.last, series.bound, series.value = integral, last, bound, committed
         active_series.integral, active_series.last, active_series.bound, active_series.value = (

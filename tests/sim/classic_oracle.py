@@ -9,10 +9,10 @@ trace/seed instead of against one frozen golden.  Dandelion platform
 only; ``heap_oracle.py`` covers both platforms.
 """
 
+from repro.backends.costs import REPLAY_CREATION_SECONDS
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.sim.sharded.shard import (
-    CREATION_SECONDS,
     GRID_STEP,
     PLATFORM_DANDELION,
     ShardSim,
@@ -88,7 +88,7 @@ class _ClassicDandelionWorker:
         yield slot
         self.committed += memory
         self.series.record(env._now, self.committed)
-        yield env.timeout(CREATION_SECONDS + duration)
+        yield env.timeout(REPLAY_CREATION_SECONDS + duration)
         self.committed -= memory
         self.series.record(env._now, self.committed)
         self.cores.release(slot)

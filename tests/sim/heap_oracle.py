@@ -15,15 +15,16 @@ from collections import deque
 from heapq import heappop, heappush
 from operator import itemgetter
 
+from repro.backends.costs import REPLAY_CREATION_SECONDS
+from repro.baselines.specs import (
+    FIRECRACKER_SNAPSHOT,
+    KNATIVE_ORCHESTRATION_SECONDS,
+    MICROVM_GUEST_OVERHEAD_BYTES,
+    MiB,
+)
 from repro.sim.core import Environment
 from repro.sim.sharded.shard import (
-    COLD_START_SECONDS,
-    COMPUTE_SLOWDOWN,
-    CREATION_SECONDS,
     GRID_STEP,
-    GUEST_OVERHEAD_BYTES,
-    HOT_START_SECONDS,
-    PAGING_SECONDS_PER_MIB,
     PLATFORM_DANDELION,
     ShardSim,
     _StepSeries,
@@ -53,7 +54,10 @@ class _HeapDandelionWorker:
         env._seq = seq + 1
         heappush(
             env._queue,
-            (env._now + (CREATION_SECONDS + duration), seq, self, _COMPLETE, fn_index, arrival),
+            (
+                env._now + (REPLAY_CREATION_SECONDS + duration),
+                seq, self, _COMPLETE, fn_index, arrival,
+            ),
         )
 
     def _complete(self, fn_index, arrival):
@@ -94,7 +98,7 @@ class _HeapFaasWorker:
     def _start(self, fn_index, duration, arrival):
         self.cores_free -= 1
         env = self.env
-        footprint = self.memory_of[fn_index] + GUEST_OVERHEAD_BYTES
+        footprint = self.memory_of[fn_index] + MICROVM_GUEST_OVERHEAD_BYTES
         sandbox = None
         stack = self.idle_of.get(fn_index)
         while stack:
@@ -107,9 +111,11 @@ class _HeapFaasWorker:
             self.cold_starts += 1
             self.committed += footprint
             self.series.record(env._now, self.committed)
-            setup = COLD_START_SECONDS + PAGING_SECONDS_PER_MIB * (footprint / (1024 * 1024))
+            setup = (
+                FIRECRACKER_SNAPSHOT.cold_start_seconds + KNATIVE_ORCHESTRATION_SECONDS
+            ) + FIRECRACKER_SNAPSHOT.cold_paging_seconds_per_mib * (footprint / MiB)
         else:
-            setup = HOT_START_SECONDS
+            setup = FIRECRACKER_SNAPSHOT.hot_start_seconds
         sandbox.idle = False
         sandbox.idle_token += 1
         self.active += footprint
@@ -118,12 +124,15 @@ class _HeapFaasWorker:
         env._seq = seq + 1
         heappush(
             env._queue,
-            (env._now + (setup + duration * COMPUTE_SLOWDOWN), seq, self, _COMPLETE, sandbox, arrival),
+            (
+                env._now + (setup + duration * FIRECRACKER_SNAPSHOT.compute_slowdown),
+                seq, self, _COMPLETE, sandbox, arrival,
+            ),
         )
 
     def _complete(self, sandbox, arrival):
         env = self.env
-        footprint = self.memory_of[sandbox.fn_index] + GUEST_OVERHEAD_BYTES
+        footprint = self.memory_of[sandbox.fn_index] + MICROVM_GUEST_OVERHEAD_BYTES
         self.active -= footprint
         self.active_series.record(env._now, self.active)
         self.latencies.append(env._now - arrival)
@@ -144,7 +153,7 @@ class _HeapFaasWorker:
     def _expire(self, sandbox, token):
         if sandbox.idle and not sandbox.dead and sandbox.idle_token == token:
             sandbox.dead = True
-            self.committed -= self.memory_of[sandbox.fn_index] + GUEST_OVERHEAD_BYTES
+            self.committed -= self.memory_of[sandbox.fn_index] + MICROVM_GUEST_OVERHEAD_BYTES
             self.series.record(self.env._now, self.committed)
 
 

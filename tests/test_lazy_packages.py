@@ -1,6 +1,7 @@
 """The lazy package boundaries (PEP 562): `repro`, `repro.backends`,
-`repro.cluster` and `repro.dispatcher` resolve their public names on
-first use, and a fresh interpreter loads only what it touches."""
+`repro.baselines`, `repro.cluster`, `repro.dispatcher` and
+`repro.experiments` resolve their public names on first use, and a
+fresh interpreter loads only what it touches."""
 
 import importlib
 import os
@@ -9,7 +10,10 @@ import sys
 
 import pytest
 
-PACKAGES = ["repro", "repro.backends", "repro.cluster", "repro.dispatcher"]
+PACKAGES = [
+    "repro", "repro.backends", "repro.baselines", "repro.cluster", "repro.dispatcher",
+    "repro.experiments",
+]
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -86,6 +90,24 @@ def test_a_trace_replay_loads_no_part_of_the_worker_node():
     node = {f"repro.{package}" for package in (
         "worker", "engines", "functions", "composition", "data", "net", "frontend")}
     assert not {m for m in loaded if ".".join(m.split(".")[:2]) in node}
-    for module in ("repro.dispatcher.dispatcher", "repro.cluster.manager", "numpy"):
+    for module in (
+        "repro.dispatcher.dispatcher", "repro.cluster.manager", "numpy",
+        "repro.baselines.base", "repro.baselines.dhybrid",
+    ):
         assert module not in loaded
-    assert "repro.sim.sharded.shard" in loaded
+    # The workers charge their costs from the registries.
+    for module in ("repro.sim.sharded.shard", "repro.baselines.specs", "repro.backends.costs"):
+        assert module in loaded
+
+
+def test_the_fig1_harness_loads_neither_numpy_nor_the_query_engine():
+    # `repro run fig1` imports this module; its siblings in
+    # repro.experiments (Fig 9's SSB queries, the node) stay unloaded.
+    out = _fresh(
+        "import sys\n"
+        "import repro.experiments.fig01_fig10_azure\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    loaded = set(out.splitlines())
+    assert "numpy" not in loaded
+    assert not {m for m in loaded if m == "repro.query" or m.startswith("repro.query.")}
