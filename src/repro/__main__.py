@@ -242,8 +242,9 @@ def main(argv=None) -> int:
         help="run under cProfile and print the top 25 cumulative entries",
     )
     run_parser.add_argument(
-        "--trace-scale", type=float, default=100.0,
-        help="fig10full: trace scale vs the 100-function sample (default 100)",
+        "--trace-scale", type=float, default=None,
+        help="fig10full: trace scale vs the 100-function sample "
+             "(default: the bundled spec's, 100)",
     )
     scenario_parser = subparsers.add_parser(
         "scenario",

@@ -19,65 +19,25 @@ All randomness is seeded, so the same seed reproduces the same report
 byte for byte; at fault rate 0 the run takes the no-retry fast path and
 behaves exactly like a fault-free cluster.
 
-Since the `repro.scenario` refactor this module is a thin wrapper: it
-builds one base :class:`~repro.scenario.spec.ScenarioSpec` (also
-bundled as ``scenario/specs/sec61.toml``), sweeps the fault axes via
-spec overrides through :func:`~repro.scenario.engine.run_scenario`,
+The scenario is the bundled ``scenario/specs/sec61.toml``: this module
+reads it (or a caller's reduced copy, ``base``), sweeps the fault axes
+via spec overrides through :func:`~repro.scenario.engine.run_scenario`,
 and renders the rows from each run's KpiRecord.
 """
 
 from __future__ import annotations
 
 from ..scenario.engine import run_scenario
-from ..scenario.spec import (
-    FaultSpec,
-    FleetSpec,
-    ScenarioSpec,
-    SchedSpec,
-    TraceSpec,
-    WorkloadSpec,
-)
+from ..scenario.spec import ScenarioSpec, load_spec
 from .common import ExperimentResult
 
 __all__ = ["run_sec61"]
 
-# Per-invocation deadline: generous against the ~1 ms service time, so
-# only genuinely stuck work (crashed engines, lost exchanges) hits it.
-_DEADLINE_SECONDS = 0.25
-
-
-def _base_spec(
-    rps: float,
-    duration_seconds: float,
-    workers: int,
-    cores: int,
-    mttr_seconds: float,
-    seed: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="sec61",
-        seed=seed,
-        trace=TraceSpec(rps=rps, duration_seconds=duration_seconds),
-        workload=WorkloadSpec(name="ft_echo", compute_seconds=4e-3),
-        fleet=FleetSpec(workers=workers, cores=cores),
-        faults=FaultSpec(
-            max_retries=3,
-            deadline_seconds=_DEADLINE_SECONDS,
-            mttr_seconds=mttr_seconds,
-        ),
-        sched=SchedSpec(routing="least_loaded"),
-    )
-
 
 def run_sec61(
-    rps: float = 150.0,
-    duration_seconds: float = 4.0,
-    workers: int = 3,
-    cores: int = 4,
+    base: ScenarioSpec | None = None,
     transient_rates: tuple = (0.0, 0.02, 0.05, 0.1, 0.2),
     mttf_sweep: tuple = (2.0, 1.0, 0.5),
-    mttr_seconds: float = 0.25,
-    seed: int = 0,
 ) -> ExperimentResult:
     result = ExperimentResult(
         name="§6.1",
@@ -96,7 +56,8 @@ def run_sec61(
             "p99_ms",
         ],
     )
-    base = _base_spec(rps, duration_seconds, workers, cores, mttr_seconds, seed)
+    if base is None:
+        base = load_spec("sec61")
 
     def add_row(scenario, fault_rate, mttf_label, kpis):
         result.add_row(

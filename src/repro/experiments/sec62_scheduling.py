@@ -27,37 +27,25 @@ Every run is deterministic per seed: the same arrival times and the
 same app popularity draws are replayed against every policy × fleet
 size cell, so the cells differ only in placement decisions.
 
-Since the `repro.scenario` refactor this module is a thin wrapper
-over one base :class:`~repro.scenario.spec.ScenarioSpec` (bundled as
-``scenario/specs/sec62.toml``) swept across ``sched.routing`` ×
-``fleet.workers`` — exactly what ``python -m repro scenario sweep
-sec62 --axis policy=... --axis fleet=4,8,16`` runs from the CLI; the
-``reseed_per_fleet`` trace knob keeps the request stream pinned per
-fleet size.
+The scenario is the bundled ``scenario/specs/sec62.toml``: this module
+reads it (or a caller's reduced copy, ``base``) and sweeps it across
+``fleet.workers`` × ``sched.routing`` with
+:func:`~repro.scenario.sweep.run_sweep` — exactly what ``python -m repro
+scenario sweep sec62 --axis fleet=4,8,16 --axis policy=...`` runs from
+the CLI; the ``reseed_per_fleet`` trace knob keeps the request stream
+pinned per fleet size.
 """
 
 from __future__ import annotations
 
-from ..scenario.engine import run_scenario
-from ..scenario.spec import (
-    FleetSpec,
-    ScenarioSpec,
-    SchedSpec,
-    TraceSpec,
-    WorkloadSpec,
-)
+from ..backends.costs import DISK_BYTES_PER_SECOND
+from ..scenario.spec import ScenarioSpec, load_spec
+from ..scenario.sweep import run_sweep
 from .common import ExperimentResult
 
 __all__ = ["run_sec62"]
 
 MiB = 1024 * 1024
-
-# Each app's sandbox binary: big enough that a cold load-from-disk
-# (~34 ms at NVMe bandwidth) dominates a few service times, as §7.2
-# measures for container images and VM snapshots, while the warm
-# in-memory load (~7 ms at memcpy bandwidth) stays a modest share of
-# each invocation.
-_BINARY_BYTES = 64 * MiB
 
 # The §6.2 sweep compares the load-balancing family; the "gray"
 # quarantine policy is a fault-domain defense benchmarked in §6.3, so
@@ -66,45 +54,10 @@ _BINARY_BYTES = 64 * MiB
 _SEC62_POLICIES = ("round_robin", "least_loaded", "random", "jsq", "locality")
 
 
-def _base_spec(
-    rps_per_worker: float,
-    duration_seconds: float,
-    apps: int,
-    zipf_skew: float,
-    cores: int,
-    compute_seconds: float,
-    seed: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="sec62",
-        seed=seed,
-        trace=TraceSpec(
-            rps_per_worker=rps_per_worker,
-            duration_seconds=duration_seconds,
-            apps=apps,
-            zipf_skew=zipf_skew,
-            reseed_per_fleet=True,
-        ),
-        workload=WorkloadSpec(
-            name="sched_app",
-            compute_seconds=compute_seconds,
-            binary_mib=_BINARY_BYTES / MiB,
-        ),
-        fleet=FleetSpec(cores=cores),
-        sched=SchedSpec(routing="least_loaded"),
-    )
-
-
 def run_sec62(
+    base: ScenarioSpec | None = None,
     policies: tuple = _SEC62_POLICIES,
     fleet_sizes: tuple = (4, 8, 16),
-    rps_per_worker: float = 200.0,
-    duration_seconds: float = 3.0,
-    apps: int = 16,
-    zipf_skew: float = 1.2,
-    cores: int = 4,
-    compute_seconds: float = 2e-3,
-    seed: int = 0,
 ) -> ExperimentResult:
     result = ExperimentResult(
         name="§6.2",
@@ -121,31 +74,32 @@ def run_sec62(
             "imbalance",
         ],
     )
-    base = _base_spec(
-        rps_per_worker, duration_seconds, apps, zipf_skew, cores,
-        compute_seconds, seed,
-    )
-    for workers in fleet_sizes:
-        for policy in policies:
-            run = run_scenario(base.with_overrides({
-                "fleet.workers": workers,
-                "sched.routing": policy,
-            }))
-            kpis = run.kpis
-            result.add_row(
-                policy=policy,
-                workers=workers,
-                offered_rps=kpis.offered / duration_seconds,
-                goodput_rps=kpis.goodput_rps,
-                success_pct=kpis.success_pct,
-                p50_ms=kpis.p50_ms,
-                p99_ms=kpis.p99_ms,
-                imbalance=kpis.imbalance,
-            )
+    if base is None:
+        base = load_spec("sec62")
+    matrix = run_sweep(base, [
+        ("fleet.workers", list(fleet_sizes)),
+        ("sched.routing", list(policies)),
+    ])
+    trace, workload = base.trace, base.workload
+    for record in matrix["records"]:
+        kpis = record["kpis"]
+        result.add_row(
+            policy=record["arm"]["sched.routing"],
+            workers=record["arm"]["fleet.workers"],
+            offered_rps=kpis["offered"] / trace.duration_seconds,
+            goodput_rps=kpis["goodput_rps"],
+            success_pct=kpis["success_pct"],
+            p50_ms=kpis["p50_ms"],
+            p99_ms=kpis["p99_ms"],
+            imbalance=kpis["imbalance"],
+        )
     result.note(
-        f"{apps} apps, Zipf skew {zipf_skew}, {_BINARY_BYTES // MiB} MiB binaries "
-        f"(~{_BINARY_BYTES / 2e9 * 1e3:.0f} ms cold load), "
-        f"{compute_seconds * 1e3:g} ms service, {rps_per_worker:g} rps/worker; "
+        f"{trace.apps} apps, Zipf skew {trace.zipf_skew}, "
+        f"{workload.binary_mib:g} MiB binaries "
+        f"(~{workload.binary_mib * MiB / DISK_BYTES_PER_SECOND * 1e3:.0f} ms "
+        "cold load), "
+        f"{workload.compute_seconds * 1e3:g} ms service, "
+        f"{trace.rps_per_worker:g} rps/worker; "
         "identical request streams per fleet size, so cells differ only in "
         "placement decisions"
     )

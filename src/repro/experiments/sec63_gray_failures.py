@@ -30,93 +30,38 @@ the healthy service time): a severely limping worker pushes its work
 past the deadline, so blindness to gray failure costs *goodput*, not
 just tail latency.  Every run is deterministic per seed.
 
-Since the `repro.scenario` refactor this module is a thin wrapper:
-one base :class:`~repro.scenario.spec.ScenarioSpec` (bundled as
-``scenario/specs/sec63.toml``) swept over ``faults.limp_severity``,
-with each detector arm expressed as sched-section overrides (routing /
-latency_health / hedge) through
+The scenario is the bundled ``scenario/specs/sec63.toml``: this module
+reads it (or a caller's reduced copy, ``base``), sweeps it over
+``faults.limp_severity``, and expresses each detector arm as
+sched-section overrides (routing / latency_health / hedge) through
 :func:`~repro.scenario.engine.run_scenario`.
 """
 
 from __future__ import annotations
 
 from ..scenario.engine import run_scenario
-from ..scenario.spec import (
-    FaultSpec,
-    FleetSpec,
-    ScenarioSpec,
-    SchedSpec,
-    TraceSpec,
-    WorkloadSpec,
-)
+from ..scenario.spec import ScenarioSpec, load_spec
 from .common import ExperimentResult
 
 __all__ = ["run_sec63"]
 
-# Healthy service time is ~4 ms; the deadline is 5x that.  The severity
-# ladder then crosses two regimes: at 4x the limped worker still beats
-# the deadline, so gray failure is pure tail-latency pain (slow
-# successes); at 8x it cannot, and blindness to gray failure costs
-# goodput outright.
-_COMPUTE_SECONDS = 4e-3
-_DEADLINE_SECONDS = 20e-3
-
+# The spec's deadline is 5x the healthy service time, so the ladder
+# crosses both regimes: at 4x a limped worker still beats the deadline,
+# at 8x it cannot.
+_SEVERITIES = (1.0, 2.0, 4.0, 8.0)
 _DETECTORS = ("fail-stop", "latency", "latency+hedge")
 
 
-def _base_spec(
-    rps: float,
-    duration_seconds: float,
-    workers: int,
-    cores: int,
-    limp_mttf_seconds: float,
-    limp_duration_seconds: float,
-    seed: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="sec63",
-        seed=seed,
-        trace=TraceSpec(rps=rps, duration_seconds=duration_seconds),
-        workload=WorkloadSpec(name="gray_echo", compute_seconds=_COMPUTE_SECONDS),
-        fleet=FleetSpec(workers=workers, cores=cores),
-        faults=FaultSpec(
-            max_retries=3,
-            deadline_seconds=_DEADLINE_SECONDS,
-            # Crash cycles are disabled (astronomical MTTF): this
-            # experiment isolates the gray-failure domain.
-            mttf_seconds=1e9,
-            mttr_seconds=1.0,
-            limp_mttf_seconds=limp_mttf_seconds,
-            limp_duration_seconds=limp_duration_seconds,
-            seed_offset=41,
-        ),
-        sched=SchedSpec(routing="least_loaded"),
-    )
-
-
-def _detector_overrides(detector: str, hedge_budget_fraction: float) -> dict:
+def _detector_overrides(detector: str) -> dict:
     with_health = detector != "fail-stop"
     return {
         "sched.routing": "gray" if with_health else "least_loaded",
         "sched.latency_health": with_health,
         "sched.hedge": detector == "latency+hedge",
-        "sched.hedge_percentile": 95.0,
-        "sched.hedge_budget_fraction": hedge_budget_fraction,
     }
 
 
-def run_sec63(
-    rps: float = 150.0,
-    duration_seconds: float = 4.0,
-    workers: int = 4,
-    cores: int = 4,
-    severities: tuple = (1.0, 2.0, 4.0, 8.0),
-    detectors: tuple = _DETECTORS,
-    limp_mttf_seconds: float = 3.0,
-    limp_duration_seconds: float = 0.5,
-    hedge_budget_fraction: float = 0.10,
-    seed: int = 0,
-) -> ExperimentResult:
+def run_sec63(base: ScenarioSpec | None = None) -> ExperimentResult:
     result = ExperimentResult(
         name="§6.3",
         description="gray failures: limplock severity vs fail-stop / "
@@ -134,19 +79,14 @@ def run_sec63(
             "hedge_rate_pct",
         ],
     )
-    base = _base_spec(
-        rps, duration_seconds, workers, cores,
-        limp_mttf_seconds, limp_duration_seconds, seed,
-    )
-
-    for severity in severities:
-        for detector in detectors:
-            overrides = {"faults.limp_severity": severity}
-            overrides.update(
-                _detector_overrides(detector, hedge_budget_fraction)
-            )
-            run = run_scenario(base.with_overrides(overrides))
-            kpis = run.kpis
+    if base is None:
+        base = load_spec("sec63")
+    for severity in _SEVERITIES:
+        for detector in _DETECTORS:
+            kpis = run_scenario(base.with_overrides({
+                "faults.limp_severity": severity,
+                **_detector_overrides(detector),
+            })).kpis
             result.add_row(
                 severity=severity,
                 detector=detector,
@@ -169,8 +109,8 @@ def run_sec63(
         "latency quarantine (policy=gray) sidelines the limping worker after "
         "its completion-latency EWMA drifts past the fleet's; hedging "
         "additionally re-issues the slowest in-flight requests "
-        f"(budget {100.0 * hedge_budget_fraction:.0f}% of traffic) and takes "
-        "the first completion"
+        f"(budget {100.0 * base.sched.hedge_budget_fraction:.0f}% of "
+        "traffic) and takes the first completion"
     )
     result.note("deterministic per seed: identical tables for identical seeds")
     return result

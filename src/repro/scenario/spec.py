@@ -527,16 +527,21 @@ def bundled_specs() -> dict:
 
 
 def load_spec(ref: str) -> ScenarioSpec:
-    """Load a spec from a file path or a bundled scenario name."""
-    path = ref
-    if not os.path.exists(path):
-        bundled = bundled_specs()
-        if ref not in bundled:
-            raise SpecError(
-                f"no spec file {ref!r} and no bundled scenario of that name "
-                f"(bundled: {', '.join(bundled) or 'none'})"
-            )
-        path = bundled[ref]
+    """Load a bundled scenario by name, else a spec file by path.
+
+    Bundled names resolve first, so nothing in the working directory
+    can shadow one; a user file of the same name stays reachable as
+    ``./name``.
+    """
+    bundled = bundled_specs()
+    path = bundled.get(ref, ref)
+    if not os.path.isfile(path):
+        if os.path.exists(path):
+            raise SpecError(f"spec path {ref!r} is not a file")
+        raise SpecError(
+            f"no spec file {ref!r} and no bundled scenario of that name "
+            f"(bundled: {', '.join(bundled) or 'none'})"
+        )
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:

@@ -25,6 +25,7 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.common import ExperimentResult, render_table
+from repro.scenario import load_spec
 from repro.sim import Environment
 
 
@@ -135,14 +136,13 @@ def test_sec74_small():
 
 
 def _sec61_small():
-    return run_sec61(
-        rps=120.0,
-        duration_seconds=0.5,
-        workers=2,
-        transient_rates=(0.0, 0.2),
-        mttf_sweep=(0.2,),
-        mttr_seconds=0.05,
-    )
+    base = load_spec("sec61").with_overrides({
+        "trace.rps": 120.0,
+        "trace.duration_seconds": 0.5,
+        "fleet.workers": 2,
+        "faults.mttr_seconds": 0.05,
+    })
+    return run_sec61(base, transient_rates=(0.0, 0.2), mttf_sweep=(0.2,))
 
 
 def test_sec61_small():

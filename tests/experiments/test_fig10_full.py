@@ -3,8 +3,8 @@
 import pytest
 
 from repro.experiments import run_fig10_full
-from repro.experiments.fig10_full import _base_spec, _fleet_for
-from repro.scenario import run_scenario
+from repro.experiments.fig10_full import _fleet_for
+from repro.scenario import load_spec, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,10 @@ def test_rows_cover_both_platforms(result):
 def test_render_is_shard_count_invariant(result):
     # The experiment has no shard knob; partition the same scenario by
     # hand and compare what the table is rendered from.
-    spec = _base_spec(1.0, *_fleet_for(1.0), window_seconds=0.5, seed=42)
+    workers, cores = _fleet_for(1.0)
+    spec = load_spec("fig10_full").with_overrides({
+        "trace.scale": 1.0, "fleet.workers": workers, "fleet.cores": cores,
+    })
     for platform in ("dandelion", "faas"):
         arm = spec.with_overrides({"fleet.platform": platform})
         report = run_scenario(arm, shards=2).report

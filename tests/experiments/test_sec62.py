@@ -1,16 +1,16 @@
 """Reduced §6.2 scheduling-sweep smoke test: shape, ordering, determinism."""
 
 from repro.experiments import run_sec62
+from repro.scenario import load_spec
 
 
 def _sec62_small():
-    return run_sec62(
-        fleet_sizes=(4,),
-        rps_per_worker=150.0,
-        duration_seconds=1.5,
-        apps=8,
-        seed=0,
-    )
+    base = load_spec("sec62").with_overrides({
+        "trace.rps_per_worker": 150.0,
+        "trace.duration_seconds": 1.5,
+        "trace.apps": 8,
+    })
+    return run_sec62(base, fleet_sizes=(4,))
 
 
 def test_sec62_shape_and_goodput():

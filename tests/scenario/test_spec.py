@@ -187,6 +187,20 @@ def test_load_spec_unknown_ref():
         load_spec("no_such_scenario")
 
 
+def test_working_directory_cannot_shadow_a_bundled_spec(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sec61").write_text('name = "shadow"\n[trace]\nrps = 1.0\n')
+    (tmp_path / "fig10_full").mkdir()
+    for name in ("sec61", "fig10_full"):
+        assert load_spec(name) == scenario_from_toml(
+            open(bundled_specs()[name], encoding="utf-8").read()
+        )
+    # The user's file stays reachable by path; a directory is refused.
+    assert load_spec("./sec61").name == "shadow"
+    with pytest.raises(SpecError, match="not a file"):
+        load_spec("./fig10_full")
+
+
 def test_parse_toml_grammar_and_malformed_input():
     parsed = parse_toml(
         '# header comment\n'
