@@ -2,7 +2,6 @@
 
 from .context import (
     PAGE_SIZE,
-    WIRE_VERSION,
     ContextError,
     MemoryContext,
     parse_sets,
@@ -22,7 +21,6 @@ from .vfs import VfsError, VirtualFile, VirtualFileSystem
 
 __all__ = [
     "PAGE_SIZE",
-    "WIRE_VERSION",
     "ContextError",
     "MemoryContext",
     "parse_sets",

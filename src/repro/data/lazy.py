@@ -1,16 +1,17 @@
-"""Zero-parse lazy views over wire-format v2 set data.
+"""Zero-parse lazy views over wire-format set data.
 
-:func:`parse_sets_lazy` is the fast half of the §8 output-parser split:
-instead of eagerly decoding every record the way :func:`~repro.data.context.parse_sets`
-does, it reads only the v2 footer offset table — O(sets) work — and
-hands back :class:`LazyDataSet` views that decode names and copy
-payload bytes out of the underlying buffer on first touch, caching per
-entry.  A set that is routed through the dispatcher but never inspected
-therefore costs O(1); a fully consumed set costs the same as the eager
-parse, paid incrementally.
+:func:`parse_sets_lazy` is the fast reader of the layout
+:func:`~repro.data.context.serialize_sets` writes: instead of eagerly
+decoding every record the way :func:`~repro.data.context.parse_sets`
+does, it reads only the footer offset table — O(sets) work — and hands
+back :class:`LazyDataSet` views that decode names and copy payload
+bytes out of the underlying buffer on first touch, caching per entry.
+A set that is indexed but never inspected therefore costs O(1); a
+fully consumed set costs the same as the eager parse, paid
+incrementally.
 
-Validation moves with the work: the footer is bounds-checked up front
-(offsets and counts can never make the trusted side read out of
+Validation moves with the work: the magic and footer are checked up
+front (offsets and counts can never make the trusted side read out of
 bounds), while per-record strictness — name UTF-8/emptiness, key
 flags, payload bounds — is enforced at the same touch that would
 decode the record, raising the same :class:`~repro.data.context.ContextError`
@@ -18,11 +19,8 @@ the strict codec raises at parse time.  The strict parser remains the
 validation/debug codec and additionally cross-checks the footer
 against a full body scan.
 
-The views alias the source buffer (usually a context's backing
-``bytearray`` via :meth:`~repro.data.context.MemoryContext.load_sets`):
-they follow the ``read_view`` lifetime rule and are read-only.  v1
-blobs (no footer) fall back to the eager strict parse, so callers
-never need to know which version they were handed.
+The views alias the source buffer until a payload is copied out, so
+the buffer must not change while they are in use; they are read-only.
 """
 
 from __future__ import annotations
@@ -32,13 +30,12 @@ from typing import Iterator, Optional
 
 from .context import (
     _HEADER2,
-    _MAGIC2,
     _MAX_ITEMS_PER_SET,
     _MAX_NAME_LENGTH,
     _MAX_SETS,
     _SET_ENTRY,
     ContextError,
-    parse_sets,
+    _check_magic,
 )
 from .items import register_item_type, register_set_type
 
@@ -280,19 +277,16 @@ class LazyDataSet:
         return f"LazyDataSet({ident!r}, {self._body.count} items, {self._payload_total} bytes)"
 
 
-def parse_sets_lazy(blob) -> "list":
+def parse_sets_lazy(blob) -> "list[LazyDataSet]":
     """Index a wire blob into lazy set views without decoding records.
 
-    For a v2 blob this reads the header and footer only — O(sets) work,
-    independent of item count or payload bytes; per-item offsets stay
-    packed until a set is first touched.  A v1 blob (no footer) falls
-    back to the strict eager parse, so the return type is a list of
-    set-shaped objects either way.  Malformed headers and footers raise
-    :class:`~repro.data.context.ContextError` here; malformed records
-    raise on touch.
+    This reads the header and footer only — O(sets) work, independent
+    of item count or payload bytes; per-item offsets stay packed until a
+    set is first touched.  A bad magic and malformed headers and footers
+    raise :class:`~repro.data.context.ContextError` here; malformed
+    records raise on touch.
     """
-    if len(blob) < 4 or bytes(blob[:4]) != _MAGIC2:
-        return parse_sets(blob)  # v1 fallback (or bad magic / truncated)
+    _check_magic(blob)
     if len(blob) < _HEADER2.size:
         raise ContextError("truncated context data")
     _, set_count, footer_offset = _HEADER2.unpack_from(blob, 0)

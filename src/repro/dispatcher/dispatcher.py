@@ -16,8 +16,9 @@ dispatcher:
   of its input sets has been delivered;
 * expands ``each``/``key`` edges into parallel instances
   (:mod:`repro.dispatcher.expansion`);
-* prepares an isolated memory context per instance, copies inputs in,
-  and enqueues a task on the compute or communication queue;
+* prepares an isolated memory context per instance, charges the
+  inputs' wire size to it in copy mode, and enqueues a task on the
+  compute or communication queue;
 * on completion associates outputs with waiting consumers and frees a
   producer's contexts "when all data-dependent functions have consumed
   its output";

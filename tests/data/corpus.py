@@ -6,7 +6,7 @@ codec surfaces the problem:
 
 * ``"index"`` — :func:`~repro.data.lazy.parse_sets_lazy` itself raises
   :class:`~repro.data.context.ContextError` (header/footer damage, and
-  every v1 blob, which falls back to the eager parse).
+  every blob in the retired v1 layout, whose magic is rejected).
 * ``"touch"`` — indexing succeeds (the footer is structurally sound)
   and the error surfaces when the poisoned record is first touched:
   reading a set name, iterating items, or materializing a payload.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.data.context import _HEADER, _HEADER2, _MAGIC, _SET_ENTRY, serialize_sets
+from repro.data.context import _HEADER2, _SET_ENTRY, serialize_sets
 from repro.data.items import DataItem, DataSet
 
 __all__ = ["MalformedBlob", "CORPUS", "V1_BLOB", "touch_all", "verify_corpus_rejections"]
@@ -48,15 +48,19 @@ def _patched(blob: bytes, offset: int, replacement: bytes) -> bytes:
     return blob[:offset] + replacement + blob[offset + len(replacement) :]
 
 
+# The retired scan-only v1 header: magic, set count.
+_V1_HEADER = struct.Struct("<4sI")
+
+
 def _as_v1(blob: bytes) -> bytes:
-    """Re-head a v2 blob as legacy v1: same body, scan-only header, no footer."""
+    """Re-head a v2 blob as v1: same body, scan-only header, no footer."""
     _, set_count, footer_offset = _HEADER2.unpack_from(blob, 0)
-    return _HEADER.pack(_MAGIC, set_count) + blob[_HEADER2.size : footer_offset]
+    return _V1_HEADER.pack(b"DNDL", set_count) + blob[_HEADER2.size : footer_offset]
 
 
-# Well-formed v1 encoding of _base_sets(): nothing writes v1 any more,
-# so this is what the v1 corpus entries are cut from and what the
-# reader-fallback tests parse.
+# The v1 encoding of _base_sets().  No reader accepts v1 any more; this
+# is what the v1 corpus entries are cut from, what the rejection test
+# parses and what the footer's cost is measured against.
 V1_BLOB = _as_v1(serialize_sets(_base_sets()))
 
 
@@ -137,8 +141,8 @@ def _build_corpus() -> list[MalformedBlob]:
             _patched(blob, set0_offset + 9, struct.pack("<I", set0_count + 1)),
             "touch",
         ),
-        # v1 blobs always take the eager fallback, so every defect is
-        # an index-stage rejection for the lazy codec too.
+        # v1 blobs are rejected by their magic, so every defect is an
+        # index-stage rejection for the lazy codec too.
         MalformedBlob("v1_truncated", V1_BLOB[: len(V1_BLOB) // 2], "index"),
         MalformedBlob(
             "v1_huge_set_count",

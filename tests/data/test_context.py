@@ -1,5 +1,9 @@
 """Unit and property tests for MemoryContext and the set wire format."""
 
+import gc
+import struct
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,93 +15,13 @@ from repro.data import (
     DataSet,
     MemoryContext,
     parse_sets,
+    parse_sets_lazy,
     serialize_sets,
     serialized_size,
 )
 from repro.data.items import register_item_type
 
 from .corpus import V1_BLOB, _base_sets
-
-
-def test_write_then_read_roundtrip():
-    ctx = MemoryContext(1024)
-    ctx.write(10, b"hello")
-    assert ctx.read(10, 5) == b"hello"
-
-
-def test_unwritten_memory_reads_zero():
-    ctx = MemoryContext(64)
-    ctx.write(0, b"x")
-    assert ctx.read(1, 3) == b"\x00\x00\x00"
-
-
-def test_capacity_enforced_on_write():
-    ctx = MemoryContext(16)
-    with pytest.raises(ContextError):
-        ctx.write(10, b"0123456789")
-
-
-def test_capacity_enforced_on_read():
-    ctx = MemoryContext(16)
-    with pytest.raises(ContextError):
-        ctx.read(10, 10)
-
-
-def test_negative_offset_rejected():
-    ctx = MemoryContext(16)
-    with pytest.raises(ContextError):
-        ctx.write(-1, b"x")
-    with pytest.raises(ContextError):
-        ctx.read(-1, 1)
-
-
-def test_invalid_capacity_rejected():
-    with pytest.raises(ContextError):
-        MemoryContext(0)
-
-
-def test_committed_grows_with_pages():
-    ctx = MemoryContext(10 * PAGE_SIZE)
-    assert ctx.committed == 0
-    ctx.write(0, b"x")
-    assert ctx.committed == PAGE_SIZE
-    ctx.write(PAGE_SIZE + 1, b"y")
-    assert ctx.committed == 2 * PAGE_SIZE
-
-
-def test_committed_never_exceeds_reserved_pages():
-    capacity = 3 * PAGE_SIZE
-    ctx = MemoryContext(capacity)
-    ctx.write(capacity - 1, b"z")
-    assert ctx.committed == capacity
-
-
-def test_free_releases_and_blocks_access():
-    ctx = MemoryContext(64)
-    ctx.write(0, b"data")
-    ctx.free()
-    assert ctx.freed
-    assert ctx.committed == 0
-    with pytest.raises(ContextError):
-        ctx.read(0, 1)
-    with pytest.raises(ContextError):
-        ctx.write(0, b"x")
-
-
-def test_transfer_between_contexts():
-    src = MemoryContext(64)
-    dst = MemoryContext(64)
-    src.write(0, b"payload")
-    src.transfer_to(dst, src_offset=0, dst_offset=8, length=7)
-    assert dst.read(8, 7) == b"payload"
-
-
-def test_transfer_respects_destination_capacity():
-    src = MemoryContext(64)
-    dst = MemoryContext(4)
-    src.write(0, b"toolong")
-    with pytest.raises(ContextError):
-        src.transfer_to(dst, 0, 0, 7)
 
 
 def _sample_sets():
@@ -108,17 +32,89 @@ def _sample_sets():
     ]
 
 
-def test_store_and_load_sets_roundtrip():
+def _small_sets():
+    """Sets whose wire size is far below one page."""
+    return [DataSet("s", [DataItem("i", b"x")])]
+
+
+def test_capacity_enforced_on_write():
+    # A store must fit between its offset and the capacity.
+    size = serialized_size(_small_sets())
+    ctx = MemoryContext(size + 10)
+    with pytest.raises(ContextError):
+        ctx.store_sets(_small_sets(), offset=11)
+    assert ctx.committed == 0
+    assert ctx.store_sets(_small_sets(), offset=10) == size
+
+
+def test_negative_offset_rejected():
     ctx = MemoryContext(1 << 16)
-    written = ctx.store_sets(_sample_sets())
-    assert written > 0
-    loaded = ctx.load_sets()
-    assert [s.ident for s in loaded] == ["alpha", "beta", "gamma"]
-    assert loaded[0].item("x").data == b"123"
-    assert loaded[0].item("x").key == "k"
-    assert loaded[0].item("y").key is None
-    assert len(loaded[1]) == 0
-    assert loaded[2].item("z").data == bytes(range(256))
+    with pytest.raises(ContextError):
+        ctx.store_sets(_small_sets(), offset=-1)
+
+
+def test_invalid_capacity_rejected():
+    with pytest.raises(ContextError):
+        MemoryContext(0)
+
+
+def test_committed_grows_with_pages():
+    ctx = MemoryContext(10 * PAGE_SIZE)
+    assert ctx.committed == 0
+    ctx.store_sets(_small_sets())
+    assert ctx.committed == PAGE_SIZE
+    ctx.store_sets(_small_sets(), offset=PAGE_SIZE + 1)
+    assert ctx.committed == 2 * PAGE_SIZE
+
+
+def test_committed_never_exceeds_reserved_pages():
+    capacity = 3 * PAGE_SIZE
+    ctx = MemoryContext(capacity)
+    ctx.store_sets(_small_sets(), offset=capacity - serialized_size(_small_sets()))
+    assert ctx.committed == capacity
+
+
+def test_free_releases_and_blocks_access():
+    ctx = MemoryContext(PAGE_SIZE)
+    ctx.store_sets(_small_sets())
+    ctx.free()
+    assert ctx.freed
+    assert ctx.committed == 0
+    with pytest.raises(ContextError):
+        ctx.store_sets(_small_sets())
+
+
+class _WeakrefableSet(DataSet):
+    """A data set that can be weakly referenced."""
+
+
+def test_stored_sets_are_not_kept_alive():
+    # A context accounts a store; it must not hold the stored sets.
+    ctx = MemoryContext(1 << 16)
+    item = DataItem("x", b"payload")
+    data_set = _WeakrefableSet("s", [item])
+    set_ref, item_ref = weakref.ref(data_set), weakref.ref(item)
+    ctx.store_sets([data_set])
+    del data_set, item
+    gc.collect()
+    assert set_ref() is None and item_ref() is None
+    assert ctx.committed == PAGE_SIZE
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 1 << 16), st.integers(0, 1 << 16))
+def test_property_store_commits_whole_pages_within_capacity(capacity, offset):
+    ctx = MemoryContext(capacity)
+    size = serialized_size(_small_sets())
+    if offset + size > capacity:
+        with pytest.raises(ContextError):
+            ctx.store_sets(_small_sets(), offset=offset)
+        assert ctx.committed == 0
+    else:
+        assert ctx.store_sets(_small_sets(), offset=offset) == size
+        pages = (offset + size + PAGE_SIZE - 1) // PAGE_SIZE
+        assert ctx.committed == pages * PAGE_SIZE
+        assert ctx.committed <= ((capacity + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
 
 
 def test_parser_rejects_bad_magic():
@@ -133,27 +129,23 @@ def test_parser_rejects_truncated_blob():
 
 
 def test_parser_rejects_huge_set_count():
-    import struct
-    blob = struct.pack("<4sI", b"DNDL", 1 << 30)
-    with pytest.raises(ContextError):
+    blob = serialize_sets(_sample_sets())
+    blob = blob[:4] + struct.pack("<I", 1 << 30) + blob[8:]
+    with pytest.raises(ContextError, match="set count"):
         parse_sets(blob)
 
 
 def test_parser_rejects_empty_set_name():
-    import struct
-    blob = struct.pack("<4sI", b"DNDL", 1) + struct.pack("<I", 0) + struct.pack("<I", 0)
-    with pytest.raises(ContextError):
+    blob = serialize_sets([DataSet("s", [])])
+    blob = blob[:16] + struct.pack("<I", 0) + blob[20:]
+    with pytest.raises(ContextError, match="empty name"):
         parse_sets(blob)
 
 
 def test_parser_rejects_invalid_utf8_name():
-    import struct
-    blob = (
-        struct.pack("<4sI", b"DNDL", 1)
-        + struct.pack("<I", 2) + b"\xff\xfe"
-        + struct.pack("<I", 0)
-    )
-    with pytest.raises(ContextError):
+    blob = serialize_sets([DataSet("s", [])])
+    blob = blob[:20] + b"\xff" + blob[21:]
+    with pytest.raises(ContextError, match="UTF-8"):
         parse_sets(blob)
 
 
@@ -310,56 +302,33 @@ def test_serialized_size_cache_invalidated_by_add():
 
 
 def test_store_sets_is_lazy_until_read():
-    # Accounting happens immediately; bytes appear only when read.
+    # Accounting only: the charge is the exact wire size, in pages.
     ctx = MemoryContext(1 << 16)
     sets = _sample_sets()
     size = ctx.store_sets(sets)
     assert size == len(serialize_sets(sets))
-    assert ctx.committed >= size  # pages charged without materializing
-    assert len(ctx._buffer) == 0  # nothing copied yet
-    loaded = ctx.load_sets()
-    assert [s.ident for s in loaded] == ["alpha", "beta", "gamma"]
-
-
-def test_lazy_store_then_raw_write_keeps_order():
-    # A raw write after a lazy store must win over the store's bytes.
-    ctx = MemoryContext(1 << 16)
-    ctx.store_sets(_sample_sets())
-    ctx.write(4, b"\x63")  # clobber one byte of the (lazy) header area
-    blob = ctx.read(0, 8)
-    assert blob[4] == 0x63
-
-
-def test_read_view_is_zero_copy_alias():
-    ctx = MemoryContext(64)
-    ctx.write(0, b"abcdef")
-    view = ctx.read_view(1, 3)
-    assert isinstance(view, memoryview)
-    assert bytes(view) == b"bcd"
+    assert ctx.committed == ((size + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
 
 
 def test_store_sets_overflow_fails_without_materializing():
     ctx = MemoryContext(16)
     with pytest.raises(ContextError):
         ctx.store_sets(_sample_sets())
-    assert len(ctx._buffer) == 0
     assert ctx.committed == 0
 
 
 def test_wire_version_default_is_v2():
-    from repro.data import WIRE_VERSION
-
-    assert WIRE_VERSION == 2
     blob = serialize_sets(_sample_sets())
     assert blob[:4] == b"DND2"
 
 
-def test_v1_blob_still_parses():
+def test_v1_blob_rejected_by_both_parsers():
+    # The scan-only v1 layout is gone: its magic is rejected up front.
     assert V1_BLOB[:4] == b"DNDL"
-    parsed = parse_sets(V1_BLOB)
-    assert [s.ident for s in parsed] == [s.ident for s in _base_sets()]
-    assert parsed[0].item("a").data == b"hello"
-    assert parsed[0].item("a").key == "k"
+    with pytest.raises(ContextError, match="bad magic"):
+        parse_sets(V1_BLOB)
+    with pytest.raises(ContextError, match="bad magic"):
+        parse_sets_lazy(V1_BLOB)
 
 
 def test_writers_take_no_version():
@@ -378,8 +347,6 @@ def test_v2_costs_exactly_the_footer_over_v1():
 
 
 def test_strict_parse_rejects_tampered_footer():
-    import struct
-
     blob = bytearray(serialize_sets(_sample_sets()))
     _, set_count, footer_offset = struct.unpack_from("<4sIQ", blob, 0)
     # Point the first set entry's offset one byte off: the footer no
@@ -391,8 +358,6 @@ def test_strict_parse_rejects_tampered_footer():
 
 
 def test_strict_parse_rejects_body_not_ending_at_footer():
-    import struct
-
     blob = bytearray(serialize_sets(_sample_sets()))
     # Claim the footer starts one byte later than the body really ends.
     footer_offset = struct.unpack_from("<Q", blob, 8)[0]
@@ -400,16 +365,3 @@ def test_strict_parse_rejects_body_not_ending_at_footer():
     struct.pack_into("<Q", grown, 8, footer_offset + 1)
     with pytest.raises(ContextError):
         parse_sets(bytes(grown))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 1 << 16), st.binary(min_size=1, max_size=512))
-def test_property_write_read_identity(capacity, data):
-    ctx = MemoryContext(capacity)
-    if len(data) > capacity:
-        with pytest.raises(ContextError):
-            ctx.write(0, data)
-    else:
-        ctx.write(0, data)
-        assert ctx.read(0, len(data)) == data
-        assert ctx.committed <= ((capacity + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE

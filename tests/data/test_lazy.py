@@ -10,13 +10,12 @@ from repro.data import (
     DataSet,
     LazyDataItem,
     LazyDataSet,
-    MemoryContext,
     parse_sets,
     parse_sets_lazy,
     serialize_sets,
     serialized_size,
 )
-from .corpus import CORPUS, V1_BLOB, touch_all, verify_corpus_rejections
+from .corpus import CORPUS, touch_all, verify_corpus_rejections
 
 
 def _sample_sets():
@@ -211,31 +210,3 @@ def test_duplicate_lazy_item_names_rejected_on_lookup():
     view = parse_sets_lazy(bytes(blob))[0]
     with pytest.raises(ContextError):
         view.item("a")
-
-
-def test_v1_blob_falls_back_to_eager():
-    sets = parse_sets_lazy(V1_BLOB)
-    assert all(isinstance(s, DataSet) for s in sets)
-    _assert_equivalent(sets, parse_sets(V1_BLOB))
-
-
-# -- context integration ------------------------------------------------------
-
-
-def test_load_sets_returns_lazy_views():
-    ctx = MemoryContext(1 << 16)
-    ctx.store_sets(_sample_sets())
-    loaded = ctx.load_sets()
-    assert all(isinstance(s, LazyDataSet) for s in loaded)
-    _assert_equivalent(loaded, parse_sets(serialize_sets(_sample_sets())))
-
-
-def test_load_sets_roundtrips_through_restore():
-    # load -> store into a second context -> load again, all lazy.
-    ctx = MemoryContext(1 << 16)
-    ctx.store_sets(_sample_sets())
-    loaded = ctx.load_sets()
-    other = MemoryContext(1 << 16)
-    size = other.store_sets(loaded)
-    assert size == serialized_size(_sample_sets())
-    _assert_equivalent(other.load_sets(), _sample_sets())

@@ -1,11 +1,14 @@
 """Tests for committed-memory accounting, and for the test-side series
 recorder the differential tests compare (``tests/memory_series.py``)."""
 
-from repro.data import MemoryContext, PAGE_SIZE
+from repro.data import PAGE_SIZE, DataItem, DataSet, MemoryContext
 from repro.dispatcher import MemoryTracker
 from repro.sim import Environment
 
 from ..memory_series import RecordingMemoryTracker
+
+# One small set: storing it commits the page its end falls in.
+SETS = [DataSet("s", [DataItem("i", b"x")])]
 
 
 def test_tracker_starts_at_zero():
@@ -19,7 +22,7 @@ def test_observe_counts_committed_pages():
     env = Environment()
     tracker = MemoryTracker(env)
     context = MemoryContext(10 * PAGE_SIZE)
-    context.write(0, b"data")
+    context.store_sets(SETS)
     tracker.observe(context)
     assert tracker.current_bytes == PAGE_SIZE
     assert tracker.live_context_count == 1
@@ -29,9 +32,9 @@ def test_observe_updates_incrementally():
     env = Environment()
     tracker = MemoryTracker(env)
     context = MemoryContext(10 * PAGE_SIZE)
-    context.write(0, b"x")
+    context.store_sets(SETS)
     tracker.observe(context)
-    context.write(3 * PAGE_SIZE, b"y")
+    context.store_sets(SETS, offset=3 * PAGE_SIZE)
     tracker.observe(context)
     assert tracker.current_bytes == 4 * PAGE_SIZE
 
@@ -40,7 +43,7 @@ def test_observe_same_size_no_new_sample():
     env = Environment()
     tracker = RecordingMemoryTracker(env)
     context = MemoryContext(PAGE_SIZE)
-    context.write(0, b"x")
+    context.store_sets(SETS)
     tracker.observe(context)
     samples_before = len(tracker.times)
     tracker.observe(context)
@@ -52,7 +55,7 @@ def test_release_drops_contribution():
     env = Environment()
     tracker = MemoryTracker(env)
     context = MemoryContext(PAGE_SIZE)
-    context.write(0, b"x")
+    context.store_sets(SETS)
     tracker.observe(context)
     tracker.release(context)
     assert tracker.current_bytes == 0
@@ -74,7 +77,7 @@ def test_average_committed_time_weighted():
 
     def scenario():
         yield env.timeout(10)   # 10s at 0 bytes
-        context.write(0, b"x")
+        context.store_sets(SETS)
         tracker.observe(context)
         yield env.timeout(10)   # 10s at PAGE_SIZE
         tracker.release(context)
@@ -93,7 +96,7 @@ def test_multiple_contexts_sum():
     tracker = MemoryTracker(env)
     contexts = [MemoryContext(PAGE_SIZE) for _ in range(3)]
     for context in contexts:
-        context.write(0, b"x")
+        context.store_sets(SETS)
         tracker.observe(context)
     assert tracker.current_bytes == 3 * PAGE_SIZE
     assert tracker.peak_bytes == 3 * PAGE_SIZE
