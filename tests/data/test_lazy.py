@@ -15,7 +15,7 @@ from repro.data import (
     serialize_sets,
     serialized_size,
 )
-from .corpus import CORPUS, touch_all, verify_corpus_rejections
+from .corpus import CORPUS, V1_BLOB, touch_all, verify_corpus_rejections
 
 
 def _sample_sets():
@@ -123,6 +123,16 @@ def test_corpus_entry_rejected_by_both_codecs(entry):
         sets = parse_sets_lazy(entry.blob)  # indexing succeeds...
         with pytest.raises(ContextError):
             touch_all(sets)  # ...the poisoned record raises on touch
+
+
+def test_v1_blob_falls_back_to_eager():
+    # The name predates the removal of the v1 fallback: parse_sets_lazy
+    # now gives the eager parser's verdict on a v1 blob, the same
+    # "bad magic" rejection, before it indexes a record.
+    assert V1_BLOB[:4] == b"DNDL"
+    for parse in (parse_sets, parse_sets_lazy):
+        with pytest.raises(ContextError, match="bad magic"):
+            parse(V1_BLOB)
 
 
 # -- laziness -----------------------------------------------------------------
