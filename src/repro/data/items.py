@@ -117,7 +117,7 @@ class DataSet:
     "output set X of function A becomes input set Y of function B".
     """
 
-    __slots__ = ("ident", "_items", "_index", "_wire")
+    __slots__ = ("ident", "_items", "_index", "_size", "_wire")
 
     def __init__(self, ident: str, items: Iterable[DataItem] = ()):
         if not ident:
@@ -125,6 +125,7 @@ class DataSet:
         self.ident = ident
         self._items: list[DataItem] = []
         self._index: dict[str, DataItem] = {}
+        self._size = 0
         # Cached per-item wire size (see context.serialized_size);
         # invalidated whenever the item list changes.
         self._wire: Optional[int] = None
@@ -143,6 +144,7 @@ class DataSet:
             raise ValueError(f"duplicate item ident {item.ident!r} in set {self.ident!r}")
         self._index[item.ident] = item
         self._items.append(item)
+        self._size += item.size
         self._wire = None
 
     def __contains__(self, ident: str) -> bool:
@@ -168,6 +170,7 @@ class DataSet:
         new.ident = ident
         new._items = list(source._items)
         new._index = dict(source._index)
+        new._size = source._size
         new._wire = source._wire
         return new
 
@@ -193,8 +196,8 @@ class DataSet:
 
     @property
     def size(self) -> int:
-        """Total payload bytes across all items."""
-        return sum(item.size for item in self._items)
+        """Total payload bytes across all items (kept as items are added)."""
+        return self._size
 
     def __repr__(self) -> str:
         return f"DataSet({self.ident!r}, {len(self._items)} items, {self.size} bytes)"

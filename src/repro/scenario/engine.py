@@ -222,7 +222,12 @@ def _tally(counts: list, drained, result) -> None:
 
 
 def _drive(cluster: ClusterManager, spec: ScenarioSpec, requests: list):
-    """Run the request stream to completion; returns (offered, completed)."""
+    """Run the request stream to completion; returns (offered, completed).
+
+    The arrivals go to the kernel as one ``call_at_each`` schedule, so
+    only the next one waits on the heap and its depth follows the work
+    in flight, not the length of the trace.
+    """
     if not requests:
         return 0, 0
     env = cluster.env
@@ -232,10 +237,10 @@ def _drive(cluster: ClusterManager, spec: ScenarioSpec, requests: list):
     drained = env.event()
     on_done = partial(_tally, counts, drained)
     now = env.now
-    for arrive_at, app in requests:
-        env.call_later(
-            max(arrive_at - now, 0.0), cluster.start, names[app], inputs, on_done
-        )
+    env.call_at_each(cluster.start, [
+        (now + max(arrive_at - now, 0.0), (names[app], inputs, on_done))
+        for arrive_at, app in requests
+    ])
     env.run(until=drained)
     return len(requests), counts[1]
 

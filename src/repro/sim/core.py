@@ -35,6 +35,8 @@ The public surface is:
 ``env.call_later(delay, fn, *args)``
     A scheduled call: one heap entry that *is* the call, for work that
     waits once and cannot be interrupted (docs/simulation.md).
+    ``env.call_at_each(fn, schedule)`` schedules a time-sorted run of
+    them with only the next one on the heap.
 
 Time is a float; the unit is **seconds** throughout the code base.
 
@@ -44,11 +46,12 @@ events per experiment, so the kernel keeps allocations minimal):
 - every event class declares ``__slots__``; subclasses defined outside
   this module may omit it (they then carry a ``__dict__``, which is
   fine — only the kernel's own classes need to stay lean);
-- ``Timeout``/``Initialize`` construction and ``succeed``/``fail`` push
-  straight onto the environment heap without intermediate helpers;
-- heap entries are ``(time, seq, event)`` tuples where ``seq`` is a
-  monotonically increasing tie-breaker, giving deterministic FIFO order
-  for same-time events.
+- a heap entry is the call it runs, ``(time, seq, fn, args)``, where
+  ``seq`` is a monotonically increasing tie-breaker giving deterministic
+  FIFO order for same-time entries.  ``call_later``/``call_at`` push
+  their own ``fn``; a triggered event (``succeed``/``fail``,
+  ``Timeout``, ``Initialize``, a finished ``Process``) pushes the one
+  module-level call that runs its callbacks, straight onto the heap.
 """
 
 from __future__ import annotations
@@ -75,6 +78,18 @@ class SimulationError(Exception):
 _PENDING = 0
 _TRIGGERED = 1
 _PROCESSED = 2
+
+
+def _run_callbacks(event: "Event") -> None:
+    """The heap call of every triggered event: run its callbacks once."""
+    callbacks = event.callbacks
+    event.callbacks = []
+    event._state = _PROCESSED
+    for callback in callbacks:
+        callback(event)
+    if not event._ok and not event._defused:
+        # An un-waited-for event failed; surface the error loudly.
+        raise event._value
 
 
 class Event:
@@ -134,7 +149,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, seq, self))
+        heappush(env._queue, (env._now, seq, _run_callbacks, (self,)))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -149,7 +164,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, seq, self))
+        heappush(env._queue, (env._now, seq, _run_callbacks, (self,)))
         return self
 
     def __repr__(self) -> str:
@@ -163,7 +178,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay}")
         # Inlined Event.__init__ plus scheduling: a Timeout is born
         # triggered, so it goes straight onto the heap.
@@ -176,7 +191,7 @@ class Timeout(Event):
         self.delay = delay
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now + delay, seq, self))
+        heappush(env._queue, (env._now + delay, seq, _run_callbacks, (self,)))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -196,28 +211,7 @@ class Initialize(Event):
         self._state = _TRIGGERED
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, seq, self))
-
-
-def _fire(call: "_Call") -> None:
-    call.fn(*call.args)
-
-
-# Shared by every scheduled call, so a call refers to nothing that
-# refers back to it.
-_FIRE = (_fire,)
-
-
-class _Call:
-    """Heap entry of :meth:`Environment.call_later`.
-
-    Not an :class:`Event`: nothing can wait on it.  It only carries the
-    attributes the run loop touches on every entry it pops.
-    """
-
-    __slots__ = ("fn", "args", "callbacks", "_state")
-    _ok = True
-    _defused = False
+        heappush(env._queue, (env._now, seq, _run_callbacks, (self,)))
 
 
 class Process(Event):
@@ -256,7 +250,7 @@ class Process(Event):
                 self._state = _TRIGGERED
                 seq = env._seq
                 env._seq = seq + 1
-                heappush(env._queue, (env._now, seq, self))
+                heappush(env._queue, (env._now, seq, _run_callbacks, (self,)))
                 break
             except Exception as exc:
                 # KeyboardInterrupt / SystemExit are not the process's
@@ -266,7 +260,7 @@ class Process(Event):
                 self._state = _TRIGGERED
                 seq = env._seq
                 env._seq = seq + 1
-                heappush(env._queue, (env._now, seq, self))
+                heappush(env._queue, (env._now, seq, _run_callbacks, (self,)))
                 break
 
             if type(next_event) is Timeout or isinstance(next_event, Event):
@@ -380,7 +374,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, Event | _Call]] = []
+        self._queue: list[tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = 0
 
     @property
@@ -404,14 +398,14 @@ class Environment:
         ``timeout(when - now)`` fires at ``now + (when - now)``, which
         can miss ``when`` by an ulp; this lands on ``when`` exactly.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(f"time {when} is in the past")
         event = Event(self)
         event._value = value
         event._state = _TRIGGERED
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (when, seq, event))
+        heappush(self._queue, (when, seq, _run_callbacks, (event,)))
         return event
 
     def process(self, generator: Generator) -> Process:
@@ -432,27 +426,41 @@ class Environment:
         One heap entry, ordered and counted like any event, with no
         event object to wait on: the entry is the call.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay}")
-        call = _Call()
-        call.fn = fn
-        call.args = args
-        call.callbacks = _FIRE
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, seq, call))
+        heappush(self._queue, (self._now + delay, seq, fn, args))
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """:meth:`call_later` at the absolute virtual time ``when``, exactly."""
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(f"time {when} is in the past")
-        call = _Call()
-        call.fn = fn
-        call.args = args
-        call.callbacks = _FIRE
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (when, seq, call))
+        heappush(self._queue, (when, seq, fn, args))
+
+    def call_at_each(
+        self, fn: Callable[..., Any], schedule: Iterable[tuple[float, tuple]]
+    ) -> None:
+        """Call ``fn(*args)`` at each ``when`` of a time-sorted list of
+        ``(when, args)``, exactly as consecutive :meth:`call_at` calls
+        would, but with only the next call on the heap.
+
+        The calls' sequence numbers are reserved here, and each call
+        pushes its successor under its reserved key before it runs, so
+        the heap pops them in the order it would pop all of them.
+        """
+        schedule = list(schedule)
+        previous = self._now
+        for when, _args in schedule:
+            if not when >= previous:
+                raise SimulationError(f"schedule time {when} is before {previous}")
+            previous = when
+        if schedule:
+            base = self._seq
+            self._seq = base + len(schedule)
+            heappush(self._queue, (schedule[0][0], base, _call_next, (self, fn, schedule, base, 0)))
 
     # -- scheduling and execution --------------------------------------
 
@@ -466,22 +474,13 @@ class Environment:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Run the single next heap entry."""
         queue = self._queue
         if not queue:
             raise SimulationError("no more events")
-        when, _seq, event = heappop(queue)
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
+        when, _seq, fn, args = heappop(queue)
         self._now = when
-        callbacks = event.callbacks
-        event.callbacks = []
-        event._state = _PROCESSED
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # An un-waited-for event failed; surface the error loudly.
-            raise event._value
+        fn(*args)
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -496,12 +495,11 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:
                 raise SimulationError("cannot run until a time in the past")
 
-        # The loop below is step() inlined: everything downstream pumps
-        # millions of events through here, so the per-event overhead of
-        # a method call and redundant state checks is worth shaving.
+        # The loops below are step() inlined: everything downstream
+        # pumps millions of entries through here.
         queue = self._queue
 
         if stop_event is not None:
@@ -513,15 +511,9 @@ class Environment:
             else:
                 stop_event.callbacks.append(stopped.append)
             while queue and not stopped:
-                when, _seq, event = heappop(queue)
+                when, _seq, fn, args = heappop(queue)
                 self._now = when
-                callbacks = event.callbacks
-                event.callbacks = []
-                event._state = _PROCESSED
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
+                fn(*args)
             if stop_event._state != _PROCESSED:
                 raise SimulationError("ran out of events before `until` fired")
             if not stop_event._ok:
@@ -533,16 +525,19 @@ class Environment:
             if queue[0][0] > stop_time:
                 self._now = stop_time
                 return None
-            when, _seq, event = heappop(queue)
+            when, _seq, fn, args = heappop(queue)
             self._now = when
-            callbacks = event.callbacks
-            event.callbacks = []
-            event._state = _PROCESSED
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
+            fn(*args)
 
         if stop_time != float("inf"):
             self._now = stop_time
         return None
+
+
+def _call_next(env: Environment, fn: Callable[..., Any], schedule: list, base: int, i: int) -> None:
+    """One call of :meth:`Environment.call_at_each`: push the next one
+    under its reserved key, then run this one."""
+    j = i + 1
+    if j < len(schedule):
+        heappush(env._queue, (schedule[j][0], base + j, _call_next, (env, fn, schedule, base, j)))
+    fn(*schedule[i][1])

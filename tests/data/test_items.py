@@ -73,6 +73,15 @@ def test_set_size_sums_items():
     data_set = DataSet("s", [DataItem("a", b"12"), DataItem("b", b"345")])
     assert data_set.size == 5
     assert len(data_set) == 2
+    # The total is kept as items are added; a rejected item adds nothing,
+    # and a renamed copy carries the total but not later additions.
+    with pytest.raises(ValueError):
+        data_set.add(DataItem("a", b"9"))
+    alias = DataSet.renamed(data_set, "t")
+    data_set.add(DataItem("c", b"6789"))
+    assert (data_set.size, alias.size) == (9, 5)
+    alias.add(DataItem("d", b"0"))
+    assert (data_set.size, alias.size) == (9, 6)
 
 
 def test_set_keys_first_appearance_order():

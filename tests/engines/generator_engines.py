@@ -44,7 +44,9 @@ from repro.engines.task import TaskOutcome
 from repro.errors import FunctionFailure, FunctionTimeout, MemoryLimitExceeded
 from repro.functions.sdk import parse_http_request_item
 from repro.net.http import HttpRequest, HttpResponse, SanitizationError, sanitize_request
-from repro.sim.core import _PENDING, _PROCESSED, _TRIGGERED, Environment, Event, SimulationError
+from repro.sim.core import (
+    _PENDING, _PROCESSED, _TRIGGERED, Environment, Event, SimulationError, _run_callbacks,
+)
 
 RESPONSE_SET = "response"
 _PER_REQUEST_CPU_SECONDS = 20e-6
@@ -72,7 +74,7 @@ def succeed_later(event: Event, value: Any = None, delay: float = 0.0) -> Event:
     env = event.env
     seq = env._seq
     env._seq = seq + 1
-    heappush(env._queue, (env._now + delay, seq, event))
+    heappush(env._queue, (env._now + delay, seq, _run_callbacks, (event,)))
     return event
 
 

@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+from heapq import heappush
 from itertools import accumulate, cycle, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.manager import ClusterManager
 from repro.scenario import (
     SpecError,
     assemble_cluster,
@@ -17,6 +19,7 @@ from repro.scenario import (
     scenario_from_dict,
 )
 from repro.scenario import engine as scenario_engine
+from repro.sim import core
 from repro.sim.distributions import Rng
 
 
@@ -170,3 +173,34 @@ def test_sec62_request_stream_is_pinned():
     assert hashlib.sha256(repr(requests).encode()).hexdigest() == (
         "96f6f6f2c8fc56aba03c88e4e5870c0d74a85a663dcda4215e4b1cfbbee9de82"
     )
+
+
+def test_heap_high_water_follows_work_in_flight(monkeypatch):
+    # The driver keeps only the next arrival on the heap, so the heap
+    # holds the started requests' entries plus the fleet's few timers,
+    # however long the trace.  Holding every arrival from t = 0 would
+    # put the whole offered count (over 200 here) on the heap.
+    in_flight = [0]
+    excess = [0]
+
+    def push(queue, entry):
+        heappush(queue, entry)
+        excess[0] = max(excess[0], len(queue) - in_flight[0])
+
+    start = ClusterManager.start
+
+    def counted_start(self, name, inputs, on_done):
+        in_flight[0] += 1
+
+        def done(result):
+            in_flight[0] -= 1
+            on_done(result)
+
+        start(self, name, inputs, done)
+
+    monkeypatch.setattr(core, "heappush", push)
+    monkeypatch.setattr(ClusterManager, "start", counted_start)
+    run = run_scenario(load_spec("sec62").with_overrides({"trace.duration_seconds": 0.3}))
+    assert run.kpis.offered > 200
+    assert in_flight[0] == 0
+    assert excess[0] <= 24

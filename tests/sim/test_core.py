@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from heapq import heappop, heappush
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
@@ -8,6 +12,7 @@ from repro.sim import (
     Environment,
     SimulationError,
 )
+from repro.sim import core
 
 from ..engines.generator_engines import succeed_later
 
@@ -486,3 +491,197 @@ def test_interpreter_exit_leaves_run_instead_of_failing_the_process(escaping):
     # to deliver it to a waiter.
     assert not process.triggered
     assert env.peek() == float("inf")
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda env: env.call_later(_NAN, list),
+    lambda env: env.call_at(_NAN, list),
+    lambda env: env.call_at_each(list, [(_NAN, ())]),
+    lambda env: env.timeout(_NAN),
+    lambda env: env.timeout_at(_NAN),
+    lambda env: env.run(until=_NAN),
+], ids=["call_later", "call_at", "call_at_each", "timeout", "timeout_at", "run_until"])
+def test_nan_time_rejected(schedule):
+    # NaN compares false with everything, so only a negated guard
+    # (`not when >= now`) keeps it off the heap, where it would fire
+    # before earlier-scheduled entries.
+    env = Environment()
+    seen = []
+    env.call_later(0.5, seen.append, 0.5)
+    env.call_later(1.0, seen.append, 1.0)
+    with pytest.raises(SimulationError):
+        schedule(env)
+    assert env.events_scheduled == 2
+    env.run()
+    assert seen == [0.5, 1.0]
+    assert env.now == 1.0
+
+
+def test_infinite_time_stays_allowed():
+    env = Environment()
+    seen = []
+    env.call_later(float("inf"), seen.append, "later")
+    env.call_at(float("inf"), seen.append, "at")
+    env.call_at_each(seen.append, [(float("inf"), ("each",))])
+    env.timeout(float("inf")).callbacks.append(lambda _e: seen.append("timeout"))
+    env.timeout_at(float("inf")).callbacks.append(lambda _e: seen.append("timeout_at"))
+    env.run(until=float("inf"))
+    assert seen == ["later", "at", "each", "timeout", "timeout_at"]
+
+
+def test_call_at_each_holds_one_entry_and_rejects_a_bad_schedule():
+    env = Environment()
+    env.run(until=1.0)
+    seen = []
+    env.call_at_each(lambda i: seen.append((env.now, i)), [(1.0, (0,)), (2.0, (1,)), (2.0, (2,))])
+    assert env.events_scheduled == 3
+    assert len(env._queue) == 1
+    with pytest.raises(SimulationError, match="0.5 is before 1.0"):
+        env.call_at_each(list, [(0.5, ())])
+    with pytest.raises(SimulationError, match="2.5 is before 3.0"):
+        env.call_at_each(list, [(3.0, ()), (2.5, ())])
+    env.call_at_each(list, [])
+    assert env.events_scheduled == 3
+    env.run()
+    assert seen == [(1.0, 0), (2.0, 1), (2.0, 2)]
+
+
+# -- the firing contract ------------------------------------------------------
+#
+# Every entry goes onto the heap under (time, push order) and the heap
+# pops it in that order.  A pushed key is never below a popped one (its
+# time is at least now and its sequence number is the next one), so the
+# whole run pops every pushed key in sorted order.
+
+_TIMES = st.sampled_from([0.0, 0.0, 0.25, 0.5])
+_KINDS = st.sampled_from(["later", "at", "succeed", "fail", "timeout", "process", "all_of"])
+# (kind, delay, operations performed when this one fires)
+_OPS = st.recursive(
+    st.tuples(_KINDS, _TIMES, st.just(())),
+    lambda children: st.tuples(_KINDS, _TIMES, st.lists(children, max_size=3).map(tuple)),
+    max_leaves=16,
+)
+
+
+def _count(ops) -> int:
+    return sum(1 + _count(children) for _kind, _delay, children in ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPS, min_size=1, max_size=6))
+def test_property_entries_fire_in_time_then_push_order(program):
+    env = Environment()
+    pushed, popped, fired = [], [], []
+
+    def push(queue, entry):
+        pushed.append(entry[:2])
+        heappush(queue, entry)
+
+    def pop(queue):
+        entry = heappop(queue)
+        popped.append(entry[:2])
+        return entry
+
+    def fire(expected, children):
+        assert env.now == expected
+        fired.append(expected)
+        for child in children:
+            perform(child)
+
+    def perform(op):
+        kind, delay, children = op
+        now = env.now
+        if kind == "later":
+            env.call_later(delay, fire, now + delay, children)
+        elif kind == "at":
+            env.call_at(now + delay, fire, now + delay, children)
+        elif kind == "succeed":
+            event = env.event()
+            event.callbacks.append(lambda _e: fire(now, children))
+            event.succeed()
+        elif kind == "fail":
+            failing = env.event()
+
+            def catch():
+                try:
+                    yield failing
+                except ValueError:
+                    fire(now + delay, children)
+
+            env.process(catch())
+            env.call_later(delay, failing.fail, ValueError())
+        elif kind == "timeout":
+            env.timeout(delay).callbacks.append(lambda _e: fire(now + delay, children))
+        elif kind == "process":
+            def wait():
+                yield env.timeout(delay)
+                fire(now + delay, children)
+
+            env.process(wait())
+        else:
+            both = env.all_of([env.timeout(delay), env.timeout(0.0)])
+            both.callbacks.append(lambda _e: fire(now + delay, children))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "heappush", push)
+        patch.setattr(core, "heappop", pop)
+        for op in program:
+            perform(op)
+        env.run()
+    assert [seq for _when, seq in pushed] == list(range(len(pushed)))
+    assert popped == sorted(pushed)
+    assert env.events_scheduled == len(pushed)
+    assert len(fired) == _count(program)
+
+
+_INSTANTS = st.sampled_from([0.0, 0.25, 0.25, 0.5, 0.75])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.sampled_from([0.0, 0.25]),
+    arrivals=st.lists(st.tuples(_INSTANTS, st.sampled_from(["", "later0", "at_now", "later"])),
+                      max_size=8),
+    before=st.lists(_INSTANTS, max_size=4),
+    after=st.lists(_INSTANTS, max_size=4),
+    pause=st.sampled_from([None, 0.25, 0.5]),
+)
+def test_property_call_at_each_is_consecutive_call_ats(start, arrivals, before, after, pause):
+    arrivals = sorted((start + t, spawn) for t, spawn in arrivals)
+
+    def run(batched):
+        env = Environment()
+        env.run(until=start)
+        log = []
+
+        def note(label):
+            log.append((label, env.now))
+
+        def arrive(i, spawn):
+            note(("arrival", i))
+            if spawn == "later0":
+                env.call_later(0.0, note, ("later0", i))
+            elif spawn == "at_now":
+                env.call_at(env.now, note, ("at_now", i))
+            elif spawn == "later":
+                env.call_later(0.25, note, ("later", i))
+
+        for t in before:
+            env.call_at(start + t, note, ("before", t))
+        if batched:
+            env.call_at_each(arrive, [(t, (i, spawn)) for i, (t, spawn) in enumerate(arrivals)])
+        else:
+            for i, (t, spawn) in enumerate(arrivals):
+                env.call_at(t, arrive, i, spawn)
+        for t in after:
+            env.call_at(start + t, note, ("after", t))
+        if pause is not None:
+            env.run(until=start + pause)
+            note("paused")
+        env.run()
+        return log, env.events_scheduled, env.now
+
+    assert run(batched=True) == run(batched=False)
