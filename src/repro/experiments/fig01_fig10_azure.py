@@ -30,22 +30,26 @@ __all__ = ["run_fig01", "run_fig10"]
 MiB = 1 << 20
 
 
-def _replay(platform: str, duration_seconds: float):
-    """The 1× sample on one 16-core node → its ``ScenarioRun``."""
-    spec = load_spec("fig10_full").with_overrides(
+def _sample(duration_seconds: float):
+    """The 1× sample on one 16-core node, as a spec whose platform arms
+    share one trace section (and so one draw of the stream)."""
+    return load_spec("fig10_full").with_overrides(
         {
             "trace.scale": 1.0,
             "trace.duration_seconds": duration_seconds,
             "fleet.workers": 1,
             "fleet.cores": 16,
-            "fleet.platform": platform,
         }
     )
-    return run_scenario(spec)
+
+
+def _replay(spec, platform: str):
+    """One platform arm of the sample → its ``ScenarioRun``."""
+    return run_scenario(spec.with_overrides({"fleet.platform": platform}))
 
 
 def run_fig01(duration_seconds: float = 1200.0) -> ExperimentResult:
-    run = _replay("faas", duration_seconds)
+    run = _replay(_sample(duration_seconds), "faas")
     report, extras = run.report, run.kpis.extras
     result = ExperimentResult(
         name="Fig 1",
@@ -75,8 +79,9 @@ def run_fig01(duration_seconds: float = 1200.0) -> ExperimentResult:
 
 
 def run_fig10(duration_seconds: float = 1200.0) -> ExperimentResult:
-    dandelion_run = _replay("dandelion", duration_seconds)
-    firecracker_run = _replay("faas", duration_seconds)
+    spec = _sample(duration_seconds)
+    dandelion_run = _replay(spec, "dandelion")
+    firecracker_run = _replay(spec, "faas")
     dandelion, firecracker = dandelion_run.kpis, firecracker_run.kpis
     result = ExperimentResult(
         name="Fig 10",

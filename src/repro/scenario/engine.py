@@ -28,6 +28,7 @@ partition count of the streamed path — is an argument of
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
@@ -379,17 +380,59 @@ def run_scenario(
     )
 
 
-def _run_streamed(spec: ScenarioSpec, shards: int):
-    from ..sim.sharded import ShardedConfig, run_sharded_replay
+# The last streamed trace, kept for the next arm of the same spec:
+# ``(weak reference to its TraceSpec, trace seed, StreamedTrace)``.
+_shared_trace = None
+
+
+def _forget_trace(section_ref) -> None:
+    """The trace section died: no later spec can reuse its columns."""
+    global _shared_trace
+    if _shared_trace is not None and _shared_trace[0] is section_ref:
+        _shared_trace = None
+
+
+def _trace_for(spec: ScenarioSpec):
+    global _shared_trace
     from ..trace.stream import streamed_trace
 
-    _raise_on_unknown_names(spec)
+    seed = spec.trace_seed()
+    if _shared_trace is not None:
+        section_ref, shared_seed, trace = _shared_trace
+        if section_ref() is spec.trace and shared_seed == seed:
+            return trace
+    # Replacing the entry drops the old columns before the new trace
+    # draws its own, on its first window.
     trace = streamed_trace(
         function_count=round(spec.trace.functions_base * spec.trace.scale),
         duration_seconds=spec.trace.duration_seconds,
         total_rps=spec.trace.rps_base * spec.trace.scale,
-        seed=spec.trace_seed(),
+        seed=seed,
     )
+    _shared_trace = (weakref.ref(spec.trace, _forget_trace), seed, trace)
+    return trace
+
+
+def _run_streamed(spec: ScenarioSpec, shards: int):
+    """Replay the spec's streamed trace through the sharded simulator.
+
+    The trace is drawn once per ``TraceSpec`` *object*: one entry,
+    keyed by the identity of ``spec.trace`` with the trace seed checked,
+    held while that section lives.  Arms that ``with_overrides`` derives
+    from one spec on ``fleet``, ``sched`` or the platform share that
+    section, so a platform comparison (``fig10full``, a ``scenario
+    sweep --axis platform=…``) replays one draw.  Overriding a trace
+    field, the seed or anything ``trace_seed()`` reads, or loading the
+    spec again, draws afresh.  The key is identity, not value: a
+    benchmark keeps one repetition's runs, and with them their spec,
+    alive while the next repetition runs, and a value-keyed cache would
+    carry that repetition's draws into the next one and report as free
+    a cost that every separate run pays.
+    """
+    from ..sim.sharded import ShardedConfig, run_sharded_replay
+
+    _raise_on_unknown_names(spec)
+    trace = _trace_for(spec)
     config = ShardedConfig(
         workers=spec.fleet.workers,
         cores_per_worker=spec.fleet.cores,

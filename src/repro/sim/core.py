@@ -74,6 +74,14 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
 
 
+def _refused(value: float, what: str, problem: str) -> SimulationError:
+    """A time guard's error: a NaN ``value`` is not a number, not
+    negative or in the past, whichever guard's comparison it failed."""
+    if value != value:
+        return SimulationError(f"{what} {value} is not a number")
+    return SimulationError(problem)
+
+
 # Event lifecycle states.
 _PENDING = 0
 _TRIGGERED = 1
@@ -179,7 +187,7 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if not delay >= 0:
-            raise SimulationError(f"negative delay {delay}")
+            raise _refused(delay, "delay", f"negative delay {delay}")
         # Inlined Event.__init__ plus scheduling: a Timeout is born
         # triggered, so it goes straight onto the heap.
         self.env = env
@@ -399,7 +407,7 @@ class Environment:
         can miss ``when`` by an ulp; this lands on ``when`` exactly.
         """
         if not when >= self._now:
-            raise SimulationError(f"time {when} is in the past")
+            raise _refused(when, "time", f"time {when} is in the past")
         event = Event(self)
         event._value = value
         event._state = _TRIGGERED
@@ -427,7 +435,7 @@ class Environment:
         event object to wait on: the entry is the call.
         """
         if not delay >= 0:
-            raise SimulationError(f"negative delay {delay}")
+            raise _refused(delay, "delay", f"negative delay {delay}")
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (self._now + delay, seq, fn, args))
@@ -435,7 +443,7 @@ class Environment:
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """:meth:`call_later` at the absolute virtual time ``when``, exactly."""
         if not when >= self._now:
-            raise SimulationError(f"time {when} is in the past")
+            raise _refused(when, "time", f"time {when} is in the past")
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (when, seq, fn, args))
@@ -455,7 +463,7 @@ class Environment:
         previous = self._now
         for when, _args in schedule:
             if not when >= previous:
-                raise SimulationError(f"schedule time {when} is before {previous}")
+                raise _refused(when, "schedule time", f"schedule time {when} is before {previous}")
             previous = when
         if schedule:
             base = self._seq
@@ -496,7 +504,7 @@ class Environment:
         elif until is not None:
             stop_time = float(until)
             if not stop_time >= self._now:
-                raise SimulationError("cannot run until a time in the past")
+                raise _refused(stop_time, "until", "cannot run until a time in the past")
 
         # The loops below are step() inlined: everything downstream
         # pumps millions of entries through here.

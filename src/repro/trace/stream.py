@@ -1,17 +1,25 @@
 """Streamed trace generation: the invocation stream both platforms replay.
 
 :class:`StreamedTrace` keeps the *function* population materialized
-and hands the invocation stream out a window at a time.  The first
-window draws each function's arrivals and durations in one go into two
-``array('d')`` columns (16 B per invocation) and drops its generators
-before the next function is seeded; a function that never fires keeps
-nothing.  Each function with arrivals left sits in a calendar bucket
-keyed by the window of its next one; producing a window touches only
-the functions due in it, emits their arrivals up to the window end,
-files each under its next window and sorts the window's list once.
-Keeping two live generators per firing function instead (2 × 2,520 B)
-breaks even at about 320 invocations per function; the traces here
-average 7 (30× over 120 s) to 67 (100× over 1,200 s).
+and hands the invocation stream out a window at a time.  Its first
+iteration draws every function's arrivals and durations, one function
+at a time, into one flat pair of ``array('d')`` columns shared by all
+later iterations: arrival times, each function's run ending in an
+``inf`` sentinel, and durations aligned with them (16 B per
+invocation), plus a ``(start, index)`` head per function that fires.
+Each function's generators die before the next one is seeded, and a
+function that never fires keeps nothing.  The columns are held for the
+trace object's lifetime (10.4 MiB at ``fig10full`` scale, sentinels
+included; 12 MiB traced with the heads), so every platform arm that
+replays one trace object pays for the draws once.
+Each iteration then keeps its own calendar: every function with
+arrivals left sits in a bucket keyed by the window of its next one, as
+a ``[cursor, index]`` state over the shared columns; producing a window
+touches only the functions due in it, emits their arrivals up to the
+window end, files each under its next window and sorts the window's
+list once.  Keeping two live generators per firing function instead
+(2 × 2,520 B) breaks even at about 320 invocations per function; the
+traces here average 7 (30× over 120 s) to 67 (100× over 1,200 s).
 
 Every function has its own pair of RNG streams keyed by its position,
 so its invocation sequence is independent of the window length and of
@@ -62,9 +70,10 @@ _PERIODIC_JITTER = 10.0
 _TWOPI = 2.0 * math.pi  # random.gauss's constant
 
 
-def _draw_ahead(fn, duration, arrival_seed, duration_seed, salt):
-    """One function's arrival times (then ``inf``, never due) and
-    durations as two ``array('d')``, or ``None`` if it never fires.
+def _draw_ahead(fn, duration, arrival_seed, duration_seed, salt, times, durations):
+    """Append one function's arrival times (then ``inf``, never due) and
+    durations (then an aligned ``inf``) to the shared columns; returns
+    whether it fires (a silent function appends nothing).
 
     ``expovariate``, ``uniform(0, x)`` (``x * random()``) and ``gauss``
     (a Box–Muller pair, odd draws its spare) are written out: a method
@@ -73,8 +82,7 @@ def _draw_ahead(fn, duration, arrival_seed, duration_seed, salt):
     """
     exp, log, cos, sin, sqrt = math.exp, math.log, math.cos, math.sin, math.sqrt
     random = _Generator(fork_seed(arrival_seed, salt)).random
-    times = array("d")
-    add = times.append
+    start = len(times)
     if fn.pattern == "periodic":
         period = fn.period_seconds
         t = period * random()
@@ -83,18 +91,18 @@ def _draw_ahead(fn, duration, arrival_seed, duration_seed, salt):
             times.extend([when for when in burst if when < duration])
             t += period
     else:
+        add = times.append
         rate = fn.mean_rate_rps
         t = -log(1.0 - random()) / rate
         while t < duration:
             add(t)
             t += -log(1.0 - random()) / rate
-    if not times:
-        return None
+    if len(times) == start:
+        return False
     draw = _Generator(fork_seed(duration_seed, salt)).random
     log_median, sigma = log(fn.median_duration_seconds), fn.duration_sigma
-    durations = array("d")
     add = durations.append
-    for i in range(len(times)):
+    for i in range(len(times) - start):
         if i & 1:
             z = spare
         else:
@@ -109,7 +117,8 @@ def _draw_ahead(fn, duration, arrival_seed, duration_seed, salt):
             d = _DURATION_MAX
         add(d)
     times.append(math.inf)
-    return times, durations
+    add(math.inf)
+    return True
 
 
 def _reject_malformed(functions) -> None:
@@ -140,27 +149,43 @@ class StreamedTrace:
     :meth:`iter_invocations` yields time-ordered
     ``(time, function_index, duration_seconds)`` tuples where
     ``function_index`` indexes into ``functions``, :meth:`iter_windows`
-    the same tuples a list per window.  Iterating twice yields
-    identical streams.
+    the same tuples a list per window.  The first iteration draws the
+    columns every iteration reads, at any window length, and they are
+    held until the trace goes; ``functions``, ``duration_seconds`` and
+    ``seed`` are read-only, so the columns cannot go stale.  Iterating
+    twice yields identical streams.
     """
 
-    __slots__ = ("functions", "duration_seconds", "seed")
+    __slots__ = ("_functions", "_duration_seconds", "_seed", "_columns")
 
     def __init__(self, functions: list[TraceFunction], duration_seconds: float, seed: int):
-        self.functions = list(functions)
-        self.duration_seconds = float(duration_seconds)
-        self.seed = seed
-        if not 0 <= self.duration_seconds < math.inf:
+        self._functions = tuple(functions)
+        self._duration_seconds = float(duration_seconds)
+        self._seed = seed
+        self._columns = None  # (times, durations, heads), drawn on first use
+        if not 0 <= self._duration_seconds < math.inf:
             raise ValueError("duration_seconds must be finite and >= 0")
-        _reject_malformed(self.functions)
+        _reject_malformed(self._functions)
+
+    @property
+    def functions(self) -> tuple[TraceFunction, ...]:
+        return self._functions
+
+    @property
+    def duration_seconds(self) -> float:
+        return self._duration_seconds
+
+    @property
+    def seed(self) -> int:
+        return self._seed
 
     @property
     def function_count(self) -> int:
-        return len(self.functions)
+        return len(self._functions)
 
     def memory_bytes(self) -> list[int]:
         """Per-function memory footprint, indexed like the stream."""
-        return [fn.memory_bytes for fn in self.functions]
+        return [fn.memory_bytes for fn in self._functions]
 
     def iter_invocations(self) -> Iterator[tuple]:
         """Time-ordered invocation tuples, drawn ahead as 16 B per invocation."""
@@ -179,17 +204,33 @@ class StreamedTrace:
             raise ValueError("window_seconds must be positive")
         return self._windows(window_seconds)
 
+    def _drawn(self):
+        """The shared columns ``(times, durations, heads)``, drawn once.
+
+        ``heads`` holds ``(start, index)`` for each function that fires,
+        ``times[start]`` its first arrival.  The draws depend only on
+        the duration and the seeds, never on a window length.
+        """
+        if self._columns is None:
+            times, durations, heads = array("d"), array("d"), []
+            seeds = fork_seed(self._seed, 3), fork_seed(self._seed, 2)  # arrivals, durations
+            duration = self._duration_seconds
+            for index, fn in enumerate(self._functions):
+                start = len(times)
+                if _draw_ahead(fn, duration, *seeds, index + 1, times, durations):
+                    heads.append((start, index))
+            self._columns = times, durations, heads
+        return self._columns
+
     def _windows(self, window):
-        duration = self.duration_seconds
-        seeds = fork_seed(self.seed, 3), fork_seed(self.seed, 2)  # arrivals, durations
-        # Per-function state, a list the calendar carries from window to
-        # window: [cursor, index, times, durations], ``times[cursor]``
-        # the next arrival.
-        drawn = (_draw_ahead(fn, duration, *seeds, i + 1) for i, fn in enumerate(self.functions))
-        # Window index -> states whose next arrival falls in it.  Every
-        # function starts in window 0 and files itself under its first
-        # arrival's window from there, so there is one filing site.
-        calendar = {0: [[0, index, *columns] for index, columns in enumerate(drawn) if columns]}
+        duration = self._duration_seconds
+        times, durations, heads = self._drawn()
+        # Window index -> this iteration's states whose next arrival
+        # falls in it, each ``[cursor, index]`` with ``times[cursor]``
+        # the next arrival.  Every function starts in window 0 and files
+        # itself under its first arrival's window from there, so there
+        # is one filing site.
+        calendar = {0: list(map(list, heads))}
         k = 0
         while True:
             end = (k + 1) * window
@@ -197,14 +238,14 @@ class StreamedTrace:
             arrivals = []
             add = arrivals.append
             for state in calendar.pop(k, ()):
-                cursor, index, times, durations = state
+                cursor, index = state
                 t = times[cursor]
                 while t < stop:
                     add((t, index, durations[cursor]))
                     cursor += 1
                     t = times[cursor]
                 if t >= duration:
-                    continue  # exhausted: its arrays go with the state
+                    continue  # exhausted: its state drops out here
                 state[0] = cursor
                 # The coordinator's expression, not the quotient,
                 # decides which side of a boundary an arrival is on.

@@ -1,5 +1,6 @@
 """Scenario engine: seeded reproducibility and spec-driven assembly."""
 
+import gc
 import hashlib
 import math
 from heapq import heappush
@@ -21,6 +22,8 @@ from repro.scenario import (
 from repro.scenario import engine as scenario_engine
 from repro.sim import core
 from repro.sim.distributions import Rng
+from repro.trace import stream
+from repro.trace.stream import _Generator
 
 
 def _mini_spec(**trace_overrides):
@@ -204,3 +207,76 @@ def test_heap_high_water_follows_work_in_flight(monkeypatch):
     assert run.kpis.offered > 200
     assert in_flight[0] == 0
     assert excess[0] <= 24
+
+
+# -- the shared streamed trace --------------------------------------------------
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """The seeds of every per-function generator the stream builds."""
+    seeds = []
+
+    def counted(seed):
+        seeds.append(seed)
+        return _Generator(seed)
+
+    monkeypatch.setattr(stream, "_Generator", counted)
+    return seeds
+
+
+def _trace_replay_spec(scale=30.0):
+    # 30x the Fig 10 sample over 120 s: 3,000 arrival generators plus
+    # 1,877 duration generators for the functions that fire.
+    return load_spec("fig10_full").with_overrides(
+        {"trace.scale": scale, "trace.duration_seconds": 120.0}
+    )
+
+
+def _arms(spec, platforms=("dandelion", "faas")):
+    return [
+        run_scenario(spec.with_overrides({"fleet.platform": platform})).kpis.to_json()
+        for platform in platforms
+    ]
+
+
+def test_platform_arms_of_one_spec_draw_the_stream_once(seeded):
+    spec = _trace_replay_spec()
+    shared = _arms(spec)
+    assert len(seeded) == 4877
+    # A fleet or routing override keeps the trace section too.
+    run_scenario(spec.with_overrides({"fleet.workers": 3, "sched.routing": "round_robin"}))
+    assert len(seeded) == 4877
+    # The shared draw replays what a fresh draw per arm replays.
+    fresh = [_arms(_trace_replay_spec(), (platform,))[0] for platform in ("dandelion", "faas")]
+    assert shared == fresh
+    assert len(seeded) == 3 * 4877
+
+
+def test_separately_loaded_equal_specs_draw_their_own_streams(seeded):
+    first, second = _trace_replay_spec(), _trace_replay_spec()
+    assert first == second and first.trace is not second.trace
+    assert _arms(first, ("dandelion",)) == _arms(second, ("dandelion",))
+    assert len(seeded) == 9754
+    assert seeded[:4877] == seeded[4877:]
+
+
+@pytest.mark.parametrize("override", [{"trace.seed_offset": 1}, {"seed": 43}])
+def test_a_new_trace_seed_draws_a_different_stream(seeded, override):
+    spec = _trace_replay_spec(scale=3.0)
+    other = spec.with_overrides(override)
+    assert other.trace_seed() != spec.trace_seed()
+    base_kpis = _arms(spec, ("dandelion",))
+    drawn = len(seeded)
+    other_kpis = _arms(other, ("dandelion",))
+    assert seeded[drawn:] and seeded[drawn:drawn + 100] != seeded[:100]
+    assert other_kpis != base_kpis
+
+
+def test_the_shared_trace_goes_with_its_spec():
+    spec = _trace_replay_spec(scale=1.0)
+    _arms(spec, ("dandelion",))
+    assert scenario_engine._shared_trace is not None
+    del spec
+    gc.collect()
+    assert scenario_engine._shared_trace is None

@@ -496,28 +496,47 @@ def test_interpreter_exit_leaves_run_instead_of_failing_the_process(escaping):
 _NAN = float("nan")
 
 
-@pytest.mark.parametrize("schedule", [
-    lambda env: env.call_later(_NAN, list),
-    lambda env: env.call_at(_NAN, list),
-    lambda env: env.call_at_each(list, [(_NAN, ())]),
-    lambda env: env.timeout(_NAN),
-    lambda env: env.timeout_at(_NAN),
-    lambda env: env.run(until=_NAN),
+@pytest.mark.parametrize("schedule, message", [
+    (lambda env: env.call_later(_NAN, list), "delay nan is not a number"),
+    (lambda env: env.call_at(_NAN, list), "time nan is not a number"),
+    (lambda env: env.call_at_each(list, [(_NAN, ())]), "schedule time nan is not a number"),
+    (lambda env: env.timeout(_NAN), "delay nan is not a number"),
+    (lambda env: env.timeout_at(_NAN), "time nan is not a number"),
+    (lambda env: env.run(until=_NAN), "until nan is not a number"),
 ], ids=["call_later", "call_at", "call_at_each", "timeout", "timeout_at", "run_until"])
-def test_nan_time_rejected(schedule):
+def test_nan_time_rejected(schedule, message):
     # NaN compares false with everything, so only a negated guard
     # (`not when >= now`) keeps it off the heap, where it would fire
-    # before earlier-scheduled entries.
+    # before earlier-scheduled entries.  The error says what is wrong
+    # with it: not a number, rather than negative or in the past.
     env = Environment()
     seen = []
     env.call_later(0.5, seen.append, 0.5)
     env.call_later(1.0, seen.append, 1.0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError) as refused:
         schedule(env)
+    assert str(refused.value) == message
     assert env.events_scheduled == 2
     env.run()
     assert seen == [0.5, 1.0]
     assert env.now == 1.0
+
+
+@pytest.mark.parametrize("schedule, message", [
+    (lambda env: env.call_later(-0.5, list), "negative delay -0.5"),
+    (lambda env: env.timeout(-0.5), "negative delay -0.5"),
+    (lambda env: env.call_at(0.5, list), "time 0.5 is in the past"),
+    (lambda env: env.timeout_at(0.5), "time 0.5 is in the past"),
+    (lambda env: env.call_at_each(list, [(0.5, ())]), "schedule time 0.5 is before 1.0"),
+    (lambda env: env.run(until=0.5), "cannot run until a time in the past"),
+], ids=["call_later", "timeout", "call_at", "timeout_at", "call_at_each", "run_until"])
+def test_negative_or_past_time_keeps_its_message(schedule, message):
+    env = Environment()
+    env.run(until=1.0)
+    with pytest.raises(SimulationError) as refused:
+        schedule(env)
+    assert str(refused.value) == message
+    assert env.events_scheduled == 0
 
 
 def test_infinite_time_stays_allowed():

@@ -181,6 +181,7 @@ _FUNCTIONS = st.lists(
     min_size=1,
     max_size=200,
 )
+_WINDOWS = st.sampled_from([0.1, 0.3, 0.5, 7.0, 100.0]) | st.floats(0.05, 90.0)
 _BOUNDARY_FN = _function(mean_rate_rps=0.2)
 _BOUNDARY_T = next(merged_invocations(StreamedTrace([_BOUNDARY_FN], 61.7, 5)))[0]
 
@@ -214,7 +215,7 @@ _BOUNDARY_WINDOWS = (_BOUNDARY_T, *_windows_the_quotient_misfiles(_BOUNDARY_T))
     total_rps=st.floats(0.5, 150.0),
     seed=st.integers(0, 2**31 - 1),
     duration=st.sampled_from([3.0, 20.0, 61.7]),
-    window=st.sampled_from([0.1, 0.3, 0.5, 7.0, 100.0]) | st.floats(0.05, 90.0),
+    window=_WINDOWS,
 )
 @example([_BOUNDARY_FN], 0.2, 5, 61.7, _BOUNDARY_WINDOWS[0])
 @example([_BOUNDARY_FN], 0.2, 5, 61.7, _BOUNDARY_WINDOWS[1])
@@ -231,6 +232,35 @@ def test_windows_match_the_heap_merge_oracle(functions, total_rps, seed, duratio
     windows = list(trace.iter_windows(window))
     assert windows == partitioned(expected, window, duration)
     assert all(isinstance(batch, list) for batch in windows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    functions=_FUNCTIONS,
+    seed=st.integers(0, 2**31 - 1),
+    duration=st.sampled_from([3.0, 20.0, 61.7]),
+    first=_WINDOWS,
+    second=_WINDOWS,
+    taken=st.integers(0, 50),
+)
+def test_columns_drawn_at_one_window_length_replay_at_another(
+    functions, seed, duration, first, second, taken
+):
+    # The columns are drawn on the first iteration and shared by every
+    # later one; an iteration at any other window length, after the
+    # first was read in part or in full, must see exactly what a fresh
+    # trace yields at that length.
+    scale = 40.0 / sum(fn.mean_rate_rps for fn in functions)
+    population = [
+        dataclasses.replace(fn, mean_rate_rps=fn.mean_rate_rps * scale) for fn in functions
+    ]
+    trace = StreamedTrace(population, duration, seed)
+    list(itertools.islice(trace.iter_windows(first), taken))
+    whole = list(trace.iter_windows(first))
+    assert list(trace.iter_windows(second)) == list(
+        StreamedTrace(population, duration, seed).iter_windows(second)
+    )
+    assert list(trace.iter_windows(first)) == whole
 
 
 @settings(max_examples=100, deadline=None)
@@ -368,3 +398,8 @@ def test_streamed_trace_slots_and_fields():
     assert trace.duration_seconds == 10.0
     assert trace.function_count == 0
     assert trace.memory_bytes() == []
+    # The drawn columns depend on all three, so none can be reassigned.
+    for field, value in (("functions", [_function()]), ("duration_seconds", 20.0), ("seed", 4)):
+        with pytest.raises(AttributeError):
+            setattr(trace, field, value)
+    assert trace.functions == () and trace.duration_seconds == 10.0 and trace.seed == 3
